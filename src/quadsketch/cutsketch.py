@@ -23,10 +23,10 @@ import numpy as np
 
 from .errors import QuadsketchError, SketchConsistencyError
 from .graph import (
-    UnionFind,
     WeightedGraph,
     as_cut_query,
     cut_weight,
+    spanning_forest,
 )
 from .graph import connected_components
 from .oracle import multiset_outcomes
@@ -114,31 +114,23 @@ def cut_s1_build(p: WeightedGraph, epsilon: float, seed: int, *, s: int | None =
     delta = np.zeros(p.n)
     np.add.at(delta, p.edge_u, p.edge_w)
     np.add.at(delta, p.edge_v, p.edge_w)
-    deg = np.zeros(p.n, dtype=np.int64)
-    np.add.at(deg, p.edge_u, 1)
-    np.add.at(deg, p.edge_v, 1)
-    rng = rng_for(seed, "s1")
-    owners, nbrs, ws, ys = [], [], [], []
-    for u in range(p.n):
-        d = int(deg[u])
-        if d == 0:
-            continue
-        nv, ne = p.neighbors(u)
-        counts = np.bincount(rng.integers(0, d, size=s), minlength=d)
-        for slot in np.flatnonzero(counts):
-            owners.append(u)
-            nbrs.append(int(nv[slot]))
-            ws.append(float(p.edge_w[ne[slot]]))
-            ys.append(int(counts[slot]))
+    indptr, others, eids = p._adjacency()
+    deg = np.diff(indptr)
+    # one draw per sample, vertex by vertex: the same stream as one
+    # rng.integers(0, d_u, size=s) call per vertex in vertex order
+    has = np.flatnonzero(deg)
+    slot = rng_for(seed, "s1").integers(0, np.repeat(deg[has], s))
+    counts = np.bincount(np.repeat(indptr[has], s) + slot, minlength=others.size)
+    hit = np.flatnonzero(counts)
     return S1Sketch(
         float(epsilon),
         int(s),
         delta,
         deg,
-        np.array(owners, dtype=np.int64),
-        np.array(nbrs, dtype=np.int64),
-        np.array(ws, dtype=np.float64),
-        np.array(ys, dtype=np.int64),
+        np.repeat(np.arange(p.n), deg)[hit],
+        others[hit],
+        p.edge_w[eids[hit]],
+        counts[hit],
     )
 
 
@@ -417,13 +409,9 @@ def cut_basic_estimate(sk: CutSketchPoly, members, *, detail: bool = False):
 def mst_max(g: WeightedGraph) -> list[tuple[int, int, float]]:
     """Maximum-weight spanning forest, Kruskal order (ties by edge index)."""
     order = np.lexsort((np.arange(g.m), -g.edge_w))
-    uf = UnionFind(g.n)
-    out = []
-    for e in order.tolist():
-        u, v = int(g.edge_u[e]), int(g.edge_v[e])
-        if uf.union(u, v):
-            out.append((u, v, float(g.edge_w[e])))
-    return out
+    u, v, w = g.edge_u[order], g.edge_v[order], g.edge_w[order]
+    keep = spanning_forest(g.n, u, v)
+    return list(zip(u[keep].tolist(), v[keep].tolist(), w[keep].tolist()))
 
 
 @dataclass
@@ -554,20 +542,14 @@ def _contract(g: WeightedGraph, j_weight: float, n_global: int):
     """Contraction labels and the contracted finite-weight graph for scale j."""
     keep = g.edge_w >= j_weight / n_global**3
     infinite = g.edge_w >= n_global**2 * j_weight
-    uf = UnionFind(g.n)
-    for e in np.flatnonzero(infinite).tolist():
-        uf.union(int(g.edge_u[e]), int(g.edge_v[e]))
-    roots = {}
-    labels = np.empty(g.n, dtype=np.int64)
-    for v in range(g.n):
-        r = uf.find(v)
-        if r not in roots:
-            roots[r] = len(roots)
-        labels[v] = roots[r]
+    classes = WeightedGraph(
+        g.n, _arrays=(g.edge_u[infinite], g.edge_v[infinite], g.edge_w[infinite])
+    )
+    labels = connected_components(classes)
     finite = keep & ~infinite
     cu, cv, cw = labels[g.edge_u[finite]], labels[g.edge_v[finite]], g.edge_w[finite]
     loop = cu == cv  # finite edges swallowed by a contraction class
-    gp = WeightedGraph(len(roots), _arrays=(cu[~loop], cv[~loop], cw[~loop]))
+    gp = WeightedGraph(int(labels.max()) + 1, _arrays=(cu[~loop], cv[~loop], cw[~loop]))
     return labels, gp
 
 

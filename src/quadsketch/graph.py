@@ -8,6 +8,7 @@ fingerprinting deterministic.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -361,18 +362,55 @@ def conductance(g: WeightedGraph, members) -> float:
 
 
 def connected_components(g: WeightedGraph) -> np.ndarray:
-    """Component labels 0..k-1 in order of smallest member vertex."""
-    uf = UnionFind(g.n)
-    for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
-        uf.union(u, v)
-    labels = np.empty(g.n, dtype=np.int64)
-    seen: dict[int, int] = {}
-    for v in range(g.n):
-        r = uf.find(v)
-        if r not in seen:
-            seen[r] = len(seen)
-        labels[v] = seen[r]
-    return labels
+    """Component labels 0..k-1 in order of smallest member vertex.
+
+    Hook-and-jump labelling: every root hooks onto the smallest root across
+    its edges, then pointers jump until each vertex points at a root. A root
+    that does not hook has only larger neighbouring roots, all of which hook,
+    so the trees of a component at least halve per round. At the fixpoint
+    each component has one root, its smallest vertex, which fixes the label
+    order independently of the edge order.
+
+    The edge-expansion partition peels low-degree vertices without calling
+    this (the peel is exact because a k-core does not depend on the order of
+    removal), so calls come per piece and per sparse-cut search, not per
+    peeled vertex.
+    """
+    parent = np.arange(g.n, dtype=np.int64)
+    u, v = g.edge_u, g.edge_v
+    while True:
+        pu, pv = parent[u], parent[v]
+        if not np.count_nonzero(pu != pv):
+            break
+        np.minimum.at(parent, pu, pv)
+        np.minimum.at(parent, pv, pu)
+        while True:
+            up = parent[parent]
+            if not np.count_nonzero(up != parent):
+                break
+            parent = up
+    roots = parent == np.arange(g.n)
+    return (np.cumsum(roots) - 1)[parent]
+
+
+def spanning_forest(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Mask of the edges kept by a greedy forest scan in the given order.
+
+    Under weight = position + 1 the greedy (Kruskal) forest is the unique
+    minimum spanning forest, so one scipy call finds it. The (u, v) pairs
+    must be distinct, because the sparse matrix sums repeated pairs.
+    """
+    # imported here: scipy.sparse.csgraph costs more to import than the CLI's
+    # query path takes to run, and only builds need it
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
+    keep = np.zeros(u.size, dtype=bool)
+    if u.size:
+        pos = np.arange(1, u.size + 1, dtype=np.float64)
+        tree = minimum_spanning_tree(csr_array((pos, (u, v)), shape=(n, n)))
+        keep[tree.data.astype(np.int64) - 1] = True
+    return keep
 
 
 def is_connected(g: WeightedGraph) -> bool:
@@ -490,8 +528,8 @@ def parse_graph(text: str) -> WeightedGraph:
             raise GraphFormatError(lineno, f"vertex id out of range [0, {n})")
         if u == v:
             raise GraphFormatError(lineno, "self-loops are rejected")
-        if not w > 0:
-            raise GraphFormatError(lineno, "edge weight must be positive")
+        if not (w > 0 and math.isfinite(w)):
+            raise GraphFormatError(lineno, "edge weight must be positive and finite")
         edges.append((u, v, w))
     return WeightedGraph(n, edges)
 

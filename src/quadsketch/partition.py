@@ -70,7 +70,8 @@ def _metric_prefix_sweep(g: WeightedGraph, order: np.ndarray, mode: str, delta):
     return vals
 
 
-def _qualifies(value: float, mode: str, threshold: float) -> bool:
+def _qualifies(value, mode: str, threshold: float):
+    """Elementwise on arrays."""
     return value < threshold if mode == "edge_expansion" else value <= threshold
 
 
@@ -108,8 +109,8 @@ def find_sparse_cut(g: WeightedGraph, mode: str, threshold: float) -> SparseCutR
                 delta / np.minimum(delta, vol - delta),
                 np.inf,
             )
-    hit = [u for u in range(n) if _qualifies(float(single[u]), mode, threshold)]
-    if hit:
+    hit = np.flatnonzero(_qualifies(single, mode, threshold))
+    if hit.size:
         members = np.zeros(n, dtype=bool)
         members[hit[0]] = True
         return SparseCutResult(members, True)
@@ -219,23 +220,56 @@ class PartitionResult:
         return int(self.cross_u.size)
 
 
+def _threshold_core(g: WeightedGraph, vmap: np.ndarray, eidx: np.ndarray, threshold: float):
+    """Core of a piece: drop every vertex of degree < threshold, repeat.
+
+    Returns the core's vertices (ascending) and a mask over eidx of the
+    edges among them.
+    """
+    u, v = g.edge_u[eidx], g.edge_v[eidx]
+    alive = np.ones(eidx.size, dtype=bool)
+    while True:
+        deg = np.bincount(u[alive], minlength=g.n) + np.bincount(v[alive], minlength=g.n)
+        low = deg < threshold
+        drop = alive & (low[u] | low[v])
+        if not drop.any():
+            return vmap[~low[vmap]], alive
+        alive &= ~drop
+
+
 def _partition_by_cuts(g: WeightedGraph, mode: str, threshold: float) -> PartitionResult:
-    """Recursively split g along qualifying cuts; pieces keep parent ids."""
-    work: deque[tuple[np.ndarray, np.ndarray]] = deque()
-    # seed the worklist with connected components (splitting them is free)
+    """Recursively split g along qualifying cuts; pieces keep parent ids.
+
+    Pieces wait in a FIFO queue, seeded with the connected components that
+    have edges. A popped piece is split by find_sparse_cut, and each side
+    with edges is queued again.
+
+    In edge_expansion mode a vertex of degree < threshold is a qualifying
+    singleton cut, so a popped piece is first peeled to its threshold core
+    in one vectorized pass: the peeled edges join Q and the core is queued
+    again. The k-core does not depend on the order in which vertices are
+    removed (Batagelj-Zaversnik 2003), so this gives the same pieces and Q as
+    splitting off one singleton per find_sparse_cut call; only the order in
+    which pieces finish can differ. Conductance mode has no such shortcut,
+    because whether a singleton qualifies depends on the piece's volume.
+    """
     labels = connected_components(g)
-    all_idx = np.arange(g.m, dtype=np.int64)
-    for lab in range(int(labels.max()) + 1 if g.n else 0):
-        vmask = labels == lab
-        vmap = np.flatnonzero(vmask)
-        emask = vmask[g.edge_u]
-        work.append((vmap, all_idx[emask]))
+    edge_label = labels[g.edge_u]
+    work: deque[tuple[np.ndarray, np.ndarray]] = deque(
+        (np.flatnonzero(labels == lab), np.flatnonzero(edge_label == lab))
+        for lab in np.unique(edge_label)
+    )
     comps: list[Component] = []
     cross: list[np.ndarray] = []
     while work:
         vmap, eidx = work.popleft()
-        if eidx.size == 0:
-            continue  # edgeless pieces carry nothing to sketch or conserve
+        if mode == "edge_expansion":
+            core_v, core_e = _threshold_core(g, vmap, eidx, threshold)
+            if core_v.size < vmap.size:
+                cross.append(eidx[~core_e])
+                if core_v.size:
+                    work.append((core_v, eidx[core_e]))
+                continue
         inv = np.full(g.n, -1, dtype=np.int64)
         inv[vmap] = np.arange(vmap.size)
         piece = WeightedGraph(

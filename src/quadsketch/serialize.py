@@ -32,6 +32,9 @@ KINDS = {
 }
 _KIND_NAMES = {v: k for k, v in KINDS.items()}
 
+MAX_VARINT_BYTES = 10  # ceil(64 / 7): a 64-bit value's LEB128 length
+_SHIFTS = np.arange(0, 7 * MAX_VARINT_BYTES, 7, dtype=np.uint64)
+
 
 class Writer:
     def __init__(self):
@@ -39,8 +42,8 @@ class Writer:
 
     def varint(self, x: int) -> None:
         x = int(x)
-        if x < 0:
-            raise ValueError("varint must be non-negative")
+        if x < 0 or x >> 64:
+            raise ValueError("varint must be in [0, 2**64)")
         while True:
             b = x & 0x7F
             x >>= 7
@@ -54,10 +57,21 @@ class Writer:
         self.buf += struct.pack("<d", x)
 
     def int_array(self, a) -> None:
+        """Length, then one varint per entry; entries lie in [0, 2**63)."""
         a = np.asarray(a)
+        if a.size and a.min() < 0:
+            raise ValueError("varint must be non-negative")
         self.varint(a.size)
-        for x in a.tolist():
-            self.varint(x)
+        if a.size == 0:
+            return
+        x = a.astype(np.uint64).reshape(-1, 1)
+        # an entry has byte j when j == 0 or any bit at 7j or above is set
+        shifts = _SHIFTS[: max(1, (int(x.max()).bit_length() + 6) // 7)]
+        groups = ((x >> shifts) & 0x7F).astype(np.uint8)
+        size = 1 + np.count_nonzero(x >> shifts[1:], axis=1).reshape(-1, 1)
+        j = np.arange(shifts.size)
+        groups[j < size - 1] |= 0x80
+        self.buf += groups[j < size].tobytes()
 
     def f64_array(self, a) -> None:
         """Length, then either raw doubles or a small-dictionary encoding.
@@ -89,57 +103,84 @@ class Writer:
 
 
 class Reader:
+    """Bounds-checked reads: running past the end raises QuadsketchError."""
+
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
 
+    def _take(self, k: int) -> int:
+        """Claim the next k bytes and return their offset."""
+        start = self.pos
+        if k > len(self.data) - start:
+            raise QuadsketchError("truncated sketch data")
+        self.pos = start + k
+        return start
+
     def varint(self) -> int:
+        data, pos = self.data, self.pos
         x = 0
-        shift = 0
-        while True:
-            if self.pos >= len(self.data):
+        for shift in range(0, 7 * MAX_VARINT_BYTES, 7):
+            if pos >= len(data):
                 raise QuadsketchError("truncated sketch data")
-            b = self.data[self.pos]
-            self.pos += 1
+            b = data[pos]
+            pos += 1
             x |= (b & 0x7F) << shift
             if not b & 0x80:
+                self.pos = pos
                 return x
-            shift += 7
+        raise QuadsketchError(f"varint longer than {MAX_VARINT_BYTES} bytes")
 
     def f64(self) -> float:
-        (x,) = struct.unpack_from("<d", self.data, self.pos)
-        self.pos += 8
+        (x,) = struct.unpack_from("<d", self.data, self._take(8))
         return x
 
-    def int_array(self, dtype=np.int64) -> np.ndarray:
+    def int_array(self) -> np.ndarray:
         k = self.varint()
-        return np.array([self.varint() for _ in range(k)], dtype=dtype)
+        if k == 0:
+            return np.empty(0, dtype=np.int64)
+        # a varint ends at its first byte below 0x80, so k of them lie in the
+        # next 10k bytes; scanning only those keeps a call O(k)
+        window = np.frombuffer(
+            self.data,
+            dtype=np.uint8,
+            count=min(MAX_VARINT_BYTES * k, len(self.data) - self.pos),
+            offset=self.pos,
+        )
+        ends = np.flatnonzero(window < 0x80)[:k]
+        if ends.size < k:
+            raise QuadsketchError("truncated sketch data")
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        sizes = ends - starts + 1
+        if sizes.max() > MAX_VARINT_BYTES:
+            raise QuadsketchError(f"varint longer than {MAX_VARINT_BYTES} bytes")
+        body = window[: ends[-1] + 1]
+        j = np.arange(body.size) - np.repeat(starts, sizes)
+        # the tenth byte holds bits 63 and up, which an int64 cannot take
+        if np.any(body[j == MAX_VARINT_BYTES - 1]):
+            raise QuadsketchError("varint value does not fit in 63 bits")
+        groups = (body & 0x7F).astype(np.uint64) << _SHIFTS[j]
+        self.pos += body.size
+        return np.bitwise_or.reduceat(groups, starts).astype(np.int64)
 
     def f64_array(self) -> np.ndarray:
         k = self.varint()
         if k == 0:
             return np.empty(0, dtype=np.float64)
-        tag = self.data[self.pos]
-        self.pos += 1
+        tag = self.data[self._take(1)]
         if tag == 1:
-            d = self.data[self.pos]
-            self.pos += 1
-            table = np.frombuffer(self.data, dtype="<f8", count=d, offset=self.pos)
-            self.pos += 8 * d
-            idx = np.frombuffer(self.data, dtype=np.uint8, count=k, offset=self.pos)
-            self.pos += k
+            d = self.data[self._take(1)]
+            table = np.frombuffer(self.data, dtype="<f8", count=d, offset=self._take(8 * d))
+            idx = np.frombuffer(self.data, dtype=np.uint8, count=k, offset=self._take(k))
             return table.astype(np.float64)[idx]
-        a = np.frombuffer(self.data, dtype="<f8", count=k, offset=self.pos).astype(
-            np.float64
-        )
-        self.pos += 8 * k
-        return a
+        return np.frombuffer(
+            self.data, dtype="<f8", count=k, offset=self._take(8 * k)
+        ).astype(np.float64)
 
     def section(self) -> "Reader":
         k = self.varint()
-        sub = Reader(self.data[self.pos : self.pos + k])
-        self.pos += k
-        return sub
+        start = self._take(k)
+        return Reader(self.data[start : start + k])
 
 
 def write_graph(w: Writer, g: WeightedGraph) -> None:
@@ -185,6 +226,8 @@ def envelope(kind: str, payload: bytes) -> bytes:
 def open_envelope(data: bytes) -> tuple[str, Reader]:
     if data[:4] != MAGIC:
         raise QuadsketchError("not a quadsketch file (bad magic)")
+    if len(data) < 6:
+        raise QuadsketchError("truncated sketch header")
     if data[4] != VERSION:
         raise QuadsketchError(f"unsupported format version {data[4]}")
     kind = _KIND_NAMES.get(data[5])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import UnionFind, WeightedGraph
+from .graph import WeightedGraph, spanning_forest
 from .rng import rng_for
 
 OVERSAMPLE = 2.0
@@ -60,23 +60,17 @@ def _forest_indices(n: int, u: np.ndarray, v: np.ndarray, max_rounds: int) -> np
 
     An edge in forest k has k edge-disjoint paths between its endpoints in
     the scanned subgraph, so k lower-bounds its (unweighted) connectivity.
+    Round k keeps the greedy forest of the edges left, scanned in input
+    order; the (u, v) pairs must be distinct.
     """
-    m = u.size
-    idx = np.zeros(m, dtype=np.int64)
-    remaining = list(range(m))
-    rnd = 0
-    while remaining and rnd < max_rounds:
-        rnd += 1
-        uf = UnionFind(n)
-        leftover = []
-        for e in remaining:
-            if uf.union(int(u[e]), int(v[e])):
-                idx[e] = rnd
-            else:
-                leftover.append(e)
-        remaining = leftover
-    for e in remaining:
-        idx[e] = max_rounds + 1
+    idx = np.full(u.size, max_rounds + 1, dtype=np.int64)
+    remaining = np.arange(u.size)
+    for rnd in range(1, max_rounds + 1):
+        if not remaining.size:
+            break
+        forest = spanning_forest(n, u[remaining], v[remaining])
+        idx[remaining[forest]] = rnd
+        remaining = remaining[~forest]
     return idx
 
 

@@ -63,6 +63,13 @@ def test_malformed_graph_reports_line(tmp_path, capsys):
     assert code == 1 and "line 2" in err
 
 
+def test_non_finite_weight_reports_line(tmp_path, capsys):
+    p = tmp_path / "inf.txt"
+    p.write_text("3 2\n0 1 1.0\n1 2 inf\n")
+    code, _, err = run_cli(["oracle", "mincut", str(p)], capsys)
+    assert code == 1 and "line 3" in err
+
+
 def test_build_is_deterministic(rand_graph, tmp_path, capsys):
     out1 = tmp_path / "a.qsk"
     out2 = tmp_path / "b.qsk"

@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadsketch.cutsketch import (
     CutSketchGeneral,
@@ -22,9 +24,9 @@ from quadsketch.graph import (
     members_from_vertices,
 )
 from quadsketch.oracle import estimator_expectation_exhaustive
-from quadsketch.rng import derive_seed
+from quadsketch.rng import derive_seed, rng_for
 
-from conftest import complete_graph, gnp_connected, random_members
+from conftest import complete_graph, gnp, gnp_connected, random_members
 
 
 def s1_test_graph(n=16, gamma=0.05, seed=0):
@@ -37,6 +39,28 @@ def s1_test_graph(n=16, gamma=0.05, seed=0):
         for j in range(i + 1, n)
     ]
     return WeightedGraph(n, edges)
+
+
+def s1_tables_by_vertex(p: WeightedGraph, s: int, seed: int):
+    """Reference S1 sampling: one rng.integers call per vertex, in order."""
+    rng = rng_for(seed, "s1")
+    owners, nbrs, ws, ys = [], [], [], []
+    for u in range(p.n):
+        nv, ne = p.neighbors(u)
+        if nv.size == 0:
+            continue
+        counts = np.bincount(rng.integers(0, nv.size, size=s), minlength=nv.size)
+        for slot in np.flatnonzero(counts):
+            owners.append(u)
+            nbrs.append(int(nv[slot]))
+            ws.append(float(p.edge_w[ne[slot]]))
+            ys.append(int(counts[slot]))
+    return (
+        np.array(owners, dtype=np.int64),
+        np.array(nbrs, dtype=np.int64),
+        np.array(ws, dtype=np.float64),
+        np.array(ys, dtype=np.int64),
+    )
 
 
 class TestS1:
@@ -71,6 +95,15 @@ class TestS1:
             rows = sk.owner == u
             if sk.deg[u] > 0:
                 assert int(sk.y[rows].sum()) == sk.s
+
+    @given(st.integers(1, 20), st.floats(0.0, 1.0), st.integers(1, 9), st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_vertex_loop(self, n, p, s, seed):
+        g = gnp(n, p, seed, w_lo=0.5, w_hi=2.0)
+        sk = cut_s1_build(g, 0.5, seed, s=s)
+        ref = s1_tables_by_vertex(g, s, seed)
+        for got, want in zip((sk.owner, sk.nbr, sk.w, sk.y), ref):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_sampling_law_monte_carlo(self):
         # E[Y_u^v] = s / d_u within 4 standard errors over 10^4 builds
@@ -349,3 +382,53 @@ class TestSerialization:
             s = random_members(15, rng)
             assert back.estimate(s) == a.estimate(s)
         assert back.to_bytes() == a.to_bytes()
+
+
+def clusters(sizes, weights, p, seed):
+    """Dense clusters with per-cluster weights, joined by light edges."""
+    rng = np.random.default_rng(seed)
+    label = np.repeat(np.arange(len(sizes)), sizes)
+    iu, ju = np.triu_indices(label.size, 1)
+    inside = label[iu] == label[ju]
+    keep = rng.random(iu.size) < np.where(inside, p, 0.05)
+    w = np.where(inside, np.asarray(weights)[label[iu]], 0.01) * rng.uniform(1.0, 1.5, iu.size)
+    return WeightedGraph(label.size, _arrays=(iu[keep], ju[keep], w[keep]))
+
+
+# SHA-256 of same-seed pipeline-mode envelopes as the per-vertex loop build
+# wrote them; the vectorized build must reproduce them. Every case stores S1
+# pieces, and the two-cluster case has weight classes with two pieces each.
+GOLDEN = [
+    (
+        lambda: gnp_connected(40, 0.9, seed=1),
+        0.1,
+        7,
+        "7523ba90c7f53b6b24ac67988298465a771ad8f4e062af0424dc5dad60a3c980",
+    ),
+    (
+        lambda: clusters([32, 32], [1.0, 1.0], 0.9, 2),
+        0.1,
+        8,
+        "e481fd5a233928bd2ee2c859b5bb63a081aec84f3137d4244d167d6cb07b2a8b",
+    ),
+    (
+        lambda: clusters([30, 36, 28], [1.0, 30.0, 1000.0], 0.95, 3),
+        0.1,
+        9,
+        "c4f305dd72a9e5c09bd124df3d33e36dcc7b42329e735adb1e3a341b01bd3c6a",
+    ),
+    (
+        lambda: gnp_connected(48, 0.8, seed=4, w_lo=1.0, w_hi=4.0),
+        0.15,
+        10,
+        "c94605c90f951b881541bb7a69d63033d81153a608a61b5b575f08154449a707",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make, eps, seed, digest", GOLDEN, ids=["gnp", "two-clusters", "multi-scale", "gnp-weighted"]
+)
+def test_golden_bytes(make, eps, seed, digest):
+    data = cut_sketch_build(make(), eps, seed, mode="pipeline").to_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from quadsketch.errors import GraphFormatError, QuadsketchError, TooLargeError
 from quadsketch.graph import (
+    UnionFind,
     WeightedGraph,
     cheeger_exact,
     conductance,
@@ -18,7 +19,7 @@ from quadsketch.graph import (
 )
 from quadsketch.oracle import lambda1_normalized
 
-from conftest import complete_graph, gnp_connected, random_members
+from conftest import complete_graph, gnp, gnp_connected, random_members
 
 
 def triangle(w=1.0):
@@ -113,6 +114,25 @@ def test_connected_components():
     assert labels[3] != labels[0] and int(labels.max()) == 1
 
 
+def union_find_labels(g):
+    """Reference labelling: a union-find scan, labels by smallest member."""
+    uf = UnionFind(g.n)
+    for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
+        uf.union(u, v)
+    seen: dict[int, int] = {}
+    return np.array([seen.setdefault(uf.find(v), len(seen)) for v in range(g.n)], dtype=np.int64)
+
+
+@given(st.integers(0, 40), st.floats(0.0, 0.3), st.integers(0, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_connected_components_matches_union_find(n, p, seed):
+    perm = np.random.default_rng(seed).permutation(n)
+    g = gnp(n, p, seed).relabel(perm, n)  # no vertex order follows edge order
+    labels = connected_components(g)
+    assert labels.dtype == np.int64
+    assert np.array_equal(labels, union_find_labels(g))
+
+
 @given(st.integers(2, 12), st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_cut_equals_indicator_form(n, seed):
@@ -163,6 +183,13 @@ def test_parse_errors_carry_line_numbers():
         parse_graph("")
     with pytest.raises(GraphFormatError):
         parse_graph("2 2\n0 1 1.0\n")
+
+
+@pytest.mark.parametrize("w", ["inf", "-inf", "nan", "1e400"])
+def test_parse_rejects_non_finite_weight(w):
+    with pytest.raises(GraphFormatError) as ei:
+        parse_graph(f"3 2\n0 1 1.0\n1 2 {w}\n")
+    assert ei.value.line == 3
 
 
 def test_subgraph_maps():

@@ -1,17 +1,21 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadsketch.errors import QuadsketchError
 from quadsketch.graph import (
     WeightedGraph,
     cheeger_exact,
     conductance,
+    connected_components,
     cut_weight,
     expansion_exact,
 )
 from quadsketch.partition import (
+    _partition_by_cuts,
     assign_direction,
     cut_preprocessing,
     degree_class_partition,
@@ -127,6 +131,90 @@ class TestSpectralPreprocessing:
             part = spectral_preprocessing(g, h)
             bound = 16.0 * h * g.m * math.log2(g.m + 1)
             assert part.cross_count <= bound
+
+
+def partition_one_cut_at_a_time(g, threshold):
+    """Reference edge_expansion partition: every split, each low-degree
+    singleton included, is one find_sparse_cut call on a FIFO queue.
+
+    Returns (vmap, edge_idx, certified) per piece and the sorted cross edges.
+    """
+    labels = connected_components(g)
+    work = deque(
+        (np.flatnonzero(labels == lab), np.flatnonzero(labels[g.edge_u] == lab))
+        for lab in range(int(labels.max()) + 1 if g.n else 0)
+    )
+    comps, cross = [], [np.empty(0, dtype=np.int64)]
+    while work:
+        vmap, eidx = work.popleft()
+        if eidx.size == 0:
+            continue
+        inv = np.full(g.n, -1, dtype=np.int64)
+        inv[vmap] = np.arange(vmap.size)
+        piece = WeightedGraph(
+            vmap.size, _arrays=(inv[g.edge_u[eidx]], inv[g.edge_v[eidx]], g.edge_w[eidx])
+        )
+        res = find_sparse_cut(piece, "edge_expansion", threshold)
+        if res.members is None:
+            comps.append((vmap, eidx, res.certified))
+            continue
+        s = res.members
+        cross.append(eidx[s[piece.edge_u] != s[piece.edge_v]])
+        for side in (s, ~s):
+            sub_e = eidx[side[piece.edge_u] & side[piece.edge_v]]
+            if sub_e.size:
+                work.append((vmap[side], sub_e))
+    return comps, np.sort(np.concatenate(cross))
+
+
+class TestPartitionByCuts:
+    @given(
+        st.integers(2, 16),
+        st.integers(1, 3),
+        st.floats(0.3, 1.0),
+        st.sampled_from([1.5, 2.5, 3.0, 4.5]),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_core_peel_matches_one_cut_at_a_time(self, n, blocks, p, threshold, seed):
+        # dense blocks joined by sparse edges, so pieces often come in several
+        rng = np.random.default_rng(seed)
+        block = rng.integers(0, blocks, n)
+        iu, ju = np.triu_indices(n, 1)
+        keep = rng.random(iu.size) < np.where(block[iu] == block[ju], p, p / 8)
+        g = WeightedGraph(n, _arrays=(iu[keep], ju[keep], np.ones(int(keep.sum()))))
+        part = _partition_by_cuts(g, "edge_expansion", threshold)
+        ref, ref_cross = partition_one_cut_at_a_time(g, threshold)
+
+        def pieces(rows):
+            return sorted((v.tolist(), e.tolist(), c) for v, e, c in rows)
+
+        got = [(c.vmap, c.edge_idx, c.certified) for c in part.components]
+        assert pieces(got) == pieces(ref)
+        assert np.array_equal(part.cross_idx, ref_cross)
+
+    def test_core_peel_finish_order(self):
+        # two 16-cliques: five pendants hang off the first, one off the second
+        edges = [
+            (i, j, 1.0)
+            for base in (0, 40)
+            for i in range(base, base + 16)
+            for j in range(i + 1, base + 16)
+        ]
+        pendants = [(0, 16 + k) for k in range(5)] + [(40, 56)]
+        g = WeightedGraph(60, edges + [(u, v, 1.0) for u, v in pendants])
+        part = _partition_by_cuts(g, "edge_expansion", 5.0)
+        # peeling takes one pass per piece, so the first piece finishes first
+        assert [c.vmap.tolist() for c in part.components] == [
+            list(range(16)),
+            list(range(40, 56)),
+        ]
+        assert list(zip(part.cross_u.tolist(), part.cross_v.tolist())) == pendants
+        # one singleton per call needs five passes on the first piece, one on
+        # the second, so the second finishes first: seeds of later stages
+        # (per-piece S1 streams) follow this order
+        ref, _ = partition_one_cut_at_a_time(g, 5.0)
+        assert [v.tolist() for v, _, _ in ref] == [list(range(40, 56)), list(range(16))]
 
 
 class TestCutPreprocessing:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from quadsketch.cutsketch import CutSketchGeneral, cut_sketch_build
 from quadsketch.errors import QuadsketchError
 from quadsketch.graph import DirectedGraph, WeightedGraph
+from quadsketch.spectral import SpectralImprovedSketch, spectral_improved_build
 from quadsketch.serialize import (
     Reader,
     Writer,
@@ -13,7 +16,7 @@ from quadsketch.serialize import (
     write_digraph,
 )
 
-from conftest import gnp_connected
+from conftest import complete_graph, gnp_connected
 
 
 def test_varint_roundtrip():
@@ -69,3 +72,85 @@ def test_truncated_data_rejected():
     data = graph_bytes(g)
     with pytest.raises(QuadsketchError):
         graph_from_bytes(data[:8] + b"")
+
+
+def scalar_int_array(values) -> bytes:
+    """Reference encoding: the length, then one scalar varint per entry."""
+    w = Writer()
+    w.varint(len(values))
+    for x in values:
+        w.varint(x)
+    return w.getvalue()
+
+
+def test_int_array_boundaries():
+    vals = [0, 127, 128, 2**63 - 1]
+    w = Writer()
+    w.int_array(np.array(vals, dtype=np.int64))
+    assert w.getvalue() == scalar_int_array(vals)
+    back = Reader(w.getvalue()).int_array()
+    assert back.dtype == np.int64 and back.tolist() == vals
+    with pytest.raises(ValueError):
+        Writer().int_array(np.array([3, -1]))
+
+
+@given(st.lists(st.integers(0, 2**63 - 1), max_size=40), st.binary(max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_int_array_matches_scalar_varints(vals, tail):
+    w = Writer()
+    w.int_array(np.array(vals, dtype=np.int64))
+    assert w.getvalue() == scalar_int_array(vals)
+    r = Reader(w.getvalue() + tail)
+    assert r.int_array().tolist() == vals
+    assert r.pos == len(w.getvalue())
+
+
+def test_overlong_varints_rejected():
+    eleven = b"\x80" * 10 + b"\x01"
+    with pytest.raises(QuadsketchError):
+        Reader(eleven).varint()
+    with pytest.raises(QuadsketchError):
+        Reader(b"\x01" + eleven).int_array()
+    # 2**63 is a valid varint but no int64 entry
+    with pytest.raises(QuadsketchError):
+        Reader(scalar_int_array([5, 2**63])).int_array()
+    with pytest.raises(ValueError):
+        Writer().varint(2**64)
+
+
+def test_truncated_fields_rejected():
+    w = Writer()
+    w.f64(1.5)
+    w.f64_array(np.linspace(0.0, 1.0, 5))
+    w.section(b"abcdef")
+    data = w.getvalue()
+    for cut in range(len(data)):
+        r = Reader(data[:cut])
+        with pytest.raises(QuadsketchError):
+            r.f64()
+            r.f64_array()
+            r.section()
+
+
+@pytest.mark.parametrize(
+    "build, decode",
+    [
+        (
+            lambda: cut_sketch_build(complete_graph(5), 0.4, 3, mode="pipeline"),
+            CutSketchGeneral.from_bytes,
+        ),
+        (
+            lambda: spectral_improved_build(
+                gnp_connected(12, 0.5, seed=1, w_lo=1.0, w_hi=4.0), 0.3, 3
+            ),
+            SpectralImprovedSketch.from_bytes,
+        ),
+    ],
+    ids=["cut_general", "spectral_improved"],
+)
+def test_every_strict_prefix_rejected(build, decode):
+    data = build().to_bytes()
+    decode(data)
+    for cut in range(len(data)):
+        with pytest.raises(QuadsketchError):
+            decode(data[:cut])

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quadsketch.graph import WeightedGraph, cut_weight
+from quadsketch.graph import UnionFind, WeightedGraph, cut_weight
 from quadsketch.oracle import enumerate_cut_values
 from quadsketch.sparsify import (
     SparsifierConfig,
+    _forest_indices,
     edge_budget,
     effective_resistances,
     sparsify,
 )
 
-from conftest import complete_graph, gnp_connected, random_members
+from conftest import complete_graph, gnp, gnp_connected, random_members
 
 
 def edge_set(g):
@@ -108,3 +110,37 @@ def test_weight_ratio_clipping():
     h = sparsify(g2, SparsifierConfig(0.3, "cut", seed=1))
     if h.m:
         assert float(h.edge_w.max() / h.edge_w.min()) <= 3.0**6
+
+
+def forest_indices_by_rounds(n, u, v, max_rounds):
+    """Reference: one union-find scan of the remaining edges per round."""
+    idx = np.zeros(u.size, dtype=np.int64)
+    remaining = list(range(u.size))
+    rnd = 0
+    while remaining and rnd < max_rounds:
+        rnd += 1
+        uf = UnionFind(n)
+        leftover = []
+        for e in remaining:
+            if uf.union(int(u[e]), int(v[e])):
+                idx[e] = rnd
+            else:
+                leftover.append(e)
+        remaining = leftover
+    for e in remaining:
+        idx[e] = max_rounds + 1
+    return idx
+
+
+@given(st.integers(1, 24), st.floats(0.0, 1.0), st.integers(0, 6), st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_forest_indices_match_round_loop(n, p, max_rounds, seed):
+    g = gnp(n, p, seed)
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(g.m)  # any scan order, not just canonical
+    u, v = g.edge_u[order], g.edge_v[order]
+    flip = rng.random(u.size) < 0.5
+    u, v = np.where(flip, v, u), np.where(flip, u, v)
+    assert np.array_equal(
+        _forest_indices(n, u, v, max_rounds), forest_indices_by_rounds(n, u, v, max_rounds)
+    )
