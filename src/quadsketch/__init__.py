@@ -42,11 +42,8 @@ from .cutsketch import (
     S1Sketch,
     amplified_estimate,
     cut_basic_build,
-    cut_basic_estimate,
     cut_s1_build,
-    cut_s1_estimate,
     cut_sketch_build,
-    cut_sketch_estimate,
     mst_max,
 )
 from .spectral import (
@@ -55,25 +52,18 @@ from .spectral import (
     SpectralBasicSketch,
     SpectralImprovedSketch,
     spectral_basic_build,
-    spectral_basic_estimate,
     spectral_improved_build,
-    spectral_improved_estimate,
     spectral_s2_build,
-    spectral_s2_estimate,
     spectral_s3_build,
-    spectral_s3_estimate,
 )
 from .psdsdd import (
     JlSketch,
     SddSketch,
     jl_build,
-    jl_estimate,
     sdd_sketch_build,
-    sdd_sketch_estimate,
     sdd_to_laplacian,
 )
 from .oracle import (
-    OracleReport,
     estimator_expectation_exhaustive,
     lambda1_normalized,
     min_cut_exact,

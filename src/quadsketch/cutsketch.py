@@ -10,7 +10,9 @@ Three tiers, each built on the previous one:
 * ``CutSketchGeneral``: maximum-spanning-forest reduction that snaps an
   arbitrary weight range onto polynomially bounded slices.
 
-Sketches are immutable after build; estimates are read-only.
+Sketches are immutable after build. Estimates go through the shared flat
+``EdgeSampleEstimator``; ``CutSketchPoly`` builds one per ladder scale on
+the first query that selects it and caches it.
 """
 
 from __future__ import annotations
@@ -22,14 +24,16 @@ from statistics import median
 import numpy as np
 
 from .errors import QuadsketchError, SketchConsistencyError
+from .estimator import EdgeSampleEstimator, check_count, flatten, piece_estimator
 from .graph import (
     WeightedGraph,
     as_cut_query,
     cut_weight,
+    degrees,
     spanning_forest,
 )
 from .graph import connected_components
-from .oracle import multiset_outcomes
+from .oracle import multiset_outcomes, sample_table
 from .partition import cut_preprocessing
 from .rng import derive_seed, rng_for
 from . import serialize
@@ -67,16 +71,20 @@ class S1Sketch:
     def n(self) -> int:
         return int(self.delta.size)
 
+    def estimator_piece(self) -> EdgeSampleEstimator:
+        """Sample coefficient deg[owner] / s * y * w; on a 0/1 vector the
+        degree term is the volume of the member set."""
+        check_count("S1 piece", self.s)
+        return piece_estimator(
+            self.n,
+            diag=self.delta,
+            samples=(self.owner, self.nbr, self.deg / self.s, self.y, self.w),
+            what="S1 piece",
+        )
+
     def estimate(self, members) -> float:
-        s = as_cut_query(self.n, members)
-        base = float(self.delta[s].sum())
-        if self.owner.size == 0:
-            return base
-        mask = s[self.owner] & s[self.nbr]
-        if not np.any(mask):
-            return base
-        corr = (self.deg[self.owner[mask]] / self.s) * self.y[mask] * self.w[mask]
-        return base - float(corr.sum())
+        est = flatten(self.n, [(None, self.estimator_piece())])
+        return est.estimate(as_cut_query(self.n, members).astype(np.float64))
 
     def word_count(self) -> int:
         return 2 * self.n + 3 * int(self.owner.size)
@@ -134,10 +142,6 @@ def cut_s1_build(p: WeightedGraph, epsilon: float, seed: int, *, s: int | None =
     )
 
 
-def cut_s1_estimate(sk: S1Sketch, members) -> float:
-    return sk.estimate(members)
-
-
 def s1_outcome_space(p: WeightedGraph, s: int):
     """Per-vertex sample-multiset outcome spaces for exhaustive expectation."""
     spaces = []
@@ -155,31 +159,8 @@ def s1_outcome_space(p: WeightedGraph, s: int):
 
 def s1_from_assignment(p: WeightedGraph, epsilon: float, s: int, assignment) -> S1Sketch:
     """Build the sketch that corresponds to one enumerated sampling outcome."""
-    delta = np.zeros(p.n)
-    np.add.at(delta, p.edge_u, p.edge_w)
-    np.add.at(delta, p.edge_v, p.edge_w)
-    deg = np.zeros(p.n, dtype=np.int64)
-    np.add.at(deg, p.edge_u, 1)
-    np.add.at(deg, p.edge_v, 1)
-    owners, nbrs, ws, ys = [], [], [], []
-    for u, table in enumerate(assignment):
-        if not table:
-            continue
-        for (nbr, wgt), count in table:
-            owners.append(u)
-            nbrs.append(nbr)
-            ws.append(wgt)
-            ys.append(count)
-    return S1Sketch(
-        float(epsilon),
-        int(s),
-        delta,
-        deg,
-        np.array(owners, dtype=np.int64),
-        np.array(nbrs, dtype=np.int64),
-        np.array(ws, dtype=np.float64),
-        np.array(ys, dtype=np.int64),
-    )
+    delta, deg = degrees(p)
+    return S1Sketch(float(epsilon), int(s), delta, deg, *sample_table(enumerate(assignment)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +194,31 @@ class CutSketchPoly:
         self.sparsifier = sparsifier
         self.ladder = ladder if ladder is not None else np.empty(0)
         self.scales: list[ScaleSketch] = scales if scales is not None else []
+        self._flat: dict[int, EdgeSampleEstimator] = {}  # scale index -> estimator
+        self._nbytes: int | None = None  # envelope size, once known
 
     @property
     def is_verbatim(self) -> bool:
         return self.verbatim is not None
+
+    def _class_parts(self, cls: ScaleClass) -> list:
+        parts = [(None, piece_estimator(self.n, exact=(cls.q_u, cls.q_v, cls.q_w), what="cut edges"))]
+        parts.extend((vmap, sk.estimator_piece()) for vmap, sk in cls.comps)
+        return parts
+
+    def _scale_estimator(self, idx: int) -> EdgeSampleEstimator:
+        """All cut edges and S1 pieces of one ladder scale, built on first use."""
+        est = self._flat.get(idx)
+        if est is None:
+            parts = [p for cls in self.scales[idx].classes for p in self._class_parts(cls)]
+            est = self._flat[idx] = flatten(self.n, parts, f"{self.kind} scale {idx}")
+        return est
+
+    def _byte_size(self) -> int:
+        """Length of the envelope, serialized at most once."""
+        if self._nbytes is None:
+            self._nbytes = len(self.to_bytes())
+        return self._nbytes
 
     def estimate(self, members, *, detail: bool = False):
         s = as_cut_query(self.n, members)
@@ -230,28 +232,21 @@ class CutSketchPoly:
         diag["c_tilde"] = c_tilde
         if c_tilde <= 0.0:
             return QueryResult(0.0, diag) if detail else 0.0
+        if len(self.scales) != len(self.ladder) or not self.scales:
+            raise SketchConsistencyError(f"{len(self.scales)} scale sketches for a {len(self.ladder)}-step ladder")
         target = c_tilde / LADDER_BASE**2
         idx = int(np.searchsorted(self.ladder, target, side="right")) - 1
         idx = min(max(idx, 0), len(self.ladder) - 1)
         scale = self.scales[idx]
-        c = scale.c
-        diag.update(c=c, scale_index=idx)
-        total = 0.0
-        per_class = []
-        for cls in scale.classes:
-            q_contrib = 0.0
-            if cls.q_u.size:
-                crossing = s[cls.q_u] != s[cls.q_v]
-                q_contrib = float(cls.q_w[crossing].sum())
-            comp_contrib = 0.0
-            for vmap, sk in cls.comps:
-                comp_contrib += sk.estimate(s[vmap])
-            per_class.append((cls.index, q_contrib, comp_contrib))
-            total += q_contrib + comp_contrib
-        diag["per_class"] = per_class
-        value = c * total
+        diag.update(c=scale.c, scale_index=idx)
+        x = s.astype(np.float64)
+        value = scale.c * self._scale_estimator(idx).estimate(x)
         if detail:
-            diag["bytes_touched"] = len(self.to_bytes())  # whole-sketch upper bound
+            # unscaled contribution of each weight class
+            diag["per_class"] = [
+                (cls.index, flatten(self.n, self._class_parts(cls)).estimate(x)) for cls in scale.classes
+            ]
+            diag["bytes_touched"] = self._byte_size()  # whole-sketch upper bound
             return QueryResult(value, diag)
         return value
 
@@ -325,7 +320,9 @@ class CutSketchPoly:
                     comps.append((vmap, S1Sketch.read(body)))
                 classes.append(ScaleClass(index, q_u, q_v, q_w, comps))
             scales.append(ScaleSketch(c, classes))
-        return cls(eps, n, sparsifier=sparsifier, ladder=ladder, scales=scales)
+        sk = cls(eps, n, sparsifier=sparsifier, ladder=ladder, scales=scales)
+        sk._nbytes = len(data)
+        return sk
 
 
 def build_ladder(g: WeightedGraph) -> np.ndarray:
@@ -396,10 +393,6 @@ def cut_basic_build(
             )
         scales.append(ScaleSketch(c, classes))
     return CutSketchPoly(epsilon, g.n, sparsifier=h, ladder=ladder, scales=scales)
-
-
-def cut_basic_estimate(sk: CutSketchPoly, members, *, detail: bool = False):
-    return sk.estimate(members, detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -586,10 +579,6 @@ def cut_sketch_build(
             comps.append((vmap, poly))
         stored.append(GeneralScale(j, labels, comps))
     return CutSketchGeneral(epsilon, g.n, tree=tree, stored=stored)
-
-
-def cut_sketch_estimate(sk: CutSketchGeneral, members, *, detail: bool = False):
-    return sk.estimate(members, detail=detail)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,131 @@
+"""One estimator shape shared by every "for each" sketch.
+
+S1 (cut), S2 and S3 (spectral) pieces and the exactly stored edges of the
+composites all answer x^T L x (a cut query is its 0/1 member vector) as
+
+    sum_v diag_v x_v^2 + sum_exact w (x_u - x_v)^2
+        - 2 sum_stored w x_u x_v - sum_samples coef x_o x_n.
+
+``piece_estimator`` derives one piece's terms from its stored arrays;
+``flatten`` checks every piece's indices against its vertex count, maps
+them to global ids once and concatenates the pieces, so a composite answers
+with a few gathers and dot products instead of a loop over pieces. Each
+term is one numpy dot product; the four are added with math.fsum. Exact
+edges keep the difference form, so a constant vector gives exactly 0 on
+them. A corrupt piece raises SketchConsistencyError, never an IndexError.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, fields
+
+import numpy as np
+
+from .errors import SketchConsistencyError
+
+_NO_IDX = np.empty(0, dtype=np.int64)
+_NO_VAL = np.empty(0, dtype=np.float64)
+_INDEX_FIELDS = ("eu", "ev", "su", "sv", "pu", "pv")
+
+
+@dataclass(frozen=True)
+class EdgeSampleEstimator:
+    n: int
+    diag: np.ndarray  # coefficient of x_v^2, one per vertex
+    eu: np.ndarray  # exact edges: + ew (x_u - x_v)^2
+    ev: np.ndarray
+    ew: np.ndarray
+    su: np.ndarray  # stored product edges: - 2 sw x_u x_v
+    sv: np.ndarray
+    sw: np.ndarray
+    pu: np.ndarray  # samples: - coef x_o x_n
+    pv: np.ndarray
+    coef: np.ndarray
+
+    def estimate(self, x: np.ndarray) -> float:
+        """x is an already validated float64 vector of length n."""
+        d = x[self.eu]
+        d -= x[self.ev]
+        d *= d
+        stored = x[self.su]
+        stored *= x[self.sv]
+        sampled = x[self.pu]
+        sampled *= x[self.pv]
+        return math.fsum(
+            (
+                float(np.dot(self.diag, x * x)),
+                float(np.dot(self.ew, d)),
+                -2.0 * float(np.dot(self.sw, stored)),
+                -float(np.dot(self.coef, sampled)),
+            )
+        )
+
+
+def check_count(what: str, k: int) -> None:
+    """A sample count that normalizes an estimator must be positive."""
+    if k < 1:
+        raise SketchConsistencyError(f"{what}: sample count {k} is not positive")
+
+
+def check_lengths(what: str, *arrays) -> None:
+    if len({a.size for a in arrays}) > 1:
+        raise SketchConsistencyError(f"{what}: array lengths {[a.size for a in arrays]} disagree")
+
+
+def piece_estimator(
+    n: int, *, diag=None, exact=None, stored=None, samples=None, what: str = "sketch piece"
+) -> EdgeSampleEstimator:
+    """Terms of one piece on vertices 0..n-1, for ``flatten``, which checks
+    their vertex indices before anything is answered.
+
+    ``exact`` and ``stored`` are (u, v, w) edge arrays. ``samples`` is
+    (owner, nbr, scale, *factors): a sample's coefficient is scale[owner]
+    times its factors, where scale has one value per vertex.
+    """
+    if diag is None:
+        diag = np.zeros(n)
+    elif diag.size != n:
+        raise SketchConsistencyError(f"{what}: {diag.size} degrees for {n} vertices")
+    edges = []
+    for kind, arrays in (("exact", exact), ("stored", stored)):
+        arrays = arrays or (_NO_IDX, _NO_IDX, _NO_VAL)
+        check_lengths(f"{what} {kind} edges", *arrays)
+        edges.extend(arrays)
+    pu, pv, coef = _NO_IDX, _NO_IDX, _NO_VAL
+    if samples is not None:
+        pu, pv, scale, *factors = samples
+        check_lengths(f"{what} samples", pu, pv, *factors)
+        if scale.size != n or (pu.size and not n):
+            raise SketchConsistencyError(f"{what}: {scale.size} sample scales for {n} vertices")
+        coef = scale.take(pu, mode="clip")  # flatten rejects an out-of-range owner
+        for f in factors:
+            coef = coef * f
+    return EdgeSampleEstimator(n, diag, *edges, pu, pv, coef)
+
+
+def flatten(n: int, parts, what: str = "sketch") -> EdgeSampleEstimator:
+    """One estimator on vertices 0..n-1 from (vmap, piece estimator) parts;
+    vmap maps piece vertex i to vmap[i], None means the identity."""
+    ests = [est for _, est in parts]
+    vmaps = [np.arange(n) if vmap is None else vmap for vmap, _ in parts]
+    sizes = np.array([est.n for est in ests], dtype=np.int64)
+    if any(vm.size != k for vm, k in zip(vmaps, sizes.tolist())):
+        raise SketchConsistencyError(f"{what}: a vertex map's length differs from its piece's")
+    allmap = np.concatenate([_NO_IDX, *vmaps])
+    if allmap.size and (allmap.min() < 0 or allmap.max() >= n):
+        raise SketchConsistencyError(f"{what}: vertex map entry outside [0, {n})")
+    starts = np.cumsum(sizes) - sizes
+    flat = {}
+    for field in fields(EdgeSampleEstimator)[1:]:
+        name = field.name
+        arrays = [getattr(est, name) for est in ests]
+        values = np.concatenate([_NO_IDX if name in _INDEX_FIELDS else _NO_VAL, *arrays])
+        if name in _INDEX_FIELDS:
+            counts = [a.size for a in arrays]
+            if np.any((values < 0) | (values >= np.repeat(sizes, counts))):
+                raise SketchConsistencyError(f"{what}: vertex index outside its piece")
+            values = allmap[values + np.repeat(starts, counts)]
+        flat[name] = values
+    flat["diag"] = np.bincount(allmap, weights=flat["diag"], minlength=n)
+    return EdgeSampleEstimator(n, **flat)

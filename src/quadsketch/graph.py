@@ -251,21 +251,6 @@ class DirectedGraph:
         np.add.at(d, self.arc_u, 1)
         return d
 
-    def in_degrees_unweighted(self) -> np.ndarray:
-        d = np.zeros(self.n, dtype=np.int64)
-        np.add.at(d, self.arc_v, 1)
-        return d
-
-    def out_degrees_weighted(self) -> np.ndarray:
-        d = np.zeros(self.n)
-        np.add.at(d, self.arc_u, self.arc_w)
-        return d
-
-    def in_degrees_weighted(self) -> np.ndarray:
-        d = np.zeros(self.n)
-        np.add.at(d, self.arc_v, self.arc_w)
-        return d
-
     def undirected(self) -> WeightedGraph:
         return WeightedGraph(self.n, _arrays=(self.arc_u, self.arc_v, self.arc_w))
 
@@ -325,11 +310,6 @@ def cut_weight(g: WeightedGraph, members) -> float:
     s = as_cut_query(g.n, members)
     crossing = s[g.edge_u] != s[g.edge_v]
     return float(g.edge_w[crossing].sum())
-
-
-def cut_edge_count(g: WeightedGraph, members) -> int:
-    s = as_cut_query(g.n, members)
-    return int(np.count_nonzero(s[g.edge_u] != s[g.edge_v]))
 
 
 def degrees(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable, Sequence
 
@@ -36,14 +35,6 @@ def fingerprint(g: WeightedGraph) -> str:
     h.update(g.edge_v.astype("<i8").tobytes())
     h.update(g.edge_w.astype("<f8").tobytes())
     return h.hexdigest()
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    quantity: str
-    value: float
-    method: str  # exhaustive | stoer_wagner | dense_eig
-    instance: str  # fingerprint of the queried graph
 
 
 def min_cut_exact(g: WeightedGraph) -> tuple[float, np.ndarray]:
@@ -141,15 +132,6 @@ def lambda1_normalized(g: WeightedGraph) -> float:
     return float(vals[1])
 
 
-def min_cut_report(g: WeightedGraph) -> OracleReport:
-    val, _ = min_cut_exact(g)
-    return OracleReport("min_cut", val, "stoer_wagner", fingerprint(g))
-
-
-def lambda1_report(g: WeightedGraph) -> OracleReport:
-    return OracleReport("lambda1_normalized", lambda1_normalized(g), "dense_eig", fingerprint(g))
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive expectation of a randomized estimator.
 #
@@ -183,6 +165,20 @@ def multiset_outcomes(
         payload = tuple((options[i][1], c) for i, c in sorted(counts.items()))
         out.append((coeff * prob, payload))
     return out
+
+
+def sample_table(tables) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(owner, nbr, w, y) sample arrays from (owner, table) pairs, where a
+    table holds ((nbr, w), count) entries of one outcome; None payloads
+    (draws that picked no edge) and empty tables are skipped."""
+    rows = [(u, *payload, count) for u, table in tables for payload, count in table or () if payload is not None]
+    owner, nbr, w, y = zip(*rows) if rows else ((), (), (), ())
+    return (
+        np.array(owner, dtype=np.int64),
+        np.array(nbr, dtype=np.int64),
+        np.array(w, dtype=np.float64),
+        np.array(y, dtype=np.int64),
+    )
 
 
 def estimator_expectation_exhaustive(

@@ -109,7 +109,7 @@ class SddSketch:
     def estimate(self, x) -> float:
         x = as_spectral_query(self.n, x)
         exact = float(np.dot(self.diag, x * x))
-        return exact + 0.5 * self.lap_sketch.estimate(embed_query(x))
+        return exact + 0.5 * self.lap_sketch.estimator.estimate(embed_query(x))
 
     def to_bytes(self) -> bytes:
         w = Writer()
@@ -124,16 +124,14 @@ class SddSketch:
             raise QuadsketchError(f"expected {cls.kind}, found {kind}")
         diag = r.f64_array()
         lap = SpectralImprovedSketch.from_bytes(bytes(r.section().data))
+        if lap.n != 2 * diag.size:
+            raise QuadsketchError(f"sdd sketch of side {diag.size} holds a {lap.n}-vertex Laplacian sketch")
         return cls(diag, lap)
 
 
 def sdd_sketch_build(a, epsilon: float, seed: int) -> SddSketch:
     diag, lap = sdd_to_laplacian(a)
     return SddSketch(diag, spectral_improved_build(lap, epsilon, seed))
-
-
-def sdd_sketch_estimate(sk: SddSketch, x) -> float:
-    return sk.estimate(x)
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +200,6 @@ def jl_build(a, epsilon: float, delta: float, seed: int) -> JlSketch:
     rng = rng_for(seed, "jl")
     s = rng.choice((-1.0, 1.0), size=(r, a.shape[0])) / math.sqrt(r)
     return JlSketch(s @ b, float(epsilon), float(delta), int(seed))
-
-
-def jl_estimate(sk: JlSketch, x) -> float:
-    return sk.estimate(x)
 
 
 # ---------------------------------------------------------------------------

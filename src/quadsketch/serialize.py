@@ -172,7 +172,11 @@ class Reader:
             d = self.data[self._take(1)]
             table = np.frombuffer(self.data, dtype="<f8", count=d, offset=self._take(8 * d))
             idx = np.frombuffer(self.data, dtype=np.uint8, count=k, offset=self._take(k))
+            if idx.max() >= d:
+                raise QuadsketchError(f"dictionary index {idx.max()} outside a {d}-value table")
             return table.astype(np.float64)[idx]
+        if tag != 0:
+            raise QuadsketchError(f"unknown f64 array encoding tag {tag}")
         return np.frombuffer(
             self.data, dtype="<f8", count=k, offset=self._take(8 * k)
         ).astype(np.float64)

@@ -11,24 +11,28 @@
 * ``SpectralImprovedSketch``: degree-class partition; low/verbatim classes
   stored exactly, banded classes S3-sketched.
 
-Estimator sums are accumulated with math.fsum to bound rounding drift.
+Every sketch answers through one flat ``EdgeSampleEstimator``: the
+composites map all their pieces to global vertex ids on the first query and
+cache the result, so a query is four numpy dot products over flat arrays,
+added with math.fsum (see ``estimator``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import QuadsketchError
+from .estimator import EdgeSampleEstimator, check_count, check_lengths, flatten, piece_estimator
 from .graph import (
     DirectedGraph,
     WeightedGraph,
     as_spectral_query,
-    quadratic_form,
 )
-from .oracle import multiset_outcomes
+from .oracle import multiset_outcomes, sample_table
 from .partition import (
     degree_class_partition,
     spectral_preprocessing,
@@ -41,9 +45,8 @@ from .sparsify import SparsifierConfig, sparsify
 H_MODES = ("lemma", "algorithm")
 
 
-def _xlx(x: np.ndarray, eu: np.ndarray, ev: np.ndarray, ew: np.ndarray) -> float:
-    d = x[eu] - x[ev]
-    return float(np.dot(ew, d * d))
+def _exact(g: WeightedGraph) -> EdgeSampleEstimator:
+    return piece_estimator(g.n, exact=(g.edge_u, g.edge_v, g.edge_w), what="stored graph")
 
 
 # ---------------------------------------------------------------------------
@@ -71,19 +74,20 @@ class S2Sketch:
     def n(self) -> int:
         return int(self.delta.size)
 
+    def estimator_piece(self) -> EdgeSampleEstimator:
+        """Sample coefficient delta_l[owner] / draws * y."""
+        check_count("S2 piece", self.draws)
+        check_lengths("S2 samples", self.owner, self.w)
+        return piece_estimator(
+            self.n,
+            diag=self.delta,
+            stored=(self.su, self.sv, self.sw),
+            samples=(self.owner, self.nbr, self.delta_l / self.draws, self.y),
+            what="S2 piece",
+        )
+
     def estimate(self, x) -> float:
-        x = as_spectral_query(self.n, x)
-        t1 = float(np.dot(self.delta, x * x))
-        t2 = 2.0 * float(np.dot(self.sw, x[self.su] * x[self.sv])) if self.su.size else 0.0
-        t3 = 0.0
-        if self.owner.size:
-            t3 = float(
-                np.dot(
-                    self.delta_l[self.owner] / self.draws,
-                    self.y * x[self.owner] * x[self.nbr],
-                )
-            )
-        return math.fsum((t1, -t2, -t3))
+        return flatten(self.n, [(None, self.estimator_piece())]).estimate(as_spectral_query(self.n, x))
 
     def word_count(self) -> int:
         return 2 * self.n + 3 * int(self.su.size) + 3 * int(self.owner.size)
@@ -144,10 +148,10 @@ def spectral_s2_build(
     if alpha is None:
         alpha = c_alpha * epsilon ** (-5.0 / 3.0)
     draws = math.ceil(alpha)
-    delta, gamma, light, (su, sv, sw), delta_l, hh = _s2_heavy_structure(p, alpha)
+    structure = _s2_heavy_structure(p, alpha)
+    _, _, light, _, delta_l, _ = structure
     rng = rng_for(seed, "s2")
-    owners, nbrs, ws, ys = [], [], [], []
-    hh_idx = np.flatnonzero(hh)
+    tables = []
     for u in np.flatnonzero(~light).tolist():
         nv, ne = p.neighbors(u)
         keep = ~(light[nv])
@@ -156,31 +160,17 @@ def spectral_s2_build(
             continue
         probs = p.edge_w[ne] / delta_l[u]
         counts = np.bincount(rng.choice(nv.size, size=draws, p=probs), minlength=nv.size)
-        for slot in np.flatnonzero(counts):
-            owners.append(u)
-            nbrs.append(int(nv[slot]))
-            ws.append(float(p.edge_w[ne[slot]]))
-            ys.append(int(counts[slot]))
+        slots = np.flatnonzero(counts).tolist()
+        tables.append((u, [((int(nv[k]), float(p.edge_w[ne[k]])), int(counts[k])) for k in slots]))
+    return _s2_sketch(epsilon, alpha, structure, tables)
+
+
+def _s2_sketch(epsilon: float, alpha: float, structure, tables) -> S2Sketch:
+    delta, gamma, light, (su, sv, sw), delta_l, _ = structure
     return S2Sketch(
-        float(epsilon),
-        float(alpha),
-        draws,
-        gamma,
-        delta,
-        light,
-        su,
-        sv,
-        sw,
-        delta_l,
-        np.array(owners, dtype=np.int64),
-        np.array(nbrs, dtype=np.int64),
-        np.array(ws, dtype=np.float64),
-        np.array(ys, dtype=np.int64),
+        float(epsilon), float(alpha), math.ceil(alpha), gamma, delta, light, su, sv, sw, delta_l,
+        *sample_table(tables),
     )
-
-
-def spectral_s2_estimate(sk: S2Sketch, x) -> float:
-    return sk.estimate(x)
 
 
 def s2_outcome_space(p: WeightedGraph, alpha: float):
@@ -204,33 +194,7 @@ def s2_outcome_space(p: WeightedGraph, alpha: float):
 
 
 def s2_from_assignment(p: WeightedGraph, epsilon: float, alpha: float, assignment) -> S2Sketch:
-    draws = math.ceil(alpha)
-    delta, gamma, light, (su, sv, sw), delta_l, _ = _s2_heavy_structure(p, alpha)
-    owners, nbrs, ws, ys = [], [], [], []
-    for u, table in enumerate(assignment):
-        if not table:
-            continue
-        for (nbr, wgt), count in table:
-            owners.append(u)
-            nbrs.append(nbr)
-            ws.append(wgt)
-            ys.append(count)
-    return S2Sketch(
-        float(epsilon),
-        float(alpha),
-        draws,
-        gamma,
-        delta,
-        light,
-        su,
-        sv,
-        sw,
-        delta_l,
-        np.array(owners, dtype=np.int64),
-        np.array(nbrs, dtype=np.int64),
-        np.array(ws, dtype=np.float64),
-        np.array(ys, dtype=np.int64),
-    )
+    return _s2_sketch(epsilon, alpha, _s2_heavy_structure(p, alpha), enumerate(assignment))
 
 
 # ---------------------------------------------------------------------------
@@ -262,20 +226,22 @@ class SpectralBasicSketch:
     def is_verbatim(self) -> bool:
         return self.verbatim is not None
 
-    def estimate(self, x) -> float:
-        x = as_spectral_query(self.n, x)
+    @cached_property
+    def estimator(self) -> EdgeSampleEstimator:
+        """Every class, cut edge and S2 piece in one flat estimator."""
         if self.is_verbatim:
-            return quadratic_form(self.verbatim, x)
-        terms = []
+            return flatten(self.n, [(None, _exact(self.verbatim))], self.kind)
+        parts = []
         for cls in self.classes:
             if cls.verbatim is not None:
-                terms.append(quadratic_form(cls.verbatim, x[cls.vmap_verbatim]))
+                parts.append((cls.vmap_verbatim, _exact(cls.verbatim)))
                 continue
-            if cls.q_u.size:
-                terms.append(_xlx(x, cls.q_u, cls.q_v, cls.q_w))
-            for vmap, sk in cls.comps:
-                terms.append(sk.estimate(x[vmap]))
-        return math.fsum(terms)
+            parts.append((None, piece_estimator(self.n, exact=(cls.q_u, cls.q_v, cls.q_w), what="cut edges")))
+            parts.extend((vmap, sk.estimator_piece()) for vmap, sk in cls.comps)
+        return flatten(self.n, parts, self.kind)
+
+    def estimate(self, x) -> float:
+        return self.estimator.estimate(as_spectral_query(self.n, x))
 
     def word_count(self) -> int:
         if self.is_verbatim:
@@ -412,10 +378,6 @@ def spectral_basic_build(
     return SpectralBasicSketch(epsilon, g.n, classes=classes, events=events)
 
 
-def spectral_basic_estimate(sk: SpectralBasicSketch, x) -> float:
-    return sk.estimate(x)
-
-
 # ---------------------------------------------------------------------------
 # S3: degree-banded directed pieces
 
@@ -447,29 +409,25 @@ class S3Sketch:
     q_v: np.ndarray
     q_w: np.ndarray
 
-    def estimate(self, x) -> float:
-        x = as_spectral_query(self.n, x)
-        terms = []
-        if self.q_u.size:
-            terms.append(_xlx(x, self.q_u, self.q_v, self.q_w))
+    def estimator_piece(self) -> EdgeSampleEstimator:
+        """Cut edges and components on the piece's vertices; sample
+        coefficient 2 * in_deg[owner] / draws * y."""
+        check_count("S3 piece", self.draws)
+        parts = [(None, piece_estimator(self.n, exact=(self.q_u, self.q_v, self.q_w), what="S3 cut edges"))]
         for comp in self.components:
-            xc = x[comp.vmap]
-            t1 = float(np.dot(comp.deg, xc * xc))
-            t2 = (
-                2.0 * float(np.dot(comp.sw, xc[comp.su] * xc[comp.sv]))
-                if comp.su.size
-                else 0.0
+            check_lengths("S3 samples", comp.owner, comp.w)
+            est = piece_estimator(
+                comp.vmap.size,
+                diag=comp.deg,
+                stored=(comp.su, comp.sv, comp.sw),
+                samples=(comp.owner, comp.nbr, 2.0 * comp.in_deg / self.draws, comp.y),
+                what="S3 component",
             )
-            t3 = 0.0
-            if comp.owner.size:
-                t3 = 2.0 * float(
-                    np.dot(
-                        comp.in_deg[comp.owner] / self.draws,
-                        comp.y * xc[comp.owner] * xc[comp.nbr],
-                    )
-                )
-            terms.append(math.fsum((t1, -t2, -t3)))
-        return math.fsum(terms)
+            parts.append((comp.vmap, est))
+        return flatten(self.n, parts, "S3 piece")
+
+    def estimate(self, x) -> float:
+        return self.estimator_piece().estimate(as_spectral_query(self.n, x))
 
     def word_count(self) -> int:
         words = 3 * int(self.q_u.size)
@@ -587,7 +545,7 @@ def spectral_s3_build(
         )
         su, sv, sw = tails[stored_mask], heads[stored_mask], ws[stored_mask]
         rng = rng_for(seed, "s3", len(comps))
-        owners, nbrs, wss, ys = [], [], [], []
+        tables = []
         heavy_idx = np.flatnonzero(~stored_mask)
         if heavy_idx.size:
             by_head: dict[int, list[int]] = {}
@@ -604,26 +562,11 @@ def spectral_s3_build(
                     rng.choice(len(arcs) + 1, size=draws, p=probs + [slack]),
                     minlength=len(arcs) + 1,
                 )
-                for slot in np.flatnonzero(counts[: len(arcs)]):
-                    a = arcs[slot]
-                    owners.append(u)
-                    nbrs.append(int(tails[a]))
-                    wss.append(float(ws[a]))
-                    ys.append(int(counts[slot]))
-        comps.append(
-            S3Component(
-                comp.vmap,
-                in_deg,
-                deg,
-                su,
-                sv,
-                sw,
-                np.array(owners, dtype=np.int64),
-                np.array(nbrs, dtype=np.int64),
-                np.array(wss, dtype=np.float64),
-                np.array(ys, dtype=np.int64),
-            )
-        )
+                slots = np.flatnonzero(counts[: len(arcs)]).tolist()
+                tables.append(
+                    (u, [((int(tails[arcs[k]]), float(ws[arcs[k]])), int(counts[k])) for k in slots])
+                )
+        comps.append(S3Component(comp.vmap, in_deg, deg, su, sv, sw, *sample_table(tables)))
     return S3Sketch(
         float(epsilon),
         float(beta),
@@ -636,10 +579,6 @@ def spectral_s3_build(
         part.cross_v.copy(),
         part.cross_w.copy(),
     )
-
-
-def spectral_s3_estimate(sk: S3Sketch, x) -> float:
-    return sk.estimate(x)
 
 
 def s3_outcome_space(p: DirectedGraph, kappa: int, beta: float):
@@ -693,30 +632,8 @@ def s3_from_assignment(
             p, comp_arcs, comp.vmap, threshold
         )
         su, sv, sw = tails[stored_mask], heads[stored_mask], ws[stored_mask]
-        owners, nbrs, wss, ys = [], [], [], []
-        for u, table in sorted(tables.get(ci, {}).items()):
-            for payload, count in table:
-                if payload is None:
-                    continue
-                tail, wgt = payload
-                owners.append(u)
-                nbrs.append(tail)
-                wss.append(wgt)
-                ys.append(count)
-        comps.append(
-            S3Component(
-                comp.vmap,
-                in_deg,
-                deg,
-                su,
-                sv,
-                sw,
-                np.array(owners, dtype=np.int64),
-                np.array(nbrs, dtype=np.int64),
-                np.array(wss, dtype=np.float64),
-                np.array(ys, dtype=np.int64),
-            )
-        )
+        samples = sample_table(sorted(tables.get(ci, {}).items()))
+        comps.append(S3Component(comp.vmap, in_deg, deg, su, sv, sw, *samples))
     h = 2.0 ** (-kappa)
     return S3Sketch(
         float(epsilon),
@@ -761,17 +678,19 @@ class SpectralImprovedSketch:
     def is_verbatim(self) -> bool:
         return self.verbatim is not None
 
-    def estimate(self, x) -> float:
-        x = as_spectral_query(self.n, x)
+    @cached_property
+    def estimator(self) -> EdgeSampleEstimator:
+        """Every exactly stored class and S3 piece in one flat estimator."""
         if self.is_verbatim:
-            return quadratic_form(self.verbatim, x)
-        terms = []
-        for cls in self.classes:
-            if cls.graph is not None:
-                terms.append(quadratic_form(cls.graph, x[cls.vmap]))
-            else:
-                terms.append(cls.s3.estimate(x[cls.vmap]))
-        return math.fsum(terms)
+            return flatten(self.n, [(None, _exact(self.verbatim))], self.kind)
+        parts = [
+            (cls.vmap, _exact(cls.graph) if cls.graph is not None else cls.s3.estimator_piece())
+            for cls in self.classes
+        ]
+        return flatten(self.n, parts, self.kind)
+
+    def estimate(self, x) -> float:
+        return self.estimator.estimate(as_spectral_query(self.n, x))
 
     def word_count(self) -> int:
         if self.is_verbatim:
@@ -874,7 +793,3 @@ def spectral_improved_build(
             )
     info = {"recursion_depth": dcp.recursion_depth, "n_classes": len(dcp.classes)}
     return SpectralImprovedSketch(epsilon, g.n, classes=classes, info=info)
-
-
-def spectral_improved_estimate(sk: SpectralImprovedSketch, x) -> float:
-    return sk.estimate(x)

@@ -8,6 +8,7 @@ import pytest
 from quadsketch.cli import main
 from quadsketch.graph import save_graph
 from quadsketch.psdsdd import format_matrix
+from quadsketch.serialize import Writer, envelope
 
 from conftest import gnp_connected
 
@@ -222,3 +223,22 @@ def test_console_script_installed():
         text=True,
     )
     assert out.returncode == 0 or "quadsketch" in out.stdout + out.stderr
+
+
+@pytest.mark.parametrize("tag, body", [(9, bytes(16)), (1, bytes([1]) + bytes(8) + bytes([0, 3]))], ids=["tag", "index"])
+def test_corrupt_f64_array_exit_1(tmp_path, capsys, tag, body):
+    # a 2 x 1 JL sketch whose projected factor is corrupt
+    w = Writer()
+    w.f64(0.5)
+    w.f64(0.1)
+    w.varint(1)
+    w.varint(2)
+    w.varint(1)
+    w.varint(2)
+    w.buf.append(tag)
+    w.buf += body
+    skp = tmp_path / "bad.qsk"
+    skp.write_bytes(envelope("jl", w.getvalue()))
+    code, out, err = run_cli(["psd", "jl-query", str(skp), "--", "1.0"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("quadsketch: error:") and "Traceback" not in err

@@ -62,6 +62,34 @@ def test_digraph_roundtrip():
     assert np.array_equal(back.arc_w, d.arc_w)
 
 
+def f64_array_bytes(tag: int, body: bytes, k: int = 2) -> bytes:
+    w = Writer()
+    w.varint(k)
+    w.buf.append(tag)
+    w.buf += body
+    return w.getvalue()
+
+
+def test_unknown_f64_array_tag_rejected():
+    raw = np.array([1.0, 2.0]).astype("<f8").tobytes()
+    assert Reader(f64_array_bytes(0, raw)).f64_array().tolist() == [1.0, 2.0]
+    for tag in (2, 7, 255):
+        with pytest.raises(QuadsketchError, match="tag"):
+            Reader(f64_array_bytes(tag, raw)).f64_array()
+
+
+def test_dictionary_index_outside_table_rejected():
+    table = np.array([0.5, 4.0]).astype("<f8").tobytes()
+    ok = f64_array_bytes(1, bytes([2]) + table + bytes([1, 0]))
+    assert Reader(ok).f64_array().tolist() == [4.0, 0.5]
+    for bad in (bytes([1, 2]), bytes([255, 0])):
+        with pytest.raises(QuadsketchError, match="dictionary index"):
+            Reader(f64_array_bytes(1, bytes([2]) + table + bad)).f64_array()
+    # an empty table admits no index at all
+    with pytest.raises(QuadsketchError, match="dictionary index"):
+        Reader(f64_array_bytes(1, bytes([0, 0, 0]))).f64_array()
+
+
 def test_bad_magic_rejected():
     with pytest.raises(QuadsketchError):
         open_envelope(b"NOPE\x01\x00junk")
