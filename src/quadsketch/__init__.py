@@ -8,6 +8,7 @@ __version__ = "0.1.0"
 from .errors import (
     GraphFormatError,
     QuadsketchError,
+    QueryError,
     SketchConsistencyError,
     TooLargeError,
 )

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cutsketch import CutSketchGeneral, CutSketchPoly, cut_sketch_build
+from .cutsketch import cut_sketch_build
 from .distmincut import run_protocol
 from .errors import QuadsketchError
 from .graph import (
@@ -31,43 +31,23 @@ from .graph import (
 from .oracle import lambda1_normalized, min_cut_exact
 from .partition import cut_preprocessing, degree_class_partition, spectral_preprocessing
 from .psdsdd import (
-    JlSketch,
-    SddSketch,
     jl_build,
     load_matrix,
     sdd_sketch_build,
     sdd_to_laplacian,
 )
 from .rng import derive_seed, rng_for
-from .serialize import open_envelope
-from .spectral import (
-    SpectralBasicSketch,
-    SpectralImprovedSketch,
-    spectral_basic_build,
-    spectral_improved_build,
-)
+from .serialize import sketch_class
+from .spectral import spectral_basic_build, spectral_improved_build
 from .sparsify import SparsifierConfig, sparsify
 
 CSV_HEADER = "# quadsketch v1"
-
-_SKETCH_TYPES = {
-    "cut_poly": CutSketchPoly,
-    "cut_general": CutSketchGeneral,
-    "spectral_basic": SpectralBasicSketch,
-    "spectral_improved": SpectralImprovedSketch,
-    "jl": JlSketch,
-    "sdd": SddSketch,
-}
 
 
 def _load_sketch(path):
     with open(path, "rb") as f:
         data = f.read()
-    kind, _ = open_envelope(data)
-    cls = _SKETCH_TYPES.get(kind)
-    if cls is None:
-        raise QuadsketchError(f"file holds a {kind} payload, not a sketch")
-    return cls.from_bytes(data)
+    return sketch_class(data).from_bytes(data)
 
 
 def _write_out(args, data: bytes | str):

@@ -23,7 +23,7 @@ from statistics import median
 
 import numpy as np
 
-from .errors import QuadsketchError, SketchConsistencyError
+from .errors import SketchConsistencyError
 from .estimator import EdgeSampleEstimator, check_count, flatten, piece_estimator
 from .graph import (
     WeightedGraph,
@@ -37,7 +37,8 @@ from .oracle import multiset_outcomes, sample_table
 from .partition import cut_preprocessing
 from .rng import derive_seed, rng_for
 from . import serialize
-from .serialize import Reader, Writer
+from .serialize import Composite, composite, f64, f64_array, graph, int_array, nested, pairs
+from .serialize import record, section, seq, tuple_of, varint
 from .sparsify import SparsifierConfig, sparsify
 
 LADDER_BASE = 1.4
@@ -89,27 +90,12 @@ class S1Sketch:
     def word_count(self) -> int:
         return 2 * self.n + 3 * int(self.owner.size)
 
-    def write(self, w: Writer) -> None:
-        w.varint(self.s)
-        w.f64(self.epsilon)
-        w.f64_array(self.delta)
-        w.int_array(self.deg)
-        w.int_array(self.owner)
-        w.int_array(self.nbr)
-        w.f64_array(self.w)
-        w.int_array(self.y)
 
-    @classmethod
-    def read(cls, r: Reader) -> "S1Sketch":
-        s = r.varint()
-        eps = r.f64()
-        delta = r.f64_array()
-        deg = r.int_array()
-        owner = r.int_array()
-        nbr = r.int_array()
-        wts = r.f64_array()
-        y = r.int_array()
-        return cls(eps, s, delta, deg, owner, nbr, wts, y)
+S1_LAYOUT = record(
+    S1Sketch,
+    s=varint, epsilon=f64, delta=f64_array, deg=int_array,
+    owner=int_array, nbr=int_array, w=f64_array, y=int_array,
+)
 
 
 def cut_s1_build(p: WeightedGraph, epsilon: float, seed: int, *, s: int | None = None) -> S1Sketch:
@@ -182,24 +168,18 @@ class ScaleSketch:
     classes: list[ScaleClass]
 
 
-class CutSketchPoly:
+class CutSketchPoly(Composite):
     """Cut sketch for graphs whose weight ratio is polynomially bounded."""
 
     kind = "cut_poly"
 
     def __init__(self, epsilon, n, verbatim=None, sparsifier=None, ladder=None, scales=None):
-        self.epsilon = float(epsilon)
-        self.n = int(n)
-        self.verbatim = verbatim
+        super().__init__(epsilon, n, verbatim)
         self.sparsifier = sparsifier
         self.ladder = ladder if ladder is not None else np.empty(0)
         self.scales: list[ScaleSketch] = scales if scales is not None else []
         self._flat: dict[int, EdgeSampleEstimator] = {}  # scale index -> estimator
         self._nbytes: int | None = None  # envelope size, once known
-
-    @property
-    def is_verbatim(self) -> bool:
-        return self.verbatim is not None
 
     def _class_parts(self, cls: ScaleClass) -> list:
         parts = [(None, piece_estimator(self.n, exact=(cls.q_u, cls.q_v, cls.q_w), what="cut edges"))]
@@ -260,69 +240,29 @@ class CutSketchPoly:
                 words += sum(sk.word_count() for _, sk in cls.comps)
         return words
 
-    # -- serialization ------------------------------------------------------
-
     def to_bytes(self) -> bytes:
-        w = Writer()
-        w.f64(self.epsilon)
-        w.varint(self.n)
-        w.varint(1 if self.is_verbatim else 0)
-        if self.is_verbatim:
-            serialize.write_graph(w, self.verbatim)
-            return serialize.envelope(self.kind, w.getvalue())
-        sub = Writer()
-        serialize.write_graph(sub, self.sparsifier)
-        w.section(sub.getvalue())
-        sub = Writer()
-        sub.f64_array(self.ladder)
-        w.section(sub.getvalue())
-        body = Writer()
-        body.varint(len(self.scales))
-        for sc in self.scales:
-            body.f64(sc.c)
-            body.varint(len(sc.classes))
-            for cls in sc.classes:
-                body.varint(cls.index)
-                body.int_array(cls.q_u)
-                body.int_array(cls.q_v)
-                body.f64_array(cls.q_w)
-                body.varint(len(cls.comps))
-                for vmap, sk in cls.comps:
-                    body.int_array(vmap)
-                    sk.write(body)
-        w.section(body.getvalue())
-        return serialize.envelope(self.kind, w.getvalue())
+        return serialize.encode(self.kind, self)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CutSketchPoly":
-        kind, r = serialize.open_envelope(data)
-        if kind != cls.kind:
-            raise QuadsketchError(f"expected {cls.kind}, found {kind}")
-        eps = r.f64()
-        n = r.varint()
-        if r.varint():
-            return cls(eps, n, verbatim=serialize.read_graph(r))
-        sparsifier = serialize.read_graph(r.section())
-        ladder = r.section().f64_array()
-        body = r.section()
-        scales = []
-        for _ in range(body.varint()):
-            c = body.f64()
-            classes = []
-            for _ in range(body.varint()):
-                index = body.varint()
-                q_u = body.int_array()
-                q_v = body.int_array()
-                q_w = body.f64_array()
-                comps = []
-                for _ in range(body.varint()):
-                    vmap = body.int_array()
-                    comps.append((vmap, S1Sketch.read(body)))
-                classes.append(ScaleClass(index, q_u, q_v, q_w, comps))
-            scales.append(ScaleSketch(c, classes))
-        sk = cls(eps, n, sparsifier=sparsifier, ladder=ladder, scales=scales)
+        sk = serialize.decode(cls.kind, data)
         sk._nbytes = len(data)
         return sk
+
+
+SCALE_CLASS_LAYOUT = record(
+    ScaleClass, index=varint, q_u=int_array, q_v=int_array, q_w=f64_array, comps=pairs(S1_LAYOUT)
+)
+serialize.register(
+    2,
+    composite(
+        CutSketchPoly,
+        check=lambda sk: sk.sparsifier.n != sk.n and f"{sk.sparsifier.n}-vertex sparsifier, n = {sk.n}",
+        sparsifier=section(graph),
+        ladder=section(f64_array),
+        scales=section(seq(record(ScaleSketch, c=f64, classes=seq(SCALE_CLASS_LAYOUT)))),
+    ),
+)
 
 
 def build_ladder(g: WeightedGraph) -> np.ndarray:
@@ -414,21 +354,15 @@ class GeneralScale:
     comps: list[tuple[np.ndarray, CutSketchPoly]]  # (contracted-id map, sketch)
 
 
-class CutSketchGeneral:
+class CutSketchGeneral(Composite):
     """Cut sketch for arbitrary positive weights."""
 
     kind = "cut_general"
 
     def __init__(self, epsilon, n, verbatim=None, tree=None, stored=None):
-        self.epsilon = float(epsilon)
-        self.n = int(n)
-        self.verbatim = verbatim
+        super().__init__(epsilon, n, verbatim)
         self.tree = tree if tree is not None else []  # ordered (u, v, w)
         self.stored: list[GeneralScale] = stored if stored is not None else []
-
-    @property
-    def is_verbatim(self) -> bool:
-        return self.verbatim is not None
 
     def estimate(self, members, *, detail: bool = False):
         s = as_cut_query(self.n, members)
@@ -476,59 +410,42 @@ class CutSketchGeneral:
         return words
 
     def to_bytes(self) -> bytes:
-        w = Writer()
-        w.f64(self.epsilon)
-        w.varint(self.n)
-        w.varint(1 if self.is_verbatim else 0)
-        if self.is_verbatim:
-            serialize.write_graph(w, self.verbatim)
-            return serialize.envelope(self.kind, w.getvalue())
-        tw = Writer()
-        tw.varint(len(self.tree))
-        for u, v, wt in self.tree:
-            tw.varint(u)
-            tw.varint(v)
-            tw.f64(wt)
-        w.section(tw.getvalue())
-        body = Writer()
-        body.varint(len(self.stored))
-        for gs in self.stored:
-            body.varint(gs.j)
-            body.int_array(gs.labels)
-            body.varint(len(gs.comps))
-            for vmap, poly in gs.comps:
-                body.int_array(vmap)
-                body.section(poly.to_bytes())
-        w.section(body.getvalue())
-        return serialize.envelope(self.kind, w.getvalue())
+        return serialize.encode(self.kind, self)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CutSketchGeneral":
-        kind, r = serialize.open_envelope(data)
-        if kind != cls.kind:
-            raise QuadsketchError(f"expected {cls.kind}, found {kind}")
-        eps = r.f64()
-        n = r.varint()
-        if r.varint():
-            return cls(eps, n, verbatim=serialize.read_graph(r))
-        tr = r.section()
-        tree = []
-        for _ in range(tr.varint()):
-            u = tr.varint()
-            v = tr.varint()
-            wt = tr.f64()
-            tree.append((u, v, wt))
-        body = r.section()
-        stored = []
-        for _ in range(body.varint()):
-            j = body.varint()
-            labels = body.int_array()
-            comps = []
-            for _ in range(body.varint()):
-                vmap = body.int_array()
-                comps.append((vmap, CutSketchPoly.from_bytes(bytes(body.section().data))))
-            stored.append(GeneralScale(j, labels, comps))
-        return cls(eps, n, tree=tree, stored=stored)
+        return serialize.decode(cls.kind, data)
+
+
+def _check_general(sk: CutSketchGeneral) -> str | None:
+    """Everything the estimate indexes with must be in range."""
+    top = max((max(u, v) for u, v, _ in sk.tree), default=-1)
+    if top >= sk.n:
+        return f"forest endpoint {top} outside [0, {sk.n})"
+    js = [gs.j for gs in sk.stored]
+    if js != sorted(set(js)) or js and js[-1] >= len(sk.tree):
+        return f"slice indices {js} not increasing below {len(sk.tree)}"
+    for gs in sk.stored:
+        classes = int(gs.labels.max()) + 1 if gs.labels.size else 0
+        if gs.labels.size != sk.n or classes > sk.n:
+            return f"contraction labels of slice {gs.j} do not label {sk.n} vertices"
+        for vmap, poly in gs.comps:
+            if vmap.size != poly.n or (vmap.size and vmap.max() >= classes):
+                return f"component map does not fit slice {gs.j}"
+    return None
+
+
+serialize.register(
+    3,
+    composite(
+        CutSketchGeneral,
+        check=_check_general,
+        tree=section(seq(tuple_of(varint, varint, f64))),
+        stored=section(
+            seq(record(GeneralScale, j=varint, labels=int_array, comps=pairs(nested(CutSketchPoly))))
+        ),
+    ),
+)
 
 
 def _contract(g: WeightedGraph, j_weight: float, n_global: int):

@@ -23,7 +23,7 @@ from .errors import QuadsketchError
 from .graph import UnionFind, WeightedGraph, cut_weight, format_graph, is_connected
 from .oracle import enumerate_cut_values, min_cut_exact
 from .rng import derive_seed, rng_for
-from .serialize import graph_bytes
+from .serialize import encode
 from .sparsify import SparsifierConfig, sparsify
 
 SPARSIFIER_ACCURACY = 0.2
@@ -188,7 +188,7 @@ def run_protocol(
         )
         shares.append(ServerShare(i, share_graph, sketches, sparsifier))
         sketch_bytes.append(sum(len(sk.to_bytes()) for sk in sketches))
-        sparsifier_bytes.append(len(graph_bytes(sparsifier)))
+        sparsifier_bytes.append(len(encode("graph", sparsifier)))
     merged = WeightedGraph(
         g.n,
         _arrays=(

@@ -13,6 +13,10 @@ class GraphFormatError(QuadsketchError):
         self.line = line
 
 
+class QueryError(QuadsketchError, ValueError):
+    """Query vector of the wrong length or with invalid entries."""
+
+
 class TooLargeError(QuadsketchError):
     """Instance exceeds the hard cap of an exhaustive or dense method."""
 

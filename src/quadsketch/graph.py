@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import GraphFormatError, QuadsketchError, TooLargeError
+from .errors import GraphFormatError, QuadsketchError, QueryError, TooLargeError
 
 EXHAUSTIVE_VERTEX_CAP = 24
 _CHUNK = 1 << 18
@@ -274,9 +274,9 @@ def as_cut_query(n: int, members) -> np.ndarray:
         if s.dtype.kind in "iu" and s.size and s.max(initial=0) <= 1:
             s = s.astype(bool)
         else:
-            raise ValueError("cut query must be a 0/1 vector")
+            raise QueryError("cut query must be a 0/1 vector")
     if s.shape != (n,):
-        raise ValueError(f"cut query has length {s.shape}, expected ({n},)")
+        raise QueryError(f"cut query has length {s.shape}, expected ({n},)")
     return s
 
 
@@ -284,7 +284,7 @@ def members_from_vertices(n: int, vertices: Sequence[int]) -> np.ndarray:
     s = np.zeros(n, dtype=bool)
     for v in vertices:
         if not 0 <= v < n:
-            raise ValueError(f"vertex {v} out of range")
+            raise QueryError(f"vertex {v} out of range")
         s[v] = True
     return s
 
@@ -292,9 +292,9 @@ def members_from_vertices(n: int, vertices: Sequence[int]) -> np.ndarray:
 def as_spectral_query(n: int, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (n,):
-        raise ValueError(f"spectral query has length {x.shape}, expected ({n},)")
+        raise QueryError(f"spectral query has length {x.shape}, expected ({n},)")
     if not np.all(np.isfinite(x)):
-        raise ValueError("spectral query entries must be finite")
+        raise QueryError("spectral query entries must be finite")
     return x
 
 

@@ -15,7 +15,7 @@ from .errors import QuadsketchError
 from .graph import WeightedGraph, as_spectral_query
 from .rng import rng_for
 from . import serialize
-from .serialize import Writer
+from .serialize import f64, f64_array, matrix, nested, record, varint
 from .spectral import SpectralImprovedSketch, spectral_improved_build
 
 MATRIX_VERTEX_CAP = 4096
@@ -112,21 +112,22 @@ class SddSketch:
         return exact + 0.5 * self.lap_sketch.estimator.estimate(embed_query(x))
 
     def to_bytes(self) -> bytes:
-        w = Writer()
-        w.f64_array(self.diag)
-        w.section(self.lap_sketch.to_bytes())
-        return serialize.envelope(self.kind, w.getvalue())
+        return serialize.encode(self.kind, self)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SddSketch":
-        kind, r = serialize.open_envelope(data)
-        if kind != cls.kind:
-            raise QuadsketchError(f"expected {cls.kind}, found {kind}")
-        diag = r.f64_array()
-        lap = SpectralImprovedSketch.from_bytes(bytes(r.section().data))
-        if lap.n != 2 * diag.size:
-            raise QuadsketchError(f"sdd sketch of side {diag.size} holds a {lap.n}-vertex Laplacian sketch")
-        return cls(diag, lap)
+        return serialize.decode(cls.kind, data)
+
+
+serialize.register(
+    9,
+    record(
+        SddSketch,
+        check=lambda sk: sk.lap_sketch.n != 2 * sk.n and f"side {sk.n} holds a {sk.lap_sketch.n}-vertex sketch",
+        diag=f64_array,
+        lap_sketch=nested(SpectralImprovedSketch),
+    ),
+)
 
 
 def sdd_sketch_build(a, epsilon: float, seed: int) -> SddSketch:
@@ -161,27 +162,14 @@ class JlSketch:
         return float(np.dot(v, v))
 
     def to_bytes(self) -> bytes:
-        w = Writer()
-        w.f64(self.epsilon)
-        w.f64(self.delta)
-        w.varint(self.seed)
-        w.varint(self.r)
-        w.varint(self.n)
-        w.f64_array(self.sb.reshape(-1))
-        return serialize.envelope("jl", w.getvalue())
+        return serialize.encode(self.kind, self)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "JlSketch":
-        kind, r = serialize.open_envelope(data)
-        if kind != "jl":
-            raise QuadsketchError(f"expected jl, found {kind}")
-        eps = r.f64()
-        delta = r.f64()
-        seed = r.varint()
-        rows = r.varint()
-        cols = r.varint()
-        sb = r.f64_array().reshape(rows, cols)
-        return cls(sb, eps, delta, seed)
+        return serialize.decode(cls.kind, data)
+
+
+serialize.register(8, record(JlSketch, epsilon=f64, delta=f64, seed=varint, sb=matrix))
 
 
 def jl_rows(epsilon: float, delta: float) -> int:

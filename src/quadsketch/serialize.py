@@ -1,36 +1,48 @@
-"""Binary sketch envelope.
+"""Binary sketch envelope and the one codec that writes and reads it.
 
-Layout: magic ``QSK1``, one version byte, one kind byte, then length-prefixed
-sections. Integers are unsigned LEB128 varints, floats are little-endian
-IEEE-754 doubles (weights are kept exact; byte length of the envelope is the
-official size metric of a sketch).
+Envelope: magic ``QSK1``, one version byte, one kind byte, then the payload.
+Integers are unsigned LEB128 varints, floats little-endian IEEE-754 doubles
+(weights are kept exact; the byte length of the envelope is the official
+size metric of a sketch).
+
+Each sketch class states its layout once, in wire order, as a ``Codec``
+built from the vocabulary below; ``register`` gives it a kind byte, and
+``encode``/``decode`` walk that one layout both ways.
+
+* Fields: ``f64``, ``varint``, ``int_array``/``f64_array`` (a count, then
+  the entries), ``graph`` (n, m, edge arrays), ``const(v)`` (no bytes) and
+  ``mapped(codec, to_wire, from_wire)`` conversions: ``mask`` (0/1),
+  ``opt_varint`` (None as 0), ``zero`` (always 0), ``text``, ``matrix``.
+* ``seq(item)``: a count, then the items; ``tuple_of(a, b, ...)``;
+  ``pairs(item)``: (vertex map, piece) lists; ``section(inner)``: a byte
+  length, then exactly that many bytes of ``inner``.
+* ``record(cls, *groups, name=codec, ...)``: attributes of one value, read
+  back as ``cls(**attributes)``, rejected when ``check(value)`` returns a
+  message. A group is ``fields(...)`` or ``switch(tag_of, {tag: fields})``:
+  a varint tag, then that tag's fields. ``composite(cls, ...)``: eps, n, a
+  verbatim flag, then the whole graph or the body.
+
+Nested-envelope rule: a sketch inside a sketch (``nested(cls)``) is a
+section holding its own complete envelope, written by its class's
+``to_bytes`` and read by its ``from_bytes``.
+
+Reads are bounds-checked; bytes no layout writes (truncation, unknown tags,
+trailing bytes, invalid graphs, broken cross-field invariants) raise
+QuadsketchError.
 """
 
 from __future__ import annotations
 
 import struct
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .errors import QuadsketchError
-from .graph import DirectedGraph, WeightedGraph
+from .graph import WeightedGraph
 
 MAGIC = b"QSK1"
 VERSION = 1
-
-KINDS = {
-    "graph": 0,
-    "s1": 1,
-    "cut_poly": 2,
-    "cut_general": 3,
-    "s2": 4,
-    "s3": 5,
-    "spectral_basic": 6,
-    "spectral_improved": 7,
-    "jl": 8,
-    "sdd": 9,
-}
-_KIND_NAMES = {v: k for k, v in KINDS.items()}
 
 MAX_VARINT_BYTES = 10  # ceil(64 / 7): a 64-bit value's LEB128 length
 _SHIFTS = np.arange(0, 7 * MAX_VARINT_BYTES, 7, dtype=np.uint64)
@@ -181,73 +193,228 @@ class Reader:
             self.data, dtype="<f8", count=k, offset=self._take(8 * k)
         ).astype(np.float64)
 
-    def section(self) -> "Reader":
+    def section(self) -> bytes:
         k = self.varint()
         start = self._take(k)
-        return Reader(self.data[start : start + k])
+        return self.data[start : start + k]
 
 
-def write_graph(w: Writer, g: WeightedGraph) -> None:
-    w.varint(g.n)
-    w.varint(g.m)
-    w.int_array(g.edge_u)
-    w.int_array(g.edge_v)
-    w.f64_array(g.edge_w)
+# ---------------------------------------------------------------------------
+# Layout vocabulary
 
 
-def read_graph(r: Reader) -> WeightedGraph:
-    n = r.varint()
-    m = r.varint()
-    u = r.int_array()
-    v = r.int_array()
-    wts = r.f64_array()
-    if u.size != m or v.size != m or wts.size != m:
+class Codec(NamedTuple):
+    write: Callable[[Writer, Any], None]
+    read: Callable[[Reader], Any]
+    cls: Any = None  # what a record decodes to
+
+
+def mapped(codec: Codec, to_wire: Callable, from_wire: Callable) -> Codec:
+    return Codec(lambda w, v: codec.write(w, to_wire(v)), lambda r: from_wire(codec.read(r)))
+
+
+def const(value) -> Codec:
+    return Codec(lambda w, _: None, lambda r: value)
+
+
+def seq(item: Codec) -> Codec:
+    def write(w: Writer, values) -> None:
+        w.varint(len(values))
+        for v in values:
+            item.write(w, v)
+
+    return Codec(write, lambda r: [item.read(r) for _ in range(r.varint())])
+
+
+def tuple_of(*items: Codec) -> Codec:
+    def write(w: Writer, values) -> None:
+        for c, v in zip(items, values):
+            c.write(w, v)
+
+    return Codec(write, lambda r: tuple(c.read(r) for c in items))
+
+
+def _utf8(data: bytes) -> str:
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise QuadsketchError(f"text field is not UTF-8: {exc.reason}") from None
+
+
+def _reshape(shape_and_entries) -> np.ndarray:
+    rows, cols, a = shape_and_entries
+    if rows * cols != a.size:
+        raise QuadsketchError(f"{a.size} entries for a {rows} x {cols} matrix")
+    return a.reshape(rows, cols)
+
+
+f64 = Codec(Writer.f64, Reader.f64)
+varint = Codec(Writer.varint, Reader.varint)
+int_array = Codec(Writer.int_array, Reader.int_array)
+f64_array = Codec(Writer.f64_array, Reader.f64_array)
+blob = Codec(Writer.section, Reader.section)
+mask = mapped(int_array, lambda a: a.astype(np.int64), lambda a: a.astype(bool))
+opt_varint = mapped(varint, lambda k: 0 if k is None else k + 1, lambda k: k - 1 if k else None)
+zero = mapped(varint, lambda _: 0, lambda _: None)
+text = mapped(blob, str.encode, _utf8)
+matrix = mapped(tuple_of(varint, varint, f64_array), lambda a: (*a.shape, a), _reshape)
+
+
+def pairs(item: Codec) -> Codec:
+    return seq(tuple_of(int_array, item))
+
+
+def to_payload(codec: Codec, value) -> bytes:
+    w = Writer()
+    codec.write(w, value)
+    return w.getvalue()
+
+
+def from_payload(codec: Codec, data: bytes):
+    """The value codec reads from data, which it must use exactly."""
+    r = Reader(data)
+    value = codec.read(r)
+    if r.pos != len(data):
+        raise QuadsketchError(f"{len(data) - r.pos} trailing bytes after the payload")
+    return value
+
+
+def section(inner: Codec) -> Codec:
+    return mapped(blob, lambda v: to_payload(inner, v), lambda data: from_payload(inner, data))
+
+
+def fields(**named: Codec) -> Codec:
+    """A group of attributes, read back as a dict."""
+
+    def write(w: Writer, obj) -> None:
+        for name, c in named.items():
+            c.write(w, getattr(obj, name))
+
+    return Codec(write, lambda r: {name: c.read(r) for name, c in named.items()})
+
+
+def switch(tag_of: Callable[[Any], int], cases: dict[int, Codec]) -> Codec:
+    """A group: the varint tag_of(value), then the fields of that case."""
+
+    def write(w: Writer, obj) -> None:
+        tag = tag_of(obj)
+        w.varint(tag)
+        cases[tag].write(w, obj)
+
+    def read(r: Reader) -> dict:
+        tag = r.varint()
+        if tag not in cases:
+            raise QuadsketchError(f"unknown variant tag {tag}, expected one of {sorted(cases)}")
+        return cases[tag].read(r)
+
+    return Codec(write, read)
+
+
+def record(cls, *groups: Codec, check: Callable | None = None, **named: Codec) -> Codec:
+    """The groups, then the named fields, of one value; read back as
+    cls(**attributes), then rejected if check(value) returns a message."""
+    groups = (*groups, fields(**named))
+
+    def write(w: Writer, obj) -> None:
+        for g in groups:
+            g.write(w, obj)
+
+    def read(r: Reader):
+        obj = cls(**{k: v for g in groups for k, v in g.read(r).items()})
+        problem = check and check(obj)
+        if problem:
+            raise QuadsketchError(f"corrupt {getattr(cls, 'kind', cls.__name__)}: {problem}")
+        return obj
+
+    return Codec(write, read, cls)
+
+
+def _graph(n, m, edge_u, edge_v, edge_w) -> WeightedGraph:
+    if not edge_u.size == edge_v.size == edge_w.size == m:
         raise QuadsketchError("inconsistent graph payload")
-    return WeightedGraph(n, _arrays=(u, v, wts))
+    try:
+        return WeightedGraph(n, _arrays=(edge_u, edge_v, edge_w))
+    except ValueError as exc:
+        raise QuadsketchError(f"invalid graph payload: {exc}") from None
 
 
-def write_digraph(w: Writer, g: DirectedGraph) -> None:
-    w.varint(g.n)
-    w.varint(g.m)
-    w.int_array(g.arc_u)
-    w.int_array(g.arc_v)
-    w.f64_array(g.arc_w)
+graph = record(_graph, n=varint, m=varint, edge_u=int_array, edge_v=int_array, edge_w=f64_array)
 
 
-def read_digraph(r: Reader) -> DirectedGraph:
-    n = r.varint()
-    r.varint()
-    u = r.int_array()
-    v = r.int_array()
-    wts = r.f64_array()
-    return DirectedGraph(n, _arrays=(u, v, wts))
+class Composite:
+    """What every composite sketch starts with: eps, n and, when it stores
+    its graph verbatim instead of sketching it, that graph."""
+
+    def __init__(self, epsilon, n, verbatim=None):
+        self.epsilon = float(epsilon)
+        self.n = int(n)
+        self.verbatim = verbatim
+
+    @property
+    def is_verbatim(self) -> bool:
+        return self.verbatim is not None
+
+
+def composite(cls: type[Composite], *, check: Callable | None = None, **body: Codec) -> Codec:
+    """eps, n and a verbatim flag, then the whole graph (flag 1), which must
+    have n vertices, or the body."""
+
+    def check_all(sk):
+        if sk.is_verbatim:
+            return sk.verbatim.n != sk.n and f"{sk.verbatim.n}-vertex graph in a {sk.n}-vertex sketch"
+        return check and check(sk)
+
+    verbatim_or_body = switch(lambda sk: int(sk.is_verbatim), {1: fields(verbatim=graph), 0: fields(**body)})
+    return record(cls, fields(epsilon=f64, n=varint), verbatim_or_body, check=check_all)
+
+
+def nested(cls) -> Codec:
+    return mapped(blob, lambda sk: sk.to_bytes(), lambda data: cls.from_bytes(data))
+
+
+# ---------------------------------------------------------------------------
+# Kinds and envelopes
+
+KINDS: dict[str, tuple[int, Codec]] = {"graph": (0, graph)}  # kind -> (byte, layout)
+
+
+def register(byte: int, layout: Codec) -> None:
+    """Give the sketch class layout decodes to (named by its kind) a kind byte."""
+    KINDS[layout.cls.kind] = (byte, layout)
 
 
 def envelope(kind: str, payload: bytes) -> bytes:
-    return MAGIC + bytes([VERSION, KINDS[kind]]) + payload
+    return MAGIC + bytes([VERSION, KINDS[kind][0]]) + payload
 
 
-def open_envelope(data: bytes) -> tuple[str, Reader]:
+def open_envelope(data: bytes) -> tuple[str, bytes]:
+    """The kind and the payload of an envelope."""
     if data[:4] != MAGIC:
         raise QuadsketchError("not a quadsketch file (bad magic)")
     if len(data) < 6:
         raise QuadsketchError("truncated sketch header")
     if data[4] != VERSION:
         raise QuadsketchError(f"unsupported format version {data[4]}")
-    kind = _KIND_NAMES.get(data[5])
+    kind = next((name for name, (byte, _) in KINDS.items() if byte == data[5]), None)
     if kind is None:
         raise QuadsketchError(f"unknown sketch kind byte {data[5]}")
-    return kind, Reader(data[6:])
+    return kind, data[6:]
 
 
-def graph_bytes(g: WeightedGraph) -> bytes:
-    w = Writer()
-    write_graph(w, g)
-    return envelope("graph", w.getvalue())
+def encode(kind: str, value) -> bytes:
+    return envelope(kind, to_payload(KINDS[kind][1], value))
 
 
-def graph_from_bytes(data: bytes) -> WeightedGraph:
-    kind, r = open_envelope(data)
-    if kind != "graph":
-        raise QuadsketchError(f"expected a graph payload, found {kind}")
-    return read_graph(r)
+def decode(kind: str, data: bytes):
+    found, payload = open_envelope(data)
+    if found != kind:
+        raise QuadsketchError(f"expected {kind}, found {found}")
+    return from_payload(KINDS[kind][1], payload)
+
+
+def sketch_class(data: bytes) -> type:
+    """The registered sketch class whose envelope data holds."""
+    kind, _ = open_envelope(data)
+    if kind == "graph":
+        raise QuadsketchError("file holds a graph payload, not a sketch")
+    return KINDS[kind][1].cls

@@ -20,12 +20,11 @@ added with math.fsum (see ``estimator``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import QuadsketchError
 from .estimator import EdgeSampleEstimator, check_count, check_lengths, flatten, piece_estimator
 from .graph import (
     DirectedGraph,
@@ -39,7 +38,8 @@ from .partition import (
 )
 from .rng import derive_seed, rng_for
 from . import serialize
-from .serialize import Reader, Writer
+from .serialize import Composite, composite, const, f64, f64_array, fields, graph, int_array
+from .serialize import mask, opt_varint, pairs, record, section, seq, switch, text, varint, zero
 from .sparsify import SparsifierConfig, sparsify
 
 H_MODES = ("lemma", "algorithm")
@@ -92,39 +92,13 @@ class S2Sketch:
     def word_count(self) -> int:
         return 2 * self.n + 3 * int(self.su.size) + 3 * int(self.owner.size)
 
-    def write(self, w: Writer) -> None:
-        w.f64(self.epsilon)
-        w.f64(self.alpha)
-        w.varint(self.draws)
-        w.f64(self.gamma)
-        w.f64_array(self.delta)
-        w.int_array(self.light.astype(np.int64))
-        w.int_array(self.su)
-        w.int_array(self.sv)
-        w.f64_array(self.sw)
-        w.f64_array(self.delta_l)
-        w.int_array(self.owner)
-        w.int_array(self.nbr)
-        w.f64_array(self.w)
-        w.int_array(self.y)
 
-    @classmethod
-    def read(cls, r: Reader) -> "S2Sketch":
-        eps = r.f64()
-        alpha = r.f64()
-        draws = r.varint()
-        gamma = r.f64()
-        delta = r.f64_array()
-        light = r.int_array().astype(bool)
-        su = r.int_array()
-        sv = r.int_array()
-        sw = r.f64_array()
-        dl = r.f64_array()
-        owner = r.int_array()
-        nbr = r.int_array()
-        wts = r.f64_array()
-        y = r.int_array()
-        return cls(eps, alpha, draws, gamma, delta, light, su, sv, sw, dl, owner, nbr, wts, y)
+S2_LAYOUT = record(
+    S2Sketch,
+    epsilon=f64, alpha=f64, draws=varint, gamma=f64, delta=f64_array, light=mask,
+    su=int_array, sv=int_array, sw=f64_array, delta_l=f64_array,
+    owner=int_array, nbr=int_array, w=f64_array, y=int_array,
+)
 
 
 def _s2_heavy_structure(p: WeightedGraph, alpha: float):
@@ -204,27 +178,21 @@ def s2_from_assignment(p: WeightedGraph, epsilon: float, alpha: float, assignmen
 @dataclass
 class BasicClass:
     weight_class: int
-    verbatim: WeightedGraph | None  # set when gamma <= eps^2 (stored exactly)
-    vmap_verbatim: np.ndarray | None
-    q_u: np.ndarray
-    q_v: np.ndarray
-    q_w: np.ndarray
-    comps: list[tuple[np.ndarray, S2Sketch]]
+    verbatim: WeightedGraph | None = None  # set when gamma <= eps^2 (stored exactly)
+    vmap_verbatim: np.ndarray | None = None
+    q_u: np.ndarray | None = None  # cut edges and S2 pieces of a sketched class
+    q_v: np.ndarray | None = None
+    q_w: np.ndarray | None = None
+    comps: list[tuple[np.ndarray, S2Sketch]] = field(default_factory=list)
 
 
-class SpectralBasicSketch:
+class SpectralBasicSketch(Composite):
     kind = "spectral_basic"
 
     def __init__(self, epsilon, n, verbatim=None, classes=None, events=None):
-        self.epsilon = float(epsilon)
-        self.n = int(n)
-        self.verbatim = verbatim
+        super().__init__(epsilon, n, verbatim)
         self.classes: list[BasicClass] = classes if classes is not None else []
         self.events: list[str] = events if events is not None else []
-
-    @property
-    def is_verbatim(self) -> bool:
-        return self.verbatim is not None
 
     @cached_property
     def estimator(self) -> EdgeSampleEstimator:
@@ -241,7 +209,8 @@ class SpectralBasicSketch:
         return flatten(self.n, parts, self.kind)
 
     def estimate(self, x) -> float:
-        return self.estimator.estimate(as_spectral_query(self.n, x))
+        x = as_spectral_query(self.n, x)  # before the estimator allocates n entries
+        return self.estimator.estimate(x)
 
     def word_count(self) -> int:
         if self.is_verbatim:
@@ -256,76 +225,30 @@ class SpectralBasicSketch:
         return words
 
     def to_bytes(self) -> bytes:
-        w = Writer()
-        w.f64(self.epsilon)
-        w.varint(self.n)
-        w.varint(1 if self.is_verbatim else 0)
-        if self.is_verbatim:
-            serialize.write_graph(w, self.verbatim)
-            return serialize.envelope(self.kind, w.getvalue())
-        body = Writer()
-        body.varint(len(self.classes))
-        for cls in self.classes:
-            body.varint(cls.weight_class)
-            body.varint(1 if cls.verbatim is not None else 0)
-            if cls.verbatim is not None:
-                serialize.write_graph(body, cls.verbatim)
-                body.int_array(cls.vmap_verbatim)
-                continue
-            body.int_array(cls.q_u)
-            body.int_array(cls.q_v)
-            body.f64_array(cls.q_w)
-            body.varint(len(cls.comps))
-            for vmap, sk in cls.comps:
-                body.int_array(vmap)
-                sk.write(body)
-        w.section(body.getvalue())
-        ev = Writer()
-        ev.varint(len(self.events))
-        for e in self.events:
-            data = e.encode()
-            ev.varint(len(data))
-            ev.buf += data
-        w.section(ev.getvalue())
-        return serialize.envelope(self.kind, w.getvalue())
+        return serialize.encode(self.kind, self)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SpectralBasicSketch":
-        kind, r = serialize.open_envelope(data)
-        if kind != cls.kind:
-            raise QuadsketchError(f"expected {cls.kind}, found {kind}")
-        eps = r.f64()
-        n = r.varint()
-        if r.varint():
-            return cls(eps, n, verbatim=serialize.read_graph(r))
-        body = r.section()
-        classes = []
-        for _ in range(body.varint()):
-            j = body.varint()
-            if body.varint():
-                g = serialize.read_graph(body)
-                vmap = body.int_array()
-                classes.append(BasicClass(j, g, vmap, *_empty_q(), []))
-                continue
-            q_u = body.int_array()
-            q_v = body.int_array()
-            q_w = body.f64_array()
-            comps = []
-            for _ in range(body.varint()):
-                vmap = body.int_array()
-                comps.append((vmap, S2Sketch.read(body)))
-            classes.append(BasicClass(j, None, None, q_u, q_v, q_w, comps))
-        ev = r.section()
-        events = []
-        for _ in range(ev.varint()):
-            k = ev.varint()
-            events.append(ev.data[ev.pos : ev.pos + k].decode())
-            ev.pos += k
-        return cls(eps, n, classes=classes, events=events)
+        return serialize.decode(cls.kind, data)
 
 
-def _empty_q():
-    return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
+BASIC_CLASS_LAYOUT = record(
+    BasicClass,
+    fields(weight_class=varint),
+    switch(
+        lambda cls: int(cls.verbatim is not None),
+        {
+            1: fields(verbatim=graph, vmap_verbatim=int_array),
+            0: fields(q_u=int_array, q_v=int_array, q_w=f64_array, comps=pairs(S2_LAYOUT)),
+        },
+    ),
+    check=lambda cls: (
+        cls.verbatim is not None and cls.vmap_verbatim.size != cls.verbatim.n and "vertex map does not fit its graph"
+    ),
+)
+serialize.register(
+    6, composite(SpectralBasicSketch, classes=section(seq(BASIC_CLASS_LAYOUT)), events=section(seq(text)))
+)
 
 
 def spectral_basic_build(
@@ -352,7 +275,7 @@ def spectral_basic_build(
         if gamma <= epsilon**2:
             # the S1/S2 analysis needs gamma > eps^2; store the class exactly
             events.append(f"class {int(j)} stored verbatim: gamma <= eps^2")
-            classes.append(BasicClass(int(j), sub, vmap, *_empty_q(), []))
+            classes.append(BasicClass(int(j), sub, vmap))
             continue
         part = spectral_preprocessing(sub, h)
         comps = []
@@ -366,13 +289,7 @@ def spectral_basic_build(
             comps.append((vmap[comp.vmap], sk))
         classes.append(
             BasicClass(
-                int(j),
-                None,
-                None,
-                vmap[part.cross_u],
-                vmap[part.cross_v],
-                part.cross_w.copy(),
-                comps,
+                int(j), q_u=vmap[part.cross_u], q_v=vmap[part.cross_v], q_w=part.cross_w.copy(), comps=comps
             )
         )
     return SpectralBasicSketch(epsilon, g.n, classes=classes, events=events)
@@ -436,54 +353,17 @@ class S3Sketch:
             words += 3 * int(comp.su.size) + 3 * int(comp.owner.size)
         return words
 
-    def write(self, w: Writer) -> None:
-        w.f64(self.epsilon)
-        w.f64(self.beta)
-        w.varint(self.draws)
-        w.varint(self.kappa)
-        w.f64(self.h)
-        w.varint(self.n)
-        w.int_array(self.q_u)
-        w.int_array(self.q_v)
-        w.f64_array(self.q_w)
-        w.varint(len(self.components))
-        for comp in self.components:
-            w.int_array(comp.vmap)
-            w.f64_array(comp.in_deg)
-            w.f64_array(comp.deg)
-            w.int_array(comp.su)
-            w.int_array(comp.sv)
-            w.f64_array(comp.sw)
-            w.int_array(comp.owner)
-            w.int_array(comp.nbr)
-            w.f64_array(comp.w)
-            w.int_array(comp.y)
 
-    @classmethod
-    def read(cls, r: Reader) -> "S3Sketch":
-        eps = r.f64()
-        beta = r.f64()
-        draws = r.varint()
-        kappa = r.varint()
-        h = r.f64()
-        n = r.varint()
-        q_u = r.int_array()
-        q_v = r.int_array()
-        q_w = r.f64_array()
-        comps = []
-        for _ in range(r.varint()):
-            vmap = r.int_array()
-            in_deg = r.f64_array()
-            deg = r.f64_array()
-            su = r.int_array()
-            sv = r.int_array()
-            sw = r.f64_array()
-            owner = r.int_array()
-            nbr = r.int_array()
-            wts = r.f64_array()
-            y = r.int_array()
-            comps.append(S3Component(vmap, in_deg, deg, su, sv, sw, owner, nbr, wts, y))
-        return cls(eps, beta, draws, kappa, h, n, comps, q_u, q_v, q_w)
+S3_COMPONENT_LAYOUT = record(
+    S3Component,
+    vmap=int_array, in_deg=f64_array, deg=f64_array, su=int_array, sv=int_array, sw=f64_array,
+    owner=int_array, nbr=int_array, w=f64_array, y=int_array,
+)
+S3_LAYOUT = record(
+    S3Sketch,
+    epsilon=f64, beta=f64, draws=varint, kappa=varint, h=f64, n=varint,
+    q_u=int_array, q_v=int_array, q_w=f64_array, components=seq(S3_COMPONENT_LAYOUT),
+)
 
 
 def _arc_order_as_undirected(p: DirectedGraph) -> np.ndarray:
@@ -657,26 +537,20 @@ def s3_from_assignment(
 class ImprovedClass:
     kind: str  # "verbatim" | "low" | "band"
     vmap: np.ndarray  # piece vertex -> original vertex
-    graph: WeightedGraph | None  # exact storage for verbatim/low classes
-    s3: S3Sketch | None
     kappa: int | None
     weight_class: int | None
     depth: int
+    graph: WeightedGraph | None = None  # exact storage for verbatim/low classes
+    s3: S3Sketch | None = None
 
 
-class SpectralImprovedSketch:
+class SpectralImprovedSketch(Composite):
     kind = "spectral_improved"
 
     def __init__(self, epsilon, n, verbatim=None, classes=None, info=None):
-        self.epsilon = float(epsilon)
-        self.n = int(n)
-        self.verbatim = verbatim
+        super().__init__(epsilon, n, verbatim)
         self.classes: list[ImprovedClass] = classes if classes is not None else []
         self.info = info or {}
-
-    @property
-    def is_verbatim(self) -> bool:
-        return self.verbatim is not None
 
     @cached_property
     def estimator(self) -> EdgeSampleEstimator:
@@ -690,7 +564,8 @@ class SpectralImprovedSketch:
         return flatten(self.n, parts, self.kind)
 
     def estimate(self, x) -> float:
-        return self.estimator.estimate(as_spectral_query(self.n, x))
+        x = as_spectral_query(self.n, x)  # before the estimator allocates n entries
+        return self.estimator.estimate(x)
 
     def word_count(self) -> int:
         if self.is_verbatim:
@@ -701,59 +576,31 @@ class SpectralImprovedSketch:
         return words
 
     def to_bytes(self) -> bytes:
-        w = Writer()
-        w.f64(self.epsilon)
-        w.varint(self.n)
-        w.varint(1 if self.is_verbatim else 0)
-        if self.is_verbatim:
-            serialize.write_graph(w, self.verbatim)
-            return serialize.envelope(self.kind, w.getvalue())
-        body = Writer()
-        body.varint(len(self.classes))
-        for cls in self.classes:
-            body.varint({"verbatim": 0, "low": 1, "band": 2}[cls.kind])
-            body.int_array(cls.vmap)
-            body.varint(cls.kappa if cls.kappa is not None else 0)
-            body.varint(cls.weight_class + 1 if cls.weight_class is not None else 0)
-            body.varint(cls.depth)
-            if cls.graph is not None:
-                serialize.write_graph(body, cls.graph)
-            else:
-                sub = Writer()
-                cls.s3.write(sub)
-                body.section(sub.getvalue())
-        w.section(body.getvalue())
-        return serialize.envelope(self.kind, w.getvalue())
+        return serialize.encode(self.kind, self)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SpectralImprovedSketch":
-        kind, r = serialize.open_envelope(data)
-        if kind != cls.kind:
-            raise QuadsketchError(f"expected {cls.kind}, found {kind}")
-        eps = r.f64()
-        n = r.varint()
-        if r.varint():
-            return cls(eps, n, verbatim=serialize.read_graph(r))
-        body = r.section()
-        classes = []
-        kinds = {0: "verbatim", 1: "low", 2: "band"}
-        for _ in range(body.varint()):
-            ck = kinds[body.varint()]
-            vmap = body.int_array()
-            kappa = body.varint()
-            wc = body.varint()
-            depth = body.varint()
-            if ck in ("verbatim", "low"):
-                g = serialize.read_graph(body)
-                classes.append(
-                    ImprovedClass(ck, vmap, g, None, None, wc - 1 if wc else None, depth)
-                )
-            else:
-                s3 = S3Sketch.read(body.section())
-                classes.append(
-                    ImprovedClass(ck, vmap, None, s3, kappa, wc - 1 if wc else None, depth)
-                )
-        return cls(eps, n, classes=classes)
+        return serialize.decode(cls.kind, data)
+
+
+def _improved_case(kind: str, kappa, **piece):
+    """kappa is an unused 0 for exactly stored classes."""
+    return fields(kind=const(kind), vmap=int_array, kappa=kappa, weight_class=opt_varint, depth=varint, **piece)
+
+
+IMPROVED_CLASS_LAYOUT = record(
+    ImprovedClass,
+    switch(
+        lambda cls: ("verbatim", "low", "band").index(cls.kind),
+        {
+            0: _improved_case("verbatim", zero, graph=graph),
+            1: _improved_case("low", zero, graph=graph),
+            2: _improved_case("band", varint, s3=section(S3_LAYOUT)),
+        },
+    ),
+    check=lambda cls: cls.vmap.size != (cls.graph or cls.s3).n and f"vertex map does not fit its {cls.kind} piece",
+)
+serialize.register(7, composite(SpectralImprovedSketch, classes=section(seq(IMPROVED_CLASS_LAYOUT))))
 
 
 def spectral_improved_build(
@@ -775,9 +622,7 @@ def spectral_improved_build(
     for ci, dc in enumerate(dcp.classes):
         if dc.kind in ("verbatim", "low"):
             classes.append(
-                ImprovedClass(
-                    dc.kind, dc.vmap, dc.piece.undirected(), None, None, dc.weight_class, dc.depth
-                )
+                ImprovedClass(dc.kind, dc.vmap, None, dc.weight_class, dc.depth, graph=dc.piece.undirected())
             )
         else:
             s3 = spectral_s3_build(
@@ -788,8 +633,6 @@ def spectral_improved_build(
                 c_beta=c_beta,
                 h_mode=h_mode,
             )
-            classes.append(
-                ImprovedClass("band", dc.vmap, None, s3, dc.band, dc.weight_class, dc.depth)
-            )
+            classes.append(ImprovedClass("band", dc.vmap, dc.band, dc.weight_class, dc.depth, s3=s3))
     info = {"recursion_depth": dcp.recursion_depth, "n_classes": len(dcp.classes)}
     return SpectralImprovedSketch(epsilon, g.n, classes=classes, info=info)

@@ -11,6 +11,7 @@ from quadsketch.psdsdd import format_matrix
 from quadsketch.serialize import Writer, envelope
 
 from conftest import gnp_connected
+from test_serialize import general_sketch, improved_with_class_tag
 
 
 @pytest.fixture
@@ -242,3 +243,25 @@ def test_corrupt_f64_array_exit_1(tmp_path, capsys, tag, body):
     code, out, err = run_cli(["psd", "jl-query", str(skp), "--", "1.0"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("quadsketch: error:") and "Traceback" not in err
+
+
+def general_with_endpoint_99() -> bytes:
+    sk = general_sketch()
+    sk.tree[0] = (0, 99, sk.tree[0][2])
+    return sk.to_bytes()
+
+
+@pytest.mark.parametrize(
+    "data, command, query, message",
+    [
+        (lambda: improved_with_class_tag(3), "spectral-sketch", "1,0,0,0", "unknown variant tag 3"),
+        (general_with_endpoint_99, "cut-sketch", "0,1", "forest endpoint 99"),
+    ],
+    ids=["improved-class-kind", "general-forest-endpoint"],
+)
+def test_corrupt_sketch_exit_1(tmp_path, capsys, data, command, query, message):
+    skp = tmp_path / "bad.qsk"
+    skp.write_bytes(data())
+    code, out, err = run_cli([command, "query", str(skp), "--", query], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("quadsketch: error:") and message in err

@@ -1,20 +1,21 @@
+import dataclasses
+import functools
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadsketch.cutsketch import CutSketchGeneral, cut_sketch_build
+from quadsketch.cutsketch import CutSketchGeneral, cut_basic_build, cut_sketch_build
 from quadsketch.errors import QuadsketchError
-from quadsketch.graph import DirectedGraph, WeightedGraph
-from quadsketch.spectral import SpectralImprovedSketch, spectral_improved_build
-from quadsketch.serialize import (
-    Reader,
-    Writer,
-    graph_bytes,
-    graph_from_bytes,
-    open_envelope,
-    read_digraph,
-    write_digraph,
+from quadsketch.graph import WeightedGraph
+from quadsketch.psdsdd import JlSketch, jl_build, sdd_sketch_build
+from quadsketch.spectral import (
+    SpectralImprovedSketch,
+    spectral_basic_build,
+    spectral_improved_build,
 )
+from quadsketch.serialize import KINDS, Reader, Writer, decode, encode, envelope, open_envelope, sketch_class
 
 from conftest import complete_graph, gnp_connected
 
@@ -49,17 +50,7 @@ def test_f64_array_raw_and_dictionary():
 
 def test_graph_envelope_roundtrip():
     g = gnp_connected(17, 0.4, seed=1, w_lo=0.25, w_hi=4.0)
-    assert graph_from_bytes(graph_bytes(g)) == g
-
-
-def test_digraph_roundtrip():
-    d = DirectedGraph(5, [(1, 0, 2.0), (2, 3, 1.0), (4, 2, 0.5)])
-    w = Writer()
-    write_digraph(w, d)
-    back = read_digraph(Reader(w.getvalue()))
-    assert np.array_equal(back.arc_u, d.arc_u)
-    assert np.array_equal(back.arc_v, d.arc_v)
-    assert np.array_equal(back.arc_w, d.arc_w)
+    assert decode("graph", encode("graph", g)) == g
 
 
 def f64_array_bytes(tag: int, body: bytes, k: int = 2) -> bytes:
@@ -97,9 +88,9 @@ def test_bad_magic_rejected():
 
 def test_truncated_data_rejected():
     g = WeightedGraph(3, [(0, 1, 1.0)])
-    data = graph_bytes(g)
+    data = encode("graph", g)
     with pytest.raises(QuadsketchError):
-        graph_from_bytes(data[:8] + b"")
+        decode("graph", data[:8] + b"")
 
 
 def scalar_int_array(values) -> bytes:
@@ -182,3 +173,237 @@ def test_every_strict_prefix_rejected(build, decode):
     for cut in range(len(data)):
         with pytest.raises(QuadsketchError):
             decode(data[:cut])
+
+
+def psd_matrix(n: int, seed: int) -> np.ndarray:
+    f = np.random.default_rng(seed).normal(size=(n, n - 2))
+    return f @ f.T
+
+
+def sdd_matrix(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    b = np.triu(rng.uniform(-1.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.6), 1)
+    b = b + b.T
+    return b + np.diag(np.abs(b).sum(axis=1) + rng.uniform(0.0, 0.5, n))
+
+
+def improved_with_verbatim_class():
+    """Builds never reach a verbatim class on small inputs; relabel a low one."""
+    sk = spectral_improved_build(gnp_connected(40, 0.5, seed=4), 0.25, 5)
+    assert [c.kind for c in sk.classes] == ["low", "band", "band"]
+    sk.classes[0] = dataclasses.replace(sk.classes[0], kind="verbatim", weight_class=None)
+    return sk
+
+
+def weighted(n: int, seed: int):
+    return gnp_connected(n, 0.5, seed=seed, w_lo=0.5, w_hi=2.0)
+
+
+# SHA-256 of same-seed envelopes as the per-class hand-written encoders wrote
+# them; the declarative layouts must reproduce them byte for byte.
+GOLDEN = {
+    "spectral_basic-s2-and-verbatim-class": (
+        lambda: spectral_basic_build(gnp_connected(16, 0.5, seed=21, w_lo=1e-3, w_hi=4.0), 0.3, 22),
+        "1e1c5051db1e836f2aa8c75d59720c5427312222ad512f3f183c2c042b55489a",
+    ),
+    "spectral_basic-verbatim-class-only": (
+        lambda: spectral_basic_build(gnp_connected(12, 0.5, seed=31, w_lo=1e-8, w_hi=1.9e-8), 0.3, 32),
+        "bda932f9faed7f73905416609f807f28531fc9de5f0573b100539d67a26a11d0",
+    ),
+    "spectral_improved-band-and-low": (
+        lambda: spectral_improved_build(gnp_connected(40, 0.5, seed=4), 0.25, 5),
+        "d9c07a63fd36d2e95c8faf1f65de77a4c4a53fba826a5c8e5181fe9c100dde83",
+    ),
+    "spectral_improved-verbatim-class": (
+        improved_with_verbatim_class,
+        "4099e4e022a9d92d7c9e084e3ff778ce0712558e2bd3b7ac4cbb4218e4d3e3c7",
+    ),
+    "sdd": (
+        lambda: sdd_sketch_build(sdd_matrix(8, 1), 0.2, 2),
+        "dcae1270ea4c520f8f25e261ad6d93a86d523245a317393971c95bc1c4182335",
+    ),
+    "jl": (
+        lambda: jl_build(psd_matrix(6, 3), 0.5, 0.2, 4),
+        "0328aa72bb064063faa4f49fcba3a7367a64c92cac988e23a49d3c6656e26b1f",
+    ),
+    "cut_poly-pipeline": (
+        lambda: cut_basic_build(gnp_connected(20, 0.5, seed=5), 0.15, 3, mode="pipeline"),
+        "148e0256e653c298d90dec5570a936bdbff16dfa32142b44e101eed51199424f",
+    ),
+    "cut_poly-verbatim": (
+        lambda: cut_basic_build(weighted(12, 6), 0.2, 1),
+        "dede48650ef98594c15cae6219331e9cdadc766dc37834064cb335cf2878a6e3",
+    ),
+    "cut_general-verbatim": (
+        lambda: cut_sketch_build(weighted(12, 7), 0.2, 1),
+        "ac831ffe92db694d52510e85dd1c20275034520cc31951dca36f7a03fd4194e7",
+    ),
+    "spectral_basic-verbatim": (
+        lambda: spectral_basic_build(weighted(12, 8), 0.05, 1),
+        "d92902eb83b54477e15c46591b161a63463dd67e2e67ace66e299ab6c6cb2154",
+    ),
+    "spectral_improved-verbatim": (
+        lambda: spectral_improved_build(weighted(12, 9), 0.05, 1),
+        "6f89d6b1be3a10d48e0a922e4005e65225bc244a8eab0205c31237c0e4a4cf8d",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_golden_envelopes(case):
+    make, digest = GOLDEN[case]
+    sk = make()
+    if case.endswith("-verbatim"):
+        assert sk.is_verbatim
+    if case.startswith("spectral_basic-") and not sk.is_verbatim:
+        assert sk.events
+    data = sk.to_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    assert type(sk).from_bytes(data).to_bytes() == data
+
+
+def test_kind_table():
+    assert {kind: byte for kind, (byte, _) in KINDS.items()} == {
+        "graph": 0,
+        "cut_poly": 2,
+        "cut_general": 3,
+        "spectral_basic": 6,
+        "spectral_improved": 7,
+        "jl": 8,
+        "sdd": 9,
+    }
+    for kind, (_, layout) in KINDS.items():
+        assert kind == "graph" or layout.cls.kind == kind
+    with pytest.raises(QuadsketchError, match="not a sketch"):
+        sketch_class(encode("graph", WeightedGraph(2, [(0, 1, 1.0)])))
+
+
+def test_trailing_bytes_rejected():
+    data = encode("graph", WeightedGraph(3, [(0, 1, 1.0)]))
+    with pytest.raises(QuadsketchError, match="trailing"):
+        decode("graph", data + b"\x00")
+
+
+def graph_payload(n, u, v, w) -> bytes:
+    wr = Writer()
+    wr.varint(n)
+    wr.varint(len(u))
+    wr.int_array(np.array(u))
+    wr.int_array(np.array(v))
+    wr.f64_array(np.array(w, dtype=float))
+    return envelope("graph", wr.getvalue())
+
+
+@pytest.mark.parametrize(
+    "u, v, w", [([0], [5], [1.0]), ([1], [1], [1.0]), ([0], [1], [0.0]), ([0, 1], [1, 2], [1.0, np.nan])]
+)
+def test_invalid_graph_payload_is_a_domain_error(u, v, w):
+    assert decode("graph", graph_payload(3, [0], [1], [2.0])).m == 1
+    with pytest.raises(QuadsketchError, match="invalid graph payload"):
+        decode("graph", graph_payload(3, u, v, w))
+
+
+def test_jl_matrix_shape_checked():
+    w = Writer()
+    for x in (0.5, 0.1):
+        w.f64(x)
+    for k in (1, 2, 2):  # seed, rows, cols
+        w.varint(k)
+    w.f64_array(np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(QuadsketchError, match="3 entries for a 2 x 2 matrix"):
+        JlSketch.from_bytes(envelope("jl", w.getvalue()))
+
+
+def improved_with_class_tag(tag: int) -> bytes:
+    """A one-class improved sketch on 4 vertices whose class kind tag is tag."""
+    w = Writer()
+    w.f64(0.3)
+    w.varint(4)
+    w.varint(0)  # not verbatim
+    body = Writer()
+    body.varint(1)
+    body.varint(tag)
+    body.int_array(np.arange(2))  # vmap
+    for k in (0, 0, 0):  # kappa, weight class, depth
+        body.varint(k)
+    body.buf += graph_payload(2, [0], [1], [1.0])[6:]
+    w.section(body.getvalue())
+    return envelope("spectral_improved", w.getvalue())
+
+
+def test_unknown_improved_class_kind_rejected():
+    for tag in (0, 1):
+        sk = SpectralImprovedSketch.from_bytes(improved_with_class_tag(tag))
+        assert sk.classes[0].kind == ("verbatim", "low")[tag]
+        assert sk.estimate(np.array([1.0, 0.0, 0.0, 0.0])) == 1.0
+    for tag in (3, 9, 200):
+        with pytest.raises(QuadsketchError, match=f"unknown variant tag {tag}"):
+            SpectralImprovedSketch.from_bytes(improved_with_class_tag(tag))
+
+
+def general_sketch():
+    """Tree weights 4^i: every forest edge starts a stored slice."""
+    g = WeightedGraph(6, [(i, i + 1, 4.0**i) for i in range(5)] + [(0, 3, 1.0), (1, 4, 2.0)])
+    sk = cut_sketch_build(g, 0.2, 4, mode="pipeline")
+    assert len(sk.stored) >= 2
+    return sk
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda sk: sk.tree.__setitem__(0, (0, 99, sk.tree[0][2])), "forest endpoint 99 outside"),
+        (lambda sk: setattr(sk.stored[0], "labels", sk.stored[0].labels[:-1]), "contraction labels"),
+        (lambda sk: setattr(sk.stored[0], "labels", sk.stored[0].labels + 10), "contraction labels"),
+        (lambda sk: setattr(sk.stored[1], "j", sk.stored[0].j), "slice indices"),
+        (lambda sk: setattr(sk.stored[-1], "j", len(sk.tree)), "slice indices"),
+        (lambda sk: setattr(sk.stored[0], "comps", [(c[0][:-1], c[1]) for c in sk.stored[0].comps]), "component map"),
+    ],
+    ids=["endpoint", "label-count", "label-value", "slice-order", "slice-range", "component-map"],
+)
+def test_corrupt_general_sketch_rejected_at_decode(corrupt, message):
+    sk = general_sketch()
+    CutSketchGeneral.from_bytes(sk.to_bytes())
+    corrupt(sk)
+    with pytest.raises(QuadsketchError, match=message):
+        CutSketchGeneral.from_bytes(sk.to_bytes())
+
+
+# Small envelopes of all six families and one query each
+FUZZ = {
+    "cut_general": (lambda: cut_sketch_build(complete_graph(6), 0.4, 3, mode="pipeline"), "cut"),
+    "cut_poly": (lambda: cut_basic_build(gnp_connected(10, 0.6, seed=2), 0.3, 3, mode="pipeline"), "cut"),
+    "spectral_basic": (GOLDEN["spectral_basic-s2-and-verbatim-class"][0], "spectral"),
+    "spectral_improved": (lambda: spectral_improved_build(gnp_connected(16, 0.5, seed=4), 0.25, 5), "spectral"),
+    "sdd": (lambda: sdd_sketch_build(sdd_matrix(5, 1), 0.3, 4), "spectral"),
+    "jl": (lambda: jl_build(psd_matrix(6, 3), 0.5, 0.2, 4), "spectral"),
+}
+
+
+@functools.cache
+def fuzz_case(family):
+    make, query_kind = FUZZ[family]
+    sk = make()
+    query = np.arange(sk.n) % 2 == 0 if query_kind == "cut" else np.linspace(-1.0, 1.0, sk.n)
+    return type(sk), sk.to_bytes(), query
+
+
+@pytest.mark.parametrize("family", list(FUZZ))
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_corrupt_envelope_answers_or_raises_domain_error(family, data):
+    """Silent answers stay possible: nothing checksums the payload."""
+    cls, blob, query = fuzz_case(family)
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        buf = bytearray(blob)
+        edits = st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255))
+        for pos, byte in data.draw(st.lists(edits, min_size=1, max_size=3), label="overwrites"):
+            buf[pos] = byte
+        blob = bytes(buf)
+    try:
+        with np.errstate(all="ignore"):  # corrupt doubles may overflow
+            cls.from_bytes(blob).estimate(query)
+    except QuadsketchError:
+        pass
