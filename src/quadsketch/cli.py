@@ -44,10 +44,14 @@ from .sparsify import SparsifierConfig, sparsify
 CSV_HEADER = "# quadsketch v1"
 
 
-def _load_sketch(path):
+def _load_sketch(path, kinds: tuple[str, ...]):
+    """Decode the sketch in path; a sketch of another kind is a domain error."""
     with open(path, "rb") as f:
         data = f.read()
-    return sketch_class(data).from_bytes(data)
+    cls = sketch_class(data)
+    if cls.kind not in kinds:
+        raise QuadsketchError(f"{path} holds a {cls.kind} sketch, expected {' or '.join(kinds)}")
+    return cls.from_bytes(data)
 
 
 def _write_out(args, data: bytes | str):
@@ -106,7 +110,7 @@ def _cmd_cut_sketch(args) -> int:
         sk = cut_sketch_build(g, args.epsilon, args.seed, mode=args.mode)
         _write_out(args, sk.to_bytes())
         return 0
-    sk = _load_sketch(args.sketch)
+    sk = _load_sketch(args.sketch, ("cut_poly", "cut_general"))
     if args.action == "size":
         with open(args.sketch, "rb") as f:
             n_bytes = len(f.read())
@@ -129,7 +133,7 @@ def _cmd_spectral_sketch(args) -> int:
             sk = spectral_improved_build(g, args.epsilon, args.seed)
         _write_out(args, sk.to_bytes())
         return 0
-    sk = _load_sketch(args.sketch)
+    sk = _load_sketch(args.sketch, ("spectral_basic", "spectral_improved"))
     if args.action == "size":
         with open(args.sketch, "rb") as f:
             n_bytes = len(f.read())
@@ -146,7 +150,7 @@ def _cmd_psd(args) -> int:
         sk = jl_build(a, args.epsilon, args.delta, args.seed)
         _write_out(args, sk.to_bytes())
         return 0
-    sk = _load_sketch(args.sketch)
+    sk = _load_sketch(args.sketch, ("jl",))
     x = _parse_vector(sk.n, args.query)
     print(_fmt(sk.estimate(x)))
     return 0
@@ -164,7 +168,7 @@ def _cmd_sdd(args) -> int:
         sk = sdd_sketch_build(a, args.epsilon, args.seed)
         _write_out(args, sk.to_bytes())
         return 0
-    sk = _load_sketch(args.sketch)
+    sk = _load_sketch(args.sketch, ("sdd",))
     x = _parse_vector(sk.n, args.query)
     print(_fmt(sk.estimate(x)))
     return 0

@@ -9,6 +9,18 @@ merged minimum (exhaustively for n <= 20, by repeated random contraction
 above), scores each candidate as the sum of the servers' median sketch
 estimates, and returns the argmin. Message bytes are what the experiment
 measures; there is no real networking.
+
+Random contraction draws an exponential key per edge (rate = weight) and
+contracts edges in increasing key order until two super-vertices remain.
+That is Kruskal's algorithm stopped one edge early, so the two sides are
+those of the minimum spanning tree under the keys with its largest-key edge
+removed (Karger & Stein, JACM 1996). `karger_cut` finds that split for all
+rounds at once with Prim's algorithm from vertex 0 run in lockstep: Prim
+adds the largest tree edge only after every vertex on vertex 0's side, since
+until then a lighter tree edge leaves the grown part, so the other side is
+exactly the vertices added from the largest-key step on. The keys are the
+same draws in the same order as one contraction per round, so the sides, the
+candidate list and the protocol transcript are the same as well.
 """
 
 from __future__ import annotations
@@ -20,8 +32,8 @@ import numpy as np
 
 from .cutsketch import CutSketchGeneral, cut_sketch_build
 from .errors import QuadsketchError
-from .graph import UnionFind, WeightedGraph, cut_weight, format_graph, is_connected
-from .oracle import enumerate_cut_values, min_cut_exact
+from .graph import WeightedGraph, cut_weight, format_graph, is_connected
+from .oracle import enumerate_cut_values, mask_members, min_cut_exact
 from .rng import derive_seed, rng_for
 from .serialize import encode
 from .sparsify import SparsifierConfig, sparsify
@@ -85,61 +97,76 @@ class ProtocolTranscript:
         return sum(self.sketch_bytes) + sum(self.sparsifier_bytes)
 
 
-def _canonical(members: np.ndarray) -> np.ndarray:
-    return ~members if members[0] else members
+KARGER_CHUNK_BYTES = 1 << 23  # dense key buffer for one chunk of rounds
+NON_EDGE_KEY = np.finfo(np.float64).max  # above every drawn key, below the done mark
 
 
-def karger_cut(g: WeightedGraph, rng) -> np.ndarray:
-    """One weighted random-contraction run; returns one side as a bool mask."""
-    keys = rng.exponential(1.0, size=g.m) / g.edge_w
-    order = np.argsort(keys, kind="stable")
-    uf = UnionFind(g.n)
-    comps = g.n
-    for e in order.tolist():
-        if comps <= 2:
-            break
-        if uf.union(int(g.edge_u[e]), int(g.edge_v[e])):
-            comps -= 1
-    root0 = uf.find(0)
-    members = np.array([uf.find(v) == root0 for v in range(g.n)])
-    return _canonical(members)
+def karger_cut(g: WeightedGraph, rng, rounds: int) -> np.ndarray:
+    """`rounds` weighted random-contraction runs as a (rounds, n) bool array;
+    row r is run r's side without vertex 0: the vertices Prim adds from the
+    largest-key step on (see the module docstring). Non-edges hold
+    NON_EDGE_KEY, so on a disconnected graph the side is the complement of
+    vertex 0's component."""
+    n = g.n
+    sides = np.zeros((rounds, n), dtype=bool)
+    if n < 2:
+        return sides
+    chunk = max(1, min(rounds, KARGER_CHUNK_BYTES // (8 * n * n)))
+    # every round has the same edge slots, so one buffer serves all chunks
+    dense = np.full((chunk * n, n), NON_EDGE_KEY)
+    base = np.arange(chunk) * n  # row of (round, vertex 0) in dense
+    slots = [(base * n)[:, None] + pos for pos in (g.edge_u * n + g.edge_v, g.edge_v * n + g.edge_u)]
+    for lo in range(0, rounds, chunk):
+        c = min(chunk, rounds - lo)
+        # chunk by chunk, the draws are the same stream as one draw per round
+        keys = rng.exponential(1.0, size=(c, g.m))
+        keys /= g.edge_w
+        for slot in slots:
+            dense.reshape(-1)[slot[:c]] = keys
+        done = np.zeros((c, n))  # 0 while open, inf once in the tree
+        done[:, 0] = np.inf
+        dist = np.maximum(dense[base[:c]], done)
+        order = np.empty((c, n - 1), dtype=np.int64)
+        step_key = np.empty((c, n - 1))
+        for step in range(n - 1):
+            v = dist.argmin(axis=1)
+            order[:, step] = v
+            at = base[:c] + v  # flat (round, v) index into dist and done
+            step_key[:, step] = dist.reshape(-1)[at]
+            done.reshape(-1)[at] = np.inf
+            np.minimum(dist, dense[at], out=dist)
+            np.maximum(dist, done, out=dist)
+        after = np.arange(n - 1) >= step_key.argmax(axis=1)[:, None]
+        sides[lo + np.arange(c)[:, None], order] = after
+    return sides
 
 
 def near_min_cut_candidates(
     merged: WeightedGraph, seed: int, karger_rounds: int | None = None
 ) -> tuple[list[np.ndarray], float]:
     """All cuts within NEAR_MIN_FACTOR of the merged minimum (n <= 20), or a
-    sampled superset built from Stoer-Wagner, singletons and Karger runs."""
+    sampled superset built from Stoer-Wagner, singletons and Karger runs.
+
+    Each cut is given by its side without vertex 0; the list is sorted by
+    that side's bytes."""
     n = merged.n
     best_val, best_members = min_cut_exact(merged)
     limit = NEAR_MIN_FACTOR * best_val
-    seen: dict[bytes, np.ndarray] = {}
-
-    def add(members: np.ndarray):
-        mem = _canonical(members)
-        if not mem.any() or mem.all():
-            return
-        if cut_weight(merged, mem) <= limit + 1e-12:
-            seen.setdefault(mem.tobytes(), mem)
-
     if n <= EXHAUSTIVE_CANDIDATE_CAP:
         masks, vals = enumerate_cut_values(merged)
-        for mask in masks[vals <= limit + 1e-12].tolist():
-            members = np.zeros(n, dtype=bool)
-            for b in range(n - 1):
-                members[b] = bool((mask >> b) & 1)
-            add(members)
+        sides = mask_members(masks[vals <= limit + 1e-12], n)
     else:
-        add(best_members)
-        eye = np.eye(n, dtype=bool)
-        for v in range(n):
-            add(eye[v])
         if karger_rounds is None:
             karger_rounds = max(256, 2 * n * math.ceil(math.log2(max(n, 2))))
-        rng = rng_for(seed, "karger")
-        for _ in range(karger_rounds):
-            add(karger_cut(merged, rng))
-    candidates = [seen[k] for k in sorted(seen)]
+        karger = karger_cut(merged, rng_for(seed, "karger"), karger_rounds)
+        sides = np.vstack([best_members, np.eye(n, dtype=bool), karger])
+    sides = sides ^ sides[:, :1]  # flip rows that hold vertex 0
+    sides = sides[sides.any(axis=1)]
+    # unique packed rows come out in lexicographic order, which is the bool
+    # rows' byte order
+    packed = np.unique(np.packbits(sides, axis=1), axis=0)
+    unique = np.unpackbits(packed, axis=1, count=n).astype(bool)
+    candidates = [s for s in unique if cut_weight(merged, s) <= limit + 1e-12]
     return candidates, best_val
 
 

@@ -19,38 +19,6 @@ EXHAUSTIVE_VERTEX_CAP = 24
 _CHUNK = 1 << 18
 
 
-class UnionFind:
-    """Array-based union-find with path compression and union by rank."""
-
-    __slots__ = ("parent", "rank", "n_components")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-        self.n_components = n
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        root = i
-        while p[root] != root:
-            root = p[root]
-        while p[i] != root:
-            p[i], i = root, p[i]
-        return root
-
-    def union(self, i: int, j: int) -> bool:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return False
-        if self.rank[ri] < self.rank[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        if self.rank[ri] == self.rank[rj]:
-            self.rank[ri] += 1
-        self.n_components -= 1
-        return True
-
-
 def _canonicalize(n: int, u, v, w, merge_parallel: bool):
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)

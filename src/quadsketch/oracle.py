@@ -53,24 +53,21 @@ def min_cut_exact(g: WeightedGraph) -> tuple[float, np.ndarray]:
     adj = g.adjacency_matrix()
     groups: list[list[int]] = [[i] for i in range(g.n)]
     active = list(range(g.n))
+    merged = np.zeros(g.n, dtype=bool)
     best_val = math.inf
     best_side: list[int] = []
     while len(active) > 1:
-        order = active
-        a = order[0]
-        in_a = np.zeros(g.n, dtype=bool)
-        in_a[a] = True
-        wsum = adj[a].copy()
-        added = [a]
-        for _ in range(len(order) - 1):
-            cand = [v for v in order if not in_a[v]]
-            weights = wsum[cand]
-            nxt = cand[int(np.argmax(weights))]
-            added.append(nxt)
-            in_a[nxt] = True
-            wsum += adj[nxt]
-        s, t = added[-2], added[-1]
-        cut_of_phase = float(wsum[t] - adj[t, t])
+        # maximum adjacency order from active[0]; added and merged vertices
+        # hold -inf, so argmax's first maximum is the first open vertex in
+        # ascending order
+        s = t = active[0]
+        wsum = adj[t].copy()
+        wsum[merged] = -np.inf
+        for _ in range(len(active) - 1):
+            wsum[t] = -np.inf
+            s, t = t, int(np.argmax(wsum))
+            wsum += adj[t]
+        cut_of_phase = float(wsum[t])  # the diagonal is 0, so this is w(t, added)
         if cut_of_phase < best_val:
             best_val = cut_of_phase
             best_side = list(groups[t])
@@ -82,6 +79,7 @@ def min_cut_exact(g: WeightedGraph) -> tuple[float, np.ndarray]:
         adj[s, s] = 0.0
         groups[s].extend(groups[t])
         active.remove(t)
+        merged[t] = True
     members = np.zeros(g.n, dtype=bool)
     members[best_side] = True
     return best_val, members
@@ -100,13 +98,17 @@ def enumerate_cut_values(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     return masks, vals
 
 
+def mask_members(masks: np.ndarray, n: int) -> np.ndarray:
+    """(len(masks), n) member bit vectors of cut masks over bits 0..n-2."""
+    members = np.zeros((masks.size, n), dtype=bool)
+    members[:, : n - 1] = (masks[:, None] >> np.arange(n - 1)) & 1
+    return members
+
+
 def min_cut_exhaustive(g: WeightedGraph) -> tuple[float, np.ndarray]:
     masks, vals = enumerate_cut_values(g)
     i = int(np.argmin(vals))
-    members = np.zeros(g.n, dtype=bool)
-    for b in range(g.n - 1):
-        members[b] = bool((int(masks[i]) >> b) & 1)
-    return float(vals[i]), members
+    return float(vals[i]), mask_members(masks[i : i + 1], g.n)[0]
 
 
 def normalized_laplacian(g: WeightedGraph) -> np.ndarray:

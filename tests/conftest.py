@@ -4,6 +4,40 @@ import pytest
 from quadsketch.graph import WeightedGraph, is_connected
 
 
+class UnionFind:
+    """Array-based union-find with path compression and union by rank: the
+    reference that vectorized labelling, forest indices and Karger sides are
+    checked against."""
+
+    __slots__ = ("parent", "rank", "n_components")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.rank = [0] * n
+        self.n_components = n
+
+    def find(self, i: int) -> int:
+        p = self.parent
+        root = i
+        while p[root] != root:
+            root = p[root]
+        while p[i] != root:
+            p[i], i = root, p[i]
+        return root
+
+    def union(self, i: int, j: int) -> bool:
+        ri, rj = self.find(i), self.find(j)
+        if ri == rj:
+            return False
+        if self.rank[ri] < self.rank[rj]:
+            ri, rj = rj, ri
+        self.parent[rj] = ri
+        if self.rank[ri] == self.rank[rj]:
+            self.rank[ri] += 1
+        self.n_components -= 1
+        return True
+
+
 def gnp(n: int, p: float, seed: int, w_lo: float = 1.0, w_hi: float = 1.0) -> WeightedGraph:
     """Erdos-Renyi graph with optional uniform random weights."""
     rng = np.random.default_rng(seed)

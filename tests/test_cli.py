@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from quadsketch.cli import main
+from quadsketch.cutsketch import cut_sketch_build
 from quadsketch.graph import save_graph
 from quadsketch.psdsdd import format_matrix
 from quadsketch.serialize import Writer, envelope
+from quadsketch.spectral import spectral_improved_build
 
 from conftest import gnp_connected
 from test_serialize import general_sketch, improved_with_class_tag
@@ -265,3 +267,31 @@ def test_corrupt_sketch_exit_1(tmp_path, capsys, data, command, query, message):
     code, out, err = run_cli([command, "query", str(skp), "--", query], capsys)
     assert code == 1 and out == ""
     assert err.startswith("quadsketch: error:") and message in err
+
+
+@pytest.fixture
+def sketch_files(tmp_path):
+    g = gnp_connected(10, 0.5, seed=4)
+    files = {}
+    for kind, sk in (("cut", cut_sketch_build(g, 0.3, 1)), ("spectral", spectral_improved_build(g, 0.3, 1))):
+        files[kind] = tmp_path / f"{kind}.qsk"
+        files[kind].write_bytes(sk.to_bytes())
+    return files
+
+
+@pytest.mark.parametrize(
+    "command, stored",
+    [
+        (["cut-sketch", "query"], "spectral"),
+        (["spectral-sketch", "query"], "cut"),
+        (["psd", "jl-query"], "cut"),
+        (["sdd", "query"], "spectral"),
+    ],
+    ids=["cut-sketch", "spectral-sketch", "psd", "sdd"],
+)
+def test_query_wrong_sketch_kind_exit_1(sketch_files, capsys, command, stored):
+    path = sketch_files[stored]
+    code, out, err = run_cli([*command, str(path), "--", "0,1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("quadsketch: error:") and "Traceback" not in err
+    assert "sketch, expected" in err

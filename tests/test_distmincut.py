@@ -1,8 +1,16 @@
+import hashlib
+import math
+import struct
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from quadsketch import distmincut
 from quadsketch.distmincut import (
     exact_protocol_score,
+    karger_cut,
     near_min_cut_candidates,
     partition_edges,
     raw_edge_list_bytes,
@@ -11,8 +19,59 @@ from quadsketch.distmincut import (
 from quadsketch.errors import QuadsketchError
 from quadsketch.graph import WeightedGraph, cut_weight
 from quadsketch.oracle import enumerate_cut_values, min_cut_exact
+from quadsketch.rng import rng_for
 
-from conftest import gnp_connected, random_members
+from conftest import UnionFind, gnp, gnp_connected, random_members
+
+
+def karger_reference(g, rng, rounds):
+    """One union-find contraction per round, stopped at two super-vertices;
+    each row is the side without vertex 0."""
+    sides = np.zeros((rounds, g.n), dtype=bool)
+    for r in range(rounds):
+        keys = rng.exponential(1.0, size=g.m) / g.edge_w
+        uf = UnionFind(g.n)
+        for e in np.argsort(keys, kind="stable").tolist():
+            if uf.n_components <= 2:
+                break
+            uf.union(int(g.edge_u[e]), int(g.edge_v[e]))
+        root0 = uf.find(0)
+        sides[r] = [uf.find(v) != root0 for v in range(g.n)]
+    return sides
+
+
+def candidates_reference(merged, seed, karger_rounds=None):
+    """Candidate cuts collected one at a time, keyed by their bytes."""
+    n = merged.n
+    best_val, best_members = min_cut_exact(merged)
+    limit = distmincut.NEAR_MIN_FACTOR * best_val
+    seen = {}
+
+    def add(members):
+        mem = ~members if members[0] else members
+        if mem.any() and cut_weight(merged, mem) <= limit + 1e-12:
+            seen.setdefault(mem.tobytes(), mem)
+
+    if n <= distmincut.EXHAUSTIVE_CANDIDATE_CAP:
+        masks, vals = enumerate_cut_values(merged)
+        for mask in masks[vals <= limit + 1e-12].tolist():
+            add(np.array([b < n - 1 and bool(mask >> b & 1) for b in range(n)]))
+    else:
+        add(best_members)
+        for v in range(n):
+            add(np.arange(n) == v)
+        if karger_rounds is None:
+            karger_rounds = max(256, 2 * n * math.ceil(math.log2(max(n, 2))))
+        for side in karger_reference(merged, rng_for(seed, "karger"), karger_rounds):
+            add(side)
+    return [seen[k] for k in sorted(seen)], best_val
+
+
+def transcript_digest(t):
+    h = hashlib.sha256()
+    h.update(np.asarray(t.best_members, dtype=bool).tobytes())
+    h.update(struct.pack("<qdq", t.total_bytes, t.best_estimate, t.candidate_count))
+    return h.hexdigest()
 
 
 def cycle(n):
@@ -69,7 +128,59 @@ class TestCandidates:
         assert min(vals) == pytest.approx(exact, rel=1e-12)
 
 
+class TestKarger:
+    @given(
+        n=st.integers(2, 64),
+        p=st.floats(0.0, 0.5),
+        connected=st.booleans(),
+        graph_seed=st.integers(0, 10**6),
+        rounds=st.integers(0, 40),
+        chunk=st.integers(1, 7),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_batched_matches_contraction_loop(self, n, p, connected, graph_seed, rounds, chunk, seed):
+        make = gnp_connected if connected else gnp
+        g = make(n, p, seed=graph_seed, w_lo=0.2, w_hi=5.0)
+        # a budget of `chunk` rounds, so most round counts end in a partial chunk
+        with mock.patch.object(distmincut, "KARGER_CHUNK_BYTES", chunk * 8 * n * n):
+            got = karger_cut(g, np.random.default_rng(seed), rounds)
+        want = karger_reference(g, np.random.default_rng(seed), rounds)
+        assert got.shape == (rounds, n)
+        assert np.array_equal(got, want)
+
+    def test_default_chunk_with_partial_last_chunk(self):
+        g = gnp_connected(64, 0.35, seed=21, w_lo=1.0, w_hi=4.0)
+        rounds = distmincut.KARGER_CHUNK_BYTES // (8 * 64 * 64) + 45
+        got = karger_cut(g, np.random.default_rng(3), rounds)
+        assert np.array_equal(got, karger_reference(g, np.random.default_rng(3), rounds))
+
+    def test_disconnected_side_is_complement_of_vertex_0_component(self):
+        g = WeightedGraph(6, [(0, 1, 1.0), (2, 3, 1.0), (4, 5, 2.0)])
+        sides = karger_cut(g, np.random.default_rng(0), 5)
+        assert (sides == [False, False, True, True, True, True]).all()
+
+    @pytest.mark.parametrize("n, p, seed", [(12, 0.5, 1), (21, 0.3, 2), (30, 0.25, 3), (48, 0.2, 4), (64, 0.35, 5)])
+    def test_candidates_match_reference(self, n, p, seed):
+        g = gnp_connected(n, p, seed=seed, w_lo=0.5, w_hi=3.0)
+        got, best = near_min_cut_candidates(g, seed=seed)
+        want, want_best = candidates_reference(g, seed=seed)
+        assert best == want_best
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 class TestProtocol:
+    def test_transcripts_golden(self):
+        # digests of (best_members, total_bytes, best_estimate,
+        # candidate_count) recorded with one contraction loop per round
+        triples = [((24, 0.4, 11, 0.5, 3.0), 2, 5), ((40, 0.3, 12, 1.0, 4.0), 3, 6), ((16, 0.5, 13, 1.0, 1.0), 2, 7)]
+        h = hashlib.sha256()
+        for (n, p, graph_seed, lo, hi), k, seed in triples:
+            g = gnp_connected(n, p, seed=graph_seed, w_lo=lo, w_hi=hi)
+            h.update(transcript_digest(run_protocol(g, k, 0.25, reps=3, seed=seed)).encode())
+        assert h.hexdigest() == "ed5316f604725827042a09cf798c3ebd72cfa61cb711e145b5c9d064ad877f07"
+
     def test_c6_cycle(self):
         t = run_protocol(cycle(6), 2, 0.1, reps=3, seed=1)
         assert cut_weight(cycle(6), t.best_members) == 2.0

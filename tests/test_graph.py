@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from quadsketch.errors import GraphFormatError, QuadsketchError, TooLargeError
 from quadsketch.graph import (
-    UnionFind,
     WeightedGraph,
     cheeger_exact,
     conductance,
@@ -19,7 +18,7 @@ from quadsketch.graph import (
 )
 from quadsketch.oracle import lambda1_normalized
 
-from conftest import complete_graph, gnp, gnp_connected, random_members
+from conftest import UnionFind, complete_graph, gnp, gnp_connected, random_members
 
 
 def triangle(w=1.0):

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from quadsketch.errors import QuadsketchError, TooLargeError
 from quadsketch.graph import WeightedGraph, cut_weight
 from quadsketch.oracle import (
+    enumerate_cut_values,
     estimator_expectation_exhaustive,
     fingerprint,
     lambda1_normalized,
@@ -13,7 +15,40 @@ from quadsketch.oracle import (
     multiset_outcomes,
 )
 
-from conftest import complete_graph, gnp_connected
+from conftest import complete_graph, gnp, gnp_connected
+
+
+def stoer_wagner_reference(g):
+    """Stoer-Wagner with a Python scan of the open vertices in every step."""
+    adj = g.adjacency_matrix()
+    groups = [[i] for i in range(g.n)]
+    active = list(range(g.n))
+    best_val, best_side = math.inf, []
+    while len(active) > 1:
+        in_a = np.zeros(g.n, dtype=bool)
+        in_a[active[0]] = True
+        wsum = adj[active[0]].copy()
+        added = [active[0]]
+        for _ in range(len(active) - 1):
+            cand = [v for v in active if not in_a[v]]
+            nxt = cand[int(np.argmax(wsum[cand]))]
+            added.append(nxt)
+            in_a[nxt] = True
+            wsum += adj[nxt]
+        s, t = added[-2], added[-1]
+        cut_of_phase = float(wsum[t] - adj[t, t])
+        if cut_of_phase < best_val:
+            best_val, best_side = cut_of_phase, list(groups[t])
+        adj[s] += adj[t]
+        adj[:, s] += adj[:, t]
+        adj[t] = 0.0
+        adj[:, t] = 0.0
+        adj[s, s] = 0.0
+        groups[s].extend(groups[t])
+        active.remove(t)
+    members = np.zeros(g.n, dtype=bool)
+    members[best_side] = True
+    return best_val, members
 
 
 def test_min_cut_k4():
@@ -95,3 +130,26 @@ def test_expectation_driver_cap():
     big = [[(0.5, 0), (0.5, 1)]] * 21
     with pytest.raises(TooLargeError):
         estimator_expectation_exhaustive(big, lambda a: 0.0)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_min_cut_exact_matches_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 70))
+    # unit weights make ties common, so the first-maximum rule is exercised
+    lo, hi = (1.0, 1.0) if seed % 3 == 0 else (0.1, 5.0)
+    g = gnp_connected(n, float(rng.uniform(0.1, 0.6)), seed=seed, w_lo=lo, w_hi=hi)
+    val, members = min_cut_exact(g)
+    want_val, want_members = stoer_wagner_reference(g)
+    assert val == want_val
+    assert np.array_equal(members, want_members)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_min_cut_exhaustive_members(seed):
+    g = gnp(int(3 + seed), 0.5, seed=seed, w_lo=0.5, w_hi=2.0)
+    val, members = min_cut_exhaustive(g)
+    masks, vals = enumerate_cut_values(g)
+    i = int(np.argmin(vals))
+    assert val == vals[i]
+    assert members.tolist() == [bool(int(masks[i]) >> b & 1) for b in range(g.n - 1)] + [False]

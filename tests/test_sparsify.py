@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadsketch.graph import UnionFind, WeightedGraph, cut_weight
+from quadsketch.graph import WeightedGraph, cut_weight
 from quadsketch.oracle import enumerate_cut_values
 from quadsketch.sparsify import (
     SparsifierConfig,
@@ -12,7 +12,7 @@ from quadsketch.sparsify import (
     sparsify,
 )
 
-from conftest import complete_graph, gnp, gnp_connected, random_members
+from conftest import UnionFind, complete_graph, gnp, gnp_connected, random_members
 
 
 def edge_set(g):
