@@ -8,6 +8,7 @@ fingerprinting deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Sequence
 
@@ -16,31 +17,32 @@ import numpy as np
 from .errors import GraphFormatError, QuadsketchError, QueryError, TooLargeError
 
 EXHAUSTIVE_VERTEX_CAP = 24
-_CHUNK = 1 << 18
+MASK_BLOCK = 1 << 16  # masks per block of subset_cut_blocks
 
 
-def _canonicalize(n: int, u, v, w, merge_parallel: bool):
+def _canonicalize(n: int, u, v, w):
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     w = np.asarray(w, dtype=np.float64)
     if not (u.shape == v.shape == w.shape):
         raise ValueError("edge arrays must have equal length")
+    lo = np.minimum(u, v)
+    hi = np.maximum(u, v)
     if u.size:
-        if u.min() < 0 or v.min() < 0 or u.max() >= n or v.max() >= n:
+        if lo.min() < 0 or hi.max() >= n:
             raise ValueError("vertex id out of range")
-        if np.any(u == v):
+        if np.any(lo == hi):
             raise ValueError("self-loops are not allowed")
         if not np.all(np.isfinite(w)) or np.any(w <= 0):
             raise ValueError("edge weights must be positive and finite")
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
+    if np.all((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))):
+        # already sorted and free of parallel edges (pieces, subgraphs)
+        return lo, hi, w.copy()
     order = np.lexsort((hi, lo))
     lo, hi, w = lo[order], hi[order], w[order]
     if lo.size:
         same = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
         if np.any(same):
-            if not merge_parallel:
-                raise ValueError("parallel edges are not allowed here")
             # merge parallel edges by summing their weights
             grp = np.concatenate(([0], np.cumsum(~same)))
             k = grp[-1] + 1
@@ -78,7 +80,7 @@ class WeightedGraph:
             else:
                 u = v = np.empty(0, dtype=np.int64)
                 w = np.empty(0, dtype=np.float64)
-        self.edge_u, self.edge_v, self.edge_w = _canonicalize(self.n, u, v, w, True)
+        self.edge_u, self.edge_v, self.edge_w = _canonicalize(self.n, u, v, w)
         self.edge_u.setflags(write=False)
         self.edge_v.setflags(write=False)
         self.edge_w.setflags(write=False)
@@ -365,28 +367,56 @@ def is_connected(g: WeightedGraph) -> bool:
     return g.n <= 1 or int(connected_components(g).max()) == 0
 
 
-def _iter_mask_chunks(n_masks: int):
-    start = 1
-    while start < n_masks:
-        stop = min(start + _CHUNK, n_masks)
-        yield np.arange(start, stop, dtype=np.int64)
-        start = stop
+@functools.cache
+def _bit_rows(k: int) -> np.ndarray:
+    """(2^k, k) 0/1 matrix whose row j holds the bits of j."""
+    j = np.arange(1 << k)
+    bits = ((j[:, None] >> np.arange(k)) & 1).astype(np.float64)
+    bits.setflags(write=False)
+    return bits
 
 
-def _mask_cut_stats(g: WeightedGraph, masks: np.ndarray, weighted: bool):
-    """Per-mask cut weight (or edge count) via bit tricks."""
-    acc = np.zeros(masks.size)
-    for u, v, w in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist()):
-        crossing = ((masks >> u) ^ (masks >> v)) & 1
-        acc += crossing * (w if weighted else 1.0)
-    return acc
+def subset_cut_blocks(g: WeightedGraph, edge_w: np.ndarray, vertex_w: np.ndarray):
+    """Cut weight and side weight of every nonempty S ⊆ {0, ..., n-2}.
 
+    S is the mask Σ_{v∈S} 2^v, and masks come in ascending order: yields
+    (first, cut, side), flat arrays for masks first, first + 1, ..., one
+    block of about MASK_BLOCK masks at a time, so a scan can stop early and
+    memory stays bounded. cut sums edge_w over the crossing edges and side
+    sums vertex_w over S.
 
-def _mask_popcount(masks: np.ndarray, n: int) -> np.ndarray:
-    pc = np.zeros(masks.size, dtype=np.int64)
-    for b in range(n):
-        pc += (masks >> b) & 1
-    return pc
+    Meet in the middle: split the mask into its low L bits and its high bits.
+    With A the edge_w adjacency matrix and x = x_hi + x_lo the indicator of
+    S, cut(S) = x^T L x = cut(S_hi) + cut(S_lo) - 2 x_hi^T A x_lo, so one
+    block of masks is two half tables plus one product of bit matrices. The
+    products are summed in another order than edge by edge: integer weights
+    give exact counts, other weights carry rounding errors of order n ulps
+    of the total degree.
+    """
+    k = g.n - 1
+    n_lo = k // 2
+    lo, hi = slice(0, n_lo), slice(n_lo, k)
+    a = np.zeros((g.n, g.n))
+    a[g.edge_u, g.edge_v] = edge_w
+    a[g.edge_v, g.edge_u] = edge_w
+    deg = a.sum(axis=1)
+    b_lo, b_hi = _bit_rows(n_lo), _bit_rows(k - n_lo)
+
+    def half(bits, part):
+        inside = np.einsum("ij,ij->i", bits @ a[part, part], bits)
+        return bits @ deg[part] - inside, bits @ vertex_w[part]
+
+    cut_lo, side_lo = half(b_lo, lo)
+    cut_hi, side_hi = half(b_hi, hi)
+    cross = b_hi @ a[hi, lo]
+    rows = max(1, MASK_BLOCK >> n_lo)
+    for r0 in range(0, b_hi.shape[0], rows):
+        r1 = r0 + rows
+        cut = cut_hi[r0:r1, None] + cut_lo - 2.0 * (cross[r0:r1] @ b_lo.T)
+        side = side_hi[r0:r1, None] + side_lo
+        # row-major order is ascending mask order; mask 0 is the empty set
+        skip = 1 if r0 == 0 else 0
+        yield (r0 << n_lo) + skip, cut.ravel()[skip:], side.ravel()[skip:]
 
 
 def cheeger_exact(g: WeightedGraph) -> float:
@@ -398,18 +428,13 @@ def cheeger_exact(g: WeightedGraph) -> float:
     if g.n == 1:
         raise QuadsketchError("cheeger_exact undefined for a single vertex")
     delta, _ = degrees(g)
+    total = delta.sum()
     best = np.inf
-    # enumerate masks over bits 0..n-2: one side of every complementary pair
-    for masks in _iter_mask_chunks(1 << (g.n - 1)):
-        cw = _mask_cut_stats(g, masks, weighted=True)
-        vol_s = np.zeros(masks.size)
-        for b in range(g.n - 1):
-            vol_s += ((masks >> b) & 1) * delta[b]
-        vol_t = delta.sum() - vol_s
-        denom = np.minimum(vol_s, vol_t)
+    for _, cut, vol_s in subset_cut_blocks(g, g.edge_w, delta):
+        denom = np.minimum(vol_s, total - vol_s)
         ok = denom > 0
         if np.any(ok):
-            best = min(best, float((cw[ok] / denom[ok]).min()))
+            best = min(best, float((cut[ok] / denom[ok]).min()))
     return best
 
 
@@ -420,11 +445,8 @@ def expansion_exact(g: WeightedGraph) -> float:
     if g.n == 1:
         raise QuadsketchError("expansion undefined for a single vertex")
     best = np.inf
-    for masks in _iter_mask_chunks(1 << (g.n - 1)):
-        cnt = _mask_cut_stats(g, masks, weighted=False)
-        pc = _mask_popcount(masks, g.n - 1)
-        size = np.minimum(pc, g.n - pc)
-        best = min(best, float((cnt / size).min()))
+    for _, cnt, pc in subset_cut_blocks(g, np.ones(g.m), np.ones(g.n)):
+        best = min(best, float((cnt / np.minimum(pc, g.n - pc)).min()))
     return best
 
 

@@ -27,7 +27,9 @@ from .graph import (
     WeightedGraph,
     connected_components,
     degrees,
+    subset_cut_blocks,
 )
+from .oracle import mask_members
 from .rng import derive_seed, rng_for
 from .sparsify import SparsifierConfig, sparsify
 
@@ -152,46 +154,57 @@ def find_sparse_cut(g: WeightedGraph, mode: str, threshold: float) -> SparseCutR
     return SparseCutResult(None, False)
 
 
+CONFIRM_BATCH = 256  # filtered masks re-scored at once in conductance mode
+
+
 def _exhaustive_cut(g, mode, threshold, delta) -> np.ndarray | None:
-    """First qualifying subset in mask-ascending order over bits 0..n-2."""
+    """First qualifying subset in mask-ascending order over bits 0..n-2.
+
+    Every mask is scored by the meet-in-the-middle product of
+    subset_cut_blocks. In edge_expansion mode the crossing counts are exact
+    integers, so the scores are the ones an edge-by-edge sum gives. In
+    conductance mode the product sums in another order, so its scores only
+    filter: widened by an absolute slack of 1e-9 of the total volume (far
+    above the product's rounding error), every mask that qualifies passes.
+    The passing masks, in ascending order, are re-scored with the crossing
+    weights summed in edge order and the side volume in bit order, which
+    decides exactly as a sequential scan of all masks would.
+    """
     n = g.n
+    if mode == "edge_expansion":
+        for first, cnt, pc in subset_cut_blocks(g, np.ones(g.m), np.ones(n)):
+            hit = np.flatnonzero(cnt / np.minimum(pc, n - pc) < threshold)
+            if hit.size:
+                return _smaller_side(mask_members(first + hit[:1], n)[0])
+        return None
     total_vol = delta.sum()
-    n_masks = 1 << (n - 1)
-    w = g.edge_w if mode == "conductance" else np.ones(g.m)
-    chunk = 1 << 16
-    start = 1
-    while start < n_masks:
-        stop = min(start + chunk, n_masks)
-        masks = np.arange(start, stop, dtype=np.int64)
-        cw = np.zeros(masks.size)
-        for u, v, ww in zip(g.edge_u.tolist(), g.edge_v.tolist(), w.tolist()):
-            cw += (((masks >> u) ^ (masks >> v)) & 1) * ww
-        pc = np.zeros(masks.size, dtype=np.int64)
-        side_vol = np.zeros(masks.size)
-        for b in range(n - 1):
-            bit = (masks >> b) & 1
-            pc += bit
-            side_vol += bit * delta[b]
-        if mode == "edge_expansion":
-            size = np.minimum(pc, n - pc)
-            vals = cw / size
-            ok = vals < threshold
-        else:
-            denom = np.minimum(side_vol, total_vol - side_vol)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vals = np.where(denom > 0, cw / denom, np.inf)
-            ok = vals <= threshold
-        idx = np.flatnonzero(ok)
-        if idx.size:
-            mask = int(masks[idx[0]])
-            members = np.zeros(n, dtype=bool)
-            for b in range(n - 1):
-                members[b] = bool((mask >> b) & 1)
-            if members.sum() > n // 2:
-                members = ~members
-            return members
-        start = stop
+    slack = 1e-9 * total_vol
+    for first, cut, vol in subset_cut_blocks(g, g.edge_w, delta):
+        denom = np.minimum(vol, total_vol - vol)
+        cand = first + np.flatnonzero(cut - slack <= threshold * (denom + slack))
+        for c0 in range(0, cand.size, CONFIRM_BATCH):
+            masks = cand[c0 : c0 + CONFIRM_BATCH]
+            bits = mask_members(masks, n)
+            ok = _conductance_qualifies(g, bits, delta, total_vol, threshold)
+            if ok.any():
+                return _smaller_side(bits[ok.argmax()])
     return None
+
+
+def _conductance_qualifies(g, bits, delta, total_vol, threshold) -> np.ndarray:
+    """Φ(S) <= threshold for each row of bits, summed in edge order and in
+    vertex order."""
+    crossing = bits[:, g.edge_u] != bits[:, g.edge_v]
+    cw = np.cumsum(np.where(crossing, g.edge_w, 0.0), axis=1)[:, -1]
+    side_vol = np.cumsum(bits[:, :-1] * delta[:-1], axis=1)[:, -1]
+    denom = np.minimum(side_vol, total_vol - side_vol)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.where(denom > 0, cw / denom, np.inf)
+    return vals <= threshold
+
+
+def _smaller_side(members: np.ndarray) -> np.ndarray:
+    return ~members if members.sum() > members.size // 2 else members
 
 
 # ---------------------------------------------------------------------------
@@ -415,19 +428,21 @@ def assign_direction(g: WeightedGraph, t: float, *, check_potential: bool = Fals
     """
     if t <= 1:
         raise ValueError("t must exceed 1")
-    tail = g.edge_u.copy()
-    head = g.edge_v.copy()
+    # the fixpoint touches one arc at a time: Python lists index faster
+    # than numpy arrays do
+    tail = g.edge_u.tolist()
+    head = g.edge_v.tolist()
     m = g.m
-    out = np.zeros(g.n, dtype=np.int64)
-    np.add.at(out, tail, 1)
+    out = np.bincount(g.edge_u, minlength=g.n).tolist()
     arcs_at: list[list[int]] = [[] for _ in range(g.n)]
-    for e in range(m):
-        arcs_at[tail[e]].append(e)
-        arcs_at[head[e]].append(e)
+    for e, (a, b) in enumerate(zip(tail, head)):
+        arcs_at[a].append(e)
+        arcs_at[b].append(e)
 
     def potential() -> int:
-        viol = (out[tail] >= t) & (out[head] < t - 1)
-        return int(np.sum(out[tail[viol]] - out[head[viol]]))
+        o, tl, hd = np.array(out), np.array(tail), np.array(head)
+        viol = (o[tl] >= t) & (o[hd] < t - 1)
+        return int(np.sum(o[tl[viol]] - o[hd[viol]]))
 
     queue = deque(range(m))
     in_queue = [True] * m

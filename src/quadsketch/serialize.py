@@ -45,6 +45,7 @@ MAGIC = b"QSK1"
 VERSION = 1
 
 MAX_VARINT_BYTES = 10  # ceil(64 / 7): a 64-bit value's LEB128 length
+SHORT_ARRAY = 16  # int arrays up to this long are coded one Python int at a time
 _SHIFTS = np.arange(0, 7 * MAX_VARINT_BYTES, 7, dtype=np.uint64)
 
 
@@ -71,6 +72,19 @@ class Writer:
     def int_array(self, a) -> None:
         """Length, then one varint per entry; entries lie in [0, 2**63)."""
         a = np.asarray(a)
+        if a.size <= SHORT_ARRAY and a.dtype.kind in "biu":
+            # a few entries: numpy's per-call cost would outweigh the work
+            vals = a.ravel().tolist()
+            if vals and min(vals) < 0:
+                raise ValueError("varint must be non-negative")
+            buf = self.buf
+            buf.append(len(vals))
+            for x in vals:
+                while x > 0x7F:
+                    buf.append((x & 0x7F) | 0x80)
+                    x >>= 7
+                buf.append(x)
+            return
         if a.size and a.min() < 0:
             raise ValueError("varint must be non-negative")
         self.varint(a.size)
@@ -149,8 +163,11 @@ class Reader:
 
     def int_array(self) -> np.ndarray:
         k = self.varint()
-        if k == 0:
-            return np.empty(0, dtype=np.int64)
+        if k <= SHORT_ARRAY:
+            vals = [self.varint() for _ in range(k)]
+            if vals and max(vals) >> 63:
+                raise QuadsketchError("varint value does not fit in 63 bits")
+            return np.array(vals, dtype=np.int64)
         # a varint ends at its first byte below 0x80, so k of them lie in the
         # next 10k bytes; scanning only those keeps a call O(k)
         window = np.frombuffer(

@@ -1,7 +1,9 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
-from quadsketch.graph import WeightedGraph, is_connected
+from quadsketch.graph import WeightedGraph, degrees, is_connected
 
 
 class UnionFind:
@@ -36,6 +38,66 @@ class UnionFind:
             self.rank[ri] += 1
         self.n_components -= 1
         return True
+
+
+def mask_scores_reference(g, mode, masks):
+    """Conductance (weighted) or expansion (unit weights) of each mask over
+    bits 0..n-2, with the arithmetic of the mask scan that the
+    meet-in-the-middle product replaced: crossing weights summed edge by
+    edge, side weights bit by bit."""
+    w = g.edge_w if mode == "conductance" else np.ones(g.m)
+    vw = degrees(g)[0] if mode == "conductance" else np.ones(g.n)
+    cw = np.zeros(masks.size)
+    for u, v, ww in zip(g.edge_u.tolist(), g.edge_v.tolist(), w.tolist()):
+        cw += (((masks >> u) ^ (masks >> v)) & 1) * ww
+    side = np.zeros(masks.size)
+    for b in range(g.n - 1):
+        side += ((masks >> b) & 1) * vw[b]
+    denom = np.minimum(side, vw.sum() - side)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom > 0, cw / denom, np.inf)
+
+
+def exhaustive_cut_reference(g, mode, threshold):
+    """What partition._exhaustive_cut must return: the smaller side of the
+    first mask over bits 0..n-2, in ascending order, whose legacy score
+    qualifies."""
+    n = g.n
+    scores = mask_scores_reference(g, mode, np.arange(1, 1 << (n - 1), dtype=np.int64))
+    hit = np.flatnonzero(scores < threshold if mode == "edge_expansion" else scores <= threshold)
+    if not hit.size:
+        return None
+    members = np.array([((int(hit[0]) + 1) >> b) & 1 for b in range(n)], dtype=bool)
+    return ~members if members.sum() > n // 2 else members
+
+
+def assign_direction_reference(g, t):
+    """The orientation fixpoint on numpy arrays indexed one element at a
+    time: arcs (tail, head) after flipping to a fixpoint in FIFO order."""
+    tail = g.edge_u.copy()
+    head = g.edge_v.copy()
+    out = np.zeros(g.n, dtype=np.int64)
+    np.add.at(out, tail, 1)
+    arcs_at = [[] for _ in range(g.n)]
+    for e in range(g.m):
+        arcs_at[tail[e]].append(e)
+        arcs_at[head[e]].append(e)
+    queue = deque(range(g.m))
+    in_queue = [True] * g.m
+    while queue:
+        e = queue.popleft()
+        in_queue[e] = False
+        a, b = tail[e], head[e]
+        if out[a] >= t and out[b] < t - 1:
+            tail[e], head[e] = b, a
+            out[a] -= 1
+            out[b] += 1
+            for x in (a, b):
+                for e2 in arcs_at[x]:
+                    if not in_queue[e2]:
+                        in_queue[e2] = True
+                        queue.append(e2)
+    return tail, head
 
 
 def gnp(n: int, p: float, seed: int, w_lo: float = 1.0, w_hi: float = 1.0) -> WeightedGraph:

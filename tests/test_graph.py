@@ -18,7 +18,7 @@ from quadsketch.graph import (
 )
 from quadsketch.oracle import lambda1_normalized
 
-from conftest import UnionFind, complete_graph, gnp, gnp_connected, random_members
+from conftest import UnionFind, complete_graph, gnp, gnp_connected, mask_scores_reference, random_members
 
 
 def triangle(w=1.0):
@@ -165,6 +165,47 @@ def test_cheeger_inequality_on_random_corpus():
         assert lam1 >= h * h / 2.0 - 1e-12
         checked += 1
     assert checked == 100
+
+
+@given(st.integers(2, 16), st.floats(0.2, 1.0), st.booleans(), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_exhaustive_oracles_match_mask_by_mask_scan(n, p, weighted, seed):
+    g = gnp_connected(n, p, seed=seed, w_lo=1.0, w_hi=4.0 if weighted else 1.0)
+    masks = np.arange(1, 1 << (n - 1), dtype=np.int64)
+    h = float(mask_scores_reference(g, "conductance", masks).min())
+    assert cheeger_exact(g) == pytest.approx(h, rel=1e-12, abs=0)
+    # unit weights: counts are exact, so the minimum is too
+    assert expansion_exact(g) == float(mask_scores_reference(g, "edge_expansion", masks).min())
+
+
+@given(st.integers(2, 30), st.floats(0.05, 1.0), st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_sorted_and_shuffled_edges_give_one_graph(n, p, seed):
+    g = gnp(n, p, seed, w_lo=0.5, w_hi=2.0)
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(g.m)
+    flip = rng.random(g.m) < 0.5
+    u = np.where(flip, g.edge_v, g.edge_u)[order]
+    v = np.where(flip, g.edge_u, g.edge_v)[order]
+    shuffled = WeightedGraph(n, _arrays=(u, v, g.edge_w[order]))
+    w = g.edge_w.copy()
+    resorted = WeightedGraph(n, _arrays=(g.edge_u, g.edge_v, w))
+    assert shuffled == g and resorted == g
+    # a graph holds its own weights: the caller's array stays writable
+    w[:] = 1.0
+    assert np.array_equal(resorted.edge_w, g.edge_w)
+
+
+def test_sorted_input_still_validated_and_merged():
+    # every input below is in ascending (lo, hi) order
+    with pytest.raises(ValueError):
+        WeightedGraph(3, _arrays=([0, 1], [1, 1], [1.0, 1.0]))
+    with pytest.raises(ValueError):
+        WeightedGraph(3, _arrays=([0, 1], [1, 3], [1.0, 1.0]))
+    with pytest.raises(ValueError):
+        WeightedGraph(3, _arrays=([0, 1], [1, 2], [1.0, -2.0]))
+    g = WeightedGraph(3, _arrays=([0, 0, 1], [1, 1, 2], [1.0, 2.0, 4.0]))
+    assert g.edge_u.tolist() == [0, 1] and g.edge_w.tolist() == [3.0, 4.0]
 
 
 def test_parse_format_roundtrip():

@@ -14,7 +14,9 @@ from quadsketch.graph import (
     cut_weight,
     expansion_exact,
 )
+from quadsketch.graph import degrees
 from quadsketch.partition import (
+    _exhaustive_cut,
     _partition_by_cuts,
     assign_direction,
     cut_preprocessing,
@@ -27,7 +29,15 @@ from quadsketch.partition import (
 )
 from quadsketch.rng import rng_for
 
-from conftest import complete_graph, gnp, gnp_connected, random_members
+from conftest import (
+    assign_direction_reference,
+    complete_graph,
+    exhaustive_cut_reference,
+    gnp,
+    gnp_connected,
+    mask_scores_reference,
+    random_members,
+)
 
 
 def two_triangles_bridge():
@@ -82,6 +92,65 @@ class TestFindSparseCut:
             assert b.members is None
         else:
             assert np.array_equal(a.members, b.members)
+
+
+def connected_with_repeated_weights(n, p, seed):
+    """A random spanning tree plus G(n, p) edges, weights drawn from a
+    few values, so that many masks score the same."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    tree = [(int(perm[i]), int(perm[rng.integers(0, i)])) for i in range(1, n)]
+    iu, ju = np.triu_indices(n, 1)
+    keep = rng.random(iu.size) < p
+    pairs = tree + list(zip(iu[keep].tolist(), ju[keep].tolist()))
+    weights = rng.choice([0.1, 0.3, 1.0, 1.7, 2.0], size=len(pairs))
+    # repeated pairs are merged, which sums their weights
+    return WeightedGraph(n, [(u, v, float(w)) for (u, v), w in zip(pairs, weights)])
+
+
+class TestExhaustiveCut:
+    @given(
+        st.sampled_from(["conductance", "edge_expansion"]),
+        st.integers(2, 20),
+        st.floats(0.1, 0.9),
+        st.integers(0, 10**6),
+        st.sampled_from([-1, 0, 1]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_same_members_as_mask_by_mask_scan(self, mode, n, p, seed, nudge):
+        # the threshold is a mask's own score, one ulp off at most: the
+        # near-tie case, where any other summation order could flip a mask
+        g = connected_with_repeated_weights(n, p if n <= 14 else p / 3, seed)
+        rng = np.random.default_rng(seed)
+        mask = np.array([rng.integers(1, 1 << (n - 1))])
+        threshold = float(mask_scores_reference(g, mode, mask)[0])
+        if nudge:
+            threshold = float(np.nextafter(threshold, np.inf * nudge))
+        got = _exhaustive_cut(g, mode, threshold, degrees(g)[0])
+        want = exhaustive_cut_reference(g, mode, threshold)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_threshold_at_the_minimum(self, seed):
+        # the first qualifying mask is the first minimiser, and the product's
+        # rounding of its score must not drop it
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 13))
+        g = connected_with_repeated_weights(n, float(rng.uniform(0.2, 0.9)), seed)
+        for mode in ("conductance", "edge_expansion"):
+            least = float(mask_scores_reference(g, mode, np.arange(1, 1 << (n - 1))).min())
+            for threshold in (least, float(np.nextafter(least, np.inf))):
+                got = _exhaustive_cut(g, mode, threshold, degrees(g)[0])
+                want = exhaustive_cut_reference(g, mode, threshold)
+                assert (got is None) == (want is None)
+                assert want is None or np.array_equal(got, want)
+
+    def test_no_qualifying_mask(self):
+        g = complete_graph(7)
+        assert _exhaustive_cut(g, "conductance", 0.1, degrees(g)[0]) is None
+        assert exhaustive_cut_reference(g, "conductance", 0.1) is None
 
 
 class TestSpectralPreprocessing:
@@ -311,6 +380,15 @@ class TestAssignDirection:
         g = gnp_connected(15, 0.4, seed=3, w_lo=0.5, w_hi=2.0)
         d = assign_direction(g, 4.0)
         assert d.undirected() == g
+
+    @given(st.integers(1, 40), st.floats(0.05, 1.0), st.floats(1.01, 12.0), st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_same_arcs_as_numpy_fixpoint(self, n, p, t, seed):
+        g = gnp(n, p, seed)
+        d = assign_direction(g, t)
+        tail, head = assign_direction_reference(g, t)
+        # edge order is canonical, so arc i is still edge i
+        assert np.array_equal(d.arc_u, tail) and np.array_equal(d.arc_v, head)
 
     def test_potential_decreases_by_two(self):
         # check_potential asserts a drop of >= 2 on every flip

@@ -137,6 +137,62 @@ def test_overlong_varints_rejected():
         Writer().varint(2**64)
 
 
+# every LEB128 width from 1 to 9 bytes: 0, then 2^(7j) - 1 and 2^(7j) up to 2^63 - 1
+VARINT_WIDTHS = sorted({0, 2**63 - 1} | {x for j in range(1, 10) for x in (2 ** (7 * j) - 1, 2 ** (7 * j))} - {2**63})
+
+
+@pytest.mark.parametrize("length", range(41))
+def test_int_array_short_and_long_paths_agree(length):
+    # lengths 0-40 straddle the cut-over between the scalar and the numpy path
+    rng = np.random.default_rng(length)
+    for vals in (
+        [VARINT_WIDTHS[i % len(VARINT_WIDTHS)] for i in range(length)],
+        rng.choice(VARINT_WIDTHS, size=length).tolist(),
+        [length] * length,
+    ):
+        for a in (np.array(vals, dtype=np.int64), np.array(vals, dtype=np.uint64)):
+            w = Writer()
+            w.int_array(a)
+            assert w.getvalue() == scalar_int_array(vals)
+            back = Reader(w.getvalue()).int_array()
+            assert back.dtype == np.int64 and back.tolist() == vals
+    # 0/1 masks are written as bool arrays
+    bits = rng.random(length) < 0.5
+    w = Writer()
+    w.int_array(bits)
+    assert w.getvalue() == scalar_int_array(bits.astype(int).tolist())
+
+
+@pytest.mark.parametrize("length", [1, 2, 15, 16, 17, 40])
+def test_int_array_errors_agree_across_paths(length):
+    ones = [1] * length
+    for at in {0, length - 1}:
+        neg = np.array(ones, dtype=np.int64)
+        neg[at] = -1
+        with pytest.raises(ValueError):
+            Writer().int_array(neg)
+        # 2^63 is written (as the scalar varint writes it) but read as no int64
+        big = np.array(ones, dtype=np.uint64)
+        big[at] = 2**63
+        w = Writer()
+        w.int_array(big)
+        data = w.getvalue()
+        assert data == scalar_int_array([2**63 if i == at else 1 for i in range(length)])
+        with pytest.raises(QuadsketchError, match="63 bits"):
+            Reader(data).int_array()
+        # an 11-byte varint
+        w = Writer()
+        w.varint(length)
+        body = [scalar_int_array([1])[1:]] * length
+        body[at] = b"\x80" * 10 + b"\x01"
+        with pytest.raises(QuadsketchError):
+            Reader(w.getvalue() + b"".join(body)).int_array()
+    data = scalar_int_array([300] * length)
+    for cut in range(1, len(data)):
+        with pytest.raises(QuadsketchError, match="truncated"):
+            Reader(data[:cut]).int_array()
+
+
 def test_truncated_fields_rejected():
     w = Writer()
     w.f64(1.5)
