@@ -5,8 +5,9 @@ Three tiers, each built on the previous one:
 * ``S1Sketch``: degrees plus s = ceil(1/eps) uniform incident-edge samples
   per vertex; difference estimator for cuts of bounded rescaled weight;
 * ``CutSketchPoly``: a 0.2-accuracy sparsifier to locate the cut value on a
-  base-1.4 scale ladder, plus per-scale importance-sampled expander pieces
-  with S1 sketches and exactly stored cut edges;
+  base-1.4 scale ladder, plus importance-sampled expander pieces with S1
+  sketches and exactly stored cut edges on every ladder scale that a query
+  can select;
 * ``CutSketchGeneral``: maximum-spanning-forest reduction that snaps an
   arbitrary weight range onto polynomially bounded slices.
 
@@ -29,11 +30,9 @@ from .graph import (
     WeightedGraph,
     as_cut_query,
     cut_weight,
-    degrees,
     spanning_forest,
 )
 from .graph import connected_components
-from .oracle import multiset_outcomes, sample_table
 from .partition import cut_preprocessing
 from .rng import derive_seed, rng_for
 from . import serialize
@@ -128,27 +127,6 @@ def cut_s1_build(p: WeightedGraph, epsilon: float, seed: int, *, s: int | None =
     )
 
 
-def s1_outcome_space(p: WeightedGraph, s: int):
-    """Per-vertex sample-multiset outcome spaces for exhaustive expectation."""
-    spaces = []
-    for u in range(p.n):
-        nv, ne = p.neighbors(u)
-        if nv.size == 0:
-            spaces.append([])
-            continue
-        options = [
-            (1.0 / nv.size, (int(nv[i]), float(p.edge_w[ne[i]]))) for i in range(nv.size)
-        ]
-        spaces.append(multiset_outcomes(options, s))
-    return spaces
-
-
-def s1_from_assignment(p: WeightedGraph, epsilon: float, s: int, assignment) -> S1Sketch:
-    """Build the sketch that corresponds to one enumerated sampling outcome."""
-    delta, deg = degrees(p)
-    return S1Sketch(float(epsilon), int(s), delta, deg, *sample_table(enumerate(assignment)))
-
-
 # ---------------------------------------------------------------------------
 # Tier 2: polynomial-weight composite sketch
 
@@ -201,6 +179,10 @@ class CutSketchPoly(Composite):
         return self._nbytes
 
     def estimate(self, members, *, detail: bool = False):
+        """Cut weight of the member set, from the scale that the sparsifier's
+        cut value c~ selects. With detail, the diagnostics give c~, the
+        scale's value c and its scale_index, an index into the stored ladder
+        (which a build trims to the scales that queries can reach)."""
         s = as_cut_query(self.n, members)
         if self.is_verbatim:
             value = cut_weight(self.verbatim, s)
@@ -214,9 +196,7 @@ class CutSketchPoly(Composite):
             return QueryResult(0.0, diag) if detail else 0.0
         if len(self.scales) != len(self.ladder) or not self.scales:
             raise SketchConsistencyError(f"{len(self.scales)} scale sketches for a {len(self.ladder)}-step ladder")
-        target = c_tilde / LADDER_BASE**2
-        idx = int(np.searchsorted(self.ladder, target, side="right")) - 1
-        idx = min(max(idx, 0), len(self.ladder) - 1)
+        idx = scale_of(self.ladder, c_tilde)
         scale = self.scales[idx]
         diag.update(c=scale.c, scale_index=idx)
         x = s.astype(np.float64)
@@ -275,6 +255,36 @@ def build_ladder(g: WeightedGraph) -> np.ndarray:
     return lo * LADDER_BASE ** np.arange(count)
 
 
+def scale_of(ladder: np.ndarray, c_tilde: float) -> int:
+    """Index of the ladder scale that answers a query whose sparsifier cut
+    value is c_tilde: the last scale at or below c_tilde / 1.4^2, clamped to
+    the ladder."""
+    idx = int(np.searchsorted(ladder, c_tilde / LADDER_BASE**2, side="right")) - 1
+    return min(max(idx, 0), len(ladder) - 1)
+
+
+def reachable_scales(h: WeightedGraph, ladder: np.ndarray) -> tuple[int, int]:
+    """First and last index of the ladder scales that a query on a sketch
+    with sparsifier h can select, with one spare scale on each side.
+
+    A nontrivial cut S of h has x = 1_S - |S|/n orthogonal to the all-ones
+    vector and |x|^2 = |S|(n - |S|)/n, so lambda_2 (n-1)/n <= cut(S) <=
+    min(W(h), lambda_n floor(n/2) ceil(n/2)/n). The eigenvalues come from
+    one dense eigvalsh, and lambda_2 gives up n ulps of lambda_n for its
+    rounding; the spare scales absorb the rest. A disconnected h has
+    lambda_2 = 0 and keeps the ladder from its first scale. h has at least
+    two vertices.
+    """
+    last = len(ladder) - 1
+    n = h.n
+    lam = np.linalg.eigvalsh(h.laplacian())
+    top = min(h.total_weight, float(lam[-1]) * (n // 2) * ((n + 1) // 2) / n)
+    k1 = min(scale_of(ladder, top) + 1, last)
+    low = (float(lam[1]) - n * np.finfo(float).eps * float(lam[-1])) * (n - 1) / n
+    k0 = max(scale_of(ladder, low) - 1, 0) if low > 0 else 0
+    return k0, k1
+
+
 EPSILON_WINDOW_TOP = 1.0 / 30.0
 
 
@@ -303,6 +313,12 @@ def cut_basic_build(
     the constants of the analysis no longer apply). mode "pipeline" runs the
     ladder construction for any eps >= 1/n, which the size-scaling and
     failure-rate experiments rely on.
+
+    Only the scales in reachable_scales are built and stored; each keeps
+    the seed of its index on the full ladder, so its bytes do not depend on
+    where the trimmed ladder starts. The scales share one memo of
+    expansion partitions, since many of them keep the same edge set in a
+    weight class.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
@@ -310,9 +326,12 @@ def cut_basic_build(
         return CutSketchPoly(epsilon, g.n, verbatim=g)
     h = sparsify(g, SparsifierConfig(sparsifier_accuracy, "cut", derive_seed(seed, "H")))
     ladder = build_ladder(g)
+    k0, k1 = reachable_scales(h, ladder)
+    partitions: dict = {}
     scales = []
-    for i, c in enumerate(ladder.tolist()):
-        prep = cut_preprocessing(g, c, epsilon, derive_seed(seed, "scale", i))
+    for i in range(k0, k1 + 1):
+        c = float(ladder[i])
+        prep = cut_preprocessing(g, c, epsilon, derive_seed(seed, "scale", i), _partitions=partitions)
         classes = []
         for cl in prep.classes:
             comps = []
@@ -332,7 +351,7 @@ def cut_basic_build(
                 )
             )
         scales.append(ScaleSketch(c, classes))
-    return CutSketchPoly(epsilon, g.n, sparsifier=h, ladder=ladder, scales=scales)
+    return CutSketchPoly(epsilon, g.n, sparsifier=h, ladder=ladder[k0 : k1 + 1], scales=scales)
 
 
 # ---------------------------------------------------------------------------

@@ -268,9 +268,16 @@ def _partition_by_cuts(g: WeightedGraph, mode: str, threshold: float) -> Partiti
     """
     labels = connected_components(g)
     edge_label = labels[g.edge_u]
+    # one stable sort per id kind groups every component's vertices and
+    # edges, each group in ascending order
+    k = int(labels.max()) + 1 if g.n else 0
+    v_by = np.argsort(labels, kind="stable")
+    e_by = np.argsort(edge_label, kind="stable")
+    v_at = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=k)))).tolist()
+    e_at = np.concatenate(([0], np.cumsum(np.bincount(edge_label, minlength=k)))).tolist()
     work: deque[tuple[np.ndarray, np.ndarray]] = deque(
-        (np.flatnonzero(labels == lab), np.flatnonzero(edge_label == lab))
-        for lab in np.unique(edge_label)
+        (v_by[v_at[lab] : v_at[lab + 1]], e_by[e_at[lab] : e_at[lab + 1]])
+        for lab in np.unique(edge_label).tolist()
     )
     comps: list[Component] = []
     cross: list[np.ndarray] = []
@@ -373,12 +380,49 @@ class CutPreprocessing:
     dropped_unsampled: np.ndarray
 
 
-def cut_preprocessing(g: WeightedGraph, c: float, epsilon: float, seed: int) -> CutPreprocessing:
+def _reweighted(part: PartitionResult, w: np.ndarray) -> PartitionResult:
+    """The same pieces and cut edges, carrying the weights w (indexed by the
+    partitioned graph's edge ids)."""
+    comps = [
+        Component(
+            WeightedGraph(cp.graph.n, _arrays=(cp.graph.edge_u, cp.graph.edge_v, w[cp.edge_idx])),
+            cp.vmap,
+            cp.edge_idx,
+            cp.certified,
+        )
+        for cp in part.components
+    ]
+    return PartitionResult(comps, part.cross_u, part.cross_v, w[part.cross_idx], part.cross_idx)
+
+
+def _expansion_partition(sub: WeightedGraph, edge_ids: np.ndarray, threshold: float, memo) -> PartitionResult:
+    """_partition_by_cuts(sub, "edge_expansion", threshold), reusing memo.
+
+    The expansion partition reads only the edge set: the core peel, the
+    spectral certificate, the exhaustive scan and the sweep all count edges
+    and ignore weights. So a partition of the same edges (edge_ids: their
+    input edge ids) at the same threshold is reused with sub's own weights.
+    """
+    if memo is None:
+        return _partition_by_cuts(sub, "edge_expansion", threshold)
+    key = (edge_ids.tobytes(), threshold)
+    part = memo.get(key)
+    if part is None:
+        part = memo[key] = _partition_by_cuts(sub, "edge_expansion", threshold)
+        return part
+    return _reweighted(part, sub.edge_w)
+
+
+def cut_preprocessing(
+    g: WeightedGraph, c: float, epsilon: float, seed: int, *, _partitions: dict | None = None
+) -> CutPreprocessing:
     """Rescale by 1/c, discard w > 5, importance-sample, split into factor-2
     reweighted classes, and partition each along expansion-< 1/eps cuts.
 
     Every returned component has (unweighted) expansion >= 1/eps, certified
-    exactly for pieces of <= 20 vertices.
+    exactly for pieces of <= 20 vertices. Calls on the same g may share one
+    _partitions dict, so a class edge set met before is not partitioned
+    again; the result is the same either way.
     """
     if c <= 0:
         raise ValueError("scale c must be positive")
@@ -403,12 +447,11 @@ def cut_preprocessing(g: WeightedGraph, c: float, epsilon: float, seed: int) -> 
             sub = WeightedGraph(
                 g.n, _arrays=(g.edge_u[eidx], g.edge_v[eidx], w_tilde[sel])
             )
-            part = _partition_by_cuts(sub, "edge_expansion", 1.0 / epsilon)
+            part = _expansion_partition(sub, eidx, 1.0 / epsilon, _partitions)
             # eidx is ascending, so sub's canonical edge order equals it and
             # per-class edge ids map back to input ids by direct lookup
-            part.cross_idx = eidx[part.cross_idx]
-            for comp in part.components:
-                comp.edge_idx = eidx[comp.edge_idx]
+            comps = [Component(cp.graph, cp.vmap, eidx[cp.edge_idx], cp.certified) for cp in part.components]
+            part = PartitionResult(comps, part.cross_u, part.cross_v, part.cross_w, eidx[part.cross_idx])
             classes.append(CutClass(int(i), part))
     return CutPreprocessing(
         c, epsilon, classes, np.flatnonzero(heavy), dropped_idx

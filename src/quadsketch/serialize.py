@@ -77,6 +77,8 @@ class Writer:
             vals = a.ravel().tolist()
             if vals and min(vals) < 0:
                 raise ValueError("varint must be non-negative")
+            if vals and max(vals) >> 63:
+                raise ValueError("int array entry does not fit in 63 bits")
             buf = self.buf
             buf.append(len(vals))
             for x in vals:
@@ -87,6 +89,8 @@ class Writer:
             return
         if a.size and a.min() < 0:
             raise ValueError("varint must be non-negative")
+        if a.size and int(a.max()) >> 63:
+            raise ValueError("int array entry does not fit in 63 bits")
         self.varint(a.size)
         if a.size == 0:
             return

@@ -1,9 +1,16 @@
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from quadsketch import cutsketch
+from quadsketch.cutsketch import CutSketchGeneral, CutSketchPoly, GeneralScale, S1Sketch, ScaleClass, ScaleSketch
 from quadsketch.graph import WeightedGraph, degrees, is_connected
+from quadsketch.oracle import multiset_outcomes, sample_table
+from quadsketch.partition import cut_preprocessing
+from quadsketch.rng import derive_seed
+from quadsketch.sparsify import SparsifierConfig, sparsify
 
 
 class UnionFind:
@@ -98,6 +105,80 @@ def assign_direction_reference(g, t):
                         in_queue[e2] = True
                         queue.append(e2)
     return tail, head
+
+
+def s1_outcome_space(p: WeightedGraph, s: int):
+    """Per-vertex sample-multiset outcome spaces of an S1 build, for the
+    exhaustive expectation."""
+    spaces = []
+    for u in range(p.n):
+        nv, ne = p.neighbors(u)
+        if nv.size == 0:
+            spaces.append([])
+            continue
+        options = [
+            (1.0 / nv.size, (int(nv[i]), float(p.edge_w[ne[i]]))) for i in range(nv.size)
+        ]
+        spaces.append(multiset_outcomes(options, s))
+    return spaces
+
+
+def s1_from_assignment(p: WeightedGraph, epsilon: float, s: int, assignment) -> S1Sketch:
+    """The S1 sketch of one enumerated sampling outcome."""
+    delta, deg = degrees(p)
+    return S1Sketch(float(epsilon), int(s), delta, deg, *sample_table(enumerate(assignment)))
+
+
+def cut_basic_reference(g, epsilon, seed, *, mode="auto"):
+    """The full-ladder cut_basic_build: every scale of build_ladder, each
+    partitioned on its own. A production sketch must equal this one with
+    its ladder sliced to reachable_scales."""
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must be in (0, 1)")
+    if cutsketch._use_verbatim(g.n, g.m, epsilon, mode):
+        return CutSketchPoly(epsilon, g.n, verbatim=g)
+    h = sparsify(g, SparsifierConfig(cutsketch.SPARSIFIER_ACCURACY, "cut", derive_seed(seed, "H")))
+    ladder = cutsketch.build_ladder(g)
+    scales = []
+    for i, c in enumerate(ladder.tolist()):
+        prep = cut_preprocessing(g, c, epsilon, derive_seed(seed, "scale", i))
+        classes = []
+        for cl in prep.classes:
+            comps = [
+                (
+                    comp.vmap,
+                    cutsketch.cut_s1_build(
+                        comp.graph, epsilon, derive_seed(seed, "scale", i, "cls", cl.index, "comp", k)
+                    ),
+                )
+                for k, comp in enumerate(cl.result.components)
+            ]
+            cross = cl.result
+            classes.append(
+                ScaleClass(cl.index, cross.cross_u.copy(), cross.cross_v.copy(), cross.cross_w.copy(), comps)
+            )
+        scales.append(ScaleSketch(c, classes))
+    return CutSketchPoly(epsilon, g.n, sparsifier=h, ladder=ladder, scales=scales)
+
+
+def cut_general_reference(g, epsilon, seed, *, mode="auto"):
+    """cut_sketch_build with every slice built by cut_basic_reference."""
+    with mock.patch.object(cutsketch, "cut_basic_build", cut_basic_reference):
+        return cutsketch.cut_sketch_build(g, epsilon, seed, mode=mode)
+
+
+def trimmed(ref):
+    """A full-ladder poly or general sketch cut down to the scales that
+    reachable_scales keeps."""
+    if ref.is_verbatim:
+        return ref
+    if isinstance(ref, CutSketchGeneral):
+        stored = [GeneralScale(gs.j, gs.labels, [(v, trimmed(p)) for v, p in gs.comps]) for gs in ref.stored]
+        return CutSketchGeneral(ref.epsilon, ref.n, tree=ref.tree, stored=stored)
+    k0, k1 = cutsketch.reachable_scales(ref.sparsifier, ref.ladder)
+    return CutSketchPoly(
+        ref.epsilon, ref.n, sparsifier=ref.sparsifier, ladder=ref.ladder[k0 : k1 + 1], scales=ref.scales[k0 : k1 + 1]
+    )
 
 
 def gnp(n: int, p: float, seed: int, w_lo: float = 1.0, w_hi: float = 1.0) -> WeightedGraph:

@@ -15,8 +15,6 @@ from quadsketch.cutsketch import (
     cut_basic_build,
     cut_s1_build,
     cut_sketch_build,
-    s1_from_assignment,
-    s1_outcome_space,
 )
 from quadsketch.distmincut import raw_edge_list_bytes, run_protocol
 from quadsketch.graph import (
@@ -57,7 +55,7 @@ from quadsketch.spectral import (
     spectral_improved_build,
 )
 
-from conftest import gnp_connected, random_members
+from conftest import gnp_connected, random_members, s1_from_assignment, s1_outcome_space
 
 
 def _report(cid: str, ok: bool, detail: str):

@@ -14,8 +14,8 @@ from quadsketch.cutsketch import (
     cut_s1_build,
     cut_sketch_build,
     mst_max,
-    s1_from_assignment,
-    s1_outcome_space,
+    reachable_scales,
+    scale_of,
 )
 from quadsketch.graph import (
     WeightedGraph,
@@ -23,10 +23,20 @@ from quadsketch.graph import (
     expansion_exact,
     members_from_vertices,
 )
-from quadsketch.oracle import estimator_expectation_exhaustive
+from quadsketch.oracle import enumerate_cut_values, estimator_expectation_exhaustive
 from quadsketch.rng import derive_seed, rng_for
 
-from conftest import complete_graph, gnp, gnp_connected, random_members
+from conftest import (
+    complete_graph,
+    cut_basic_reference,
+    cut_general_reference,
+    gnp,
+    gnp_connected,
+    random_members,
+    s1_from_assignment,
+    s1_outcome_space,
+    trimmed,
+)
 
 
 def s1_test_graph(n=16, gamma=0.05, seed=0):
@@ -395,40 +405,149 @@ def clusters(sizes, weights, p, seed):
     return WeightedGraph(label.size, _arrays=(iu[keep], ju[keep], w[keep]))
 
 
-# SHA-256 of same-seed pipeline-mode envelopes as the per-vertex loop build
-# wrote them; the vectorized build must reproduce them. Every case stores S1
-# pieces, and the two-cluster case has weight classes with two pieces each.
+# SHA-256 of same-seed pipeline-mode envelopes. The first digest is the
+# full-ladder build as the per-vertex loop build wrote it, which
+# cut_general_reference must still reproduce; the second is the production
+# build, which keeps only the reachable scales of every slice. Every case
+# stores S1 pieces, and the two-cluster case has weight classes with two
+# pieces each.
 GOLDEN = [
     (
         lambda: gnp_connected(40, 0.9, seed=1),
         0.1,
         7,
         "7523ba90c7f53b6b24ac67988298465a771ad8f4e062af0424dc5dad60a3c980",
+        "dc535fab49f723ea0c142a85a0c137172e994406a1f94634921a566403adde61",
     ),
     (
         lambda: clusters([32, 32], [1.0, 1.0], 0.9, 2),
         0.1,
         8,
         "e481fd5a233928bd2ee2c859b5bb63a081aec84f3137d4244d167d6cb07b2a8b",
+        "0a2b1e59a97ff3b605d1232196f2d57237859ae663d253d963becf4142e209f1",
     ),
     (
         lambda: clusters([30, 36, 28], [1.0, 30.0, 1000.0], 0.95, 3),
         0.1,
         9,
         "c4f305dd72a9e5c09bd124df3d33e36dcc7b42329e735adb1e3a341b01bd3c6a",
+        "3e5b87f21b703cfb455ec263125ef0282d94a6c05ee6e43fac08feb4765c8b53",
     ),
     (
         lambda: gnp_connected(48, 0.8, seed=4, w_lo=1.0, w_hi=4.0),
         0.15,
         10,
         "c94605c90f951b881541bb7a69d63033d81153a608a61b5b575f08154449a707",
+        "bbcae5ba6e9b9cc7bd97eef1ba21dda499cd20f80fc6fb2422ff00187b8c6d9d",
     ),
 ]
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 @pytest.mark.parametrize(
-    "make, eps, seed, digest", GOLDEN, ids=["gnp", "two-clusters", "multi-scale", "gnp-weighted"]
+    "make, eps, seed, full_digest, digest", GOLDEN, ids=["gnp", "two-clusters", "multi-scale", "gnp-weighted"]
 )
-def test_golden_bytes(make, eps, seed, digest):
-    data = cut_sketch_build(make(), eps, seed, mode="pipeline").to_bytes()
-    assert hashlib.sha256(data).hexdigest() == digest
+def test_golden_bytes(make, eps, seed, full_digest, digest):
+    g = make()
+    ref = cut_general_reference(g, eps, seed, mode="pipeline")
+    assert sha256(ref.to_bytes()) == full_digest
+    data = cut_sketch_build(g, eps, seed, mode="pipeline").to_bytes()
+    assert sha256(data) == digest
+    assert data == trimmed(ref).to_bytes()
+
+
+# graphs of the hypothesis tests: unit weights, U[1, 4], or C06's mix of
+# 1, 1e3 and 1e6
+def weighted_graph(n, p, seed, weights):
+    g = gnp_connected(n, p, seed=seed)
+    if weights == "uniform":
+        w = np.random.default_rng(seed).uniform(1.0, 4.0, g.m)
+    elif weights == "c06":
+        w = np.random.default_rng(seed).choice([1.0, 1e3, 1e6], size=g.m)
+    else:
+        return g
+    return WeightedGraph(n, _arrays=(g.edge_u, g.edge_v, w))
+
+
+weight_kinds = st.sampled_from(["unit", "uniform", "c06"])
+
+
+class TestReachableScales:
+    @given(
+        st.integers(8, 40),
+        st.floats(0.2, 1.0),
+        st.integers(0, 10**6),
+        weight_kinds,
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_answers_equal_full_ladder(self, n, p, gseed, weights, t, seed):
+        g = weighted_graph(n, p, gseed, weights)
+        eps = 1.0 / n + t * (0.2 - 1.0 / n)
+        sk = cut_basic_build(g, eps, seed, mode="pipeline")
+        ref = cut_basic_reference(g, eps, seed, mode="pipeline")
+        assert sk.to_bytes() == trimmed(ref).to_bytes()
+        rng = np.random.default_rng(seed)
+        queries = [random_members(n, rng) for _ in range(10)]
+        queries += [np.arange(n) == v for v in range(n)]  # the lightest cuts
+        for s in queries:
+            assert sk.estimate(s) == ref.estimate(s)
+
+    @given(st.integers(2, 14), st.floats(0.1, 1.0), st.integers(0, 10**6), weight_kinds)
+    @settings(max_examples=40, deadline=None)
+    def test_every_cut_of_sparsifier_selects_a_kept_scale(self, n, p, gseed, weights):
+        g = weighted_graph(n, p, gseed, weights)
+        sk = cut_basic_build(g, 0.5, gseed, mode="pipeline")
+        if sk.is_verbatim:  # n < 2 only
+            return
+        ladder = build_ladder(g)
+        k0, k1 = reachable_scales(sk.sparsifier, ladder)
+        assert np.array_equal(sk.ladder, ladder[k0 : k1 + 1])
+        _, values = enumerate_cut_values(sk.sparsifier)
+        picked = {scale_of(ladder, float(c)) for c in values if c > 0}
+        assert picked and k0 <= min(picked) and max(picked) <= k1
+
+    def test_disconnected_sparsifier_keeps_first_scale(self):
+        g = WeightedGraph(8, [(u, v, 1.0) for a in (0, 4) for u in range(a, a + 4) for v in range(u + 1, a + 4)])
+        sk = cut_basic_build(g, 0.2, 3, mode="pipeline")
+        ladder = build_ladder(g)
+        assert reachable_scales(sk.sparsifier, ladder)[0] == 0
+        assert sk.ladder[0] == ladder[0]
+        ref = cut_basic_reference(g, 0.2, 3, mode="pipeline")
+        for s in (np.arange(8) < 4, np.arange(8) < 2, np.arange(8) % 3 == 0):
+            assert sk.estimate(s) == ref.estimate(s)
+
+    def test_edgeless_sparsifier(self):
+        h = WeightedGraph(5)
+        assert reachable_scales(h, np.geomspace(1.0, 10.0, 6)) == (0, 1)
+
+    def test_dense_graph_drops_scales(self):
+        g = gnp_connected(40, 0.9, seed=1)
+        sk = cut_basic_build(g, 0.1, 7, mode="pipeline")
+        assert 0 < len(sk.ladder) < len(build_ladder(g)) // 2
+        assert len(sk.to_bytes()) < len(cut_basic_reference(g, 0.1, 7, mode="pipeline").to_bytes()) // 2
+
+    def test_full_ladder_envelope_decodes_and_answers(self):
+        g = gnp_connected(30, 0.8, seed=12, w_lo=1.0, w_hi=4.0)
+        ref = cut_basic_reference(g, 0.1, 13, mode="pipeline")
+        back = CutSketchPoly.from_bytes(ref.to_bytes())
+        assert len(back.ladder) == len(build_ladder(g))
+        sk = cut_basic_build(g, 0.1, 13, mode="pipeline")
+        k0, _ = reachable_scales(sk.sparsifier, build_ladder(g))
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            s = random_members(30, rng)
+            assert back.estimate(s) == ref.estimate(s) == sk.estimate(s)
+            full = back.estimate(s, detail=True).diagnostics
+            pruned = sk.estimate(s, detail=True).diagnostics
+            assert full["c"] == pruned["c"]
+            assert full["scale_index"] - pruned["scale_index"] == k0
+        general = cut_general_reference(g, 0.1, 13, mode="pipeline")
+        data = general.to_bytes()
+        assert CutSketchGeneral.from_bytes(data).to_bytes() == data
+        s = np.arange(30) < 11
+        assert CutSketchGeneral.from_bytes(data).estimate(s) == cut_sketch_build(g, 0.1, 13, mode="pipeline").estimate(s)

@@ -262,6 +262,22 @@ class TestPartitionByCuts:
         assert pieces(got) == pieces(ref)
         assert np.array_equal(part.cross_idx, ref_cross)
 
+    @given(st.integers(1, 40), st.floats(0.0, 0.3), st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_seeded_with_each_component_in_label_order(self, n, p, seed):
+        # below every expansion nothing splits, so the pieces are the seeds:
+        # the components with edges, in label order, ids ascending
+        g = gnp(n, p, seed)
+        part = _partition_by_cuts(g, "edge_expansion", 1e-9)
+        labels = connected_components(g)
+        edge_label = labels[g.edge_u]
+        want = [(np.flatnonzero(labels == lab), np.flatnonzero(edge_label == lab)) for lab in np.unique(edge_label)]
+        assert len(part.components) == len(want)
+        for comp, (vmap, eidx) in zip(part.components, want):
+            assert comp.vmap.dtype == vmap.dtype and np.array_equal(comp.vmap, vmap)
+            assert comp.edge_idx.dtype == eidx.dtype and np.array_equal(comp.edge_idx, eidx)
+        assert part.cross_idx.size == 0
+
     def test_core_peel_finish_order(self):
         # two 16-cliques: five pendants hang off the first, one off the second
         edges = [
@@ -324,6 +340,31 @@ class TestCutPreprocessing:
                 seen.append(comp.edge_idx)
         flat = sorted(np.concatenate(seen).tolist())
         assert flat == list(range(g.m))
+
+    def test_shared_partitions_give_the_same_result(self):
+        # uniform weights: many scales keep every edge in one class, so the
+        # expansion partition of that edge set is reused with new weights
+        g = gnp_connected(40, 0.9, seed=3, w_lo=1.0, w_hi=1.3)
+        memo: dict = {}
+        classes = 0
+        for c in np.geomspace(0.05, 40.0, 12):
+            plain = cut_preprocessing(g, c, 0.2, seed=5)
+            shared = cut_preprocessing(g, c, 0.2, seed=5, _partitions=memo)
+            classes += len(plain.classes)
+            assert [cl.index for cl in shared.classes] == [cl.index for cl in plain.classes]
+            for a, b in zip(shared.classes, plain.classes):
+                ra, rb = a.result, b.result
+                for x, y in ((ra.cross_u, rb.cross_u), (ra.cross_v, rb.cross_v), (ra.cross_w, rb.cross_w), (ra.cross_idx, rb.cross_idx)):
+                    assert np.array_equal(x, y)
+                assert len(ra.components) == len(rb.components)
+                for ca, cb in zip(ra.components, rb.components):
+                    assert ca.certified == cb.certified
+                    assert np.array_equal(ca.vmap, cb.vmap) and np.array_equal(ca.edge_idx, cb.edge_idx)
+                    ga, gb = ca.graph, cb.graph
+                    assert ga.n == gb.n
+                    for x, y in ((ga.edge_u, gb.edge_u), (ga.edge_v, gb.edge_v), (ga.edge_w, gb.edge_w)):
+                        assert np.array_equal(x, y)
+        assert 0 < len(memo) < classes
 
     def test_weight_class_bands(self):
         w = np.array([5.0, 2.6, 2.5, 1.26, 0.1, 0.01])
