@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -245,14 +244,6 @@ def _cmd_mincut(args) -> int:
     return 0
 
 
-def _pool_size() -> int:
-    cap = os.environ.get("QUADSKETCH_THREADS", "1")
-    try:
-        return max(1, int(cap))
-    except ValueError:
-        return 1
-
-
 def _bench_point(g, suite: str, eps: float, seed: int, queries: int):
     if suite == "cut-size":
         sk = cut_sketch_build(g, eps, seed, mode="pipeline")
@@ -286,21 +277,11 @@ def _cmd_bench(args) -> int:
         iu, ju = np.triu_indices(n, k=1)
         keep = rng.random(iu.size) < p
         g = WeightedGraph(n, _arrays=(iu[keep], ju[keep], np.ones(int(keep.sum()))))
-    # grid points are independent (per-point derived seeds), so the sweep may
-    # run on a thread pool capped by QUADSKETCH_THREADS; output order is fixed
-    jobs = [
-        (eps, derive_seed(args.seed, "bench", repr(eps))) for eps in eps_list
+    # every grid point derives its own seed
+    rows = [
+        _bench_point(g, args.suite, eps, derive_seed(args.seed, "bench", repr(eps)), args.queries)
+        for eps in eps_list
     ]
-    workers = _pool_size()
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(lambda j: _bench_point(g, args.suite, j[0], j[1], args.queries), jobs)
-            )
-    else:
-        rows = [_bench_point(g, args.suite, eps, seed, args.queries) for eps, seed in jobs]
     if args.suite.endswith("size"):
         header = ["n", "m", "epsilon", "bytes", "words"]
         rows.sort(key=lambda r: -r[2])

@@ -323,8 +323,10 @@ def connected_components(g: WeightedGraph) -> np.ndarray:
 
     The edge-expansion partition peels low-degree vertices without calling
     this (the peel is exact because a k-core does not depend on the order of
-    removal), so calls come per piece and per sparse-cut search, not per
-    peeled vertex.
+    removal), and it peels the whole edge set before labelling it, so a
+    partition whose core is empty makes no call. Calls come once per
+    partition with a non-empty core and once per sparse-cut search, not per
+    peeled vertex or piece.
     """
     parent = np.arange(g.n, dtype=np.int64)
     u, v = g.edge_u, g.edge_v

@@ -233,39 +233,54 @@ class PartitionResult:
         return int(self.cross_u.size)
 
 
-def _threshold_core(g: WeightedGraph, vmap: np.ndarray, eidx: np.ndarray, threshold: float):
-    """Core of a piece: drop every vertex of degree < threshold, repeat.
+def _core_members(g: WeightedGraph, eidx: np.ndarray, threshold: float) -> np.ndarray:
+    """Vertex mask of the threshold core of the edges eidx of g: drop every
+    vertex of degree < threshold, repeat. An edge survives the peel iff both
+    its ends are in the core.
 
-    Returns the core's vertices (ascending) and a mask over eidx of the
-    edges among them.
+    Each round recounts degrees from the dropped edges only and scans only
+    the edges still alive.
     """
     u, v = g.edge_u[eidx], g.edge_v[eidx]
-    alive = np.ones(eidx.size, dtype=bool)
+    deg = np.bincount(u, minlength=g.n) + np.bincount(v, minlength=g.n)
+    low = deg < threshold
     while True:
-        deg = np.bincount(u[alive], minlength=g.n) + np.bincount(v[alive], minlength=g.n)
-        low = deg < threshold
-        drop = alive & (low[u] | low[v])
+        drop = low[u] | low[v]
         if not drop.any():
-            return vmap[~low[vmap]], alive
-        alive &= ~drop
+            return ~low
+        deg -= np.bincount(u[drop], minlength=g.n) + np.bincount(v[drop], minlength=g.n)
+        low = deg < threshold
+        u, v = u[~drop], v[~drop]
 
 
 def _partition_by_cuts(g: WeightedGraph, mode: str, threshold: float) -> PartitionResult:
     """Recursively split g along qualifying cuts; pieces keep parent ids.
 
-    Pieces wait in a FIFO queue, seeded with the connected components that
-    have edges. A popped piece is split by find_sparse_cut, and each side
-    with edges is queued again.
+    Pieces are split one generation at a time. The first generation is the
+    connected components that have edges, in label order. Each piece of a
+    generation is split by find_sparse_cut, and each side with edges joins
+    the next generation, in order: the same order as a FIFO queue of pieces.
 
     In edge_expansion mode a vertex of degree < threshold is a qualifying
-    singleton cut, so a popped piece is first peeled to its threshold core
-    in one vectorized pass: the peeled edges join Q and the core is queued
-    again. The k-core does not depend on the order in which vertices are
-    removed (Batagelj-Zaversnik 2003), so this gives the same pieces and Q as
-    splitting off one singleton per find_sparse_cut call; only the order in
-    which pieces finish can differ. Conductance mode has no such shortcut,
-    because whether a singleton qualifies depends on the piece's volume.
+    singleton cut, so every generation is first peeled to its threshold core
+    in one vectorized pass over the union of its pieces' edges. The pieces
+    are vertex-disjoint, so this peels each of them as a peel of its own
+    would. A piece that loses vertices sends its peeled edges to Q and its
+    core, if any, to the next generation. The k-core does not depend on the
+    order in which vertices are removed (Batagelj-Zaversnik 2003), so this
+    gives the same pieces and Q as splitting off one singleton per
+    find_sparse_cut call; only the order in which pieces finish can differ.
+    The first generation is peeled before the components are labelled: when
+    its core is empty, every edge is returned as Q, with no labelling at all.
+    Conductance mode has no such shortcut, because whether a singleton
+    qualifies depends on the piece's volume.
     """
+    in_core = None
+    if mode == "edge_expansion":
+        in_core = _core_members(g, np.arange(g.m), threshold)
+        if not in_core.any():
+            every = np.arange(g.m)
+            return PartitionResult([], g.edge_u[every], g.edge_v[every], g.edge_w[every], every)
     labels = connected_components(g)
     edge_label = labels[g.edge_u]
     # one stable sort per id kind groups every component's vertices and
@@ -275,41 +290,46 @@ def _partition_by_cuts(g: WeightedGraph, mode: str, threshold: float) -> Partiti
     e_by = np.argsort(edge_label, kind="stable")
     v_at = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=k)))).tolist()
     e_at = np.concatenate(([0], np.cumsum(np.bincount(edge_label, minlength=k)))).tolist()
-    work: deque[tuple[np.ndarray, np.ndarray]] = deque(
+    generation = [
         (v_by[v_at[lab] : v_at[lab + 1]], e_by[e_at[lab] : e_at[lab + 1]])
         for lab in np.unique(edge_label).tolist()
-    )
+    ]
     comps: list[Component] = []
     cross: list[np.ndarray] = []
-    while work:
-        vmap, eidx = work.popleft()
-        if mode == "edge_expansion":
-            core_v, core_e = _threshold_core(g, vmap, eidx, threshold)
-            if core_v.size < vmap.size:
-                cross.append(eidx[~core_e])
-                if core_v.size:
-                    work.append((core_v, eidx[core_e]))
+    while generation:
+        if in_core is None and mode == "edge_expansion":
+            in_core = _core_members(g, np.concatenate([e for _, e in generation]), threshold)
+        following: list[tuple[np.ndarray, np.ndarray]] = []
+        for vmap, eidx in generation:
+            if in_core is not None:
+                inside = in_core[vmap]
+                if not inside.all():
+                    kept = in_core[g.edge_u[eidx]] & in_core[g.edge_v[eidx]]
+                    cross.append(eidx[~kept])
+                    if inside.any():
+                        following.append((vmap[inside], eidx[kept]))
+                    continue
+            inv = np.full(g.n, -1, dtype=np.int64)
+            inv[vmap] = np.arange(vmap.size)
+            piece = WeightedGraph(
+                vmap.size,
+                _arrays=(inv[g.edge_u[eidx]], inv[g.edge_v[eidx]], g.edge_w[eidx]),
+            )
+            res = find_sparse_cut(piece, mode, threshold)
+            if res.members is None:
+                # local edge order matches parent order (canonical sort is stable
+                # under the monotone relabeling), so edge_idx aligns
+                comps.append(Component(piece, vmap, eidx, res.certified))
                 continue
-        inv = np.full(g.n, -1, dtype=np.int64)
-        inv[vmap] = np.arange(vmap.size)
-        piece = WeightedGraph(
-            vmap.size,
-            _arrays=(inv[g.edge_u[eidx]], inv[g.edge_v[eidx]], g.edge_w[eidx]),
-        )
-        res = find_sparse_cut(piece, mode, threshold)
-        if res.members is None:
-            # local edge order matches parent order (canonical sort is stable
-            # under the monotone relabeling), so edge_idx aligns
-            comps.append(Component(piece, vmap, eidx, res.certified))
-            continue
-        s = res.members
-        crossing = s[piece.edge_u] != s[piece.edge_v]
-        cross.append(eidx[crossing])
-        for side in (s, ~s):
-            sub_v = vmap[side]
-            sub_e = eidx[side[piece.edge_u] & side[piece.edge_v]]
-            if sub_e.size:
-                work.append((sub_v, sub_e))
+            s = res.members
+            crossing = s[piece.edge_u] != s[piece.edge_v]
+            cross.append(eidx[crossing])
+            for side in (s, ~s):
+                sub_v = vmap[side]
+                sub_e = eidx[side[piece.edge_u] & side[piece.edge_v]]
+                if sub_e.size:
+                    following.append((sub_v, sub_e))
+        generation, in_core = following, None
     cross_idx = (
         np.concatenate(cross) if cross else np.empty(0, dtype=np.int64)
     )
@@ -627,10 +647,3 @@ def degree_class_partition(
 
     max_depth = recurse(g, np.arange(g.n, dtype=np.int64), 0)
     return DegreeClassPartition(classes, max_depth + 1, levels)
-
-
-def recursion_depth_bound(n: int, s: float) -> int:
-    """ceil(log_{2 - 1/s} n) + 1 (the guaranteed shrink rate per level)."""
-    if n <= 1:
-        return 1
-    return math.ceil(math.log(n) / math.log(2.0 - 1.0 / s)) + 1

@@ -24,7 +24,6 @@ from .graph import WeightedGraph, spanning_forest
 from .rng import rng_for
 
 OVERSAMPLE = 2.0
-EDGE_BUDGET_CONSTANT = 48.0  # documented constant C in the m <= C n log n / eps^2 bound
 RESISTANCE_VERTEX_CAP = 512
 WEIGHT_RATIO_POWER = 6
 
@@ -127,8 +126,3 @@ def sparsify(g: WeightedGraph, cfg: SparsifierConfig) -> WeightedGraph:
         keep2 = new_w >= floor
         u, v, new_w = u[keep2], v[keep2], new_w[keep2]
     return WeightedGraph(g.n, _arrays=(u, v, new_w))
-
-
-def edge_budget(n: int, epsilon: float) -> float:
-    """The documented C n log n / eps^2 bound on the output edge count."""
-    return EDGE_BUDGET_CONSTANT * n * math.log(n + 2) / epsilon**2

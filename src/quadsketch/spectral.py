@@ -31,7 +31,7 @@ from .graph import (
     WeightedGraph,
     as_spectral_query,
 )
-from .oracle import multiset_outcomes, sample_table
+from .oracle import sample_table
 from .partition import (
     degree_class_partition,
     spectral_preprocessing,
@@ -145,30 +145,6 @@ def _s2_sketch(epsilon: float, alpha: float, structure, tables) -> S2Sketch:
         float(epsilon), float(alpha), math.ceil(alpha), gamma, delta, light, su, sv, sw, delta_l,
         *sample_table(tables),
     )
-
-
-def s2_outcome_space(p: WeightedGraph, alpha: float):
-    """Per-heavy-vertex sample spaces for exhaustive expectation."""
-    draws = math.ceil(alpha)
-    delta, gamma, light, _, delta_l, _ = _s2_heavy_structure(p, alpha)
-    spaces = []
-    for u in range(p.n):
-        if light[u] or delta_l[u] <= 0:
-            spaces.append([])
-            continue
-        nv, ne = p.neighbors(u)
-        keep = ~(light[nv])
-        nv, ne = nv[keep], ne[keep]
-        options = [
-            (float(p.edge_w[e]) / float(delta_l[u]), (int(v), float(p.edge_w[e])))
-            for v, e in zip(nv.tolist(), ne.tolist())
-        ]
-        spaces.append(multiset_outcomes(options, draws))
-    return spaces
-
-
-def s2_from_assignment(p: WeightedGraph, epsilon: float, alpha: float, assignment) -> S2Sketch:
-    return _s2_sketch(epsilon, alpha, _s2_heavy_structure(p, alpha), enumerate(assignment))
 
 
 # ---------------------------------------------------------------------------
@@ -447,74 +423,6 @@ def spectral_s3_build(
                     (u, [((int(tails[arcs[k]]), float(ws[arcs[k]])), int(counts[k])) for k in slots])
                 )
         comps.append(S3Component(comp.vmap, in_deg, deg, su, sv, sw, *sample_table(tables)))
-    return S3Sketch(
-        float(epsilon),
-        float(beta),
-        draws,
-        int(kappa),
-        h,
-        p.n,
-        comps,
-        part.cross_u.copy(),
-        part.cross_v.copy(),
-        part.cross_w.copy(),
-    )
-
-
-def s3_outcome_space(p: DirectedGraph, kappa: int, beta: float):
-    """Sample spaces per (component, head vertex) at the lemma threshold.
-
-    Returns (spaces, context) where context rebuilds sketches via
-    s3_from_assignment.
-    """
-    draws = math.ceil(beta)
-    und = p.undirected()
-    part = spectral_preprocessing(und, 2.0 ** (-kappa))
-    arc_of_edge = _arc_order_as_undirected(p)
-    threshold = (2.0 ** (kappa - 1)) * beta
-    spaces = []
-    meta = []
-    for ci, comp in enumerate(part.components):
-        comp_arcs = arc_of_edge[comp.edge_idx]
-        tails, heads, ws, out_deg, in_deg, deg, stored_mask = _s3_component_structure(
-            p, comp_arcs, comp.vmap, threshold
-        )
-        heavy_idx = np.flatnonzero(~stored_mask)
-        by_head: dict[int, list[int]] = {}
-        for a in heavy_idx.tolist():
-            by_head.setdefault(int(heads[a]), []).append(a)
-        for u in sorted(by_head):
-            arcs = by_head[u]
-            total_in = in_deg[u]
-            options = [
-                (float(ws[a]) / total_in, (int(tails[a]), float(ws[a]))) for a in arcs
-            ]
-            slack = max(0.0, 1.0 - sum(pr for pr, _ in options))
-            if slack > 0:
-                options.append((slack, None))
-            spaces.append(multiset_outcomes(options, draws))
-            meta.append((ci, u))
-    return spaces, (part, arc_of_edge, threshold, meta, draws)
-
-
-def s3_from_assignment(
-    p: DirectedGraph, epsilon: float, kappa: int, beta: float, context, assignment
-) -> S3Sketch:
-    part, arc_of_edge, threshold, meta, draws = context
-    comps = []
-    tables: dict[int, dict[int, list]] = {}
-    for (ci, u), table in zip(meta, assignment):
-        if table:
-            tables.setdefault(ci, {})[u] = table
-    for ci, comp in enumerate(part.components):
-        comp_arcs = arc_of_edge[comp.edge_idx]
-        tails, heads, ws, out_deg, in_deg, deg, stored_mask = _s3_component_structure(
-            p, comp_arcs, comp.vmap, threshold
-        )
-        su, sv, sw = tails[stored_mask], heads[stored_mask], ws[stored_mask]
-        samples = sample_table(sorted(tables.get(ci, {}).items()))
-        comps.append(S3Component(comp.vmap, in_deg, deg, su, sv, sw, *samples))
-    h = 2.0 ** (-kappa)
     return S3Sketch(
         float(epsilon),
         float(beta),

@@ -1,3 +1,4 @@
+import math
 from collections import deque
 from unittest import mock
 
@@ -6,11 +7,20 @@ import pytest
 
 from quadsketch import cutsketch
 from quadsketch.cutsketch import CutSketchGeneral, CutSketchPoly, GeneralScale, S1Sketch, ScaleClass, ScaleSketch
-from quadsketch.graph import WeightedGraph, degrees, is_connected
+from quadsketch.graph import DirectedGraph, WeightedGraph, connected_components, degrees, is_connected
 from quadsketch.oracle import multiset_outcomes, sample_table
-from quadsketch.partition import cut_preprocessing
+from quadsketch.partition import Component, PartitionResult, cut_preprocessing, find_sparse_cut, spectral_preprocessing
 from quadsketch.rng import derive_seed
 from quadsketch.sparsify import SparsifierConfig, sparsify
+from quadsketch.spectral import (
+    S2Sketch,
+    S3Component,
+    S3Sketch,
+    _arc_order_as_undirected,
+    _s2_heavy_structure,
+    _s2_sketch,
+    _s3_component_structure,
+)
 
 
 class UnionFind:
@@ -78,6 +88,59 @@ def exhaustive_cut_reference(g, mode, threshold):
     return ~members if members.sum() > n // 2 else members
 
 
+def threshold_core_reference(g, vmap, eidx, threshold):
+    """Core of one piece: drop every vertex of degree < threshold, repeat,
+    recounting every degree each round. Returns the core's vertices
+    (ascending) and a mask over eidx of the edges among them."""
+    u, v = g.edge_u[eidx], g.edge_v[eidx]
+    alive = np.ones(eidx.size, dtype=bool)
+    while True:
+        deg = np.bincount(u[alive], minlength=g.n) + np.bincount(v[alive], minlength=g.n)
+        low = deg < threshold
+        drop = alive & (low[u] | low[v])
+        if not drop.any():
+            return vmap[~low[vmap]], alive
+        alive &= ~drop
+
+
+def partition_by_cuts_reference(g, mode, threshold):
+    """The piece-at-a-time partition that the generation peel replaced: a
+    FIFO queue seeded with the components that have edges, and in
+    edge_expansion mode a peel of its own for every popped piece.
+    partition._partition_by_cuts must give the same pieces in the same
+    order, and the same cross edges."""
+    labels = connected_components(g)
+    work = deque(
+        (np.flatnonzero(labels == lab), np.flatnonzero(labels[g.edge_u] == lab))
+        for lab in np.unique(labels[g.edge_u]).tolist()
+    )
+    comps, cross = [], [np.empty(0, dtype=np.int64)]
+    while work:
+        vmap, eidx = work.popleft()
+        if mode == "edge_expansion":
+            core_v, core_e = threshold_core_reference(g, vmap, eidx, threshold)
+            if core_v.size < vmap.size:
+                cross.append(eidx[~core_e])
+                if core_v.size:
+                    work.append((core_v, eidx[core_e]))
+                continue
+        inv = np.full(g.n, -1, dtype=np.int64)
+        inv[vmap] = np.arange(vmap.size)
+        piece = WeightedGraph(vmap.size, _arrays=(inv[g.edge_u[eidx]], inv[g.edge_v[eidx]], g.edge_w[eidx]))
+        res = find_sparse_cut(piece, mode, threshold)
+        if res.members is None:
+            comps.append(Component(piece, vmap, eidx, res.certified))
+            continue
+        s = res.members
+        cross.append(eidx[s[piece.edge_u] != s[piece.edge_v]])
+        for side in (s, ~s):
+            sub_e = eidx[side[piece.edge_u] & side[piece.edge_v]]
+            if sub_e.size:
+                work.append((vmap[side], sub_e))
+    cross_idx = np.sort(np.concatenate(cross))
+    return PartitionResult(comps, g.edge_u[cross_idx], g.edge_v[cross_idx], g.edge_w[cross_idx], cross_idx)
+
+
 def assign_direction_reference(g, t):
     """The orientation fixpoint on numpy arrays indexed one element at a
     time: arcs (tail, head) after flipping to a fixpoint in FIFO order."""
@@ -127,6 +190,115 @@ def s1_from_assignment(p: WeightedGraph, epsilon: float, s: int, assignment) -> 
     """The S1 sketch of one enumerated sampling outcome."""
     delta, deg = degrees(p)
     return S1Sketch(float(epsilon), int(s), delta, deg, *sample_table(enumerate(assignment)))
+
+
+def s2_outcome_space(p: WeightedGraph, alpha: float):
+    """Per-heavy-vertex sample spaces for exhaustive expectation."""
+    draws = math.ceil(alpha)
+    delta, gamma, light, _, delta_l, _ = _s2_heavy_structure(p, alpha)
+    spaces = []
+    for u in range(p.n):
+        if light[u] or delta_l[u] <= 0:
+            spaces.append([])
+            continue
+        nv, ne = p.neighbors(u)
+        keep = ~(light[nv])
+        nv, ne = nv[keep], ne[keep]
+        options = [
+            (float(p.edge_w[e]) / float(delta_l[u]), (int(v), float(p.edge_w[e])))
+            for v, e in zip(nv.tolist(), ne.tolist())
+        ]
+        spaces.append(multiset_outcomes(options, draws))
+    return spaces
+
+
+def s2_from_assignment(p: WeightedGraph, epsilon: float, alpha: float, assignment) -> S2Sketch:
+    """The S2 sketch of one enumerated sampling outcome."""
+    return _s2_sketch(epsilon, alpha, _s2_heavy_structure(p, alpha), enumerate(assignment))
+
+
+def s3_outcome_space(p: DirectedGraph, kappa: int, beta: float):
+    """Sample spaces per (component, head vertex) at the lemma threshold.
+
+    Returns (spaces, context) where context rebuilds sketches via
+    s3_from_assignment.
+    """
+    draws = math.ceil(beta)
+    und = p.undirected()
+    part = spectral_preprocessing(und, 2.0 ** (-kappa))
+    arc_of_edge = _arc_order_as_undirected(p)
+    threshold = (2.0 ** (kappa - 1)) * beta
+    spaces = []
+    meta = []
+    for ci, comp in enumerate(part.components):
+        comp_arcs = arc_of_edge[comp.edge_idx]
+        tails, heads, ws, out_deg, in_deg, deg, stored_mask = _s3_component_structure(
+            p, comp_arcs, comp.vmap, threshold
+        )
+        heavy_idx = np.flatnonzero(~stored_mask)
+        by_head: dict[int, list[int]] = {}
+        for a in heavy_idx.tolist():
+            by_head.setdefault(int(heads[a]), []).append(a)
+        for u in sorted(by_head):
+            arcs = by_head[u]
+            total_in = in_deg[u]
+            options = [
+                (float(ws[a]) / total_in, (int(tails[a]), float(ws[a]))) for a in arcs
+            ]
+            slack = max(0.0, 1.0 - sum(pr for pr, _ in options))
+            if slack > 0:
+                options.append((slack, None))
+            spaces.append(multiset_outcomes(options, draws))
+            meta.append((ci, u))
+    return spaces, (part, arc_of_edge, threshold, meta, draws)
+
+
+def s3_from_assignment(
+    p: DirectedGraph, epsilon: float, kappa: int, beta: float, context, assignment
+) -> S3Sketch:
+    """The S3 sketch of one enumerated sampling outcome."""
+    part, arc_of_edge, threshold, meta, draws = context
+    comps = []
+    tables: dict[int, dict[int, list]] = {}
+    for (ci, u), table in zip(meta, assignment):
+        if table:
+            tables.setdefault(ci, {})[u] = table
+    for ci, comp in enumerate(part.components):
+        comp_arcs = arc_of_edge[comp.edge_idx]
+        tails, heads, ws, out_deg, in_deg, deg, stored_mask = _s3_component_structure(
+            p, comp_arcs, comp.vmap, threshold
+        )
+        su, sv, sw = tails[stored_mask], heads[stored_mask], ws[stored_mask]
+        samples = sample_table(sorted(tables.get(ci, {}).items()))
+        comps.append(S3Component(comp.vmap, in_deg, deg, su, sv, sw, *samples))
+    h = 2.0 ** (-kappa)
+    return S3Sketch(
+        float(epsilon),
+        float(beta),
+        draws,
+        int(kappa),
+        h,
+        p.n,
+        comps,
+        part.cross_u.copy(),
+        part.cross_v.copy(),
+        part.cross_w.copy(),
+    )
+
+
+def recursion_depth_bound(n: int, s: float) -> int:
+    """ceil(log_{2 - 1/s} n) + 1 (the guaranteed shrink rate per level)."""
+    if n <= 1:
+        return 1
+    return math.ceil(math.log(n) / math.log(2.0 - 1.0 / s)) + 1
+
+
+EDGE_BUDGET_CONSTANT = 48.0  # documented constant C in the m <= C n log n / eps^2 bound
+
+
+def edge_budget(n: int, epsilon: float) -> float:
+    """The documented C n log n / eps^2 bound on the output edge count."""
+    return EDGE_BUDGET_CONSTANT * n * math.log(n + 2) / epsilon**2
 
 
 def cut_basic_reference(g, epsilon, seed, *, mode="auto"):

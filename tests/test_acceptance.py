@@ -34,7 +34,6 @@ from quadsketch.partition import (
     assign_direction,
     degree_class_partition,
     importance_sample,
-    recursion_depth_bound,
     spectral_preprocessing,
 )
 from quadsketch.psdsdd import (
@@ -49,13 +48,19 @@ from quadsketch.rng import derive_seed, rng_for
 from quadsketch.spectral import (
     SpectralBasicSketch,
     SpectralImprovedSketch,
-    s2_from_assignment,
-    s2_outcome_space,
     spectral_basic_build,
     spectral_improved_build,
 )
 
-from conftest import gnp_connected, random_members, s1_from_assignment, s1_outcome_space
+from conftest import (
+    gnp_connected,
+    random_members,
+    recursion_depth_bound,
+    s1_from_assignment,
+    s1_outcome_space,
+    s2_from_assignment,
+    s2_outcome_space,
+)
 
 
 def _report(cid: str, ok: bool, detail: str):

@@ -459,6 +459,15 @@ def test_golden_bytes(make, eps, seed, full_digest, digest):
     assert data == trimmed(ref).to_bytes()
 
 
+def test_golden_bytes_empty_cores():
+    # four multi-scale clusters whose degrees stay below 1/eps: every class
+    # edge set the build partitions peels to an empty core. SHA-1 of the
+    # envelope as the piece-at-a-time peel wrote it.
+    g = clusters([12, 12, 12, 12], [1.0, 3.0, 10.0, 30.0], 0.6, 5)
+    data = cut_sketch_build(g, 0.03, 11, mode="pipeline").to_bytes()
+    assert hashlib.sha1(data).hexdigest() == "2f840db72421b53dcd5dbb126dd2975bb306cd08"
+
+
 # graphs of the hypothesis tests: unit weights, U[1, 4], or C06's mix of
 # 1, 1e3 and 1e6
 def weighted_graph(n, p, seed, weights):

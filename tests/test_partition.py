@@ -1,10 +1,12 @@
 import math
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadsketch import partition
 from quadsketch.errors import QuadsketchError
 from quadsketch.graph import (
     WeightedGraph,
@@ -23,7 +25,6 @@ from quadsketch.partition import (
     degree_class_partition,
     find_sparse_cut,
     importance_sample,
-    recursion_depth_bound,
     spectral_preprocessing,
     weight_class_of,
 )
@@ -36,7 +37,10 @@ from conftest import (
     gnp,
     gnp_connected,
     mask_scores_reference,
+    partition_by_cuts_reference,
     random_members,
+    recursion_depth_bound,
+    threshold_core_reference,
 )
 
 
@@ -236,6 +240,50 @@ def partition_one_cut_at_a_time(g, threshold):
     return comps, np.sort(np.concatenate(cross))
 
 
+PEEL_KINDS = ["empty", "whole", "disconnected", "cut"]
+
+
+def peel_case(kind, seed):
+    """A graph and an expansion threshold whose threshold core is empty, the
+    whole graph, disconnected, or connected with a sparse cut left for
+    find_sparse_cut after the peel. Vertex ids are shuffled."""
+    rng = np.random.default_rng(seed)
+    if kind == "empty":
+        g = gnp(int(rng.integers(2, 24)), float(rng.uniform(0.05, 0.6)), seed, 1.0, 4.0)
+        return g, float(degrees(g)[1].max(initial=0)) + 0.5
+    # complete blocks of 4..7 vertices: every block vertex has degree >= 3
+    sizes = rng.integers(4, 8, size=int(rng.integers(2, 4))).tolist()
+    first = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    edges = [(i, j) for a, b in zip(first, first[1:]) for i in range(a, b) for j in range(i + 1, b)]
+    n = first[-1]
+    ends = [(int(rng.integers(a, b)), int(rng.integers(c, d))) for a, b, c, d in zip(first, first[1:], first[1:], first[2:])]
+    if kind == "disconnected":
+        # blocks joined only through degree-2 path vertices
+        for x, y in ends:
+            edges += [(x, n), (n, y)]
+            n += 1
+    else:
+        edges += ends  # one bridge between consecutive blocks
+    if kind in ("disconnected", "cut"):
+        for _ in range(int(rng.integers(1, 5))):  # pendant vertices
+            edges.append((int(rng.integers(0, n)), n))
+            n += 1
+    perm = rng.permutation(n)
+    w = rng.uniform(1.0, 4.0, len(edges))
+    return WeightedGraph(n, [(int(perm[a]), int(perm[b]), float(x)) for (a, b), x in zip(edges, w)]), 2.5
+
+
+def assert_same_partition(part, ref):
+    """Same pieces in the same order, with the same ids and dtypes, and the
+    same cross edges."""
+    assert len(part.components) == len(ref.components)
+    for got, want in zip(part.components, ref.components):
+        assert got.vmap.dtype == want.vmap.dtype and np.array_equal(got.vmap, want.vmap)
+        assert got.edge_idx.dtype == want.edge_idx.dtype and np.array_equal(got.edge_idx, want.edge_idx)
+        assert got.certified == want.certified
+    assert np.array_equal(part.cross_idx, ref.cross_idx)
+
+
 class TestPartitionByCuts:
     @given(
         st.integers(2, 16),
@@ -261,6 +309,48 @@ class TestPartitionByCuts:
         got = [(c.vmap, c.edge_idx, c.certified) for c in part.components]
         assert pieces(got) == pieces(ref)
         assert np.array_equal(part.cross_idx, ref_cross)
+
+    @given(st.sampled_from(PEEL_KINDS), st.integers(0, 10**6))
+    @settings(max_examples=160, deadline=None)
+    def test_generation_peel_matches_piece_at_a_time_in_order(self, kind, seed):
+        g, threshold = peel_case(kind, seed)
+        core, core_e = threshold_core_reference(g, np.arange(g.n), np.arange(g.m), threshold)
+        parts = int(connected_components(g.edge_subgraph(np.flatnonzero(core_e))[0]).max(initial=-1)) + 1
+        touched = np.unique(np.concatenate((g.edge_u, g.edge_v))).size
+        # the generator makes the core it names
+        if kind == "empty":
+            assert parts == 0
+        elif kind == "whole":
+            assert core.size == touched
+        elif kind == "disconnected":
+            assert parts > 1 and core.size < touched
+        else:
+            assert parts == 1 and core.size < touched
+        assert_same_partition(
+            _partition_by_cuts(g, "edge_expansion", threshold),
+            partition_by_cuts_reference(g, "edge_expansion", threshold),
+        )
+
+    @given(st.sampled_from(PEEL_KINDS), st.sampled_from([0.05, 0.2, 0.4]), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_conductance_matches_piece_at_a_time_in_order(self, kind, h, seed):
+        g, _ = peel_case(kind, seed)
+        assert_same_partition(_partition_by_cuts(g, "conductance", h), partition_by_cuts_reference(g, "conductance", h))
+
+    def test_empty_core_labels_no_components(self):
+        # every degree of G(30, 0.2) is below 33: the whole edge set is Q
+        g = gnp(30, 0.2, 3)
+        assert degrees(g)[1].max() < 33
+        with mock.patch.object(partition, "connected_components", wraps=connected_components) as cc:
+            part = _partition_by_cuts(g, "edge_expansion", 33.0)
+        assert cc.call_count == 0
+        assert not part.components
+        assert np.array_equal(part.cross_idx, np.arange(g.m))
+        assert_same_partition(part, partition_by_cuts_reference(g, "edge_expansion", 33.0))
+        # a non-empty core is labelled
+        with mock.patch.object(partition, "connected_components", wraps=connected_components) as cc:
+            part = _partition_by_cuts(g, "edge_expansion", 1.5)
+        assert cc.call_count > 0 and part.components
 
     @given(st.integers(1, 40), st.floats(0.0, 0.3), st.integers(0, 10**6))
     @settings(max_examples=80, deadline=None)
@@ -289,7 +379,8 @@ class TestPartitionByCuts:
         pendants = [(0, 16 + k) for k in range(5)] + [(40, 56)]
         g = WeightedGraph(60, edges + [(u, v, 1.0) for u, v in pendants])
         part = _partition_by_cuts(g, "edge_expansion", 5.0)
-        # peeling takes one pass per piece, so the first piece finishes first
+        # both seeds are peeled in one generation, so their cores finish in
+        # seed order
         assert [c.vmap.tolist() for c in part.components] == [
             list(range(16)),
             list(range(40, 56)),

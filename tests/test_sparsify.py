@@ -7,12 +7,11 @@ from quadsketch.oracle import enumerate_cut_values
 from quadsketch.sparsify import (
     SparsifierConfig,
     _forest_indices,
-    edge_budget,
     effective_resistances,
     sparsify,
 )
 
-from conftest import UnionFind, complete_graph, gnp, gnp_connected, random_members
+from conftest import UnionFind, complete_graph, edge_budget, gnp, gnp_connected, random_members
 
 
 def edge_set(g):

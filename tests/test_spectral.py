@@ -13,17 +13,20 @@ from quadsketch.rng import derive_seed
 from quadsketch.spectral import (
     SpectralBasicSketch,
     SpectralImprovedSketch,
-    s2_from_assignment,
-    s2_outcome_space,
-    s3_from_assignment,
-    s3_outcome_space,
     spectral_basic_build,
     spectral_improved_build,
     spectral_s2_build,
     spectral_s3_build,
 )
 
-from conftest import complete_graph, gnp_connected
+from conftest import (
+    complete_graph,
+    gnp_connected,
+    s2_from_assignment,
+    s2_outcome_space,
+    s3_from_assignment,
+    s3_outcome_space,
+)
 
 
 def pendant_triangle():
