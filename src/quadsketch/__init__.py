@@ -65,7 +65,6 @@ from .psdsdd import (
     sdd_to_laplacian,
 )
 from .oracle import (
-    estimator_expectation_exhaustive,
     lambda1_normalized,
     min_cut_exact,
 )

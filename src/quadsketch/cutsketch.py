@@ -31,10 +31,11 @@ from .graph import (
     as_cut_query,
     cut_weight,
     spanning_forest,
+    weighted_degrees,
 )
 from .graph import connected_components
 from .partition import cut_preprocessing
-from .rng import derive_seed, rng_for
+from .rng import derive_seed, draw_counts, rng_for
 from . import serialize
 from .serialize import Composite, composite, f64, f64_array, graph, int_array, nested, pairs
 from .serialize import record, section, seq, tuple_of, varint
@@ -104,21 +105,14 @@ def cut_s1_build(p: WeightedGraph, epsilon: float, seed: int, *, s: int | None =
         s = math.ceil(1.0 / epsilon)
     if s < 1:
         raise ValueError("sample count must be positive")
-    delta = np.zeros(p.n)
-    np.add.at(delta, p.edge_u, p.edge_w)
-    np.add.at(delta, p.edge_v, p.edge_w)
     indptr, others, eids = p._adjacency()
     deg = np.diff(indptr)
-    # one draw per sample, vertex by vertex: the same stream as one
-    # rng.integers(0, d_u, size=s) call per vertex in vertex order
-    has = np.flatnonzero(deg)
-    slot = rng_for(seed, "s1").integers(0, np.repeat(deg[has], s))
-    counts = np.bincount(np.repeat(indptr[has], s) + slot, minlength=others.size)
+    counts = draw_counts(rng_for(seed, "s1"), indptr, s)
     hit = np.flatnonzero(counts)
     return S1Sketch(
         float(epsilon),
         int(s),
-        delta,
+        weighted_degrees(p.n, p.edge_u, p.edge_v, p.edge_w),
         deg,
         np.repeat(np.arange(p.n), deg)[hit],
         others[hit],
@@ -304,7 +298,6 @@ def cut_basic_build(
     seed: int,
     *,
     mode: str = "auto",
-    sparsifier_accuracy: float = SPARSIFIER_ACCURACY,
 ) -> CutSketchPoly:
     """Composite sketch for the polynomial-weight regime.
 
@@ -324,7 +317,7 @@ def cut_basic_build(
         raise ValueError("epsilon must be in (0, 1)")
     if _use_verbatim(g.n, g.m, epsilon, mode):
         return CutSketchPoly(epsilon, g.n, verbatim=g)
-    h = sparsify(g, SparsifierConfig(sparsifier_accuracy, "cut", derive_seed(seed, "H")))
+    h = sparsify(g, SparsifierConfig(SPARSIFIER_ACCURACY, "cut", derive_seed(seed, "H")))
     ladder = build_ladder(g)
     k0, k1 = reachable_scales(h, ladder)
     partitions: dict = {}

@@ -32,7 +32,7 @@ import numpy as np
 
 from .cutsketch import CutSketchGeneral, cut_sketch_build
 from .errors import QuadsketchError
-from .graph import WeightedGraph, cut_weight, format_graph, is_connected
+from .graph import WeightedGraph, cut_weight, is_connected
 from .oracle import enumerate_cut_values, mask_members, min_cut_exact
 from .rng import derive_seed, rng_for
 from .serialize import encode
@@ -250,16 +250,3 @@ def run_protocol(
         info={"strategy": strategy, "reps_transmitted": reps_transmitted},
     )
 
-
-def raw_edge_list_bytes(g: WeightedGraph) -> int:
-    """Size of the plain text edge-list interchange format for g."""
-    return len(format_graph(g).encode())
-
-
-def exact_protocol_score(g: WeightedGraph, k: int, members, *, strategy="round_robin", seed=0) -> float:
-    """Sum of exact share cut weights (the additivity baseline for tests)."""
-    total = 0.0
-    for eidx in partition_edges(g, k, strategy, seed):
-        share = WeightedGraph(g.n, _arrays=(g.edge_u[eidx], g.edge_v[eidx], g.edge_w[eidx]))
-        total += cut_weight(share, members)
-    return total

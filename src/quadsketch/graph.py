@@ -111,11 +111,6 @@ class WeightedGraph:
             self._adj = (indptr, others, eids)
         return self._adj
 
-    def neighbors(self, u: int):
-        indptr, others, eids = self._adjacency()
-        s, e = indptr[u], indptr[u + 1]
-        return others[s:e], eids[s:e]
-
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
         a[self.edge_u, self.edge_v] = self.edge_w
@@ -134,8 +129,7 @@ class WeightedGraph:
         edge_idx = np.asarray(edge_idx, dtype=np.int64)
         u, v, w = self.edge_u[edge_idx], self.edge_v[edge_idx], self.edge_w[edge_idx]
         vmap = np.unique(np.concatenate([u, v]))
-        inv = np.full(self.n, -1, dtype=np.int64)
-        inv[vmap] = np.arange(vmap.size)
+        inv = inverse_map(vmap, self.n)
         g = WeightedGraph(int(vmap.size), _arrays=(inv[u], inv[v], w))
         return g, vmap
 
@@ -143,8 +137,7 @@ class WeightedGraph:
         """Vertex-induced subgraph. Returns the piece and new->old vertex map."""
         members = as_cut_query(self.n, members)
         vmap = np.flatnonzero(members)
-        inv = np.full(self.n, -1, dtype=np.int64)
-        inv[vmap] = np.arange(vmap.size)
+        inv = inverse_map(vmap, self.n)
         keep = members[self.edge_u] & members[self.edge_v]
         g = WeightedGraph(
             int(vmap.size),
@@ -229,12 +222,18 @@ class DirectedGraph:
         arc_idx = np.asarray(arc_idx, dtype=np.int64)
         u, v, w = self.arc_u[arc_idx], self.arc_v[arc_idx], self.arc_w[arc_idx]
         vmap = np.unique(np.concatenate([u, v]))
-        inv = np.full(self.n, -1, dtype=np.int64)
-        inv[vmap] = np.arange(vmap.size)
+        inv = inverse_map(vmap, self.n)
         return DirectedGraph(int(vmap.size), _arrays=(inv[u], inv[v], w)), vmap
 
     def __repr__(self):
         return f"DirectedGraph(n={self.n}, m={self.m})"
+
+
+def inverse_map(vmap: np.ndarray, n: int) -> np.ndarray:
+    """Position of each of the n vertices in vmap, -1 for those not in it."""
+    inv = np.full(n, -1, dtype=np.int64)
+    inv[vmap] = np.arange(vmap.size)
+    return inv
 
 
 def as_cut_query(n: int, members) -> np.ndarray:
@@ -282,15 +281,17 @@ def cut_weight(g: WeightedGraph, members) -> float:
     return float(g.edge_w[crossing].sum())
 
 
+def weighted_degrees(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sum of w over the edges (u, v) at each of the n vertices, added in one
+    fixed order (the u ends in edge order, then the v ends), so equal inputs
+    give equal bits."""
+    return np.bincount(np.concatenate([u, v]), weights=np.concatenate([w, w]), minlength=n)
+
+
 def degrees(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     """Weighted degrees delta_u and unweighted degrees d_u."""
-    delta = np.zeros(g.n)
-    np.add.at(delta, g.edge_u, g.edge_w)
-    np.add.at(delta, g.edge_v, g.edge_w)
-    d = np.zeros(g.n, dtype=np.int64)
-    np.add.at(d, g.edge_u, 1)
-    np.add.at(d, g.edge_v, 1)
-    return delta, d
+    delta = weighted_degrees(g.n, g.edge_u, g.edge_v, g.edge_w)
+    return delta, np.bincount(np.concatenate([g.edge_u, g.edge_v]), minlength=g.n)
 
 
 def volume(g: WeightedGraph, members) -> float:

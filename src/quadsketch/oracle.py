@@ -1,16 +1,12 @@
 """Independent brute-force ground truth used by the test suite and CLI.
 
 Everything here is deterministic: Stoer-Wagner for global minimum cut, dense
-symmetric eigensolves for spectra, and exhaustive enumeration of estimator
-sample spaces for exact expectations.
+symmetric eigensolves for spectra, and exhaustive enumeration of cuts.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-from itertools import combinations_with_replacement
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,17 +20,6 @@ from .graph import (
 
 MIN_CUT_VERTEX_CAP = 256
 EIG_VERTEX_CAP = 512
-OUTCOME_SPACE_CAP = 10**6
-
-
-def fingerprint(g: WeightedGraph) -> str:
-    """Stable hash of the canonical edge list."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(str(g.n).encode())
-    h.update(g.edge_u.astype("<i8").tobytes())
-    h.update(g.edge_v.astype("<i8").tobytes())
-    h.update(g.edge_w.astype("<f8").tobytes())
-    return h.hexdigest()
 
 
 def min_cut_exact(g: WeightedGraph) -> tuple[float, np.ndarray]:
@@ -105,12 +90,6 @@ def mask_members(masks: np.ndarray, n: int) -> np.ndarray:
     return members
 
 
-def min_cut_exhaustive(g: WeightedGraph) -> tuple[float, np.ndarray]:
-    masks, vals = enumerate_cut_values(g)
-    i = int(np.argmin(vals))
-    return float(vals[i]), mask_members(masks[i : i + 1], g.n)[0]
-
-
 def normalized_laplacian(g: WeightedGraph) -> np.ndarray:
     delta, _ = degrees(g)
     if np.any(delta <= 0):
@@ -132,85 +111,3 @@ def lambda1_normalized(g: WeightedGraph) -> float:
     if abs(vals[0]) > 1e-8:
         raise QuadsketchError(f"lambda_0 = {vals[0]:.3e} not within 1e-8 of zero")
     return float(vals[1])
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive expectation of a randomized estimator.
-#
-# An outcome space is a list of independent units; each unit is a list of
-# (probability, payload) pairs summing to 1. The driver enumerates the full
-# product space and returns sum(prob * evaluate(assignment)).
-
-
-def multiset_outcomes(
-    options: Sequence[tuple[float, object]], draws: int
-) -> list[tuple[float, tuple]]:
-    """All multisets of `draws` i.i.d. picks with multinomial probabilities.
-
-    Each returned payload is a tuple of (option payload, multiplicity) pairs
-    restricted to options that were picked at least once.
-    """
-    if draws == 0 or not options:
-        return [(1.0, ())]
-    out = []
-    idx = range(len(options))
-    fact = math.factorial(draws)
-    for combo in combinations_with_replacement(idx, draws):
-        counts: dict[int, int] = {}
-        for i in combo:
-            counts[i] = counts.get(i, 0) + 1
-        coeff = fact
-        prob = 1.0
-        for i, c in counts.items():
-            coeff //= math.factorial(c)
-            prob *= options[i][0] ** c
-        payload = tuple((options[i][1], c) for i, c in sorted(counts.items()))
-        out.append((coeff * prob, payload))
-    return out
-
-
-def sample_table(tables) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(owner, nbr, w, y) sample arrays from (owner, table) pairs, where a
-    table holds ((nbr, w), count) entries of one outcome; None payloads
-    (draws that picked no edge) and empty tables are skipped."""
-    rows = [(u, *payload, count) for u, table in tables for payload, count in table or () if payload is not None]
-    owner, nbr, w, y = zip(*rows) if rows else ((), (), (), ())
-    return (
-        np.array(owner, dtype=np.int64),
-        np.array(nbr, dtype=np.int64),
-        np.array(w, dtype=np.float64),
-        np.array(y, dtype=np.int64),
-    )
-
-
-def estimator_expectation_exhaustive(
-    spaces: Sequence[Sequence[tuple[float, object]]],
-    evaluate: Callable[[tuple], float],
-) -> float:
-    """Exact expectation by enumerating every joint sampling outcome."""
-    total = 1
-    for unit in spaces:
-        total *= max(1, len(unit))
-        if total > OUTCOME_SPACE_CAP:
-            raise TooLargeError("sample-outcome space exceeds the enumeration cap")
-    terms: list[float] = []
-
-    def rec(i: int, prob: float, acc: list):
-        if i == len(spaces):
-            terms.append(prob * evaluate(tuple(acc)))
-            return
-        unit = spaces[i]
-        if not unit:
-            acc.append(None)
-            rec(i + 1, prob, acc)
-            acc.pop()
-            return
-        for p, payload in unit:
-            if p == 0.0:
-                continue
-            acc.append(payload)
-            rec(i + 1, prob * p, acc)
-            acc.pop()
-
-    rec(0, 1.0, [])
-    return math.fsum(terms)

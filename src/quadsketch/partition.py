@@ -27,6 +27,7 @@ from .graph import (
     WeightedGraph,
     connected_components,
     degrees,
+    inverse_map,
     subset_cut_blocks,
 )
 from .oracle import mask_members
@@ -309,8 +310,7 @@ def _partition_by_cuts(g: WeightedGraph, mode: str, threshold: float) -> Partiti
                     if inside.any():
                         following.append((vmap[inside], eidx[kept]))
                     continue
-            inv = np.full(g.n, -1, dtype=np.int64)
-            inv[vmap] = np.arange(vmap.size)
+            inv = inverse_map(vmap, g.n)
             piece = WeightedGraph(
                 vmap.size,
                 _arrays=(inv[g.edge_u[eidx]], inv[g.edge_v[eidx]], g.edge_w[eidx]),

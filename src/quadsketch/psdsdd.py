@@ -213,13 +213,6 @@ def parse_matrix(text: str) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def format_matrix(a: np.ndarray) -> str:
-    out = [str(a.shape[0])]
-    for row in a:
-        out.append(" ".join(repr(float(v)) for v in row))
-    return "\n".join(out) + "\n"
-
-
 def load_matrix(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as f:
         return parse_matrix(f.read())

@@ -7,11 +7,13 @@
   partition each at conductance c_alpha * eps^{1/3}, S2-sketch the pieces and
   store the cut edges exactly.
 * ``S3Sketch``: degree-banded directed pieces; arcs from low out-degree tails
-  are stored, the rest sampled at each head with about eps^{-8/5} draws.
+  are stored, the rest sampled at each head with about eps^{-8/5} draws in
+  proportion to weight, normalized by the head's sampled in-weight.
 * ``SpectralImprovedSketch``: degree-class partition; low/verbatim classes
   stored exactly, banded classes S3-sketched.
 
-Every sketch answers through one flat ``EdgeSampleEstimator``: the
+S2 and S3 draw their samples with ``rng.draw_counts``, as S1 does. Every
+sketch answers through one flat ``EdgeSampleEstimator``: the
 composites map all their pieces to global vertex ids on the first query and
 cache the result, so a query is four numpy dot products over flat arrays,
 added with math.fsum (see ``estimator``).
@@ -30,19 +32,18 @@ from .graph import (
     DirectedGraph,
     WeightedGraph,
     as_spectral_query,
+    inverse_map,
+    weighted_degrees,
 )
-from .oracle import sample_table
 from .partition import (
     degree_class_partition,
     spectral_preprocessing,
 )
-from .rng import derive_seed, rng_for
+from .rng import derive_seed, draw_counts, rng_for
 from . import serialize
 from .serialize import Composite, composite, const, f64, f64_array, fields, graph, int_array
 from .serialize import mask, opt_varint, pairs, record, section, seq, switch, text, varint, zero
 from .sparsify import SparsifierConfig, sparsify
-
-H_MODES = ("lemma", "algorithm")
 
 
 def _exact(g: WeightedGraph) -> EdgeSampleEstimator:
@@ -101,49 +102,31 @@ S2_LAYOUT = record(
 )
 
 
-def _s2_heavy_structure(p: WeightedGraph, alpha: float):
-    delta = np.zeros(p.n)
-    np.add.at(delta, p.edge_u, p.edge_w)
-    np.add.at(delta, p.edge_v, p.edge_w)
-    gamma = float(p.edge_w.min()) if p.m else 0.0
-    light = delta <= gamma * alpha
-    incident_light = light[p.edge_u] | light[p.edge_v]
-    su, sv, sw = p.edge_u[incident_light], p.edge_v[incident_light], p.edge_w[incident_light]
-    delta_l = np.zeros(p.n)
-    hh = ~incident_light
-    np.add.at(delta_l, p.edge_u[hh], p.edge_w[hh])
-    np.add.at(delta_l, p.edge_v[hh], p.edge_w[hh])
-    return delta, gamma, light, (su, sv, sw), delta_l, hh
-
-
 def spectral_s2_build(
     p: WeightedGraph, epsilon: float, seed: int, *, alpha: float | None = None, c_alpha: float = 1.0
 ) -> S2Sketch:
+    """Store every edge at a light vertex; draw ceil(alpha) heavy-heavy edges
+    at each heavy vertex u with probability w / delta_l[u]."""
     if alpha is None:
         alpha = c_alpha * epsilon ** (-5.0 / 3.0)
     draws = math.ceil(alpha)
-    structure = _s2_heavy_structure(p, alpha)
-    _, _, light, _, delta_l, _ = structure
-    rng = rng_for(seed, "s2")
-    tables = []
-    for u in np.flatnonzero(~light).tolist():
-        nv, ne = p.neighbors(u)
-        keep = ~(light[nv])
-        nv, ne = nv[keep], ne[keep]
-        if nv.size == 0 or delta_l[u] <= 0:
-            continue
-        probs = p.edge_w[ne] / delta_l[u]
-        counts = np.bincount(rng.choice(nv.size, size=draws, p=probs), minlength=nv.size)
-        slots = np.flatnonzero(counts).tolist()
-        tables.append((u, [((int(nv[k]), float(p.edge_w[ne[k]])), int(counts[k])) for k in slots]))
-    return _s2_sketch(epsilon, alpha, structure, tables)
-
-
-def _s2_sketch(epsilon: float, alpha: float, structure, tables) -> S2Sketch:
-    delta, gamma, light, (su, sv, sw), delta_l, _ = structure
+    delta = weighted_degrees(p.n, p.edge_u, p.edge_v, p.edge_w)
+    gamma = float(p.edge_w.min()) if p.m else 0.0
+    light = delta <= gamma * alpha
+    hh = ~(light[p.edge_u] | light[p.edge_v])
+    delta_l = weighted_degrees(p.n, p.edge_u[hh], p.edge_v[hh], p.edge_w[hh])
+    # candidates: each heavy vertex's heavy neighbours, in adjacency order
+    indptr, others, eids = p._adjacency()
+    keep = hh[eids]
+    owner = np.repeat(np.arange(p.n), np.diff(indptr))[keep]
+    nbr, w = others[keep], p.edge_w[eids[keep]]
+    rows = np.searchsorted(owner, np.arange(p.n + 1))
+    counts = draw_counts(rng_for(seed, "s2"), rows, draws, w / delta_l[owner])
+    hit = np.flatnonzero(counts)
     return S2Sketch(
-        float(epsilon), float(alpha), math.ceil(alpha), gamma, delta, light, su, sv, sw, delta_l,
-        *sample_table(tables),
+        float(epsilon), float(alpha), draws, gamma, delta, light,
+        p.edge_u[~hh], p.edge_v[~hh], p.edge_w[~hh], delta_l,
+        owner[hit], nbr[hit], w[hit], counts[hit],
     )
 
 
@@ -278,7 +261,7 @@ def spectral_basic_build(
 @dataclass
 class S3Component:
     vmap: np.ndarray  # component vertex -> piece vertex
-    in_deg: np.ndarray  # weighted in-degree per component vertex
+    in_deg: np.ndarray  # weight of each component vertex's sampled in-arcs
     deg: np.ndarray  # weighted undirected degree per component vertex
     su: np.ndarray  # stored arcs (tail out-degree below half-band)
     sv: np.ndarray
@@ -349,24 +332,6 @@ def _arc_order_as_undirected(p: DirectedGraph) -> np.ndarray:
     return np.lexsort((hi, lo))
 
 
-def _s3_component_structure(p: DirectedGraph, comp_arcs: np.ndarray, vmap: np.ndarray, threshold: float):
-    """Classify a component's arcs into stored/sampled by tail out-degree."""
-    inv = np.full(p.n, -1, dtype=np.int64)
-    inv[vmap] = np.arange(vmap.size)
-    tails = inv[p.arc_u[comp_arcs]]
-    heads = inv[p.arc_v[comp_arcs]]
-    ws = p.arc_w[comp_arcs]
-    out_deg = np.zeros(vmap.size, dtype=np.int64)
-    np.add.at(out_deg, tails, 1)
-    in_deg = np.zeros(vmap.size)
-    np.add.at(in_deg, heads, ws)
-    deg = np.zeros(vmap.size)
-    np.add.at(deg, tails, ws)
-    np.add.at(deg, heads, ws)
-    stored_mask = out_deg[tails] < threshold
-    return tails, heads, ws, out_deg, in_deg, deg, stored_mask
-
-
 def spectral_s3_build(
     p: DirectedGraph,
     epsilon: float,
@@ -375,54 +340,43 @@ def spectral_s3_build(
     *,
     beta: float | None = None,
     c_beta: float = 1.0,
-    h_mode: str = "lemma",
 ) -> S3Sketch:
     """Sketch one degree-band piece (buddy orientation given by p).
 
-    h_mode "lemma" uses the conductance threshold 2^-kappa; "algorithm" uses
-    beta * eps^2 instead (the two readings disagree in the source material;
-    the lemma's value is the default).
+    The conductance partition runs at h = 2^-kappa. In each component an arc
+    is stored when its tail's out-degree is below 2^(kappa-1) * beta and
+    sampled otherwise; each head u of sampled arcs draws ceil(beta) of its
+    sampled in-arcs with probability w / in_deg[u], where in_deg is the
+    weight of the head's sampled in-arcs (0 at vertices that head none).
     """
-    if h_mode not in H_MODES:
-        raise ValueError(f"h_mode must be one of {H_MODES}")
     if beta is None:
         beta = c_beta * epsilon ** (-8.0 / 5.0)
     draws = math.ceil(beta)
-    h = 2.0 ** (-kappa) if h_mode == "lemma" else beta * epsilon**2
-    und = p.undirected()
-    part = spectral_preprocessing(und, h)
+    h = 2.0 ** (-kappa)
+    part = spectral_preprocessing(p.undirected(), h)
     arc_of_edge = _arc_order_as_undirected(p)
     threshold = (2.0 ** (kappa - 1)) * beta
     comps = []
-    for comp in part.components:
-        comp_arcs = arc_of_edge[comp.edge_idx]
-        tails, heads, ws, out_deg, in_deg, deg, stored_mask = _s3_component_structure(
-            p, comp_arcs, comp.vmap, threshold
+    for k, comp in enumerate(part.components):
+        arcs = arc_of_edge[comp.edge_idx]
+        size = comp.vmap.size
+        inv = inverse_map(comp.vmap, p.n)
+        tails, heads, ws = inv[p.arc_u[arcs]], inv[p.arc_v[arcs]], p.arc_w[arcs]
+        sampled = np.bincount(tails, minlength=size)[tails] >= threshold
+        # candidates: each head's sampled in-arcs, in arc order
+        order = np.flatnonzero(sampled)[np.argsort(heads[sampled], kind="stable")]
+        owner, nbr, w = heads[order], tails[order], ws[order]
+        in_deg = np.bincount(heads[sampled], weights=ws[sampled], minlength=size)
+        rows = np.searchsorted(owner, np.arange(size + 1))
+        counts = draw_counts(rng_for(seed, "s3", k), rows, draws, w / in_deg[owner])
+        hit = np.flatnonzero(counts)
+        stored = ~sampled
+        comps.append(
+            S3Component(
+                comp.vmap, in_deg, weighted_degrees(size, tails, heads, ws),
+                tails[stored], heads[stored], ws[stored], owner[hit], nbr[hit], w[hit], counts[hit],
+            )
         )
-        su, sv, sw = tails[stored_mask], heads[stored_mask], ws[stored_mask]
-        rng = rng_for(seed, "s3", len(comps))
-        tables = []
-        heavy_idx = np.flatnonzero(~stored_mask)
-        if heavy_idx.size:
-            by_head: dict[int, list[int]] = {}
-            for a in heavy_idx.tolist():
-                by_head.setdefault(int(heads[a]), []).append(a)
-            for u in sorted(by_head):
-                arcs = by_head[u]
-                total_in = in_deg[u]
-                if total_in <= 0:
-                    continue
-                probs = [float(ws[a]) / total_in for a in arcs]
-                slack = max(0.0, 1.0 - sum(probs))
-                counts = np.bincount(
-                    rng.choice(len(arcs) + 1, size=draws, p=probs + [slack]),
-                    minlength=len(arcs) + 1,
-                )
-                slots = np.flatnonzero(counts[: len(arcs)]).tolist()
-                tables.append(
-                    (u, [((int(tails[arcs[k]]), float(ws[arcs[k]])), int(counts[k])) for k in slots])
-                )
-        comps.append(S3Component(comp.vmap, in_deg, deg, su, sv, sw, *sample_table(tables)))
     return S3Sketch(
         float(epsilon),
         float(beta),
@@ -517,7 +471,6 @@ def spectral_improved_build(
     seed: int,
     *,
     c_beta: float = 1.0,
-    h_mode: str = "lemma",
 ) -> SpectralImprovedSketch:
     """Degree-class partition; banded pieces get S3 sketches, the rest is
     stored exactly."""
@@ -539,7 +492,6 @@ def spectral_improved_build(
                 dc.band,
                 derive_seed(seed, "class", ci),
                 c_beta=c_beta,
-                h_mode=h_mode,
             )
             classes.append(ImprovedClass("band", dc.vmap, dc.band, dc.weight_class, dc.depth, s3=s3))
     info = {"recursion_depth": dcp.recursion_depth, "n_classes": len(dcp.classes)}

@@ -1,26 +1,25 @@
+import hashlib
 import math
 from collections import deque
+from contextlib import contextmanager
+from itertools import combinations_with_replacement
+from typing import Callable, Sequence
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from quadsketch import cutsketch
-from quadsketch.cutsketch import CutSketchGeneral, CutSketchPoly, GeneralScale, S1Sketch, ScaleClass, ScaleSketch
-from quadsketch.graph import DirectedGraph, WeightedGraph, connected_components, degrees, is_connected
-from quadsketch.oracle import multiset_outcomes, sample_table
-from quadsketch.partition import Component, PartitionResult, cut_preprocessing, find_sparse_cut, spectral_preprocessing
-from quadsketch.rng import derive_seed
+from quadsketch import cutsketch, spectral
+from quadsketch.cutsketch import CutSketchGeneral, CutSketchPoly, GeneralScale, ScaleClass, ScaleSketch
+from quadsketch.distmincut import partition_edges
+from quadsketch.errors import TooLargeError
+from quadsketch.graph import WeightedGraph, connected_components, cut_weight, degrees, format_graph, is_connected
+from quadsketch.oracle import enumerate_cut_values, mask_members
+from quadsketch.partition import Component, PartitionResult, cut_preprocessing, find_sparse_cut
+from quadsketch.rng import derive_seed, draw_counts
 from quadsketch.sparsify import SparsifierConfig, sparsify
-from quadsketch.spectral import (
-    S2Sketch,
-    S3Component,
-    S3Sketch,
-    _arc_order_as_undirected,
-    _s2_heavy_structure,
-    _s2_sketch,
-    _s3_component_structure,
-)
+
+OUTCOME_SPACE_CAP = 10**6
 
 
 class UnionFind:
@@ -170,120 +169,159 @@ def assign_direction_reference(g, t):
     return tail, head
 
 
-def s1_outcome_space(p: WeightedGraph, s: int):
-    """Per-vertex sample-multiset outcome spaces of an S1 build, for the
-    exhaustive expectation."""
+def draw_counts_reference(rng, indptr, draws, p=None):
+    """rng.draw_counts as one rng.integers or rng.choice call per non-empty
+    row, in row order."""
+    counts = np.zeros(int(indptr[-1]), dtype=np.int64)
+    for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
+        if hi > lo:
+            picks = rng.integers(0, hi - lo, size=draws) if p is None else rng.choice(hi - lo, size=draws, p=p[lo:hi])
+            counts[lo:hi] = np.bincount(picks, minlength=hi - lo)
+    return counts
+
+
+@contextmanager
+def sampler(fn):
+    """Every S1, S2 and S3 build draws its samples through fn."""
+    with mock.patch.object(cutsketch, "draw_counts", fn), mock.patch.object(spectral, "draw_counts", fn):
+        yield
+
+
+def outcome_space(build: Callable):
+    """The sample spaces of a build for the exhaustive expectation: one unit
+    per non-empty row of every draw_counts call the build makes, holding the
+    multisets of the row's picks. A payload is a tuple of ((call, candidate),
+    count) pairs."""
+    calls = []
+
+    def record(rng, indptr, draws, p=None):
+        calls.append((indptr, draws, p))
+        return draw_counts(rng, indptr, draws, p)
+
+    with sampler(record):
+        build()
     spaces = []
-    for u in range(p.n):
-        nv, ne = p.neighbors(u)
-        if nv.size == 0:
-            spaces.append([])
-            continue
-        options = [
-            (1.0 / nv.size, (int(nv[i]), float(p.edge_w[ne[i]]))) for i in range(nv.size)
-        ]
-        spaces.append(multiset_outcomes(options, s))
+    for i, (indptr, draws, p) in enumerate(calls):
+        for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
+            if hi > lo:
+                probs = [1.0 / (hi - lo)] * (hi - lo) if p is None else p[lo:hi].tolist()
+                spaces.append(multiset_outcomes([(q, (i, k)) for k, q in enumerate(probs, lo)], draws))
     return spaces
 
 
-def s1_from_assignment(p: WeightedGraph, epsilon: float, s: int, assignment) -> S1Sketch:
-    """The S1 sketch of one enumerated sampling outcome."""
-    delta, deg = degrees(p)
-    return S1Sketch(float(epsilon), int(s), delta, deg, *sample_table(enumerate(assignment)))
+def outcome_sketch(build: Callable, assignment):
+    """What the build returns when its draws come out as one assignment of
+    outcome_space: the build's own code runs, with the sampled counts
+    replaced."""
+    picks = [pick for payload in assignment for pick in payload]
+    calls = []
+
+    def replay(rng, indptr, draws, p=None):
+        counts = np.zeros(int(indptr[-1]), dtype=np.int64)
+        for (i, k), c in picks:
+            if i == len(calls):
+                counts[k] += c
+        calls.append(indptr)
+        return counts
+
+    with sampler(replay):
+        return build()
 
 
-def s2_outcome_space(p: WeightedGraph, alpha: float):
-    """Per-heavy-vertex sample spaces for exhaustive expectation."""
-    draws = math.ceil(alpha)
-    delta, gamma, light, _, delta_l, _ = _s2_heavy_structure(p, alpha)
-    spaces = []
-    for u in range(p.n):
-        if light[u] or delta_l[u] <= 0:
-            spaces.append([])
-            continue
-        nv, ne = p.neighbors(u)
-        keep = ~(light[nv])
-        nv, ne = nv[keep], ne[keep]
-        options = [
-            (float(p.edge_w[e]) / float(delta_l[u]), (int(v), float(p.edge_w[e])))
-            for v, e in zip(nv.tolist(), ne.tolist())
-        ]
-        spaces.append(multiset_outcomes(options, draws))
-    return spaces
+def multiset_outcomes(options: Sequence[tuple[float, object]], draws: int) -> list[tuple[float, tuple]]:
+    """All multisets of `draws` i.i.d. picks with multinomial probabilities.
 
-
-def s2_from_assignment(p: WeightedGraph, epsilon: float, alpha: float, assignment) -> S2Sketch:
-    """The S2 sketch of one enumerated sampling outcome."""
-    return _s2_sketch(epsilon, alpha, _s2_heavy_structure(p, alpha), enumerate(assignment))
-
-
-def s3_outcome_space(p: DirectedGraph, kappa: int, beta: float):
-    """Sample spaces per (component, head vertex) at the lemma threshold.
-
-    Returns (spaces, context) where context rebuilds sketches via
-    s3_from_assignment.
+    Each returned payload is a tuple of (option payload, multiplicity) pairs
+    restricted to options that were picked at least once.
     """
-    draws = math.ceil(beta)
-    und = p.undirected()
-    part = spectral_preprocessing(und, 2.0 ** (-kappa))
-    arc_of_edge = _arc_order_as_undirected(p)
-    threshold = (2.0 ** (kappa - 1)) * beta
-    spaces = []
-    meta = []
-    for ci, comp in enumerate(part.components):
-        comp_arcs = arc_of_edge[comp.edge_idx]
-        tails, heads, ws, out_deg, in_deg, deg, stored_mask = _s3_component_structure(
-            p, comp_arcs, comp.vmap, threshold
-        )
-        heavy_idx = np.flatnonzero(~stored_mask)
-        by_head: dict[int, list[int]] = {}
-        for a in heavy_idx.tolist():
-            by_head.setdefault(int(heads[a]), []).append(a)
-        for u in sorted(by_head):
-            arcs = by_head[u]
-            total_in = in_deg[u]
-            options = [
-                (float(ws[a]) / total_in, (int(tails[a]), float(ws[a]))) for a in arcs
-            ]
-            slack = max(0.0, 1.0 - sum(pr for pr, _ in options))
-            if slack > 0:
-                options.append((slack, None))
-            spaces.append(multiset_outcomes(options, draws))
-            meta.append((ci, u))
-    return spaces, (part, arc_of_edge, threshold, meta, draws)
+    if draws == 0 or not options:
+        return [(1.0, ())]
+    out = []
+    fact = math.factorial(draws)
+    for combo in combinations_with_replacement(range(len(options)), draws):
+        counts: dict[int, int] = {}
+        for i in combo:
+            counts[i] = counts.get(i, 0) + 1
+        coeff = fact
+        prob = 1.0
+        for i, c in counts.items():
+            coeff //= math.factorial(c)
+            prob *= options[i][0] ** c
+        payload = tuple((options[i][1], c) for i, c in sorted(counts.items()))
+        out.append((coeff * prob, payload))
+    return out
 
 
-def s3_from_assignment(
-    p: DirectedGraph, epsilon: float, kappa: int, beta: float, context, assignment
-) -> S3Sketch:
-    """The S3 sketch of one enumerated sampling outcome."""
-    part, arc_of_edge, threshold, meta, draws = context
-    comps = []
-    tables: dict[int, dict[int, list]] = {}
-    for (ci, u), table in zip(meta, assignment):
-        if table:
-            tables.setdefault(ci, {})[u] = table
-    for ci, comp in enumerate(part.components):
-        comp_arcs = arc_of_edge[comp.edge_idx]
-        tails, heads, ws, out_deg, in_deg, deg, stored_mask = _s3_component_structure(
-            p, comp_arcs, comp.vmap, threshold
-        )
-        su, sv, sw = tails[stored_mask], heads[stored_mask], ws[stored_mask]
-        samples = sample_table(sorted(tables.get(ci, {}).items()))
-        comps.append(S3Component(comp.vmap, in_deg, deg, su, sv, sw, *samples))
-    h = 2.0 ** (-kappa)
-    return S3Sketch(
-        float(epsilon),
-        float(beta),
-        draws,
-        int(kappa),
-        h,
-        p.n,
-        comps,
-        part.cross_u.copy(),
-        part.cross_v.copy(),
-        part.cross_w.copy(),
-    )
+def estimator_expectation_exhaustive(
+    spaces: Sequence[Sequence[tuple[float, object]]],
+    evaluate: Callable[[tuple], float],
+) -> float:
+    """Exact expectation by enumerating every joint sampling outcome. Each
+    unit of spaces is a list of (probability, payload) pairs summing to 1;
+    an empty unit contributes a None payload."""
+    total = 1
+    for unit in spaces:
+        total *= max(1, len(unit))
+        if total > OUTCOME_SPACE_CAP:
+            raise TooLargeError("sample-outcome space exceeds the enumeration cap")
+    terms: list[float] = []
+
+    def rec(i: int, prob: float, acc: list):
+        if i == len(spaces):
+            terms.append(prob * evaluate(tuple(acc)))
+            return
+        unit = spaces[i]
+        if not unit:
+            acc.append(None)
+            rec(i + 1, prob, acc)
+            acc.pop()
+            return
+        for p, payload in unit:
+            if p == 0.0:
+                continue
+            acc.append(payload)
+            rec(i + 1, prob * p, acc)
+            acc.pop()
+
+    rec(0, 1.0, [])
+    return math.fsum(terms)
+
+
+def min_cut_exhaustive(g: WeightedGraph) -> tuple[float, np.ndarray]:
+    masks, vals = enumerate_cut_values(g)
+    i = int(np.argmin(vals))
+    return float(vals[i]), mask_members(masks[i : i + 1], g.n)[0]
+
+
+def fingerprint(g: WeightedGraph) -> str:
+    """Stable hash of the canonical edge list."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(str(g.n).encode())
+    h.update(g.edge_u.astype("<i8").tobytes())
+    h.update(g.edge_v.astype("<i8").tobytes())
+    h.update(g.edge_w.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+def raw_edge_list_bytes(g: WeightedGraph) -> int:
+    """Size of the plain text edge-list interchange format for g."""
+    return len(format_graph(g).encode())
+
+
+def exact_protocol_score(g: WeightedGraph, k: int, members, *, strategy="round_robin", seed=0) -> float:
+    """Sum of exact share cut weights (the additivity baseline for tests)."""
+    total = 0.0
+    for eidx in partition_edges(g, k, strategy, seed):
+        share = WeightedGraph(g.n, _arrays=(g.edge_u[eidx], g.edge_v[eidx], g.edge_w[eidx]))
+        total += cut_weight(share, members)
+    return total
+
+
+def format_matrix(a: np.ndarray) -> str:
+    out = [str(a.shape[0])]
+    for row in a:
+        out.append(" ".join(repr(float(v)) for v in row))
+    return "\n".join(out) + "\n"
 
 
 def recursion_depth_bound(n: int, s: float) -> int:

@@ -16,7 +16,7 @@ from quadsketch.cutsketch import (
     cut_s1_build,
     cut_sketch_build,
 )
-from quadsketch.distmincut import raw_edge_list_bytes, run_protocol
+from quadsketch.distmincut import run_protocol
 from quadsketch.graph import (
     WeightedGraph,
     cheeger_exact,
@@ -25,11 +25,7 @@ from quadsketch.graph import (
     members_from_vertices,
     quadratic_form,
 )
-from quadsketch.oracle import (
-    estimator_expectation_exhaustive,
-    lambda1_normalized,
-    min_cut_exact,
-)
+from quadsketch.oracle import lambda1_normalized, min_cut_exact
 from quadsketch.partition import (
     assign_direction,
     degree_class_partition,
@@ -50,16 +46,17 @@ from quadsketch.spectral import (
     SpectralImprovedSketch,
     spectral_basic_build,
     spectral_improved_build,
+    spectral_s2_build,
 )
 
 from conftest import (
+    estimator_expectation_exhaustive,
     gnp_connected,
+    outcome_sketch,
+    outcome_space,
     random_members,
+    raw_edge_list_bytes,
     recursion_depth_bound,
-    s1_from_assignment,
-    s1_outcome_space,
-    s2_from_assignment,
-    s2_outcome_space,
 )
 
 
@@ -145,23 +142,21 @@ def test_c03_exact_unbiasedness():
     g = WeightedGraph(
         6, [(0, 1, 0.7), (0, 2, 1.1), (1, 2, 0.9), (2, 3, 1.3), (3, 4, 0.8), (4, 5, 1.2)]
     )
-    spaces = s1_outcome_space(g, 2)
+    build = lambda: cut_s1_build(g, 0.5, 0, s=2)
+    spaces = outcome_space(build)
     for s_set in ([0, 1], [0, 2, 4], [2, 3], [1, 5]):
         s = members_from_vertices(6, s_set)
-        val = estimator_expectation_exhaustive(
-            spaces, lambda a: s1_from_assignment(g, 0.5, 2, a).estimate(s)
-        )
+        val = estimator_expectation_exhaustive(spaces, lambda a: outcome_sketch(build, a).estimate(s))
         worst = max(worst, abs(val - cut_weight(g, s)))
     # S2 instance: forced heavy triangle, alpha = 2
     g2 = WeightedGraph(
         6, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (0, 3, 1.0), (1, 4, 1.0), (2, 5, 1.0)]
     )
-    spaces2 = s2_outcome_space(g2, 2.0)
+    build2 = lambda: spectral_s2_build(g2, 0.3, 0, alpha=2.0)
+    spaces2 = outcome_space(build2)
     rng = np.random.default_rng(3)
     for x in (np.eye(6)[0], rng.normal(size=6), np.array([1.0, -1, 2, 0.5, 1, -2])):
-        val = estimator_expectation_exhaustive(
-            spaces2, lambda a: s2_from_assignment(g2, 0.3, 2.0, a).estimate(x)
-        )
+        val = estimator_expectation_exhaustive(spaces2, lambda a: outcome_sketch(build2, a).estimate(x))
         worst = max(worst, abs(val - quadratic_form(g2, x)))
     elapsed = time.time() - t0
     _report(

@@ -8,11 +8,10 @@ import pytest
 from quadsketch.cli import main
 from quadsketch.cutsketch import cut_sketch_build
 from quadsketch.graph import save_graph
-from quadsketch.psdsdd import format_matrix
 from quadsketch.serialize import Writer, envelope
 from quadsketch.spectral import spectral_improved_build
 
-from conftest import gnp_connected
+from conftest import format_matrix, gnp_connected
 from test_serialize import general_sketch, improved_with_class_tag
 
 

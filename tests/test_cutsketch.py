@@ -23,18 +23,19 @@ from quadsketch.graph import (
     expansion_exact,
     members_from_vertices,
 )
-from quadsketch.oracle import enumerate_cut_values, estimator_expectation_exhaustive
+from quadsketch.oracle import enumerate_cut_values
 from quadsketch.rng import derive_seed, rng_for
 
 from conftest import (
     complete_graph,
     cut_basic_reference,
     cut_general_reference,
+    estimator_expectation_exhaustive,
     gnp,
     gnp_connected,
+    outcome_sketch,
+    outcome_space,
     random_members,
-    s1_from_assignment,
-    s1_outcome_space,
     trimmed,
 )
 
@@ -54,9 +55,10 @@ def s1_test_graph(n=16, gamma=0.05, seed=0):
 def s1_tables_by_vertex(p: WeightedGraph, s: int, seed: int):
     """Reference S1 sampling: one rng.integers call per vertex, in order."""
     rng = rng_for(seed, "s1")
+    indptr, others, eids = p._adjacency()
     owners, nbrs, ws, ys = [], [], [], []
     for u in range(p.n):
-        nv, ne = p.neighbors(u)
+        nv, ne = others[indptr[u] : indptr[u + 1]], eids[indptr[u] : indptr[u + 1]]
         if nv.size == 0:
             continue
         counts = np.bincount(rng.integers(0, nv.size, size=s), minlength=nv.size)
@@ -140,12 +142,11 @@ class TestS1:
             6,
             [(0, 1, 0.7), (0, 2, 1.1), (1, 2, 0.9), (2, 3, 1.3), (3, 4, 0.8), (4, 5, 1.2)],
         )
-        spaces = s1_outcome_space(g, 2)
+        build = lambda: cut_s1_build(g, 0.5, 0, s=2)
+        spaces = outcome_space(build)
         for s_set in ([0, 1], [0, 2, 4], [1, 3]):
             members = members_from_vertices(6, s_set)
-            val = estimator_expectation_exhaustive(
-                spaces, lambda a: s1_from_assignment(g, 0.5, 2, a).estimate(members)
-            )
+            val = estimator_expectation_exhaustive(spaces, lambda a: outcome_sketch(build, a).estimate(members))
             assert val == pytest.approx(cut_weight(g, members), abs=1e-12)
 
     def test_variance_bound(self):

@@ -9,11 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from quadsketch import distmincut
 from quadsketch.distmincut import (
-    exact_protocol_score,
     karger_cut,
     near_min_cut_candidates,
     partition_edges,
-    raw_edge_list_bytes,
     run_protocol,
 )
 from quadsketch.errors import QuadsketchError
@@ -21,7 +19,7 @@ from quadsketch.graph import WeightedGraph, cut_weight
 from quadsketch.oracle import enumerate_cut_values, min_cut_exact
 from quadsketch.rng import rng_for
 
-from conftest import UnionFind, gnp, gnp_connected, random_members
+from conftest import UnionFind, exact_protocol_score, gnp, gnp_connected, random_members, raw_edge_list_bytes
 
 
 def karger_reference(g, rng, rounds):

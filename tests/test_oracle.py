@@ -5,17 +5,17 @@ import pytest
 
 from quadsketch.errors import QuadsketchError, TooLargeError
 from quadsketch.graph import WeightedGraph, cut_weight
-from quadsketch.oracle import (
-    enumerate_cut_values,
+from quadsketch.oracle import enumerate_cut_values, lambda1_normalized, min_cut_exact
+
+from conftest import (
+    complete_graph,
     estimator_expectation_exhaustive,
     fingerprint,
-    lambda1_normalized,
-    min_cut_exact,
+    gnp,
+    gnp_connected,
     min_cut_exhaustive,
     multiset_outcomes,
 )
-
-from conftest import complete_graph, gnp, gnp_connected
 
 
 def stoer_wagner_reference(g):

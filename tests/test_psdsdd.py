@@ -10,7 +10,6 @@ from quadsketch.psdsdd import (
     SddSketch,
     check_sdd,
     embed_query,
-    format_matrix,
     jl_build,
     jl_rows,
     parse_matrix,
@@ -18,6 +17,8 @@ from quadsketch.psdsdd import (
     sdd_to_laplacian,
 )
 from quadsketch.rng import derive_seed
+
+from conftest import format_matrix
 
 
 def random_sdd(n, rng, strict_slack=True):

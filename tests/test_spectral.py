@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from quadsketch.graph import (
     degrees,
     quadratic_form,
 )
-from quadsketch.oracle import estimator_expectation_exhaustive, lambda1_normalized
+from quadsketch.oracle import lambda1_normalized
 from quadsketch.partition import spectral_preprocessing
 from quadsketch.rng import derive_seed
 from quadsketch.spectral import (
@@ -21,11 +23,10 @@ from quadsketch.spectral import (
 
 from conftest import (
     complete_graph,
+    estimator_expectation_exhaustive,
     gnp_connected,
-    s2_from_assignment,
-    s2_outcome_space,
-    s3_from_assignment,
-    s3_outcome_space,
+    outcome_sketch,
+    outcome_space,
 )
 
 
@@ -53,13 +54,11 @@ class TestS2:
 
     def test_forced_heavy_unbiased_exhaustive(self, rng):
         g = pendant_triangle()
-        sk = spectral_s2_build(g, 0.3, seed=5, alpha=2.0)
-        assert sorted(np.flatnonzero(~sk.light).tolist()) == [0, 1, 2]
-        spaces = s2_outcome_space(g, 2.0)
+        build = lambda: spectral_s2_build(g, 0.3, seed=5, alpha=2.0)
+        assert sorted(np.flatnonzero(~build().light).tolist()) == [0, 1, 2]
+        spaces = outcome_space(build)
         for x in (np.eye(6)[0], rng.normal(size=6), np.array([1.0, -1, 2, 0, 1, -2])):
-            val = estimator_expectation_exhaustive(
-                spaces, lambda a: s2_from_assignment(g, 0.3, 2.0, a).estimate(x)
-            )
+            val = estimator_expectation_exhaustive(spaces, lambda a: outcome_sketch(build, a).estimate(x))
             assert val == pytest.approx(quadratic_form(g, x), abs=1e-12)
 
     def test_forced_heavy_unbiased_dense_eight_vertices(self, rng):
@@ -72,14 +71,11 @@ class TestS2:
                 (3, 4, 0.8),
             ],
         )
-        sk = spectral_s2_build(g, 0.3, seed=6, alpha=2.0)
-        heavy = np.flatnonzero(~sk.light).tolist()
-        assert 0 in heavy
-        spaces = s2_outcome_space(g, 2.0)
+        build = lambda: spectral_s2_build(g, 0.3, seed=6, alpha=2.0)
+        assert 0 in np.flatnonzero(~build().light).tolist()
+        spaces = outcome_space(build)
         x = np.eye(8)[0]
-        val = estimator_expectation_exhaustive(
-            spaces, lambda a: s2_from_assignment(g, 0.3, 2.0, a).estimate(x)
-        )
+        val = estimator_expectation_exhaustive(spaces, lambda a: outcome_sketch(build, a).estimate(x))
         assert val == pytest.approx(quadratic_form(g, x), abs=1e-12)
 
     def test_sample_counts(self):
@@ -108,6 +104,10 @@ class TestS2:
         ]
         assert float(np.var(vals)) <= rhs
         assert float(np.mean(vals)) == pytest.approx(exact, rel=0.1)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 class TestSpectralBasic:
@@ -206,6 +206,21 @@ class TestSpectralBasic:
             sizes_i.append(len(spectral_improved_build(g, 1 / 16, seed=seed).to_bytes()))
         assert sum(sizes_i) <= 1.05 * sum(sizes_b)
 
+    @pytest.mark.parametrize(
+        "n, seed, c_alpha, digest",
+        [
+            (16, 1, 0.3, "a689f0af945b1303dbcf2b29074b5816883e20dbddcd2e58e8d9e9592100ed96"),
+            (20, 5, 0.25, "d2f6a902ec8f68d6e883cc98b361b4b7c53cc9b90f551dd0781da4bba26092d4"),
+        ],
+    )
+    def test_golden_s2_samples(self, n, seed, c_alpha, digest):
+        # pins the S2 sample bytes; the second graph also has a heavy vertex
+        # without heavy neighbours
+        g = gnp_connected(n, 0.5, seed=seed, w_lo=1.0, w_hi=4.0)
+        sk = spectral_basic_build(g, 0.3, seed + 1, c_alpha=c_alpha)
+        assert all(s2.owner.size for cls in sk.classes for _, s2 in cls.comps if (s2.delta_l > 0).any())
+        assert sha256(sk.to_bytes()) == digest
+
     def test_serialization_roundtrip(self, rng):
         g = gnp_connected(24, 0.5, seed=8, w_lo=0.5, w_hi=7.0)
         a = spectral_basic_build(g, 0.2, seed=9)
@@ -238,23 +253,28 @@ class TestS3:
     def test_forced_heavy_unbiased_exhaustive(self, rng):
         arcs = [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (4, 1, 1.0), (4, 2, 1.0), (1, 2, 1.3)]
         d = DirectedGraph(5, arcs)
-        spaces, ctx = s3_outcome_space(d, 1, 2.0)
+        build = lambda: spectral_s3_build(d, 0.3, kappa=1, seed=0, beta=2.0)
+        spaces = outcome_space(build)
         exact_graph = d.undirected()
         for x in (rng.normal(size=5), np.array([1.0, -1, 0.5, 2, -2])):
-            val = estimator_expectation_exhaustive(
-                spaces, lambda a: s3_from_assignment(d, 0.3, 1, 2.0, ctx, a).estimate(x)
-            )
+            val = estimator_expectation_exhaustive(spaces, lambda a: outcome_sketch(build, a).estimate(x))
             assert val == pytest.approx(quadratic_form(exact_graph, x), abs=1e-12)
 
-    def test_h_mode_flag(self):
+    def test_constant_vector_zero_with_mixed_heads(self):
+        # some heads have stored and sampled in-arcs; a head's sample
+        # coefficients must sum to its sampled in-weight
+        g = gnp_connected(20, 0.5, seed=8, w_lo=1, w_hi=4)
+        sk = spectral_improved_build(g, 0.2, 8, c_beta=0.3)
+        comps = [comp for cls in sk.classes if cls.s3 for comp in cls.s3.components]
+        assert any(np.intersect1d(comp.sv, comp.owner).size for comp in comps)
+        assert abs(sk.estimate(np.ones(20))) <= 1e-9 * g.total_weight
+        assert sha256(sk.to_bytes()) == "6d0cb0bdfe80862405ac9f255d8bac460793a5f02c8a24d04b695e8b2327907d"
+
+    def test_h_is_two_to_minus_kappa(self):
         arcs = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
         d = DirectedGraph(3, arcs)
-        a = spectral_s3_build(d, 0.3, kappa=1, seed=3, h_mode="lemma")
-        b = spectral_s3_build(d, 0.3, kappa=1, seed=3, h_mode="algorithm")
-        assert a.h == 0.5
-        assert b.h == pytest.approx(0.3 ** (-8.0 / 5.0) * 0.09)
-        with pytest.raises(ValueError):
-            spectral_s3_build(d, 0.3, kappa=1, seed=3, h_mode="nope")
+        for kappa in (1, 3):
+            assert spectral_s3_build(d, 0.3, kappa=kappa, seed=3).h == 2.0**-kappa
 
     def test_serialization_via_improved(self, rng):
         g = gnp_connected(40, 0.5, seed=4)
