@@ -25,7 +25,7 @@ from statistics import median
 import numpy as np
 
 from .errors import SketchConsistencyError
-from .estimator import EdgeSampleEstimator, check_count, flatten, piece_estimator
+from .estimator import EdgeSampleEstimator, check_count, cut_and_piece_parts, flatten, piece_estimator
 from .graph import (
     WeightedGraph,
     as_cut_query,
@@ -153,16 +153,11 @@ class CutSketchPoly(Composite):
         self._flat: dict[int, EdgeSampleEstimator] = {}  # scale index -> estimator
         self._nbytes: int | None = None  # envelope size, once known
 
-    def _class_parts(self, cls: ScaleClass) -> list:
-        parts = [(None, piece_estimator(self.n, exact=(cls.q_u, cls.q_v, cls.q_w), what="cut edges"))]
-        parts.extend((vmap, sk.estimator_piece()) for vmap, sk in cls.comps)
-        return parts
-
     def _scale_estimator(self, idx: int) -> EdgeSampleEstimator:
         """All cut edges and S1 pieces of one ladder scale, built on first use."""
         est = self._flat.get(idx)
         if est is None:
-            parts = [p for cls in self.scales[idx].classes for p in self._class_parts(cls)]
+            parts = [p for cls in self.scales[idx].classes for p in cut_and_piece_parts(self.n, cls)]
             est = self._flat[idx] = flatten(self.n, parts, f"{self.kind} scale {idx}")
         return est
 
@@ -198,7 +193,7 @@ class CutSketchPoly(Composite):
         if detail:
             # unscaled contribution of each weight class
             diag["per_class"] = [
-                (cls.index, flatten(self.n, self._class_parts(cls)).estimate(x)) for cls in scale.classes
+                (cls.index, flatten(self.n, cut_and_piece_parts(self.n, cls)).estimate(x)) for cls in scale.classes
             ]
             diag["bytes_touched"] = self._byte_size()  # whole-sketch upper bound
             return QueryResult(value, diag)

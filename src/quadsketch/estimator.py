@@ -104,6 +104,15 @@ def piece_estimator(
     return EdgeSampleEstimator(n, diag, *edges, pu, pv, coef)
 
 
+def cut_and_piece_parts(n: int, holder) -> list:
+    """``flatten`` parts of a piece on n vertices that stores its cut edges
+    (holder.q_u, q_v, q_w) exactly and sketches each component: holder.comps
+    is a list of (vertex map, sketch with ``estimator_piece()``) pairs."""
+    parts = [(None, piece_estimator(n, exact=(holder.q_u, holder.q_v, holder.q_w), what="cut edges"))]
+    parts.extend((vmap, sk.estimator_piece()) for vmap, sk in holder.comps)
+    return parts
+
+
 def flatten(n: int, parts, what: str = "sketch") -> EdgeSampleEstimator:
     """One estimator on vertices 0..n-1 from (vmap, piece estimator) parts;
     vmap maps piece vertex i to vmap[i], None means the identity."""

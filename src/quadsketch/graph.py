@@ -145,12 +145,6 @@ class WeightedGraph:
         )
         return g, vmap
 
-    def relabel(self, vmap: np.ndarray, n_new: int) -> "WeightedGraph":
-        """Image of this graph under vertex map (old id -> vmap[old])."""
-        return WeightedGraph(
-            n_new, _arrays=(vmap[self.edge_u], vmap[self.edge_v], self.edge_w)
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, WeightedGraph)
@@ -208,11 +202,6 @@ class DirectedGraph:
     @property
     def m(self) -> int:
         return int(self.arc_u.size)
-
-    def out_degrees_unweighted(self) -> np.ndarray:
-        d = np.zeros(self.n, dtype=np.int64)
-        np.add.at(d, self.arc_u, 1)
-        return d
 
     def undirected(self) -> WeightedGraph:
         return WeightedGraph(self.n, _arrays=(self.arc_u, self.arc_v, self.arc_w))

@@ -1,9 +1,12 @@
 """Binary sketch envelope and the one codec that writes and reads it.
 
-Envelope: magic ``QSK1``, one version byte, one kind byte, then the payload.
-Integers are unsigned LEB128 varints, floats little-endian IEEE-754 doubles
-(weights are kept exact; the byte length of the envelope is the official
-size metric of a sketch).
+Envelope: magic ``QSK1``, one version byte (``VERSION``; other versions are
+rejected), one kind byte, then the payload. Integers are unsigned LEB128
+varints, floats little-endian IEEE-754 doubles (weights are kept exact; the
+byte length of the envelope is the official size metric of a sketch, so a
+layout holds only what a query or a decoder check reads). Version 2 stores
+S2 pieces and S3 components as one record and drops the build parameters,
+diagnostics and sample weights that version 1 wrote but nothing read.
 
 Each sketch class states its layout once, in wire order, as a ``Codec``
 built from the vocabulary below; ``register`` gives it a kind byte, and
@@ -11,8 +14,8 @@ built from the vocabulary below; ``register`` gives it a kind byte, and
 
 * Fields: ``f64``, ``varint``, ``int_array``/``f64_array`` (a count, then
   the entries), ``graph`` (n, m, edge arrays), ``const(v)`` (no bytes) and
-  ``mapped(codec, to_wire, from_wire)`` conversions: ``mask`` (0/1),
-  ``opt_varint`` (None as 0), ``zero`` (always 0), ``text``, ``matrix``.
+  ``mapped(codec, to_wire, from_wire)`` conversions such as ``matrix``
+  (rows, columns, entries).
 * ``seq(item)``: a count, then the items; ``tuple_of(a, b, ...)``;
   ``pairs(item)``: (vertex map, piece) lists; ``section(inner)``: a byte
   length, then exactly that many bytes of ``inner``.
@@ -42,7 +45,7 @@ from .errors import QuadsketchError
 from .graph import WeightedGraph
 
 MAGIC = b"QSK1"
-VERSION = 1
+VERSION = 2
 
 MAX_VARINT_BYTES = 10  # ceil(64 / 7): a 64-bit value's LEB128 length
 SHORT_ARRAY = 16  # int arrays up to this long are coded one Python int at a time
@@ -255,13 +258,6 @@ def tuple_of(*items: Codec) -> Codec:
     return Codec(write, lambda r: tuple(c.read(r) for c in items))
 
 
-def _utf8(data: bytes) -> str:
-    try:
-        return data.decode()
-    except UnicodeDecodeError as exc:
-        raise QuadsketchError(f"text field is not UTF-8: {exc.reason}") from None
-
-
 def _reshape(shape_and_entries) -> np.ndarray:
     rows, cols, a = shape_and_entries
     if rows * cols != a.size:
@@ -274,10 +270,6 @@ varint = Codec(Writer.varint, Reader.varint)
 int_array = Codec(Writer.int_array, Reader.int_array)
 f64_array = Codec(Writer.f64_array, Reader.f64_array)
 blob = Codec(Writer.section, Reader.section)
-mask = mapped(int_array, lambda a: a.astype(np.int64), lambda a: a.astype(bool))
-opt_varint = mapped(varint, lambda k: 0 if k is None else k + 1, lambda k: k - 1 if k else None)
-zero = mapped(varint, lambda _: 0, lambda _: None)
-text = mapped(blob, str.encode, _utf8)
 matrix = mapped(tuple_of(varint, varint, f64_array), lambda a: (*a.shape, a), _reshape)
 
 

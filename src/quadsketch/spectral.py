@@ -1,14 +1,18 @@
 """The "for each" spectral sketches.
 
-* ``S2Sketch``: light vertices keep all incident edges; heavy vertices keep
-  exact degrees plus about eps^{-5/3} weight-proportional samples of their
-  heavy-heavy edges.
+* ``S2Sketch``: the one sampled-piece record of the spectral side: degrees,
+  stored edges and samples whose coefficient is scale[owner] / draws * y.
+  An S2 piece stores every edge at a light vertex; heavy vertices draw about
+  eps^{-5/3} weight-proportional samples of their heavy-heavy edges, with
+  scale delta_l, the heavy-heavy degree.
 * ``SpectralBasicSketch``: sparsify, split into factor-2 weight classes,
   partition each at conductance c_alpha * eps^{1/3}, S2-sketch the pieces and
   store the cut edges exactly.
-* ``S3Sketch``: degree-banded directed pieces; arcs from low out-degree tails
+* ``S3Sketch``: a degree-banded directed piece: cut edges stored exactly
+  plus one S2-shaped record per component. Arcs from low out-degree tails
   are stored, the rest sampled at each head with about eps^{-8/5} draws in
-  proportion to weight, normalized by the head's sampled in-weight.
+  proportion to weight; the scale is 2 * in_deg, the head's sampled
+  in-weight doubled.
 * ``SpectralImprovedSketch``: degree-class partition; low/verbatim classes
   stored exactly, banded classes S3-sketched.
 
@@ -27,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .estimator import EdgeSampleEstimator, check_count, check_lengths, flatten, piece_estimator
+from .estimator import EdgeSampleEstimator, check_count, cut_and_piece_parts, flatten, piece_estimator
 from .graph import (
     DirectedGraph,
     WeightedGraph,
@@ -41,8 +45,8 @@ from .partition import (
 )
 from .rng import derive_seed, draw_counts, rng_for
 from . import serialize
-from .serialize import Composite, composite, const, f64, f64_array, fields, graph, int_array
-from .serialize import mask, opt_varint, pairs, record, section, seq, switch, text, varint, zero
+from .serialize import Composite, composite, const, f64_array, fields, graph, int_array
+from .serialize import pairs, record, section, seq, switch, varint
 from .sparsify import SparsifierConfig, sparsify
 
 
@@ -56,34 +60,30 @@ def _exact(g: WeightedGraph) -> EdgeSampleEstimator:
 
 @dataclass
 class S2Sketch:
-    epsilon: float
-    alpha: float  # real-valued threshold parameter
-    draws: int  # ceil(alpha), used for sampling and normalization
-    gamma: float
-    delta: np.ndarray  # weighted degrees
-    light: np.ndarray  # bool mask
-    su: np.ndarray  # stored edges (every edge incident to a light vertex)
+    """One sampled piece: degrees, stored edges and weighted samples. A
+    sample's coefficient is scale[owner] / draws * y."""
+
+    draws: int  # picks at each sampling vertex, the normalization
+    diag: np.ndarray  # weighted degrees
+    su: np.ndarray  # stored edges
     sv: np.ndarray
     sw: np.ndarray
-    delta_l: np.ndarray  # heavy-to-heavy weighted degree (0 for light)
-    owner: np.ndarray  # flattened heavy samples
-    nbr: np.ndarray
-    w: np.ndarray
-    y: np.ndarray
+    scale: np.ndarray  # per vertex: delta_l in S2, 2 * in_deg in S3 (0 where nothing is sampled)
+    owner: np.ndarray  # flattened samples: sampling vertex
+    nbr: np.ndarray  # sampled neighbour
+    y: np.ndarray  # multiplicity
 
     @property
     def n(self) -> int:
-        return int(self.delta.size)
+        return int(self.diag.size)
 
     def estimator_piece(self) -> EdgeSampleEstimator:
-        """Sample coefficient delta_l[owner] / draws * y."""
         check_count("S2 piece", self.draws)
-        check_lengths("S2 samples", self.owner, self.w)
         return piece_estimator(
             self.n,
-            diag=self.delta,
+            diag=self.diag,
             stored=(self.su, self.sv, self.sw),
-            samples=(self.owner, self.nbr, self.delta_l / self.draws, self.y),
+            samples=(self.owner, self.nbr, self.scale / self.draws, self.y),
             what="S2 piece",
         )
 
@@ -96,17 +96,19 @@ class S2Sketch:
 
 S2_LAYOUT = record(
     S2Sketch,
-    epsilon=f64, alpha=f64, draws=varint, gamma=f64, delta=f64_array, light=mask,
-    su=int_array, sv=int_array, sw=f64_array, delta_l=f64_array,
-    owner=int_array, nbr=int_array, w=f64_array, y=int_array,
+    draws=varint, diag=f64_array, su=int_array, sv=int_array, sw=f64_array, scale=f64_array,
+    owner=int_array, nbr=int_array, y=int_array,
 )
+# cut edges Q stored exactly, then (vertex map, S2 record) per component
+CUT_AND_PIECES = fields(q_u=int_array, q_v=int_array, q_w=f64_array, comps=pairs(S2_LAYOUT))
 
 
 def spectral_s2_build(
     p: WeightedGraph, epsilon: float, seed: int, *, alpha: float | None = None, c_alpha: float = 1.0
 ) -> S2Sketch:
-    """Store every edge at a light vertex; draw ceil(alpha) heavy-heavy edges
-    at each heavy vertex u with probability w / delta_l[u]."""
+    """Store every edge at a light vertex (delta <= min weight * alpha);
+    draw ceil(alpha) heavy-heavy edges at each heavy vertex u with
+    probability w / delta_l[u]."""
     if alpha is None:
         alpha = c_alpha * epsilon ** (-5.0 / 3.0)
     draws = math.ceil(alpha)
@@ -124,9 +126,7 @@ def spectral_s2_build(
     counts = draw_counts(rng_for(seed, "s2"), rows, draws, w / delta_l[owner])
     hit = np.flatnonzero(counts)
     return S2Sketch(
-        float(epsilon), float(alpha), draws, gamma, delta, light,
-        p.edge_u[~hh], p.edge_v[~hh], p.edge_w[~hh], delta_l,
-        owner[hit], nbr[hit], w[hit], counts[hit],
+        draws, delta, p.edge_u[~hh], p.edge_v[~hh], p.edge_w[~hh], delta_l, owner[hit], nbr[hit], counts[hit]
     )
 
 
@@ -136,7 +136,6 @@ def spectral_s2_build(
 
 @dataclass
 class BasicClass:
-    weight_class: int
     verbatim: WeightedGraph | None = None  # set when gamma <= eps^2 (stored exactly)
     vmap_verbatim: np.ndarray | None = None
     q_u: np.ndarray | None = None  # cut edges and S2 pieces of a sketched class
@@ -151,6 +150,7 @@ class SpectralBasicSketch(Composite):
     def __init__(self, epsilon, n, verbatim=None, classes=None, events=None):
         super().__init__(epsilon, n, verbatim)
         self.classes: list[BasicClass] = classes if classes is not None else []
+        # build diagnostics, kept in memory only: the envelope never holds them
         self.events: list[str] = events if events is not None else []
 
     @cached_property
@@ -163,8 +163,7 @@ class SpectralBasicSketch(Composite):
             if cls.verbatim is not None:
                 parts.append((cls.vmap_verbatim, _exact(cls.verbatim)))
                 continue
-            parts.append((None, piece_estimator(self.n, exact=(cls.q_u, cls.q_v, cls.q_w), what="cut edges")))
-            parts.extend((vmap, sk.estimator_piece()) for vmap, sk in cls.comps)
+            parts.extend(cut_and_piece_parts(self.n, cls))
         return flatten(self.n, parts, self.kind)
 
     def estimate(self, x) -> float:
@@ -193,21 +192,15 @@ class SpectralBasicSketch(Composite):
 
 BASIC_CLASS_LAYOUT = record(
     BasicClass,
-    fields(weight_class=varint),
     switch(
         lambda cls: int(cls.verbatim is not None),
-        {
-            1: fields(verbatim=graph, vmap_verbatim=int_array),
-            0: fields(q_u=int_array, q_v=int_array, q_w=f64_array, comps=pairs(S2_LAYOUT)),
-        },
+        {1: fields(verbatim=graph, vmap_verbatim=int_array), 0: CUT_AND_PIECES},
     ),
     check=lambda cls: (
         cls.verbatim is not None and cls.vmap_verbatim.size != cls.verbatim.n and "vertex map does not fit its graph"
     ),
 )
-serialize.register(
-    6, composite(SpectralBasicSketch, classes=section(seq(BASIC_CLASS_LAYOUT)), events=section(seq(text)))
-)
+serialize.register(6, composite(SpectralBasicSketch, classes=section(seq(BASIC_CLASS_LAYOUT))))
 
 
 def spectral_basic_build(
@@ -234,7 +227,7 @@ def spectral_basic_build(
         if gamma <= epsilon**2:
             # the S1/S2 analysis needs gamma > eps^2; store the class exactly
             events.append(f"class {int(j)} stored verbatim: gamma <= eps^2")
-            classes.append(BasicClass(int(j), sub, vmap))
+            classes.append(BasicClass(sub, vmap))
             continue
         part = spectral_preprocessing(sub, h)
         comps = []
@@ -246,11 +239,7 @@ def spectral_basic_build(
                 c_alpha=c_alpha,
             )
             comps.append((vmap[comp.vmap], sk))
-        classes.append(
-            BasicClass(
-                int(j), q_u=vmap[part.cross_u], q_v=vmap[part.cross_v], q_w=part.cross_w.copy(), comps=comps
-            )
-        )
+        classes.append(BasicClass(q_u=vmap[part.cross_u], q_v=vmap[part.cross_v], q_w=part.cross_w.copy(), comps=comps))
     return SpectralBasicSketch(epsilon, g.n, classes=classes, events=events)
 
 
@@ -259,70 +248,25 @@ def spectral_basic_build(
 
 
 @dataclass
-class S3Component:
-    vmap: np.ndarray  # component vertex -> piece vertex
-    in_deg: np.ndarray  # weight of each component vertex's sampled in-arcs
-    deg: np.ndarray  # weighted undirected degree per component vertex
-    su: np.ndarray  # stored arcs (tail out-degree below half-band)
-    sv: np.ndarray
-    sw: np.ndarray
-    owner: np.ndarray  # sample tables (owner = head vertex)
-    nbr: np.ndarray  # sampled tail
-    w: np.ndarray
-    y: np.ndarray
-
-
-@dataclass
 class S3Sketch:
-    epsilon: float
-    beta: float
-    draws: int
-    kappa: int
-    h: float
     n: int
-    components: list[S3Component]
-    q_u: np.ndarray
+    q_u: np.ndarray  # cut edges of the conductance partition, stored exactly
     q_v: np.ndarray
     q_w: np.ndarray
+    comps: list[tuple[np.ndarray, S2Sketch]]  # (component vertex -> piece vertex, component)
 
     def estimator_piece(self) -> EdgeSampleEstimator:
-        """Cut edges and components on the piece's vertices; sample
-        coefficient 2 * in_deg[owner] / draws * y."""
-        check_count("S3 piece", self.draws)
-        parts = [(None, piece_estimator(self.n, exact=(self.q_u, self.q_v, self.q_w), what="S3 cut edges"))]
-        for comp in self.components:
-            check_lengths("S3 samples", comp.owner, comp.w)
-            est = piece_estimator(
-                comp.vmap.size,
-                diag=comp.deg,
-                stored=(comp.su, comp.sv, comp.sw),
-                samples=(comp.owner, comp.nbr, 2.0 * comp.in_deg / self.draws, comp.y),
-                what="S3 component",
-            )
-            parts.append((comp.vmap, est))
-        return flatten(self.n, parts, "S3 piece")
+        """Cut edges and components on the piece's vertices."""
+        return flatten(self.n, cut_and_piece_parts(self.n, self), "S3 piece")
 
     def estimate(self, x) -> float:
         return self.estimator_piece().estimate(as_spectral_query(self.n, x))
 
     def word_count(self) -> int:
-        words = 3 * int(self.q_u.size)
-        for comp in self.components:
-            words += 2 * int(comp.deg.size)
-            words += 3 * int(comp.su.size) + 3 * int(comp.owner.size)
-        return words
+        return 3 * int(self.q_u.size) + sum(sk.word_count() for _, sk in self.comps)
 
 
-S3_COMPONENT_LAYOUT = record(
-    S3Component,
-    vmap=int_array, in_deg=f64_array, deg=f64_array, su=int_array, sv=int_array, sw=f64_array,
-    owner=int_array, nbr=int_array, w=f64_array, y=int_array,
-)
-S3_LAYOUT = record(
-    S3Sketch,
-    epsilon=f64, beta=f64, draws=varint, kappa=varint, h=f64, n=varint,
-    q_u=int_array, q_v=int_array, q_w=f64_array, components=seq(S3_COMPONENT_LAYOUT),
-)
+S3_LAYOUT = record(S3Sketch, fields(n=varint), CUT_AND_PIECES)
 
 
 def _arc_order_as_undirected(p: DirectedGraph) -> np.ndarray:
@@ -348,6 +292,8 @@ def spectral_s3_build(
     sampled otherwise; each head u of sampled arcs draws ceil(beta) of its
     sampled in-arcs with probability w / in_deg[u], where in_deg is the
     weight of the head's sampled in-arcs (0 at vertices that head none).
+    A component is stored as an S2Sketch: undirected degrees, the stored
+    arcs, and scale 2 * in_deg.
     """
     if beta is None:
         beta = c_beta * epsilon ** (-8.0 / 5.0)
@@ -371,24 +317,12 @@ def spectral_s3_build(
         counts = draw_counts(rng_for(seed, "s3", k), rows, draws, w / in_deg[owner])
         hit = np.flatnonzero(counts)
         stored = ~sampled
-        comps.append(
-            S3Component(
-                comp.vmap, in_deg, weighted_degrees(size, tails, heads, ws),
-                tails[stored], heads[stored], ws[stored], owner[hit], nbr[hit], w[hit], counts[hit],
-            )
+        piece = S2Sketch(
+            draws, weighted_degrees(size, tails, heads, ws), tails[stored], heads[stored], ws[stored],
+            2.0 * in_deg, owner[hit], nbr[hit], counts[hit],
         )
-    return S3Sketch(
-        float(epsilon),
-        float(beta),
-        draws,
-        int(kappa),
-        h,
-        p.n,
-        comps,
-        part.cross_u.copy(),
-        part.cross_v.copy(),
-        part.cross_w.copy(),
-    )
+        comps.append((comp.vmap, piece))
+    return S3Sketch(p.n, part.cross_u.copy(), part.cross_v.copy(), part.cross_w.copy(), comps)
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +333,6 @@ def spectral_s3_build(
 class ImprovedClass:
     kind: str  # "verbatim" | "low" | "band"
     vmap: np.ndarray  # piece vertex -> original vertex
-    kappa: int | None
-    weight_class: int | None
-    depth: int
     graph: WeightedGraph | None = None  # exact storage for verbatim/low classes
     s3: S3Sketch | None = None
 
@@ -445,9 +376,8 @@ class SpectralImprovedSketch(Composite):
         return serialize.decode(cls.kind, data)
 
 
-def _improved_case(kind: str, kappa, **piece):
-    """kappa is an unused 0 for exactly stored classes."""
-    return fields(kind=const(kind), vmap=int_array, kappa=kappa, weight_class=opt_varint, depth=varint, **piece)
+def _improved_case(kind: str, **piece):
+    return fields(kind=const(kind), vmap=int_array, **piece)
 
 
 IMPROVED_CLASS_LAYOUT = record(
@@ -455,9 +385,9 @@ IMPROVED_CLASS_LAYOUT = record(
     switch(
         lambda cls: ("verbatim", "low", "band").index(cls.kind),
         {
-            0: _improved_case("verbatim", zero, graph=graph),
-            1: _improved_case("low", zero, graph=graph),
-            2: _improved_case("band", varint, s3=section(S3_LAYOUT)),
+            0: _improved_case("verbatim", graph=graph),
+            1: _improved_case("low", graph=graph),
+            2: _improved_case("band", s3=section(S3_LAYOUT)),
         },
     ),
     check=lambda cls: cls.vmap.size != (cls.graph or cls.s3).n and f"vertex map does not fit its {cls.kind} piece",
@@ -482,9 +412,7 @@ def spectral_improved_build(
     classes = []
     for ci, dc in enumerate(dcp.classes):
         if dc.kind in ("verbatim", "low"):
-            classes.append(
-                ImprovedClass(dc.kind, dc.vmap, None, dc.weight_class, dc.depth, graph=dc.piece.undirected())
-            )
+            classes.append(ImprovedClass(dc.kind, dc.vmap, graph=dc.piece.undirected()))
         else:
             s3 = spectral_s3_build(
                 dc.piece,
@@ -493,6 +421,6 @@ def spectral_improved_build(
                 derive_seed(seed, "class", ci),
                 c_beta=c_beta,
             )
-            classes.append(ImprovedClass("band", dc.vmap, dc.band, dc.weight_class, dc.depth, s3=s3))
+            classes.append(ImprovedClass("band", dc.vmap, s3=s3))
     info = {"recursion_depth": dcp.recursion_depth, "n_classes": len(dcp.classes)}
     return SpectralImprovedSketch(epsilon, g.n, classes=classes, info=info)

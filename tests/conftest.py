@@ -13,7 +13,15 @@ from quadsketch import cutsketch, spectral
 from quadsketch.cutsketch import CutSketchGeneral, CutSketchPoly, GeneralScale, ScaleClass, ScaleSketch
 from quadsketch.distmincut import partition_edges
 from quadsketch.errors import TooLargeError
-from quadsketch.graph import WeightedGraph, connected_components, cut_weight, degrees, format_graph, is_connected
+from quadsketch.graph import (
+    DirectedGraph,
+    WeightedGraph,
+    connected_components,
+    cut_weight,
+    degrees,
+    format_graph,
+    is_connected,
+)
 from quadsketch.oracle import enumerate_cut_values, mask_members
 from quadsketch.partition import Component, PartitionResult, cut_preprocessing, find_sparse_cut
 from quadsketch.rng import derive_seed, draw_counts
@@ -389,6 +397,16 @@ def trimmed(ref):
     return CutSketchPoly(
         ref.epsilon, ref.n, sparsifier=ref.sparsifier, ladder=ref.ladder[k0 : k1 + 1], scales=ref.scales[k0 : k1 + 1]
     )
+
+
+def relabel(g: WeightedGraph, vmap: np.ndarray, n_new: int) -> WeightedGraph:
+    """Image of g under a vertex map (old id -> vmap[old])."""
+    return WeightedGraph(n_new, _arrays=(vmap[g.edge_u], vmap[g.edge_v], g.edge_w))
+
+
+def out_degrees_unweighted(d: DirectedGraph) -> np.ndarray:
+    """Number of arcs leaving each vertex of d."""
+    return np.bincount(d.arc_u, minlength=d.n)
 
 
 def gnp(n: int, p: float, seed: int, w_lo: float = 1.0, w_hi: float = 1.0) -> WeightedGraph:

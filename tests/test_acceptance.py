@@ -52,6 +52,7 @@ from quadsketch.spectral import (
 from conftest import (
     estimator_expectation_exhaustive,
     gnp_connected,
+    out_degrees_unweighted,
     outcome_sketch,
     outcome_space,
     random_members,
@@ -331,7 +332,7 @@ def test_c10_direction_and_recursion():
         g = gnp_connected(n, 0.3, seed=seed)
         t = (2.0, 4.0, 8.0)[seed % 3]
         d = assign_direction(g, t)
-        out = d.out_degrees_unweighted()
+        out = out_degrees_unweighted(d)
         if not bool(np.all((out[d.arc_u] < t) | (out[d.arc_v] >= t - 1))):
             pred_ok = False
         dcp = degree_class_partition(g, 0.25, seed=seed)

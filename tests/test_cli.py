@@ -227,6 +227,18 @@ def test_console_script_installed():
     assert out.returncode == 0 or "quadsketch" in out.stdout + out.stderr
 
 
+def test_version_1_envelope_exit_1(rand_graph, tmp_path, capsys):
+    out = tmp_path / "s.qsk"
+    run_cli(["spectral-sketch", "build", rand_graph, "-e", "0.25", "--seed", "5", "-o", str(out)], capsys)
+    data = out.read_bytes()
+    out.write_bytes(data[:4] + b"\x01" + data[5:])
+    q = ",".join("1.0" for _ in range(20))
+    code, text, err = run_cli(["spectral-sketch", "query", str(out), "--", q], capsys)
+    assert code == 1 and text == ""
+    assert err.startswith("quadsketch: error:") and "Traceback" not in err
+    assert "unsupported format version 1" in err
+
+
 @pytest.mark.parametrize("tag, body", [(9, bytes(16)), (1, bytes([1]) + bytes(8) + bytes([0, 3]))], ids=["tag", "index"])
 def test_corrupt_f64_array_exit_1(tmp_path, capsys, tag, body):
     # a 2 x 1 JL sketch whose projected factor is corrupt

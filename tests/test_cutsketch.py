@@ -406,7 +406,8 @@ def clusters(sizes, weights, p, seed):
     return WeightedGraph(label.size, _arrays=(iu[keep], ju[keep], w[keep]))
 
 
-# SHA-256 of same-seed pipeline-mode envelopes. The first digest is the
+# SHA-256 of same-seed pipeline-mode envelopes (version byte 2; the bytes
+# are otherwise those version 1 wrote). The first digest is the
 # full-ladder build as the per-vertex loop build wrote it, which
 # cut_general_reference must still reproduce; the second is the production
 # build, which keeps only the reachable scales of every slice. Every case
@@ -417,29 +418,29 @@ GOLDEN = [
         lambda: gnp_connected(40, 0.9, seed=1),
         0.1,
         7,
-        "7523ba90c7f53b6b24ac67988298465a771ad8f4e062af0424dc5dad60a3c980",
-        "dc535fab49f723ea0c142a85a0c137172e994406a1f94634921a566403adde61",
+        "b965b6cb925bf1c55ebd57ca9f36da04ec55ddf4a7bc229d47e52567b555e722",
+        "c715ef40ed5eb4cd92e3b23b6fd997483475814ad31d2537806721e275e43e7c",
     ),
     (
         lambda: clusters([32, 32], [1.0, 1.0], 0.9, 2),
         0.1,
         8,
-        "e481fd5a233928bd2ee2c859b5bb63a081aec84f3137d4244d167d6cb07b2a8b",
-        "0a2b1e59a97ff3b605d1232196f2d57237859ae663d253d963becf4142e209f1",
+        "956af3c9835f2b822c959e30ac95e6642c04563b685b23aac93e5c9ae9ee9a58",
+        "4f86c34d927eba693e727642cfa2747583777aa9c15cd9e188df2e0c5e2ddca7",
     ),
     (
         lambda: clusters([30, 36, 28], [1.0, 30.0, 1000.0], 0.95, 3),
         0.1,
         9,
-        "c4f305dd72a9e5c09bd124df3d33e36dcc7b42329e735adb1e3a341b01bd3c6a",
-        "3e5b87f21b703cfb455ec263125ef0282d94a6c05ee6e43fac08feb4765c8b53",
+        "30d4512031377d3fb3252f4ea4ce2b298696dc0ccad2412f03d5cb5259e7f0ba",
+        "f3a96036924fbd1c709bf098cc0268842c82e92226a81e21b78123a08de5c6ac",
     ),
     (
         lambda: gnp_connected(48, 0.8, seed=4, w_lo=1.0, w_hi=4.0),
         0.15,
         10,
-        "c94605c90f951b881541bb7a69d63033d81153a608a61b5b575f08154449a707",
-        "bbcae5ba6e9b9cc7bd97eef1ba21dda499cd20f80fc6fb2422ff00187b8c6d9d",
+        "65cc17c2413f240042ed904bb527c8cb70cd89ca5085c31dd1f452567cc8477b",
+        "56d85cf267a3a0fecb6f5eae58f5d54d24ce32f22018f1d37785ec5c9a54f27a",
     ),
 ]
 
@@ -463,10 +464,10 @@ def test_golden_bytes(make, eps, seed, full_digest, digest):
 def test_golden_bytes_empty_cores():
     # four multi-scale clusters whose degrees stay below 1/eps: every class
     # edge set the build partitions peels to an empty core. SHA-1 of the
-    # envelope as the piece-at-a-time peel wrote it.
+    # envelope as the piece-at-a-time peel wrote it, with version byte 2.
     g = clusters([12, 12, 12, 12], [1.0, 3.0, 10.0, 30.0], 0.6, 5)
     data = cut_sketch_build(g, 0.03, 11, mode="pipeline").to_bytes()
-    assert hashlib.sha1(data).hexdigest() == "2f840db72421b53dcd5dbb126dd2975bb306cd08"
+    assert hashlib.sha1(data).hexdigest() == "bcf04312251ac49df8f57f0c8d06a14023aaf594"
 
 
 # graphs of the hypothesis tests: unit weights, U[1, 4], or C06's mix of

@@ -45,22 +45,16 @@ def s1_ref(sk, s):
 
 
 def s2_ref(sk, x):
-    t1 = float(np.dot(sk.delta, x * x))
+    """S2 pieces and S3 components alike (an S3 scale is 2 * in_deg)."""
+    t1 = float(np.dot(sk.diag, x * x))
     t2 = 2.0 * float(np.dot(sk.sw, x[sk.su] * x[sk.sv]))
-    t3 = float(np.dot(sk.delta_l[sk.owner] / sk.draws, sk.y * x[sk.owner] * x[sk.nbr]))
+    t3 = float(np.dot(sk.scale[sk.owner] / sk.draws, sk.y * x[sk.owner] * x[sk.nbr]))
     return math.fsum((t1, -t2, -t3))
 
 
 def s3_ref(sk, x):
     terms = [xlx_ref(x, sk.q_u, sk.q_v, sk.q_w)]
-    for comp in sk.components:
-        xc = x[comp.vmap]
-        t1 = float(np.dot(comp.deg, xc * xc))
-        t2 = 2.0 * float(np.dot(comp.sw, xc[comp.su] * xc[comp.sv]))
-        t3 = 2.0 * float(
-            np.dot(comp.in_deg[comp.owner] / sk.draws, comp.y * xc[comp.owner] * xc[comp.nbr])
-        )
-        terms.append(math.fsum((t1, -t2, -t3)))
+    terms.extend(s2_ref(comp, x[vmap]) for vmap, comp in sk.comps)
     return math.fsum(terms)
 
 

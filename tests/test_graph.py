@@ -18,7 +18,7 @@ from quadsketch.graph import (
 )
 from quadsketch.oracle import lambda1_normalized
 
-from conftest import UnionFind, complete_graph, gnp, gnp_connected, mask_scores_reference, random_members
+from conftest import UnionFind, complete_graph, gnp, gnp_connected, mask_scores_reference, random_members, relabel
 
 
 def triangle(w=1.0):
@@ -126,7 +126,7 @@ def union_find_labels(g):
 @settings(max_examples=200, deadline=None)
 def test_connected_components_matches_union_find(n, p, seed):
     perm = np.random.default_rng(seed).permutation(n)
-    g = gnp(n, p, seed).relabel(perm, n)  # no vertex order follows edge order
+    g = relabel(gnp(n, p, seed), perm, n)  # no vertex order follows edge order
     labels = connected_components(g)
     assert labels.dtype == np.int64
     assert np.array_equal(labels, union_find_labels(g))

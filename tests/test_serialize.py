@@ -247,7 +247,7 @@ def improved_with_verbatim_class():
     """Builds never reach a verbatim class on small inputs; relabel a low one."""
     sk = spectral_improved_build(gnp_connected(40, 0.5, seed=4), 0.25, 5)
     assert [c.kind for c in sk.classes] == ["low", "band", "band"]
-    sk.classes[0] = dataclasses.replace(sk.classes[0], kind="verbatim", weight_class=None)
+    sk.classes[0] = dataclasses.replace(sk.classes[0], kind="verbatim")
     return sk
 
 
@@ -255,58 +255,61 @@ def weighted(n: int, seed: int):
     return gnp_connected(n, 0.5, seed=seed, w_lo=0.5, w_hi=2.0)
 
 
-# SHA-256 of same-seed envelopes as the per-class hand-written encoders wrote
-# them; the declarative layouts must reproduce them byte for byte.
+# SHA-256 of same-seed envelopes. The cut_poly, cut_general, jl and verbatim
+# spectral digests are of the bytes the per-class hand-written encoders wrote,
+# with the version byte raised to 2; the other spectral digests are of the
+# version-2 layouts, which keep what version 1 held minus the fields no query
+# read (S3 scales as 2 * in_deg).
 GOLDEN = {
     "spectral_basic-s2-and-verbatim-class": (
         lambda: spectral_basic_build(gnp_connected(16, 0.5, seed=21, w_lo=1e-3, w_hi=4.0), 0.3, 22),
-        "1e1c5051db1e836f2aa8c75d59720c5427312222ad512f3f183c2c042b55489a",
+        "8126449f201a3c4e137fc642c93c661cc466b03ff92091ed0bf3ae483b0d1de8",
     ),
     "spectral_basic-verbatim-class-only": (
         lambda: spectral_basic_build(gnp_connected(12, 0.5, seed=31, w_lo=1e-8, w_hi=1.9e-8), 0.3, 32),
-        "bda932f9faed7f73905416609f807f28531fc9de5f0573b100539d67a26a11d0",
+        "0429b930a8bd214bcda258c0ccbcd6e001a2a38880a91a1eb8cf9a716d0d435b",
     ),
     "spectral_improved-band-and-low": (
         lambda: spectral_improved_build(gnp_connected(40, 0.5, seed=4), 0.25, 5),
-        "d9c07a63fd36d2e95c8faf1f65de77a4c4a53fba826a5c8e5181fe9c100dde83",
+        "878f1dbb6c00ac0b04ce625c772e8d309d005058e5dc7339da6e81cb06001a0a",
     ),
     "spectral_improved-verbatim-class": (
         improved_with_verbatim_class,
-        "4099e4e022a9d92d7c9e084e3ff778ce0712558e2bd3b7ac4cbb4218e4d3e3c7",
+        "db49f7c66c99e48ff4d96b2c6eec364a19bd56992831b019c50a84b1596d6266",
     ),
     "sdd": (
         lambda: sdd_sketch_build(sdd_matrix(8, 1), 0.2, 2),
-        "dcae1270ea4c520f8f25e261ad6d93a86d523245a317393971c95bc1c4182335",
+        "76b6205f38b93fb4dd7b42f0f50c7b2d660ed9eb49a0cd6d959c94dd3a3290f7",
     ),
     "jl": (
         lambda: jl_build(psd_matrix(6, 3), 0.5, 0.2, 4),
-        "0328aa72bb064063faa4f49fcba3a7367a64c92cac988e23a49d3c6656e26b1f",
+        "ae8d3236e4e1c02da4d8f86b9aba8d1981dea4e63e6223922f037ade848312d5",
     ),
     # the full-ladder build that the declarative layouts first reproduced;
     # the production build keeps only the scales a query can reach
     "cut_poly-pipeline": (
         lambda: cut_basic_reference(gnp_connected(20, 0.5, seed=5), 0.15, 3, mode="pipeline"),
-        "148e0256e653c298d90dec5570a936bdbff16dfa32142b44e101eed51199424f",
+        "e4f1192d5ffcc3e980fca0c4f67cfcbb24f66be2872eff38e6675de2f98679fd",
     ),
     "cut_poly-pipeline-reachable": (
         lambda: cut_basic_build(gnp_connected(20, 0.5, seed=5), 0.15, 3, mode="pipeline"),
-        "9cc9478c1fb406ab5cf7874184146226052515c2f17021e17e43df055b94b376",
+        "2914f7c726285f1a01a551856a85e50989745b8563072438db3eb33090cce54e",
     ),
     "cut_poly-verbatim": (
         lambda: cut_basic_build(weighted(12, 6), 0.2, 1),
-        "dede48650ef98594c15cae6219331e9cdadc766dc37834064cb335cf2878a6e3",
+        "7d143e78bbafbb1f4a0b5f6da18caca14235af1cefaa6013cc1e8b0d8ac352f9",
     ),
     "cut_general-verbatim": (
         lambda: cut_sketch_build(weighted(12, 7), 0.2, 1),
-        "ac831ffe92db694d52510e85dd1c20275034520cc31951dca36f7a03fd4194e7",
+        "24e62ddf4d68a7c4ebacf24135b8df7cb5c568ddbd5d8f7a9a7e9ea727fdd567",
     ),
     "spectral_basic-verbatim": (
         lambda: spectral_basic_build(weighted(12, 8), 0.05, 1),
-        "d92902eb83b54477e15c46591b161a63463dd67e2e67ace66e299ab6c6cb2154",
+        "d7ac70c6de735aaa17255a47c8fc12b169549516ab4969301f0a17f8003542f3",
     ),
     "spectral_improved-verbatim": (
         lambda: spectral_improved_build(weighted(12, 9), 0.05, 1),
-        "6f89d6b1be3a10d48e0a922e4005e65225bc244a8eab0205c31237c0e4a4cf8d",
+        "3f3d1108e9f92c2bdae43ec9ea64a0c75fa72f12126d0ebe9aa4515c67d2b85d",
     ),
 }
 
@@ -322,6 +325,82 @@ def test_golden_envelopes(case):
     data = sk.to_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
     assert type(sk).from_bytes(data).to_bytes() == data
+
+
+@pytest.mark.parametrize("family", ["cut_general", "cut_poly", "spectral_basic", "spectral_improved", "sdd", "jl"])
+def test_version_1_envelope_rejected(family):
+    cls, blob, _ = fuzz_case(family)
+    assert blob[4] == 2
+    with pytest.raises(QuadsketchError, match="unsupported format version 1"):
+        cls.from_bytes(blob[:4] + b"\x01" + blob[5:])
+
+
+# float.hex answers on fixed sketches, and the SHA-256 of their flat
+# estimator's arrays (which pins every coefficient bit, where an answer can
+# round a last-bit drift away), recorded with the version-1 layouts before S2
+# pieces and S3 components became one record. Every case holds samples, and
+# the improved and SDD cases hold S3 components. Queries: three seeded normal
+# vectors, then the all-ones vector.
+PINNED_ANSWERS = {
+    "spectral_basic-s2-samples": (
+        lambda: spectral_basic_build(gnp_connected(16, 0.5, seed=1, w_lo=1.0, w_hi=4.0), 0.3, 2, c_alpha=0.3),
+        ["0x1.c852286f8b40ap+7", "0x1.9d46da5798526p+6", "0x1.df910413e5613p+7", "0x1.0000000000000p-45"],
+        "9d8c23e0c39413564f73909ca2e4ba5003c4085aee3784e9efd1e8797314e840",
+    ),
+    "spectral_basic-heavy-without-heavy-neighbours": (
+        lambda: spectral_basic_build(gnp_connected(20, 0.5, seed=5, w_lo=1.0, w_hi=4.0), 0.3, 6, c_alpha=0.25),
+        ["0x1.60de570486e49p+8", "0x1.761aabe53b27cp+7", "0x1.136ebcf1a1524p+8", "0x1.4000000000000p-46"],
+        "9378fb3d7e78feebec6c4d61e803ca48df07a15fe9f76ef2a1c6515c7a215814",
+    ),
+    "spectral_improved-band-and-low": (
+        lambda: spectral_improved_build(gnp_connected(40, 0.5, seed=4), 0.25, 5),
+        ["0x1.f2831927f45c4p+8", "0x1.484f894f78a58p+9", "0x1.30e41496ac51cp+9", "0x0.0p+0"],
+        "66de3b077e4a4323a3e415c6456a046ea899a71ea26a490b0cae29223c80a507",
+    ),
+    "spectral_improved-mixed-heads": (
+        lambda: spectral_improved_build(gnp_connected(20, 0.5, seed=8, w_lo=1, w_hi=4), 0.2, 8, c_beta=0.3),
+        ["0x1.5b32792d26d56p+8", "0x1.8fd29c68ce34bp+7", "0x1.cc1f6122190ccp+8", "-0x1.0000000000000p-46"],
+        "6da02b25ac9479a6c327c20340fc7aa8afc4dda3cf1b02a0926c880e1bd5c5b6",
+    ),
+    "sdd-32": (
+        lambda: sdd_sketch_build(sdd_matrix(32, 1), 0.4, 2),
+        ["0x1.90f01b1c0b900p+7", "0x1.c38db40ef8577p+7", "0x1.168cdc246bf24p+8", "0x1.369d5d63d8439p+8"],
+        "d2b763986c551530cb4dbcadb78218e59fe1e87d7fb4588e3305f0e0f984bb84",
+    ),
+    "sdd-48": (
+        lambda: sdd_sketch_build(sdd_matrix(48, 1), 0.3, 3),
+        ["0x1.31e05792dfd2dp+9", "0x1.07676155bc9e7p+9", "0x1.3027d89c611f3p+9", "0x1.632b7e57e085ep+9"],
+        "839a5e19efead6539a3a48462311f5de327326e58199620e2566d792739adb8a",
+    ),
+}
+
+
+def sampled_pieces(sk) -> list:
+    """The S2 records of a spectral sketch: S2 pieces or S3 components."""
+    sk = getattr(sk, "lap_sketch", sk)
+    return [
+        piece
+        for cls in sk.classes
+        for holder in ((cls.s3,) if hasattr(cls, "s3") else (cls,))
+        if holder is not None
+        for _, piece in holder.comps
+    ]
+
+
+@pytest.mark.parametrize("case", list(PINNED_ANSWERS))
+def test_pinned_answers(case):
+    make, want, digest = PINNED_ANSWERS[case]
+    sk = make()
+    assert sum(piece.owner.size for piece in sampled_pieces(sk)) > 0
+    queries = [np.random.default_rng(k).normal(size=sk.n) for k in range(3)] + [np.ones(sk.n)]
+    back = type(sk).from_bytes(sk.to_bytes())
+    for s in (sk, back):
+        assert [float(s.estimate(x)).hex() for x in queries] == want
+        est = getattr(s, "lap_sketch", s).estimator
+        h = hashlib.sha256()
+        for f in dataclasses.fields(est)[1:]:
+            h.update(getattr(est, f.name).tobytes())
+        assert h.hexdigest() == digest
 
 
 def test_kind_table():
@@ -386,8 +465,6 @@ def improved_with_class_tag(tag: int) -> bytes:
     body.varint(1)
     body.varint(tag)
     body.int_array(np.arange(2))  # vmap
-    for k in (0, 0, 0):  # kappa, weight class, depth
-        body.varint(k)
     body.buf += graph_payload(2, [0], [1], [1.0])[6:]
     w.section(body.getvalue())
     return envelope("spectral_improved", w.getvalue())

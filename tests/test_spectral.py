@@ -1,4 +1,5 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from quadsketch.graph import (
 )
 from quadsketch.oracle import lambda1_normalized
 from quadsketch.partition import spectral_preprocessing
+from quadsketch import spectral
 from quadsketch.rng import derive_seed
 from quadsketch.spectral import (
     SpectralBasicSketch,
@@ -30,6 +32,15 @@ from conftest import (
 )
 
 
+def heavy_vertices(g: WeightedGraph, epsilon: float, *, alpha=None) -> list[int]:
+    """The vertices S2 samples at: weighted degree above min weight * alpha,
+    where alpha defaults to eps^(-5/3)."""
+    if alpha is None:
+        alpha = epsilon ** (-5.0 / 3.0)
+    delta, _ = degrees(g)
+    return np.flatnonzero(delta > float(g.edge_w.min()) * alpha).tolist()
+
+
 def pendant_triangle():
     """Three mutually adjacent hubs with one pendant each: with alpha = 2
     exactly the hubs are heavy."""
@@ -42,7 +53,8 @@ class TestS2:
     def test_all_light_exact(self, rng):
         g = gnp_connected(10, 0.3, seed=1)
         sk = spectral_s2_build(g, 0.3, seed=2)  # alpha ~ 7.4 exceeds degrees
-        assert bool(np.all(sk.light))
+        assert heavy_vertices(g, 0.3) == []
+        assert sk.owner.size == 0 and sk.su.size == g.m
         for _ in range(20):
             x = rng.normal(size=10)
             assert sk.estimate(x) == pytest.approx(quadratic_form(g, x), rel=1e-9, abs=1e-9)
@@ -55,7 +67,8 @@ class TestS2:
     def test_forced_heavy_unbiased_exhaustive(self, rng):
         g = pendant_triangle()
         build = lambda: spectral_s2_build(g, 0.3, seed=5, alpha=2.0)
-        assert sorted(np.flatnonzero(~build().light).tolist()) == [0, 1, 2]
+        assert heavy_vertices(g, 0.3, alpha=2.0) == [0, 1, 2]
+        assert np.flatnonzero(build().scale).tolist() == [0, 1, 2]
         spaces = outcome_space(build)
         for x in (np.eye(6)[0], rng.normal(size=6), np.array([1.0, -1, 2, 0, 1, -2])):
             val = estimator_expectation_exhaustive(spaces, lambda a: outcome_sketch(build, a).estimate(x))
@@ -72,7 +85,7 @@ class TestS2:
             ],
         )
         build = lambda: spectral_s2_build(g, 0.3, seed=6, alpha=2.0)
-        assert 0 in np.flatnonzero(~build().light).tolist()
+        assert 0 in heavy_vertices(g, 0.3, alpha=2.0) and build().scale[0] > 0
         spaces = outcome_space(build)
         x = np.eye(8)[0]
         val = estimator_expectation_exhaustive(spaces, lambda a: outcome_sketch(build, a).estimate(x))
@@ -81,8 +94,8 @@ class TestS2:
     def test_sample_counts(self):
         g = pendant_triangle()
         sk = spectral_s2_build(g, 0.3, seed=6, alpha=2.0)
-        for u in np.flatnonzero(~sk.light).tolist():
-            if sk.delta_l[u] > 0:
+        for u in heavy_vertices(g, 0.3, alpha=2.0):
+            if sk.scale[u] > 0:
                 assert int(sk.y[sk.owner == u].sum()) == sk.draws
 
     def test_dimension_mismatch(self):
@@ -209,16 +222,17 @@ class TestSpectralBasic:
     @pytest.mark.parametrize(
         "n, seed, c_alpha, digest",
         [
-            (16, 1, 0.3, "a689f0af945b1303dbcf2b29074b5816883e20dbddcd2e58e8d9e9592100ed96"),
-            (20, 5, 0.25, "d2f6a902ec8f68d6e883cc98b361b4b7c53cc9b90f551dd0781da4bba26092d4"),
+            (16, 1, 0.3, "f306255764af3f3919bf65f70a911d4f478834cc24886701b47bc26ec061616d"),
+            (20, 5, 0.25, "d559c6818e1a8b08fced89cab0d32c367ce3b217b0b253416373bea62e35f777"),
         ],
+        ids=["16-1-0.3", "20-5-0.25"],
     )
     def test_golden_s2_samples(self, n, seed, c_alpha, digest):
         # pins the S2 sample bytes; the second graph also has a heavy vertex
         # without heavy neighbours
         g = gnp_connected(n, 0.5, seed=seed, w_lo=1.0, w_hi=4.0)
         sk = spectral_basic_build(g, 0.3, seed + 1, c_alpha=c_alpha)
-        assert all(s2.owner.size for cls in sk.classes for _, s2 in cls.comps if (s2.delta_l > 0).any())
+        assert all(s2.owner.size for cls in sk.classes for _, s2 in cls.comps if (s2.scale > 0).any())
         assert sha256(sk.to_bytes()) == digest
 
     def test_serialization_roundtrip(self, rng):
@@ -265,16 +279,20 @@ class TestS3:
         # coefficients must sum to its sampled in-weight
         g = gnp_connected(20, 0.5, seed=8, w_lo=1, w_hi=4)
         sk = spectral_improved_build(g, 0.2, 8, c_beta=0.3)
-        comps = [comp for cls in sk.classes if cls.s3 for comp in cls.s3.components]
+        comps = [comp for cls in sk.classes if cls.s3 for _, comp in cls.s3.comps]
         assert any(np.intersect1d(comp.sv, comp.owner).size for comp in comps)
         assert abs(sk.estimate(np.ones(20))) <= 1e-9 * g.total_weight
-        assert sha256(sk.to_bytes()) == "6d0cb0bdfe80862405ac9f255d8bac460793a5f02c8a24d04b695e8b2327907d"
+        assert sha256(sk.to_bytes()) == "14f509b2cb2161f06c2bf2928e8bd7f93c74c293e5d099e36997e84e04b2bfb0"
 
     def test_h_is_two_to_minus_kappa(self):
+        # the conductance partition of the piece runs at h = 2^-kappa
         arcs = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
         d = DirectedGraph(3, arcs)
         for kappa in (1, 3):
-            assert spectral_s3_build(d, 0.3, kappa=kappa, seed=3).h == 2.0**-kappa
+            with mock.patch.object(spectral, "spectral_preprocessing", wraps=spectral_preprocessing) as prep:
+                spectral_s3_build(d, 0.3, kappa=kappa, seed=3)
+            (_, h), _ = prep.call_args
+            assert h == 2.0**-kappa
 
     def test_serialization_via_improved(self, rng):
         g = gnp_connected(40, 0.5, seed=4)
