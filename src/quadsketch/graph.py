@@ -60,7 +60,7 @@ class WeightedGraph:
     every cut and quadratic form.
     """
 
-    __slots__ = ("n", "edge_u", "edge_v", "edge_w", "_adj")
+    __slots__ = ("n", "edge_u", "edge_v", "edge_w", "_adj", "_labels")
 
     def __init__(self, n: int, edges: Iterable | None = None, *, _arrays=None):
         if n < 0:
@@ -85,6 +85,22 @@ class WeightedGraph:
         self.edge_v.setflags(write=False)
         self.edge_w.setflags(write=False)
         self._adj = None
+        self._labels = None
+
+    @classmethod
+    def _canonical(cls, n: int, u, v, w, labels) -> "WeightedGraph":
+        """A graph on edge arrays that are canonical already (u < v, sorted
+        by (u, v), no repeated pair, weights positive and finite), such as
+        the edges of a canonical graph selected in ascending order and
+        relabelled monotonically, with its known component labels. The
+        arrays are made read-only and kept, not copied."""
+        g = cls.__new__(cls)
+        g.n = int(n)
+        g.edge_u, g.edge_v, g.edge_w, g._labels = u, v, w, labels
+        for a in (u, v, w, labels):
+            a.setflags(write=False)
+        g._adj = None
+        return g
 
     @property
     def m(self) -> int:
@@ -302,7 +318,24 @@ def conductance(g: WeightedGraph, members) -> float:
 
 
 def connected_components(g: WeightedGraph) -> np.ndarray:
-    """Component labels 0..k-1 in order of smallest member vertex.
+    """Component labels 0..k-1 in order of smallest member vertex
+    (label_components of g's edges). The labels are computed once per graph
+    and returned read-only.
+
+    The partitions call this only through find_sparse_cut, and hand it pieces
+    whose labels they already know: each generation of pieces is labelled
+    with one label_components call over the union of its pieces' edges.
+    """
+    if g._labels is None:
+        labels = label_components(g.n, g.edge_u, g.edge_v)
+        labels.setflags(write=False)
+        g._labels = labels
+    return g._labels
+
+
+def label_components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Component labels 0..k-1 of the graph on vertices 0..n-1 with edges
+    (u, v), in order of smallest member vertex.
 
     Hook-and-jump labelling: every root hooks onto the smallest root across
     its edges, then pointers jump until each vertex points at a root. A root
@@ -310,16 +343,8 @@ def connected_components(g: WeightedGraph) -> np.ndarray:
     so the trees of a component at least halve per round. At the fixpoint
     each component has one root, its smallest vertex, which fixes the label
     order independently of the edge order.
-
-    The edge-expansion partition peels low-degree vertices without calling
-    this (the peel is exact because a k-core does not depend on the order of
-    removal), and it peels the whole edge set before labelling it, so a
-    partition whose core is empty makes no call. Calls come once per
-    partition with a non-empty core and once per sparse-cut search, not per
-    peeled vertex or piece.
     """
-    parent = np.arange(g.n, dtype=np.int64)
-    u, v = g.edge_u, g.edge_v
+    parent = np.arange(n, dtype=np.int64)
     while True:
         pu, pv = parent[u], parent[v]
         if not np.count_nonzero(pu != pv):
@@ -331,7 +356,7 @@ def connected_components(g: WeightedGraph) -> np.ndarray:
             if not np.count_nonzero(up != parent):
                 break
             parent = up
-    roots = parent == np.arange(g.n)
+    roots = parent == np.arange(n)
     return (np.cumsum(roots) - 1)[parent]
 
 

@@ -28,6 +28,7 @@ from .graph import (
     connected_components,
     degrees,
     inverse_map,
+    label_components,
     subset_cut_blocks,
 )
 from .oracle import mask_members
@@ -78,6 +79,12 @@ def _qualifies(value, mode: str, threshold: float):
     return value < threshold if mode == "edge_expansion" else value <= threshold
 
 
+def _reject_nan(name: str, value: float) -> None:
+    # every comparison with NaN is False, so range checks alone let it through
+    if math.isnan(value):
+        raise QuadsketchError(f"{name} is NaN")
+
+
 def find_sparse_cut(g: WeightedGraph, mode: str, threshold: float) -> SparseCutResult:
     """Search for a cut below the threshold (smaller side returned).
 
@@ -86,19 +93,19 @@ def find_sparse_cut(g: WeightedGraph, mode: str, threshold: float) -> SparseCutR
 
     Deterministic: singletons are tried in vertex order, then subsets in a
     fixed canonical enumeration (small components), or the best Fiedler sweep
-    prefix (large components, heuristic).
+    prefix (large components, heuristic). A disconnected g returns its
+    smallest component. A NaN threshold raises QuadsketchError.
     """
     if mode not in ("edge_expansion", "conductance"):
         raise ValueError(f"unknown mode {mode!r}")
+    _reject_nan("threshold", threshold)
     n = g.n
     if n < 2:
         return SparseCutResult(None, True)
     labels = connected_components(g)
     if labels.max() > 0:
         # a disconnected input has a zero cut: return the smallest piece
-        sizes = np.bincount(labels)
-        side = labels == int(np.argmin(sizes))
-        return SparseCutResult(side, True)
+        return SparseCutResult(_smallest_component(labels), True)
     delta, udeg = degrees(g)
 
     # cheap qualifying singleton, in vertex order
@@ -204,6 +211,11 @@ def _conductance_qualifies(g, bits, delta, total_vol, threshold) -> np.ndarray:
     return vals <= threshold
 
 
+def _smallest_component(labels: np.ndarray) -> np.ndarray:
+    """Mask of the smallest component, the first in label order among equals."""
+    return labels == int(np.argmin(np.bincount(labels)))
+
+
 def _smaller_side(members: np.ndarray) -> np.ndarray:
     return ~members if members.sum() > members.size // 2 else members
 
@@ -259,30 +271,50 @@ def _partition_by_cuts(g: WeightedGraph, mode: str, threshold: float) -> Partiti
 
     Pieces are split one generation at a time. The first generation is the
     connected components that have edges, in label order. Each piece of a
-    generation is split by find_sparse_cut, and each side with edges joins
-    the next generation, in order: the same order as a FIFO queue of pieces.
+    generation is split, and each side with edges joins the next generation,
+    in order: the same order as a FIFO queue of pieces that calls
+    find_sparse_cut once per popped piece. Which piece finishes when matters,
+    because later stages seed per-piece streams in finish order.
+
+    The pieces of a generation are vertex-disjoint, so one label_components
+    call over the union of their edges labels all of them. A disconnected
+    piece is split off its smallest component, as find_sparse_cut would
+    split it, with no search; a connected piece goes to find_sparse_cut as a
+    graph built from its edges without re-canonicalization (the edges of a
+    canonical graph, taken in ascending order and relabelled monotonically,
+    are canonical) and with its labels known.
 
     In edge_expansion mode a vertex of degree < threshold is a qualifying
     singleton cut, so every generation is first peeled to its threshold core
-    in one vectorized pass over the union of its pieces' edges. The pieces
-    are vertex-disjoint, so this peels each of them as a peel of its own
-    would. A piece that loses vertices sends its peeled edges to Q and its
-    core, if any, to the next generation. The k-core does not depend on the
-    order in which vertices are removed (Batagelj-Zaversnik 2003), so this
-    gives the same pieces and Q as splitting off one singleton per
-    find_sparse_cut call; only the order in which pieces finish can differ.
-    The first generation is peeled before the components are labelled: when
-    its core is empty, every edge is returned as Q, with no labelling at all.
-    Conductance mode has no such shortcut, because whether a singleton
-    qualifies depends on the piece's volume.
+    in one vectorized pass over the union of its pieces' edges. A piece that
+    loses vertices sends its peeled edges to Q and its core, if any, to the
+    next generation. The k-core does not depend on the order in which
+    vertices are removed (Batagelj-Zaversnik 2003), so this gives the same
+    pieces and Q as splitting off one singleton per find_sparse_cut call;
+    only the order in which pieces finish can differ. The first generation
+    is peeled before anything is labelled: when its core is empty, every
+    edge is returned as Q.
+
+    In conductance mode a threshold h >= 1 returns every edge as Q with no
+    search: every piece with an edge has a vertex of degree at most half its
+    volume, whose singleton conductance is exactly 1 <= h, so every piece is
+    peeled to nothing. A side vertex whose edges all cross the cut has no
+    edge inside its side. A search would split off one such stranded vertex
+    per call and send the rest of the piece to the next generation, so the
+    side drops its stranded vertices at once and waits one generation for
+    each before it is split. (The expansion peel drops them instead: their
+    degree is 0.)
     """
+    every = np.arange(g.m)
     in_core = None
     if mode == "edge_expansion":
-        in_core = _core_members(g, np.arange(g.m), threshold)
-        if not in_core.any():
-            every = np.arange(g.m)
-            return PartitionResult([], g.edge_u[every], g.edge_v[every], g.edge_w[every], every)
-    labels = connected_components(g)
+        in_core = _core_members(g, every, threshold)
+        dissolved = not in_core.any()
+    else:
+        dissolved = threshold >= 1.0
+    if dissolved:
+        return PartitionResult([], g.edge_u[every], g.edge_v[every], g.edge_w[every], every)
+    labels = label_components(g.n, g.edge_u, g.edge_v)
     edge_label = labels[g.edge_u]
     # one stable sort per id kind groups every component's vertices and
     # edges, each group in ascending order
@@ -291,44 +323,61 @@ def _partition_by_cuts(g: WeightedGraph, mode: str, threshold: float) -> Partiti
     e_by = np.argsort(edge_label, kind="stable")
     v_at = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=k)))).tolist()
     e_at = np.concatenate(([0], np.cumsum(np.bincount(edge_label, minlength=k)))).tolist()
+    # a piece is (vertices, edges, generations left to wait), ids ascending
     generation = [
-        (v_by[v_at[lab] : v_at[lab + 1]], e_by[e_at[lab] : e_at[lab + 1]])
+        (v_by[v_at[lab] : v_at[lab + 1]], e_by[e_at[lab] : e_at[lab + 1]], 0)
         for lab in np.unique(edge_label).tolist()
     ]
     comps: list[Component] = []
     cross: list[np.ndarray] = []
     while generation:
         if in_core is None and mode == "edge_expansion":
-            in_core = _core_members(g, np.concatenate([e for _, e in generation]), threshold)
-        following: list[tuple[np.ndarray, np.ndarray]] = []
-        for vmap, eidx in generation:
-            if in_core is not None:
-                inside = in_core[vmap]
-                if not inside.all():
-                    kept = in_core[g.edge_u[eidx]] & in_core[g.edge_v[eidx]]
-                    cross.append(eidx[~kept])
-                    if inside.any():
-                        following.append((vmap[inside], eidx[kept]))
-                    continue
-            inv = inverse_map(vmap, g.n)
-            piece = WeightedGraph(
-                vmap.size,
-                _arrays=(inv[g.edge_u[eidx]], inv[g.edge_v[eidx]], g.edge_w[eidx]),
-            )
-            res = find_sparse_cut(piece, mode, threshold)
-            if res.members is None:
-                # local edge order matches parent order (canonical sort is stable
-                # under the monotone relabeling), so edge_idx aligns
-                comps.append(Component(piece, vmap, eidx, res.certified))
+            in_core = _core_members(g, np.concatenate([e for _, e, _ in generation]), threshold)
+        ready = [
+            not wait and (in_core is None or bool(in_core[vmap].all()))
+            for vmap, _, wait in generation
+        ]
+        if any(ready):
+            e_ready = np.concatenate([e for (_, e, _), r in zip(generation, ready) if r])
+            labels = label_components(g.n, g.edge_u[e_ready], g.edge_v[e_ready])
+        following: list[tuple[np.ndarray, np.ndarray, int]] = []
+        for (vmap, eidx, wait), r in zip(generation, ready):
+            if wait:
+                following.append((vmap, eidx, wait - 1))
                 continue
-            s = res.members
-            crossing = s[piece.edge_u] != s[piece.edge_v]
-            cross.append(eidx[crossing])
+            if not r:
+                inside = in_core[vmap]
+                kept = in_core[g.edge_u[eidx]] & in_core[g.edge_v[eidx]]
+                cross.append(eidx[~kept])
+                if inside.any():
+                    following.append((vmap[inside], eidx[kept], 0))
+                continue
+            inv = inverse_map(vmap, g.n)
+            pu, pv = inv[g.edge_u[eidx]], inv[g.edge_v[eidx]]
+            lab = labels[vmap]
+            if lab.max() > lab[0]:
+                s = _smallest_component(np.unique(lab, return_inverse=True)[1])
+            else:
+                piece = WeightedGraph._canonical(
+                    vmap.size, pu, pv, g.edge_w[eidx], np.zeros(vmap.size, dtype=np.int64)
+                )
+                res = find_sparse_cut(piece, mode, threshold)
+                if res.members is None:
+                    comps.append(Component(piece, vmap, eidx, res.certified))
+                    continue
+                s = res.members
+            cross.append(eidx[s[pu] != s[pv]])
             for side in (s, ~s):
-                sub_v = vmap[side]
-                sub_e = eidx[side[piece.edge_u] & side[piece.edge_v]]
-                if sub_e.size:
-                    following.append((sub_v, sub_e))
+                inner = side[pu] & side[pv]
+                if not inner.any():
+                    continue
+                wait = 0
+                if mode == "conductance":
+                    linked = np.zeros(vmap.size, dtype=bool)
+                    linked[pu[inner]] = linked[pv[inner]] = True
+                    wait = int(np.count_nonzero(side & ~linked))
+                    side = linked
+                following.append((vmap[side], eidx[inner], wait))
         generation, in_core = following, None
     cross_idx = (
         np.concatenate(cross) if cross else np.empty(0, dtype=np.int64)
@@ -348,8 +397,14 @@ def spectral_preprocessing(g: WeightedGraph, h: float) -> PartitionResult:
 
     Pieces of size <= 20 are certified exactly; larger ones by the spectral
     certificate or heuristic sweep failure (flagged per component). Cross
-    edges Q are stored exactly; |Q| = O(h m log m) for factor-2 weights.
+    edges Q are stored exactly; |Q| = O(h m log m) for factor-2 weights. At
+    h >= 1 no piece survives (a vertex of at most half the volume is a
+    conductance-1 singleton), so every edge is Q and nothing is searched.
+    Pieces finish in the order of a queue that splits one piece per
+    find_sparse_cut call, which fixes the per-component seeds of the
+    spectral sketches. A NaN h raises QuadsketchError.
     """
+    _reject_nan("threshold h", h)
     if h <= 0:
         raise ValueError("threshold h must be positive")
     res = _partition_by_cuts(g, "conductance", h)
@@ -440,10 +495,13 @@ def cut_preprocessing(
     reweighted classes, and partition each along expansion-< 1/eps cuts.
 
     Every returned component has (unweighted) expansion >= 1/eps, certified
-    exactly for pieces of <= 20 vertices. Calls on the same g may share one
+    exactly for pieces of <= 20 vertices. A NaN c or epsilon raises
+    QuadsketchError. Calls on the same g may share one
     _partitions dict, so a class edge set met before is not partitioned
     again; the result is the same either way.
     """
+    _reject_nan("scale c", c)
+    _reject_nan("epsilon", epsilon)
     if c <= 0:
         raise ValueError("scale c must be positive")
     if epsilon < 1.0 / max(g.n, 2) or epsilon >= 1.0:

@@ -140,6 +140,20 @@ def test_partition_csv(rand_graph, capsys):
     assert lines[1].startswith("mode,")
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--mode", "spectral", "--h", "nan"], "threshold h is NaN"),
+        (["--mode", "cut", "--epsilon", "nan"], "epsilon is NaN"),
+        (["--mode", "cut", "--epsilon", "0.1", "--scale", "nan"], "scale c is NaN"),
+    ],
+    ids=["spectral-h", "cut-epsilon", "cut-scale"],
+)
+def test_partition_nan_parameter_exit_1(rand_graph, capsys, args, message):
+    code, out, err = run_cli(["partition", rand_graph, *args], capsys)
+    assert code == 1 and out == "" and message in err
+
+
 def test_partition_json_format(rand_graph, capsys):
     code, text, _ = run_cli(
         ["partition", rand_graph, "--mode", "degree", "-e", "0.25", "--format", "json"],

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadsketch import partition
+import conftest
+from quadsketch import graph, partition
 from quadsketch.errors import QuadsketchError
 from quadsketch.graph import (
     WeightedGraph,
@@ -15,9 +16,11 @@ from quadsketch.graph import (
     connected_components,
     cut_weight,
     expansion_exact,
+    label_components,
 )
 from quadsketch.graph import degrees
 from quadsketch.partition import (
+    EXHAUSTIVE_CUT_CAP,
     _exhaustive_cut,
     _partition_by_cuts,
     assign_direction,
@@ -88,6 +91,11 @@ class TestFindSparseCut:
             if res.members is None:
                 assert res.certified
                 assert expansion_exact(g) >= thr
+
+    @pytest.mark.parametrize("mode", ["edge_expansion", "conductance"])
+    def test_nan_threshold_rejected(self, mode):
+        with pytest.raises(QuadsketchError, match="NaN"):
+            find_sparse_cut(two_triangles_bridge(), mode, float("nan"))
 
     def test_deterministic(self):
         g = gnp_connected(26, 0.2, seed=5)
@@ -178,6 +186,10 @@ class TestSpectralPreprocessing:
         part = spectral_preprocessing(g, 1.0)
         assert part.cross_count == g.m
         assert not part.components
+
+    def test_nan_h_rejected(self):
+        with pytest.raises(QuadsketchError, match="NaN"):
+            spectral_preprocessing(two_triangles_bridge(), float("nan"))
 
     def test_components_certified_cheeger_above_h(self):
         for seed in range(15):
@@ -274,6 +286,49 @@ def peel_case(kind, seed):
     return WeightedGraph(n, [(int(perm[a]), int(perm[b]), float(x)) for (a, b), x in zip(edges, w)]), 2.5
 
 
+def stranding_case(seed):
+    """Two dense blocks of 5..18 vertices with degree-1 and degree-2
+    vertices hung on them; vertex ids shuffled. A cut through or between the
+    blocks can leave a hung vertex on the side away from all its neighbours,
+    stranded without an edge in its side. The whole graph often has more
+    than EXHAUSTIVE_CUT_CAP vertices (a Fiedler sweep makes the first cut)
+    and its pieces fewer (the exhaustive scan cuts them)."""
+    rng = np.random.default_rng(seed)
+    block = np.repeat([0, 1], rng.integers(5, 19, size=2))
+    iu, ju = np.triu_indices(block.size, 1)
+    keep = rng.random(iu.size) < np.where(block[iu] == block[ju], 0.7, 0.4)
+    edges = list(zip(iu[keep].tolist(), ju[keep].tolist()))
+    n = block.size
+    for _ in range(int(rng.integers(2, 10))):
+        edges += [(t, n) for t in rng.choice(block.size, size=int(rng.integers(1, 3)), replace=False).tolist()]
+        n += 1
+    perm = rng.permutation(n)
+    w = rng.uniform(1.0, 4.0, len(edges))
+    return WeightedGraph(n, [(int(perm[a]), int(perm[b]), float(x)) for (a, b), x in zip(edges, w)])
+
+
+def stranded_sides(g, members):
+    """Number of sides of the cut that keep an edge and a vertex with none."""
+    count = 0
+    for side in (members, ~members):
+        inner = side[g.edge_u] & side[g.edge_v]
+        linked = np.zeros(g.n, dtype=bool)
+        linked[g.edge_u[inner]] = linked[g.edge_v[inner]] = True
+        count += bool(inner.any() and (side & ~linked).any())
+    return count
+
+
+def two_cliques_with_stranded(k):
+    """K7 on 0..6 and K7 on 7..13 joined by the edge (6, 7), plus k vertices
+    14.. adjacent to 0 and 1. At h = 0.15 and k <= 3 the first qualifying
+    mask is {0, ..., 6}, of conductance (1 + 2k) / (43 + 2k) <= 1/7 (every
+    smaller mask has conductance >= 1/6). It leaves the k hung vertices on
+    the other side, with no edge there."""
+    k7 = [(a + i, a + j, 1.0) for a in (0, 7) for i in range(7) for j in range(i + 1, 7)]
+    hung = [(x, 14 + i, 1.0) for i in range(k) for x in (0, 1)]
+    return WeightedGraph(14 + k, k7 + [(6, 7, 1.0)] + hung)
+
+
 def assert_same_partition(part, ref):
     """Same pieces in the same order, with the same ids and dtypes, and the
     same cross edges."""
@@ -332,19 +387,93 @@ class TestPartitionByCuts:
             partition_by_cuts_reference(g, "edge_expansion", threshold),
         )
 
-    @given(st.sampled_from(PEEL_KINDS), st.sampled_from([0.05, 0.2, 0.4]), st.integers(0, 10**6))
-    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(PEEL_KINDS + ["stranding"]),
+        st.sampled_from([0.05, 0.2, 0.4, 0.7, 1.0, 1.5]),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=150, deadline=None)
     def test_conductance_matches_piece_at_a_time_in_order(self, kind, h, seed):
-        g, _ = peel_case(kind, seed)
+        g = stranding_case(seed) if kind == "stranding" else peel_case(kind, seed)[0]
         assert_same_partition(_partition_by_cuts(g, "conductance", h), partition_by_cuts_reference(g, "conductance", h))
+
+    def test_stranding_cases_strand_sweep_and_exhaustive_sides(self):
+        # the stranding generator makes both kinds of search strand vertices
+        stranded = {"sweep": 0, "exhaustive": 0}
+
+        def search(piece, mode, threshold):
+            res = find_sparse_cut(piece, mode, threshold)
+            if res.members is not None:
+                kind = "sweep" if piece.n > EXHAUSTIVE_CUT_CAP else "exhaustive"
+                stranded[kind] += stranded_sides(piece, res.members)
+            return res
+
+        for seed in range(40):
+            g = stranding_case(seed)
+            for h in (0.4, 0.7):
+                with mock.patch.object(partition, "find_sparse_cut", side_effect=search):
+                    part = _partition_by_cuts(g, "conductance", h)
+                assert_same_partition(part, partition_by_cuts_reference(g, "conductance", h))
+        assert stranded["sweep"] > 0 and stranded["exhaustive"] > 0
+
+    @pytest.mark.parametrize("h", [1.0, 1.5])
+    def test_h_at_least_one_searches_and_labels_nothing(self, h):
+        g = gnp_connected(24, 0.4, seed=4, w_lo=1.0, w_hi=3.0)
+        with (
+            mock.patch.object(partition, "find_sparse_cut", wraps=find_sparse_cut) as search,
+            mock.patch.object(partition, "label_components", wraps=label_components) as label,
+            mock.patch.object(graph, "label_components", wraps=label_components) as graph_label,
+        ):
+            part = _partition_by_cuts(g, "conductance", h)
+        assert search.call_count == label.call_count == graph_label.call_count == 0
+        assert not part.components and np.array_equal(part.cross_idx, np.arange(g.m))
+        assert_same_partition(part, partition_by_cuts_reference(g, "conductance", h))
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_stranded_vertices_add_no_search(self, k):
+        g = two_cliques_with_stranded(k)
+        with mock.patch.object(partition, "find_sparse_cut", wraps=find_sparse_cut) as search:
+            part = _partition_by_cuts(g, "conductance", 0.15)
+        with mock.patch.object(conftest, "find_sparse_cut", wraps=find_sparse_cut) as ref_search:
+            ref = partition_by_cuts_reference(g, "conductance", 0.15)
+        # one cut, then one search per clique; one search call per peeled
+        # stranded vertex in the piece-at-a-time partition
+        assert search.call_count == 3 and ref_search.call_count == 3 + k
+        assert [c.vmap.tolist() for c in part.components] == [list(range(7)), list(range(7, 14))]
+        assert_same_partition(part, ref)
+
+    def test_one_labelling_per_generation(self):
+        # four barbells (two K5 joined by one edge): one generation of four
+        # pieces split at their bridges, then one of eight K5 pieces
+        edges = [
+            (b + a + i, b + a + j, 1.0)
+            for b in range(0, 40, 10)
+            for a in (0, 5)
+            for i in range(5)
+            for j in range(i + 1, 5)
+        ]
+        g = WeightedGraph(40, edges + [(b + 4, b + 5, 1.0) for b in range(0, 40, 10)])
+        with (
+            mock.patch.object(partition, "find_sparse_cut", wraps=find_sparse_cut) as search,
+            mock.patch.object(partition, "label_components", wraps=label_components) as label,
+            mock.patch.object(graph, "label_components", wraps=label_components) as graph_label,
+        ):
+            part = _partition_by_cuts(g, "conductance", 0.1)
+        assert search.call_count == 12 and len(part.components) == 8
+        # the input's components, then each of the two generations
+        assert label.call_count == 3 and graph_label.call_count == 0
+        assert_same_partition(part, partition_by_cuts_reference(g, "conductance", 0.1))
 
     def test_empty_core_labels_no_components(self):
         # every degree of G(30, 0.2) is below 33: the whole edge set is Q
         g = gnp(30, 0.2, 3)
         assert degrees(g)[1].max() < 33
-        with mock.patch.object(partition, "connected_components", wraps=connected_components) as cc:
+        with (
+            mock.patch.object(partition, "connected_components", wraps=connected_components) as cc,
+            mock.patch.object(partition, "label_components", wraps=label_components) as label,
+        ):
             part = _partition_by_cuts(g, "edge_expansion", 33.0)
-        assert cc.call_count == 0
+        assert cc.call_count == 0 and label.call_count == 0
         assert not part.components
         assert np.array_equal(part.cross_idx, np.arange(g.m))
         assert_same_partition(part, partition_by_cuts_reference(g, "edge_expansion", 33.0))
@@ -399,6 +528,11 @@ class TestCutPreprocessing:
         g = gnp_connected(8, 0.5, seed=0)
         with pytest.raises(QuadsketchError):
             cut_preprocessing(g, 1.0, 0.01, seed=1)  # below 1/n
+
+    @pytest.mark.parametrize("c, epsilon", [(float("nan"), 0.3), (1.0, float("nan"))])
+    def test_nan_scale_or_epsilon_rejected(self, c, epsilon):
+        with pytest.raises(QuadsketchError, match="NaN"):
+            cut_preprocessing(gnp_connected(8, 0.5, seed=0), c, epsilon, seed=1)
 
     def test_heavy_edges_discarded(self):
         g = WeightedGraph(4, [(0, 1, 100.0), (1, 2, 200.0), (0, 2, 150.0), (2, 3, 400.0)])
