@@ -13,7 +13,6 @@ from .errors import (
     TooLargeError,
 )
 from .graph import (
-    DirectedGraph,
     WeightedGraph,
     cheeger_exact,
     conductance,

@@ -29,11 +29,12 @@ from .estimator import EdgeSampleEstimator, check_count, cut_and_piece_parts, fl
 from .graph import (
     WeightedGraph,
     as_cut_query,
+    connected_components,
     cut_weight,
+    label_components,
     spanning_forest,
     weighted_degrees,
 )
-from .graph import connected_components
 from .partition import cut_preprocessing
 from .rng import derive_seed, draw_counts, rng_for
 from . import serialize
@@ -459,10 +460,7 @@ def _contract(g: WeightedGraph, j_weight: float, n_global: int):
     """Contraction labels and the contracted finite-weight graph for scale j."""
     keep = g.edge_w >= j_weight / n_global**3
     infinite = g.edge_w >= n_global**2 * j_weight
-    classes = WeightedGraph(
-        g.n, _arrays=(g.edge_u[infinite], g.edge_v[infinite], g.edge_w[infinite])
-    )
-    labels = connected_components(classes)
+    labels = label_components(g.n, g.edge_u[infinite], g.edge_v[infinite])
     finite = keep & ~infinite
     cu, cv, cw = labels[g.edge_u[finite]], labels[g.edge_v[finite]], g.edge_w[finite]
     loop = cu == cv  # finite edges swallowed by a contraction class

@@ -1,4 +1,4 @@
-"""Graph substrate: weighted/directed graphs, exact cut and quadratic forms.
+"""Graph substrate: weighted graphs, exact cut and quadratic forms.
 
 All graphs are immutable after construction; every operation here is pure, so
 concurrent callers are safe. Edge lists are canonicalized (u < v, sorted,
@@ -172,66 +172,6 @@ class WeightedGraph:
 
     def __repr__(self):
         return f"WeightedGraph(n={self.n}, m={self.m})"
-
-
-class DirectedGraph:
-    """Directed positively weighted graph; at most one arc per vertex pair.
-
-    Both orientations of the same pair are rejected: arcs are orientations of
-    the edges of an underlying undirected simple graph.
-    """
-
-    __slots__ = ("n", "arc_u", "arc_v", "arc_w")
-
-    def __init__(self, n: int, arcs: Iterable | None = None, *, _arrays=None):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        self.n = int(n)
-        if _arrays is not None:
-            u, v, w = _arrays
-            u = np.asarray(u, dtype=np.int64)
-            v = np.asarray(v, dtype=np.int64)
-            w = np.asarray(w, dtype=np.float64)
-        else:
-            rows = list(arcs) if arcs is not None else []
-            u = np.array([r[0] for r in rows], dtype=np.int64)
-            v = np.array([r[1] for r in rows], dtype=np.int64)
-            w = np.array([r[2] for r in rows], dtype=np.float64)
-        if u.size:
-            if u.min() < 0 or v.min() < 0 or u.max() >= n or v.max() >= n:
-                raise ValueError("vertex id out of range")
-            if np.any(u == v):
-                raise ValueError("self-loops are not allowed")
-            if not np.all(np.isfinite(w)) or np.any(w <= 0):
-                raise ValueError("arc weights must be positive and finite")
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        order = np.lexsort((hi, lo))
-        if u.size:
-            slo, shi = lo[order], hi[order]
-            if np.any((slo[1:] == slo[:-1]) & (shi[1:] == shi[:-1])):
-                raise ValueError("at most one orientation of a pair is allowed")
-        u, v, w = u[order], v[order], w[order]
-        self.arc_u, self.arc_v, self.arc_w = u, v, w
-        for a in (self.arc_u, self.arc_v, self.arc_w):
-            a.setflags(write=False)
-
-    @property
-    def m(self) -> int:
-        return int(self.arc_u.size)
-
-    def undirected(self) -> WeightedGraph:
-        return WeightedGraph(self.n, _arrays=(self.arc_u, self.arc_v, self.arc_w))
-
-    def arc_subgraph(self, arc_idx) -> tuple["DirectedGraph", np.ndarray]:
-        """Arc-induced subgraph on the support of selected arcs; new->old map."""
-        arc_idx = np.asarray(arc_idx, dtype=np.int64)
-        u, v, w = self.arc_u[arc_idx], self.arc_v[arc_idx], self.arc_w[arc_idx]
-        vmap = np.unique(np.concatenate([u, v]))
-        inv = inverse_map(vmap, self.n)
-        return DirectedGraph(int(vmap.size), _arrays=(inv[u], inv[v], w)), vmap
-
-    def __repr__(self):
-        return f"DirectedGraph(n={self.n}, m={self.m})"
 
 
 def inverse_map(vmap: np.ndarray, n: int) -> np.ndarray:

@@ -11,6 +11,9 @@ Shared by the cut and spectral sketches:
 * ``assign_direction``: the out-degree balancing fixpoint;
 * ``degree_class_partition``: the recursive out-degree-band partition that
   feeds the improved spectral sketch.
+
+An orientation of a graph's edges is a bool mask over its edges: flip[e]
+means the arc runs edge_v[e] -> edge_u[e], otherwise edge_u[e] -> edge_v[e].
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import numpy as np
 
 from .errors import QuadsketchError
 from .graph import (
-    DirectedGraph,
     WeightedGraph,
     connected_components,
     degrees,
@@ -33,7 +35,7 @@ from .graph import (
 )
 from .oracle import mask_members
 from .rng import derive_seed, rng_for
-from .sparsify import SparsifierConfig, sparsify
+from .sparsify import SparsifierConfig, factor2_class, sparsify
 
 EXHAUSTIVE_CUT_CAP = 20
 
@@ -124,6 +126,9 @@ def find_sparse_cut(g: WeightedGraph, mode: str, threshold: float) -> SparseCutR
         members = np.zeros(n, dtype=bool)
         members[hit[0]] = True
         return SparseCutResult(members, True)
+    if n == 2:
+        # a single edge has one cut, the singleton just tested
+        return SparseCutResult(None, True)
 
     # spectral certificate: expansion >= lambda_1(L)/2, conductance >= lambda_1(L~)/2
     if mode == "edge_expansion":
@@ -540,8 +545,9 @@ def cut_preprocessing(
 # Buddy orientation
 
 
-def assign_direction(g: WeightedGraph, t: float, *, check_potential: bool = False) -> DirectedGraph:
-    """Flip arcs (u, v) with outdeg(u) >= t and outdeg(v) < t-1 to a fixpoint.
+def assign_direction(g: WeightedGraph, t: float, *, check_potential: bool = False) -> np.ndarray:
+    """Orientation mask of g's edges: starting from edge_u -> edge_v, flip
+    arcs (u, v) with outdeg(u) >= t and outdeg(v) < t-1 to a fixpoint.
 
     Postcondition: every arc satisfies outdeg(tail) < t or outdeg(head) >= t-1.
     The potential over violating arcs drops by at least 2 per flip, which is
@@ -584,7 +590,12 @@ def assign_direction(g: WeightedGraph, t: float, *, check_potential: bool = Fals
                     if not in_queue[e2]:
                         in_queue[e2] = True
                         queue.append(e2)
-    return DirectedGraph(g.n, _arrays=(tail, head, g.edge_w.copy()))
+    return np.array(tail) != g.edge_u
+
+
+def arc_ends(g: WeightedGraph, flip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and heads of g's edges under the orientation mask flip."""
+    return np.where(flip, g.edge_v, g.edge_u), np.where(flip, g.edge_u, g.edge_v)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +604,8 @@ def assign_direction(g: WeightedGraph, t: float, *, check_potential: bool = Fals
 
 @dataclass
 class DegreeClass:
-    piece: DirectedGraph
+    piece: WeightedGraph
+    flip: np.ndarray  # orientation mask of the piece's edges
     vmap: np.ndarray  # piece vertex -> original vertex id
     kind: str  # "verbatim" | "low" | "band"
     band: int | None = None  # kappa for band classes
@@ -626,12 +638,13 @@ def degree_class_partition(
     c_beta: float = 1.0,
     beta: float | None = None,
 ) -> DegreeClassPartition:
-    """Partition into out-degree-band directed pieces plus low/verbatim rest.
+    """Partition into out-degree-band oriented pieces plus low/verbatim rest.
 
     Implements: sparsify; eta measured from the sparsifier (clamped >= 1);
     assign directions at 2s; split arcs into factor-2 weight classes; within
     each, peel the low class (tail out-degree < beta) and bands
-    [2^i beta, 2^{i+1} beta); recurse on the remaining heavy arcs.
+    [2^i beta, 2^{i+1} beta), the factor-2 classes of the tail degree over
+    beta; recurse on the remaining heavy arcs.
 
     Bands are emitted while 2^i beta <= 2s, so every arc with tail degree
     below 2s is classified and the recursion shrinks the vertex support by
@@ -644,13 +657,10 @@ def degree_class_partition(
     classes: list[DegreeClass] = []
     levels: list[LevelInfo] = []
 
-    def orient_verbatim(gl: WeightedGraph) -> DirectedGraph:
-        return DirectedGraph(gl.n, _arrays=(gl.edge_u, gl.edge_v, gl.edge_w))
-
     def recurse(gl: WeightedGraph, vmap: np.ndarray, depth: int):
         if gl.n < 3:
             if gl.n > 0:
-                classes.append(DegreeClass(orient_verbatim(gl), vmap, "verbatim", depth=depth))
+                classes.append(DegreeClass(gl, np.zeros(gl.m, dtype=bool), vmap, "verbatim", depth=depth))
             return depth
         g2 = sparsify(
             gl,
@@ -661,46 +671,33 @@ def degree_class_partition(
         levels.append(LevelInfo(depth, gl.n, g2.m, eta, s))
         if g2.m == 0:
             return depth
-        buddy = assign_direction(g2, 2.0 * s)
-        wmin = float(buddy.arc_w.min())
-        wcls = np.floor(np.log2(buddy.arc_w / wmin)).astype(np.int64)
+        flip = assign_direction(g2, 2.0 * s)
+        tails = arc_ends(g2, flip)[0]
+        wcls = factor2_class(g2.edge_w, g2.edge_w.min())
+        top_band = factor2_class(2.0 * s, beta)
         leftover: list[np.ndarray] = []
-        for j in np.unique(wcls):
+
+        def emit(ids, kind, band, j):
+            piece, pmap = g2.edge_subgraph(ids)
+            classes.append(DegreeClass(piece, flip[ids], vmap[pmap], kind, band, j, depth))
+
+        for j in np.unique(wcls).tolist():
             arc_ids = np.flatnonzero(wcls == j)
-            out_in_class = np.zeros(g2.n, dtype=np.int64)
-            np.add.at(out_in_class, buddy.arc_u[arc_ids], 1)
-            tail_deg = out_in_class[buddy.arc_u[arc_ids]]
-            low = arc_ids[tail_deg < beta]
+            t = tails[arc_ids]
+            band = factor2_class(np.bincount(t, minlength=g2.n)[t], beta)
+            low = arc_ids[band < 0]
             if low.size:
-                piece, pmap = buddy.arc_subgraph(low)
-                classes.append(
-                    DegreeClass(piece, vmap[pmap], "low", None, int(j), depth)
-                )
-            covered = tail_deg < beta
-            i = 0
-            while (2.0**i) * beta <= 2.0 * s:
-                lo, hi = (2.0**i) * beta, (2.0 ** (i + 1)) * beta
-                sel = (tail_deg >= lo) & (tail_deg < hi)
-                covered |= sel
-                band_ids = arc_ids[sel]
-                if band_ids.size:
-                    piece, pmap = buddy.arc_subgraph(band_ids)
-                    classes.append(
-                        DegreeClass(piece, vmap[pmap], "band", int(i), int(j), depth)
-                    )
-                i += 1
-            rest = arc_ids[~covered]
+                emit(low, "low", None, j)
+            for i in np.unique(band[(band >= 0) & (band <= top_band)]).tolist():
+                emit(arc_ids[band == i], "band", i, j)
+            rest = arc_ids[band > max(top_band, -1)]  # low arcs (band < 0) are emitted
             if rest.size:
                 leftover.append(rest)
         if not leftover:
             return depth
         rest_ids = np.concatenate(leftover)
         levels[-1].m_leftover = int(rest_ids.size)
-        und = WeightedGraph(
-            g2.n,
-            _arrays=(buddy.arc_u[rest_ids], buddy.arc_v[rest_ids], buddy.arc_w[rest_ids]),
-        )
-        sub, pmap = und.edge_subgraph(np.arange(und.m))
+        sub, pmap = g2.edge_subgraph(rest_ids)
         return recurse(sub, vmap[pmap], depth + 1)
 
     max_depth = recurse(g, np.arange(g.n, dtype=np.int64), 0)

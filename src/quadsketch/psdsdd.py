@@ -30,6 +30,10 @@ def check_matrix(a) -> np.ndarray:
         raise ValueError("matrix must be square")
     if a.shape[0] > MATRIX_VERTEX_CAP:
         raise ValueError(f"matrix side exceeds the {MATRIX_VERTEX_CAP} guard")
+    if not np.isfinite(a).all():
+        # every comparison with NaN is False, so the symmetry, SDD and PSD
+        # checks alone let it through
+        raise QuadsketchError("matrix entries must be finite")
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
     if np.abs(a - a.T).max(initial=0.0) > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric")

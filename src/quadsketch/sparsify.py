@@ -44,14 +44,14 @@ class SparsifierConfig:
             raise ValueError("keep_all_threshold must be non-negative")
 
 
-def _weight_classes(w: np.ndarray) -> np.ndarray:
-    """Factor-2 class index anchored at the minimum weight."""
-    wmin = w.min()
-    cls = np.floor(np.log2(w / wmin)).astype(np.int64)
-    # guard against w == 2^k * wmin landing one class high from rounding
-    too_high = w < wmin * np.exp2(cls)
-    cls[too_high] -= 1
-    return cls
+def factor2_class(x, base: float):
+    """Factor-2 class of x over base > 0: the largest integer k with
+    base * 2^k <= x, elementwise (x > 0). Weight classes anchor base at the
+    minimum weight; out-degree bands at beta, where a degree below beta gets
+    a negative class."""
+    k = np.floor(np.log2(x / base)).astype(np.int64)
+    # x / base may round up onto 2^k, and its log2 onto k, with x < base * 2^k
+    return k - (x < np.ldexp(base, k))
 
 
 def _forest_indices(n: int, u: np.ndarray, v: np.ndarray, max_rounds: int) -> np.ndarray:
@@ -89,7 +89,7 @@ def keep_probabilities(g: WeightedGraph, cfg: SparsifierConfig) -> np.ndarray:
     if cfg.kind == "spectral" and n <= RESISTANCE_VERTEX_CAP:
         score = g.edge_w * effective_resistances(g)
         return np.minimum(1.0, target * np.clip(score, 0.0, 1.0))
-    cls = _weight_classes(g.edge_w)
+    cls = factor2_class(g.edge_w, g.edge_w.min())
     p = np.ones(m)
     for c in np.unique(cls):
         sel = np.flatnonzero(cls == c)

@@ -8,7 +8,7 @@
 * ``SpectralBasicSketch``: sparsify, split into factor-2 weight classes,
   partition each at conductance c_alpha * eps^{1/3}, S2-sketch the pieces and
   store the cut edges exactly.
-* ``S3Sketch``: a degree-banded directed piece: cut edges stored exactly
+* ``S3Sketch``: a degree-banded oriented piece: cut edges stored exactly
   plus one S2-shaped record per component. Arcs from low out-degree tails
   are stored, the rest sampled at each head with about eps^{-8/5} draws in
   proportion to weight; the scale is 2 * in_deg, the head's sampled
@@ -32,22 +32,13 @@ from functools import cached_property
 import numpy as np
 
 from .estimator import EdgeSampleEstimator, check_count, cut_and_piece_parts, flatten, piece_estimator
-from .graph import (
-    DirectedGraph,
-    WeightedGraph,
-    as_spectral_query,
-    inverse_map,
-    weighted_degrees,
-)
-from .partition import (
-    degree_class_partition,
-    spectral_preprocessing,
-)
+from .graph import WeightedGraph, as_spectral_query, weighted_degrees
+from .partition import arc_ends, degree_class_partition, spectral_preprocessing
 from .rng import derive_seed, draw_counts, rng_for
 from . import serialize
 from .serialize import Composite, composite, const, f64_array, fields, graph, int_array
 from .serialize import pairs, record, section, seq, switch, varint
-from .sparsify import SparsifierConfig, sparsify
+from .sparsify import SparsifierConfig, factor2_class, sparsify
 
 
 def _exact(g: WeightedGraph) -> EdgeSampleEstimator:
@@ -216,8 +207,7 @@ def spectral_basic_build(
     if g2.m == 0:
         return SpectralBasicSketch(epsilon, g.n, verbatim=g2)
     h = c_alpha * epsilon ** (1.0 / 3.0)
-    wmin = float(g2.edge_w.min())
-    wcls = np.floor(np.log2(g2.edge_w / wmin)).astype(np.int64)
+    wcls = factor2_class(g2.edge_w, g2.edge_w.min())
     classes = []
     events = []
     for j in np.unique(wcls):
@@ -244,7 +234,7 @@ def spectral_basic_build(
 
 
 # ---------------------------------------------------------------------------
-# S3: degree-banded directed pieces
+# S3: degree-banded oriented pieces
 
 
 @dataclass
@@ -269,15 +259,9 @@ class S3Sketch:
 S3_LAYOUT = record(S3Sketch, fields(n=varint), CUT_AND_PIECES)
 
 
-def _arc_order_as_undirected(p: DirectedGraph) -> np.ndarray:
-    """arc index of each edge of p.undirected() (no parallel pairs exist)."""
-    lo = np.minimum(p.arc_u, p.arc_v)
-    hi = np.maximum(p.arc_u, p.arc_v)
-    return np.lexsort((hi, lo))
-
-
 def spectral_s3_build(
-    p: DirectedGraph,
+    p: WeightedGraph,
+    flip: np.ndarray,
     epsilon: float,
     kappa: int,
     seed: int,
@@ -285,7 +269,8 @@ def spectral_s3_build(
     beta: float | None = None,
     c_beta: float = 1.0,
 ) -> S3Sketch:
-    """Sketch one degree-band piece (buddy orientation given by p).
+    """Sketch one degree-band piece p, whose buddy orientation is the mask
+    flip (flip[e]: the arc runs p.edge_v[e] -> p.edge_u[e]).
 
     The conductance partition runs at h = 2^-kappa. In each component an arc
     is stored when its tail's out-degree is below 2^(kappa-1) * beta and
@@ -299,15 +284,12 @@ def spectral_s3_build(
         beta = c_beta * epsilon ** (-8.0 / 5.0)
     draws = math.ceil(beta)
     h = 2.0 ** (-kappa)
-    part = spectral_preprocessing(p.undirected(), h)
-    arc_of_edge = _arc_order_as_undirected(p)
+    part = spectral_preprocessing(p, h)
     threshold = (2.0 ** (kappa - 1)) * beta
     comps = []
     for k, comp in enumerate(part.components):
-        arcs = arc_of_edge[comp.edge_idx]
-        size = comp.vmap.size
-        inv = inverse_map(comp.vmap, p.n)
-        tails, heads, ws = inv[p.arc_u[arcs]], inv[p.arc_v[arcs]], p.arc_w[arcs]
+        size, ws = comp.graph.n, comp.graph.edge_w
+        tails, heads = arc_ends(comp.graph, flip[comp.edge_idx])
         sampled = np.bincount(tails, minlength=size)[tails] >= threshold
         # candidates: each head's sampled in-arcs, in arc order
         order = np.flatnonzero(sampled)[np.argsort(heads[sampled], kind="stable")]
@@ -412,10 +394,11 @@ def spectral_improved_build(
     classes = []
     for ci, dc in enumerate(dcp.classes):
         if dc.kind in ("verbatim", "low"):
-            classes.append(ImprovedClass(dc.kind, dc.vmap, graph=dc.piece.undirected()))
+            classes.append(ImprovedClass(dc.kind, dc.vmap, graph=dc.piece))
         else:
             s3 = spectral_s3_build(
                 dc.piece,
+                dc.flip,
                 epsilon,
                 dc.band,
                 derive_seed(seed, "class", ci),

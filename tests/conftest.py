@@ -14,7 +14,6 @@ from quadsketch.cutsketch import CutSketchGeneral, CutSketchPoly, GeneralScale, 
 from quadsketch.distmincut import partition_edges
 from quadsketch.errors import TooLargeError
 from quadsketch.graph import (
-    DirectedGraph,
     WeightedGraph,
     connected_components,
     cut_weight,
@@ -23,7 +22,7 @@ from quadsketch.graph import (
     is_connected,
 )
 from quadsketch.oracle import enumerate_cut_values, mask_members
-from quadsketch.partition import Component, PartitionResult, cut_preprocessing, find_sparse_cut
+from quadsketch.partition import Component, PartitionResult, arc_ends, cut_preprocessing, find_sparse_cut
 from quadsketch.rng import derive_seed, draw_counts
 from quadsketch.sparsify import SparsifierConfig, sparsify
 
@@ -404,9 +403,19 @@ def relabel(g: WeightedGraph, vmap: np.ndarray, n_new: int) -> WeightedGraph:
     return WeightedGraph(n_new, _arrays=(vmap[g.edge_u], vmap[g.edge_v], g.edge_w))
 
 
-def out_degrees_unweighted(d: DirectedGraph) -> np.ndarray:
-    """Number of arcs leaving each vertex of d."""
-    return np.bincount(d.arc_u, minlength=d.n)
+def orient(n: int, arcs) -> tuple[WeightedGraph, np.ndarray]:
+    """The graph of the arcs (tail, head, w) on n vertices and the
+    orientation mask of its edges (True: the arc runs edge_v -> edge_u)."""
+    g = WeightedGraph(n, arcs)
+    tail_of = {(min(a, b), max(a, b)): a for a, b, _ in arcs}
+    assert len(tail_of) == g.m == len(arcs), "at most one arc per vertex pair"
+    flip = np.array([tail_of[e] == e[1] for e in zip(g.edge_u.tolist(), g.edge_v.tolist())], dtype=bool)
+    return g, flip
+
+
+def out_degrees_unweighted(g: WeightedGraph, flip: np.ndarray) -> np.ndarray:
+    """Number of arcs leaving each vertex of g under the orientation flip."""
+    return np.bincount(arc_ends(g, flip)[0], minlength=g.n)
 
 
 def gnp(n: int, p: float, seed: int, w_lo: float = 1.0, w_hi: float = 1.0) -> WeightedGraph:
@@ -433,6 +442,17 @@ def gnp_connected(n: int, p: float, seed: int, **kw) -> WeightedGraph:
     extra = [(int(order[i]), int(order[(i + 1) % n]), kw.get("w_lo", 1.0)) for i in range(n)]
     edges = list(g.edges()) + extra
     return WeightedGraph(n, edges)
+
+
+def clique_and_path(k: int, tail: int, w_hi: float = 1.5) -> WeightedGraph:
+    """K_k with weights U[1, w_hi] (one weight class) and a unit path of
+    `tail` edges hung on vertex k-1. The path keeps the average degree, and
+    with it the degree-class cap 2s, low, so clique arcs are left over for
+    a second level of the degree-class partition."""
+    rng = np.random.default_rng(1)
+    edges = [(i, j, float(rng.uniform(1, w_hi))) for i in range(k) for j in range(i + 1, k)]
+    edges += [(k - 1 + i, k + i, 1.0) for i in range(tail)]
+    return WeightedGraph(k + tail, edges)
 
 
 def random_members(n: int, rng, nontrivial: bool = True) -> np.ndarray:

@@ -27,6 +27,7 @@ from quadsketch.graph import (
 )
 from quadsketch.oracle import lambda1_normalized, min_cut_exact
 from quadsketch.partition import (
+    arc_ends,
     assign_direction,
     degree_class_partition,
     importance_sample,
@@ -332,8 +333,9 @@ def test_c10_direction_and_recursion():
         g = gnp_connected(n, 0.3, seed=seed)
         t = (2.0, 4.0, 8.0)[seed % 3]
         d = assign_direction(g, t)
-        out = out_degrees_unweighted(d)
-        if not bool(np.all((out[d.arc_u] < t) | (out[d.arc_v] >= t - 1))):
+        out = out_degrees_unweighted(g, d)
+        arc_u, arc_v = arc_ends(g, d)
+        if not bool(np.all((out[arc_u] < t) | (out[arc_v] >= t - 1))):
             pred_ok = False
         dcp = degree_class_partition(g, 0.25, seed=seed)
         s_top = dcp.levels[0].s if dcp.levels else 4.0

@@ -197,6 +197,21 @@ def test_psd_and_sdd_commands(tmp_path, capsys):
     assert code == 0 and text.startswith("# diag")
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "command",
+    [["sdd", "build"], ["sdd", "reduce"], ["psd", "jl-build"]],
+    ids=["sdd-build", "sdd-reduce", "psd-jl-build"],
+)
+def test_non_finite_matrix_exit_1(tmp_path, capsys, bad, command):
+    mp = tmp_path / "m.txt"
+    mp.write_text(f"3\n4 {bad} 0\n{bad} 4 0\n0 0 4\n")
+    out_path = tmp_path / "m.qsk"
+    code, out, err = run_cli([*command, str(mp), "-o", str(out_path)], capsys)
+    assert code == 1 and out == "" and "finite" in err
+    assert not out_path.exists()
+
+
 def test_mincut_csv(tmp_path, capsys):
     g = gnp_connected(14, 0.5, seed=9)
     p = tmp_path / "g.txt"

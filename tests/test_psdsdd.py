@@ -8,6 +8,7 @@ from quadsketch.graph import quadratic_form
 from quadsketch.psdsdd import (
     JlSketch,
     SddSketch,
+    check_matrix,
     check_sdd,
     embed_query,
     jl_build,
@@ -174,6 +175,22 @@ class TestJl:
         back = JlSketch.from_bytes(sk.to_bytes())
         x = rng.normal(size=9)
         assert back.estimate(x) == sk.estimate(x)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_matrix_rejected(bad):
+    # a symmetric pair: NaN fails every comparison, so only an explicit
+    # finiteness check stops it before the symmetry, SDD and PSD checks
+    a = np.diag([4.0, 4.0, 4.0])
+    a[0, 1] = a[1, 0] = bad
+    with pytest.raises(QuadsketchError, match="finite"):
+        check_matrix(a)
+    with pytest.raises(QuadsketchError, match="finite"):
+        sdd_to_laplacian(a)
+    with pytest.raises(QuadsketchError, match="finite"):
+        sdd_sketch_build(a, 0.3, seed=1)
+    with pytest.raises(QuadsketchError, match="finite"):
+        jl_build(a, 0.5, 0.1, seed=1)
 
 
 def test_matrix_parse_format_roundtrip():

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +11,7 @@ from quadsketch.sparsify import (
     SparsifierConfig,
     _forest_indices,
     effective_resistances,
+    factor2_class,
     sparsify,
 )
 
@@ -143,3 +147,52 @@ def test_forest_indices_match_round_loop(n, p, max_rounds, seed):
     assert np.array_equal(
         _forest_indices(n, u, v, max_rounds), forest_indices_by_rounds(n, u, v, max_rounds)
     )
+
+
+def factor2_class_reference(x: float, base: float) -> int:
+    """Largest k with base * 2^k <= x, decided in exact rationals."""
+    q = Fraction(x) / Fraction(base)
+    k = q.numerator.bit_length() - q.denominator.bit_length()
+    while Fraction(2) ** k > q:
+        k -= 1
+    while Fraction(2) ** (k + 1) <= q:
+        k += 1
+    return k
+
+
+def ulps_from(x: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.inf if steps > 0 else 0.0)
+    return x
+
+
+bases = st.one_of(
+    st.floats(1e-6, 1e6),
+    # out-degree band base beta = c_beta * eps^(-8/5), not a power of two
+    st.builds(lambda eps, c: c * eps ** (-8.0 / 5.0), st.floats(0.01, 0.49), st.sampled_from([0.3, 1.0, 2.5])),
+)
+
+
+@given(bases, st.integers(-40, 40), st.integers(-3, 3))
+@settings(max_examples=300, deadline=None)
+def test_factor2_class_at_class_boundaries(base, k, steps):
+    # values within a few ulps on either side of base * 2^k
+    x = ulps_from(math.ldexp(base, k), steps)
+    assert int(factor2_class(x, base)) == factor2_class_reference(x, base)
+
+
+@given(bases, st.lists(st.integers(1, 10**6), min_size=1, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_factor2_class_of_integer_degrees(base, degrees):
+    x = np.array(degrees, dtype=np.int64)
+    assert factor2_class(x, base).tolist() == [factor2_class_reference(d, base) for d in degrees]
+
+
+@given(st.lists(st.floats(1e-8, 1e8), min_size=1, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_factor2_class_of_weights_over_their_minimum(w):
+    w = np.array(w)
+    wmin = float(w.min())
+    cls = factor2_class(w, wmin)
+    assert cls.tolist() == [factor2_class_reference(float(x), wmin) for x in w]
+    assert cls.min() == 0

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from quadsketch.graph import (
-    DirectedGraph,
     WeightedGraph,
     degrees,
     quadratic_form,
@@ -24,9 +23,11 @@ from quadsketch.spectral import (
 )
 
 from conftest import (
+    clique_and_path,
     complete_graph,
     estimator_expectation_exhaustive,
     gnp_connected,
+    orient,
     outcome_sketch,
     outcome_space,
 )
@@ -250,26 +251,24 @@ class TestS3:
     def test_all_stored_is_exact(self, rng):
         # low out-degrees everywhere: every arc lands in the stored set
         arcs = [(i, i + 1, 1.0) for i in range(9)]
-        d = DirectedGraph(10, arcs)
-        sk = spectral_s3_build(d, 0.3, kappa=3, seed=1, beta=4.0)
-        g = d.undirected()
+        g, flip = orient(10, arcs)
+        sk = spectral_s3_build(g, flip, 0.3, kappa=3, seed=1, beta=4.0)
         for _ in range(10):
             x = rng.normal(size=10)
             assert sk.estimate(x) == pytest.approx(quadratic_form(g, x), rel=1e-9, abs=1e-9)
 
     def test_single_vertex_indicator(self):
         arcs = [(1, 0, 2.0), (2, 0, 3.0), (1, 2, 1.0)]
-        d = DirectedGraph(3, arcs)
-        sk = spectral_s3_build(d, 0.4, kappa=2, seed=2, beta=4.0)
+        d, flip = orient(3, arcs)
+        sk = spectral_s3_build(d, flip, 0.4, kappa=2, seed=2, beta=4.0)
         x = np.array([1.0, 0.0, 0.0])
         assert sk.estimate(x) == pytest.approx(5.0, rel=1e-9)
 
     def test_forced_heavy_unbiased_exhaustive(self, rng):
         arcs = [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (4, 1, 1.0), (4, 2, 1.0), (1, 2, 1.3)]
-        d = DirectedGraph(5, arcs)
-        build = lambda: spectral_s3_build(d, 0.3, kappa=1, seed=0, beta=2.0)
+        exact_graph, flip = orient(5, arcs)
+        build = lambda: spectral_s3_build(exact_graph, flip, 0.3, kappa=1, seed=0, beta=2.0)
         spaces = outcome_space(build)
-        exact_graph = d.undirected()
         for x in (rng.normal(size=5), np.array([1.0, -1, 0.5, 2, -2])):
             val = estimator_expectation_exhaustive(spaces, lambda a: outcome_sketch(build, a).estimate(x))
             assert val == pytest.approx(quadratic_form(exact_graph, x), abs=1e-12)
@@ -284,13 +283,31 @@ class TestS3:
         assert abs(sk.estimate(np.ones(20))) <= 1e-9 * g.total_weight
         assert sha256(sk.to_bytes()) == "14f509b2cb2161f06c2bf2928e8bd7f93c74c293e5d099e36997e84e04b2bfb0"
 
+    def test_golden_with_leftover_recursion(self):
+        # pins the bytes of a build whose degree-class partition recurses on
+        # left-over arcs
+        sk = spectral_improved_build(clique_and_path(80, 200), 0.25, 1)
+        assert sk.info["recursion_depth"] == 2
+        assert sha256(sk.to_bytes()) == "8896dcaa2310b314d6c6300cfb285f6d5863e4f67b53de74c82bbd7196412775"
+
+    @pytest.mark.parametrize("k, tail, c_beta", [(80, 200, 8.0), (120, 600, 7.6)])
+    def test_large_c_beta_counts_each_arc_once(self, k, tail, c_beta):
+        # beta > 4s leaves level 0 without bands; low arcs must not also be
+        # deferred to the next level, which would count them twice
+        g = clique_and_path(k, tail)
+        xs = np.random.default_rng(0).normal(size=(4, g.n))
+        for seed in range(3):
+            sk = spectral_improved_build(g, 0.25, seed, c_beta=c_beta)
+            for x in xs:
+                assert sk.estimate(x) == pytest.approx(quadratic_form(g, x), rel=0.05)
+
     def test_h_is_two_to_minus_kappa(self):
         # the conductance partition of the piece runs at h = 2^-kappa
         arcs = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
-        d = DirectedGraph(3, arcs)
+        d, flip = orient(3, arcs)
         for kappa in (1, 3):
             with mock.patch.object(spectral, "spectral_preprocessing", wraps=spectral_preprocessing) as prep:
-                spectral_s3_build(d, 0.3, kappa=kappa, seed=3)
+                spectral_s3_build(d, flip, 0.3, kappa=kappa, seed=3)
             (_, h), _ = prep.call_args
             assert h == 2.0**-kappa
 
