@@ -77,17 +77,14 @@ def sdd_to_laplacian(a) -> tuple[np.ndarray, WeightedGraph]:
     n = a.shape[0]
     off = np.abs(a).sum(axis=1) - np.abs(np.diag(a))
     diag_slack = np.diag(a) - off
-    edges = []
     iu, ju = np.triu_indices(n, k=1)
-    for i, j in zip(iu.tolist(), ju.tolist()):
-        b = a[i, j]
-        if b < 0:
-            edges.append((i, j, -b))
-            edges.append((i + n, j + n, -b))
-        elif b > 0:
-            edges.append((i, j + n, b))
-            edges.append((j, i + n, b))
-    return diag_slack, WeightedGraph(2 * n, edges)
+    b = a[iu, ju]
+    neg, pos = b < 0, b > 0
+    # the four groups share no (u, v) pair, so nothing is merged
+    u = np.concatenate([iu[neg], iu[neg] + n, iu[pos], ju[pos]])
+    v = np.concatenate([ju[neg], ju[neg] + n, ju[pos] + n, iu[pos] + n])
+    w = np.concatenate([-b[neg], -b[neg], b[pos], b[pos]])
+    return diag_slack, WeightedGraph(2 * n, _arrays=(u, v, w))
 
 
 def embed_query(x: np.ndarray) -> np.ndarray:

@@ -6,8 +6,9 @@ expectations are preserved:
 
 * cut kind: a connectivity lower bound from Nagamochi-Ibaraki style iterated
   spanning forests inside each factor-2 weight class;
-* spectral kind: exact effective resistances from a dense pseudoinverse for
-  n <= 512, with a uniform-by-weight-class fallback above.
+* spectral kind: exact effective resistances from one Cholesky factor of the
+  grounded Laplacian for n <= 2048, with a uniform-by-weight-class fallback
+  above.
 
 Deterministic given the seed. After reweighting, edges lighter than
 w_max / n^6 are dropped, which caps the output weight ratio at poly(n).
@@ -20,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph, spanning_forest
+from .errors import QuadsketchError
+from .graph import WeightedGraph, connected_components, spanning_forest
 from .rng import rng_for
 
 OVERSAMPLE = 2.0
-RESISTANCE_VERTEX_CAP = 512
+RESISTANCE_VERTEX_CAP = 2048
 WEIGHT_RATIO_POWER = 6
 
 
@@ -74,10 +76,39 @@ def _forest_indices(n: int, u: np.ndarray, v: np.ndarray, max_rounds: int) -> np
 
 
 def effective_resistances(g: WeightedGraph) -> np.ndarray:
-    """Exact effective resistance of every edge via a dense pseudoinverse."""
-    lp = np.linalg.pinv(g.laplacian())
+    """Exact effective resistance of every edge.
+
+    Grounding one root per component (its smallest vertex) leaves a positive
+    definite block U^T U of the Laplacian (LAPACK potrf, then trtri for
+    U^-1). Its inverse X = U^-1 U^-T, with zero root rows and columns, gives
+    R_uv = X_uu + X_vv - 2 X_uv.
+    """
+    # imported here, like scipy.sparse in graph.spanning_forest: only builds
+    # need it
+    from scipy.linalg.lapack import dpotrf, dtrtri
+
+    if not g.m:
+        return np.zeros(0)
+    labels = connected_components(g)
+    root = np.zeros(g.n, dtype=bool)
+    root[np.unique(labels, return_index=True)[1]] = True
+    inner = np.flatnonzero(~root)
+    # the Laplacian is symmetric, so its transpose is the same matrix in the
+    # Fortran order LAPACK overwrites in place
+    grounded = g.laplacian()[np.ix_(inner, inner)].T
+    factor, info = dpotrf(grounded, overwrite_a=1)
+    if info == 0:
+        inv_factor, info = dtrtri(factor, overwrite_c=1)
+    if info != 0:
+        raise QuadsketchError(f"grounded Laplacian is not numerically positive definite (LAPACK info {info})")
+    # one product forms X with zero root rows and columns; potri would form
+    # it with a step that rounds differently with 1 and 2 OpenBLAS threads
+    # even on a 16-vertex graph
+    t = np.zeros((g.n, inner.size))
+    t[inner] = inv_factor
+    x = t @ t.T
     u, v = g.edge_u, g.edge_v
-    return lp[u, u] + lp[v, v] - 2.0 * lp[u, v]
+    return x[u, u] + x[v, v] - 2.0 * x[u, v]
 
 
 def keep_probabilities(g: WeightedGraph, cfg: SparsifierConfig) -> np.ndarray:

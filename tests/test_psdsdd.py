@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quadsketch.errors import QuadsketchError
-from quadsketch.graph import quadratic_form
+from quadsketch.graph import WeightedGraph, quadratic_form
 from quadsketch.psdsdd import (
     JlSketch,
     SddSketch,
@@ -36,7 +36,34 @@ def random_psd(n, rng, rank=None):
     return b.T @ b
 
 
+def doubled_graph_reference(a):
+    """The reduction's 2n-vertex graph, one off-diagonal entry at a time."""
+    n = a.shape[0]
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            b = a[i, j]
+            if b < 0:
+                edges += [(i, j, -b), (i + n, j + n, -b)]
+            elif b > 0:
+                edges += [(i, j + n, b), (j, i + n, b)]
+    return WeightedGraph(2 * n, edges)
+
+
 class TestReduction:
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 40])
+    def test_doubled_graph_matches_per_entry_reference(self, n):
+        rng = np.random.default_rng(n)
+        for density in (0.0, 0.3, 1.0):
+            a = random_sdd(n, rng)
+            keep = np.triu(rng.random((n, n)) < density, 1)
+            a = np.where(keep | keep.T | np.eye(n, dtype=bool), a, 0.0)
+            _, lap = sdd_to_laplacian(a)
+            ref = doubled_graph_reference(a)
+            for got, want in zip((lap.edge_u, lap.edge_v, lap.edge_w), (ref.edge_u, ref.edge_v, ref.edge_w)):
+                assert np.array_equal(got, want)
+            assert lap.n == 2 * n
+
     def test_identity_500_random_sdd(self):
         rng = np.random.default_rng(0)
         for t in range(500):

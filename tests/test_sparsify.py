@@ -1,3 +1,4 @@
+import importlib
 import math
 from fractions import Fraction
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadsketch import partition, spectral
+from quadsketch.errors import QuadsketchError
 from quadsketch.graph import WeightedGraph, cut_weight
 from quadsketch.oracle import enumerate_cut_values
 from quadsketch.sparsify import (
@@ -16,6 +19,10 @@ from quadsketch.sparsify import (
 )
 
 from conftest import UnionFind, complete_graph, edge_budget, gnp, gnp_connected, random_members
+from test_serialize import GOLDEN, PINNED_ANSWERS
+
+# the package exports the function sparsify under the module's name
+sparsify_module = importlib.import_module("quadsketch.sparsify")
 
 
 def edge_set(g):
@@ -101,6 +108,117 @@ def test_effective_resistance_path():
     r = effective_resistances(g)
     assert r[0] == pytest.approx(1.0, rel=1e-9)
     assert r[1] == pytest.approx(0.5, rel=1e-9)
+
+
+def resistances_pinv(g):
+    """Reference: effective resistances from the Laplacian's pseudoinverse."""
+    lp = np.linalg.pinv(g.laplacian())
+    u, v = g.edge_u, g.edge_v
+    return lp[u, u] + lp[v, v] - 2.0 * lp[u, v]
+
+
+def disjoint(*graphs, isolated=0):
+    """Disjoint union of the graphs, followed by `isolated` edgeless vertices."""
+    shifts = np.cumsum([0] + [g.n for g in graphs])
+    u = np.concatenate([g.edge_u + s for g, s in zip(graphs, shifts)])
+    v = np.concatenate([g.edge_v + s for g, s in zip(graphs, shifts)])
+    w = np.concatenate([g.edge_w for g in graphs])
+    return WeightedGraph(int(shifts[-1]) + isolated, _arrays=(u, v, w))
+
+
+RESISTANCE_CASES = {
+    "single-edge": lambda: WeightedGraph(2, [(0, 1, 1.5)]),
+    "gnp-30": lambda: gnp_connected(30, 0.3, seed=1, w_lo=0.5, w_hi=2.0),
+    "gnp-90-dense": lambda: gnp_connected(90, 0.6, seed=2, w_lo=0.5, w_hi=2.0),
+    "gnp-40-weights-1e-3-1e3": lambda: gnp_connected(40, 0.4, seed=3, w_lo=1e-3, w_hi=1e3),
+    "path-and-cycle": lambda: WeightedGraph(
+        12, [(i, i + 1, 1.0 + i) for i in range(5)] + [(6 + i, 6 + (i + 1) % 6, 2.0) for i in range(6)]
+    ),
+    "two-gnp-and-isolated": lambda: disjoint(
+        gnp_connected(20, 0.3, seed=4, w_lo=0.5, w_hi=2.0), gnp_connected(15, 0.5, seed=5), isolated=3
+    ),
+    "isolated-first": lambda: disjoint(WeightedGraph(4), gnp_connected(25, 0.3, seed=6, w_lo=1.0, w_hi=3.0)),
+    "sparse-gnp-disconnected": lambda: gnp(60, 0.03, seed=7, w_lo=0.5, w_hi=2.0),
+}
+
+
+def scaled(g, scale):
+    return WeightedGraph(g.n, _arrays=(g.edge_u, g.edge_v, g.edge_w * scale))
+
+
+def component_count(g):
+    uf = UnionFind(g.n)
+    for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
+        uf.union(u, v)
+    return uf.n_components
+
+
+@pytest.mark.parametrize("scale", [1e-15, 1e-5, 1.0, 1e5, 1e15])
+@pytest.mark.parametrize("case", list(RESISTANCE_CASES))
+def test_effective_resistances_match_pinv(case, scale):
+    g = scaled(RESISTANCE_CASES[case](), scale)
+    np.testing.assert_allclose(effective_resistances(g), resistances_pinv(g), rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("scale", [1e-15, 1.0, 1e15])
+@pytest.mark.parametrize("case", list(RESISTANCE_CASES))
+def test_foster_theorem(case, scale):
+    # sum_e w_e R_e = rank(L) = n - (number of components)
+    g = scaled(RESISTANCE_CASES[case](), scale)
+    total = float(np.sum(g.edge_w * effective_resistances(g)))
+    assert abs(total - (g.n - component_count(g))) <= 1e-9 * g.n
+
+
+def test_effective_resistances_of_an_edgeless_graph():
+    assert effective_resistances(WeightedGraph(3)).size == 0
+
+
+def test_numerically_indefinite_grounded_laplacian_is_a_domain_error():
+    # grounding vertex 0 leaves [[1e20, -1e20], [-1e20, 1e20]] after rounding
+    # the 1e-20 terms away, whose second Cholesky pivot is 0
+    g = WeightedGraph(3, [(0, 1, 1e-20), (1, 2, 1e20), (0, 2, 1e-20)])
+    with pytest.raises(QuadsketchError, match="positive definite"):
+        effective_resistances(g)
+    with pytest.raises(QuadsketchError, match="positive definite"):
+        sparsify(g, SparsifierConfig(0.5, "spectral", seed=1))
+
+
+# the spectral_basic and SDD inputs whose envelopes and estimator arrays the
+# serialization tests pin
+PINNED_SPECTRAL_INPUTS = {
+    name: entry[0]
+    for name, entry in {**GOLDEN, **PINNED_ANSWERS}.items()
+    if name.startswith(("spectral_basic", "sdd")) and not name.endswith("-verbatim")
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_SPECTRAL_INPUTS))
+def test_kept_edges_match_pinv_reference(case, monkeypatch):
+    calls = []
+
+    def recording(g, cfg):
+        h = sparsify(g, cfg)
+        calls.append((g, cfg, h))
+        return h
+
+    monkeypatch.setattr(spectral, "sparsify", recording)
+    monkeypatch.setattr(partition, "sparsify", recording)
+    PINNED_SPECTRAL_INPUTS[case]()
+    assert any(cfg.kind == "spectral" and g.m > cfg.keep_all_threshold for g, cfg, _ in calls)
+    monkeypatch.setattr(sparsify_module, "effective_resistances", resistances_pinv)
+    for g, cfg, h in calls:
+        assert edge_set(sparsify(g, cfg)) == edge_set(h)
+
+
+def test_bridge_between_dense_halves_kept_above_512_vertices():
+    # a bridge has w R = 1, so p = 1; uniform sampling per weight class, the
+    # fallback above the resistance cap, can drop it
+    half = np.arange(600) < 300
+    for seed in range(20):
+        g = disjoint(gnp(300, 0.5, seed), gnp(300, 0.5, seed + 1000))
+        g = WeightedGraph(600, _arrays=(np.append(g.edge_u, 0), np.append(g.edge_v, 300), np.append(g.edge_w, 1.0)))
+        h = sparsify(g, SparsifierConfig(0.5, "spectral", seed=seed))
+        assert cut_weight(h, half) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_weight_ratio_clipping():
