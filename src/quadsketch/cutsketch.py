@@ -9,7 +9,9 @@ Three tiers, each built on the previous one:
   sketches and exactly stored cut edges on every ladder scale that a query
   can select;
 * ``CutSketchGeneral``: maximum-spanning-forest reduction that snaps an
-  arbitrary weight range onto polynomially bounded slices.
+  arbitrary weight range onto polynomially bounded slices, storing each
+  distinct slice once (a slice equal to the last stored one is skipped, and
+  its queries route to that one).
 
 Sketches are immutable after build. Estimates go through the shared flat
 ``EdgeSampleEstimator``; ``CutSketchPoly`` builds one per ladder scale on
@@ -474,6 +476,11 @@ def cut_sketch_build(
     """General-weight cut sketch: spanning forest plus basic sketches of the
     polynomially-sliced graphs G'_j selected by the factor-2 halving rule.
 
+    A selected slice whose contraction labels and contracted graph (bit
+    for bit) equal those of the last stored slice is not built again: a
+    query routes to the last stored j at or below its own, which is that
+    equal slice.
+
     The mode knob mirrors cut_basic_build.
     """
     if not 0 < epsilon < 1:
@@ -482,12 +489,15 @@ def cut_sketch_build(
         return CutSketchGeneral(epsilon, g.n, verbatim=g)
     tree = mst_max(g)
     stored: list[GeneralScale] = []
-    last_w = None
+    last_w = last = None
     for j, (_, _, wj) in enumerate(tree):
         if last_w is not None and last_w / wj < 2.0:
             continue
         last_w = wj
         labels, gp = _contract(g, wj, g.n)
+        if last is not None and last[1] == gp and np.array_equal(last[0], labels):
+            continue
+        last = labels, gp
         comp_labels = connected_components(gp)
         comps = []
         for lab in range(int(comp_labels.max()) + 1 if gp.n else 0):

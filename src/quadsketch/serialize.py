@@ -73,7 +73,15 @@ class Writer:
         self.buf += struct.pack("<d", x)
 
     def int_array(self, a) -> None:
-        """Length, then one varint per entry; entries lie in [0, 2**63)."""
+        """Length, then one varint per entry; entries lie in [0, 2**63).
+
+        Up to SHORT_ARRAY entries are coded one Python int at a time. Longer
+        arrays whose entries are all below 128 are their own bytes; others
+        fill a (k, B) byte matrix, B the longest varint, from B - 1 shifts
+        (on uint32 unless an entry needs 64 bits); one boolean selection
+        keeps byte j of an entry when j == 0 or the entry has bits at 7j or
+        above.
+        """
         a = np.asarray(a)
         if a.size <= SHORT_ARRAY and a.dtype.kind in "biu":
             # a few entries: numpy's per-call cost would outweigh the work
@@ -92,19 +100,26 @@ class Writer:
             return
         if a.size and a.min() < 0:
             raise ValueError("varint must be non-negative")
-        if a.size and int(a.max()) >> 63:
+        top = int(a.max()) if a.size else 0
+        if top >> 63:
             raise ValueError("int array entry does not fit in 63 bits")
         self.varint(a.size)
-        if a.size == 0:
+        if top < 0x80:
+            self.buf += a.astype(np.uint8).tobytes()
             return
-        x = a.astype(np.uint64).reshape(-1, 1)
-        # an entry has byte j when j == 0 or any bit at 7j or above is set
-        shifts = _SHIFTS[: max(1, (int(x.max()).bit_length() + 6) // 7)]
-        groups = ((x >> shifts) & 0x7F).astype(np.uint8)
-        size = 1 + np.count_nonzero(x >> shifts[1:], axis=1).reshape(-1, 1)
-        j = np.arange(shifts.size)
-        groups[j < size - 1] |= 0x80
-        self.buf += groups[j < size].tobytes()
+        col = a.ravel().astype(np.uint64 if top >> 32 else np.uint32)
+        width = (top.bit_length() + 6) // 7
+        groups = np.empty((col.size, width), dtype=np.uint8)
+        keep = np.empty((col.size, width), dtype=bool)
+        keep[:, 0] = True
+        for j in range(1, width):
+            groups[:, j - 1] = col  # low byte; its bit 7 is set only when keep[:, j] is
+            col = col >> 7
+            np.not_equal(col, 0, out=keep[:, j])
+        groups[:, -1] = col
+        groups[:, :-1] |= keep[:, 1:].view(np.uint8) << 7
+        # compress walks the mask faster than groups[keep] does
+        self.buf += groups.ravel().compress(keep.ravel()).tobytes()
 
     def f64_array(self, a) -> None:
         """Length, then either raw doubles or a small-dictionary encoding.

@@ -5,7 +5,8 @@ importance and reweighted by 1/p (Horvitz-Thompson), so all cut and spectral
 expectations are preserved:
 
 * cut kind: a connectivity lower bound from Nagamochi-Ibaraki style iterated
-  spanning forests inside each factor-2 weight class;
+  spanning forests inside each factor-2 weight class; a class whose edges
+  all keep p = 1 under the degree bound on that index skips the forests;
 * spectral kind: exact effective resistances from one Cholesky factor of the
   grounded Laplacian for n <= 2048, with a uniform-by-weight-class fallback
   above.
@@ -126,9 +127,20 @@ def keep_probabilities(g: WeightedGraph, cfg: SparsifierConfig) -> np.ndarray:
         sel = np.flatnonzero(cls == c)
         gamma = g.edge_w[sel].min()
         if cfg.kind == "cut":
-            max_rounds = int(math.ceil(target)) + 1
-            k = _forest_indices(n, g.edge_u[sel], g.edge_v[sel], max_rounds)
-            p[sel] = np.minimum(1.0, target * g.edge_w[sel] / (gamma * k))
+            u, v = g.edge_u[sel], g.edge_v[sel]
+            # A forest index k_e never exceeds min(d_u, d_v), the degrees in
+            # the class: each earlier forest joins u and v, so it holds an
+            # edge at u other than e, and the forests are edge-disjoint. The
+            # cap (rounds + 1) of an edge that no round took is bounded the
+            # same way. p only grows as k shrinks (also in floating point),
+            # so when it reaches 1 at min(d_u, d_v) for every edge, every p
+            # is exactly 1.0 and the forest rounds cannot change any of them.
+            deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+            scaled = target * g.edge_w[sel]
+            if np.all(scaled / (gamma * np.minimum(deg[u], deg[v])) >= 1.0):
+                continue
+            k = _forest_indices(n, u, v, int(math.ceil(target)) + 1)
+            p[sel] = np.minimum(1.0, scaled / (gamma * k))
         else:
             # uniform fallback per class for instances too big to invert
             budget = OVERSAMPLE * n * logn / eps2

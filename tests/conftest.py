@@ -378,10 +378,51 @@ def cut_basic_reference(g, epsilon, seed, *, mode="auto"):
     return CutSketchPoly(epsilon, g.n, sparsifier=h, ladder=ladder, scales=scales)
 
 
-def cut_general_reference(g, epsilon, seed, *, mode="auto"):
-    """cut_sketch_build with every slice built by cut_basic_reference."""
-    with mock.patch.object(cutsketch, "cut_basic_build", cut_basic_reference):
-        return cutsketch.cut_sketch_build(g, epsilon, seed, mode=mode)
+def cut_general_reference(g, epsilon, seed, *, mode="auto", basic=cut_basic_reference):
+    """cut_sketch_build with every slice built by basic (the full-ladder
+    reference unless given), and with every slice the halving rule selects
+    stored, even one equal to the slice before it."""
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must be in (0, 1)")
+    if cutsketch._use_verbatim(g.n, g.m, epsilon, mode):
+        return CutSketchGeneral(epsilon, g.n, verbatim=g)
+    tree = cutsketch.mst_max(g)
+    stored = []
+    last_w = None
+    for j, (_, _, wj) in enumerate(tree):
+        if last_w is not None and last_w / wj < 2.0:
+            continue
+        last_w = wj
+        labels, gp = cutsketch._contract(g, wj, g.n)
+        comp_labels = connected_components(gp)
+        comps = []
+        for lab in range(int(comp_labels.max()) + 1 if gp.n else 0):
+            vmask = comp_labels == lab
+            if vmask.sum() < 2:
+                continue
+            sub, vmap = gp.induced_subgraph(vmask)
+            comps.append((vmap, basic(sub, epsilon, derive_seed(seed, "slice", j, "comp", lab), mode=mode)))
+        stored.append(GeneralScale(j, labels, comps))
+    return CutSketchGeneral(epsilon, g.n, tree=tree, stored=stored)
+
+
+def repeated_slices(g, ref) -> list[int]:
+    """The stored j of a general sketch of g whose contraction labels and
+    contracted graph equal those of the stored slice before it."""
+    if ref.is_verbatim:
+        return []
+    slices = [cutsketch._contract(g, ref.tree[gs.j][2], g.n) for gs in ref.stored]
+    return [
+        gs.j
+        for gs, (la, ga), (lb, gb) in zip(ref.stored[1:], slices, slices[1:])
+        if np.array_equal(la, lb) and ga == gb
+    ]
+
+
+def without_slices(ref, js) -> CutSketchGeneral:
+    """A general sketch with the stored slices of the given j left out."""
+    stored = [gs for gs in ref.stored if gs.j not in set(js)]
+    return CutSketchGeneral(ref.epsilon, ref.n, tree=ref.tree, stored=stored)
 
 
 def trimmed(ref):

@@ -27,6 +27,7 @@ from quadsketch.oracle import enumerate_cut_values
 from quadsketch.rng import derive_seed, rng_for
 
 from conftest import (
+    UnionFind,
     complete_graph,
     cut_basic_reference,
     cut_general_reference,
@@ -36,7 +37,9 @@ from conftest import (
     outcome_sketch,
     outcome_space,
     random_members,
+    repeated_slices,
     trimmed,
+    without_slices,
 )
 
 
@@ -409,10 +412,15 @@ def clusters(sizes, weights, p, seed):
 # SHA-256 of same-seed pipeline-mode envelopes (version byte 2; the bytes
 # are otherwise those version 1 wrote). The first digest is the
 # full-ladder build as the per-vertex loop build wrote it, which
-# cut_general_reference must still reproduce; the second is the production
-# build, which keeps only the reachable scales of every slice. Every case
-# stores S1 pieces, and the two-cluster case has weight classes with two
-# pieces each.
+# cut_general_reference must still reproduce; it stores every slice the
+# halving rule selects. The second is the production build, which keeps
+# only the reachable scales of every slice and leaves out each slice equal
+# to the one before it. The reference stores j = 0 and 62 of two-clusters
+# and j = 0, 27, 62 and 91 of multi-scale; 62 of the first and 27 and 62 of
+# the second repeat j = 0, so those two production digests were recorded
+# anew when repeated slices stopped being stored (the envelopes equal the
+# reference without those slices, trimmed). Every case stores S1 pieces,
+# and the two-cluster case has weight classes with two pieces each.
 GOLDEN = [
     (
         lambda: gnp_connected(40, 0.9, seed=1),
@@ -426,14 +434,14 @@ GOLDEN = [
         0.1,
         8,
         "956af3c9835f2b822c959e30ac95e6642c04563b685b23aac93e5c9ae9ee9a58",
-        "4f86c34d927eba693e727642cfa2747583777aa9c15cd9e188df2e0c5e2ddca7",
+        "a3c5e630836a9d81492f25bd0fe1a2d6aa1c6c33f8e80ea395f59d8b34b03f11",
     ),
     (
         lambda: clusters([30, 36, 28], [1.0, 30.0, 1000.0], 0.95, 3),
         0.1,
         9,
         "30d4512031377d3fb3252f4ea4ce2b298696dc0ccad2412f03d5cb5259e7f0ba",
-        "f3a96036924fbd1c709bf098cc0268842c82e92226a81e21b78123a08de5c6ac",
+        "b46f0ba940d9d6f1d8dedac30cb7b1d3cbc4594f0478ea0d52572a9b90c33964",
     ),
     (
         lambda: gnp_connected(48, 0.8, seed=4, w_lo=1.0, w_hi=4.0),
@@ -458,16 +466,72 @@ def test_golden_bytes(make, eps, seed, full_digest, digest):
     assert sha256(ref.to_bytes()) == full_digest
     data = cut_sketch_build(g, eps, seed, mode="pipeline").to_bytes()
     assert sha256(data) == digest
-    assert data == trimmed(ref).to_bytes()
+    assert data == trimmed(without_slices(ref, repeated_slices(g, ref))).to_bytes()
 
 
 def test_golden_bytes_empty_cores():
     # four multi-scale clusters whose degrees stay below 1/eps: every class
-    # edge set the build partitions peels to an empty core. SHA-1 of the
-    # envelope as the piece-at-a-time peel wrote it, with version byte 2.
+    # edge set the build partitions peels to an empty core. The first SHA-1
+    # is the envelope as the piece-at-a-time peel wrote it (version byte 2),
+    # with all five selected slices j = 0, 11, 22, 33, 44; 11, 22 and 33
+    # repeat j = 0, and the production envelope, recorded anew when repeated
+    # slices stopped being stored, is that one without them.
     g = clusters([12, 12, 12, 12], [1.0, 3.0, 10.0, 30.0], 0.6, 5)
+    ref = cut_general_reference(g, 0.03, 11, mode="pipeline", basic=cut_basic_build)
+    assert hashlib.sha1(ref.to_bytes()).hexdigest() == "bcf04312251ac49df8f57f0c8d06a14023aaf594"
+    assert repeated_slices(g, ref) == [11, 22, 33]
     data = cut_sketch_build(g, 0.03, 11, mode="pipeline").to_bytes()
-    assert hashlib.sha1(data).hexdigest() == "bcf04312251ac49df8f57f0c8d06a14023aaf594"
+    assert hashlib.sha1(data).hexdigest() == "884fc7cd2c715c844d04a4409dde0ddb47bf2747"
+    assert data == without_slices(ref, [11, 22, 33]).to_bytes()
+
+
+def prefix_component_queries(tree, n, j, rng, count):
+    """Member sets whose first crossed forest edge is tree[j]: unions of the
+    components of the forest edges before j that hold tree[j]'s first
+    endpoint and not its second."""
+    uf = UnionFind(n)
+    for u, v, _ in tree[:j]:
+        uf.union(u, v)
+    root = np.array([uf.find(x) for x in range(n)])
+    u, v, _ = tree[j]
+    others = np.setdiff1d(np.unique(root), [root[u], root[v]])
+    return [np.isin(root, [root[u], *others[rng.random(others.size) < 0.5]]) for _ in range(count)]
+
+
+@pytest.mark.parametrize("light", [False, True])
+def test_slice_is_skipped_only_when_its_contracted_graph_repeats(light):
+    # both forest edges pass the halving rule (1 / 0.4 >= 2), and neither
+    # slice contracts anything; an edge of weight 0.02 lies between
+    # 0.4 / n^3 and 1 / n^3, so only slice j = 1 keeps it
+    g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 0.4)] + [(0, 2, 0.02)] * light)
+    sk = cut_sketch_build(g, 0.5, 3, mode="pipeline")
+    ref = cut_general_reference(g, 0.5, 3, mode="pipeline", basic=cut_basic_build)
+    assert [gs.j for gs in ref.stored] == [0, 1]
+    assert [gs.j for gs in sk.stored] == ([0, 1] if light else [0])
+    assert sk.to_bytes() == without_slices(ref, repeated_slices(g, ref)).to_bytes()
+    s = np.array([False, False, True])  # crosses forest edge j = 1 only
+    assert sk.estimate(s, detail=True).diagnostics["k"] == (1 if light else 0)
+    assert sk.estimate(s) == without_slices(ref, repeated_slices(g, ref)).estimate(s)
+
+
+@pytest.mark.parametrize("case", [1, 2], ids=["two-clusters", "multi-scale"])
+def test_query_past_a_repeated_slice_answers_from_the_kept_slice(case):
+    make, eps, seed, _, _ = GOLDEN[case]
+    g = make()
+    sk = cut_sketch_build(g, eps, seed, mode="pipeline")
+    ref = cut_general_reference(g, eps, seed, mode="pipeline", basic=cut_basic_build)
+    dropped = repeated_slices(g, ref)
+    kept = [gs.j for gs in sk.stored]
+    assert dropped and kept == [gs.j for gs in ref.stored if gs.j not in dropped]
+    rng = np.random.default_rng(case)
+    for j in dropped:
+        home = sk.stored[int(np.searchsorted(kept, j)) - 1]
+        for s in prefix_component_queries(sk.tree, g.n, j, rng, 5):
+            res = sk.estimate(s, detail=True)
+            assert res.diagnostics["j"] == j and res.diagnostics["k"] == home.j
+            contracted = np.bincount(home.labels, weights=s, minlength=g.n) == np.bincount(home.labels, minlength=g.n)
+            assert res.value == sum(poly.estimate(contracted[vmap]) for vmap, poly in home.comps)
+            assert res.value == without_slices(ref, dropped).estimate(s)
 
 
 # graphs of the hypothesis tests: unit weights, U[1, 4], or C06's mix of

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -191,6 +192,85 @@ def test_int_array_errors_agree_across_paths(length):
     for cut in range(1, len(data)):
         with pytest.raises(QuadsketchError, match="truncated"):
             Reader(data[:cut]).int_array()
+
+
+def leb128(values) -> bytes:
+    """Reference: the length, then each entry as unsigned LEB128, one Python
+    int at a time."""
+    out = bytearray()
+    for x in [len(values), *values]:
+        while x > 0x7F:
+            out.append(x & 0x7F | 0x80)
+            x >>= 7
+        out.append(x)
+    return bytes(out)
+
+
+# entries of each LEB128 length: [2^(7(b-1)), 2^(7b)), or [0, 128) for one
+# byte; ten-byte entries (2^63 and up) fit no int64 and must be refused
+LEB128_RANGES = {1: (0, 2**7), 2: (2**7, 2**14), 5: (2**28, 2**35), 9: (2**56, 2**63), 10: (2**63, 2**64)}
+INT_DTYPES = {"bool": 1, "int32": 5, "int64": 9, "uint64": 10}  # dtype -> longest entry it holds
+
+
+@st.composite
+def int_array_inputs(draw):
+    dtype = draw(st.sampled_from(list(INT_DTYPES)))
+    ranges = {b: r for b, r in LEB128_RANGES.items() if b <= INT_DTYPES[dtype]}
+    if dtype == "bool":
+        ranges[1] = (0, 2)
+    if dtype == "int32":
+        ranges[5] = (2**28, 2**31)  # int32 tops out inside 5 bytes
+    widths = draw(st.lists(st.sampled_from(sorted(ranges)), min_size=1, max_size=3, unique=True))
+    length = draw(st.one_of(st.integers(0, 40), st.integers(0, 3000)))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    vals = [rnd.randrange(*ranges[rnd.choice(widths)]) for _ in range(length)]
+    a = np.array(vals, dtype=dtype)
+    if draw(st.booleans()) and length % 2 == 0:
+        a = a.reshape(2, -1)  # 2-D: written in row-major order
+    return a, vals
+
+
+@given(int_array_inputs(), st.sampled_from([None, "negative", "2^63"]))
+@settings(max_examples=150, deadline=None)
+def test_int_array_matches_leb128_reference(case, poison):
+    a, vals = case
+    if poison and vals:
+        at = len(vals) // 2
+        if poison == "negative" and a.dtype.kind == "i":
+            a.flat[at] = -1
+            with pytest.raises(ValueError, match="non-negative"):
+                Writer().int_array(a)
+            return
+        if poison == "2^63" and a.dtype == np.uint64:
+            a.flat[at] = 2**63
+            with pytest.raises(ValueError, match="63 bits"):
+                Writer().int_array(a)
+            return
+    if max(vals, default=0) >> 63:
+        with pytest.raises(ValueError, match="63 bits"):
+            Writer().int_array(a)
+        return
+    w = Writer()
+    w.int_array(a)
+    data = w.getvalue()
+    assert data == leb128(vals)
+    r = Reader(data + b"\x05")
+    back = r.int_array()
+    assert back.dtype == np.int64 and back.tolist() == vals
+    assert r.pos == len(data)
+
+
+@pytest.mark.parametrize("length", [17, 5500])
+@pytest.mark.parametrize("top", [127, 128, 255, 256, 2**14 - 1, 2**14, 2**32 - 1, 2**32, 2**63 - 1])
+def test_int_array_at_each_kernel_cut_over(length, top):
+    # the one-byte path ends at 127, uint32 shifts at 2^32 - 1; entries
+    # spread over every byte length up to the largest
+    vals = [(top >> (7 * (i % 10))) for i in range(length - 1)] + [top]
+    for dtype in ("int64", "uint64"):
+        w = Writer()
+        w.int_array(np.array(vals, dtype=dtype))
+        assert w.getvalue() == leb128(vals)
+        assert Reader(w.getvalue()).int_array().tolist() == vals
 
 
 def test_truncated_fields_rejected():

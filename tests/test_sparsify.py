@@ -15,6 +15,7 @@ from quadsketch.sparsify import (
     _forest_indices,
     effective_resistances,
     factor2_class,
+    keep_probabilities,
     sparsify,
 )
 
@@ -265,6 +266,91 @@ def test_forest_indices_match_round_loop(n, p, max_rounds, seed):
     assert np.array_equal(
         _forest_indices(n, u, v, max_rounds), forest_indices_by_rounds(n, u, v, max_rounds)
     )
+
+
+@given(st.integers(1, 24), st.floats(0.0, 1.0), st.integers(0, 6), st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_forest_index_at_most_smaller_endpoint_degree(n, p, max_rounds, seed):
+    # the bound behind the keep-all certificate, also for the cap
+    # max_rounds + 1 of the edges no forest took
+    g = gnp(n, p, seed)
+    order = np.random.default_rng(seed).permutation(g.m)
+    u, v = g.edge_u[order], g.edge_v[order]
+    deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+    assert np.all(_forest_indices(n, u, v, max_rounds) <= np.minimum(deg[u], deg[v]))
+
+
+def cut_probabilities_by_forests(g, cfg):
+    """Reference cut-kind keep_probabilities: every weight class runs the
+    forest rounds, with no degree certificate."""
+    target = sparsify_module.OVERSAMPLE * math.log(g.n + 2) / cfg.epsilon**2
+    cls = factor2_class(g.edge_w, g.edge_w.min())
+    p = np.ones(g.m)
+    for c in np.unique(cls):
+        sel = np.flatnonzero(cls == c)
+        gamma = g.edge_w[sel].min()
+        k = _forest_indices(g.n, g.edge_u[sel], g.edge_v[sel], int(math.ceil(target)) + 1)
+        p[sel] = np.minimum(1.0, target * g.edge_w[sel] / (gamma * k))
+    return p
+
+
+def forest_calls(monkeypatch) -> list:
+    """Patch _forest_indices to record the classes it is called on."""
+    calls = []
+
+    def recording(n, u, v, max_rounds):
+        calls.append(u.size)
+        return _forest_indices(n, u, v, max_rounds)
+
+    monkeypatch.setattr(sparsify_module, "_forest_indices", recording)
+    return calls
+
+
+# (graph, eps, weight classes, classes the degree certificate leaves to the
+# forest rounds, edges with p < 1). In K_n, scanned in canonical order,
+# forest r is the star at vertex r - 1 over r - 1, ..., n - 1, so edge
+# (n - 2, n - 1) has forest index n - 1, its degree: the bound is tight, and
+# K40 sits on either side of it at target = 40.4 (eps 0.43) and 36.9 (eps
+# 0.45), where the six edges of forests 37-39 are sampled.
+CERTIFICATE_CASES = {
+    "K40-all-certified": (lambda: complete_graph(40), 0.2, 1, 0, 0),
+    "K40-just-certified": (lambda: complete_graph(40), 0.43, 1, 0, 0),
+    "K40-just-uncertified": (lambda: complete_graph(40), 0.45, 1, 1, 6),
+    "K40-eps-0.9-uncertified": (lambda: complete_graph(40), 0.9, 1, 1, 465),
+    "path-all-certified": (lambda: WeightedGraph(30, [(i, i + 1, 1.0) for i in range(29)]), 0.4, 1, 0, 0),
+    "G128-all-certified": (lambda: gnp(128, 0.35, seed=1), 0.2, 1, 0, 0),
+    "weights-1-1e3": (lambda: gnp_connected(60, 0.6, seed=3, w_lo=1.0, w_hi=1e3), 0.9, 10, 2, 0),
+    "weights-1-8-mixed": (lambda: gnp_connected(80, 0.9, seed=3, w_lo=1.0, w_hi=8.0), 0.7, 3, 2, 45),
+}
+
+
+@pytest.mark.parametrize("case", list(CERTIFICATE_CASES))
+def test_cut_probabilities_match_forest_reference(case, monkeypatch):
+    make, eps, classes, uncertified, sampled = CERTIFICATE_CASES[case]
+    g = make()
+    cfg = SparsifierConfig(eps, "cut", seed=5)
+    ref = cut_probabilities_by_forests(g, cfg)
+    calls = forest_calls(monkeypatch)
+    p = keep_probabilities(g, cfg)
+    assert p.tobytes() == ref.tobytes()
+    assert np.unique(factor2_class(g.edge_w, g.edge_w.min())).size == classes
+    assert len(calls) == uncertified and int(np.count_nonzero(p < 1.0)) == sampled
+
+
+@given(
+    st.integers(2, 40),
+    st.floats(0.05, 1.0),
+    st.sampled_from([(1.0, 1.0), (1.0, 4.0), (1.0, 1e4)]),
+    st.floats(0.05, 0.95),
+    st.integers(0, 10**6),
+)
+@settings(max_examples=100, deadline=None)
+def test_cut_probabilities_match_forest_reference_on_random_graphs(n, density, weights, eps, seed):
+    g = gnp(n, density, seed, *weights)
+    if not g.m:
+        return
+    cfg = SparsifierConfig(eps, "cut", seed=seed)
+    assert keep_probabilities(g, cfg).tobytes() == cut_probabilities_by_forests(g, cfg).tobytes()
 
 
 def factor2_class_reference(x: float, base: float) -> int:
