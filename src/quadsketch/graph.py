@@ -239,12 +239,6 @@ def degrees(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     return delta, np.bincount(np.concatenate([g.edge_u, g.edge_v]), minlength=g.n)
 
 
-def volume(g: WeightedGraph, members) -> float:
-    s = as_cut_query(g.n, members)
-    delta, _ = degrees(g)
-    return float(delta[s].sum())
-
-
 def conductance(g: WeightedGraph, members) -> float:
     """Phi(S) = w(S, S̄) / min(vol S, vol S̄)."""
     s = as_cut_query(g.n, members)

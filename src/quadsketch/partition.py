@@ -2,8 +2,11 @@
 
 Shared by the cut and spectral sketches:
 
-* ``find_sparse_cut``: exact subset enumeration for small components (with a
-  spectral certificate to skip hopeless scans), Fiedler sweep above;
+* ``find_sparse_cut``: one ratio w(∂S) / min(μ(S), μ(S̄)) for both modes
+  (edge expansion: unit edge and vertex weights; conductance: edge weights
+  and weighted degrees), searched by a singleton test, a Cheeger-type
+  λ₁/2 certificate, exact subset enumeration for small components and a
+  Fiedler sweep above;
 * ``cut_preprocessing``: rescale / discard / importance-sample / weight-class
   split / expansion partition, producing expander pieces plus stored cut
   edges Q;
@@ -28,10 +31,10 @@ from .errors import QuadsketchError
 from .graph import (
     WeightedGraph,
     connected_components,
-    degrees,
     inverse_map,
     label_components,
     subset_cut_blocks,
+    weighted_degrees,
 )
 from .oracle import mask_members
 from .rng import derive_seed, rng_for
@@ -50,35 +53,16 @@ class SparseCutResult:
     certified: bool  # True when absence/presence was decided exactly
 
 
-def _metric_prefix_sweep(g: WeightedGraph, order: np.ndarray, mode: str, delta):
-    """Cut metric of every prefix of `order`, normalized by the smaller side."""
-    n = g.n
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(n)
-    pu, pv = pos[g.edge_u], pos[g.edge_v]
-    lo = np.minimum(pu, pv)
-    hi = np.maximum(pu, pv)
-    # edge crosses prefix of length k iff lo < k <= hi
-    w = g.edge_w if mode == "conductance" else np.ones(g.m)
-    diff = np.zeros(n + 1)
-    np.add.at(diff, lo + 1, w)
-    np.add.at(diff, hi + 1, -w)
-    cut_at = np.cumsum(diff)[1:n]  # prefix sizes 1..n-1
-    if mode == "conductance":
-        vol = np.cumsum(delta[order])[: n - 1]
-        denom = np.minimum(vol, delta.sum() - vol)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(denom > 0, cut_at / denom, np.inf)
-    else:
-        sizes = np.arange(1, n)
-        denom = np.minimum(sizes, n - sizes)
-        vals = cut_at / denom
-    return vals
-
-
 def _qualifies(value, mode: str, threshold: float):
     """Elementwise on arrays."""
     return value < threshold if mode == "edge_expansion" else value <= threshold
+
+
+def _ratio(cut, side, total):
+    """cut / min(side, total - side), inf where that minimum is 0."""
+    denom = np.minimum(side, total - side)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom > 0, cut / denom, np.inf)
 
 
 def _reject_nan(name: str, value: float) -> None:
@@ -90,8 +74,10 @@ def _reject_nan(name: str, value: float) -> None:
 def find_sparse_cut(g: WeightedGraph, mode: str, threshold: float) -> SparseCutResult:
     """Search for a cut below the threshold (smaller side returned).
 
-    edge_expansion mode: |∂(S, S̄)| / |S| < threshold;
-    conductance mode: Φ(S) <= threshold.
+    Both modes score the ratio w(∂S) / min(μ(S), μ(S̄)):
+    edge_expansion counts edges and vertices and qualifies below the
+    threshold (|∂(S, S̄)| / |S| < threshold); conductance sums edge weights
+    and weighted degrees and qualifies at or below it (Φ(S) <= threshold).
 
     Deterministic: singletons are tried in vertex order, then subsets in a
     fixed canonical enumeration (small components), or the best Fiedler sweep
@@ -108,20 +94,14 @@ def find_sparse_cut(g: WeightedGraph, mode: str, threshold: float) -> SparseCutR
     if labels.max() > 0:
         # a disconnected input has a zero cut: return the smallest piece
         return SparseCutResult(_smallest_component(labels), True)
-    delta, udeg = degrees(g)
+    # edge weights ew and vertex weights vw of the ratio
+    ew = g.edge_w if mode == "conductance" else np.ones(g.m)
+    deg = weighted_degrees(n, g.edge_u, g.edge_v, ew)
+    vw = deg if mode == "conductance" else np.ones(n)
+    total = vw.sum()
 
     # cheap qualifying singleton, in vertex order
-    if mode == "edge_expansion":
-        single = udeg.astype(float)
-    else:
-        vol = delta.sum()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            single = np.where(
-                np.minimum(delta, vol - delta) > 0,
-                delta / np.minimum(delta, vol - delta),
-                np.inf,
-            )
-    hit = np.flatnonzero(_qualifies(single, mode, threshold))
+    hit = np.flatnonzero(_qualifies(_ratio(deg, vw, total), mode, threshold))
     if hit.size:
         members = np.zeros(n, dtype=bool)
         members[hit[0]] = True
@@ -130,90 +110,70 @@ def find_sparse_cut(g: WeightedGraph, mode: str, threshold: float) -> SparseCutR
         # a single edge has one cut, the singleton just tested
         return SparseCutResult(None, True)
 
-    # spectral certificate: expansion >= lambda_1(L)/2, conductance >= lambda_1(L~)/2
-    if mode == "edge_expansion":
-        a = np.zeros((n, n))
-        a[g.edge_u, g.edge_v] = 1.0
-        a[g.edge_v, g.edge_u] = 1.0
-        lap = np.diag(a.sum(axis=1)) - a
-        vals, vecs = np.linalg.eigh(lap)
-        lam1 = float(vals[1])
-        fiedler = vecs[:, 1]
-        if lam1 / 2.0 >= threshold:
-            return SparseCutResult(None, True)
-    else:
-        inv_sqrt = 1.0 / np.sqrt(delta)
-        a = g.adjacency_matrix()
-        nl = np.eye(n) - (inv_sqrt[:, None] * a) * inv_sqrt[None, :]
-        vals, vecs = np.linalg.eigh(nl)
-        lam1 = float(vals[1])
-        fiedler = vecs[:, 1] * inv_sqrt
-        if lam1 / 2.0 > threshold:
-            return SparseCutResult(None, True)
+    # spectral certificate: every ratio is at least lambda_1/2 of
+    # diag(deg / vw) - V^-1/2 A V^-1/2, which is D - A for edge_expansion
+    # and the normalized Laplacian I - D^-1/2 A D^-1/2 for conductance,
+    # entry for entry (deg / vw is exactly 1.0 when vw = deg)
+    inv_sqrt = 1.0 / np.sqrt(vw)
+    a = np.zeros((n, n))
+    a[g.edge_u, g.edge_v] = ew
+    a[g.edge_v, g.edge_u] = ew
+    vals, vecs = np.linalg.eigh(np.diag(deg / vw) - (inv_sqrt[:, None] * a) * inv_sqrt[None, :])
+    if not _qualifies(float(vals[1]) / 2.0, mode, threshold):
+        return SparseCutResult(None, True)
 
     if n <= EXHAUSTIVE_CUT_CAP:
-        return SparseCutResult(_exhaustive_cut(g, mode, threshold, delta), True)
+        return SparseCutResult(_exhaustive_cut(g, mode, threshold, ew, vw), True)
 
     # Fiedler sweep heuristic: best prefix of the sorted embedding
-    order = np.lexsort((np.arange(n), fiedler))
-    vals_prefix = _metric_prefix_sweep(g, order, mode, delta)
-    best = int(np.argmin(vals_prefix))
-    if _qualifies(float(vals_prefix[best]), mode, threshold):
+    order = np.lexsort((np.arange(n), vecs[:, 1] * inv_sqrt))
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    pu, pv = pos[g.edge_u], pos[g.edge_v]
+    # an edge crosses the prefix of length k iff min(pu, pv) < k <= max(pu, pv)
+    diff = np.zeros(n + 1)
+    np.add.at(diff, np.minimum(pu, pv) + 1, ew)
+    np.add.at(diff, np.maximum(pu, pv) + 1, -ew)
+    prefix = _ratio(np.cumsum(diff)[1:n], np.cumsum(vw[order])[: n - 1], total)
+    best = int(np.argmin(prefix))
+    if _qualifies(float(prefix[best]), mode, threshold):
         members = np.zeros(n, dtype=bool)
         members[order[: best + 1]] = True
-        if members.sum() > n // 2:
-            members = ~members
-        return SparseCutResult(members, True)
+        return SparseCutResult(_smaller_side(members), True)
     return SparseCutResult(None, False)
 
 
-CONFIRM_BATCH = 256  # filtered masks re-scored at once in conductance mode
+CONFIRM_BATCH = 256  # filtered masks re-scored at once
 
 
-def _exhaustive_cut(g, mode, threshold, delta) -> np.ndarray | None:
-    """First qualifying subset in mask-ascending order over bits 0..n-2.
+def _exhaustive_cut(g, mode, threshold, ew, vw) -> np.ndarray | None:
+    """First qualifying subset in mask-ascending order over bits 0..n-2,
+    scored with edge weights ew and vertex weights vw.
 
     Every mask is scored by the meet-in-the-middle product of
-    subset_cut_blocks. In edge_expansion mode the crossing counts are exact
-    integers, so the scores are the ones an edge-by-edge sum gives. In
-    conductance mode the product sums in another order, so its scores only
-    filter: widened by an absolute slack of 1e-9 of the total volume (far
-    above the product's rounding error), every mask that qualifies passes.
-    The passing masks, in ascending order, are re-scored with the crossing
-    weights summed in edge order and the side volume in bit order, which
-    decides exactly as a sequential scan of all masks would.
+    subset_cut_blocks, which sums in another order than edge by edge, so its
+    scores only filter: widened by an absolute slack of 1e-9 of the total
+    vertex weight (far above the product's rounding error), every mask that
+    qualifies passes. The passing masks, in ascending order, are re-scored
+    with the crossing weights summed in edge order and the side weight in
+    bit order, which decides exactly as a sequential scan of all masks
+    would. (Unit weights give exact integer sums in either order.)
     """
     n = g.n
-    if mode == "edge_expansion":
-        for first, cnt, pc in subset_cut_blocks(g, np.ones(g.m), np.ones(n)):
-            hit = np.flatnonzero(cnt / np.minimum(pc, n - pc) < threshold)
-            if hit.size:
-                return _smaller_side(mask_members(first + hit[:1], n)[0])
-        return None
-    total_vol = delta.sum()
-    slack = 1e-9 * total_vol
-    for first, cut, vol in subset_cut_blocks(g, g.edge_w, delta):
-        denom = np.minimum(vol, total_vol - vol)
+    total = vw.sum()
+    slack = 1e-9 * total
+    for first, cut, side in subset_cut_blocks(g, ew, vw):
+        denom = np.minimum(side, total - side)
         cand = first + np.flatnonzero(cut - slack <= threshold * (denom + slack))
         for c0 in range(0, cand.size, CONFIRM_BATCH):
-            masks = cand[c0 : c0 + CONFIRM_BATCH]
-            bits = mask_members(masks, n)
-            ok = _conductance_qualifies(g, bits, delta, total_vol, threshold)
+            bits = mask_members(cand[c0 : c0 + CONFIRM_BATCH], n)
+            crossing = bits[:, g.edge_u] != bits[:, g.edge_v]
+            cut_e = np.cumsum(np.where(crossing, ew, 0.0), axis=1)[:, -1]
+            side_b = np.cumsum(bits[:, :-1] * vw[:-1], axis=1)[:, -1]
+            ok = _qualifies(_ratio(cut_e, side_b, total), mode, threshold)
             if ok.any():
                 return _smaller_side(bits[ok.argmax()])
     return None
-
-
-def _conductance_qualifies(g, bits, delta, total_vol, threshold) -> np.ndarray:
-    """Φ(S) <= threshold for each row of bits, summed in edge order and in
-    vertex order."""
-    crossing = bits[:, g.edge_u] != bits[:, g.edge_v]
-    cw = np.cumsum(np.where(crossing, g.edge_w, 0.0), axis=1)[:, -1]
-    side_vol = np.cumsum(bits[:, :-1] * delta[:-1], axis=1)[:, -1]
-    denom = np.minimum(side_vol, total_vol - side_vol)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where(denom > 0, cw / denom, np.inf)
-    return vals <= threshold
 
 
 def _smallest_component(labels: np.ndarray) -> np.ndarray:

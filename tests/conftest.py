@@ -20,9 +20,17 @@ from quadsketch.graph import (
     degrees,
     format_graph,
     is_connected,
+    subset_cut_blocks,
 )
 from quadsketch.oracle import enumerate_cut_values, mask_members
-from quadsketch.partition import Component, PartitionResult, arc_ends, cut_preprocessing, find_sparse_cut
+from quadsketch.partition import (
+    EXHAUSTIVE_CUT_CAP,
+    Component,
+    PartitionResult,
+    arc_ends,
+    cut_preprocessing,
+    find_sparse_cut,
+)
 from quadsketch.rng import derive_seed, draw_counts
 from quadsketch.sparsify import SparsifierConfig, sparsify
 
@@ -63,13 +71,20 @@ class UnionFind:
         return True
 
 
+def ratio_weights(g, mode):
+    """Edge and vertex weights of the mode's ratio w(∂S) / min(μ(S), μ(S̄)):
+    edge weights and weighted degrees for conductance, ones for expansion."""
+    if mode == "conductance":
+        return g.edge_w, degrees(g)[0]
+    return np.ones(g.m), np.ones(g.n)
+
+
 def mask_scores_reference(g, mode, masks):
     """Conductance (weighted) or expansion (unit weights) of each mask over
     bits 0..n-2, with the arithmetic of the mask scan that the
     meet-in-the-middle product replaced: crossing weights summed edge by
     edge, side weights bit by bit."""
-    w = g.edge_w if mode == "conductance" else np.ones(g.m)
-    vw = degrees(g)[0] if mode == "conductance" else np.ones(g.n)
+    w, vw = ratio_weights(g, mode)
     cw = np.zeros(masks.size)
     for u, v, ww in zip(g.edge_u.tolist(), g.edge_v.tolist(), w.tolist()):
         cw += (((masks >> u) ^ (masks >> v)) & 1) * ww
@@ -92,6 +107,131 @@ def exhaustive_cut_reference(g, mode, threshold):
         return None
     members = np.array([((int(hit[0]) + 1) >> b) & 1 for b in range(n)], dtype=bool)
     return ~members if members.sum() > n // 2 else members
+
+
+def _legacy_qualifies(value, mode, threshold):
+    return value < threshold if mode == "edge_expansion" else value <= threshold
+
+
+def _legacy_spectrum(g, mode, delta):
+    """(lambda_1, Fiedler vector) of D - A (edge_expansion, unit weights) or
+    of I - D^-1/2 A D^-1/2 (conductance), each built as the two-branch
+    search built it."""
+    n = g.n
+    if mode == "edge_expansion":
+        a = np.zeros((n, n))
+        a[g.edge_u, g.edge_v] = 1.0
+        a[g.edge_v, g.edge_u] = 1.0
+        vals, vecs = np.linalg.eigh(np.diag(a.sum(axis=1)) - a)
+        return float(vals[1]), vecs[:, 1]
+    inv_sqrt = 1.0 / np.sqrt(delta)
+    a = g.adjacency_matrix()
+    vals, vecs = np.linalg.eigh(np.eye(n) - (inv_sqrt[:, None] * a) * inv_sqrt[None, :])
+    return float(vals[1]), vecs[:, 1] * inv_sqrt
+
+
+def _legacy_prefix_sweep(g, order, mode, delta):
+    """Cut metric of every prefix of order, normalized by the smaller side."""
+    n = g.n
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    pu, pv = pos[g.edge_u], pos[g.edge_v]
+    lo = np.minimum(pu, pv)
+    hi = np.maximum(pu, pv)
+    w = g.edge_w if mode == "conductance" else np.ones(g.m)
+    diff = np.zeros(n + 1)
+    np.add.at(diff, lo + 1, w)
+    np.add.at(diff, hi + 1, -w)
+    cut_at = np.cumsum(diff)[1:n]
+    if mode == "conductance":
+        vol = np.cumsum(delta[order])[: n - 1]
+        denom = np.minimum(vol, delta.sum() - vol)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(denom > 0, cut_at / denom, np.inf)
+    sizes = np.arange(1, n)
+    return cut_at / np.minimum(sizes, n - sizes)
+
+
+def _legacy_exhaustive_cut(g, mode, threshold, delta):
+    """Integer test per mask in edge_expansion mode; slack filter plus an
+    edge-order re-check in conductance mode."""
+    n = g.n
+    if mode == "edge_expansion":
+        for first, cnt, pc in subset_cut_blocks(g, np.ones(g.m), np.ones(n)):
+            hit = np.flatnonzero(cnt / np.minimum(pc, n - pc) < threshold)
+            if hit.size:
+                return _legacy_smaller_side(mask_members(first + hit[:1], n)[0])
+        return None
+    total_vol = delta.sum()
+    slack = 1e-9 * total_vol
+    for first, cut, vol in subset_cut_blocks(g, g.edge_w, delta):
+        denom = np.minimum(vol, total_vol - vol)
+        cand = first + np.flatnonzero(cut - slack <= threshold * (denom + slack))
+        for c0 in range(0, cand.size, 256):
+            bits = mask_members(cand[c0 : c0 + 256], n)
+            crossing = bits[:, g.edge_u] != bits[:, g.edge_v]
+            cw = np.cumsum(np.where(crossing, g.edge_w, 0.0), axis=1)[:, -1]
+            side_vol = np.cumsum(bits[:, :-1] * delta[:-1], axis=1)[:, -1]
+            denom_b = np.minimum(side_vol, total_vol - side_vol)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ok = np.where(denom_b > 0, cw / denom_b, np.inf) <= threshold
+            if ok.any():
+                return _legacy_smaller_side(bits[ok.argmax()])
+    return None
+
+
+def _legacy_smaller_side(members):
+    return ~members if members.sum() > members.size // 2 else members
+
+
+def find_sparse_cut_reference(g, mode, threshold):
+    """(members, certified) of the search that wrote every step once per
+    mode: its own singleton formulas, eigen-matrices, certificate
+    comparisons (>= for edge_expansion, > for conductance), exhaustive scans
+    and sweep denominators. For connected g with at least 2 vertices;
+    partition.find_sparse_cut must agree with it."""
+    n = g.n
+    delta, udeg = degrees(g)
+    if mode == "edge_expansion":
+        single = udeg.astype(float)
+    else:
+        vol = delta.sum()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            single = np.where(np.minimum(delta, vol - delta) > 0, delta / np.minimum(delta, vol - delta), np.inf)
+    hit = np.flatnonzero(_legacy_qualifies(single, mode, threshold))
+    if hit.size:
+        members = np.zeros(n, dtype=bool)
+        members[hit[0]] = True
+        return members, True
+    if n == 2:
+        return None, True
+    lam1, fiedler = _legacy_spectrum(g, mode, delta)
+    if (lam1 / 2.0 >= threshold) if mode == "edge_expansion" else (lam1 / 2.0 > threshold):
+        return None, True
+    if n <= EXHAUSTIVE_CUT_CAP:
+        return _legacy_exhaustive_cut(g, mode, threshold, delta), True
+    order = np.lexsort((np.arange(n), fiedler))
+    vals = _legacy_prefix_sweep(g, order, mode, delta)
+    best = int(np.argmin(vals))
+    if _legacy_qualifies(float(vals[best]), mode, threshold):
+        members = np.zeros(n, dtype=bool)
+        members[order[: best + 1]] = True
+        return _legacy_smaller_side(members), True
+    return None, False
+
+
+def sparse_cut_thresholds(g, mode):
+    """The thresholds where a search decides by a hair: the least singleton
+    ratio, lambda_1/2 of the mode's matrix and the best sweep prefix of the
+    reference search, each with its two neighbouring floats."""
+    delta, udeg = degrees(g)
+    if mode == "edge_expansion":
+        single = float(udeg.min())
+    else:
+        single = float((delta / np.minimum(delta, delta.sum() - delta)).min())
+    lam1, fiedler = _legacy_spectrum(g, mode, delta)
+    sweep = float(_legacy_prefix_sweep(g, np.lexsort((np.arange(g.n), fiedler)), mode, delta).min())
+    return [float(t) for x in (single, lam1 / 2.0, sweep) for t in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf))]
 
 
 def threshold_core_reference(g, vmap, eidx, threshold):

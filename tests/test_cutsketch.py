@@ -186,6 +186,12 @@ class TestCutBasic:
         assert cut_basic_build(g, 0.2, seed=3).is_verbatim
         assert cut_basic_build(g, 1.0 / 64, seed=3).is_verbatim  # below 1/n
 
+    def test_pipeline_sketches_at_exactly_one_over_n(self):
+        # verbatim only strictly below 1/n
+        g = gnp_connected(16, 0.5, seed=2)
+        assert not cut_basic_build(g, 1.0 / 16, seed=3, mode="pipeline").is_verbatim
+        assert cut_basic_build(g, float(np.nextafter(1.0 / 16, 0.0)), seed=3, mode="pipeline").is_verbatim
+
     def test_ladder_covers_cut_range(self):
         g = gnp_connected(16, 0.4, seed=5, w_lo=0.5, w_hi=300.0)
         ladder = build_ladder(g)

@@ -39,12 +39,15 @@ from conftest import (
     clique_and_path,
     complete_graph,
     exhaustive_cut_reference,
+    find_sparse_cut_reference,
     gnp,
     gnp_connected,
     mask_scores_reference,
     out_degrees_unweighted,
     partition_by_cuts_reference,
     random_members,
+    ratio_weights,
+    sparse_cut_thresholds,
     recursion_depth_bound,
     threshold_core_reference,
 )
@@ -127,6 +130,28 @@ class TestFindSparseCut:
             assert np.array_equal(a.members, b.members)
 
 
+class TestOneRatioSearch:
+    """find_sparse_cut scores both modes with one ratio; it must answer as
+    the search that wrote each step once per mode did."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 10, 14, 20, 21, 24, 30, 40, 60])
+    @pytest.mark.parametrize("w_hi", [1.0, 4.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_answer_as_two_branch_search(self, n, w_hi, seed):
+        rng = np.random.default_rng([n, seed])
+        g = gnp_connected(n, min(1.0, float(rng.uniform(2.5, 8.0)) / n), seed, w_lo=1.0, w_hi=w_hi)
+        for mode in ("edge_expansion", "conductance"):
+            near = sparse_cut_thresholds(g, mode)
+            # random thresholds up to twice the sweep's best prefix
+            far = rng.uniform(0.0, 2.0 * near[7], size=3).tolist()
+            for threshold in near + far:
+                res = find_sparse_cut(g, mode, threshold)
+                want, certified = find_sparse_cut_reference(g, mode, threshold)
+                assert res.certified == certified, (mode, threshold)
+                assert (res.members is None) == (want is None), (mode, threshold)
+                assert want is None or np.array_equal(res.members, want), (mode, threshold)
+
+
 def connected_with_repeated_weights(n, p, seed):
     """A random spanning tree plus G(n, p) edges, weights drawn from a
     few values, so that many masks score the same."""
@@ -159,7 +184,7 @@ class TestExhaustiveCut:
         threshold = float(mask_scores_reference(g, mode, mask)[0])
         if nudge:
             threshold = float(np.nextafter(threshold, np.inf * nudge))
-        got = _exhaustive_cut(g, mode, threshold, degrees(g)[0])
+        got = _exhaustive_cut(g, mode, threshold, *ratio_weights(g, mode))
         want = exhaustive_cut_reference(g, mode, threshold)
         assert (got is None) == (want is None)
         if want is not None:
@@ -175,14 +200,14 @@ class TestExhaustiveCut:
         for mode in ("conductance", "edge_expansion"):
             least = float(mask_scores_reference(g, mode, np.arange(1, 1 << (n - 1))).min())
             for threshold in (least, float(np.nextafter(least, np.inf))):
-                got = _exhaustive_cut(g, mode, threshold, degrees(g)[0])
+                got = _exhaustive_cut(g, mode, threshold, *ratio_weights(g, mode))
                 want = exhaustive_cut_reference(g, mode, threshold)
                 assert (got is None) == (want is None)
                 assert want is None or np.array_equal(got, want)
 
     def test_no_qualifying_mask(self):
         g = complete_graph(7)
-        assert _exhaustive_cut(g, "conductance", 0.1, degrees(g)[0]) is None
+        assert _exhaustive_cut(g, "conductance", 0.1, *ratio_weights(g, "conductance")) is None
         assert exhaustive_cut_reference(g, "conductance", 0.1) is None
 
 

@@ -365,3 +365,10 @@ class TestSpectralImproved:
         g = gnp_connected(16, 0.5, seed=9)
         sk = spectral_improved_build(g, 1.0 / 32, seed=10)
         assert sk.is_verbatim
+
+    @pytest.mark.parametrize("build", [spectral_basic_build, spectral_improved_build])
+    def test_verbatim_at_exactly_one_over_n(self, build):
+        # the spectral rule is eps <= 1/n; the cut builders' is eps < 1/n
+        g = gnp_connected(16, 0.5, seed=9)
+        assert build(g, 1.0 / 16, seed=10).is_verbatim
+        assert not build(g, float(np.nextafter(1.0 / 16, 1.0)), seed=10).is_verbatim
