@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from quadsketch.cli import main
-from quadsketch.cutsketch import cut_sketch_build
+from quadsketch.cutsketch import cut_basic_build, cut_sketch_build
 from quadsketch.graph import save_graph
-from quadsketch.serialize import Writer, envelope
+from quadsketch.serialize import Writer, envelope, sketch_class
 from quadsketch.spectral import spectral_improved_build
 
 from conftest import format_matrix, gnp_connected
@@ -124,6 +124,48 @@ def test_spectral_roundtrip(rand_graph, tmp_path, capsys):
     code, text, _ = run_cli(["spectral-sketch", "query", str(out), "--", q], capsys)
     assert code == 0
     float(text.strip())
+
+
+def test_cut_query_detail_on_a_ladder_sketch(tmp_path, capsys):
+    g = gnp_connected(20, 0.5, seed=5)
+    sk = cut_basic_build(g, 0.15, 3, mode="pipeline")
+    assert not sk.is_verbatim
+    skp = tmp_path / "poly.qsk"
+    skp.write_bytes(sk.to_bytes())
+    code, out, err = run_cli(["cut-sketch", "query", str(skp), "0,1,2", "--detail"], capsys)
+    assert code == 0
+    assert float(out.strip()) == sk.estimate(np.arange(20) < 3)
+    diag = json.loads(err)
+    assert diag["mode"] == "sketch"
+    assert {"c_tilde", "scale_index"} <= diag.keys()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_spectral_sketch_size(rand_graph, tmp_path, capsys, fmt):
+    out = tmp_path / "s.qsk"
+    code, _, _ = run_cli(["spectral-sketch", "build", rand_graph, "-e", "0.25", "-o", str(out)], capsys)
+    assert code == 0
+    code, text, _ = run_cli(["spectral-sketch", "size", str(out), "--format", fmt], capsys)
+    assert code == 0
+    if fmt == "json":
+        (row,) = json.loads(text)
+    else:
+        assert text.startswith("# quadsketch v1")
+        header, line = text.strip().splitlines()[1:]
+        row = dict(zip(header.split(","), (int(tok) for tok in line.split(","))))
+    data = out.read_bytes()
+    assert row["bytes"] == len(data)
+    assert row["words"] == sketch_class(data).from_bytes(data).word_count()
+
+
+def test_spectral_build_basic_variant(rand_graph, tmp_path, capsys):
+    out = tmp_path / "b.qsk"
+    code, _, _ = run_cli(
+        ["spectral-sketch", "build", rand_graph, "--variant", "basic", "-e", "0.25", "--seed", "5", "-o", str(out)],
+        capsys,
+    )
+    assert code == 0
+    assert sketch_class(out.read_bytes()).kind == "spectral_basic"
 
 
 def test_sparsify_command(rand_graph, capsys):
