@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -103,73 +104,32 @@ def _fmt(x) -> str:
 # Subcommand handlers
 
 
-def _cmd_cut_sketch(args) -> int:
-    if args.action == "build":
-        g = load_graph(args.graph)
-        sk = cut_sketch_build(g, args.epsilon, args.seed, mode=args.mode)
-        _write_out(args, sk.to_bytes())
+def _cmd_build(args) -> int:
+    _write_out(args, args.build(args).to_bytes())
+    return 0
+
+
+def _cmd_query(args) -> int:
+    sk = _load_sketch(args.sketch, args.kinds)
+    if args.command != "cut-sketch":
+        print(_fmt(sk.estimate(_parse_vector(sk.n, args.query))))
         return 0
-    sk = _load_sketch(args.sketch, ("cut_poly", "cut_general"))
-    if args.action == "size":
-        with open(args.sketch, "rb") as f:
-            n_bytes = len(f.read())
-        _emit_rows(args, ["bytes", "words"], [[n_bytes, sk.word_count()]])
-        return 0
-    members = _parse_members(sk.n, args.query)
-    res = sk.estimate(members, detail=True)
+    res = sk.estimate(_parse_members(sk.n, args.query), detail=True)
     print(_fmt(res.value))
     if args.detail:
         print(json.dumps({k: _fmt(v) if isinstance(v, float) else str(v) for k, v in res.diagnostics.items()}, indent=2), file=sys.stderr)
     return 0
 
 
-def _cmd_spectral_sketch(args) -> int:
-    if args.action == "build":
-        g = load_graph(args.graph)
-        if args.variant == "basic":
-            sk = spectral_basic_build(g, args.epsilon, args.seed)
-        else:
-            sk = spectral_improved_build(g, args.epsilon, args.seed)
-        _write_out(args, sk.to_bytes())
-        return 0
-    sk = _load_sketch(args.sketch, ("spectral_basic", "spectral_improved"))
-    if args.action == "size":
-        with open(args.sketch, "rb") as f:
-            n_bytes = len(f.read())
-        _emit_rows(args, ["bytes", "words"], [[n_bytes, sk.word_count()]])
-        return 0
-    x = _parse_vector(sk.n, args.query)
-    print(_fmt(sk.estimate(x)))
+def _cmd_size(args) -> int:
+    sk = _load_sketch(args.sketch, args.kinds)
+    _emit_rows(args, ["bytes", "words"], [[os.path.getsize(args.sketch), sk.word_count()]])
     return 0
 
 
-def _cmd_psd(args) -> int:
-    if args.action == "jl-build":
-        a = load_matrix(args.matrix)
-        sk = jl_build(a, args.epsilon, args.delta, args.seed)
-        _write_out(args, sk.to_bytes())
-        return 0
-    sk = _load_sketch(args.sketch, ("jl",))
-    x = _parse_vector(sk.n, args.query)
-    print(_fmt(sk.estimate(x)))
-    return 0
-
-
-def _cmd_sdd(args) -> int:
-    if args.action == "reduce":
-        a = load_matrix(args.matrix)
-        diag, lap = sdd_to_laplacian(a)
-        out = "# diag " + " ".join(repr(float(d)) for d in diag) + "\n" + format_graph(lap)
-        _write_out(args, out)
-        return 0
-    if args.action == "build":
-        a = load_matrix(args.matrix)
-        sk = sdd_sketch_build(a, args.epsilon, args.seed)
-        _write_out(args, sk.to_bytes())
-        return 0
-    sk = _load_sketch(args.sketch, ("sdd",))
-    x = _parse_vector(sk.n, args.query)
-    print(_fmt(sk.estimate(x)))
+def _cmd_sdd_reduce(args) -> int:
+    diag, lap = sdd_to_laplacian(load_matrix(args.matrix))
+    _write_out(args, "# diag " + " ".join(repr(float(d)) for d in diag) + "\n" + format_graph(lap))
     return 0
 
 
@@ -306,6 +266,21 @@ def _add_common(p, *, epsilon=True, seed=True, fmt=False, output=False):
         p.add_argument("-o", "--output", default=None)
 
 
+def _add_query(ps, name: str, kinds: tuple[str, ...], **query_help):
+    q = ps.add_parser(name)
+    q.add_argument("sketch")
+    q.add_argument("query", **query_help)
+    q.set_defaults(func=_cmd_query, kinds=kinds)
+    return q
+
+
+def _add_size(ps, kinds: tuple[str, ...]):
+    s = ps.add_parser("size")
+    s.add_argument("sketch")
+    _add_common(s, epsilon=False, seed=False, fmt=True, output=True)
+    s.set_defaults(func=_cmd_size, kinds=kinds)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="quadsketch",
@@ -320,15 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("graph")
     b.add_argument("--mode", choices=("auto", "pipeline"), default="auto")
     _add_common(b, output=True)
-    q = ps.add_parser("query")
-    q.add_argument("sketch")
-    q.add_argument("query", help="comma separated vertex ids of S")
-    q.add_argument("--detail", action="store_true")
-    _add_common(q, epsilon=False, seed=False)
-    s = ps.add_parser("size")
-    s.add_argument("sketch")
-    _add_common(s, epsilon=False, seed=False, fmt=True, output=True)
-    p.set_defaults(func=_cmd_cut_sketch)
+    b.set_defaults(
+        func=_cmd_build, build=lambda a: cut_sketch_build(load_graph(a.graph), a.epsilon, a.seed, mode=a.mode)
+    )
+    cut_kinds = ("cut_poly", "cut_general")
+    _add_query(ps, "query", cut_kinds, help="comma separated vertex ids of S").add_argument(
+        "--detail", action="store_true"
+    )
+    _add_size(ps, cut_kinds)
 
     p = sub.add_parser("spectral-sketch", help="build or query a spectral sketch")
     ps = p.add_subparsers(dest="action", required=True)
@@ -336,14 +310,15 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("graph")
     b.add_argument("--variant", choices=("basic", "improved"), default="improved")
     _add_common(b, output=True)
-    q = ps.add_parser("query")
-    q.add_argument("sketch")
-    q.add_argument("query", help="comma separated reals, or @file; use -- before negative values")
-    _add_common(q, epsilon=False, seed=False)
-    s = ps.add_parser("size")
-    s.add_argument("sketch")
-    _add_common(s, epsilon=False, seed=False, fmt=True, output=True)
-    p.set_defaults(func=_cmd_spectral_sketch)
+    b.set_defaults(
+        func=_cmd_build,
+        build=lambda a: (spectral_basic_build if a.variant == "basic" else spectral_improved_build)(
+            load_graph(a.graph), a.epsilon, a.seed
+        ),
+    )
+    spectral_kinds = ("spectral_basic", "spectral_improved")
+    _add_query(ps, "query", spectral_kinds, help="comma separated reals, or @file; use -- before negative values")
+    _add_size(ps, spectral_kinds)
 
     p = sub.add_parser("psd", help="JL sketch of a PSD matrix")
     ps = p.add_subparsers(dest="action", required=True)
@@ -351,23 +326,20 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("matrix")
     b.add_argument("--delta", type=float, default=0.1)
     _add_common(b, output=True)
-    q = ps.add_parser("jl-query")
-    q.add_argument("sketch")
-    q.add_argument("query")
-    _add_common(q, epsilon=False, seed=False)
-    p.set_defaults(func=_cmd_psd)
+    b.set_defaults(func=_cmd_build, build=lambda a: jl_build(load_matrix(a.matrix), a.epsilon, a.delta, a.seed))
+    _add_query(ps, "jl-query", ("jl",))
 
     p = sub.add_parser("sdd", help="SDD matrix sketch via the Laplacian reduction")
     ps = p.add_subparsers(dest="action", required=True)
-    for name in ("build", "reduce"):
-        b = ps.add_parser(name)
-        b.add_argument("matrix")
-        _add_common(b, output=True, epsilon=(name == "build"), seed=(name == "build"))
-    q = ps.add_parser("query")
-    q.add_argument("sketch")
-    q.add_argument("query")
-    _add_common(q, epsilon=False, seed=False)
-    p.set_defaults(func=_cmd_sdd)
+    b = ps.add_parser("build")
+    b.add_argument("matrix")
+    _add_common(b, output=True)
+    b.set_defaults(func=_cmd_build, build=lambda a: sdd_sketch_build(load_matrix(a.matrix), a.epsilon, a.seed))
+    r = ps.add_parser("reduce")
+    r.add_argument("matrix")
+    _add_common(r, epsilon=False, seed=False, output=True)
+    r.set_defaults(func=_cmd_sdd_reduce)
+    _add_query(ps, "query", ("sdd",))
 
     p = sub.add_parser("sparsify", help="cut/spectral sparsifier")
     p.add_argument("graph")

@@ -1,4 +1,5 @@
-"""Graph substrate: weighted graphs, exact cut and quadratic forms.
+"""Graph substrate: weighted graphs, exact cut and quadratic forms, and the
+sparse-cut ratio w(∂S) / min(μ(S), μ(S̄)) with its exhaustive oracles.
 
 All graphs are immutable after construction; every operation here is pure, so
 concurrent callers are safe. Edge lists are canonicalized (u < v, sorted,
@@ -127,10 +128,13 @@ class WeightedGraph:
             self._adj = (indptr, others, eids)
         return self._adj
 
-    def adjacency_matrix(self) -> np.ndarray:
+    def adjacency_matrix(self, edge_w: np.ndarray | None = None) -> np.ndarray:
+        """Dense symmetric adjacency matrix with the weights edge_w (indexed
+        by edge id; the graph's own weights by default)."""
+        w = self.edge_w if edge_w is None else edge_w
         a = np.zeros((self.n, self.n))
-        a[self.edge_u, self.edge_v] = self.edge_w
-        a[self.edge_v, self.edge_u] = self.edge_w
+        a[self.edge_u, self.edge_v] = w
+        a[self.edge_v, self.edge_u] = w
         return a
 
     def laplacian(self) -> np.ndarray:
@@ -347,9 +351,7 @@ def subset_cut_blocks(g: WeightedGraph, edge_w: np.ndarray, vertex_w: np.ndarray
     k = g.n - 1
     n_lo = k // 2
     lo, hi = slice(0, n_lo), slice(n_lo, k)
-    a = np.zeros((g.n, g.n))
-    a[g.edge_u, g.edge_v] = edge_w
-    a[g.edge_v, g.edge_u] = edge_w
+    a = g.adjacency_matrix(edge_w)
     deg = a.sum(axis=1)
     b_lo, b_hi = _bit_rows(n_lo), _bit_rows(k - n_lo)
 
@@ -370,35 +372,46 @@ def subset_cut_blocks(g: WeightedGraph, edge_w: np.ndarray, vertex_w: np.ndarray
         yield (r0 << n_lo) + skip, cut.ravel()[skip:], side.ravel()[skip:]
 
 
-def cheeger_exact(g: WeightedGraph) -> float:
-    """Cheeger's constant by exhaustive enumeration; capped at n <= 24."""
+def ratio_weights(g: WeightedGraph, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Edge and vertex weights of the sparse-cut ratio
+    w(∂S) / min(μ(S), μ(S̄)) in mode: ones for "edge_expansion" (edges and
+    vertices counted), edge weights and weighted degrees for "conductance"."""
+    if mode == "conductance":
+        return g.edge_w, weighted_degrees(g.n, g.edge_u, g.edge_v, g.edge_w)
+    return np.ones(g.m), np.ones(g.n)
+
+
+def cut_ratio(cut, side, total):
+    """cut / min(side, total - side), elementwise; inf where that minimum is 0."""
+    denom = np.minimum(side, total - side)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom > 0, cut / denom, np.inf)
+
+
+def _least_ratio(g: WeightedGraph, mode: str) -> float:
+    """Least ratio over every cut of g, by exhaustive enumeration."""
     if g.n == 0 or g.n > EXHAUSTIVE_VERTEX_CAP:
         raise TooLargeError("instance too large for exhaustive oracle")
-    if not is_connected(g):
+    ew, vw = ratio_weights(g, mode)
+    total = vw.sum()
+    return min(float(cut_ratio(cut, side, total).min()) for _, cut, side in subset_cut_blocks(g, ew, vw))
+
+
+def cheeger_exact(g: WeightedGraph) -> float:
+    """Cheeger's constant min_S w(∂S) / min(vol S, vol S̄) by exhaustive
+    enumeration; capped at n <= 24."""
+    if g.n <= EXHAUSTIVE_VERTEX_CAP and not is_connected(g):
         raise QuadsketchError("cheeger_exact requires a connected graph")
     if g.n == 1:
         raise QuadsketchError("cheeger_exact undefined for a single vertex")
-    delta, _ = degrees(g)
-    total = delta.sum()
-    best = np.inf
-    for _, cut, vol_s in subset_cut_blocks(g, g.edge_w, delta):
-        denom = np.minimum(vol_s, total - vol_s)
-        ok = denom > 0
-        if np.any(ok):
-            best = min(best, float((cut[ok] / denom[ok]).min()))
-    return best
+    return _least_ratio(g, "conductance")
 
 
 def expansion_exact(g: WeightedGraph) -> float:
     """Expansion constant min_{|S| <= n/2} |∂(S, S̄)| / |S|; capped at n <= 24."""
-    if g.n == 0 or g.n > EXHAUSTIVE_VERTEX_CAP:
-        raise TooLargeError("instance too large for exhaustive oracle")
     if g.n == 1:
         raise QuadsketchError("expansion undefined for a single vertex")
-    best = np.inf
-    for _, cnt, pc in subset_cut_blocks(g, np.ones(g.m), np.ones(g.n)):
-        best = min(best, float((cnt / np.minimum(pc, g.n - pc)).min()))
-    return best
+    return _least_ratio(g, "edge_expansion")
 
 
 # ---------------------------------------------------------------------------

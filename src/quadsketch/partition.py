@@ -4,7 +4,8 @@ Shared by the cut and spectral sketches:
 
 * ``find_sparse_cut``: one ratio w(∂S) / min(μ(S), μ(S̄)) for both modes
   (edge expansion: unit edge and vertex weights; conductance: edge weights
-  and weighted degrees), searched by a singleton test, a Cheeger-type
+  and weighted degrees; ``graph.ratio_weights`` and ``graph.cut_ratio``,
+  which the exhaustive oracles of ``graph`` share), searched by a singleton test, a Cheeger-type
   λ₁/2 certificate, exact subset enumeration for small components and a
   Fiedler sweep above;
 * ``cut_preprocessing``: rescale / discard / importance-sample / weight-class
@@ -31,8 +32,10 @@ from .errors import QuadsketchError
 from .graph import (
     WeightedGraph,
     connected_components,
+    cut_ratio,
     inverse_map,
     label_components,
+    ratio_weights,
     subset_cut_blocks,
     weighted_degrees,
 )
@@ -56,13 +59,6 @@ class SparseCutResult:
 def _qualifies(value, mode: str, threshold: float):
     """Elementwise on arrays."""
     return value < threshold if mode == "edge_expansion" else value <= threshold
-
-
-def _ratio(cut, side, total):
-    """cut / min(side, total - side), inf where that minimum is 0."""
-    denom = np.minimum(side, total - side)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(denom > 0, cut / denom, np.inf)
 
 
 def _reject_nan(name: str, value: float) -> None:
@@ -94,14 +90,14 @@ def find_sparse_cut(g: WeightedGraph, mode: str, threshold: float) -> SparseCutR
     if labels.max() > 0:
         # a disconnected input has a zero cut: return the smallest piece
         return SparseCutResult(_smallest_component(labels), True)
-    # edge weights ew and vertex weights vw of the ratio
-    ew = g.edge_w if mode == "conductance" else np.ones(g.m)
+    # edge weights ew and vertex weights vw of the ratio, and the degrees
+    # under ew (equal to vw for conductance)
+    ew, vw = ratio_weights(g, mode)
     deg = weighted_degrees(n, g.edge_u, g.edge_v, ew)
-    vw = deg if mode == "conductance" else np.ones(n)
     total = vw.sum()
 
     # cheap qualifying singleton, in vertex order
-    hit = np.flatnonzero(_qualifies(_ratio(deg, vw, total), mode, threshold))
+    hit = np.flatnonzero(_qualifies(cut_ratio(deg, vw, total), mode, threshold))
     if hit.size:
         members = np.zeros(n, dtype=bool)
         members[hit[0]] = True
@@ -115,9 +111,7 @@ def find_sparse_cut(g: WeightedGraph, mode: str, threshold: float) -> SparseCutR
     # and the normalized Laplacian I - D^-1/2 A D^-1/2 for conductance,
     # entry for entry (deg / vw is exactly 1.0 when vw = deg)
     inv_sqrt = 1.0 / np.sqrt(vw)
-    a = np.zeros((n, n))
-    a[g.edge_u, g.edge_v] = ew
-    a[g.edge_v, g.edge_u] = ew
+    a = g.adjacency_matrix(ew)
     vals, vecs = np.linalg.eigh(np.diag(deg / vw) - (inv_sqrt[:, None] * a) * inv_sqrt[None, :])
     if not _qualifies(float(vals[1]) / 2.0, mode, threshold):
         return SparseCutResult(None, True)
@@ -134,7 +128,7 @@ def find_sparse_cut(g: WeightedGraph, mode: str, threshold: float) -> SparseCutR
     diff = np.zeros(n + 1)
     np.add.at(diff, np.minimum(pu, pv) + 1, ew)
     np.add.at(diff, np.maximum(pu, pv) + 1, -ew)
-    prefix = _ratio(np.cumsum(diff)[1:n], np.cumsum(vw[order])[: n - 1], total)
+    prefix = cut_ratio(np.cumsum(diff)[1:n], np.cumsum(vw[order])[: n - 1], total)
     best = int(np.argmin(prefix))
     if _qualifies(float(prefix[best]), mode, threshold):
         members = np.zeros(n, dtype=bool)
@@ -170,7 +164,7 @@ def _exhaustive_cut(g, mode, threshold, ew, vw) -> np.ndarray | None:
             crossing = bits[:, g.edge_u] != bits[:, g.edge_v]
             cut_e = np.cumsum(np.where(crossing, ew, 0.0), axis=1)[:, -1]
             side_b = np.cumsum(bits[:, :-1] * vw[:-1], axis=1)[:, -1]
-            ok = _qualifies(_ratio(cut_e, side_b, total), mode, threshold)
+            ok = _qualifies(cut_ratio(cut_e, side_b, total), mode, threshold)
             if ok.any():
                 return _smaller_side(bits[ok.argmax()])
     return None
@@ -420,39 +414,6 @@ class CutPreprocessing:
     dropped_unsampled: np.ndarray
 
 
-def _reweighted(part: PartitionResult, w: np.ndarray) -> PartitionResult:
-    """The same pieces and cut edges, carrying the weights w (indexed by the
-    partitioned graph's edge ids)."""
-    comps = [
-        Component(
-            WeightedGraph(cp.graph.n, _arrays=(cp.graph.edge_u, cp.graph.edge_v, w[cp.edge_idx])),
-            cp.vmap,
-            cp.edge_idx,
-            cp.certified,
-        )
-        for cp in part.components
-    ]
-    return PartitionResult(comps, part.cross_u, part.cross_v, w[part.cross_idx], part.cross_idx)
-
-
-def _expansion_partition(sub: WeightedGraph, edge_ids: np.ndarray, threshold: float, memo) -> PartitionResult:
-    """_partition_by_cuts(sub, "edge_expansion", threshold), reusing memo.
-
-    The expansion partition reads only the edge set: the core peel, the
-    spectral certificate, the exhaustive scan and the sweep all count edges
-    and ignore weights. So a partition of the same edges (edge_ids: their
-    input edge ids) at the same threshold is reused with sub's own weights.
-    """
-    if memo is None:
-        return _partition_by_cuts(sub, "edge_expansion", threshold)
-    key = (edge_ids.tobytes(), threshold)
-    part = memo.get(key)
-    if part is None:
-        part = memo[key] = _partition_by_cuts(sub, "edge_expansion", threshold)
-        return part
-    return _reweighted(part, sub.edge_w)
-
-
 def cut_preprocessing(
     g: WeightedGraph, c: float, epsilon: float, seed: int, *, _partitions: dict | None = None
 ) -> CutPreprocessing:
@@ -486,15 +447,28 @@ def cut_preprocessing(
         cls = weight_class_of(w_tilde)
         for i in np.unique(cls):
             sel = cls == i
-            eidx = kept_idx[sel]
-            sub = WeightedGraph(
-                g.n, _arrays=(g.edge_u[eidx], g.edge_v[eidx], w_tilde[sel])
-            )
-            part = _expansion_partition(sub, eidx, 1.0 / epsilon, _partitions)
-            # eidx is ascending, so sub's canonical edge order equals it and
-            # per-class edge ids map back to input ids by direct lookup
-            comps = [Component(cp.graph, cp.vmap, eidx[cp.edge_idx], cp.certified) for cp in part.components]
-            part = PartitionResult(comps, part.cross_u, part.cross_v, part.cross_w, eidx[part.cross_idx])
+            eidx, w = kept_idx[sel], w_tilde[sel]
+            # the expansion partition counts edges and ignores weights, so a
+            # class with an edge set met before reuses its partition
+            key = (eidx.tobytes(), 1.0 / epsilon)
+            part = None if _partitions is None else _partitions.get(key)
+            if part is None:
+                sub = WeightedGraph(g.n, _arrays=(g.edge_u[eidx], g.edge_v[eidx], w))
+                part = _partition_by_cuts(sub, "edge_expansion", 1.0 / epsilon)
+                if _partitions is not None:
+                    _partitions[key] = part
+            # eidx is ascending, so sub's canonical edge order equals it:
+            # class edge ids index w and map back to input ids by direct lookup
+            comps = [
+                Component(
+                    WeightedGraph(cp.graph.n, _arrays=(cp.graph.edge_u, cp.graph.edge_v, w[cp.edge_idx])),
+                    cp.vmap,
+                    eidx[cp.edge_idx],
+                    cp.certified,
+                )
+                for cp in part.components
+            ]
+            part = PartitionResult(comps, part.cross_u, part.cross_v, w[part.cross_idx], eidx[part.cross_idx])
             classes.append(CutClass(int(i), part))
     return CutPreprocessing(
         c, epsilon, classes, np.flatnonzero(heavy), dropped_idx
