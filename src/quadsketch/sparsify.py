@@ -120,7 +120,13 @@ def keep_probabilities(g: WeightedGraph, cfg: SparsifierConfig) -> np.ndarray:
     target = OVERSAMPLE * logn / eps2
     if cfg.kind == "spectral" and n <= RESISTANCE_VERTEX_CAP:
         score = g.edge_w * effective_resistances(g)
-        return np.minimum(1.0, target * np.clip(score, 0.0, 1.0))
+        p = target * np.clip(score, 0.0, 1.0)
+        # round up onto the grid 2^(k/8): p stays an upper bound, and the
+        # last bits in which the resistances differ between BLAS thread
+        # counts no longer reach the sketch (unless p lies within about
+        # 1e-15 of a grid point)
+        with np.errstate(divide="ignore"):
+            return np.minimum(1.0, np.exp2(np.ceil(8.0 * np.log2(p)) / 8.0))
     cls = factor2_class(g.edge_w, g.edge_w.min())
     p = np.ones(m)
     for c in np.unique(cls):

@@ -342,11 +342,12 @@ def weighted(n: int, seed: int):
 # read (S3 scales as 2 * in_deg). spectral_basic-s2-and-verbatim-class was
 # re-recorded when effective resistances moved from a pseudoinverse to a
 # Cholesky factor: the same 58 edges are kept, and five of their 1/p weights
-# differ in the last bits.
+# differ in the last bits. It was re-recorded again when the spectral keep
+# probabilities were rounded up onto the grid 2^(k/8).
 GOLDEN = {
     "spectral_basic-s2-and-verbatim-class": (
         lambda: spectral_basic_build(gnp_connected(16, 0.5, seed=21, w_lo=1e-3, w_hi=4.0), 0.3, 22),
-        "04d29911b9f5d8de3e9d7867d19a859f3d37c418e5319c1f9ba780dee1ebcbf8",
+        "24f96fd094e658b0a8d027ba7b17f3f7a188ca1f87ddd53248f00a4f5b975f48",
     ),
     "spectral_basic-verbatim-class-only": (
         lambda: spectral_basic_build(gnp_connected(12, 0.5, seed=31, w_lo=1e-8, w_hi=1.9e-8), 0.3, 32),
@@ -425,7 +426,9 @@ def test_version_1_envelope_rejected(family):
 # the improved and SDD cases hold S3 components. Queries: three seeded normal
 # vectors, then the all-ones vector. The sdd-32 and sdd-48 array digests were
 # re-recorded with the Cholesky resistances (same kept edges, last-bit 1/p
-# drift); their answers did not change.
+# drift); their answers did not change. Both cases, answers included, were
+# re-recorded when the spectral keep probabilities were rounded up onto the
+# grid 2^(k/8).
 PINNED_ANSWERS = {
     "spectral_basic-s2-samples": (
         lambda: spectral_basic_build(gnp_connected(16, 0.5, seed=1, w_lo=1.0, w_hi=4.0), 0.3, 2, c_alpha=0.3),
@@ -449,13 +452,13 @@ PINNED_ANSWERS = {
     ),
     "sdd-32": (
         lambda: sdd_sketch_build(sdd_matrix(32, 1), 0.4, 2),
-        ["0x1.90f01b1c0b900p+7", "0x1.c38db40ef8577p+7", "0x1.168cdc246bf24p+8", "0x1.369d5d63d8439p+8"],
-        "eaf06378fa7f4bbeccab10069706e148bf111e2778e7ed16845d8638e4eddcf0",
+        ["0x1.9135946f8183fp+7", "0x1.c3847c0229eb0p+7", "0x1.167b58b4599b3p+8", "0x1.3688bdac51702p+8"],
+        "bb469c0e923ec6bbf5131df9c46d3b2f8fcf6ca09e38ac0bdb0fa3f6460694d6",
     ),
     "sdd-48": (
         lambda: sdd_sketch_build(sdd_matrix(48, 1), 0.3, 3),
-        ["0x1.31e05792dfd2dp+9", "0x1.07676155bc9e7p+9", "0x1.3027d89c611f3p+9", "0x1.632b7e57e085ep+9"],
-        "a0dcd1afd282ad1ee0db3e6017ffdbe752aee9db4626ec12391e9251282cdb2e",
+        ["0x1.31e0216d02de3p+9", "0x1.07820fbef1ae3p+9", "0x1.3027cfe9fcd88p+9", "0x1.633bd20362563p+9"],
+        "b6584d26f5668bd4d12032d64ac473d343e7bdbddd006c20573a99f9f3d5aa40",
     ),
 }
 

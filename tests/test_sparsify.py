@@ -1,11 +1,16 @@
 import importlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quadsketch
 from quadsketch import partition, spectral
 from quadsketch.errors import QuadsketchError
 from quadsketch.graph import WeightedGraph, cut_weight
@@ -400,3 +405,44 @@ def test_factor2_class_of_weights_over_their_minimum(w):
     cls = factor2_class(w, wmin)
     assert cls.tolist() == [factor2_class_reference(float(x), wmin) for x in w]
     assert cls.min() == 0
+
+
+SPECTRAL_BYTES_SCRIPT = """
+import hashlib
+import numpy as np
+from quadsketch.graph import WeightedGraph
+from quadsketch.psdsdd import sdd_sketch_build
+from quadsketch.spectral import spectral_basic_build
+
+rng = np.random.default_rng(1)
+n, k = 200, 100
+iu, ju = np.triu_indices(n, 1)
+keep = rng.random(iu.size) < 0.3
+g = WeightedGraph(n, _arrays=(iu[keep], ju[keep], rng.uniform(1.0, 4.0, int(keep.sum()))))
+off = np.triu(rng.choice((-1.0, 1.0), size=(k, k)) * rng.uniform(0.1, 1.0, size=(k, k)), 1)
+a = off + off.T
+a[np.diag_indices(k)] = np.abs(a).sum(axis=1) * rng.uniform(1.0, 1.1, k)
+for sk in (spectral_basic_build(g, 0.45, 1), sdd_sketch_build(a, 0.2, 1)):
+    print(hashlib.sha256(sk.to_bytes()).hexdigest())
+"""
+
+
+def test_spectral_bytes_do_not_depend_on_blas_threads():
+    # On a 200-vertex graph (and the 200-vertex reduced graph of a 100-row
+    # SDD matrix) the resistances round differently with 1 and 2 OpenBLAS
+    # threads; the keep probabilities' grid keeps that out of the bytes.
+    src = str(Path(quadsketch.__file__).resolve().parent.parent)
+    digests = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
+        out = subprocess.run(
+            [sys.executable, "-c", SPECTRAL_BYTES_SCRIPT], env=env, capture_output=True, text=True, check=True
+        )
+        digests.append(out.stdout.split())
+    assert len(digests[0]) == 2
+    assert digests[0] == digests[1]
