@@ -114,8 +114,8 @@ def _cmd_query(args) -> int:
     if args.command != "cut-sketch":
         print(_fmt(sk.estimate(_parse_vector(sk.n, args.query))))
         return 0
-    res = sk.estimate(_parse_members(sk.n, args.query), detail=True)
-    print(_fmt(res.value))
+    res = sk.estimate(_parse_members(sk.n, args.query), detail=args.detail)
+    print(_fmt(res.value if args.detail else res))
     if args.detail:
         print(json.dumps({k: _fmt(v) if isinstance(v, float) else str(v) for k, v in res.diagnostics.items()}, indent=2), file=sys.stderr)
     return 0

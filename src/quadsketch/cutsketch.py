@@ -27,7 +27,7 @@ from statistics import median
 import numpy as np
 
 from .errors import SketchConsistencyError
-from .estimator import EdgeSampleEstimator, check_count, cut_and_piece_parts, flatten, piece_estimator
+from .estimator import CutPieces, EdgeSampleEstimator, check_count, flatten, piece_estimator, sketch_pieces
 from .graph import (
     WeightedGraph,
     as_cut_query,
@@ -40,8 +40,8 @@ from .graph import (
 from .partition import cut_preprocessing
 from .rng import derive_seed, draw_counts, rng_for
 from . import serialize
-from .serialize import Composite, composite, f64, f64_array, graph, int_array, nested, pairs
-from .serialize import record, section, seq, tuple_of, varint
+from .serialize import Composite, composite, cut_pieces_layout, f64, f64_array, fields, graph, int_array
+from .serialize import nested, pairs, record, section, seq, tuple_of, varint
 from .sparsify import SparsifierConfig, sparsify
 
 LADDER_BASE = 1.4
@@ -129,7 +129,7 @@ def cut_s1_build(p: WeightedGraph, epsilon: float, seed: int, *, s: int | None =
 
 
 @dataclass
-class ScaleClass:
+class ScaleClass(CutPieces):
     index: int  # weight class i: reweighted w in (5*2^-i, 5*2^(1-i)]
     q_u: np.ndarray  # stored cut edges, sketch-graph vertex ids
     q_v: np.ndarray
@@ -160,7 +160,7 @@ class CutSketchPoly(Composite):
         """All cut edges and S1 pieces of one ladder scale, built on first use."""
         est = self._flat.get(idx)
         if est is None:
-            parts = [p for cls in self.scales[idx].classes for p in cut_and_piece_parts(self.n, cls)]
+            parts = [p for cls in self.scales[idx].classes for p in cls.parts(self.n)]
             est = self._flat[idx] = flatten(self.n, parts, f"{self.kind} scale {idx}")
         return est
 
@@ -196,7 +196,7 @@ class CutSketchPoly(Composite):
         if detail:
             # unscaled contribution of each weight class
             diag["per_class"] = [
-                (cls.index, flatten(self.n, cut_and_piece_parts(self.n, cls)).estimate(x)) for cls in scale.classes
+                (cls.index, flatten(self.n, cls.parts(self.n)).estimate(x)) for cls in scale.classes
             ]
             diag["bytes_touched"] = self._byte_size()  # whole-sketch upper bound
             return QueryResult(value, diag)
@@ -205,15 +205,9 @@ class CutSketchPoly(Composite):
     def word_count(self) -> int:
         if self.is_verbatim:
             return 3 * self.verbatim.m
-        words = 3 * self.sparsifier.m + len(self.ladder)
-        for sc in self.scales:
-            for cls in sc.classes:
-                words += 3 * int(cls.q_u.size)
-                words += sum(sk.word_count() for _, sk in cls.comps)
-        return words
-
-    def to_bytes(self) -> bytes:
-        return serialize.encode(self.kind, self)
+        return 3 * self.sparsifier.m + len(self.ladder) + sum(
+            cls.word_count() for sc in self.scales for cls in sc.classes
+        )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CutSketchPoly":
@@ -222,9 +216,7 @@ class CutSketchPoly(Composite):
         return sk
 
 
-SCALE_CLASS_LAYOUT = record(
-    ScaleClass, index=varint, q_u=int_array, q_v=int_array, q_w=f64_array, comps=pairs(S1_LAYOUT)
-)
+SCALE_CLASS_LAYOUT = record(ScaleClass, fields(index=varint), cut_pieces_layout(S1_LAYOUT))
 serialize.register(
     2,
     composite(
@@ -323,24 +315,18 @@ def cut_basic_build(
     for i in range(k0, k1 + 1):
         c = float(ladder[i])
         prep = cut_preprocessing(g, c, epsilon, derive_seed(seed, "scale", i), _partitions=partitions)
-        classes = []
-        for cl in prep.classes:
-            comps = []
-            for k, comp in enumerate(cl.result.components):
-                sk = cut_s1_build(
-                    comp.graph, epsilon, derive_seed(seed, "scale", i, "cls", cl.index, "comp", k)
-                )
-                comps.append((comp.vmap, sk))
-            cross = cl.result
-            classes.append(
-                ScaleClass(
-                    cl.index,
-                    cross.cross_u.copy(),
-                    cross.cross_v.copy(),
-                    cross.cross_w.copy(),
-                    comps,
-                )
+        classes = [
+            ScaleClass(
+                cl.index,
+                *sketch_pieces(
+                    cl.result,
+                    lambda k, comp: cut_s1_build(
+                        comp.graph, epsilon, derive_seed(seed, "scale", i, "cls", cl.index, "comp", k)
+                    ),
+                ),
             )
+            for cl in prep.classes
+        ]
         scales.append(ScaleSketch(c, classes))
     return CutSketchPoly(epsilon, g.n, sparsifier=h, ladder=ladder[k0 : k1 + 1], scales=scales)
 
@@ -418,13 +404,6 @@ class CutSketchGeneral(Composite):
         for gs in self.stored:
             words += sum(p.word_count() for _, p in gs.comps)
         return words
-
-    def to_bytes(self) -> bytes:
-        return serialize.encode(self.kind, self)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "CutSketchGeneral":
-        return serialize.decode(cls.kind, data)
 
 
 def _check_general(sk: CutSketchGeneral) -> str | None:

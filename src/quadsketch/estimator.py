@@ -13,6 +13,10 @@ with a few gathers and dot products instead of a loop over pieces. Each
 term is one numpy dot product; the four are added with math.fsum. Exact
 edges keep the difference form, so a constant vector gives exactly 0 on
 them. A corrupt piece raises SketchConsistencyError, never an IndexError.
+
+``CutPieces`` is the one shape of a partitioned piece (the cut ladder's
+weight classes, the basic spectral classes, S3): cut edges stored exactly
+plus a sketch per component; ``sketch_pieces`` fills it from a partition.
 """
 
 from __future__ import annotations
@@ -104,13 +108,29 @@ def piece_estimator(
     return EdgeSampleEstimator(n, diag, *edges, pu, pv, coef)
 
 
-def cut_and_piece_parts(n: int, holder) -> list:
-    """``flatten`` parts of a piece on n vertices that stores its cut edges
-    (holder.q_u, q_v, q_w) exactly and sketches each component: holder.comps
-    is a list of (vertex map, sketch with ``estimator_piece()``) pairs."""
-    parts = [(None, piece_estimator(n, exact=(holder.q_u, holder.q_v, holder.q_w), what="cut edges"))]
-    parts.extend((vmap, sk.estimator_piece()) for vmap, sk in holder.comps)
-    return parts
+class CutPieces:
+    """A piece that stores its cut edges (q_u, q_v, q_w) exactly and
+    sketches each component: comps is a list of (vertex map, sketch) pairs,
+    each sketch with ``estimator_piece()`` and ``word_count()``. The
+    dataclasses that inherit it hold these fields."""
+
+    def parts(self, n: int) -> list:
+        """``flatten`` parts of the cut edges and components on n vertices."""
+        parts = [(None, piece_estimator(n, exact=(self.q_u, self.q_v, self.q_w), what="cut edges"))]
+        parts.extend((vmap, sk.estimator_piece()) for vmap, sk in self.comps)
+        return parts
+
+    def word_count(self) -> int:
+        return 3 * int(self.q_u.size) + sum(sk.word_count() for _, sk in self.comps)
+
+
+def sketch_pieces(part, sketch, vmap=None) -> tuple:
+    """(q_u, q_v, q_w, comps) of a ``CutPieces`` record from a partition:
+    its cut edges, and (vertex map, sketch(k, component)) for its k-th
+    component. With vmap, vertex ids are mapped through it."""
+    ids = np.copy if vmap is None else vmap.__getitem__
+    comps = [(ids(comp.vmap), sketch(k, comp)) for k, comp in enumerate(part.components)]
+    return ids(part.cross_u), ids(part.cross_v), part.cross_w.copy(), comps
 
 
 def flatten(n: int, parts, what: str = "sketch") -> EdgeSampleEstimator:

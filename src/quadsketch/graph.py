@@ -189,7 +189,7 @@ def as_cut_query(n: int, members) -> np.ndarray:
     """Validate a cut query (bit vector of length n) into a bool array."""
     s = np.asarray(members)
     if s.dtype != bool:
-        if s.dtype.kind in "iu" and s.size and s.max(initial=0) <= 1:
+        if s.dtype.kind in "iu" and s.size and s.min() >= 0 and s.max() <= 1:
             s = s.astype(bool)
         else:
             raise QueryError("cut query must be a 0/1 vector")

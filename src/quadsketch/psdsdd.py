@@ -112,13 +112,6 @@ class SddSketch:
         exact = float(np.dot(self.diag, x * x))
         return exact + 0.5 * self.lap_sketch.estimator.estimate(embed_query(x))
 
-    def to_bytes(self) -> bytes:
-        return serialize.encode(self.kind, self)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SddSketch":
-        return serialize.decode(cls.kind, data)
-
 
 serialize.register(
     9,
@@ -161,13 +154,6 @@ class JlSketch:
         x = as_spectral_query(self.n, x)
         v = self.sb @ x
         return float(np.dot(v, v))
-
-    def to_bytes(self) -> bytes:
-        return serialize.encode(self.kind, self)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "JlSketch":
-        return serialize.decode(cls.kind, data)
 
 
 serialize.register(8, record(JlSketch, epsilon=f64, delta=f64, seed=varint, sb=matrix))

@@ -9,16 +9,18 @@ S2 pieces and S3 components as one record and drops the build parameters,
 diagnostics and sample weights that version 1 wrote but nothing read.
 
 Each sketch class states its layout once, in wire order, as a ``Codec``
-built from the vocabulary below; ``register`` gives it a kind byte, and
-``encode``/``decode`` walk that one layout both ways.
+built from the vocabulary below; ``register`` gives it a kind byte and its
+``to_bytes``/``from_bytes`` methods, and ``encode``/``decode`` walk that one
+layout both ways.
 
 * Fields: ``f64``, ``varint``, ``int_array``/``f64_array`` (a count, then
   the entries), ``graph`` (n, m, edge arrays), ``const(v)`` (no bytes) and
   ``mapped(codec, to_wire, from_wire)`` conversions such as ``matrix``
   (rows, columns, entries).
 * ``seq(item)``: a count, then the items; ``tuple_of(a, b, ...)``;
-  ``pairs(item)``: (vertex map, piece) lists; ``section(inner)``: a byte
-  length, then exactly that many bytes of ``inner``.
+  ``pairs(item)``: (vertex map, piece) lists; ``cut_pieces_layout(piece)``:
+  cut edges, then such a list; ``section(inner)``: a byte length, then
+  exactly that many bytes of ``inner``.
 * ``record(cls, *groups, name=codec, ...)``: attributes of one value, read
   back as ``cls(**attributes)``, rejected when ``check(value)`` returns a
   message. A group is ``fields(...)`` or ``switch(tag_of, {tag: fields})``:
@@ -292,6 +294,12 @@ def pairs(item: Codec) -> Codec:
     return seq(tuple_of(int_array, item))
 
 
+def cut_pieces_layout(piece: Codec) -> Codec:
+    """A group: the cut edges q_u, q_v, q_w, then (vertex map, piece) pairs
+    as comps (``estimator.CutPieces``)."""
+    return fields(q_u=int_array, q_v=int_array, q_w=f64_array, comps=pairs(piece))
+
+
 def to_payload(codec: Codec, value) -> bytes:
     w = Writer()
     codec.write(w, value)
@@ -407,8 +415,22 @@ KINDS: dict[str, tuple[int, Codec]] = {"graph": (0, graph)}  # kind -> (byte, la
 
 
 def register(byte: int, layout: Codec) -> None:
-    """Give the sketch class layout decodes to (named by its kind) a kind byte."""
-    KINDS[layout.cls.kind] = (byte, layout)
+    """Give the sketch class layout decodes to (named by its kind) a kind
+    byte and its envelope methods: ``to_bytes`` and, unless the class
+    defines its own, the classmethod ``from_bytes``. They are set on the
+    class itself, so each sketch class owns them."""
+    cls, kind = layout.cls, layout.cls.kind
+    KINDS[kind] = (byte, layout)
+
+    def to_bytes(self) -> bytes:
+        return encode(kind, self)
+
+    def from_bytes(cls, data: bytes):
+        return decode(kind, data)
+
+    cls.to_bytes = to_bytes
+    if "from_bytes" not in vars(cls):
+        cls.from_bytes = classmethod(from_bytes)
 
 
 def envelope(kind: str, payload: bytes) -> bytes:

@@ -31,13 +31,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .estimator import EdgeSampleEstimator, check_count, cut_and_piece_parts, flatten, piece_estimator
+from .estimator import CutPieces, EdgeSampleEstimator, check_count, flatten, piece_estimator, sketch_pieces
 from .graph import WeightedGraph, as_spectral_query, weighted_degrees
 from .partition import arc_ends, degree_class_partition, spectral_preprocessing
 from .rng import derive_seed, draw_counts, rng_for
 from . import serialize
-from .serialize import Composite, composite, const, f64_array, fields, graph, int_array
-from .serialize import pairs, record, section, seq, switch, varint
+from .serialize import Composite, composite, const, cut_pieces_layout, f64_array, fields, graph, int_array
+from .serialize import record, section, seq, switch, varint
 from .sparsify import SparsifierConfig, factor2_class, sparsify
 
 
@@ -90,18 +90,15 @@ S2_LAYOUT = record(
     draws=varint, diag=f64_array, su=int_array, sv=int_array, sw=f64_array, scale=f64_array,
     owner=int_array, nbr=int_array, y=int_array,
 )
-# cut edges Q stored exactly, then (vertex map, S2 record) per component
-CUT_AND_PIECES = fields(q_u=int_array, q_v=int_array, q_w=f64_array, comps=pairs(S2_LAYOUT))
+S2_PIECES = cut_pieces_layout(S2_LAYOUT)
 
 
-def spectral_s2_build(
-    p: WeightedGraph, epsilon: float, seed: int, *, alpha: float | None = None, c_alpha: float = 1.0
-) -> S2Sketch:
+def spectral_s2_build(p: WeightedGraph, epsilon: float, seed: int, *, alpha: float | None = None) -> S2Sketch:
     """Store every edge at a light vertex (delta <= min weight * alpha);
     draw ceil(alpha) heavy-heavy edges at each heavy vertex u with
-    probability w / delta_l[u]."""
+    probability w / delta_l[u]. alpha defaults to eps^{-5/3}."""
     if alpha is None:
-        alpha = c_alpha * epsilon ** (-5.0 / 3.0)
+        alpha = epsilon ** (-5.0 / 3.0)
     draws = math.ceil(alpha)
     delta = weighted_degrees(p.n, p.edge_u, p.edge_v, p.edge_w)
     gamma = float(p.edge_w.min()) if p.m else 0.0
@@ -126,7 +123,7 @@ def spectral_s2_build(
 
 
 @dataclass
-class BasicClass:
+class BasicClass(CutPieces):
     verbatim: WeightedGraph | None = None  # set when gamma <= eps^2 (stored exactly)
     vmap_verbatim: np.ndarray | None = None
     q_u: np.ndarray | None = None  # cut edges and S2 pieces of a sketched class
@@ -154,7 +151,7 @@ class SpectralBasicSketch(Composite):
             if cls.verbatim is not None:
                 parts.append((cls.vmap_verbatim, _exact(cls.verbatim)))
                 continue
-            parts.extend(cut_and_piece_parts(self.n, cls))
+            parts.extend(cls.parts(self.n))
         return flatten(self.n, parts, self.kind)
 
     def estimate(self, x) -> float:
@@ -164,28 +161,14 @@ class SpectralBasicSketch(Composite):
     def word_count(self) -> int:
         if self.is_verbatim:
             return 3 * self.verbatim.m
-        words = 0
-        for cls in self.classes:
-            if cls.verbatim is not None:
-                words += 3 * cls.verbatim.m
-            else:
-                words += 3 * int(cls.q_u.size)
-                words += sum(sk.word_count() for _, sk in cls.comps)
-        return words
-
-    def to_bytes(self) -> bytes:
-        return serialize.encode(self.kind, self)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SpectralBasicSketch":
-        return serialize.decode(cls.kind, data)
+        return sum(3 * cls.verbatim.m if cls.verbatim is not None else cls.word_count() for cls in self.classes)
 
 
 BASIC_CLASS_LAYOUT = record(
     BasicClass,
     switch(
         lambda cls: int(cls.verbatim is not None),
-        {1: fields(verbatim=graph, vmap_verbatim=int_array), 0: CUT_AND_PIECES},
+        {1: fields(verbatim=graph, vmap_verbatim=int_array), 0: S2_PIECES},
     ),
     check=lambda cls: (
         cls.verbatim is not None and cls.vmap_verbatim.size != cls.verbatim.n and "vertex map does not fit its graph"
@@ -207,6 +190,7 @@ def spectral_basic_build(
     if g2.m == 0:
         return SpectralBasicSketch(epsilon, g.n, verbatim=g2)
     h = c_alpha * epsilon ** (1.0 / 3.0)
+    alpha = c_alpha * epsilon ** (-5.0 / 3.0)
     wcls = factor2_class(g2.edge_w, g2.edge_w.min())
     classes = []
     events = []
@@ -219,17 +203,14 @@ def spectral_basic_build(
             events.append(f"class {int(j)} stored verbatim: gamma <= eps^2")
             classes.append(BasicClass(sub, vmap))
             continue
-        part = spectral_preprocessing(sub, h)
-        comps = []
-        for k, comp in enumerate(part.components):
-            sk = spectral_s2_build(
-                comp.graph,
-                epsilon,
-                derive_seed(seed, "cls", int(j), "comp", k),
-                c_alpha=c_alpha,
-            )
-            comps.append((vmap[comp.vmap], sk))
-        classes.append(BasicClass(q_u=vmap[part.cross_u], q_v=vmap[part.cross_v], q_w=part.cross_w.copy(), comps=comps))
+        pieces = sketch_pieces(
+            spectral_preprocessing(sub, h),
+            lambda k, comp: spectral_s2_build(
+                comp.graph, epsilon, derive_seed(seed, "cls", int(j), "comp", k), alpha=alpha
+            ),
+            vmap,
+        )
+        classes.append(BasicClass(None, None, *pieces))
     return SpectralBasicSketch(epsilon, g.n, classes=classes, events=events)
 
 
@@ -238,7 +219,7 @@ def spectral_basic_build(
 
 
 @dataclass
-class S3Sketch:
+class S3Sketch(CutPieces):
     n: int
     q_u: np.ndarray  # cut edges of the conductance partition, stored exactly
     q_v: np.ndarray
@@ -247,16 +228,13 @@ class S3Sketch:
 
     def estimator_piece(self) -> EdgeSampleEstimator:
         """Cut edges and components on the piece's vertices."""
-        return flatten(self.n, cut_and_piece_parts(self.n, self), "S3 piece")
+        return flatten(self.n, self.parts(self.n), "S3 piece")
 
     def estimate(self, x) -> float:
         return self.estimator_piece().estimate(as_spectral_query(self.n, x))
 
-    def word_count(self) -> int:
-        return 3 * int(self.q_u.size) + sum(sk.word_count() for _, sk in self.comps)
 
-
-S3_LAYOUT = record(S3Sketch, fields(n=varint), CUT_AND_PIECES)
+S3_LAYOUT = record(S3Sketch, fields(n=varint), S2_PIECES)
 
 
 def spectral_s3_build(
@@ -267,7 +245,6 @@ def spectral_s3_build(
     seed: int,
     *,
     beta: float | None = None,
-    c_beta: float = 1.0,
 ) -> S3Sketch:
     """Sketch one degree-band piece p, whose buddy orientation is the mask
     flip (flip[e]: the arc runs p.edge_v[e] -> p.edge_u[e]).
@@ -278,16 +255,14 @@ def spectral_s3_build(
     sampled in-arcs with probability w / in_deg[u], where in_deg is the
     weight of the head's sampled in-arcs (0 at vertices that head none).
     A component is stored as an S2Sketch: undirected degrees, the stored
-    arcs, and scale 2 * in_deg.
+    arcs, and scale 2 * in_deg. beta defaults to eps^{-8/5}.
     """
     if beta is None:
-        beta = c_beta * epsilon ** (-8.0 / 5.0)
+        beta = epsilon ** (-8.0 / 5.0)
     draws = math.ceil(beta)
-    h = 2.0 ** (-kappa)
-    part = spectral_preprocessing(p, h)
     threshold = (2.0 ** (kappa - 1)) * beta
-    comps = []
-    for k, comp in enumerate(part.components):
+
+    def component(k: int, comp) -> S2Sketch:
         size, ws = comp.graph.n, comp.graph.edge_w
         tails, heads = arc_ends(comp.graph, flip[comp.edge_idx])
         sampled = np.bincount(tails, minlength=size)[tails] >= threshold
@@ -299,12 +274,12 @@ def spectral_s3_build(
         counts = draw_counts(rng_for(seed, "s3", k), rows, draws, w / in_deg[owner])
         hit = np.flatnonzero(counts)
         stored = ~sampled
-        piece = S2Sketch(
+        return S2Sketch(
             draws, weighted_degrees(size, tails, heads, ws), tails[stored], heads[stored], ws[stored],
             2.0 * in_deg, owner[hit], nbr[hit], counts[hit],
         )
-        comps.append((comp.vmap, piece))
-    return S3Sketch(p.n, part.cross_u.copy(), part.cross_v.copy(), part.cross_w.copy(), comps)
+
+    return S3Sketch(p.n, *sketch_pieces(spectral_preprocessing(p, 2.0 ** (-kappa)), component))
 
 
 # ---------------------------------------------------------------------------
@@ -345,17 +320,7 @@ class SpectralImprovedSketch(Composite):
     def word_count(self) -> int:
         if self.is_verbatim:
             return 3 * self.verbatim.m
-        words = 0
-        for cls in self.classes:
-            words += 3 * cls.graph.m if cls.graph is not None else cls.s3.word_count()
-        return words
-
-    def to_bytes(self) -> bytes:
-        return serialize.encode(self.kind, self)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SpectralImprovedSketch":
-        return serialize.decode(cls.kind, data)
+        return sum(3 * cls.graph.m if cls.graph is not None else cls.s3.word_count() for cls in self.classes)
 
 
 def _improved_case(kind: str, **piece):
@@ -391,19 +356,13 @@ def spectral_improved_build(
     if g.n < 2 or g.m == 0 or epsilon <= 1.0 / g.n:
         return SpectralImprovedSketch(epsilon, g.n, verbatim=g)
     dcp = degree_class_partition(g, epsilon, derive_seed(seed, "partition"), c_beta=c_beta)
+    beta = c_beta * epsilon ** (-8.0 / 5.0)
     classes = []
     for ci, dc in enumerate(dcp.classes):
         if dc.kind in ("verbatim", "low"):
             classes.append(ImprovedClass(dc.kind, dc.vmap, graph=dc.piece))
         else:
-            s3 = spectral_s3_build(
-                dc.piece,
-                dc.flip,
-                epsilon,
-                dc.band,
-                derive_seed(seed, "class", ci),
-                c_beta=c_beta,
-            )
+            s3 = spectral_s3_build(dc.piece, dc.flip, epsilon, dc.band, derive_seed(seed, "class", ci), beta=beta)
             classes.append(ImprovedClass("band", dc.vmap, s3=s3))
     info = {"recursion_depth": dcp.recursion_depth, "n_classes": len(dcp.classes)}
     return SpectralImprovedSketch(epsilon, g.n, classes=classes, info=info)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from quadsketch.cli import main
-from quadsketch.cutsketch import cut_basic_build, cut_sketch_build
+from quadsketch.cutsketch import CutSketchPoly, cut_basic_build, cut_sketch_build
 from quadsketch.graph import save_graph
 from quadsketch.serialize import Writer, envelope, sketch_class
 from quadsketch.spectral import spectral_improved_build
@@ -138,6 +138,25 @@ def test_cut_query_detail_on_a_ladder_sketch(tmp_path, capsys):
     diag = json.loads(err)
     assert diag["mode"] == "sketch"
     assert {"c_tilde", "scale_index"} <= diag.keys()
+
+
+def test_cut_query_without_detail_skips_diagnostics(tmp_path, capsys, monkeypatch):
+    g = gnp_connected(20, 0.5, seed=5)
+    sk = cut_basic_build(g, 0.15, 3, mode="pipeline")
+    skp = tmp_path / "poly.qsk"
+    skp.write_bytes(sk.to_bytes())
+    calls = []
+    estimate = CutSketchPoly.estimate
+
+    def spy(self, members, *, detail=False):
+        calls.append(detail)
+        return estimate(self, members, detail=detail)
+
+    monkeypatch.setattr(CutSketchPoly, "estimate", spy)
+    code, out, err = run_cli(["cut-sketch", "query", str(skp), "0,1,2"], capsys)
+    assert code == 0 and err == ""
+    assert calls == [False]
+    assert float(out.strip()) == estimate(sk, np.arange(20) < 3)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadsketch.errors import GraphFormatError, QuadsketchError, TooLargeError
+from quadsketch.errors import GraphFormatError, QuadsketchError, QueryError, TooLargeError
 from quadsketch.graph import (
     WeightedGraph,
+    as_cut_query,
     cheeger_exact,
     conductance,
     connected_components,
@@ -52,6 +53,17 @@ def test_cut_weight_examples():
     assert cut_weight(g, np.ones(3, dtype=bool)) == 0.0
     path = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     assert cut_weight(path, members_from_vertices(3, [1])) == 2.0
+
+
+def test_cut_query_accepts_bits_only():
+    assert as_cut_query(3, np.array([1, 0, 1])).tolist() == [True, False, True]
+    assert as_cut_query(3, np.array([1, 0, 1], dtype=np.uint8)).tolist() == [True, False, True]
+    path = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    for bad in ([-1, 0, 1], [0, 2, 1], [0, 1]):
+        with pytest.raises(QueryError):
+            as_cut_query(3, np.array(bad))
+    with pytest.raises(QueryError):
+        cut_weight(path, [-5, 0, 1])
 
 
 def test_degrees():
