@@ -44,13 +44,13 @@ def min_cut_exact(g: WeightedGraph) -> tuple[float, np.ndarray]:
     while len(active) > 1:
         # maximum adjacency order from active[0]; added and merged vertices
         # hold -inf, so argmax's first maximum is the first open vertex in
-        # ascending order
+        # ascending order (the method skips np.argmax's Python wrapper)
         s = t = active[0]
         wsum = adj[t].copy()
         wsum[merged] = -np.inf
         for _ in range(len(active) - 1):
             wsum[t] = -np.inf
-            s, t = t, int(np.argmax(wsum))
+            s, t = t, int(wsum.argmax())
             wsum += adj[t]
         cut_of_phase = float(wsum[t])  # the diagonal is 0, so this is w(t, added)
         if cut_of_phase < best_val:

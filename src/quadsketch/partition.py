@@ -7,7 +7,8 @@ Shared by the cut and spectral sketches:
   and weighted degrees; ``graph.ratio_weights`` and ``graph.cut_ratio``,
   which the exhaustive oracles of ``graph`` share), searched by a singleton test, a Cheeger-type
   λ₁/2 certificate, exact subset enumeration for small components and a
-  Fiedler sweep above;
+  Fiedler sweep above (λ₁ alone from ``eigvalsh`` up to 20 vertices, the
+  sign-fixed Fiedler pair of ``fiedler_pair`` above);
 * ``cut_preprocessing``: rescale / discard / importance-sample / weight-class
   split / expansion partition, producing expander pieces plus stored cut
   edges Q;
@@ -75,10 +76,13 @@ def find_sparse_cut(g: WeightedGraph, mode: str, threshold: float) -> SparseCutR
     threshold (|∂(S, S̄)| / |S| < threshold); conductance sums edge weights
     and weighted degrees and qualifies at or below it (Φ(S) <= threshold).
 
-    Deterministic: singletons are tried in vertex order, then subsets in a
-    fixed canonical enumeration (small components), or the best Fiedler sweep
-    prefix (large components, heuristic). A disconnected g returns its
-    smallest component. A NaN threshold raises QuadsketchError.
+    Deterministic: singletons are tried in vertex order; then lambda_1/2
+    of the mode's matrix certifies that no cut qualifies, or subsets are
+    tried in a fixed canonical enumeration (up to EXHAUSTIVE_CUT_CAP
+    vertices, lambda_1 from eigvalsh), or the best prefix of the Fiedler
+    sweep is taken (larger pieces, heuristic; lambda_1 and the sign-fixed
+    vector from fiedler_pair). A disconnected g returns its smallest
+    component. A NaN threshold raises QuadsketchError.
     """
     if mode not in ("edge_expansion", "conductance"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -109,18 +113,21 @@ def find_sparse_cut(g: WeightedGraph, mode: str, threshold: float) -> SparseCutR
     # spectral certificate: every ratio is at least lambda_1/2 of
     # diag(deg / vw) - V^-1/2 A V^-1/2, which is D - A for edge_expansion
     # and the normalized Laplacian I - D^-1/2 A D^-1/2 for conductance,
-    # entry for entry (deg / vw is exactly 1.0 when vw = deg)
+    # entry for entry (deg / vw is exactly 1.0 when vw = deg). The exact
+    # scan reads only lambda_1; the sweep reads the Fiedler vector too.
     inv_sqrt = 1.0 / np.sqrt(vw)
     a = g.adjacency_matrix(ew)
-    vals, vecs = np.linalg.eigh(np.diag(deg / vw) - (inv_sqrt[:, None] * a) * inv_sqrt[None, :])
-    if not _qualifies(float(vals[1]) / 2.0, mode, threshold):
+    mat = np.diag(deg / vw) - (inv_sqrt[:, None] * a) * inv_sqrt[None, :]
+    if n <= EXHAUSTIVE_CUT_CAP:
+        if not _qualifies(float(np.linalg.eigvalsh(mat)[1]) / 2.0, mode, threshold):
+            return SparseCutResult(None, True)
+        return SparseCutResult(_exhaustive_cut(g, mode, threshold, ew, vw), True)
+    lam1, fiedler = fiedler_pair(mat)
+    if not _qualifies(lam1 / 2.0, mode, threshold):
         return SparseCutResult(None, True)
 
-    if n <= EXHAUSTIVE_CUT_CAP:
-        return SparseCutResult(_exhaustive_cut(g, mode, threshold, ew, vw), True)
-
     # Fiedler sweep heuristic: best prefix of the sorted embedding
-    order = np.lexsort((np.arange(n), vecs[:, 1] * inv_sqrt))
+    order = np.lexsort((np.arange(n), fiedler * inv_sqrt))
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
     pu, pv = pos[g.edge_u], pos[g.edge_v]
@@ -135,6 +142,25 @@ def find_sparse_cut(g: WeightedGraph, mode: str, threshold: float) -> SparseCutR
         members[order[: best + 1]] = True
         return SparseCutResult(_smaller_side(members), True)
     return SparseCutResult(None, False)
+
+
+def fiedler_pair(mat: np.ndarray) -> tuple[float, np.ndarray]:
+    """The second-smallest eigenvalue lambda_1 of the symmetric matrix mat
+    and its unit eigenvector; mat's contents may be overwritten.
+
+    LAPACK's MRRR driver computes the two smallest eigenpairs only. The
+    vector's sign is fixed: its first entry of largest magnitude is
+    positive, so v and -v give the same bits and the sweep does not depend
+    on the sign LAPACK returns.
+    """
+    # imported here, like scipy.linalg.lapack in sparsify: only builds need it
+    from scipy.linalg import eigh
+
+    vals, vecs = eigh(mat, subset_by_index=[0, 1], driver="evr", check_finite=False, overwrite_a=True)
+    vec = vecs[:, 1]
+    if vec[np.argmax(np.abs(vec))] < 0:
+        vec = -vec
+    return float(vals[1]), vec
 
 
 CONFIRM_BATCH = 256  # filtered masks re-scored at once

@@ -29,6 +29,7 @@ from quadsketch.partition import (
     PartitionResult,
     arc_ends,
     cut_preprocessing,
+    fiedler_pair,
     find_sparse_cut,
 )
 from quadsketch.rng import derive_seed, draw_counts
@@ -116,18 +117,24 @@ def _legacy_qualifies(value, mode, threshold):
 def _legacy_spectrum(g, mode, delta):
     """(lambda_1, Fiedler vector) of D - A (edge_expansion, unit weights) or
     of I - D^-1/2 A D^-1/2 (conductance), each built as the two-branch
-    search built it."""
+    search built it. Only the eigensolve is the search's own: lambda_1 from
+    eigvalsh up to EXHAUSTIVE_CUT_CAP vertices, where the search reads no
+    vector, and from partition.fiedler_pair above; the vector, which only
+    sweeps read, always comes from fiedler_pair."""
     n = g.n
     if mode == "edge_expansion":
         a = np.zeros((n, n))
         a[g.edge_u, g.edge_v] = 1.0
         a[g.edge_v, g.edge_u] = 1.0
-        vals, vecs = np.linalg.eigh(np.diag(a.sum(axis=1)) - a)
-        return float(vals[1]), vecs[:, 1]
-    inv_sqrt = 1.0 / np.sqrt(delta)
-    a = g.adjacency_matrix()
-    vals, vecs = np.linalg.eigh(np.eye(n) - (inv_sqrt[:, None] * a) * inv_sqrt[None, :])
-    return float(vals[1]), vecs[:, 1] * inv_sqrt
+        mat = np.diag(a.sum(axis=1)) - a
+        scale = np.ones(n)
+    else:
+        scale = 1.0 / np.sqrt(delta)
+        a = g.adjacency_matrix()
+        mat = np.eye(n) - (scale[:, None] * a) * scale[None, :]
+    small = float(np.linalg.eigvalsh(mat)[1]) if n <= EXHAUSTIVE_CUT_CAP else None
+    lam1, vec = fiedler_pair(mat)
+    return (lam1 if small is None else small), vec * scale
 
 
 def _legacy_prefix_sweep(g, order, mode, delta):

@@ -439,8 +439,8 @@ GOLDEN = [
         lambda: clusters([32, 32], [1.0, 1.0], 0.9, 2),
         0.1,
         8,
-        "956af3c9835f2b822c959e30ac95e6642c04563b685b23aac93e5c9ae9ee9a58",
-        "a3c5e630836a9d81492f25bd0fe1a2d6aa1c6c33f8e80ea395f59d8b34b03f11",
+        "ab9f908a4eae08cc0695ce43fb9d379677c7d48785f5afdd6dd738e0e89a1d2e",
+        "5a3221e8a424168439a4d4cdeec0fe6f0b5f2d626407aa01021fe43eedac4635",
     ),
     (
         lambda: clusters([30, 36, 28], [1.0, 30.0, 1000.0], 0.95, 3),

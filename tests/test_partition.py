@@ -152,6 +152,59 @@ class TestOneRatioSearch:
                 assert want is None or np.array_equal(res.members, want), (mode, threshold)
 
 
+def mode_matrix(g, mode):
+    """The certificate matrix diag(deg / vw) - V^-1/2 A V^-1/2 of the mode,
+    D - A for edge_expansion and I - D^-1/2 A D^-1/2 for conductance."""
+    ew, vw = ratio_weights(g, mode)
+    deg = np.bincount(g.edge_u, ew, g.n) + np.bincount(g.edge_v, ew, g.n)
+    inv_sqrt = 1.0 / np.sqrt(vw)
+    return np.diag(deg / vw) - (inv_sqrt[:, None] * g.adjacency_matrix(ew)) * inv_sqrt[None, :]
+
+
+class TestFiedlerPair:
+    @pytest.mark.parametrize("n", [21, 24, 40, 64, 100, 150, 200])
+    @pytest.mark.parametrize("mode", ["edge_expansion", "conductance"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_full_eigh(self, n, mode, seed):
+        rng = np.random.default_rng([n, seed])
+        g = gnp_connected(n, min(1.0, float(rng.uniform(3.0, 12.0)) / n), seed, w_lo=1.0, w_hi=4.0)
+        mat = mode_matrix(g, mode)
+        vals, vecs = np.linalg.eigh(mat)
+        lam1, vec = partition.fiedler_pair(mat.copy())
+        assert abs(lam1 - vals[1]) <= 1e-12 * np.abs(vals).max()
+        assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+        # the first entry of largest magnitude is positive
+        assert vec[np.argmax(np.abs(vec))] > 0
+        if vals[2] - vals[1] > 1e-6:
+            ref = vecs[:, 1]
+            assert min(np.abs(vec - ref).max(), np.abs(vec + ref).max()) <= 1e-8
+
+    @pytest.mark.parametrize("mode", ["edge_expansion", "conductance"])
+    def test_sign_rule_gives_v_and_minus_v_the_same_bits(self, mode, monkeypatch):
+        # LAPACK cannot be made to return the other sign, so a wrapped
+        # eigh negates every vector it returns
+        import scipy.linalg
+
+        eigh = scipy.linalg.eigh
+        mat = mode_matrix(gnp_connected(60, 0.15, 2, w_lo=1.0, w_hi=4.0), mode)
+        want = partition.fiedler_pair(mat.copy())
+        monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **kw: (lambda vals, vecs: (vals, -vecs))(*eigh(*a, **kw)))
+        got = partition.fiedler_pair(mat.copy())
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_sign_rule_reads_the_first_largest_entry(self, sign, monkeypatch):
+        # |entries| tie at 0.5: the first of them, entry 0, decides
+        import scipy.linalg
+
+        vec = sign * np.array([0.5, -0.5, 0.5, -0.5])
+        monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **kw: (np.array([0.0, 1.0]), np.stack([np.full(4, 0.5), vec], 1)))
+        lam1, got = partition.fiedler_pair(np.eye(4))
+        assert lam1 == 1.0
+        assert got.tolist() == [0.5, -0.5, 0.5, -0.5]
+
+
 def connected_with_repeated_weights(n, p, seed):
     """A random spanning tree plus G(n, p) edges, weights drawn from a
     few values, so that many masks score the same."""

@@ -355,11 +355,11 @@ GOLDEN = {
     ),
     "spectral_improved-band-and-low": (
         lambda: spectral_improved_build(gnp_connected(40, 0.5, seed=4), 0.25, 5),
-        "878f1dbb6c00ac0b04ce625c772e8d309d005058e5dc7339da6e81cb06001a0a",
+        "faed66ca5238391329cf58750eea0e56bf851f7fa8e4466451e2885327975faa",
     ),
     "spectral_improved-verbatim-class": (
         improved_with_verbatim_class,
-        "db49f7c66c99e48ff4d96b2c6eec364a19bd56992831b019c50a84b1596d6266",
+        "b03602ae664c9a78dea10f834819ff774b05d7f33a783b0e9c3d8f2d14ef8df7",
     ),
     "sdd": (
         lambda: sdd_sketch_build(sdd_matrix(8, 1), 0.2, 2),
@@ -443,7 +443,7 @@ PINNED_ANSWERS = {
     "spectral_improved-band-and-low": (
         lambda: spectral_improved_build(gnp_connected(40, 0.5, seed=4), 0.25, 5),
         ["0x1.f2831927f45c4p+8", "0x1.484f894f78a58p+9", "0x1.30e41496ac51cp+9", "0x0.0p+0"],
-        "66de3b077e4a4323a3e415c6456a046ea899a71ea26a490b0cae29223c80a507",
+        "0f5f53ea04f79cc18b52828bd302e939127060c1f878effe6e25832cd173f4da",
     ),
     "spectral_improved-mixed-heads": (
         lambda: spectral_improved_build(gnp_connected(20, 0.5, seed=8, w_lo=1, w_hi=4), 0.2, 8, c_beta=0.3),

@@ -446,3 +446,55 @@ def test_spectral_bytes_do_not_depend_on_blas_threads():
         digests.append(out.stdout.split())
     assert len(digests[0]) == 2
     assert digests[0] == digests[1]
+
+
+SWEEP_BYTES_SCRIPT = """
+import hashlib
+import numpy as np
+from quadsketch import partition
+from quadsketch.cutsketch import cut_sketch_build
+from quadsketch.graph import WeightedGraph
+from quadsketch.spectral import spectral_improved_build
+
+sizes = []
+pair = partition.fiedler_pair
+
+
+def counted(mat):
+    sizes.append(mat.shape[0])
+    return pair(mat)
+
+
+partition.fiedler_pair = counted
+rng = np.random.default_rng(1)
+n = 200
+iu, ju = np.triu_indices(n, 1)
+keep = rng.random(iu.size) < 0.3
+g = WeightedGraph(n, _arrays=(iu[keep], ju[keep], rng.uniform(1.0, 4.0, int(keep.sum()))))
+for build in (lambda: spectral_improved_build(g, 0.2, 1), lambda: cut_sketch_build(g, 0.05, 1, mode="pipeline")):
+    data = build().to_bytes()
+    print(hashlib.sha256(data).hexdigest(), max(sizes, default=0))
+    sizes.clear()
+"""
+
+
+def test_sweep_bytes_do_not_depend_on_blas_threads():
+    # Both builds search pieces above EXHAUSTIVE_CUT_CAP vertices, where the
+    # Fiedler sweep sorts the vector of fiedler_pair; its eigensolve runs
+    # with 1 and 2 OpenBLAS threads, and the bytes must not move.
+    src = str(Path(quadsketch.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
+        out = subprocess.run(
+            [sys.executable, "-c", SWEEP_BYTES_SCRIPT], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append([line.split() for line in out.stdout.splitlines()])
+    assert len(outputs[0]) == 2
+    assert all(int(largest) > partition.EXHAUSTIVE_CUT_CAP for _, largest in outputs[0])
+    assert [d for d, _ in outputs[0]] == [d for d, _ in outputs[1]]
