@@ -132,9 +132,10 @@ def _legacy_spectrum(g, mode, delta):
         scale = 1.0 / np.sqrt(delta)
         a = g.adjacency_matrix()
         mat = np.eye(n) - (scale[:, None] * a) * scale[None, :]
-    small = float(np.linalg.eigvalsh(mat)[1]) if n <= EXHAUSTIVE_CUT_CAP else None
-    lam1, vec = fiedler_pair(mat)
-    return (lam1 if small is None else small), vec * scale
+    lam1, vec = fiedler_pair(mat.copy())
+    if n <= EXHAUSTIVE_CUT_CAP:
+        lam1 = float(np.linalg.eigvalsh(mat)[1])
+    return lam1, vec * scale
 
 
 def _legacy_prefix_sweep(g, order, mode, delta):

@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import conftest
@@ -183,12 +184,15 @@ class TestFiedlerPair:
     def test_sign_rule_gives_v_and_minus_v_the_same_bits(self, mode, monkeypatch):
         # LAPACK cannot be made to return the other sign, so a wrapped
         # eigh negates every vector it returns
-        import scipy.linalg
-
         eigh = scipy.linalg.eigh
+
+        def negated(*args, **kwargs):
+            vals, vecs = eigh(*args, **kwargs)
+            return vals, -vecs
+
         mat = mode_matrix(gnp_connected(60, 0.15, 2, w_lo=1.0, w_hi=4.0), mode)
         want = partition.fiedler_pair(mat.copy())
-        monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **kw: (lambda vals, vecs: (vals, -vecs))(*eigh(*a, **kw)))
+        monkeypatch.setattr(scipy.linalg, "eigh", negated)
         got = partition.fiedler_pair(mat.copy())
         assert got[0] == want[0]
         assert got[1].tobytes() == want[1].tobytes()
@@ -196,10 +200,8 @@ class TestFiedlerPair:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_sign_rule_reads_the_first_largest_entry(self, sign, monkeypatch):
         # |entries| tie at 0.5: the first of them, entry 0, decides
-        import scipy.linalg
-
-        vec = sign * np.array([0.5, -0.5, 0.5, -0.5])
-        monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **kw: (np.array([0.0, 1.0]), np.stack([np.full(4, 0.5), vec], 1)))
+        pair = (np.array([0.0, 1.0]), np.stack([np.full(4, 0.5), sign * np.array([0.5, -0.5, 0.5, -0.5])], 1))
+        monkeypatch.setattr(scipy.linalg, "eigh", lambda *args, **kwargs: pair)
         lam1, got = partition.fiedler_pair(np.eye(4))
         assert lam1 == 1.0
         assert got.tolist() == [0.5, -0.5, 0.5, -0.5]
