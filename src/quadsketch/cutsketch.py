@@ -7,11 +7,13 @@ Three tiers, each built on the previous one:
 * ``CutSketchPoly``: a 0.2-accuracy sparsifier to locate the cut value on a
   base-1.4 scale ladder, plus importance-sampled expander pieces with S1
   sketches and exactly stored cut edges on every ladder scale that a query
-  can select;
+  can select; each scale stores its value c once, and the ladder is read
+  off the scales;
 * ``CutSketchGeneral``: maximum-spanning-forest reduction that snaps an
   arbitrary weight range onto polynomially bounded slices, storing each
   distinct slice once (a slice equal to the last stored one is skipped, and
-  its queries route to that one).
+  its queries route to that one). Its slices' polynomial sketches are
+  sections of the ``CUT_POLY_LAYOUT`` payload, not envelopes.
 
 Sketches are immutable after build. Estimates go through the shared flat
 ``EdgeSampleEstimator``; ``CutSketchPoly`` builds one per ladder scale on
@@ -41,7 +43,7 @@ from .partition import cut_preprocessing
 from .rng import derive_seed, draw_counts, rng_for
 from . import serialize
 from .serialize import Composite, composite, cut_pieces_layout, f64, f64_array, fields, graph, int_array
-from .serialize import nested, pairs, record, section, seq, tuple_of, varint
+from .serialize import pairs, record, section, seq, tuple_of, varint
 from .sparsify import SparsifierConfig, sparsify
 
 LADDER_BASE = 1.4
@@ -62,7 +64,6 @@ class QueryResult:
 class S1Sketch:
     """Weighted degrees + per-vertex uniform edge samples of an S1 piece."""
 
-    epsilon: float
     s: int
     delta: np.ndarray  # weighted degree per vertex (in the piece)
     deg: np.ndarray  # unweighted degree per vertex
@@ -96,7 +97,7 @@ class S1Sketch:
 
 S1_LAYOUT = record(
     S1Sketch,
-    s=varint, epsilon=f64, delta=f64_array, deg=int_array,
+    s=varint, delta=f64_array, deg=int_array,
     owner=int_array, nbr=int_array, w=f64_array, y=int_array,
 )
 
@@ -113,7 +114,6 @@ def cut_s1_build(p: WeightedGraph, epsilon: float, seed: int, *, s: int | None =
     counts = draw_counts(rng_for(seed, "s1"), indptr, s)
     hit = np.flatnonzero(counts)
     return S1Sketch(
-        float(epsilon),
         int(s),
         weighted_degrees(p.n, p.edge_u, p.edge_v, p.edge_w),
         deg,
@@ -148,11 +148,11 @@ class CutSketchPoly(Composite):
 
     kind = "cut_poly"
 
-    def __init__(self, epsilon, n, verbatim=None, sparsifier=None, ladder=None, scales=None):
+    def __init__(self, epsilon, n, verbatim=None, sparsifier=None, scales=None):
         super().__init__(epsilon, n, verbatim)
         self.sparsifier = sparsifier
-        self.ladder = ladder if ladder is not None else np.empty(0)
         self.scales: list[ScaleSketch] = scales if scales is not None else []
+        self.ladder = np.array([sc.c for sc in self.scales], dtype=np.float64)  # the stored scales' values
         self._flat: dict[int, EdgeSampleEstimator] = {}  # scale index -> estimator
         self._nbytes: int | None = None  # envelope size, once known
 
@@ -186,8 +186,8 @@ class CutSketchPoly(Composite):
         diag["c_tilde"] = c_tilde
         if c_tilde <= 0.0:
             return QueryResult(0.0, diag) if detail else 0.0
-        if len(self.scales) != len(self.ladder) or not self.scales:
-            raise SketchConsistencyError(f"{len(self.scales)} scale sketches for a {len(self.ladder)}-step ladder")
+        if not self.scales:
+            raise SketchConsistencyError("a sparsifier but no scale sketches")
         idx = scale_of(self.ladder, c_tilde)
         scale = self.scales[idx]
         diag.update(c=scale.c, scale_index=idx)
@@ -217,16 +217,13 @@ class CutSketchPoly(Composite):
 
 
 SCALE_CLASS_LAYOUT = record(ScaleClass, fields(index=varint), cut_pieces_layout(S1_LAYOUT))
-serialize.register(
-    2,
-    composite(
-        CutSketchPoly,
-        check=lambda sk: sk.sparsifier.n != sk.n and f"{sk.sparsifier.n}-vertex sparsifier, n = {sk.n}",
-        sparsifier=section(graph),
-        ladder=section(f64_array),
-        scales=section(seq(record(ScaleSketch, c=f64, classes=seq(SCALE_CLASS_LAYOUT)))),
-    ),
+CUT_POLY_LAYOUT = composite(
+    CutSketchPoly,
+    check=lambda sk: sk.sparsifier.n != sk.n and f"{sk.sparsifier.n}-vertex sparsifier, n = {sk.n}",
+    sparsifier=section(graph),
+    scales=section(seq(record(ScaleSketch, c=f64, classes=seq(SCALE_CLASS_LAYOUT)))),
 )
+serialize.register(2, CUT_POLY_LAYOUT)
 
 
 def build_ladder(g: WeightedGraph) -> np.ndarray:
@@ -328,7 +325,7 @@ def cut_basic_build(
             for cl in prep.classes
         ]
         scales.append(ScaleSketch(c, classes))
-    return CutSketchPoly(epsilon, g.n, sparsifier=h, ladder=ladder[k0 : k1 + 1], scales=scales)
+    return CutSketchPoly(epsilon, g.n, sparsifier=h, scales=scales)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +428,7 @@ serialize.register(
         check=_check_general,
         tree=section(seq(tuple_of(varint, varint, f64))),
         stored=section(
-            seq(record(GeneralScale, j=varint, labels=int_array, comps=pairs(nested(CutSketchPoly))))
+            seq(record(GeneralScale, j=varint, labels=int_array, comps=pairs(section(CUT_POLY_LAYOUT))))
         ),
     ),
 )

@@ -596,7 +596,6 @@ def degree_class_partition(
     seed: int,
     *,
     c_beta: float = 1.0,
-    beta: float | None = None,
 ) -> DegreeClassPartition:
     """Partition into out-degree-band oriented pieces plus low/verbatim rest.
 
@@ -612,8 +611,7 @@ def degree_class_partition(
     """
     if not 0 < epsilon < 0.5:
         raise ValueError("epsilon must be in (0, 1/2)")
-    if beta is None:
-        beta = c_beta * epsilon ** (-8.0 / 5.0)
+    beta = c_beta * epsilon ** (-8.0 / 5.0)
     classes: list[DegreeClass] = []
     levels: list[LevelInfo] = []
 

@@ -15,8 +15,8 @@ from .errors import QuadsketchError
 from .graph import WeightedGraph, as_spectral_query
 from .rng import rng_for
 from . import serialize
-from .serialize import f64, f64_array, matrix, nested, record, varint
-from .spectral import SpectralImprovedSketch, spectral_improved_build
+from .serialize import f64, f64_array, matrix, record, section
+from .spectral import IMPROVED_LAYOUT, SpectralImprovedSketch, spectral_improved_build
 
 MATRIX_VERTEX_CAP = 4096
 SYMMETRY_TOL = 1e-12
@@ -119,7 +119,7 @@ serialize.register(
         SddSketch,
         check=lambda sk: sk.lap_sketch.n != 2 * sk.n and f"side {sk.n} holds a {sk.lap_sketch.n}-vertex sketch",
         diag=f64_array,
-        lap_sketch=nested(SpectralImprovedSketch),
+        lap_sketch=section(IMPROVED_LAYOUT),
     ),
 )
 
@@ -140,7 +140,6 @@ class JlSketch:
     sb: np.ndarray  # r x n projected factor
     epsilon: float
     delta: float
-    seed: int
 
     @property
     def r(self) -> int:
@@ -156,7 +155,7 @@ class JlSketch:
         return float(np.dot(v, v))
 
 
-serialize.register(8, record(JlSketch, epsilon=f64, delta=f64, seed=varint, sb=matrix))
+serialize.register(8, record(JlSketch, epsilon=f64, delta=f64, sb=matrix))
 
 
 def jl_rows(epsilon: float, delta: float) -> int:
@@ -174,7 +173,7 @@ def jl_build(a, epsilon: float, delta: float, seed: int) -> JlSketch:
     r = jl_rows(epsilon, delta)
     rng = rng_for(seed, "jl")
     s = rng.choice((-1.0, 1.0), size=(r, a.shape[0])) / math.sqrt(r)
-    return JlSketch(s @ b, float(epsilon), float(delta), int(seed))
+    return JlSketch(s @ b, float(epsilon), float(delta))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ Envelope: magic ``QSK1``, one version byte (``VERSION``; other versions are
 rejected), one kind byte, then the payload. Integers are unsigned LEB128
 varints, floats little-endian IEEE-754 doubles (weights are kept exact; the
 byte length of the envelope is the official size metric of a sketch, so a
-layout holds only what a query or a decoder check reads). Version 2 stores
-S2 pieces and S3 components as one record and drops the build parameters,
-diagnostics and sample weights that version 1 wrote but nothing read.
+layout holds each value once, in the shape the estimator reads, and only
+what a query or a decoder check reads). Version 2 stored S2 pieces and S3
+components as one record; version 3 makes every class of a composite the
+record it decodes to (one ``S3Sketch`` per improved class, one cut-pieces
+record per basic class), stores each cut-ladder scale value once and puts
+no envelope inside another.
 
 Each sketch class states its layout once, in wire order, as a ``Codec``
 built from the vocabulary below; ``register`` gives it a kind byte and its
@@ -14,9 +17,8 @@ built from the vocabulary below; ``register`` gives it a kind byte and its
 layout both ways.
 
 * Fields: ``f64``, ``varint``, ``int_array``/``f64_array`` (a count, then
-  the entries), ``graph`` (n, m, edge arrays), ``const(v)`` (no bytes) and
-  ``mapped(codec, to_wire, from_wire)`` conversions such as ``matrix``
-  (rows, columns, entries).
+  the entries), ``graph`` (n, m, edge arrays) and ``mapped(codec, to_wire,
+  from_wire)`` conversions such as ``matrix`` (rows, columns, entries).
 * ``seq(item)``: a count, then the items; ``tuple_of(a, b, ...)``;
   ``pairs(item)``: (vertex map, piece) lists; ``cut_pieces_layout(piece)``:
   cut edges, then such a list; ``section(inner)``: a byte length, then
@@ -27,9 +29,8 @@ layout both ways.
   a varint tag, then that tag's fields. ``composite(cls, ...)``: eps, n, a
   verbatim flag, then the whole graph or the body.
 
-Nested-envelope rule: a sketch inside a sketch (``nested(cls)``) is a
-section holding its own complete envelope, written by its class's
-``to_bytes`` and read by its ``from_bytes``.
+A sketch inside a sketch is a section holding its layout's payload: the
+envelope header is written once, by the outermost sketch.
 
 Reads are bounds-checked; bytes no layout writes (truncation, unknown tags,
 trailing bytes, invalid graphs, broken cross-field invariants) raise
@@ -47,7 +48,7 @@ from .errors import QuadsketchError
 from .graph import WeightedGraph
 
 MAGIC = b"QSK1"
-VERSION = 2
+VERSION = 3
 
 MAX_VARINT_BYTES = 10  # ceil(64 / 7): a 64-bit value's LEB128 length
 SHORT_ARRAY = 16  # int arrays up to this long are coded one Python int at a time
@@ -254,10 +255,6 @@ def mapped(codec: Codec, to_wire: Callable, from_wire: Callable) -> Codec:
     return Codec(lambda w, v: codec.write(w, to_wire(v)), lambda r: from_wire(codec.read(r)))
 
 
-def const(value) -> Codec:
-    return Codec(lambda w, _: None, lambda r: value)
-
-
 def seq(item: Codec) -> Codec:
     def write(w: Writer, values) -> None:
         w.varint(len(values))
@@ -402,10 +399,6 @@ def composite(cls: type[Composite], *, check: Callable | None = None, **body: Co
 
     verbatim_or_body = switch(lambda sk: int(sk.is_verbatim), {1: fields(verbatim=graph), 0: fields(**body)})
     return record(cls, fields(epsilon=f64, n=varint), verbatim_or_body, check=check_all)
-
-
-def nested(cls) -> Codec:
-    return mapped(blob, lambda sk: sk.to_bytes(), lambda data: cls.from_bytes(data))
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,17 @@
   scale delta_l, the heavy-heavy degree.
 * ``SpectralBasicSketch``: sparsify, split into factor-2 weight classes,
   partition each at conductance c_alpha * eps^{1/3}, S2-sketch the pieces and
-  store the cut edges exactly.
+  store the cut edges exactly. A class with gamma <= eps^2 is all cut
+  edges: it stores every edge exactly and sketches no piece.
 * ``S3Sketch``: a degree-banded oriented piece: cut edges stored exactly
   plus one S2-shaped record per component. Arcs from low out-degree tails
   are stored, the rest sampled at each head with about eps^{-8/5} draws in
   proportion to weight; the scale is 2 * in_deg, the head's sampled
   in-weight doubled.
-* ``SpectralImprovedSketch``: degree-class partition; low/verbatim classes
-  stored exactly, banded classes S3-sketched.
+* ``SpectralImprovedSketch``: degree-class partition; every class is a
+  (vertex map, ``S3Sketch``) pair. Banded classes are S3-sketched; a low or
+  verbatim class is an S3 record whose cut edges are all its edges, with no
+  components.
 
 S2 and S3 draw their samples with ``rng.draw_counts``, as S1 does. Every
 sketch answers through one flat ``EdgeSampleEstimator``: the
@@ -26,7 +29,7 @@ added with math.fsum (see ``estimator``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -36,8 +39,8 @@ from .graph import WeightedGraph, as_spectral_query, weighted_degrees
 from .partition import arc_ends, degree_class_partition, spectral_preprocessing
 from .rng import derive_seed, draw_counts, rng_for
 from . import serialize
-from .serialize import Composite, composite, const, cut_pieces_layout, f64_array, fields, graph, int_array
-from .serialize import record, section, seq, switch, varint
+from .serialize import Composite, composite, cut_pieces_layout, f64_array, fields, int_array, pairs, record
+from .serialize import section, seq, varint
 from .sparsify import SparsifierConfig, factor2_class, sparsify
 
 
@@ -124,12 +127,10 @@ def spectral_s2_build(p: WeightedGraph, epsilon: float, seed: int, *, alpha: flo
 
 @dataclass
 class BasicClass(CutPieces):
-    verbatim: WeightedGraph | None = None  # set when gamma <= eps^2 (stored exactly)
-    vmap_verbatim: np.ndarray | None = None
-    q_u: np.ndarray | None = None  # cut edges and S2 pieces of a sketched class
-    q_v: np.ndarray | None = None
-    q_w: np.ndarray | None = None
-    comps: list[tuple[np.ndarray, S2Sketch]] = field(default_factory=list)
+    q_u: np.ndarray  # cut edges, global ids; every edge of a gamma <= eps^2 class
+    q_v: np.ndarray
+    q_w: np.ndarray
+    comps: list[tuple[np.ndarray, S2Sketch]]  # (component vertex -> global id, S2 piece)
 
 
 class SpectralBasicSketch(Composite):
@@ -146,13 +147,7 @@ class SpectralBasicSketch(Composite):
         """Every class, cut edge and S2 piece in one flat estimator."""
         if self.is_verbatim:
             return flatten(self.n, [(None, _exact(self.verbatim))], self.kind)
-        parts = []
-        for cls in self.classes:
-            if cls.verbatim is not None:
-                parts.append((cls.vmap_verbatim, _exact(cls.verbatim)))
-                continue
-            parts.extend(cls.parts(self.n))
-        return flatten(self.n, parts, self.kind)
+        return flatten(self.n, [p for cls in self.classes for p in cls.parts(self.n)], self.kind)
 
     def estimate(self, x) -> float:
         x = as_spectral_query(self.n, x)  # before the estimator allocates n entries
@@ -161,20 +156,10 @@ class SpectralBasicSketch(Composite):
     def word_count(self) -> int:
         if self.is_verbatim:
             return 3 * self.verbatim.m
-        return sum(3 * cls.verbatim.m if cls.verbatim is not None else cls.word_count() for cls in self.classes)
+        return sum(cls.word_count() for cls in self.classes)
 
 
-BASIC_CLASS_LAYOUT = record(
-    BasicClass,
-    switch(
-        lambda cls: int(cls.verbatim is not None),
-        {1: fields(verbatim=graph, vmap_verbatim=int_array), 0: S2_PIECES},
-    ),
-    check=lambda cls: (
-        cls.verbatim is not None and cls.vmap_verbatim.size != cls.verbatim.n and "vertex map does not fit its graph"
-    ),
-)
-serialize.register(6, composite(SpectralBasicSketch, classes=section(seq(BASIC_CLASS_LAYOUT))))
+serialize.register(6, composite(SpectralBasicSketch, classes=section(seq(record(BasicClass, S2_PIECES)))))
 
 
 def spectral_basic_build(
@@ -201,7 +186,7 @@ def spectral_basic_build(
         if gamma <= epsilon**2:
             # the S1/S2 analysis needs gamma > eps^2; store the class exactly
             events.append(f"class {int(j)} stored verbatim: gamma <= eps^2")
-            classes.append(BasicClass(sub, vmap))
+            classes.append(BasicClass(vmap[sub.edge_u], vmap[sub.edge_v], sub.edge_w, []))
             continue
         pieces = sketch_pieces(
             spectral_preprocessing(sub, h),
@@ -210,7 +195,7 @@ def spectral_basic_build(
             ),
             vmap,
         )
-        classes.append(BasicClass(None, None, *pieces))
+        classes.append(BasicClass(*pieces))
     return SpectralBasicSketch(epsilon, g.n, classes=classes, events=events)
 
 
@@ -286,32 +271,21 @@ def spectral_s3_build(
 # Improved composite: degree-class partition + S3 pieces
 
 
-@dataclass
-class ImprovedClass:
-    kind: str  # "verbatim" | "low" | "band"
-    vmap: np.ndarray  # piece vertex -> original vertex
-    graph: WeightedGraph | None = None  # exact storage for verbatim/low classes
-    s3: S3Sketch | None = None
-
-
 class SpectralImprovedSketch(Composite):
     kind = "spectral_improved"
 
     def __init__(self, epsilon, n, verbatim=None, classes=None, info=None):
         super().__init__(epsilon, n, verbatim)
-        self.classes: list[ImprovedClass] = classes if classes is not None else []
+        # (piece vertex -> original vertex, S3 record) per degree class
+        self.classes: list[tuple[np.ndarray, S3Sketch]] = classes if classes is not None else []
         self.info = info or {}
 
     @cached_property
     def estimator(self) -> EdgeSampleEstimator:
-        """Every exactly stored class and S3 piece in one flat estimator."""
+        """Every class's cut edges and S3 components in one flat estimator."""
         if self.is_verbatim:
             return flatten(self.n, [(None, _exact(self.verbatim))], self.kind)
-        parts = [
-            (cls.vmap, _exact(cls.graph) if cls.graph is not None else cls.s3.estimator_piece())
-            for cls in self.classes
-        ]
-        return flatten(self.n, parts, self.kind)
+        return flatten(self.n, [(vmap, s3.estimator_piece()) for vmap, s3 in self.classes], self.kind)
 
     def estimate(self, x) -> float:
         x = as_spectral_query(self.n, x)  # before the estimator allocates n entries
@@ -320,26 +294,11 @@ class SpectralImprovedSketch(Composite):
     def word_count(self) -> int:
         if self.is_verbatim:
             return 3 * self.verbatim.m
-        return sum(3 * cls.graph.m if cls.graph is not None else cls.s3.word_count() for cls in self.classes)
+        return sum(s3.word_count() for _, s3 in self.classes)
 
 
-def _improved_case(kind: str, **piece):
-    return fields(kind=const(kind), vmap=int_array, **piece)
-
-
-IMPROVED_CLASS_LAYOUT = record(
-    ImprovedClass,
-    switch(
-        lambda cls: ("verbatim", "low", "band").index(cls.kind),
-        {
-            0: _improved_case("verbatim", graph=graph),
-            1: _improved_case("low", graph=graph),
-            2: _improved_case("band", s3=section(S3_LAYOUT)),
-        },
-    ),
-    check=lambda cls: cls.vmap.size != (cls.graph or cls.s3).n and f"vertex map does not fit its {cls.kind} piece",
-)
-serialize.register(7, composite(SpectralImprovedSketch, classes=section(seq(IMPROVED_CLASS_LAYOUT))))
+IMPROVED_LAYOUT = composite(SpectralImprovedSketch, classes=section(pairs(S3_LAYOUT)))
+serialize.register(7, IMPROVED_LAYOUT)
 
 
 def spectral_improved_build(
@@ -350,7 +309,7 @@ def spectral_improved_build(
     c_beta: float = 1.0,
 ) -> SpectralImprovedSketch:
     """Degree-class partition; banded pieces get S3 sketches, the rest is
-    stored exactly."""
+    stored exactly as S3 records of cut edges only."""
     if not 0 < epsilon < 0.5:
         raise ValueError("epsilon must be in (0, 1/2)")
     if g.n < 2 or g.m == 0 or epsilon <= 1.0 / g.n:
@@ -359,10 +318,11 @@ def spectral_improved_build(
     beta = c_beta * epsilon ** (-8.0 / 5.0)
     classes = []
     for ci, dc in enumerate(dcp.classes):
+        p = dc.piece
         if dc.kind in ("verbatim", "low"):
-            classes.append(ImprovedClass(dc.kind, dc.vmap, graph=dc.piece))
+            s3 = S3Sketch(p.n, p.edge_u, p.edge_v, p.edge_w, [])
         else:
-            s3 = spectral_s3_build(dc.piece, dc.flip, epsilon, dc.band, derive_seed(seed, "class", ci), beta=beta)
-            classes.append(ImprovedClass("band", dc.vmap, s3=s3))
+            s3 = spectral_s3_build(p, dc.flip, epsilon, dc.band, derive_seed(seed, "class", ci), beta=beta)
+        classes.append((dc.vmap, s3))
     info = {"recursion_depth": dcp.recursion_depth, "n_classes": len(dcp.classes)}
     return SpectralImprovedSketch(epsilon, g.n, classes=classes, info=info)

@@ -523,7 +523,7 @@ def cut_basic_reference(g, epsilon, seed, *, mode="auto"):
                 ScaleClass(cl.index, cross.cross_u.copy(), cross.cross_v.copy(), cross.cross_w.copy(), comps)
             )
         scales.append(ScaleSketch(c, classes))
-    return CutSketchPoly(epsilon, g.n, sparsifier=h, ladder=ladder, scales=scales)
+    return CutSketchPoly(epsilon, g.n, sparsifier=h, scales=scales)
 
 
 def cut_general_reference(g, epsilon, seed, *, mode="auto", basic=cut_basic_reference):
@@ -582,9 +582,7 @@ def trimmed(ref):
         stored = [GeneralScale(gs.j, gs.labels, [(v, trimmed(p)) for v, p in gs.comps]) for gs in ref.stored]
         return CutSketchGeneral(ref.epsilon, ref.n, tree=ref.tree, stored=stored)
     k0, k1 = cutsketch.reachable_scales(ref.sparsifier, ref.ladder)
-    return CutSketchPoly(
-        ref.epsilon, ref.n, sparsifier=ref.sparsifier, ladder=ref.ladder[k0 : k1 + 1], scales=ref.scales[k0 : k1 + 1]
-    )
+    return CutSketchPoly(ref.epsilon, ref.n, sparsifier=ref.sparsifier, scales=ref.scales[k0 : k1 + 1])
 
 
 def relabel(g: WeightedGraph, vmap: np.ndarray, n_new: int) -> WeightedGraph:

@@ -12,7 +12,7 @@ from quadsketch.serialize import Writer, envelope, sketch_class
 from quadsketch.spectral import spectral_improved_build
 
 from conftest import format_matrix, gnp_connected
-from test_serialize import general_sketch, improved_with_class_tag
+from test_serialize import general_sketch, improved_with_class_map
 
 
 @pytest.fixture
@@ -258,6 +258,19 @@ def test_psd_and_sdd_commands(tmp_path, capsys):
     assert code == 0 and text.startswith("# diag")
 
 
+def test_jl_build_negative_seed(tmp_path, capsys):
+    # seeds are taken modulo 2**64, as every builder takes them
+    b = np.random.default_rng(1).normal(size=(5, 5))
+    mp = tmp_path / "p.txt"
+    mp.write_text(format_matrix(b @ b.T))
+    paths = []
+    for seed in ("-1", str(2**64 - 1)):
+        paths.append(tmp_path / f"{seed}.qsk")
+        code, _, err = run_cli(["psd", "jl-build", str(mp), "-e", "0.5", "--seed", seed, "-o", str(paths[-1])], capsys)
+        assert code == 0, err
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 @pytest.mark.parametrize(
     "command",
@@ -335,7 +348,6 @@ def test_corrupt_f64_array_exit_1(tmp_path, capsys, tag, body):
     w = Writer()
     w.f64(0.5)
     w.f64(0.1)
-    w.varint(1)
     w.varint(2)
     w.varint(1)
     w.varint(2)
@@ -357,10 +369,10 @@ def general_with_endpoint_99() -> bytes:
 @pytest.mark.parametrize(
     "data, command, query, message",
     [
-        (lambda: improved_with_class_tag(3), "spectral-sketch", "1,0,0,0", "unknown variant tag 3"),
+        (lambda: improved_with_class_map(1), "spectral-sketch", "1,0,0,0", "vertex map"),
         (general_with_endpoint_99, "cut-sketch", "0,1", "forest endpoint 99"),
     ],
-    ids=["improved-class-kind", "general-forest-endpoint"],
+    ids=["improved-class-map", "general-forest-endpoint"],
 )
 def test_corrupt_sketch_exit_1(tmp_path, capsys, data, command, query, message):
     skp = tmp_path / "bad.qsk"

@@ -415,8 +415,9 @@ def clusters(sizes, weights, p, seed):
     return WeightedGraph(label.size, _arrays=(iu[keep], ju[keep], w[keep]))
 
 
-# SHA-256 of same-seed pipeline-mode envelopes (version byte 2; the bytes
-# are otherwise those version 1 wrote). The first digest is the
+# SHA-256 of same-seed pipeline-mode envelopes, re-recorded at version 3
+# (no ladder copy, no S1 eps, no nested envelope headers; the values are
+# those version 1 wrote). The first digest is the
 # full-ladder build as the per-vertex loop build wrote it, which
 # cut_general_reference must still reproduce; it stores every slice the
 # halving rule selects. The second is the production build, which keeps
@@ -432,29 +433,29 @@ GOLDEN = [
         lambda: gnp_connected(40, 0.9, seed=1),
         0.1,
         7,
-        "b965b6cb925bf1c55ebd57ca9f36da04ec55ddf4a7bc229d47e52567b555e722",
-        "c715ef40ed5eb4cd92e3b23b6fd997483475814ad31d2537806721e275e43e7c",
+        "2d37795aa26f62837e54510637ba7ed21b3cb539deeb3a80bd570f50639369fc",
+        "3dfc6a30f50c91c9235cd1a2384af5e3d099d65b042afd3712e278564b5975aa",
     ),
     (
         lambda: clusters([32, 32], [1.0, 1.0], 0.9, 2),
         0.1,
         8,
-        "ab9f908a4eae08cc0695ce43fb9d379677c7d48785f5afdd6dd738e0e89a1d2e",
-        "5a3221e8a424168439a4d4cdeec0fe6f0b5f2d626407aa01021fe43eedac4635",
+        "374c030e9de59dfa6f4050c454c583d872949d344504de8661598b7ec0ae59a2",
+        "6e29239bc258ab439d1edd143eab0d3f0af68045dfa271e032a720f9247c84fa",
     ),
     (
         lambda: clusters([30, 36, 28], [1.0, 30.0, 1000.0], 0.95, 3),
         0.1,
         9,
-        "30d4512031377d3fb3252f4ea4ce2b298696dc0ccad2412f03d5cb5259e7f0ba",
-        "b46f0ba940d9d6f1d8dedac30cb7b1d3cbc4594f0478ea0d52572a9b90c33964",
+        "9438706a1f3e2d37d26ee22cc5318cf9e96c2f195588f47c14bb33cad0c4d016",
+        "b86885ccfe9d2dca4db42b58d6c2286929d65eac8b50c2a1fd788cf0fc371d44",
     ),
     (
         lambda: gnp_connected(48, 0.8, seed=4, w_lo=1.0, w_hi=4.0),
         0.15,
         10,
-        "65cc17c2413f240042ed904bb527c8cb70cd89ca5085c31dd1f452567cc8477b",
-        "56d85cf267a3a0fecb6f5eae58f5d54d24ce32f22018f1d37785ec5c9a54f27a",
+        "86c55a12343ba2e6e23e6ddb9c2ab3fa72cdbbf9699f8030af976be100ec88a1",
+        "21bfb665064a206ab10a394a6269c2221dc9c587d82b565527b47c3eaf4c70c3",
     ),
 ]
 
@@ -478,16 +479,17 @@ def test_golden_bytes(make, eps, seed, full_digest, digest):
 def test_golden_bytes_empty_cores():
     # four multi-scale clusters whose degrees stay below 1/eps: every class
     # edge set the build partitions peels to an empty core. The first SHA-1
-    # is the envelope as the piece-at-a-time peel wrote it (version byte 2),
+    # is the envelope as the piece-at-a-time peel wrote it (re-recorded at
+    # version 3, which stores the same values),
     # with all five selected slices j = 0, 11, 22, 33, 44; 11, 22 and 33
     # repeat j = 0, and the production envelope, recorded anew when repeated
     # slices stopped being stored, is that one without them.
     g = clusters([12, 12, 12, 12], [1.0, 3.0, 10.0, 30.0], 0.6, 5)
     ref = cut_general_reference(g, 0.03, 11, mode="pipeline", basic=cut_basic_build)
-    assert hashlib.sha1(ref.to_bytes()).hexdigest() == "bcf04312251ac49df8f57f0c8d06a14023aaf594"
+    assert hashlib.sha1(ref.to_bytes()).hexdigest() == "cc017b384c44efb88b83f2ba81cbc77a4fe7bec4"
     assert repeated_slices(g, ref) == [11, 22, 33]
     data = cut_sketch_build(g, 0.03, 11, mode="pipeline").to_bytes()
-    assert hashlib.sha1(data).hexdigest() == "884fc7cd2c715c844d04a4409dde0ddb47bf2747"
+    assert hashlib.sha1(data).hexdigest() == "00c539d98622bb504052b1aec4833fe0bfba9192"
     assert data == without_slices(ref, [11, 22, 33]).to_bytes()
 
 

@@ -323,14 +323,6 @@ def sdd_matrix(n: int, seed: int) -> np.ndarray:
     return b + np.diag(np.abs(b).sum(axis=1) + rng.uniform(0.0, 0.5, n))
 
 
-def improved_with_verbatim_class():
-    """Builds never reach a verbatim class on small inputs; relabel a low one."""
-    sk = spectral_improved_build(gnp_connected(40, 0.5, seed=4), 0.25, 5)
-    assert [c.kind for c in sk.classes] == ["low", "band", "band"]
-    sk.classes[0] = dataclasses.replace(sk.classes[0], kind="verbatim")
-    return sk
-
-
 def weighted(n: int, seed: int):
     return gnp_connected(n, 0.5, seed=seed, w_lo=0.5, w_hi=2.0)
 
@@ -343,65 +335,78 @@ def weighted(n: int, seed: int):
 # re-recorded when effective resistances moved from a pseudoinverse to a
 # Cholesky factor: the same 58 edges are kept, and five of their 1/p weights
 # differ in the last bits. It was re-recorded again when the spectral keep
-# probabilities were rounded up onto the grid 2^(k/8).
+# probabilities were rounded up onto the grid 2^(k/8). Every digest was
+# re-recorded at version 3, whose layouts hold the same values with no kind
+# tags, nested envelope headers, ladder copy, S1 eps or JL seed; no envelope
+# grew. The middle entry is the sketch's word count, which the format does
+# not change (None for the sdd and jl sketches, which count no words).
 GOLDEN = {
     "spectral_basic-s2-and-verbatim-class": (
         lambda: spectral_basic_build(gnp_connected(16, 0.5, seed=21, w_lo=1e-3, w_hi=4.0), 0.3, 22),
-        "24f96fd094e658b0a8d027ba7b17f3f7a188ca1f87ddd53248f00a4f5b975f48",
+        250,
+        "2dd208c904e7c9092d6ba040f60dd2be81108aa3f5d3cb191224e57a7cda54c8",
     ),
     "spectral_basic-verbatim-class-only": (
         lambda: spectral_basic_build(gnp_connected(12, 0.5, seed=31, w_lo=1e-8, w_hi=1.9e-8), 0.3, 32),
-        "0429b930a8bd214bcda258c0ccbcd6e001a2a38880a91a1eb8cf9a716d0d435b",
+        87,
+        "3bcb31e5e35f95c8e0f035dcf51309c777b70abca9789c2dd27cc7d86b9edb42",
     ),
     "spectral_improved-band-and-low": (
         lambda: spectral_improved_build(gnp_connected(40, 0.5, seed=4), 0.25, 5),
-        "faed66ca5238391329cf58750eea0e56bf851f7fa8e4466451e2885327975faa",
-    ),
-    "spectral_improved-verbatim-class": (
-        improved_with_verbatim_class,
-        "b03602ae664c9a78dea10f834819ff774b05d7f33a783b0e9c3d8f2d14ef8df7",
+        1155,
+        "86063294f23d0d6121eae9cbb226d9af7da5dae6a931e6762680817b410e9032",
     ),
     "sdd": (
         lambda: sdd_sketch_build(sdd_matrix(8, 1), 0.2, 2),
-        "76b6205f38b93fb4dd7b42f0f50c7b2d660ed9eb49a0cd6d959c94dd3a3290f7",
+        None,
+        "778fa63079e0dc493d41f958f17a29bb86b8c35c36db345cd05488aab4962169",
     ),
     "jl": (
         lambda: jl_build(psd_matrix(6, 3), 0.5, 0.2, 4),
-        "ae8d3236e4e1c02da4d8f86b9aba8d1981dea4e63e6223922f037ade848312d5",
+        None,
+        "579e324ede82e39334f2faa0dfdcd360ac4506e157425a708a149201d2c94bc7",
     ),
     # the full-ladder build that the declarative layouts first reproduced;
     # the production build keeps only the scales a query can reach
     "cut_poly-pipeline": (
         lambda: cut_basic_reference(gnp_connected(20, 0.5, seed=5), 0.15, 3, mode="pipeline"),
-        "e4f1192d5ffcc3e980fca0c4f67cfcbb24f66be2872eff38e6675de2f98679fd",
+        5507,
+        "90a7eaa3c51e5f06020ae320c3d990bea79d91c7aaf1eebf8d1d7b106cad734f",
     ),
     "cut_poly-pipeline-reachable": (
         lambda: cut_basic_build(gnp_connected(20, 0.5, seed=5), 0.15, 3, mode="pipeline"),
-        "2914f7c726285f1a01a551856a85e50989745b8563072438db3eb33090cce54e",
+        3696,
+        "ac0ff94b1ec600b7f80bea1eb55e98cca98ada168a637353ba8e9a6d092b642b",
     ),
     "cut_poly-verbatim": (
         lambda: cut_basic_build(weighted(12, 6), 0.2, 1),
-        "7d143e78bbafbb1f4a0b5f6da18caca14235af1cefaa6013cc1e8b0d8ac352f9",
+        99,
+        "3f9c22a3a3647a2732517deff4252ee7167824b547af691a00e4981cc006d6e1",
     ),
     "cut_general-verbatim": (
         lambda: cut_sketch_build(weighted(12, 7), 0.2, 1),
-        "24e62ddf4d68a7c4ebacf24135b8df7cb5c568ddbd5d8f7a9a7e9ea727fdd567",
+        96,
+        "7adc8f73da939f192853c56d632470ba1833a84400a41ce18f31e0333aae6cec",
     ),
     "spectral_basic-verbatim": (
         lambda: spectral_basic_build(weighted(12, 8), 0.05, 1),
-        "d7ac70c6de735aaa17255a47c8fc12b169549516ab4969301f0a17f8003542f3",
+        132,
+        "cce3a4e57fa19a7de81345342a3f9860b930982baf88b2884b2511b6a1beda99",
     ),
     "spectral_improved-verbatim": (
         lambda: spectral_improved_build(weighted(12, 9), 0.05, 1),
-        "3f3d1108e9f92c2bdae43ec9ea64a0c75fa72f12126d0ebe9aa4515c67d2b85d",
+        84,
+        "e1ee40d4501d728ac65ebd2027b5afe2cf15a189b499d89700f5e74df06d8847",
     ),
 }
 
 
 @pytest.mark.parametrize("case", list(GOLDEN))
 def test_golden_envelopes(case):
-    make, digest = GOLDEN[case]
+    make, words, digest = GOLDEN[case]
     sk = make()
+    if words is not None:
+        assert sk.word_count() == words
     if case.endswith("-verbatim"):
         assert sk.is_verbatim
     if case.startswith("spectral_basic-") and not sk.is_verbatim:
@@ -413,10 +418,12 @@ def test_golden_envelopes(case):
 
 @pytest.mark.parametrize("family", ["cut_general", "cut_poly", "spectral_basic", "spectral_improved", "sdd", "jl"])
 def test_version_1_envelope_rejected(family):
+    """Versions 1 and 2 alike: a version-3 decoder reads neither."""
     cls, blob, _ = fuzz_case(family)
-    assert blob[4] == 2
-    with pytest.raises(QuadsketchError, match="unsupported format version 1"):
-        cls.from_bytes(blob[:4] + b"\x01" + blob[5:])
+    assert blob[4] == 3
+    for version in (1, 2):
+        with pytest.raises(QuadsketchError, match=f"unsupported format version {version}"):
+            cls.from_bytes(blob[:4] + bytes([version]) + blob[5:])
 
 
 # float.hex answers on fixed sketches, and the SHA-256 of their flat
@@ -466,13 +473,8 @@ PINNED_ANSWERS = {
 def sampled_pieces(sk) -> list:
     """The S2 records of a spectral sketch: S2 pieces or S3 components."""
     sk = getattr(sk, "lap_sketch", sk)
-    return [
-        piece
-        for cls in sk.classes
-        for holder in ((cls.s3,) if hasattr(cls, "s3") else (cls,))
-        if holder is not None
-        for _, piece in holder.comps
-    ]
+    records = [s3 for _, s3 in sk.classes] if isinstance(sk, SpectralImprovedSketch) else sk.classes
+    return [piece for rec in records for _, piece in rec.comps]
 
 
 @pytest.mark.parametrize("case", list(PINNED_ANSWERS))
@@ -536,36 +538,38 @@ def test_jl_matrix_shape_checked():
     w = Writer()
     for x in (0.5, 0.1):
         w.f64(x)
-    for k in (1, 2, 2):  # seed, rows, cols
+    for k in (2, 2):  # rows, cols
         w.varint(k)
     w.f64_array(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(QuadsketchError, match="3 entries for a 2 x 2 matrix"):
         JlSketch.from_bytes(envelope("jl", w.getvalue()))
 
 
-def improved_with_class_tag(tag: int) -> bytes:
-    """A one-class improved sketch on 4 vertices whose class kind tag is tag."""
+def improved_with_class_map(size: int) -> bytes:
+    """A one-class improved sketch on 4 vertices: an S3 record on 2
+    vertices holding the edge (0, 1) as a cut edge, with a vertex map of
+    the given size."""
     w = Writer()
     w.f64(0.3)
     w.varint(4)
     w.varint(0)  # not verbatim
     body = Writer()
-    body.varint(1)
-    body.varint(tag)
-    body.int_array(np.arange(2))  # vmap
-    body.buf += graph_payload(2, [0], [1], [1.0])[6:]
+    body.varint(1)  # one class
+    body.int_array(np.arange(size))  # vmap
+    body.varint(2)  # S3 record: n, cut edges, no components
+    for a in (np.array([0]), np.array([1])):
+        body.int_array(a)
+    body.f64_array(np.array([1.0]))
+    body.varint(0)
     w.section(body.getvalue())
     return envelope("spectral_improved", w.getvalue())
 
 
-def test_unknown_improved_class_kind_rejected():
-    for tag in (0, 1):
-        sk = SpectralImprovedSketch.from_bytes(improved_with_class_tag(tag))
-        assert sk.classes[0].kind == ("verbatim", "low")[tag]
-        assert sk.estimate(np.array([1.0, 0.0, 0.0, 0.0])) == 1.0
-    for tag in (3, 9, 200):
-        with pytest.raises(QuadsketchError, match=f"unknown variant tag {tag}"):
-            SpectralImprovedSketch.from_bytes(improved_with_class_tag(tag))
+def test_improved_class_map_shorter_than_its_piece_rejected():
+    sk = SpectralImprovedSketch.from_bytes(improved_with_class_map(2))
+    assert sk.estimate(np.array([1.0, 0.0, 0.0, 0.0])) == 1.0
+    with pytest.raises(QuadsketchError, match="vertex map"):
+        SpectralImprovedSketch.from_bytes(improved_with_class_map(1)).estimate(np.ones(4))
 
 
 def general_sketch():
