@@ -4,12 +4,15 @@ Envelope: magic ``QSK1``, one version byte (``VERSION``; other versions are
 rejected), one kind byte, then the payload. Integers are unsigned LEB128
 varints, floats little-endian IEEE-754 doubles (weights are kept exact; the
 byte length of the envelope is the official size metric of a sketch, so a
-layout holds each value once, in the shape the estimator reads, and only
-what a query or a decoder check reads). Version 2 stored S2 pieces and S3
-components as one record; version 3 makes every class of a composite the
-record it decodes to (one ``S3Sketch`` per improved class, one cut-pieces
-record per basic class), stores each cut-ladder scale value once and puts
-no envelope inside another.
+layout holds, in the shape the estimator reads, only what a query or a
+decoder check reads). Version 2 stored S2 pieces and S3 components as one
+record; version 3 makes every class of a composite the record it decodes
+to (one ``S3Sketch`` per improved class, one cut-pieces record per basic
+class) and drops what version 2 stored twice or no query read: the copy of
+the cut-ladder scale values, class kind tags, the envelopes inside
+envelopes, the S1 eps and the JL seed. One duplicate is left: a (vertex
+map, piece) pair holds the piece's vertex count twice, as the map's length
+and inside the piece, and ``flatten`` rejects a sketch where they differ.
 
 Each sketch class states its layout once, in wire order, as a ``Codec``
 built from the vocabulary below; ``register`` gives it a kind byte and its
@@ -33,8 +36,8 @@ A sketch inside a sketch is a section holding its layout's payload: the
 envelope header is written once, by the outermost sketch.
 
 Reads are bounds-checked; bytes no layout writes (truncation, unknown tags,
-trailing bytes, invalid graphs, broken cross-field invariants) raise
-QuadsketchError.
+trailing bytes, invalid graphs or cut edges, broken cross-field invariants)
+raise QuadsketchError.
 """
 
 from __future__ import annotations
@@ -291,10 +294,24 @@ def pairs(item: Codec) -> Codec:
     return seq(tuple_of(int_array, item))
 
 
+def _checked_cut_edges(got: dict) -> dict:
+    u, v, w = got["q_u"], got["q_v"], got["q_w"]
+    if not u.size == v.size == w.size:
+        raise QuadsketchError(f"cut edge arrays of lengths {u.size}, {v.size}, {w.size}")
+    if np.any(u == v):
+        raise QuadsketchError("cut edges hold a self-loop")
+    if not np.all((w > 0) & (w < np.inf)):
+        raise QuadsketchError("cut edge weights must be positive and finite")
+    return got
+
+
 def cut_pieces_layout(piece: Codec) -> Codec:
     """A group: the cut edges q_u, q_v, q_w, then (vertex map, piece) pairs
-    as comps (``estimator.CutPieces``)."""
-    return fields(q_u=int_array, q_v=int_array, q_w=f64_array, comps=pairs(piece))
+    as comps (``estimator.CutPieces``). Cut edges are graph edges, so a
+    self-loop or a weight that is not positive and finite is rejected;
+    ``flatten`` checks their vertex ids."""
+    group = fields(q_u=int_array, q_v=int_array, q_w=f64_array, comps=pairs(piece))
+    return mapped(group, lambda obj: obj, _checked_cut_edges)
 
 
 def to_payload(codec: Codec, value) -> bytes:

@@ -572,6 +572,41 @@ def test_improved_class_map_shorter_than_its_piece_rejected():
         SpectralImprovedSketch.from_bytes(improved_with_class_map(1)).estimate(np.ones(4))
 
 
+def exact_class(sk):
+    """The first class of a spectral sketch whose edges are all stored
+    exactly: a low degree class of an improved sketch, a gamma <= eps^2
+    class of a basic one."""
+    records = [s3 for _, s3 in sk.classes] if isinstance(sk, SpectralImprovedSketch) else sk.classes
+    return next(rec for rec in records if rec.q_u.size and not rec.comps)
+
+
+def with_entry(a: np.ndarray, value) -> np.ndarray:
+    a = a.copy()
+    a[0] = value
+    return a
+
+
+@pytest.mark.parametrize("case", ["spectral_improved-band-and-low", "spectral_basic-verbatim-class-only"])
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda rec: setattr(rec, "q_w", with_entry(rec.q_w, np.nan)), "positive and finite"),
+        (lambda rec: setattr(rec, "q_w", with_entry(rec.q_w, np.inf)), "positive and finite"),
+        (lambda rec: setattr(rec, "q_w", with_entry(rec.q_w, -1.0)), "positive and finite"),
+        (lambda rec: setattr(rec, "q_w", with_entry(rec.q_w, 0.0)), "positive and finite"),
+        (lambda rec: setattr(rec, "q_v", with_entry(rec.q_v, rec.q_u[0])), "self-loop"),
+        (lambda rec: setattr(rec, "q_w", rec.q_w[:-1]), "cut edge arrays of lengths"),
+    ],
+    ids=["nan", "inf", "negative", "zero", "self-loop", "short-weights"],
+)
+def test_corrupt_exact_class_edge_rejected_at_decode(case, corrupt, message):
+    sk = GOLDEN[case][0]()
+    cls = type(sk)
+    corrupt(exact_class(sk))
+    with pytest.raises(QuadsketchError, match=message):
+        cls.from_bytes(sk.to_bytes())
+
+
 def general_sketch():
     """Tree weights 4^i: every forest edge starts a stored slice."""
     g = WeightedGraph(6, [(i, i + 1, 4.0**i) for i in range(5)] + [(0, 3, 1.0), (1, 4, 2.0)])
