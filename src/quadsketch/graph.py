@@ -18,7 +18,8 @@ import numpy as np
 from .errors import GraphFormatError, QuadsketchError, QueryError, TooLargeError
 
 EXHAUSTIVE_VERTEX_CAP = 24
-MASK_BLOCK = 1 << 16  # masks per block of subset_cut_blocks
+MASK_BLOCK = 1 << 16  # most masks per block of subset_cut_blocks
+FIRST_MASK_BLOCK = 1 << 8  # masks in its first block
 
 
 def _canonicalize(n: int, u, v, w):
@@ -260,9 +261,11 @@ def connected_components(g: WeightedGraph) -> np.ndarray:
     (label_components of g's edges). The labels are computed once per graph
     and returned read-only.
 
-    The partitions call this only through find_sparse_cut, and hand it pieces
-    whose labels they already know: each generation of pieces is labelled
-    with one label_components call over the union of its pieces' edges.
+    The partitions call this only through find_sparse_cut, for pieces above
+    the exhaustive cap (smaller ones are searched in batches that skip it),
+    and hand it pieces whose labels they already know: each generation of
+    pieces is labelled with one label_components call over the union of its
+    pieces' edges.
     """
     if g._labels is None:
         labels = label_components(g.n, g.edge_u, g.edge_v)
@@ -336,40 +339,60 @@ def subset_cut_blocks(g: WeightedGraph, edge_w: np.ndarray, vertex_w: np.ndarray
 
     S is the mask Σ_{v∈S} 2^v, and masks come in ascending order: yields
     (first, cut, side), flat arrays for masks first, first + 1, ..., one
-    block of about MASK_BLOCK masks at a time, so a scan can stop early and
-    memory stays bounded. cut sums edge_w over the crossing edges and side
-    sums vertex_w over S.
+    block at a time, so a scan can stop early and memory stays bounded. The
+    first block holds about FIRST_MASK_BLOCK masks and each later one four
+    times as many as the one before, up to MASK_BLOCK: a scan that stops at
+    an early mask scores few masks past it. cut sums edge_w over the
+    crossing edges and side sums vertex_w over S. stacked_cut_blocks scores
+    a stack of graphs at once.
+    """
+    for first, cut, side in stacked_cut_blocks(g.adjacency_matrix(edge_w)[None], vertex_w[None]):
+        yield first, cut[0], side[0]
+
+
+def stacked_cut_blocks(a: np.ndarray, vertex_w: np.ndarray):
+    """subset_cut_blocks for a stack of graphs on n vertices each: a holds
+    their (B, n, n) adjacency matrices with the edge weights, vertex_w their
+    (B, n) vertex weights, and cut and side are (B, count) arrays. Sending a
+    bool mask over the stack of the last block keeps only those graphs for
+    the next blocks. A block's masks per graph follow subset_cut_blocks'
+    schedule, but the whole block holds at most about MASK_BLOCK of them
+    (and at least one row of the high bits per graph).
 
     Meet in the middle: split the mask into its low L bits and its high bits.
-    With A the edge_w adjacency matrix and x = x_hi + x_lo the indicator of
-    S, cut(S) = x^T L x = cut(S_hi) + cut(S_lo) - 2 x_hi^T A x_lo, so one
-    block of masks is two half tables plus one product of bit matrices. The
-    products are summed in another order than edge by edge: integer weights
-    give exact counts, other weights carry rounding errors of order n ulps
-    of the total degree.
+    With A the adjacency matrix and x = x_hi + x_lo the indicator of S,
+    cut(S) = x^T L x = cut(S_hi) + cut(S_lo) - 2 x_hi^T A x_lo, so one block
+    of masks is a half table of the low bits, the rows of the high bits in
+    the block and one product of bit matrices. The products are summed in
+    another order than edge by edge: integer weights give exact counts,
+    other weights carry rounding errors of order n ulps of the total degree.
     """
-    k = g.n - 1
+    k = a.shape[1] - 1
     n_lo = k // 2
     lo, hi = slice(0, n_lo), slice(n_lo, k)
-    a = g.adjacency_matrix(edge_w)
-    deg = a.sum(axis=1)
     b_lo, b_hi = _bit_rows(n_lo), _bit_rows(k - n_lo)
 
     def half(bits, part):
-        inside = np.einsum("ij,ij->i", bits @ a[part, part], bits)
-        return bits @ deg[part] - inside, bits @ vertex_w[part]
+        # cut and side of the subsets of part given by the rows of bits
+        inside = np.einsum("brj,rj->br", bits @ a[:, part, part], bits)
+        return deg[:, part] @ bits.T - inside, vertex_w[:, part] @ bits.T
 
+    deg = a.sum(axis=2)
     cut_lo, side_lo = half(b_lo, lo)
-    cut_hi, side_hi = half(b_hi, hi)
-    cross = b_hi @ a[hi, lo]
-    rows = max(1, MASK_BLOCK >> n_lo)
-    for r0 in range(0, b_hi.shape[0], rows):
-        r1 = r0 + rows
-        cut = cut_hi[r0:r1, None] + cut_lo - 2.0 * (cross[r0:r1] @ b_lo.T)
-        side = side_hi[r0:r1, None] + side_lo
+    r0, size = 0, FIRST_MASK_BLOCK
+    while r0 < b_hi.shape[0]:
+        rows = max(1, min(size, MASK_BLOCK // a.shape[0]) >> n_lo)
+        bits = b_hi[r0 : r0 + rows]
+        cut_hi, side_hi = half(bits, hi)
+        cut = cut_hi[:, :, None] + cut_lo[:, None, :] - 2.0 * ((bits @ a[:, hi, lo]) @ b_lo.T)
+        side = side_hi[:, :, None] + side_lo[:, None, :]
         # row-major order is ascending mask order; mask 0 is the empty set
         skip = 1 if r0 == 0 else 0
-        yield (r0 << n_lo) + skip, cut.ravel()[skip:], side.ravel()[skip:]
+        shape = (a.shape[0], -1)
+        keep = yield (r0 << n_lo) + skip, cut.reshape(shape)[:, skip:], side.reshape(shape)[:, skip:]
+        if keep is not None:
+            a, vertex_w, deg, cut_lo, side_lo = a[keep], vertex_w[keep], deg[keep], cut_lo[keep], side_lo[keep]
+        r0, size = r0 + bits.shape[0], size * 4
 
 
 def ratio_weights(g: WeightedGraph, mode: str) -> tuple[np.ndarray, np.ndarray]:

@@ -2,13 +2,15 @@
 
 Shared by the cut and spectral sketches:
 
-* ``find_sparse_cut``: one ratio w(∂S) / min(μ(S), μ(S̄)) for both modes
+* ``find_sparse_cuts``: one ratio w(∂S) / min(μ(S), μ(S̄)) for both modes
   (edge expansion: unit edge and vertex weights; conductance: edge weights
   and weighted degrees; ``graph.ratio_weights`` and ``graph.cut_ratio``,
   which the exhaustive oracles of ``graph`` share), searched by a singleton test, a Cheeger-type
   λ₁/2 certificate, exact subset enumeration for small components and a
   Fiedler sweep above (λ₁ alone from ``eigvalsh`` up to 20 vertices, the
-  sign-fixed Fiedler pair of ``fiedler_pair`` above);
+  sign-fixed Fiedler pair of ``fiedler_pair`` above), for a batch of
+  connected pieces of one size at once; ``find_sparse_cut`` is its batch
+  of one;
 * ``cut_preprocessing``: rescale / discard / importance-sample / weight-class
   split / expansion partition, producing expander pieces plus stored cut
   edges Q;
@@ -34,10 +36,9 @@ from .graph import (
     WeightedGraph,
     connected_components,
     cut_ratio,
-    inverse_map,
     label_components,
     ratio_weights,
-    subset_cut_blocks,
+    stacked_cut_blocks,
     weighted_degrees,
 )
 from .oracle import mask_members
@@ -68,6 +69,12 @@ def _reject_nan(name: str, value: float) -> None:
         raise QuadsketchError(f"{name} is NaN")
 
 
+def _check_search(mode: str, threshold: float) -> None:
+    if mode not in ("edge_expansion", "conductance"):
+        raise ValueError(f"unknown mode {mode!r}")
+    _reject_nan("threshold", threshold)
+
+
 def find_sparse_cut(g: WeightedGraph, mode: str, threshold: float) -> SparseCutResult:
     """Search for a cut below the threshold (smaller side returned).
 
@@ -76,58 +83,129 @@ def find_sparse_cut(g: WeightedGraph, mode: str, threshold: float) -> SparseCutR
     threshold (|∂(S, S̄)| / |S| < threshold); conductance sums edge weights
     and weighted degrees and qualifies at or below it (Φ(S) <= threshold).
 
-    Deterministic: singletons are tried in vertex order; then lambda_1/2
-    of the mode's matrix certifies that no cut qualifies, or subsets are
-    tried in a fixed canonical enumeration (up to EXHAUSTIVE_CUT_CAP
-    vertices, lambda_1 from eigvalsh), or the best prefix of the Fiedler
-    sweep is taken (larger pieces, heuristic; lambda_1 and the sign-fixed
-    vector from fiedler_pair). A disconnected g returns its smallest
-    component. A NaN threshold raises QuadsketchError.
+    A graph of fewer than 2 vertices has no cut and a disconnected g
+    returns its smallest component; a connected g is searched as the batch
+    of one of find_sparse_cuts. A NaN threshold raises QuadsketchError.
     """
-    if mode not in ("edge_expansion", "conductance"):
-        raise ValueError(f"unknown mode {mode!r}")
-    _reject_nan("threshold", threshold)
-    n = g.n
-    if n < 2:
+    _check_search(mode, threshold)
+    if g.n < 2:
         return SparseCutResult(None, True)
     labels = connected_components(g)
     if labels.max() > 0:
         # a disconnected input has a zero cut: return the smallest piece
         return SparseCutResult(_smallest_component(labels), True)
+    return find_sparse_cuts([g], mode, threshold)[0]
+
+
+def find_sparse_cuts(pieces: list[WeightedGraph], mode: str, threshold: float) -> list[SparseCutResult]:
+    """find_sparse_cut of each of a batch of connected graphs that share one
+    vertex count n >= 2, in batch order.
+
+    Each piece is searched on its own terms, deterministically: singletons
+    are tried in vertex order; then lambda_1/2 of the mode's matrix
+    certifies that no cut qualifies, or subsets are tried in a fixed
+    canonical enumeration (up to EXHAUSTIVE_CUT_CAP vertices, lambda_1 from
+    eigvalsh), or the best prefix of the Fiedler sweep is taken (larger
+    pieces, heuristic; lambda_1 and the sign-fixed vector from fiedler_pair,
+    one piece at a time). The batch shares the work with the bits of one
+    piece at a time: one singleton test over the union of the pieces'
+    edges, then, up to the cap, one eigvalsh over the stack of the
+    certificate matrices of the pieces with no qualifying singleton and one
+    exhaustive scan of the pieces that the certificate does not clear. A
+    NaN threshold raises QuadsketchError.
+    """
+    _check_search(mode, threshold)
+    if not pieces:
+        return []
+    b, n = len(pieces), pieces[0].n
+    # the union of the pieces, piece i on vertices i*n .. i*n + n-1: its
+    # edges are canonical, and each vertex sums its degree over its own
+    # piece's edges in their order, so every weight has the piece's bits
+    m = np.array([g.m for g in pieces])
+    at = np.repeat(np.arange(b), m)
+    whole = WeightedGraph._canonical(
+        b * n,
+        np.concatenate([g.edge_u for g in pieces]) + at * n,
+        np.concatenate([g.edge_v for g in pieces]) + at * n,
+        np.concatenate([g.edge_w for g in pieces]),
+        np.repeat(np.arange(b), n),
+    )
     # edge weights ew and vertex weights vw of the ratio, and the degrees
     # under ew (equal to vw for conductance)
-    ew, vw = ratio_weights(g, mode)
-    deg = weighted_degrees(n, g.edge_u, g.edge_v, ew)
-    total = vw.sum()
+    ew, vw = ratio_weights(whole, mode)
+    deg = weighted_degrees(b * n, whole.edge_u, whole.edge_v, ew).reshape(b, n)
+    vw = vw.reshape(b, n)
+    total = vw.sum(axis=1)
 
     # cheap qualifying singleton, in vertex order
-    hit = np.flatnonzero(_qualifies(cut_ratio(deg, vw, total), mode, threshold))
-    if hit.size:
+    results = [SparseCutResult(None, True) for _ in pieces]
+    hit = _qualifies(cut_ratio(deg, vw, total[:, None]), mode, threshold)
+    single = hit.any(axis=1)
+    for i in np.flatnonzero(single).tolist():
         members = np.zeros(n, dtype=bool)
-        members[hit[0]] = True
-        return SparseCutResult(members, True)
+        members[hit[i].argmax()] = True
+        results[i] = SparseCutResult(members, True)
+    rest = np.flatnonzero(~single)
     if n == 2:
         # a single edge has one cut, the singleton just tested
-        return SparseCutResult(None, True)
+        return results
+    if n > EXHAUSTIVE_CUT_CAP:
+        ends = np.cumsum(m).tolist()
+        for i in rest.tolist():
+            e = slice(ends[i] - m[i], ends[i])
+            results[i] = _sweep_cut(pieces[i], ew[e], vw[i], deg[i], total[i], mode, threshold)
+        return results
 
-    # spectral certificate: every ratio is at least lambda_1/2 of
-    # diag(deg / vw) - V^-1/2 A V^-1/2, which is D - A for edge_expansion
-    # and the normalized Laplacian I - D^-1/2 A D^-1/2 for conductance,
-    # entry for entry (deg / vw is exactly 1.0 when vw = deg). The exact
-    # scan reads only lambda_1; the sweep reads the Fiedler vector too.
+    # each piece's edges, padded to the longest piece with zero-weight
+    # loops at vertex 0, which cross no cut and add +0.0 to every sum
+    pos = np.arange(at.size) - np.repeat(np.cumsum(m) - m, m)
+    eu, ev = np.zeros((2, b, m.max()), dtype=np.int64)
+    w = np.zeros((b, m.max()))
+    eu[at, pos] = whole.edge_u - at * n
+    ev[at, pos] = whole.edge_v - at * n
+    w[at, pos] = ew
+    eu, ev, w, vw = eu[rest], ev[rest], w[rest], vw[rest]
+    # the exact scan reads lambda_1 alone
+    lam1 = np.linalg.eigvalsh(_certificate_matrices(eu, ev, w, deg[rest], vw))[:, 1]
+    scan = np.flatnonzero(_qualifies(lam1 / 2.0, mode, threshold))
+    found = _exhaustive_cuts(eu[scan], ev[scan], w[scan], vw[scan], mode, threshold)
+    for i, members in zip(rest[scan].tolist(), found):
+        results[i] = SparseCutResult(members, True)
+    return results
+
+
+def _certificate_matrices(eu, ev, w, deg, vw) -> np.ndarray:
+    """The (B, n, n) stack of diag(deg / vw) - V^-1/2 A V^-1/2 of B graphs
+    on n vertices with (B, M) edges eu, ev, w (zero-weight loops allowed)
+    and (B, n) degrees deg and vertex weights vw; each matrix is in Fortran
+    order, as LAPACK reads it, so fiedler_pair does not copy it.
+
+    Every cut ratio is at least lambda_1/2 of this matrix, which is D - A
+    for edge_expansion and the normalized Laplacian I - D^-1/2 A D^-1/2 for
+    conductance (deg / vw is exactly 1.0 when vw = deg). It is filled from
+    the edges with the bits of the dense expression: an edge's entry is
+    0.0 - (vw_u^-1/2 w) vw_v^-1/2, any other entry off the diagonal 0.0 - 0.0,
+    and each diagonal entry deg / vw - 0.0.
+    """
+    b, n = vw.shape
     inv_sqrt = 1.0 / np.sqrt(vw)
-    a = g.adjacency_matrix(ew)
-    mat = np.diag(deg / vw) - (inv_sqrt[:, None] * a) * inv_sqrt[None, :]
-    if n <= EXHAUSTIVE_CUT_CAP:
-        if not _qualifies(float(np.linalg.eigvalsh(mat)[1]) / 2.0, mode, threshold):
-            return SparseCutResult(None, True)
-        return SparseCutResult(_exhaustive_cut(g, mode, threshold, ew, vw), True)
-    lam1, fiedler = fiedler_pair(mat)
+    ids = np.arange(b)[:, None]
+    mat = np.zeros((b, n, n)).swapaxes(1, 2)
+    mat[ids, eu, ev] = np.subtract(0.0, (inv_sqrt[ids, eu] * w) * inv_sqrt[ids, ev])
+    mat[ids, ev, eu] = np.subtract(0.0, (inv_sqrt[ids, ev] * w) * inv_sqrt[ids, eu])
+    mat[:, np.arange(n), np.arange(n)] = deg / vw
+    return mat
+
+
+def _sweep_cut(g, ew, vw, deg, total, mode, threshold) -> SparseCutResult:
+    """Certificate and Fiedler sweep of a connected g with no qualifying
+    singleton: the best prefix of the embedding sorted by the Fiedler
+    vector scaled by vw^-1/2, if it qualifies (heuristic)."""
+    n = g.n
+    lam1, fiedler = fiedler_pair(_certificate_matrices(g.edge_u[None], g.edge_v[None], ew[None], deg[None], vw[None])[0])
     if not _qualifies(lam1 / 2.0, mode, threshold):
         return SparseCutResult(None, True)
-
-    # Fiedler sweep heuristic: best prefix of the sorted embedding
-    order = np.lexsort((np.arange(n), fiedler * inv_sqrt))
+    order = np.lexsort((np.arange(n), fiedler * (1.0 / np.sqrt(vw))))
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
     pu, pv = pos[g.edge_u], pos[g.edge_v]
@@ -146,7 +224,8 @@ def find_sparse_cut(g: WeightedGraph, mode: str, threshold: float) -> SparseCutR
 
 def fiedler_pair(mat: np.ndarray) -> tuple[float, np.ndarray]:
     """The second-smallest eigenvalue lambda_1 of the symmetric matrix mat
-    and its unit eigenvector; mat's contents may be overwritten.
+    and its unit eigenvector; mat's contents may be overwritten, and a
+    Fortran-ordered mat is not copied.
 
     LAPACK's MRRR driver computes the two smallest eigenpairs only. The
     vector's sign is fixed: its first entry of largest magnitude is
@@ -163,37 +242,70 @@ def fiedler_pair(mat: np.ndarray) -> tuple[float, np.ndarray]:
     return float(vals[1]), vec
 
 
-CONFIRM_BATCH = 256  # filtered masks re-scored at once
+CONFIRM_BATCH = 256  # most filtered masks re-scored at once
 
 
-def _exhaustive_cut(g, mode, threshold, ew, vw) -> np.ndarray | None:
-    """First qualifying subset in mask-ascending order over bits 0..n-2,
-    scored with edge weights ew and vertex weights vw.
+def _exhaustive_cuts(eu, ev, ew, vw, mode, threshold) -> list[np.ndarray | None]:
+    """First qualifying subset of each of a stack of B graphs on n vertices,
+    in mask-ascending order over bits 0..n-2, or None where none qualifies:
+    eu, ev and ew are their (B, M) edges with the ratio's edge weights
+    (zero-weight loops allowed), vw their (B, n) vertex weights.
 
     Every mask is scored by the meet-in-the-middle product of
-    subset_cut_blocks, which sums in another order than edge by edge, so its
-    scores only filter: widened by an absolute slack of 1e-9 of the total
-    vertex weight (far above the product's rounding error), every mask that
-    qualifies passes. The passing masks, in ascending order, are re-scored
-    with the crossing weights summed in edge order and the side weight in
-    bit order, which decides exactly as a sequential scan of all masks
-    would. (Unit weights give exact integer sums in either order.)
+    stacked_cut_blocks, which sums in another order than edge by edge, so
+    its scores only filter: widened by an absolute slack of 1e-9 of the
+    total vertex weight (far above the product's rounding error), every
+    mask that qualifies passes. The passing masks of each graph, in
+    ascending order, are re-scored with the crossing weights summed in edge
+    order and the side weight in bit order, which decides exactly as a
+    sequential scan of all masks would, whatever the block sizes. (Unit
+    weights give exact integer sums in either order.) A graph leaves the
+    scan at its first qualifying mask.
     """
-    n = g.n
-    total = vw.sum()
+    b, n = vw.shape
+    found: list[np.ndarray | None] = [None] * b
+    total = vw.sum(axis=1)
     slack = 1e-9 * total
-    for first, cut, side in subset_cut_blocks(g, ew, vw):
-        denom = np.minimum(side, total - side)
-        cand = first + np.flatnonzero(cut - slack <= threshold * (denom + slack))
-        for c0 in range(0, cand.size, CONFIRM_BATCH):
-            bits = mask_members(cand[c0 : c0 + CONFIRM_BATCH], n)
-            crossing = bits[:, g.edge_u] != bits[:, g.edge_v]
-            cut_e = np.cumsum(np.where(crossing, ew, 0.0), axis=1)[:, -1]
-            side_b = np.cumsum(bits[:, :-1] * vw[:-1], axis=1)[:, -1]
-            ok = _qualifies(cut_ratio(cut_e, side_b, total), mode, threshold)
-            if ok.any():
-                return _smaller_side(bits[ok.argmax()])
-    return None
+    a = np.zeros((b, n, n))
+    stack = np.arange(b)[:, None]
+    a[stack, eu, ev] = ew
+    a[stack, ev, eu] = ew
+    active = np.arange(b)  # the graphs still scanned, in stack order
+    blocks = stacked_cut_blocks(a, vw)
+    keep = None
+    while active.size:
+        try:
+            first, cut, side = blocks.send(keep)
+        except StopIteration:
+            break
+        t, s = total[active, None], slack[active, None]
+        row, cand = np.nonzero(cut - s <= threshold * (np.minimum(side, t - side) + s))
+        done = np.zeros(active.size, dtype=bool)
+        # candidates come grouped by row, ascending: rank them within it
+        rank = np.arange(row.size) - np.searchsorted(row, row)
+        # the first candidate of a row mostly qualifies: re-score 1, then
+        # 4, 16, ... candidates per row, and at most about CONFIRM_BATCH in all
+        c0, per = 0, 1
+        while True:
+            sel = np.flatnonzero((rank >= c0) & (rank < c0 + per) & ~done[row])
+            if not sel.size:
+                break
+            r, of = row[sel], active[row[sel]]
+            bits = mask_members(first + cand[sel], n)
+            each = np.arange(sel.size)[:, None]
+            crossing = bits[each, eu[of]] != bits[each, ev[of]]
+            cut_e = np.cumsum(np.where(crossing, ew[of], 0.0), axis=1)[:, -1]
+            side_b = np.cumsum(bits[:, :-1] * vw[of, :-1], axis=1)[:, -1]
+            ok = _qualifies(cut_ratio(cut_e, side_b, total[of]), mode, threshold)
+            # the first qualifying candidate of each row
+            for k, j in zip(np.flatnonzero(ok).tolist(), r[ok].tolist()):
+                if not done[j]:
+                    found[active[j]] = _smaller_side(bits[k])
+                    done[j] = True
+            c0, per = c0 + per, max(1, min(4 * per, CONFIRM_BATCH // active.size))
+        keep = ~done
+        active = active[keep]
+    return found
 
 
 def _smallest_component(labels: np.ndarray) -> np.ndarray:
@@ -262,12 +374,17 @@ def _partition_by_cuts(g: WeightedGraph, mode: str, threshold: float) -> Partiti
     because later stages seed per-piece streams in finish order.
 
     The pieces of a generation are vertex-disjoint, so one label_components
-    call over the union of their edges labels all of them. A disconnected
-    piece is split off its smallest component, as find_sparse_cut would
-    split it, with no search; a connected piece goes to find_sparse_cut as a
-    graph built from its edges without re-canonicalization (the edges of a
-    canonical graph, taken in ascending order and relabelled monotonically,
-    are canonical) and with its labels known.
+    call over the union of their edges labels all of them, and one map
+    gives every vertex its id within its piece. A disconnected piece is
+    split off its smallest component, as find_sparse_cut would split it,
+    with no search. A connected piece becomes a graph built from its edges
+    without re-canonicalization (the edges of a canonical graph, taken in
+    ascending order and relabelled monotonically, are canonical) and with
+    its labels known, and the generation's connected pieces are searched
+    together: all those of one size n <= EXHAUSTIVE_CUT_CAP in one
+    find_sparse_cuts batch, larger ones by find_sparse_cut one at a time.
+    The results are then taken in generation order, so pieces finish and
+    join the next generation as they would in the queue.
 
     In edge_expansion mode a vertex of degree < threshold is a qualifying
     singleton cut, so every generation is first peeled to its threshold core
@@ -322,35 +439,63 @@ def _partition_by_cuts(g: WeightedGraph, mode: str, threshold: float) -> Partiti
             not wait and (in_core is None or bool(in_core[vmap].all()))
             for vmap, _, wait in generation
         ]
-        if any(ready):
-            e_ready = np.concatenate([e for (_, e, _), r in zip(generation, ready) if r])
-            labels = label_components(g.n, g.edge_u[e_ready], g.edge_v[e_ready])
+        # each ready piece's local edge ends, and the mask of the side it
+        # splits off or, once its search found no cut, its Component; the
+        # connected pieces are searched after this loop, together by size
+        ends: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        split: dict[int, np.ndarray | Component] = {}
+        by_size: dict[int, list[tuple[int, WeightedGraph]]] = {}
+        ids = [i for i, r in enumerate(ready) if r]
+        if ids:
+            # the ready pieces are vertex-disjoint: one labelling, and one
+            # map from vertex ids to ids within their piece, serve them all
+            v_ready = np.concatenate([generation[i][0] for i in ids])
+            e_ready = np.concatenate([generation[i][1] for i in ids])
+            v_off = np.cumsum([0] + [generation[i][0].size for i in ids])
+            e_off = np.cumsum([0] + [generation[i][1].size for i in ids]).tolist()
+            u, v = g.edge_u[e_ready], g.edge_v[e_ready]
+            lab = label_components(g.n, u, v)[v_ready]
+            local = np.empty(g.n, dtype=np.int64)
+            local[v_ready] = np.arange(v_ready.size) - np.repeat(v_off[:-1], np.diff(v_off))
+            pu_all, pv_all, w_all = local[u], local[v], g.edge_w[e_ready]
+            # label_components numbers a piece's first vertex lowest
+            spans = (np.maximum.reduceat(lab, v_off[:-1]) > lab[v_off[:-1]]).tolist()
+        for j, i in enumerate(ids):
+            size = generation[i][0].size
+            e = slice(e_off[j], e_off[j + 1])
+            ends[i] = pu, pv = pu_all[e], pv_all[e]
+            if spans[j]:
+                lab_j = lab[v_off[j] : v_off[j + 1]]
+                split[i] = _smallest_component(np.unique(lab_j, return_inverse=True)[1])
+            else:
+                piece = WeightedGraph._canonical(size, pu, pv, w_all[e], np.zeros(size, dtype=np.int64))
+                by_size.setdefault(size, []).append((i, piece))
+        for size, group in by_size.items():
+            pieces = [piece for _, piece in group]
+            if size <= EXHAUSTIVE_CUT_CAP:
+                found = find_sparse_cuts(pieces, mode, threshold)
+            else:
+                found = [find_sparse_cut(piece, mode, threshold) for piece in pieces]
+            for (i, piece), res in zip(group, found):
+                vmap, eidx, _ = generation[i]
+                split[i] = res.members if res.members is not None else Component(piece, vmap, eidx, res.certified)
         following: list[tuple[np.ndarray, np.ndarray, int]] = []
-        for (vmap, eidx, wait), r in zip(generation, ready):
+        for i, (vmap, eidx, wait) in enumerate(generation):
             if wait:
                 following.append((vmap, eidx, wait - 1))
                 continue
-            if not r:
+            if i not in split:
                 inside = in_core[vmap]
                 kept = in_core[g.edge_u[eidx]] & in_core[g.edge_v[eidx]]
                 cross.append(eidx[~kept])
                 if inside.any():
                     following.append((vmap[inside], eidx[kept], 0))
                 continue
-            inv = inverse_map(vmap, g.n)
-            pu, pv = inv[g.edge_u[eidx]], inv[g.edge_v[eidx]]
-            lab = labels[vmap]
-            if lab.max() > lab[0]:
-                s = _smallest_component(np.unique(lab, return_inverse=True)[1])
-            else:
-                piece = WeightedGraph._canonical(
-                    vmap.size, pu, pv, g.edge_w[eidx], np.zeros(vmap.size, dtype=np.int64)
-                )
-                res = find_sparse_cut(piece, mode, threshold)
-                if res.members is None:
-                    comps.append(Component(piece, vmap, eidx, res.certified))
-                    continue
-                s = res.members
+            s = split[i]
+            if isinstance(s, Component):
+                comps.append(s)
+                continue
+            pu, pv = ends[i]
             cross.append(eidx[s[pu] != s[pv]])
             for side in (s, ~s):
                 inner = side[pu] & side[pv]

@@ -294,14 +294,23 @@ def pairs(item: Codec) -> Codec:
     return seq(tuple_of(int_array, item))
 
 
-def _checked_cut_edges(got: dict) -> dict:
-    u, v, w = got["q_u"], got["q_v"], got["q_w"]
+def edge_problem(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> str | None:
+    """Why the arrays (u, v, w) are not the edges of a graph (unequal
+    lengths, a self-loop, or a weight that is not positive and finite), or
+    None when they are; ``flatten`` checks the vertex ids."""
     if not u.size == v.size == w.size:
-        raise QuadsketchError(f"cut edge arrays of lengths {u.size}, {v.size}, {w.size}")
+        return f"edge arrays of lengths {u.size}, {v.size}, {w.size}"
     if np.any(u == v):
-        raise QuadsketchError("cut edges hold a self-loop")
+        return "edges hold a self-loop"
     if not np.all((w > 0) & (w < np.inf)):
-        raise QuadsketchError("cut edge weights must be positive and finite")
+        return "edge weights must be positive and finite"
+    return None
+
+
+def _checked_cut_edges(got: dict) -> dict:
+    problem = edge_problem(got["q_u"], got["q_v"], got["q_w"])
+    if problem:
+        raise QuadsketchError(f"cut {problem}")
     return got
 
 

@@ -88,8 +88,25 @@ class S2Sketch:
         return 2 * self.n + 3 * int(self.su.size) + 3 * int(self.owner.size)
 
 
+def _s2_problem(sk: S2Sketch) -> str | None:
+    """Why a decoded S2 record cannot be answered from, or None: its stored
+    edges are no graph's edges, its sample arrays differ in length, or a
+    degree or a sample scale is negative or not finite. (Draw counts y are
+    int arrays, which hold no negative entry.)"""
+    problem = serialize.edge_problem(sk.su, sk.sv, sk.sw)
+    if problem:
+        return f"stored {problem}"
+    if not sk.owner.size == sk.nbr.size == sk.y.size:
+        return f"sample arrays of lengths {sk.owner.size}, {sk.nbr.size}, {sk.y.size}"
+    for name, a in (("degrees", sk.diag), ("sample scales", sk.scale)):
+        if not np.all((a >= 0) & (a < np.inf)):
+            return f"{name} must be non-negative and finite"
+    return None
+
+
 S2_LAYOUT = record(
     S2Sketch,
+    check=_s2_problem,
     draws=varint, diag=f64_array, su=int_array, sv=int_array, sw=f64_array, scale=f64_array,
     owner=int_array, nbr=int_array, y=int_array,
 )

@@ -12,7 +12,7 @@ from quadsketch.serialize import Writer, envelope, sketch_class
 from quadsketch.spectral import spectral_improved_build
 
 from conftest import format_matrix, gnp_connected
-from test_serialize import general_sketch, improved_with_class_map
+from test_serialize import basic_with_nan_stored_weight, general_sketch, improved_with_class_map
 
 
 @pytest.fixture
@@ -371,8 +371,9 @@ def general_with_endpoint_99() -> bytes:
     [
         (lambda: improved_with_class_map(1), "spectral-sketch", "1,0,0,0", "vertex map"),
         (general_with_endpoint_99, "cut-sketch", "0,1", "forest endpoint 99"),
+        (basic_with_nan_stored_weight, "spectral-sketch", ",".join(["1"] * 16), "positive and finite"),
     ],
-    ids=["improved-class-map", "general-forest-endpoint"],
+    ids=["improved-class-map", "general-forest-endpoint", "basic-s2-nan-weight"],
 )
 def test_corrupt_sketch_exit_1(tmp_path, capsys, data, command, query, message):
     skp = tmp_path / "bad.qsk"

@@ -22,13 +22,13 @@ from quadsketch.graph import (
 from quadsketch.graph import degrees
 from quadsketch.partition import (
     EXHAUSTIVE_CUT_CAP,
-    _exhaustive_cut,
     _partition_by_cuts,
     arc_ends,
     assign_direction,
     cut_preprocessing,
     degree_class_partition,
     find_sparse_cut,
+    find_sparse_cuts,
     importance_sample,
     spectral_preprocessing,
     weight_class_of,
@@ -221,6 +221,12 @@ def connected_with_repeated_weights(n, p, seed):
     return WeightedGraph(n, [(u, v, float(w)) for (u, v), w in zip(pairs, weights)])
 
 
+def exhaustive_cut(g, mode, threshold):
+    """The exhaustive scan of partition on g alone, as a stack of one."""
+    ew, vw = ratio_weights(g, mode)
+    return partition._exhaustive_cuts(g.edge_u[None], g.edge_v[None], ew[None], vw[None], mode, threshold)[0]
+
+
 class TestExhaustiveCut:
     @given(
         st.sampled_from(["conductance", "edge_expansion"]),
@@ -239,7 +245,7 @@ class TestExhaustiveCut:
         threshold = float(mask_scores_reference(g, mode, mask)[0])
         if nudge:
             threshold = float(np.nextafter(threshold, np.inf * nudge))
-        got = _exhaustive_cut(g, mode, threshold, *ratio_weights(g, mode))
+        got = exhaustive_cut(g, mode, threshold)
         want = exhaustive_cut_reference(g, mode, threshold)
         assert (got is None) == (want is None)
         if want is not None:
@@ -255,15 +261,172 @@ class TestExhaustiveCut:
         for mode in ("conductance", "edge_expansion"):
             least = float(mask_scores_reference(g, mode, np.arange(1, 1 << (n - 1))).min())
             for threshold in (least, float(np.nextafter(least, np.inf))):
-                got = _exhaustive_cut(g, mode, threshold, *ratio_weights(g, mode))
+                got = exhaustive_cut(g, mode, threshold)
                 want = exhaustive_cut_reference(g, mode, threshold)
                 assert (got is None) == (want is None)
                 assert want is None or np.array_equal(got, want)
 
     def test_no_qualifying_mask(self):
         g = complete_graph(7)
-        assert _exhaustive_cut(g, "conductance", 0.1, *ratio_weights(g, "conductance")) is None
+        assert exhaustive_cut(g, "conductance", 0.1) is None
         assert exhaustive_cut_reference(g, "conductance", 0.1) is None
+
+
+def pieces_of_each_kind(n, seed=0):
+    """Connected weighted graphs on n vertices that moderate thresholds send
+    down every path of the search: a path (degree-1 vertices: expansion
+    singletons), a clique (cleared by the certificate), two cliques joined
+    by one edge (a sparse cut that the exhaustive scan finds) and two
+    random graphs."""
+    rng = np.random.default_rng([n, seed])
+
+    def w():
+        return float(rng.uniform(1.0, 3.0))
+
+    k = n // 2
+    halves = [(i, j, w()) for lo, hi in ((0, k), (k, n)) for i in range(lo, hi) for j in range(i + 1, hi)]
+    return [
+        WeightedGraph(n, [(i, i + 1, w()) for i in range(n - 1)]),
+        WeightedGraph(n, [(i, j, w()) for i in range(n) for j in range(i + 1, n)]),
+        WeightedGraph(n, halves + [(k - 1, k, w())]),
+        *(gnp_connected(n, p, seed + n, w_lo=1.0, w_hi=4.0) for p in (0.3, 0.6)),
+    ]
+
+
+def dense_certificate(g, mode):
+    """The certificate matrix as the search built it densely, in C order:
+    diag(deg / vw) - (V^-1/2 A) V^-1/2 with the degrees of weighted_degrees."""
+    ew, vw = graph.ratio_weights(g, mode)
+    deg = graph.weighted_degrees(g.n, g.edge_u, g.edge_v, ew)
+    inv_sqrt = 1.0 / np.sqrt(vw)
+    return np.diag(deg / vw) - (inv_sqrt[:, None] * g.adjacency_matrix(ew)) * inv_sqrt[None, :]
+
+
+SEARCH_THRESHOLDS = {
+    "edge_expansion": [0.5, 1.5, 2.5, 4.0],
+    "conductance": [0.1, 0.3, 0.6, float(np.nextafter(1.0, 0.0)), 1.0],
+}
+
+
+class TestBatchedSearch:
+    """find_sparse_cuts searches a batch of pieces of one size together; each
+    piece must get the answer of the search that wrote every step once per
+    mode, whatever else is in its batch."""
+
+    @staticmethod
+    def search_paths(monkeypatch):
+        """Counts of the pieces that reach the certificate and the exhaustive
+        scan, added up until the caller resets them."""
+        reached = {"certificate": 0, "scan": 0}
+        certificate, scan = partition._certificate_matrices, partition._exhaustive_cuts
+
+        def spy_certificate(eu, ev, w, deg, vw):
+            reached["certificate"] += vw.shape[0]
+            return certificate(eu, ev, w, deg, vw)
+
+        def spy_scan(eu, *args):
+            reached["scan"] += eu.shape[0]
+            return scan(eu, *args)
+
+        monkeypatch.setattr(partition, "_certificate_matrices", spy_certificate)
+        monkeypatch.setattr(partition, "_exhaustive_cuts", spy_scan)
+        return reached
+
+    @pytest.mark.parametrize("mode", ["edge_expansion", "conductance"])
+    @pytest.mark.parametrize("n", range(2, EXHAUSTIVE_CUT_CAP + 1))
+    def test_same_answer_as_reference_piece_by_piece(self, n, mode, monkeypatch):
+        pieces = pieces_of_each_kind(n)
+        # the random pieces' own decision points, where the last bit decides
+        near = sparse_cut_thresholds(pieces[3], mode)[3:6] if n > 2 else []
+        reached = self.search_paths(monkeypatch)
+        mixed = []
+        for threshold in SEARCH_THRESHOLDS[mode] + near:
+            found = find_sparse_cuts(pieces, mode, threshold)
+            assert len(found) == len(pieces)
+            singles = 0
+            for piece, res in zip(pieces, found):
+                want, certified = find_sparse_cut_reference(piece, mode, threshold)
+                assert res.certified == certified, (threshold, piece)
+                assert (res.members is None) == (want is None), (threshold, piece)
+                assert want is None or np.array_equal(res.members, want), (threshold, piece)
+                singles += res.members is not None and res.members.sum() == 1
+            certificate, scanned = reached["certificate"], reached["scan"]
+            reached.update(certificate=0, scan=0)
+            mixed.append((len(pieces) - certificate, certificate - scanned, scanned))
+        if n >= 6:
+            # one batch holds singleton hits (expansion only: a conductance
+            # singleton scores exactly 1), cleared pieces and scanned pieces
+            need = 0 if mode == "conductance" else 1
+            assert any(hit >= need and cleared and scanned for hit, cleared, scanned in mixed), mixed
+
+    def test_three_vertex_complement_found_by_the_scan(self):
+        # every singleton of this path scores exactly 1, just above h; the
+        # scan scores the complement of {2} as cut / (total - (vw_0 + vw_1)),
+        # which rounds to h, so the scan must run after the singleton test
+        g = WeightedGraph(3, [(0, 1, 0.1), (1, 2, 0.2)])
+        h = float(np.nextafter(1.0, 0.0))
+        want, _ = find_sparse_cut_reference(g, "conductance", h)
+        assert want.tolist() == [False, False, True]
+        batch = [g, WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]), g]
+        for res in find_sparse_cuts(batch, "conductance", h)[::2]:
+            assert res.certified and res.members.tolist() == [False, False, True]
+
+    @pytest.mark.parametrize("w", [1.0, 1.7, 3.0, 0.1, 1.3, 2.5])
+    def test_three_vertex_path_lambda_one_decides_the_scan(self, w, monkeypatch):
+        # lambda_1 of a 3-vertex path's normalized Laplacian is 1: at h = 0.5
+        # the last bit of the eigensolve decides whether the scan runs, and
+        # the stack must decide as one matrix alone would
+        pieces = [WeightedGraph(3, [(0, 1, 1.0), (1, 2, v)]) for v in (1.0, 1.7, 3.0, w)]
+        lam1 = [float(np.linalg.eigvalsh(dense_certificate(p, "conductance"))[1]) for p in pieces]
+        reached = self.search_paths(monkeypatch)
+        for res in find_sparse_cuts(pieces, "conductance", 0.5):
+            assert res.members is None and res.certified
+        assert reached["scan"] == sum(lam / 2.0 <= 0.5 for lam in lam1)
+
+    def test_three_vertex_path_lambda_one_takes_both_sides(self):
+        # the weights of the test above put lambda_1 on both sides of 1
+        paths = [WeightedGraph(3, [(0, 1, 1.0), (1, 2, w)]) for w in (1.0, 1.7, 3.0)]
+        lam1 = [float(np.linalg.eigvalsh(dense_certificate(p, "conductance"))[1]) for p in paths]
+        assert lam1[1] < lam1[0] == 1.0 < lam1[2]
+
+    @pytest.mark.parametrize("first, most", [(1, 1), (4, 64), (1 << 20, 1 << 20)])
+    def test_scan_answer_does_not_depend_on_block_sizes(self, first, most, monkeypatch):
+        monkeypatch.setattr(graph, "FIRST_MASK_BLOCK", first)
+        monkeypatch.setattr(graph, "MASK_BLOCK", most)
+        for n in (4, 9, 14):
+            g = pieces_of_each_kind(n)[3]
+            masks = [(f, cut.size) for f, cut, _ in graph.subset_cut_blocks(g, g.edge_w, np.ones(n))]
+            # every nonempty mask over bits 0..n-2 once, in ascending order
+            assert [f for f, _ in masks] == np.cumsum([1] + [k for _, k in masks[:-1]]).tolist()
+            assert sum(k for _, k in masks) == (1 << (n - 1)) - 1
+            for mode in ("edge_expansion", "conductance"):
+                pieces = pieces_of_each_kind(n, seed=1)
+                for threshold in SEARCH_THRESHOLDS[mode] + sparse_cut_thresholds(pieces[4], mode)[3:6]:
+                    for piece, res in zip(pieces, find_sparse_cuts(pieces, mode, threshold)):
+                        want, _ = find_sparse_cut_reference(piece, mode, threshold)
+                        assert (res.members is None) == (want is None)
+                        assert want is None or np.array_equal(res.members, want)
+
+    @pytest.mark.parametrize("mode", ["edge_expansion", "conductance"])
+    def test_fiedler_pair_gets_the_fortran_ordered_certificate_matrix(self, mode, monkeypatch):
+        g = gnp_connected(40, 0.3, 7, w_lo=1.0, w_hi=4.0)
+        pair = partition.fiedler_pair
+        seen = []
+
+        def spy(mat):
+            seen.append((mat.flags.f_contiguous, mat.copy(order="C")))
+            got = pair(mat)
+            seen.append(got)
+            return got
+
+        monkeypatch.setattr(partition, "fiedler_pair", spy)
+        find_sparse_cut(g, mode, 0.3 if mode == "conductance" else 2.0)
+        (f_contiguous, mat), (lam1, vec) = seen
+        want = dense_certificate(g, mode)
+        # the dense expression's bits, signed zeros included
+        assert f_contiguous and mat.tobytes() == want.tobytes()
+        want_lam1, want_vec = pair(want)
+        assert lam1 == want_lam1 and vec.tobytes() == want_vec.tobytes()
 
 
 class TestSpectralPreprocessing:
@@ -429,6 +592,12 @@ def two_cliques_with_stranded(k):
     return WeightedGraph(14 + k, k7 + [(6, 7, 1.0)] + hung)
 
 
+def pieces_searched(search) -> int:
+    """Pieces searched through a mock that wraps partition.find_sparse_cuts,
+    which find_sparse_cut calls with a batch of one."""
+    return sum(len(call.args[0]) for call in search.call_args_list)
+
+
 def assert_same_partition(part, ref):
     """Same pieces in the same order, with the same ids and dtypes, and the
     same cross edges."""
@@ -501,17 +670,18 @@ class TestPartitionByCuts:
         # the stranding generator makes both kinds of search strand vertices
         stranded = {"sweep": 0, "exhaustive": 0}
 
-        def search(piece, mode, threshold):
-            res = find_sparse_cut(piece, mode, threshold)
-            if res.members is not None:
-                kind = "sweep" if piece.n > EXHAUSTIVE_CUT_CAP else "exhaustive"
-                stranded[kind] += stranded_sides(piece, res.members)
-            return res
+        def search(pieces, mode, threshold):
+            found = find_sparse_cuts(pieces, mode, threshold)
+            for piece, res in zip(pieces, found):
+                if res.members is not None:
+                    kind = "sweep" if piece.n > EXHAUSTIVE_CUT_CAP else "exhaustive"
+                    stranded[kind] += stranded_sides(piece, res.members)
+            return found
 
         for seed in range(40):
             g = stranding_case(seed)
             for h in (0.4, 0.7):
-                with mock.patch.object(partition, "find_sparse_cut", side_effect=search):
+                with mock.patch.object(partition, "find_sparse_cuts", side_effect=search):
                     part = _partition_by_cuts(g, "conductance", h)
                 assert_same_partition(part, partition_by_cuts_reference(g, "conductance", h))
         assert stranded["sweep"] > 0 and stranded["exhaustive"] > 0
@@ -520,7 +690,7 @@ class TestPartitionByCuts:
     def test_h_at_least_one_searches_and_labels_nothing(self, h):
         g = gnp_connected(24, 0.4, seed=4, w_lo=1.0, w_hi=3.0)
         with (
-            mock.patch.object(partition, "find_sparse_cut", wraps=find_sparse_cut) as search,
+            mock.patch.object(partition, "find_sparse_cuts", wraps=find_sparse_cuts) as search,
             mock.patch.object(partition, "label_components", wraps=label_components) as label,
             mock.patch.object(graph, "label_components", wraps=label_components) as graph_label,
         ):
@@ -532,13 +702,13 @@ class TestPartitionByCuts:
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_stranded_vertices_add_no_search(self, k):
         g = two_cliques_with_stranded(k)
-        with mock.patch.object(partition, "find_sparse_cut", wraps=find_sparse_cut) as search:
+        with mock.patch.object(partition, "find_sparse_cuts", wraps=find_sparse_cuts) as search:
             part = _partition_by_cuts(g, "conductance", 0.15)
         with mock.patch.object(conftest, "find_sparse_cut", wraps=find_sparse_cut) as ref_search:
             ref = partition_by_cuts_reference(g, "conductance", 0.15)
         # one cut, then one search per clique; one search call per peeled
         # stranded vertex in the piece-at-a-time partition
-        assert search.call_count == 3 and ref_search.call_count == 3 + k
+        assert pieces_searched(search) == 3 and ref_search.call_count == 3 + k
         assert [c.vmap.tolist() for c in part.components] == [list(range(7)), list(range(7, 14))]
         assert_same_partition(part, ref)
 
@@ -554,12 +724,12 @@ class TestPartitionByCuts:
         ]
         g = WeightedGraph(40, edges + [(b + 4, b + 5, 1.0) for b in range(0, 40, 10)])
         with (
-            mock.patch.object(partition, "find_sparse_cut", wraps=find_sparse_cut) as search,
+            mock.patch.object(partition, "find_sparse_cuts", wraps=find_sparse_cuts) as search,
             mock.patch.object(partition, "label_components", wraps=label_components) as label,
             mock.patch.object(graph, "label_components", wraps=label_components) as graph_label,
         ):
             part = _partition_by_cuts(g, "conductance", 0.1)
-        assert search.call_count == 12 and len(part.components) == 8
+        assert pieces_searched(search) == 12 and len(part.components) == 8
         # the input's components, then each of the two generations
         assert label.call_count == 3 and graph_label.call_count == 0
         assert_same_partition(part, partition_by_cuts_reference(g, "conductance", 0.1))

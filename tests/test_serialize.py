@@ -607,6 +607,54 @@ def test_corrupt_exact_class_edge_rejected_at_decode(case, corrupt, message):
         cls.from_bytes(sk.to_bytes())
 
 
+def first_s2_record(sk, name):
+    """The first S2-shaped record of a spectral sketch (an S2 piece of a
+    basic class, a component of an improved class) whose array name is not
+    empty."""
+    records = [s3 for _, s3 in sk.classes] if isinstance(sk, SpectralImprovedSketch) else sk.classes
+    return next(piece for rec in records for _, piece in rec.comps if getattr(piece, name).size)
+
+
+BASIC_S2 = "spectral_basic-s2-and-verbatim-class"  # S2 pieces with stored edges
+IMPROVED_S3 = "spectral_improved-band-and-low"  # components with samples
+
+
+@pytest.mark.parametrize(
+    "case, name, corrupt, message",
+    [
+        (BASIC_S2, "sw", lambda p: with_entry(p.sw, np.nan), "stored edge weights must be positive and finite"),
+        (BASIC_S2, "sw", lambda p: with_entry(p.sw, np.inf), "stored edge weights must be positive and finite"),
+        (BASIC_S2, "sw", lambda p: with_entry(p.sw, 0.0), "stored edge weights must be positive and finite"),
+        (BASIC_S2, "sv", lambda p: with_entry(p.sv, p.su[0]), "stored edges hold a self-loop"),
+        (BASIC_S2, "sw", lambda p: p.sw[:-1], "stored edge arrays of lengths"),
+        (BASIC_S2, "diag", lambda p: with_entry(p.diag, np.nan), "degrees must be non-negative and finite"),
+        (BASIC_S2, "diag", lambda p: with_entry(p.diag, -1.0), "degrees must be non-negative and finite"),
+        (IMPROVED_S3, "scale", lambda p: with_entry(p.scale, np.inf), "sample scales must be non-negative and finite"),
+        (IMPROVED_S3, "scale", lambda p: with_entry(p.scale, -2.0), "sample scales must be non-negative and finite"),
+        (IMPROVED_S3, "y", lambda p: p.y[:-1], "sample arrays of lengths"),
+        (IMPROVED_S3, "nbr", lambda p: p.nbr[:-1], "sample arrays of lengths"),
+    ],
+    ids=[
+        "weight-nan", "weight-inf", "weight-zero", "self-loop", "short-weights",
+        "degree-nan", "degree-negative", "scale-inf", "scale-negative", "short-draws", "short-neighbours",
+    ],
+)
+def test_corrupt_s2_field_rejected_at_decode(case, name, corrupt, message):
+    # each corrupted field used to decode and answer (NaN for a NaN weight)
+    sk = GOLDEN[case][0]()
+    piece = first_s2_record(sk, name)
+    setattr(piece, name, corrupt(piece))
+    with pytest.raises(QuadsketchError, match=message):
+        type(sk).from_bytes(sk.to_bytes())
+
+
+def basic_with_nan_stored_weight() -> bytes:
+    sk = GOLDEN[BASIC_S2][0]()
+    piece = first_s2_record(sk, "sw")
+    piece.sw = with_entry(piece.sw, np.nan)
+    return sk.to_bytes()
+
+
 def general_sketch():
     """Tree weights 4^i: every forest edge starts a stored slice."""
     g = WeightedGraph(6, [(i, i + 1, 4.0**i) for i in range(5)] + [(0, 3, 1.0), (1, 4, 2.0)])
