@@ -118,6 +118,8 @@ def find_sparse_cuts(pieces: list[WeightedGraph], mode: str, threshold: float) -
     if not pieces:
         return []
     b, n = len(pieces), pieces[0].n
+    if any(g.n != n for g in pieces):
+        raise ValueError("a batch holds pieces of one vertex count")
     # the union of the pieces, piece i on vertices i*n .. i*n + n-1: its
     # edges are canonical, and each vertex sums its degree over its own
     # piece's edges in their order, so every weight has the piece's bits
