@@ -333,7 +333,7 @@ class TestBatchedSearch:
         return reached
 
     @pytest.mark.parametrize("mode", ["edge_expansion", "conductance"])
-    @pytest.mark.parametrize("n", range(2, EXHAUSTIVE_CUT_CAP + 1))
+    @pytest.mark.parametrize("n", [*range(2, EXHAUSTIVE_CUT_CAP + 1), 24, 40])
     def test_same_answer_as_reference_piece_by_piece(self, n, mode, monkeypatch):
         pieces = pieces_of_each_kind(n)
         # the random pieces' own decision points, where the last bit decides
@@ -353,7 +353,7 @@ class TestBatchedSearch:
             certificate, scanned = reached["certificate"], reached["scan"]
             reached.update(certificate=0, scan=0)
             mixed.append((len(pieces) - certificate, certificate - scanned, scanned))
-        if n >= 6:
+        if 6 <= n <= EXHAUSTIVE_CUT_CAP:
             # one batch holds singleton hits (expansion only: a conductance
             # singleton scores exactly 1), cleared pieces and scanned pieces
             need = 0 if mode == "conductance" else 1
