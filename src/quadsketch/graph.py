@@ -261,11 +261,10 @@ def connected_components(g: WeightedGraph) -> np.ndarray:
     (label_components of g's edges). The labels are computed once per graph
     and returned read-only.
 
-    The partitions call this only through find_sparse_cut, for pieces above
-    the exhaustive cap (smaller ones are searched in batches that skip it),
-    and hand it pieces whose labels they already know: each generation of
-    pieces is labelled with one label_components call over the union of its
-    pieces' edges.
+    The partitions' searches skip this: each generation of pieces is
+    labelled with one label_components call over the union of its pieces'
+    edges, and its connected pieces are searched in batches that take
+    their connectivity as known.
     """
     if g._labels is None:
         labels = label_components(g.n, g.edge_u, g.edge_v)

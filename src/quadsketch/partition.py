@@ -383,9 +383,8 @@ def _partition_by_cuts(g: WeightedGraph, mode: str, threshold: float) -> Partiti
     without re-canonicalization (the edges of a canonical graph, taken in
     ascending order and relabelled monotonically, are canonical) and with
     its labels known, and the generation's connected pieces are searched
-    together: all those of one size n <= EXHAUSTIVE_CUT_CAP in one
-    find_sparse_cuts batch, larger ones by find_sparse_cut one at a time.
-    The results are then taken in generation order, so pieces finish and
+    together, all those of one size in one find_sparse_cuts batch. The
+    results are then taken in generation order, so pieces finish and
     join the next generation as they would in the queue.
 
     In edge_expansion mode a vertex of degree < threshold is a qualifying
@@ -472,12 +471,8 @@ def _partition_by_cuts(g: WeightedGraph, mode: str, threshold: float) -> Partiti
             else:
                 piece = WeightedGraph._canonical(size, pu, pv, w_all[e], np.zeros(size, dtype=np.int64))
                 by_size.setdefault(size, []).append((i, piece))
-        for size, group in by_size.items():
-            pieces = [piece for _, piece in group]
-            if size <= EXHAUSTIVE_CUT_CAP:
-                found = find_sparse_cuts(pieces, mode, threshold)
-            else:
-                found = [find_sparse_cut(piece, mode, threshold) for piece in pieces]
+        for group in by_size.values():
+            found = find_sparse_cuts([piece for _, piece in group], mode, threshold)
             for (i, piece), res in zip(group, found):
                 vmap, eidx, _ = generation[i]
                 split[i] = res.members if res.members is not None else Component(piece, vmap, eidx, res.certified)

@@ -748,9 +748,9 @@ class TestPartitionByCuts:
         assert np.array_equal(part.cross_idx, np.arange(g.m))
         assert_same_partition(part, partition_by_cuts_reference(g, "edge_expansion", 33.0))
         # a non-empty core is labelled
-        with mock.patch.object(partition, "connected_components", wraps=connected_components) as cc:
+        with mock.patch.object(partition, "label_components", wraps=label_components) as label:
             part = _partition_by_cuts(g, "edge_expansion", 1.5)
-        assert cc.call_count > 0 and part.components
+        assert label.call_count > 0 and part.components
 
     @given(st.integers(1, 40), st.floats(0.0, 0.3), st.integers(0, 10**6))
     @settings(max_examples=80, deadline=None)

@@ -1,11 +1,11 @@
 """Piece-size profile of the sparse-cut searches of one spectral-build pass.
 
-    python3 tools/search_profile.py [seed] [passes]
+    python3 tools/search_profile.py
 
 Sets up the spectral-build workload of perfbench.workloads (FULL sizes, seed
-1 by default) with one BLAS thread, builds its four families once to warm
-up, then times `passes` passes (3 by default) with partition.find_sparse_cuts
-wrapped; find_sparse_cut searches through it too. Prints the pass time and,
+SEED = 1) with one BLAS thread, builds its four families once to warm up,
+then times PASSES (3) passes with partition.find_sparse_cuts wrapped;
+find_sparse_cut searches through it too. Prints the pass time and,
 per piece size, per pass: the pieces searched ("calls"), the seconds spent
 in the searches, the microseconds per piece and the pieces that reach the
 exhaustive scan ("scans"). A batch's time is split among its pieces evenly.
@@ -25,13 +25,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from perfbench import workloads  # noqa: E402
 from quadsketch import partition  # noqa: E402
 
+SEED = 1
+PASSES = 3
 BINS = [("2", 2, 2), ("3", 3, 3), ("4-20", 4, 20), ("21-128", 21, 128), ("> 128", 129, None)]
 
 
-def profile(seed: int, passes: int) -> tuple[float, dict[int, list[float]]]:
+def profile() -> tuple[float, dict[int, list[float]]]:
     """Seconds per pass and, per piece size, [pieces, seconds, scans] over
     all passes."""
-    wl = workloads.SpectralBuild(seed, workloads.FULL)
+    wl = workloads.SpectralBuild(SEED, workloads.FULL)
     wl.setup(workloads.Stats())
     for fam in wl.families:
         fam.build()
@@ -53,26 +55,24 @@ def profile(seed: int, passes: int) -> tuple[float, dict[int, list[float]]]:
     partition.find_sparse_cuts, partition._exhaustive_cuts = timed_search, counted_scan
     try:
         t0 = time.perf_counter()
-        for _ in range(passes):
+        for _ in range(PASSES):
             for fam in wl.families:
                 fam.build()
-        pass_s = (time.perf_counter() - t0) / passes
+        pass_s = (time.perf_counter() - t0) / PASSES
     finally:
         partition.find_sparse_cuts, partition._exhaustive_cuts = search, scan
     return pass_s, by_size
 
 
-def main(argv: list[str]) -> None:
-    seed = int(argv[0]) if argv else 1
-    passes = int(argv[1]) if len(argv) > 1 else 3
-    pass_s, by_size = profile(seed, passes)
-    print(f"spectral-build pass, seed {seed}: {pass_s:.3f} s (mean of {passes})")
+def main() -> None:
+    pass_s, by_size = profile()
+    print(f"spectral-build pass, seed {SEED}: {pass_s:.3f} s (mean of {PASSES})")
     print("| piece size | calls / pass | s / pass | µs / call | scans / pass |")
     print("|---|---|---|---|---|")
     searched = 0.0
     for name, lo, hi in BINS:
         rows = [r for n, r in by_size.items() if n >= lo and (hi is None or n <= hi)]
-        calls, secs, scans = (sum(r[j] for r in rows) / passes for j in range(3))
+        calls, secs, scans = (sum(r[j] for r in rows) / PASSES for j in range(3))
         searched += secs
         per_call = 1e6 * secs / calls if calls else 0.0
         print(f"| {name} | {calls:,.0f} | {secs:.3f} | {per_call:,.0f} | {scans:,.0f} |")
@@ -80,4 +80,4 @@ def main(argv: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()
