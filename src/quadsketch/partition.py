@@ -93,7 +93,7 @@ def find_sparse_cut(g: WeightedGraph, mode: str, threshold: float) -> SparseCutR
     labels = connected_components(g)
     if labels.max() > 0:
         # a disconnected input has a zero cut: return the smallest piece
-        return SparseCutResult(_smallest_component(labels), True)
+        return SparseCutResult(_smallest_components(labels, np.zeros(g.n, dtype=np.int64)), True)
     return find_sparse_cuts([g], mode, threshold)[0]
 
 
@@ -310,9 +310,16 @@ def _exhaustive_cuts(eu, ev, ew, vw, mode, threshold) -> list[np.ndarray | None]
     return found
 
 
-def _smallest_component(labels: np.ndarray) -> np.ndarray:
-    """Mask of the smallest component, the first in label order among equals."""
-    return labels == int(np.argmin(np.bincount(labels)))
+def _smallest_components(labels: np.ndarray, piece: np.ndarray) -> np.ndarray:
+    """Mask of the vertices in the smallest component of their piece, the
+    first in label order among equals: labels[i] and piece[i] are the
+    component label and the piece of vertex i, and no component spans two
+    pieces."""
+    size = np.bincount(labels)
+    key = size[labels] * size.size + labels
+    best = np.full(piece.max(initial=-1) + 1, np.iinfo(np.int64).max)
+    np.minimum.at(best, piece, key)
+    return key == best[piece]
 
 
 def _smaller_side(members: np.ndarray) -> np.ndarray:
@@ -368,30 +375,36 @@ def _core_members(g: WeightedGraph, eidx: np.ndarray, threshold: float) -> np.nd
 def _partition_by_cuts(g: WeightedGraph, mode: str, threshold: float) -> PartitionResult:
     """Recursively split g along qualifying cuts; pieces keep parent ids.
 
-    Pieces are split one generation at a time. The first generation is the
-    connected components that have edges, in label order. Each piece of a
-    generation is split, and each side with edges joins the next generation,
-    in order: the same order as a FIFO queue of pieces that calls
-    find_sparse_cut once per popped piece. Which piece finishes when matters,
-    because later stages seed per-piece streams in finish order.
+    Pieces are split one generation at a time. A generation is three
+    arrays: piece[v], the rank of vertex v's piece (-1 once v is in no
+    piece), wait[p], the generations that piece p still waits, and the
+    generation's edge ids, ascending. The first generation is the connected
+    components that have edges, in label order. Each piece of a generation
+    is split, and each side with edges joins the next generation, in order:
+    the same order as a FIFO queue of pieces that calls find_sparse_cut once
+    per popped piece. Which piece finishes when matters, because later
+    stages seed per-piece streams in finish order.
 
-    The pieces of a generation are vertex-disjoint, so one label_components
-    call over the union of their edges labels all of them, and one map
-    gives every vertex its id within its piece. A disconnected piece is
-    split off its smallest component, as find_sparse_cut would split it,
-    with no search. A connected piece becomes a graph built from its edges
+    The pieces are vertex-disjoint, so one label_components call over the
+    edges of the ready pieces (not waiting, and not peeled) labels all of
+    them. A disconnected piece splits off its smallest component, the first
+    in label order among equals, as find_sparse_cut would, with no search.
+    The connected pieces are searched together, all those of one size in
+    one find_sparse_cuts batch, each as a graph built from its edges
     without re-canonicalization (the edges of a canonical graph, taken in
-    ascending order and relabelled monotonically, are canonical) and with
-    its labels known, and the generation's connected pieces are searched
-    together, all those of one size in one find_sparse_cuts batch. The
-    results are then taken in generation order, so pieces finish and
-    join the next generation as they would in the queue.
+    ascending order and relabelled monotonically, are canonical). A piece
+    whose search finds no cut becomes a Component, in rank order. One rule
+    then splits every other piece: with key = 2 piece + side, where side 0
+    is the side split off (all of a waiting or peeled piece), an edge is
+    inner iff both its ends stay and share a key, and the piece's other
+    edges are cut edges, stored in Q. The keys that keep an inner edge
+    become the next generation, in key order: the queue's order.
 
     In edge_expansion mode a vertex of degree < threshold is a qualifying
     singleton cut, so every generation is first peeled to its threshold core
-    in one vectorized pass over the union of its pieces' edges. A piece that
-    loses vertices sends its peeled edges to Q and its core, if any, to the
-    next generation. The k-core does not depend on the order in which
+    in one vectorized pass over its edges. Only the core of a piece that
+    loses vertices stays, so its peeled edges go to Q and its core, if any,
+    to the next generation. The k-core does not depend on the order in which
     vertices are removed (Batagelj-Zaversnik 2003), so this gives the same
     pieces and Q as splitting off one singleton per find_sparse_cut call;
     only the order in which pieces finish can differ. The first generation
@@ -402,114 +415,84 @@ def _partition_by_cuts(g: WeightedGraph, mode: str, threshold: float) -> Partiti
     search: every piece with an edge has a vertex of degree at most half its
     volume, whose singleton conductance is exactly 1 <= h, so every piece is
     peeled to nothing. A side vertex whose edges all cross the cut has no
-    edge inside its side. A search would split off one such stranded vertex
-    per call and send the rest of the piece to the next generation, so the
-    side drops its stranded vertices at once and waits one generation for
+    inner edge. A search would split off one such stranded vertex per call
+    and send the rest of the piece to the next generation, so a key drops
+    its vertices with no inner edge at once and waits one generation for
     each before it is split. (The expansion peel drops them instead: their
     degree is 0.)
     """
     every = np.arange(g.m)
-    in_core = None
+    core = None
     if mode == "edge_expansion":
-        in_core = _core_members(g, every, threshold)
-        dissolved = not in_core.any()
+        core = _core_members(g, every, threshold)
+        dissolved = not core.any()
     else:
         dissolved = threshold >= 1.0
     if dissolved:
         return PartitionResult([], g.edge_u[every], g.edge_v[every], g.edge_w[every], every)
-    labels = label_components(g.n, g.edge_u, g.edge_v)
-    edge_label = labels[g.edge_u]
-    # one stable sort per id kind groups every component's vertices and
-    # edges, each group in ascending order
-    k = int(labels.max()) + 1 if g.n else 0
-    v_by = np.argsort(labels, kind="stable")
-    e_by = np.argsort(edge_label, kind="stable")
-    v_at = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=k)))).tolist()
-    e_at = np.concatenate(([0], np.cumsum(np.bincount(edge_label, minlength=k)))).tolist()
-    # a piece is (vertices, edges, generations left to wait), ids ascending
-    generation = [
-        (v_by[v_at[lab] : v_at[lab + 1]], e_by[e_at[lab] : e_at[lab + 1]], 0)
-        for lab in np.unique(edge_label).tolist()
-    ]
+    # the keys of the first generation are the input's components
+    key = label_components(g.n, g.edge_u, g.edge_v)
+    stay, wait, eid = np.ones(g.n, dtype=bool), np.zeros(g.n, dtype=np.int64), every
     comps: list[Component] = []
-    cross: list[np.ndarray] = []
-    while generation:
-        if in_core is None and mode == "edge_expansion":
-            in_core = _core_members(g, np.concatenate([e for _, e, _ in generation]), threshold)
-        ready = [
-            not wait and (in_core is None or bool(in_core[vmap].all()))
-            for vmap, _, wait in generation
-        ]
-        # each ready piece's local edge ends, and the mask of the side it
-        # splits off or, once its search found no cut, its Component; the
-        # connected pieces are searched after this loop, together by size
-        ends: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        split: dict[int, np.ndarray | Component] = {}
-        by_size: dict[int, list[tuple[int, WeightedGraph]]] = {}
-        ids = [i for i, r in enumerate(ready) if r]
-        if ids:
-            # the ready pieces are vertex-disjoint: one labelling, and one
-            # map from vertex ids to ids within their piece, serve them all
-            v_ready = np.concatenate([generation[i][0] for i in ids])
-            e_ready = np.concatenate([generation[i][1] for i in ids])
-            v_off = np.cumsum([0] + [generation[i][0].size for i in ids])
-            e_off = np.cumsum([0] + [generation[i][1].size for i in ids]).tolist()
-            u, v = g.edge_u[e_ready], g.edge_v[e_ready]
-            lab = label_components(g.n, u, v)[v_ready]
-            local = np.empty(g.n, dtype=np.int64)
-            local[v_ready] = np.arange(v_ready.size) - np.repeat(v_off[:-1], np.diff(v_off))
-            pu_all, pv_all, w_all = local[u], local[v], g.edge_w[e_ready]
-            # label_components numbers a piece's first vertex lowest
-            spans = (np.maximum.reduceat(lab, v_off[:-1]) > lab[v_off[:-1]]).tolist()
-        for j, i in enumerate(ids):
-            size = generation[i][0].size
-            e = slice(e_off[j], e_off[j + 1])
-            ends[i] = pu, pv = pu_all[e], pv_all[e]
-            if spans[j]:
-                lab_j = lab[v_off[j] : v_off[j + 1]]
-                split[i] = _smallest_component(np.unique(lab_j, return_inverse=True)[1])
-            else:
-                piece = WeightedGraph._canonical(size, pu, pv, w_all[e], np.zeros(size, dtype=np.int64))
-                by_size.setdefault(size, []).append((i, piece))
-        for group in by_size.values():
-            found = find_sparse_cuts([piece for _, piece in group], mode, threshold)
-            for (i, piece), res in zip(group, found):
-                vmap, eidx, _ = generation[i]
-                split[i] = res.members if res.members is not None else Component(piece, vmap, eidx, res.certified)
-        following: list[tuple[np.ndarray, np.ndarray, int]] = []
-        for i, (vmap, eidx, wait) in enumerate(generation):
-            if wait:
-                following.append((vmap, eidx, wait - 1))
-                continue
-            if i not in split:
-                inside = in_core[vmap]
-                kept = in_core[g.edge_u[eidx]] & in_core[g.edge_v[eidx]]
-                cross.append(eidx[~kept])
-                if inside.any():
-                    following.append((vmap[inside], eidx[kept], 0))
-                continue
-            s = split[i]
-            if isinstance(s, Component):
-                comps.append(s)
-                continue
-            pu, pv = ends[i]
-            cross.append(eidx[s[pu] != s[pv]])
-            for side in (s, ~s):
-                inner = side[pu] & side[pv]
-                if not inner.any():
-                    continue
-                wait = 0
-                if mode == "conductance":
-                    linked = np.zeros(vmap.size, dtype=bool)
-                    linked[pu[inner]] = linked[pv[inner]] = True
-                    wait = int(np.count_nonzero(side & ~linked))
-                    side = linked
-                following.append((vmap[side], eidx[inner], wait))
-        generation, in_core = following, None
-    cross_idx = (
-        np.concatenate(cross) if cross else np.empty(0, dtype=np.int64)
-    )
-    cross_idx = np.sort(cross_idx)
+    cross = [np.empty(0, dtype=np.int64)]
+    while eid.size:
+        u, v = g.edge_u[eid], g.edge_v[eid]
+        # the keys with an inner edge are the pieces, in key order; a vertex
+        # in no piece has a negative piece and key, and what arrays indexed
+        # by them read there is masked by stay or never used
+        kept = np.zeros(wait.size, dtype=bool)
+        kept[key[u]] = True
+        if mode == "conductance":
+            # a key drops its vertices with no inner edge, and waits one
+            # generation for each
+            member = np.zeros(g.n, dtype=bool)
+            member[u] = member[v] = True
+            wait += np.bincount(key[stay & kept[key] & ~member], minlength=wait.size)
+        else:
+            member = stay & kept[key]
+        piece = np.where(member, np.cumsum(kept)[key] - 1, -1)
+        wait, pe = wait[kept], piece[u]
+        ready, stay = wait == 0, member
+        if mode == "edge_expansion":
+            core = _core_members(g, eid, threshold) if core is None else core
+            # a piece that loses vertices to the peel keeps its core, on side 0
+            ready[piece[stay & ~core]] = False
+            stay, core = stay & core, None
+        # one labelling of the ready pieces; side 1 is all but a piece's
+        # smallest component, so only the connected pieces are searched
+        rv = np.flatnonzero(stay & ready[piece])
+        on = ready[pe]
+        small = _smallest_components(label_components(g.n, u[on], v[on])[rv], piece[rv])
+        side = np.zeros(g.n, dtype=bool)
+        side[rv] = ~small
+        search = np.flatnonzero(ready & (np.bincount(piece[rv[~small]], minlength=wait.size) == 0))
+        # each piece's vertices and edges, ascending, and vertex ids within it
+        vs, es = np.argsort(piece, kind="stable"), np.argsort(pe, kind="stable")
+        v_at = np.searchsorted(piece[vs], np.arange(wait.size + 1))
+        e_at = np.searchsorted(pe[es], np.arange(wait.size + 1))
+        local = np.empty(g.n, dtype=np.int64)
+        local[vs] = np.arange(g.n) - v_at[piece[vs]]
+        lu, lv, lw = local[u], local[v], g.edge_w[eid]
+        sizes = np.diff(v_at)[search]
+        done: dict[int, Component] = {}
+        for size in np.unique(sizes).tolist():
+            batch = search[sizes == size].tolist()
+            ids = [(vs[v_at[p] : v_at[p + 1]], es[e_at[p] : e_at[p + 1]]) for p in batch]
+            graphs = [WeightedGraph._canonical(size, lu[e], lv[e], lw[e], np.zeros(size, dtype=np.int64)) for _, e in ids]
+            for p, (vmap, e), sub, res in zip(batch, ids, graphs, find_sparse_cuts(graphs, mode, threshold)):
+                if res.members is None:
+                    done[p] = Component(sub, vmap, eid[e], res.certified)
+                else:
+                    side[vmap] = ~res.members
+        comps += [done[p] for p in sorted(done)]
+        finished = np.zeros(wait.size, dtype=bool)
+        finished[list(done)] = True
+        stay &= ~finished[piece]
+        key = 2 * piece + side
+        inner = stay[u] & stay[v] & (key[u] == key[v])
+        cross.append(eid[~inner & ~finished[pe]])
+        eid, wait = eid[inner], np.repeat(np.maximum(wait - 1, 0), 2)
+    cross_idx = np.sort(np.concatenate(cross))
     return PartitionResult(
         comps,
         g.edge_u[cross_idx],
@@ -590,14 +573,15 @@ def cut_preprocessing(
 
     Every returned component has (unweighted) expansion >= 1/eps, certified
     exactly for pieces of <= 20 vertices. A NaN c or epsilon raises
-    QuadsketchError. Calls on the same g may share one
+    QuadsketchError, a c that is not positive and finite ValueError (at an
+    infinite c every keep probability would be 0). Calls on the same g may share one
     _partitions dict, so a class edge set met before is not partitioned
     again; the result is the same either way.
     """
     _reject_nan("scale c", c)
     _reject_nan("epsilon", epsilon)
-    if c <= 0:
-        raise ValueError("scale c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("scale c must be positive and finite")
     if epsilon < 1.0 / max(g.n, 2) or epsilon >= 1.0:
         # caller should fall back to storing the component verbatim
         raise QuadsketchError(

@@ -207,8 +207,9 @@ def test_partition_csv(rand_graph, capsys):
         (["--mode", "spectral", "--h", "nan"], "threshold h is NaN"),
         (["--mode", "cut", "--epsilon", "nan"], "epsilon is NaN"),
         (["--mode", "cut", "--epsilon", "0.1", "--scale", "nan"], "scale c is NaN"),
+        (["--mode", "cut", "--epsilon", "0.3", "--scale", "inf"], "scale c must be positive and finite"),
     ],
-    ids=["spectral-h", "cut-epsilon", "cut-scale"],
+    ids=["spectral-h", "cut-epsilon", "cut-scale", "cut-scale-inf"],
 )
 def test_partition_nan_parameter_exit_1(rand_graph, capsys, args, message):
     code, out, err = run_cli(["partition", rand_graph, *args], capsys)

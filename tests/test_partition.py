@@ -734,6 +734,20 @@ class TestPartitionByCuts:
         assert label.call_count == 3 and graph_label.call_count == 0
         assert_same_partition(part, partition_by_cuts_reference(g, "conductance", 0.1))
 
+    @pytest.mark.parametrize("mode, threshold", [("conductance", 0.25), ("edge_expansion", 1.5)])
+    def test_tied_smallest_components_split_first_in_label_order(self, mode, threshold):
+        # a K4 hub bridged to a K6 and two K5s: the first cut takes the hub,
+        # so the second generation holds a piece of three components, the
+        # K6 first in label order and the two K5s tied at the smallest size
+        hub, k6, k5a, k5b = range(0, 4), range(4, 10), range(10, 15), range(15, 20)
+        edges = [(i, j, 1.0) for c in (hub, k6, k5a, k5b) for i in c for j in c if i < j]
+        g = WeightedGraph(20, edges + [(0, 4, 1.0), (1, 10, 1.0), (2, 15, 1.0)])
+        part = _partition_by_cuts(g, mode, threshold)
+        # the first K5 splits off first, then the second off the K6
+        assert [c.vmap.tolist() for c in part.components] == [list(c) for c in (hub, k5a, k5b, k6)]
+        assert list(zip(part.cross_u.tolist(), part.cross_v.tolist())) == [(0, 4), (1, 10), (2, 15)]
+        assert_same_partition(part, partition_by_cuts_reference(g, mode, threshold))
+
     def test_empty_core_labels_no_components(self):
         # every degree of G(30, 0.2) is below 33: the whole edge set is Q
         g = gnp(30, 0.2, 3)
@@ -799,9 +813,11 @@ class TestCutPreprocessing:
         with pytest.raises(QuadsketchError):
             cut_preprocessing(g, 1.0, 0.01, seed=1)  # below 1/n
 
-    @pytest.mark.parametrize("c, epsilon", [(float("nan"), 0.3), (1.0, float("nan"))])
+    @pytest.mark.parametrize("c, epsilon", [(float("nan"), 0.3), (1.0, float("nan")), (math.inf, 0.3)])
     def test_nan_scale_or_epsilon_rejected(self, c, epsilon):
-        with pytest.raises(QuadsketchError, match="NaN"):
+        # an infinite scale would keep no edge: every keep probability is 0
+        error, message = (ValueError, "scale c must be positive and finite") if c == math.inf else (QuadsketchError, "NaN")
+        with pytest.raises(error, match=message):
             cut_preprocessing(gnp_connected(8, 0.5, seed=0), c, epsilon, seed=1)
 
     def test_heavy_edges_discarded(self):

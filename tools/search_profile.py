@@ -4,11 +4,13 @@
 
 Sets up the spectral-build workload of perfbench.workloads (FULL sizes, seed
 SEED = 1) with one BLAS thread, builds its four families once to warm up,
-then times PASSES (3) passes with partition.find_sparse_cuts wrapped;
-find_sparse_cut searches through it too. Prints the pass time and,
-per piece size, per pass: the pieces searched ("calls"), the seconds spent
-in the searches, the microseconds per piece and the pieces that reach the
-exhaustive scan ("scans"). A batch's time is split among its pieces evenly.
+then times PASSES (3) passes with partition.find_sparse_cuts and
+partition._partition_by_cuts wrapped; find_sparse_cut searches through the
+former too. Prints the pass time and, per piece size, per pass: the pieces
+searched ("calls"), the seconds spent in the searches, the microseconds per
+piece and the pieces that reach the exhaustive scan ("scans"). A batch's
+time is split among its pieces evenly. Last, the seconds per pass that the
+partitions spend outside their searches: their own bookkeeping.
 """
 
 from __future__ import annotations
@@ -30,15 +32,16 @@ PASSES = 3
 BINS = [("2", 2, 2), ("3", 3, 3), ("4-20", 4, 20), ("21-128", 21, 128), ("> 128", 129, None)]
 
 
-def profile() -> tuple[float, dict[int, list[float]]]:
-    """Seconds per pass and, per piece size, [pieces, seconds, scans] over
-    all passes."""
+def profile() -> tuple[float, float, dict[int, list[float]]]:
+    """Seconds per pass, seconds per pass in the partitions and, per piece
+    size, [pieces, seconds, scans] over all passes."""
     wl = workloads.SpectralBuild(SEED, workloads.FULL)
     wl.setup(workloads.Stats())
     for fam in wl.families:
         fam.build()
     by_size: dict[int, list[float]] = {}
-    search, scan = partition.find_sparse_cuts, partition._exhaustive_cuts
+    search, scan, split = partition.find_sparse_cuts, partition._exhaustive_cuts, partition._partition_by_cuts
+    split_s = 0.0
 
     def timed_search(pieces, mode, threshold):
         t0 = time.perf_counter()
@@ -52,7 +55,18 @@ def profile() -> tuple[float, dict[int, list[float]]]:
         by_size.setdefault(vw.shape[1], [0, 0.0, 0])[2] += vw.shape[0]
         return scan(eu, ev, ew, vw, *args)
 
-    partition.find_sparse_cuts, partition._exhaustive_cuts = timed_search, counted_scan
+    def timed_split(*args):
+        nonlocal split_s
+        t0 = time.perf_counter()
+        part = split(*args)
+        split_s += time.perf_counter() - t0
+        return part
+
+    partition.find_sparse_cuts, partition._exhaustive_cuts, partition._partition_by_cuts = (
+        timed_search,
+        counted_scan,
+        timed_split,
+    )
     try:
         t0 = time.perf_counter()
         for _ in range(PASSES):
@@ -60,12 +74,12 @@ def profile() -> tuple[float, dict[int, list[float]]]:
                 fam.build()
         pass_s = (time.perf_counter() - t0) / PASSES
     finally:
-        partition.find_sparse_cuts, partition._exhaustive_cuts = search, scan
-    return pass_s, by_size
+        partition.find_sparse_cuts, partition._exhaustive_cuts, partition._partition_by_cuts = search, scan, split
+    return pass_s, split_s / PASSES, by_size
 
 
 def main() -> None:
-    pass_s, by_size = profile()
+    pass_s, split_s, by_size = profile()
     print(f"spectral-build pass, seed {SEED}: {pass_s:.3f} s (mean of {PASSES})")
     print("| piece size | calls / pass | s / pass | µs / call | scans / pass |")
     print("|---|---|---|---|---|")
@@ -77,6 +91,7 @@ def main() -> None:
         per_call = 1e6 * secs / calls if calls else 0.0
         print(f"| {name} | {calls:,.0f} | {secs:.3f} | {per_call:,.0f} | {scans:,.0f} |")
     print(f"searches: {searched:.3f} s / pass")
+    print(f"partition bookkeeping (outside find_sparse_cuts): {split_s - searched:.3f} s / pass")
 
 
 if __name__ == "__main__":
