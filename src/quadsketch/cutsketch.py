@@ -33,6 +33,7 @@ from .estimator import CutPieces, EdgeSampleEstimator, check_count, flatten, pie
 from .graph import (
     WeightedGraph,
     as_cut_query,
+    check_total_weight,
     connected_components,
     cut_weight,
     label_components,
@@ -296,14 +297,22 @@ def cut_basic_build(
 
     Only the scales in reachable_scales are built and stored; each keeps
     the seed of its index on the full ladder, so its bytes do not depend on
-    where the trimmed ladder starts. The scales share one memo of
-    expansion partitions, since many of them keep the same edge set in a
-    weight class.
+    where the trimmed ladder starts. The scales of one build share one memo
+    of expansion partitions, keyed by class edge set, since many of them
+    keep the same edge set in a weight class (a uniform graph keeps all of
+    its edges in one class over most of the ladder): such a class is
+    partitioned once, and each scale takes the memo's components re-weighted
+    with its own values, so each component builds the adjacency that its S1
+    samples are drawn from once per build. A class whose 1/eps-core is empty
+    dissolves into stored cut edges with no search (cut_preprocessing).
+    Nothing is shared between builds. A graph whose total weight is not
+    finite raises QuadsketchError.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
     if _use_verbatim(g.n, g.m, epsilon, mode):
         return CutSketchPoly(epsilon, g.n, verbatim=g)
+    check_total_weight(g)
     h = sparsify(g, SparsifierConfig(SPARSIFIER_ACCURACY, "cut", derive_seed(seed, "H")))
     ladder = build_ladder(g)
     k0, k1 = reachable_scales(h, ladder)
@@ -457,12 +466,14 @@ def cut_sketch_build(
     query routes to the last stored j at or below its own, which is that
     equal slice.
 
-    The mode knob mirrors cut_basic_build.
+    The mode knob mirrors cut_basic_build, and so does the check of the
+    total weight.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
     if _use_verbatim(g.n, g.m, epsilon, mode):
         return CutSketchGeneral(epsilon, g.n, verbatim=g)
+    check_total_weight(g)
     tree = mst_max(g)
     stored: list[GeneralScale] = []
     last_w = last = None

@@ -86,7 +86,7 @@ class WeightedGraph:
         self.edge_u.setflags(write=False)
         self.edge_v.setflags(write=False)
         self.edge_w.setflags(write=False)
-        self._adj = None
+        self._adj = [None]
         self._labels = None
 
     @classmethod
@@ -101,7 +101,23 @@ class WeightedGraph:
         g.edge_u, g.edge_v, g.edge_w, g._labels = u, v, w, labels
         for a in (u, v, w, labels):
             a.setflags(write=False)
-        g._adj = None
+        g._adj = [None]
+        return g
+
+    def with_weights(self, w) -> "WeightedGraph":
+        """This graph's edges with the weights w, one per edge id, positive
+        and finite. The edge arrays, the component labels (if known) and the
+        lazily built adjacency are shared with this graph, not rebuilt, so an
+        edge set re-weighted many times builds its adjacency once."""
+        w = np.array(w, dtype=np.float64)
+        if w.shape != self.edge_w.shape:
+            raise ValueError("one weight per edge is needed")
+        if w.size and (not np.all(np.isfinite(w)) or np.any(w <= 0)):
+            raise ValueError("edge weights must be positive and finite")
+        w.setflags(write=False)
+        g = WeightedGraph.__new__(WeightedGraph)
+        g.n, g.edge_u, g.edge_v, g.edge_w = self.n, self.edge_u, self.edge_v, w
+        g._labels, g._adj = self._labels, self._adj
         return g
 
     @property
@@ -116,8 +132,9 @@ class WeightedGraph:
         return zip(self.edge_u.tolist(), self.edge_v.tolist(), self.edge_w.tolist())
 
     def _adjacency(self):
-        """CSR-style (indptr, nbr vertex, incident edge id); built lazily."""
-        if self._adj is None:
+        """CSR-style (indptr, nbr vertex, incident edge id), read-only; built
+        lazily, once for a graph and all its re-weightings."""
+        if self._adj[0] is None:
             ends = np.concatenate([self.edge_u, self.edge_v])
             others = np.concatenate([self.edge_v, self.edge_u])
             eids = np.concatenate([np.arange(self.m), np.arange(self.m)])
@@ -126,8 +143,10 @@ class WeightedGraph:
             indptr = np.zeros(self.n + 1, dtype=np.int64)
             np.add.at(indptr, ends + 1, 1)
             indptr = np.cumsum(indptr)
-            self._adj = (indptr, others, eids)
-        return self._adj
+            for a in (indptr, others, eids):
+                a.setflags(write=False)
+            self._adj[0] = (indptr, others, eids)
+        return self._adj[0]
 
     def adjacency_matrix(self, edge_w: np.ndarray | None = None) -> np.ndarray:
         """Dense symmetric adjacency matrix with the weights edge_w (indexed
@@ -179,6 +198,16 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, m={self.m})"
 
 
+def check_total_weight(g: WeightedGraph) -> None:
+    """QuadsketchError unless g's total weight is finite. Each weight may be
+    finite and the sum still overflow; the sketches scale their ladders and
+    samplers by the total, and every cut value is at most it."""
+    with np.errstate(over="ignore"):
+        total = g.edge_w.sum()
+    if not np.isfinite(total):
+        raise QuadsketchError("the total edge weight is not finite")
+
+
 def inverse_map(vmap: np.ndarray, n: int) -> np.ndarray:
     """Position of each of the n vertices in vmap, -1 for those not in it."""
     inv = np.full(n, -1, dtype=np.int64)
@@ -228,7 +257,8 @@ def cut_weight(g: WeightedGraph, members) -> float:
     """Exact weight of the cut (S, V\\S) given by the member bit vector."""
     s = as_cut_query(g.n, members)
     crossing = s[g.edge_u] != s[g.edge_v]
-    return float(g.edge_w[crossing].sum())
+    # compress selects the same array as a mask index, in fewer steps
+    return float(g.edge_w.compress(crossing).sum())
 
 
 def weighted_degrees(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -487,7 +517,12 @@ def parse_graph(text: str) -> WeightedGraph:
         if not (w > 0 and math.isfinite(w)):
             raise GraphFormatError(lineno, "edge weight must be positive and finite")
         edges.append((u, v, w))
-    return WeightedGraph(n, edges)
+    g = WeightedGraph(n, edges)
+    try:
+        check_total_weight(g)
+    except QuadsketchError as exc:
+        raise GraphFormatError(first[0], str(exc)) from None
+    return g
 
 
 def format_graph(g: WeightedGraph) -> str:

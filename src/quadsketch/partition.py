@@ -372,8 +372,10 @@ def _core_members(g: WeightedGraph, eidx: np.ndarray, threshold: float) -> np.nd
         u, v = u[~drop], v[~drop]
 
 
-def _partition_by_cuts(g: WeightedGraph, mode: str, threshold: float) -> PartitionResult:
-    """Recursively split g along qualifying cuts; pieces keep parent ids.
+def _partition_by_cuts(g: WeightedGraph, mode: str, threshold: float, eid: np.ndarray | None = None) -> PartitionResult:
+    """Recursively split the graph of g's edges eid (ascending edge ids; all
+    of g's edges by default) on g's vertices along qualifying cuts; pieces
+    keep g's vertex and edge ids and weights.
 
     Pieces are split one generation at a time. A generation is three
     arrays: piece[v], the rank of vertex v's piece (-1 once v is in no
@@ -408,10 +410,12 @@ def _partition_by_cuts(g: WeightedGraph, mode: str, threshold: float) -> Partiti
     vertices are removed (Batagelj-Zaversnik 2003), so this gives the same
     pieces and Q as splitting off one singleton per find_sparse_cut call;
     only the order in which pieces finish can differ. The first generation
-    is peeled before anything is labelled: when its core is empty, every
-    edge is returned as Q.
+    is peeled before anything is labelled or built: when its core is empty,
+    the edges dissolve, every one returned as Q. (A core of vertices of
+    degree >= k = ceil(threshold) >= 1 holds at least k (k + 1) / 2 edges,
+    so fewer edges dissolve without the peel.)
 
-    In conductance mode a threshold h >= 1 returns every edge as Q with no
+    In conductance mode a threshold h >= 1 dissolves the edges with no
     search: every piece with an edge has a vertex of degree at most half its
     volume, whose singleton conductance is exactly 1 <= h, so every piece is
     peeled to nothing. A side vertex whose edges all cross the cut has no
@@ -421,17 +425,21 @@ def _partition_by_cuts(g: WeightedGraph, mode: str, threshold: float) -> Partiti
     each before it is split. (The expansion peel drops them instead: their
     degree is 0.)
     """
-    every = np.arange(g.m)
+    every = np.arange(g.m) if eid is None else eid
     core = None
     if mode == "edge_expansion":
-        core = _core_members(g, every, threshold)
+        # a nonempty core holds k + 1 vertices of degree >= k = ceil(threshold),
+        # so k >= 1 needs k (k + 1) / 2 edges: with fewer, skip the peel
+        k = float(np.ceil(threshold))
+        few = k > 0 and every.size < k * (k + 1) / 2
+        core = np.zeros(g.n, dtype=bool) if few else _core_members(g, every, threshold)
         dissolved = not core.any()
     else:
         dissolved = threshold >= 1.0
     if dissolved:
         return PartitionResult([], g.edge_u[every], g.edge_v[every], g.edge_w[every], every)
     # the keys of the first generation are the input's components
-    key = label_components(g.n, g.edge_u, g.edge_v)
+    key = label_components(g.n, g.edge_u[every], g.edge_v[every])
     stay, wait, eid = np.ones(g.n, dtype=bool), np.zeros(g.n, dtype=np.int64), every
     comps: list[Component] = []
     cross = [np.empty(0, dtype=np.int64)]
@@ -574,9 +582,16 @@ def cut_preprocessing(
     Every returned component has (unweighted) expansion >= 1/eps, certified
     exactly for pieces of <= 20 vertices. A NaN c or epsilon raises
     QuadsketchError, a c that is not positive and finite ValueError (at an
-    infinite c every keep probability would be 0). Calls on the same g may share one
-    _partitions dict, so a class edge set met before is not partitioned
-    again; the result is the same either way.
+    infinite c every keep probability would be 0).
+
+    A class is partitioned as a set of g's edge ids, with no subgraph of its
+    own. A class whose 1/eps-core is empty dissolves: all its edges are cut
+    edges, and nothing is labelled, built or searched. The expansion
+    partition counts edges and ignores weights, so calls on the same g may
+    share one _partitions dict, keyed by class edge set: a class met before
+    is not partitioned again, and its components are the memo's graphs
+    re-weighted (WeightedGraph.with_weights), which share their adjacency
+    across the calls. The result is the same either way.
     """
     _reject_nan("scale c", c)
     _reject_nan("epsilon", epsilon)
@@ -597,31 +612,23 @@ def cut_preprocessing(
     classes: list[CutClass] = []
     if kept_idx.size:
         cls = weight_class_of(w_tilde)
-        for i in np.unique(cls):
-            sel = cls == i
-            eidx, w = kept_idx[sel], w_tilde[sel]
-            # the expansion partition counts edges and ignores weights, so a
-            # class with an edge set met before reuses its partition
+        w_of = np.zeros(g.m)  # reweighted value by input edge id
+        w_of[kept_idx] = w_tilde
+        # the class ids are small positive ints: bincount lists them in order
+        for i in np.flatnonzero(np.bincount(cls)).tolist():
+            eidx = kept_idx[cls == i]
             key = (eidx.tobytes(), 1.0 / epsilon)
             part = None if _partitions is None else _partitions.get(key)
             if part is None:
-                sub = WeightedGraph(g.n, _arrays=(g.edge_u[eidx], g.edge_v[eidx], w))
-                part = _partition_by_cuts(sub, "edge_expansion", 1.0 / epsilon)
+                part = _partition_by_cuts(g, "edge_expansion", 1.0 / epsilon, eidx)
                 if _partitions is not None:
                     _partitions[key] = part
-            # eidx is ascending, so sub's canonical edge order equals it:
-            # class edge ids index w and map back to input ids by direct lookup
             comps = [
-                Component(
-                    WeightedGraph(cp.graph.n, _arrays=(cp.graph.edge_u, cp.graph.edge_v, w[cp.edge_idx])),
-                    cp.vmap,
-                    eidx[cp.edge_idx],
-                    cp.certified,
-                )
+                Component(cp.graph.with_weights(w_of[cp.edge_idx]), cp.vmap, cp.edge_idx, cp.certified)
                 for cp in part.components
             ]
-            part = PartitionResult(comps, part.cross_u, part.cross_v, w[part.cross_idx], eidx[part.cross_idx])
-            classes.append(CutClass(int(i), part))
+            part = PartitionResult(comps, part.cross_u, part.cross_v, w_of[part.cross_idx], part.cross_idx)
+            classes.append(CutClass(i, part))
     return CutPreprocessing(
         c, epsilon, classes, np.flatnonzero(heavy), dropped_idx
     )

@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .estimator import CutPieces, EdgeSampleEstimator, check_count, flatten, piece_estimator, sketch_pieces
-from .graph import WeightedGraph, as_spectral_query, weighted_degrees
+from .graph import WeightedGraph, as_spectral_query, check_total_weight, weighted_degrees
 from .partition import arc_ends, degree_class_partition, spectral_preprocessing
 from .rng import derive_seed, draw_counts, rng_for
 from . import serialize
@@ -183,11 +183,13 @@ def spectral_basic_build(
     g: WeightedGraph, epsilon: float, seed: int, *, c_alpha: float = 1.0
 ) -> SpectralBasicSketch:
     """Sparsify, then per factor-2 weight class partition at conductance
-    h = c_alpha * eps^{1/3} and S2-sketch every piece."""
+    h = c_alpha * eps^{1/3} and S2-sketch every piece. A graph whose total
+    weight is not finite raises QuadsketchError."""
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
     if g.n < 2 or g.m == 0 or epsilon <= 1.0 / g.n:
         return SpectralBasicSketch(epsilon, g.n, verbatim=g)
+    check_total_weight(g)
     g2 = sparsify(g, SparsifierConfig(epsilon, "spectral", derive_seed(seed, "sparsify")))
     if g2.m == 0:
         return SpectralBasicSketch(epsilon, g.n, verbatim=g2)
@@ -326,11 +328,13 @@ def spectral_improved_build(
     c_beta: float = 1.0,
 ) -> SpectralImprovedSketch:
     """Degree-class partition; banded pieces get S3 sketches, the rest is
-    stored exactly as S3 records of cut edges only."""
+    stored exactly as S3 records of cut edges only. A graph whose total
+    weight is not finite raises QuadsketchError."""
     if not 0 < epsilon < 0.5:
         raise ValueError("epsilon must be in (0, 1/2)")
     if g.n < 2 or g.m == 0 or epsilon <= 1.0 / g.n:
         return SpectralImprovedSketch(epsilon, g.n, verbatim=g)
+    check_total_weight(g)
     dcp = degree_class_partition(g, epsilon, derive_seed(seed, "partition"), c_beta=c_beta)
     beta = c_beta * epsilon ** (-8.0 / 5.0)
     classes = []

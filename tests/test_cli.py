@@ -11,7 +11,7 @@ from quadsketch.graph import save_graph
 from quadsketch.serialize import Writer, envelope, sketch_class
 from quadsketch.spectral import spectral_improved_build
 
-from conftest import format_matrix, gnp_connected
+from conftest import complete_graph, format_matrix, gnp_connected
 from test_serialize import basic_with_nan_stored_weight, general_sketch, improved_with_class_map
 
 
@@ -71,6 +71,14 @@ def test_non_finite_weight_reports_line(tmp_path, capsys):
     p.write_text("3 2\n0 1 1.0\n1 2 inf\n")
     code, _, err = run_cli(["oracle", "mincut", str(p)], capsys)
     assert code == 1 and "line 3" in err
+
+
+def test_total_weight_that_is_not_finite_exits_1(tmp_path, capsys):
+    p = tmp_path / "heavy.txt"
+    save_graph(complete_graph(40, 1e307), p)
+    code, out, err = run_cli(["cut-sketch", "build", str(p), "--mode", "pipeline", "-e", "0.05",
+                              "-o", str(tmp_path / "sk.bin")], capsys)
+    assert code == 1 and not out and "total edge weight is not finite" in err and "Traceback" not in err
 
 
 def test_build_is_deterministic(rand_graph, tmp_path, capsys):

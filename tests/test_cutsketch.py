@@ -1,10 +1,12 @@
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadsketch import cutsketch
 from quadsketch.cutsketch import (
     CutSketchGeneral,
     CutSketchPoly,
@@ -23,6 +25,7 @@ from quadsketch.graph import (
     expansion_exact,
     members_from_vertices,
 )
+from quadsketch.errors import QuadsketchError
 from quadsketch.oracle import enumerate_cut_values
 from quadsketch.rng import derive_seed, rng_for
 
@@ -53,6 +56,13 @@ def s1_test_graph(n=16, gamma=0.05, seed=0):
         for j in range(i + 1, n)
     ]
     return WeightedGraph(n, edges)
+
+
+def assert_same_s1(a, b):
+    assert a.s == b.s
+    for name in ("delta", "deg", "owner", "nbr", "w", "y"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def s1_tables_by_vertex(p: WeightedGraph, s: int, seed: int):
@@ -119,6 +129,18 @@ class TestS1:
         ref = s1_tables_by_vertex(g, s, seed)
         for got, want in zip((sk.owner, sk.nbr, sk.w, sk.y), ref):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @given(st.integers(2, 20), st.floats(0.1, 1.0), st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_reweighted_graph_draws_the_tables_of_a_fresh_graph(self, n, p, seed):
+        # the re-weighted graph reads the adjacency built for the original
+        g = gnp(n, p, seed, w_lo=0.5, w_hi=2.0)
+        cut_s1_build(g, 0.25, seed)
+        w = np.random.default_rng(seed).uniform(0.1, 9.0, g.m)
+        again = g.with_weights(w)
+        assert again._adjacency() is g._adjacency()
+        fresh = WeightedGraph(g.n, zip(g.edge_u.tolist(), g.edge_v.tolist(), w.tolist()))
+        assert_same_s1(cut_s1_build(again, 0.25, seed + 1), cut_s1_build(fresh, 0.25, seed + 1))
 
     def test_sampling_law_monte_carlo(self):
         # E[Y_u^v] = s / d_u within 4 standard errors over 10^4 builds
@@ -249,6 +271,44 @@ class TestCutBasic:
                         rows = s1.owner == u
                         if s1.deg[u] > 0:
                             assert int(s1.y[rows].sum()) == s1.s
+
+    def test_ladder_builds_one_adjacency_per_class_edge_set(self):
+        # unit weights: most scales keep every edge in one class, and each
+        # scale's S1 build reads the adjacency that the first one built
+        g = gnp(60, 0.9, 7)
+        preps, s1_builds, built = [], [], []
+        adjacency, prepare = WeightedGraph._adjacency, cutsketch.cut_preprocessing
+
+        def counted(p):
+            if p._adj[0] is None:
+                built.append(p)
+            return adjacency(p)
+
+        def recorded_prep(*args, **kw):
+            preps.append(prepare(*args, **kw))
+            return preps[-1]
+
+        def recorded_s1(p, epsilon, seed):
+            s1_builds.append((p, epsilon, seed, cut_s1_build(p, epsilon, seed)))
+            return s1_builds[-1][-1]
+
+        with (
+            mock.patch.object(WeightedGraph, "_adjacency", counted),
+            mock.patch.object(cutsketch, "cut_preprocessing", recorded_prep),
+            mock.patch.object(cutsketch, "cut_s1_build", recorded_s1),
+        ):
+            cut_basic_build(g, 0.05, 3, mode="pipeline")
+        classes = [cl.result for prep in preps for cl in prep.classes]
+        class_sets = {
+            np.sort(np.concatenate([res.cross_idx, *[cp.edge_idx for cp in res.components]])).tobytes()
+            for res in classes
+        }
+        comp_sets = {cp.edge_idx.tobytes() for res in classes for cp in res.components}
+        assert len(s1_builds) > len(built) == len(comp_sets) and len(built) <= len(class_sets)
+        # every S1 build draws what it would draw on a graph built afresh
+        for p, epsilon, seed, sketch in s1_builds:
+            fresh = WeightedGraph(p.n, _arrays=(p.edge_u.copy(), p.edge_v.copy(), p.edge_w.copy()))
+            assert_same_s1(sketch, cut_s1_build(fresh, epsilon, seed))
 
     def test_word_count_scaling(self):
         # log-log slope of stored words vs 1/eps within 1.0 +/- 0.35
@@ -634,3 +694,11 @@ class TestReachableScales:
         assert CutSketchGeneral.from_bytes(data).to_bytes() == data
         s = np.arange(30) < 11
         assert CutSketchGeneral.from_bytes(data).estimate(s) == cut_sketch_build(g, 0.1, 13, mode="pipeline").estimate(s)
+
+
+@pytest.mark.parametrize("build", [cut_basic_build, cut_sketch_build])
+def test_total_weight_that_is_not_finite_is_rejected(build):
+    # each weight is finite, but the ladder's top (1.5 times the total) is not
+    with pytest.raises(QuadsketchError, match="total edge weight"):
+        build(complete_graph(40, 1e307), 0.05, 1, mode="pipeline")
+

@@ -6,6 +6,7 @@ from quadsketch.errors import GraphFormatError, QuadsketchError, QueryError, Too
 from quadsketch.graph import (
     WeightedGraph,
     as_cut_query,
+    check_total_weight,
     cheeger_exact,
     conductance,
     connected_components,
@@ -53,6 +54,25 @@ def test_cut_weight_examples():
     assert cut_weight(g, np.ones(3, dtype=bool)) == 0.0
     path = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     assert cut_weight(path, members_from_vertices(3, [1])) == 2.0
+
+
+@given(st.integers(2, 30), st.floats(0.1, 1.0), st.sampled_from(["random", "empty", "full"]), st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_cut_weight_is_the_bits_of_the_masked_sum(n, p, kind, seed):
+    # weights over many magnitudes, so another summation order would show
+    rng = np.random.default_rng(seed)
+    if kind == "full":
+        # complete bipartite graph split along its sides: every edge crosses
+        half = n // 2
+        g = WeightedGraph(n, [(i, j, 1.0) for i in range(half) for j in range(half, n)])
+        s = np.arange(n) < half
+    else:
+        g = gnp(n, p, seed)
+        s = rng.random(n) < 0.5 if kind == "random" else np.zeros(n, dtype=bool)
+    g = g.with_weights(np.exp(rng.uniform(-20.0, 20.0, g.m)))
+    mask = s[g.edge_u] != s[g.edge_v]
+    assert mask.all() if kind == "full" else kind == "random" or not mask.any()
+    assert np.float64(cut_weight(g, s)).tobytes() == np.float64(g.edge_w[mask].sum()).tobytes()
 
 
 def test_cut_query_accepts_bits_only():
@@ -242,6 +262,41 @@ def test_parse_rejects_non_finite_weight(w):
     with pytest.raises(GraphFormatError) as ei:
         parse_graph(f"3 2\n0 1 1.0\n1 2 {w}\n")
     assert ei.value.line == 3
+
+
+def test_parse_rejects_a_total_weight_that_is_not_finite():
+    # each weight is finite, but 780 of them sum past the largest double
+    text = format_graph(complete_graph(40, 1e307))
+    with pytest.raises(GraphFormatError, match="total edge weight") as ei:
+        parse_graph(text)
+    assert ei.value.line == 1
+    with pytest.raises(QuadsketchError, match="total edge weight"):
+        check_total_weight(complete_graph(40, 1e307))
+    check_total_weight(complete_graph(40, 1e305))
+    assert parse_graph(format_graph(complete_graph(40, 1e305))).m == 780
+
+
+def test_with_weights_shares_the_edges_and_the_adjacency():
+    g = gnp_connected(12, 0.5, seed=4)
+    table, labels = g._adjacency(), connected_components(g)
+    w = np.linspace(0.5, 2.0, g.m)
+    h = g.with_weights(w)
+    assert h.edge_u is g.edge_u and h.edge_v is g.edge_v and np.array_equal(h.edge_w, w)
+    assert h._adjacency() is table and connected_components(h) is labels
+    assert h == WeightedGraph(12, zip(g.edge_u.tolist(), g.edge_v.tolist(), w.tolist()))
+    # the new weights are a read-only copy; g keeps its own
+    w[0] = 9.0
+    assert h.edge_w[0] == 0.5 and not h.edge_w.flags.writeable and np.all(g.edge_w == 1.0)
+    # an adjacency first built on the re-weighted graph serves the original
+    k = gnp_connected(9, 0.6, seed=5)
+    assert k.with_weights(np.full(k.m, 3.0))._adjacency() is k._adjacency()
+
+
+@pytest.mark.parametrize("bad", [[0.0], [-1.0], [np.nan], [np.inf], [1.0, 1.0]])
+def test_with_weights_rejects_bad_weights(bad):
+    g = WeightedGraph(2, [(0, 1, 1.0)])
+    with pytest.raises(ValueError):
+        g.with_weights(bad)
 
 
 def test_subgraph_maps():

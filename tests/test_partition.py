@@ -782,6 +782,43 @@ class TestPartitionByCuts:
             assert comp.edge_idx.dtype == eidx.dtype and np.array_equal(comp.edge_idx, eidx)
         assert part.cross_idx.size == 0
 
+    @pytest.mark.parametrize("k", [1, 2, 4, 7])
+    def test_edge_count_bound_decides_the_empty_core(self, k):
+        # K_{k+1} has k (k + 1) / 2 edges and is its own k-core; without one
+        # edge, or at a threshold above k, it has too few edges for a core
+        # and dissolves without the peel
+        whole = complete_graph(k + 1)
+        less = WeightedGraph(k + 1, _arrays=(whole.edge_u[1:], whole.edge_v[1:], whole.edge_w[1:]))
+        for g, threshold, dissolves in ((whole, k, False), (whole, k + 0.5, True), (less, k, True)):
+            with (
+                mock.patch.object(partition, "_core_members", wraps=partition._core_members) as peel,
+                mock.patch.object(partition, "label_components", wraps=label_components) as label,
+            ):
+                part = _partition_by_cuts(g, "edge_expansion", threshold)
+            # a core is labelled and searched; dissolved edges are not peeled
+            assert (peel.call_count == 0) == (label.call_count == 0) == dissolves
+            assert_same_partition(part, partition_by_cuts_reference(g, "edge_expansion", threshold))
+
+    @given(st.sampled_from(["edge_expansion", "conductance"]), st.integers(2, 30), st.floats(0.1, 0.9),
+           st.floats(0.05, 0.5), st.sampled_from([0.2, 1.5, 4.0]), st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_edge_ids_give_the_partition_of_their_subgraph(self, mode, n, p, keep, threshold, seed):
+        # the class of edges eid of g is split as the subgraph on g's
+        # vertices with those edges would be, with g's edge ids
+        rng = np.random.default_rng(seed)
+        g = gnp(n, p, seed, 1.0, 3.0)
+        eid = np.flatnonzero(rng.random(g.m) >= keep)
+        sub = WeightedGraph(g.n, _arrays=(g.edge_u[eid], g.edge_v[eid], g.edge_w[eid]))
+        threshold = threshold / 8 if mode == "conductance" else threshold
+        got, want = _partition_by_cuts(g, mode, threshold, eid), _partition_by_cuts(sub, mode, threshold)
+        assert len(got.components) == len(want.components)
+        for a, b in zip(got.components, want.components):
+            assert np.array_equal(a.vmap, b.vmap) and np.array_equal(a.edge_idx, eid[b.edge_idx])
+            assert a.certified == b.certified and a.graph == b.graph
+        assert np.array_equal(got.cross_idx, eid[want.cross_idx])
+        for x, y in ((got.cross_u, want.cross_u), (got.cross_v, want.cross_v), (got.cross_w, want.cross_w)):
+            assert np.array_equal(x, y)
+
     def test_core_peel_finish_order(self):
         # two 16-cliques: five pendants hang off the first, one off the second
         edges = [
@@ -877,6 +914,47 @@ class TestCutPreprocessing:
                     for x, y in ((ga.edge_u, gb.edge_u), (ga.edge_v, gb.edge_v), (ga.edge_w, gb.edge_w)):
                         assert np.array_equal(x, y)
         assert 0 < len(memo) < classes
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_empty_core_classes_build_and_search_nothing(self, shared):
+        # every degree of G(30, 0.3) is below 1/eps = 20: each class dissolves
+        g = gnp(30, 0.3, 4, w_lo=0.01, w_hi=2.0)
+        assert degrees(g)[1].max() < 20
+        memo: dict | None = {} if shared else None
+        with (
+            mock.patch.object(graph, "_canonicalize", wraps=graph._canonicalize) as built,
+            mock.patch.object(WeightedGraph, "_canonical", wraps=WeightedGraph._canonical) as canonical,
+            mock.patch.object(partition, "label_components", wraps=label_components) as label,
+            mock.patch.object(partition, "find_sparse_cuts", wraps=find_sparse_cuts) as search,
+        ):
+            preps = [cut_preprocessing(g, c, 0.05, seed=2, _partitions=memo) for c in (0.05, 0.2, 1.0)]
+        assert built.call_count == canonical.call_count == label.call_count == search.call_count == 0
+        classes = [cl for prep in preps for cl in prep.classes]
+        assert len(classes) > 3
+        for cl in classes:
+            res = cl.result
+            own = _partition_by_cuts(g, "edge_expansion", 20.0, res.cross_idx)
+            assert not res.components and not own.components
+            for x, y in ((res.cross_u, own.cross_u), (res.cross_v, own.cross_v), (res.cross_idx, own.cross_idx)):
+                assert np.array_equal(x, y)
+            # the cut edges carry the class's reweighted values
+            assert np.all((res.cross_w > 5.0 * 2.0**-cl.index) & (res.cross_w <= 5.0 * 2.0 ** (1 - cl.index)))
+
+    def test_reweighted_components_share_the_memo_graphs(self):
+        g = gnp_connected(40, 0.9, seed=3, w_lo=1.0, w_hi=1.3)
+        memo: dict = {}
+        comps = [
+            comp
+            for c in np.geomspace(0.05, 40.0, 12)
+            for cl in cut_preprocessing(g, c, 0.2, seed=5, _partitions=memo).classes
+            for comp in cl.result.components
+        ]
+        firsts = {id(cp.graph._adj): cp.graph for part in memo.values() for cp in part.components}
+        assert len(comps) > len(firsts) > 0
+        for comp in comps:
+            memo_graph = firsts[id(comp.graph._adj)]
+            assert comp.graph.edge_u is memo_graph.edge_u and comp.graph.edge_v is memo_graph.edge_v
+            assert not comp.graph.edge_w.flags.writeable
 
     def test_weight_class_bands(self):
         w = np.array([5.0, 2.6, 2.5, 1.26, 0.1, 0.01])

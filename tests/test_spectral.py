@@ -9,6 +9,7 @@ from quadsketch.graph import (
     degrees,
     quadratic_form,
 )
+from quadsketch.errors import QuadsketchError
 from quadsketch.oracle import lambda1_normalized
 from quadsketch.partition import spectral_preprocessing
 from quadsketch import spectral
@@ -372,3 +373,12 @@ class TestSpectralImproved:
         g = gnp_connected(16, 0.5, seed=9)
         assert build(g, 1.0 / 16, seed=10).is_verbatim
         assert not build(g, float(np.nextafter(1.0 / 16, 1.0)), seed=10).is_verbatim
+
+
+@pytest.mark.parametrize("build", [spectral_basic_build, spectral_improved_build])
+def test_total_weight_that_is_not_finite_is_rejected(build):
+    # each weight is finite, but the total is not: sparsified, the graph
+    # would keep no edge and every answer would be 0.0
+    with pytest.raises(QuadsketchError, match="total edge weight"):
+        build(complete_graph(40, 1e307), 0.2, 1)
+
