@@ -29,7 +29,7 @@ from statistics import median
 import numpy as np
 
 from .errors import SketchConsistencyError
-from .estimator import CutPieces, EdgeSampleEstimator, check_count, flatten, piece_estimator, sketch_pieces
+from .estimator import CutPieces, EdgeSampleEstimator, flatten, piece_estimator, sketch_pieces
 from .graph import (
     WeightedGraph,
     as_cut_query,
@@ -43,8 +43,9 @@ from .graph import (
 from .partition import cut_preprocessing
 from .rng import derive_seed, draw_counts, rng_for
 from . import serialize
-from .serialize import Composite, composite, cut_pieces_layout, f64, f64_array, fields, graph, int_array
-from .serialize import pairs, record, section, seq, tuple_of, varint
+from .serialize import Composite, composite, cut_pieces_layout, cut_pieces_problem, f64, f64_array, fields, graph
+from .serialize import first_problem, int_array, pairs, pairs_problem, piece_problem, record, section, seq
+from .serialize import tuple_of, varint
 from .sparsify import SparsifierConfig, sparsify
 
 LADDER_BASE = 1.4
@@ -80,13 +81,8 @@ class S1Sketch:
     def estimator_piece(self) -> EdgeSampleEstimator:
         """Sample coefficient deg[owner] / s * y * w; on a 0/1 vector the
         degree term is the volume of the member set."""
-        check_count("S1 piece", self.s)
-        return piece_estimator(
-            self.n,
-            diag=self.delta,
-            samples=(self.owner, self.nbr, self.deg / self.s, self.y, self.w),
-            what="S1 piece",
-        )
+        samples = (self.owner, self.nbr, self.deg / self.s, self.y, self.w)
+        return piece_estimator(self.n, diag=self.delta, samples=samples)
 
     def estimate(self, members) -> float:
         est = flatten(self.n, [(None, self.estimator_piece())])
@@ -98,6 +94,10 @@ class S1Sketch:
 
 S1_LAYOUT = record(
     S1Sketch,
+    # each sample is an edge of the piece, of positive and finite weight
+    check=lambda sk: piece_problem(
+        sk.s, sk.delta, sk.deg, (sk.owner, sk.nbr, sk.w), "sample", (sk.owner, sk.nbr, sk.y)
+    ),
     s=varint, delta=f64_array, deg=int_array,
     owner=int_array, nbr=int_array, w=f64_array, y=int_array,
 )
@@ -162,7 +162,7 @@ class CutSketchPoly(Composite):
         est = self._flat.get(idx)
         if est is None:
             parts = [p for cls in self.scales[idx].classes for p in cls.parts(self.n)]
-            est = self._flat[idx] = flatten(self.n, parts, f"{self.kind} scale {idx}")
+            est = self._flat[idx] = flatten(self.n, parts)
         return est
 
     def _byte_size(self) -> int:
@@ -187,8 +187,6 @@ class CutSketchPoly(Composite):
         diag["c_tilde"] = c_tilde
         if c_tilde <= 0.0:
             return QueryResult(0.0, diag) if detail else 0.0
-        if not self.scales:
-            raise SketchConsistencyError("a sparsifier but no scale sketches")
         idx = scale_of(self.ladder, c_tilde)
         scale = self.scales[idx]
         diag.update(c=scale.c, scale_index=idx)
@@ -217,10 +215,23 @@ class CutSketchPoly(Composite):
         return sk
 
 
+def _check_poly(sk: CutSketchPoly) -> str | None:
+    """A query reads the sparsifier, the ladder of scale values (which
+    scale_of searches, so it must increase) and the classes of one scale on
+    n vertices; every cut value selects a scale."""
+    if sk.sparsifier.n != sk.n:
+        return f"{sk.sparsifier.n}-vertex sparsifier, n = {sk.n}"
+    if not sk.scales:
+        return "a sparsifier but no scale sketches"
+    if not (sk.ladder[0] > 0 and sk.ladder[-1] < np.inf and np.all(np.diff(sk.ladder) > 0)):
+        return "scale values must be positive, finite and increasing"
+    return first_problem(cut_pieces_problem(cls, sk.n) for sc in sk.scales for cls in sc.classes)
+
+
 SCALE_CLASS_LAYOUT = record(ScaleClass, fields(index=varint), cut_pieces_layout(S1_LAYOUT))
 CUT_POLY_LAYOUT = composite(
     CutSketchPoly,
-    check=lambda sk: sk.sparsifier.n != sk.n and f"{sk.sparsifier.n}-vertex sparsifier, n = {sk.n}",
+    check=_check_poly,
     sparsifier=section(graph),
     scales=section(seq(record(ScaleSketch, c=f64, classes=seq(SCALE_CLASS_LAYOUT)))),
 )
@@ -305,8 +316,8 @@ def cut_basic_build(
     with its own values, so each component builds the adjacency that its S1
     samples are drawn from once per build. A class whose 1/eps-core is empty
     dissolves into stored cut edges with no search (cut_preprocessing).
-    Nothing is shared between builds. A graph whose total weight is not
-    finite raises QuadsketchError.
+    Nothing is shared between builds. A graph whose total weight, doubled,
+    is not finite raises QuadsketchError.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
@@ -380,9 +391,7 @@ class CutSketchGeneral(Composite):
         if j is None:
             return QueryResult(0.0, diag) if detail else 0.0
         stored_js = [gs.j for gs in self.stored]
-        pos = int(np.searchsorted(stored_js, j, side="right")) - 1
-        if pos < 0:
-            raise SketchConsistencyError("no stored scale at or before the query slice")
+        pos = int(np.searchsorted(stored_js, j, side="right")) - 1  # the first stored j is 0
         gs = self.stored[pos]
         diag.update(j=j, k=gs.j, w_ej=self.tree[j][2], w_ek=self.tree[gs.j][2])
         # contraction classes must not straddle the query
@@ -413,20 +422,23 @@ class CutSketchGeneral(Composite):
 
 
 def _check_general(sk: CutSketchGeneral) -> str | None:
-    """Everything the estimate indexes with must be in range."""
+    """Everything the estimate indexes with must be in range, and every
+    query slice j has a stored slice at or before it: a build stores j = 0."""
     top = max((max(u, v) for u, v, _ in sk.tree), default=-1)
     if top >= sk.n:
         return f"forest endpoint {top} outside [0, {sk.n})"
     js = [gs.j for gs in sk.stored]
     if js != sorted(set(js)) or js and js[-1] >= len(sk.tree):
         return f"slice indices {js} not increasing below {len(sk.tree)}"
+    if sk.tree and js[:1] != [0]:
+        return f"slice indices {js} do not start at 0"
     for gs in sk.stored:
         classes = int(gs.labels.max()) + 1 if gs.labels.size else 0
         if gs.labels.size != sk.n or classes > sk.n:
             return f"contraction labels of slice {gs.j} do not label {sk.n} vertices"
-        for vmap, poly in gs.comps:
-            if vmap.size != poly.n or (vmap.size and vmap.max() >= classes):
-                return f"component map does not fit slice {gs.j}"
+        problem = pairs_problem(gs.comps, classes)
+        if problem:
+            return f"component map of slice {gs.j}: {problem}"
     return None
 
 

@@ -22,8 +22,8 @@ class TooLargeError(QuadsketchError):
 
 
 class SketchConsistencyError(QuadsketchError):
-    """Internal invariant of a sketch was violated while answering a query.
+    """A query outside the model of a sketch: a cut query that separates
+    two vertices of one contraction class of a general cut sketch.
 
-    Indicates either a bug or a query outside the model assumptions
-    (e.g. a query separating two vertices joined by contracted edges).
+    A corrupt sketch never gets this far: decoding rejects it.
     """

@@ -7,12 +7,13 @@ composites all answer x^T L x (a cut query is its 0/1 member vector) as
         - 2 sum_stored w x_u x_v - sum_samples coef x_o x_n.
 
 ``piece_estimator`` derives one piece's terms from its stored arrays;
-``flatten`` checks every piece's indices against its vertex count, maps
-them to global ids once and concatenates the pieces, so a composite answers
-with a few gathers and dot products instead of a loop over pieces. Each
-term is one numpy dot product; the four are added with math.fsum. Exact
-edges keep the difference form, so a constant vector gives exactly 0 on
-them. A corrupt piece raises SketchConsistencyError, never an IndexError.
+``flatten`` maps them to global ids once and concatenates the pieces, so a
+composite answers with a few gathers and dot products instead of a loop
+over pieces. Each term is one numpy dot product; the four are added with
+math.fsum. Exact edges keep the difference form, so a constant vector gives
+exactly 0 on them. Neither checks its input: a decoded sketch was checked
+record by record when it was read (``serialize.piece_problem`` and
+``serialize.cut_pieces_problem``), and a built one is consistent.
 
 ``CutPieces`` is the one shape of a partitioned piece (the cut ladder's
 weight classes, the basic spectral classes, S3): cut edges stored exactly
@@ -25,8 +26,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-
-from .errors import SketchConsistencyError
 
 _NO_IDX = np.empty(0, dtype=np.int64)
 _NO_VAL = np.empty(0, dtype=np.float64)
@@ -66,22 +65,8 @@ class EdgeSampleEstimator:
         )
 
 
-def check_count(what: str, k: int) -> None:
-    """A sample count that normalizes an estimator must be positive."""
-    if k < 1:
-        raise SketchConsistencyError(f"{what}: sample count {k} is not positive")
-
-
-def check_lengths(what: str, *arrays) -> None:
-    if len({a.size for a in arrays}) > 1:
-        raise SketchConsistencyError(f"{what}: array lengths {[a.size for a in arrays]} disagree")
-
-
-def piece_estimator(
-    n: int, *, diag=None, exact=None, stored=None, samples=None, what: str = "sketch piece"
-) -> EdgeSampleEstimator:
-    """Terms of one piece on vertices 0..n-1, for ``flatten``, which checks
-    their vertex indices before anything is answered.
+def piece_estimator(n: int, *, diag=None, exact=None, stored=None, samples=None) -> EdgeSampleEstimator:
+    """Terms of one piece on vertices 0..n-1, for ``flatten``.
 
     ``exact`` and ``stored`` are (u, v, w) edge arrays. ``samples`` is
     (owner, nbr, scale, *factors): a sample's coefficient is scale[owner]
@@ -89,20 +74,13 @@ def piece_estimator(
     """
     if diag is None:
         diag = np.zeros(n)
-    elif diag.size != n:
-        raise SketchConsistencyError(f"{what}: {diag.size} degrees for {n} vertices")
     edges = []
-    for kind, arrays in (("exact", exact), ("stored", stored)):
-        arrays = arrays or (_NO_IDX, _NO_IDX, _NO_VAL)
-        check_lengths(f"{what} {kind} edges", *arrays)
-        edges.extend(arrays)
+    for arrays in (exact, stored):
+        edges.extend(arrays or (_NO_IDX, _NO_IDX, _NO_VAL))
     pu, pv, coef = _NO_IDX, _NO_IDX, _NO_VAL
     if samples is not None:
         pu, pv, scale, *factors = samples
-        check_lengths(f"{what} samples", pu, pv, *factors)
-        if scale.size != n or (pu.size and not n):
-            raise SketchConsistencyError(f"{what}: {scale.size} sample scales for {n} vertices")
-        coef = scale.take(pu, mode="clip")  # flatten rejects an out-of-range owner
+        coef = scale[pu]
         for f in factors:
             coef = coef * f
     return EdgeSampleEstimator(n, diag, *edges, pu, pv, coef)
@@ -116,7 +94,7 @@ class CutPieces:
 
     def parts(self, n: int) -> list:
         """``flatten`` parts of the cut edges and components on n vertices."""
-        parts = [(None, piece_estimator(n, exact=(self.q_u, self.q_v, self.q_w), what="cut edges"))]
+        parts = [(None, piece_estimator(n, exact=(self.q_u, self.q_v, self.q_w)))]
         parts.extend((vmap, sk.estimator_piece()) for vmap, sk in self.comps)
         return parts
 
@@ -133,17 +111,13 @@ def sketch_pieces(part, sketch, vmap=None) -> tuple:
     return ids(part.cross_u), ids(part.cross_v), part.cross_w.copy(), comps
 
 
-def flatten(n: int, parts, what: str = "sketch") -> EdgeSampleEstimator:
+def flatten(n: int, parts) -> EdgeSampleEstimator:
     """One estimator on vertices 0..n-1 from (vmap, piece estimator) parts;
     vmap maps piece vertex i to vmap[i], None means the identity."""
     ests = [est for _, est in parts]
     vmaps = [np.arange(n) if vmap is None else vmap for vmap, _ in parts]
     sizes = np.array([est.n for est in ests], dtype=np.int64)
-    if any(vm.size != k for vm, k in zip(vmaps, sizes.tolist())):
-        raise SketchConsistencyError(f"{what}: a vertex map's length differs from its piece's")
     allmap = np.concatenate([_NO_IDX, *vmaps])
-    if allmap.size and (allmap.min() < 0 or allmap.max() >= n):
-        raise SketchConsistencyError(f"{what}: vertex map entry outside [0, {n})")
     starts = np.cumsum(sizes) - sizes
     flat = {}
     for field in fields(EdgeSampleEstimator)[1:]:
@@ -151,10 +125,7 @@ def flatten(n: int, parts, what: str = "sketch") -> EdgeSampleEstimator:
         arrays = [getattr(est, name) for est in ests]
         values = np.concatenate([_NO_IDX if name in _INDEX_FIELDS else _NO_VAL, *arrays])
         if name in _INDEX_FIELDS:
-            counts = [a.size for a in arrays]
-            if np.any((values < 0) | (values >= np.repeat(sizes, counts))):
-                raise SketchConsistencyError(f"{what}: vertex index outside its piece")
-            values = allmap[values + np.repeat(starts, counts)]
+            values = allmap[values + np.repeat(starts, [a.size for a in arrays])]
         flat[name] = values
     flat["diag"] = np.bincount(allmap, weights=flat["diag"], minlength=n)
     return EdgeSampleEstimator(n, **flat)

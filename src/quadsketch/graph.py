@@ -199,13 +199,14 @@ class WeightedGraph:
 
 
 def check_total_weight(g: WeightedGraph) -> None:
-    """QuadsketchError unless g's total weight is finite. Each weight may be
-    finite and the sum still overflow; the sketches scale their ladders and
-    samplers by the total, and every cut value is at most it."""
+    """QuadsketchError unless twice g's total weight is finite. Each weight
+    may be finite and the sum still overflow; the sketches scale their
+    ladders (up to 1.5 times the total) and samplers by the total, and the
+    degrees of a quadratic form add up to twice it."""
     with np.errstate(over="ignore"):
-        total = g.edge_w.sum()
+        total = 2.0 * g.edge_w.sum()
     if not np.isfinite(total):
-        raise QuadsketchError("the total edge weight is not finite")
+        raise QuadsketchError("twice the total edge weight is not finite")
 
 
 def inverse_map(vmap: np.ndarray, n: int) -> np.ndarray:

@@ -113,15 +113,15 @@ class SddSketch:
         return exact + 0.5 * self.lap_sketch.estimator.estimate(embed_query(x))
 
 
-serialize.register(
-    9,
-    record(
-        SddSketch,
-        check=lambda sk: sk.lap_sketch.n != 2 * sk.n and f"side {sk.n} holds a {sk.lap_sketch.n}-vertex sketch",
-        diag=f64_array,
-        lap_sketch=section(IMPROVED_LAYOUT),
-    ),
-)
+def _check_sdd(sk: SddSketch) -> str | None:
+    """The diagonal slack may be slightly negative (check_sdd's tolerance),
+    but not infinite or NaN."""
+    if sk.lap_sketch.n != 2 * sk.n:
+        return f"side {sk.n} holds a {sk.lap_sketch.n}-vertex sketch"
+    return None if np.isfinite(sk.diag).all() else "diagonal slack entries must be finite"
+
+
+serialize.register(9, record(SddSketch, check=_check_sdd, diag=f64_array, lap_sketch=section(IMPROVED_LAYOUT)))
 
 
 def sdd_sketch_build(a, epsilon: float, seed: int) -> SddSketch:
@@ -155,7 +155,13 @@ class JlSketch:
         return float(np.dot(v, v))
 
 
-serialize.register(8, record(JlSketch, epsilon=f64, delta=f64, sb=matrix))
+def _check_jl(sk: JlSketch) -> str | None:
+    if not (0 < sk.epsilon < 1 and 0 < sk.delta < 1):
+        return f"epsilon {sk.epsilon!r} and delta {sk.delta!r} must be in (0, 1)"
+    return None if np.isfinite(sk.sb).all() else "projected factor entries must be finite"
+
+
+serialize.register(8, record(JlSketch, check=_check_jl, epsilon=f64, delta=f64, sb=matrix))
 
 
 def jl_rows(epsilon: float, delta: float) -> int:

@@ -12,7 +12,7 @@ class) and drops what version 2 stored twice or no query read: the copy of
 the cut-ladder scale values, class kind tags, the envelopes inside
 envelopes, the S1 eps and the JL seed. One duplicate is left: a (vertex
 map, piece) pair holds the piece's vertex count twice, as the map's length
-and inside the piece, and ``flatten`` rejects a sketch where they differ.
+and inside the piece, and the decoder rejects a sketch where they differ.
 
 Each sketch class states its layout once, in wire order, as a ``Codec``
 built from the vocabulary below; ``register`` gives it a kind byte and its
@@ -35,9 +35,14 @@ layout both ways.
 A sketch inside a sketch is a section holding its layout's payload: the
 envelope header is written once, by the outermost sketch.
 
-Reads are bounds-checked; bytes no layout writes (truncation, unknown tags,
-trailing bytes, invalid graphs or cut edges, broken cross-field invariants)
-raise QuadsketchError.
+Reads are bounds-checked, and every record a query reads checks itself
+once, at decode: ``piece_problem`` for S1 and S2 records (draw counts,
+degrees, scales, edges, sample lengths and vertex ids),
+``cut_pieces_problem`` for cut edges plus (vertex map, piece) pairs on n
+vertices, and each sketch's own ``check``. Bytes no layout writes
+(truncation, unknown tags, trailing bytes, invalid graphs, values outside a
+field's domain, broken cross-field invariants) raise QuadsketchError, so the
+estimator that answers from a decoded sketch checks nothing.
 """
 
 from __future__ import annotations
@@ -294,33 +299,72 @@ def pairs(item: Codec) -> Codec:
     return seq(tuple_of(int_array, item))
 
 
-def edge_problem(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> str | None:
-    """Why the arrays (u, v, w) are not the edges of a graph (unequal
-    lengths, a self-loop, or a weight that is not positive and finite), or
-    None when they are; ``flatten`` checks the vertex ids."""
+def _outside(n: int, *ids: np.ndarray, what: str = "vertex") -> str | None:
+    """Why the vertex ids are not all in [0, n), or None; decoded int arrays
+    hold no negative entry."""
+    top = max((int(a.max()) for a in ids if a.size), default=-1)
+    return f"{what} {top} outside [0, {n})" if top >= n else None
+
+
+def edge_problem(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int, kind: str) -> str | None:
+    """Why the arrays (u, v, w) are not the edges of a graph on n vertices
+    (unequal lengths, a self-loop, a weight that is not positive and finite,
+    or a vertex outside [0, n)), or None when they are. The message names
+    the edges' kind."""
     if not u.size == v.size == w.size:
-        return f"edge arrays of lengths {u.size}, {v.size}, {w.size}"
+        return f"{kind} edge arrays of lengths {u.size}, {v.size}, {w.size}"
     if np.any(u == v):
-        return "edges hold a self-loop"
+        return f"{kind} edges hold a self-loop"
     if not np.all((w > 0) & (w < np.inf)):
-        return "edge weights must be positive and finite"
-    return None
+        return f"{kind} edge weights must be positive and finite"
+    return _outside(n, u, v, what=f"{kind} edge vertex")
 
 
-def _checked_cut_edges(got: dict) -> dict:
-    problem = edge_problem(got["q_u"], got["q_v"], got["q_w"])
-    if problem:
-        raise QuadsketchError(f"cut {problem}")
-    return got
+def first_problem(problems) -> str | None:
+    """The first of the messages that is not None, or None."""
+    return next((p for p in problems if p), None)
+
+
+def piece_problem(count: int, diag, scale, edges: tuple, kind: str, samples: tuple) -> str | None:
+    """Why a sampled piece (an S1 or S2 record) cannot be answered from, or
+    None. Its n = diag.size vertices each have a degree in diag and a sample
+    scale in scale, both non-negative and finite; edges (u, v, w) of the
+    given kind are graph edges on them; the samples (owner, nbr, *factors)
+    have one length, lie on them and are normalized by count >= 1 draws."""
+    n = diag.size
+    if count < 1:
+        return f"sample count {count} is not positive"
+    if scale.size != n:
+        return f"{n} degrees but {scale.size} sample scales"
+    for name, a in (("degrees", diag), ("sample scales", scale)):
+        if not np.all((a >= 0) & (a < np.inf)):
+            return f"{name} must be non-negative and finite"
+    if len({a.size for a in samples}) > 1:
+        return f"sample arrays of lengths {', '.join(str(a.size) for a in samples)}"
+    return edge_problem(*edges, n, kind) or _outside(n, *samples[:2])
+
+
+def pairs_problem(comps, n: int) -> str | None:
+    """Why (vertex map, piece) pairs do not map their pieces into [0, n), or
+    None: each map has one entry per piece vertex, each entry below n."""
+    for vmap, piece in comps:
+        if vmap.size != piece.n:
+            return f"a vertex map of length {vmap.size} for a {piece.n}-vertex piece"
+    return _outside(n, *(vmap for vmap, _ in comps), what="vertex map entry")
+
+
+def cut_pieces_problem(rec, n: int) -> str | None:
+    """Why a ``CutPieces`` record on n vertices cannot be answered from, or
+    None: its cut edges are graph edges on [0, n) and its (vertex map,
+    piece) pairs map into [0, n)."""
+    return edge_problem(rec.q_u, rec.q_v, rec.q_w, n, "cut") or pairs_problem(rec.comps, n)
 
 
 def cut_pieces_layout(piece: Codec) -> Codec:
     """A group: the cut edges q_u, q_v, q_w, then (vertex map, piece) pairs
-    as comps (``estimator.CutPieces``). Cut edges are graph edges, so a
-    self-loop or a weight that is not positive and finite is rejected;
-    ``flatten`` checks their vertex ids."""
-    group = fields(q_u=int_array, q_v=int_array, q_w=f64_array, comps=pairs(piece))
-    return mapped(group, lambda obj: obj, _checked_cut_edges)
+    as comps (``estimator.CutPieces``); the record that holds it checks it
+    with ``cut_pieces_problem``."""
+    return fields(q_u=int_array, q_v=int_array, q_w=f64_array, comps=pairs(piece))
 
 
 def to_payload(codec: Codec, value) -> bytes:

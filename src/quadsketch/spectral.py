@@ -34,18 +34,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .estimator import CutPieces, EdgeSampleEstimator, check_count, flatten, piece_estimator, sketch_pieces
+from .estimator import CutPieces, EdgeSampleEstimator, flatten, piece_estimator, sketch_pieces
 from .graph import WeightedGraph, as_spectral_query, check_total_weight, weighted_degrees
 from .partition import arc_ends, degree_class_partition, spectral_preprocessing
 from .rng import derive_seed, draw_counts, rng_for
 from . import serialize
-from .serialize import Composite, composite, cut_pieces_layout, f64_array, fields, int_array, pairs, record
-from .serialize import section, seq, varint
+from .serialize import Composite, composite, cut_pieces_layout, cut_pieces_problem, f64_array, fields, int_array
+from .serialize import first_problem, pairs, pairs_problem, piece_problem, record, section, seq, varint
 from .sparsify import SparsifierConfig, factor2_class, sparsify
 
 
 def _exact(g: WeightedGraph) -> EdgeSampleEstimator:
-    return piece_estimator(g.n, exact=(g.edge_u, g.edge_v, g.edge_w), what="stored graph")
+    return piece_estimator(g.n, exact=(g.edge_u, g.edge_v, g.edge_w))
 
 
 # ---------------------------------------------------------------------------
@@ -72,13 +72,11 @@ class S2Sketch:
         return int(self.diag.size)
 
     def estimator_piece(self) -> EdgeSampleEstimator:
-        check_count("S2 piece", self.draws)
         return piece_estimator(
             self.n,
             diag=self.diag,
             stored=(self.su, self.sv, self.sw),
             samples=(self.owner, self.nbr, self.scale / self.draws, self.y),
-            what="S2 piece",
         )
 
     def estimate(self, x) -> float:
@@ -88,25 +86,11 @@ class S2Sketch:
         return 2 * self.n + 3 * int(self.su.size) + 3 * int(self.owner.size)
 
 
-def _s2_problem(sk: S2Sketch) -> str | None:
-    """Why a decoded S2 record cannot be answered from, or None: its stored
-    edges are no graph's edges, its sample arrays differ in length, or a
-    degree or a sample scale is negative or not finite. (Draw counts y are
-    int arrays, which hold no negative entry.)"""
-    problem = serialize.edge_problem(sk.su, sk.sv, sk.sw)
-    if problem:
-        return f"stored {problem}"
-    if not sk.owner.size == sk.nbr.size == sk.y.size:
-        return f"sample arrays of lengths {sk.owner.size}, {sk.nbr.size}, {sk.y.size}"
-    for name, a in (("degrees", sk.diag), ("sample scales", sk.scale)):
-        if not np.all((a >= 0) & (a < np.inf)):
-            return f"{name} must be non-negative and finite"
-    return None
-
-
 S2_LAYOUT = record(
     S2Sketch,
-    check=_s2_problem,
+    check=lambda sk: piece_problem(
+        sk.draws, sk.diag, sk.scale, (sk.su, sk.sv, sk.sw), "stored", (sk.owner, sk.nbr, sk.y)
+    ),
     draws=varint, diag=f64_array, su=int_array, sv=int_array, sw=f64_array, scale=f64_array,
     owner=int_array, nbr=int_array, y=int_array,
 )
@@ -163,8 +147,8 @@ class SpectralBasicSketch(Composite):
     def estimator(self) -> EdgeSampleEstimator:
         """Every class, cut edge and S2 piece in one flat estimator."""
         if self.is_verbatim:
-            return flatten(self.n, [(None, _exact(self.verbatim))], self.kind)
-        return flatten(self.n, [p for cls in self.classes for p in cls.parts(self.n)], self.kind)
+            return flatten(self.n, [(None, _exact(self.verbatim))])
+        return flatten(self.n, [p for cls in self.classes for p in cls.parts(self.n)])
 
     def estimate(self, x) -> float:
         x = as_spectral_query(self.n, x)  # before the estimator allocates n entries
@@ -176,7 +160,14 @@ class SpectralBasicSketch(Composite):
         return sum(cls.word_count() for cls in self.classes)
 
 
-serialize.register(6, composite(SpectralBasicSketch, classes=section(seq(record(BasicClass, S2_PIECES)))))
+serialize.register(
+    6,
+    composite(
+        SpectralBasicSketch,
+        check=lambda sk: first_problem(cut_pieces_problem(cls, sk.n) for cls in sk.classes),
+        classes=section(seq(record(BasicClass, S2_PIECES))),
+    ),
+)
 
 
 def spectral_basic_build(
@@ -184,7 +175,7 @@ def spectral_basic_build(
 ) -> SpectralBasicSketch:
     """Sparsify, then per factor-2 weight class partition at conductance
     h = c_alpha * eps^{1/3} and S2-sketch every piece. A graph whose total
-    weight is not finite raises QuadsketchError."""
+    weight, doubled, is not finite raises QuadsketchError."""
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
     if g.n < 2 or g.m == 0 or epsilon <= 1.0 / g.n:
@@ -232,13 +223,13 @@ class S3Sketch(CutPieces):
 
     def estimator_piece(self) -> EdgeSampleEstimator:
         """Cut edges and components on the piece's vertices."""
-        return flatten(self.n, self.parts(self.n), "S3 piece")
+        return flatten(self.n, self.parts(self.n))
 
     def estimate(self, x) -> float:
         return self.estimator_piece().estimate(as_spectral_query(self.n, x))
 
 
-S3_LAYOUT = record(S3Sketch, fields(n=varint), S2_PIECES)
+S3_LAYOUT = record(S3Sketch, fields(n=varint), S2_PIECES, check=lambda sk: cut_pieces_problem(sk, sk.n))
 
 
 def spectral_s3_build(
@@ -303,8 +294,8 @@ class SpectralImprovedSketch(Composite):
     def estimator(self) -> EdgeSampleEstimator:
         """Every class's cut edges and S3 components in one flat estimator."""
         if self.is_verbatim:
-            return flatten(self.n, [(None, _exact(self.verbatim))], self.kind)
-        return flatten(self.n, [(vmap, s3.estimator_piece()) for vmap, s3 in self.classes], self.kind)
+            return flatten(self.n, [(None, _exact(self.verbatim))])
+        return flatten(self.n, [(vmap, s3.estimator_piece()) for vmap, s3 in self.classes])
 
     def estimate(self, x) -> float:
         x = as_spectral_query(self.n, x)  # before the estimator allocates n entries
@@ -316,7 +307,9 @@ class SpectralImprovedSketch(Composite):
         return sum(s3.word_count() for _, s3 in self.classes)
 
 
-IMPROVED_LAYOUT = composite(SpectralImprovedSketch, classes=section(pairs(S3_LAYOUT)))
+IMPROVED_LAYOUT = composite(
+    SpectralImprovedSketch, check=lambda sk: pairs_problem(sk.classes, sk.n), classes=section(pairs(S3_LAYOUT))
+)
 serialize.register(7, IMPROVED_LAYOUT)
 
 
@@ -329,7 +322,7 @@ def spectral_improved_build(
 ) -> SpectralImprovedSketch:
     """Degree-class partition; banded pieces get S3 sketches, the rest is
     stored exactly as S3 records of cut edges only. A graph whose total
-    weight is not finite raises QuadsketchError."""
+    weight, doubled, is not finite raises QuadsketchError."""
     if not 0 < epsilon < 0.5:
         raise ValueError("epsilon must be in (0, 1/2)")
     if g.n < 2 or g.m == 0 or epsilon <= 1.0 / g.n:

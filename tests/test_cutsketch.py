@@ -702,3 +702,12 @@ def test_total_weight_that_is_not_finite_is_rejected(build):
     with pytest.raises(QuadsketchError, match="total edge weight"):
         build(complete_graph(40, 1e307), 0.05, 1, mode="pipeline")
 
+
+@pytest.mark.parametrize("build", [cut_basic_build, cut_sketch_build])
+def test_total_weight_whose_double_is_not_finite_is_rejected(build):
+    # the total, 1.68e308, is finite, but the ladder's top, 1.5 times it,
+    # overflowed (OverflowError in build_ladder)
+    with pytest.raises(QuadsketchError, match="twice the total edge weight"):
+        build(complete_graph(7, 8e306), 0.15, 1, mode="pipeline")
+    sk = build(complete_graph(7, 4e306), 0.15, 1, mode="pipeline")
+    assert sk.estimate(np.arange(7) < 3) == pytest.approx(12 * 4e306, rel=1e-9)

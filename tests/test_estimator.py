@@ -15,11 +15,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from quadsketch.cli import main
 from quadsketch.cutsketch import CutSketchPoly, cut_basic_build
-from quadsketch.errors import QuadsketchError, SketchConsistencyError
+from quadsketch.errors import QuadsketchError
 from quadsketch.estimator import flatten, piece_estimator
 from quadsketch.graph import quadratic_form
 from quadsketch.psdsdd import SddSketch, embed_query, sdd_sketch_build
 from quadsketch.spectral import (
+    BasicClass,
+    S2Sketch,
     SpectralBasicSketch,
     SpectralImprovedSketch,
     spectral_basic_build,
@@ -228,7 +230,25 @@ def test_decoded_cut_poly_knows_its_size(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Structural validation while flattening
+# Structural validation at decode: flatten and piece_estimator trust their
+# input, so every index and count they read is checked when a record is read
+
+
+_NO_IDX = np.empty(0, dtype=np.int64)
+
+
+def s2_piece(n, **fields):
+    """An S2 record on n vertices with unit degrees and scales, one draw
+    and no edges or samples, but for the given fields."""
+    empty = dict(su=_NO_IDX, sv=_NO_IDX, sw=np.empty(0), owner=_NO_IDX, nbr=_NO_IDX, y=_NO_IDX)
+    return S2Sketch(**{"draws": 1, "diag": np.ones(n), "scale": np.ones(n), **empty, **fields})
+
+
+def basic_holding(n, vmap, piece) -> bytes:
+    """The envelope of a basic sketch on n vertices with one class: no cut
+    edge, and the S2 piece under vmap."""
+    cls = BasicClass(_NO_IDX, _NO_IDX, np.empty(0), [(vmap, piece)])
+    return SpectralBasicSketch(0.3, n, classes=[cls]).to_bytes()
 
 
 def corrupt_basic():
@@ -244,9 +264,8 @@ def corrupt_basic():
 
 
 def test_corrupt_owner_index_raises_domain_error():
-    back = SpectralBasicSketch.from_bytes(corrupt_basic())
-    with pytest.raises(SketchConsistencyError, match="outside"):
-        back.estimate(np.ones(30))
+    with pytest.raises(QuadsketchError, match="outside"):
+        SpectralBasicSketch.from_bytes(corrupt_basic())
 
 
 def test_corrupt_owner_index_cli_exit_1(tmp_path, capsys):
@@ -263,23 +282,24 @@ def test_corrupt_owner_index_cli_exit_1(tmp_path, capsys):
     "n, kwargs, match",
     [
         (3, {"diag": np.ones(2)}, "degrees"),
-        (3, {"exact": (np.array([0, 1]), np.array([1]), np.ones(2))}, "lengths"),
-        (3, {"samples": (np.array([0]), np.array([1]), np.ones(3), np.ones(2))}, "lengths"),
-        (3, {"samples": (np.array([0]), np.array([1]), np.ones(2), np.ones(1))}, "scales"),
-        (0, {"samples": (np.array([0]), np.array([0]), np.ones(0))}, "scales"),
+        (3, {"su": np.array([0, 1]), "sv": np.array([1]), "sw": np.ones(2)}, "lengths"),
+        (3, {"owner": np.array([0]), "nbr": np.array([1]), "y": np.array([1, 1])}, "lengths"),
+        (3, {"scale": np.ones(2), "owner": np.array([0]), "nbr": np.array([1]), "y": np.array([1])}, "scales"),
+        (0, {"scale": np.ones(1), "owner": np.array([0]), "nbr": np.array([0]), "y": np.array([1])}, "scales"),
     ],
 )
 def test_piece_length_mismatch(n, kwargs, match):
-    with pytest.raises(SketchConsistencyError, match=match):
-        piece_estimator(n, **kwargs)
+    data = basic_holding(n, np.arange(n), s2_piece(n, **kwargs))
+    with pytest.raises(QuadsketchError, match=match):
+        SpectralBasicSketch.from_bytes(data)
 
 
 def test_zero_draws_rejected():
     g = gnp_connected(30, 0.6, seed=11, w_lo=1.0, w_hi=4.0)
     sk = spectral_basic_build(g, 0.3, 7, c_alpha=0.2)
     sk.classes[0].comps[0][1].draws = 0
-    with pytest.raises(SketchConsistencyError, match="sample count"):
-        SpectralBasicSketch.from_bytes(sk.to_bytes()).estimate(np.ones(30))
+    with pytest.raises(QuadsketchError, match="sample count"):
+        SpectralBasicSketch.from_bytes(sk.to_bytes())
 
 
 def test_cut_poly_missing_scale_rejected():
@@ -288,8 +308,8 @@ def test_cut_poly_missing_scale_rejected():
     sk = cut_basic_build(g, 0.3, 1, mode="pipeline")
     assert CutSketchPoly.from_bytes(sk.to_bytes()).estimate(np.arange(20) < 3) > 0
     bare = CutSketchPoly(sk.epsilon, sk.n, sparsifier=sk.sparsifier, scales=[])
-    with pytest.raises(SketchConsistencyError, match="no scale"):
-        CutSketchPoly.from_bytes(bare.to_bytes()).estimate(np.arange(20) < 3)
+    with pytest.raises(QuadsketchError, match="no scale"):
+        CutSketchPoly.from_bytes(bare.to_bytes())
 
 
 def test_sdd_side_mismatch_rejected():
@@ -302,15 +322,17 @@ def test_sdd_side_mismatch_rejected():
 @pytest.mark.parametrize(
     "vmap, piece, match",
     [
-        (np.array([0, 1]), piece_estimator(3), "length"),
-        (np.array([0, 1, 5]), piece_estimator(3), "vertex map"),
-        (np.array([0, 1, 2]), piece_estimator(3, stored=(np.array([0]), np.array([3]), np.ones(1))), "outside"),
-        (np.array([0, 1, 2]), piece_estimator(3, samples=(np.array([4]), np.array([0]), np.ones(3))), "outside"),
+        (np.array([0, 1]), s2_piece(3), "length"),
+        (np.array([0, 1, 5]), s2_piece(3), "vertex map"),
+        (np.array([0, 1, 2]), s2_piece(3, su=np.array([0]), sv=np.array([3]), sw=np.ones(1)), "outside"),
+        (np.array([0, 1, 2]), s2_piece(3, owner=np.array([4]), nbr=np.array([0]), y=np.array([1])), "outside"),
     ],
 )
 def test_flatten_rejects_out_of_range(vmap, piece, match):
-    with pytest.raises(SketchConsistencyError, match=match):
-        flatten(5, [(vmap, piece)])
+    """Every index that flatten maps lies in its piece, and every vertex
+    map in the sketch, or the envelope does not decode."""
+    with pytest.raises(QuadsketchError, match=match):
+        SpectralBasicSketch.from_bytes(basic_holding(5, vmap, piece))
 
 
 def test_flatten_maps_pieces_to_global_ids():

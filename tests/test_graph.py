@@ -276,6 +276,15 @@ def test_parse_rejects_a_total_weight_that_is_not_finite():
     assert parse_graph(format_graph(complete_graph(40, 1e305))).m == 780
 
 
+def test_parse_rejects_a_total_weight_whose_double_is_not_finite():
+    # 21 weights of 8e306 sum to a finite 1.68e308, but twice that is not;
+    # the cut ladder reaches 1.5 times the total and the degrees add up to twice it
+    with pytest.raises(GraphFormatError, match="twice the total edge weight") as ei:
+        parse_graph(format_graph(complete_graph(7, 8e306)))
+    assert ei.value.line == 1
+    assert parse_graph(format_graph(complete_graph(7, 4e306))).m == 21
+
+
 def test_with_weights_shares_the_edges_and_the_adjacency():
     g = gnp_connected(12, 0.5, seed=4)
     table, labels = g._adjacency(), connected_components(g)

@@ -220,6 +220,46 @@ def test_non_finite_matrix_rejected(bad):
         jl_build(a, 0.5, 0.1, seed=1)
 
 
+def with_sb_entry(sk, value):
+    sk.sb[1, 2] = value
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda sk: with_sb_entry(sk, np.nan), "projected factor entries must be finite"),
+        (lambda sk: with_sb_entry(sk, -np.inf), "projected factor entries must be finite"),
+        (lambda sk: setattr(sk, "epsilon", -3.0), r"epsilon -3.0 and delta 0.2 must be in \(0, 1\)"),
+        (lambda sk: setattr(sk, "epsilon", 1.0), r"must be in \(0, 1\)"),
+        (lambda sk: setattr(sk, "delta", 0.0), r"must be in \(0, 1\)"),
+        (lambda sk: setattr(sk, "delta", np.nan), r"must be in \(0, 1\)"),
+    ],
+    ids=["factor-nan", "factor-inf", "epsilon-negative", "epsilon-one", "delta-zero", "delta-nan"],
+)
+def test_corrupt_jl_value_rejected_at_decode(corrupt, message):
+    """Each used to decode; a NaN factor entry answered NaN."""
+    sk = jl_build(random_psd(5, np.random.default_rng(13)), 0.5, 0.2, seed=14)
+    JlSketch.from_bytes(sk.to_bytes())
+    corrupt(sk)
+    with pytest.raises(QuadsketchError, match=message):
+        JlSketch.from_bytes(sk.to_bytes())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_corrupt_sdd_diagonal_rejected_at_decode(bad):
+    """A diagonal slack entry that is not finite used to decode (NaN
+    answered NaN). A slightly negative one, which check_sdd admits, still
+    decodes."""
+    sk = sdd_sketch_build(random_sdd(5, np.random.default_rng(15)), 0.3, seed=16)
+    sk.diag = sk.diag.copy()
+    sk.diag[0] = -1e-12
+    x = np.linspace(-1.0, 1.0, 5)
+    assert SddSketch.from_bytes(sk.to_bytes()).estimate(x) == sk.estimate(x)
+    sk.diag[0] = bad
+    with pytest.raises(QuadsketchError, match="diagonal slack entries must be finite"):
+        SddSketch.from_bytes(sk.to_bytes())
+
+
 def test_matrix_parse_format_roundtrip():
     rng = np.random.default_rng(12)
     a = random_sdd(7, rng)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadsketch.cutsketch import CutSketchGeneral, cut_basic_build, cut_sketch_build
+from quadsketch.cutsketch import CutSketchGeneral, CutSketchPoly, cut_basic_build, cut_sketch_build, reachable_scales
 from quadsketch.errors import QuadsketchError
 from quadsketch.graph import WeightedGraph
 from quadsketch.psdsdd import JlSketch, jl_build, sdd_sketch_build
@@ -569,7 +569,7 @@ def test_improved_class_map_shorter_than_its_piece_rejected():
     sk = SpectralImprovedSketch.from_bytes(improved_with_class_map(2))
     assert sk.estimate(np.array([1.0, 0.0, 0.0, 0.0])) == 1.0
     with pytest.raises(QuadsketchError, match="vertex map"):
-        SpectralImprovedSketch.from_bytes(improved_with_class_map(1)).estimate(np.ones(4))
+        SpectralImprovedSketch.from_bytes(improved_with_class_map(1))
 
 
 def exact_class(sk):
@@ -648,6 +648,125 @@ def test_corrupt_s2_field_rejected_at_decode(case, name, corrupt, message):
         type(sk).from_bytes(sk.to_bytes())
 
 
+def s1_pieces(sk):
+    """(scale index, S1 piece) of every S1 piece of a cut_poly sketch."""
+    return [(i, s1) for i, sc in enumerate(sk.scales) for cls in sc.classes for _, s1 in cls.comps]
+
+
+def first_sampled_s1(sk, scales=None):
+    """The first S1 piece with samples, in one of the given scales."""
+    return next(s1 for i, s1 in s1_pieces(sk) if s1.owner.size and (scales is None or i in scales))
+
+
+def unreachable_scales(sk):
+    """Scales of a full-ladder sketch that no query selects."""
+    k0, k1 = reachable_scales(sk.sparsifier, sk.ladder)
+    return set(range(len(sk.scales))) - set(range(k0, k1 + 1))
+
+
+@pytest.mark.parametrize("ladder", ["reachable", "full"])
+@pytest.mark.parametrize(
+    "name, corrupt, message",
+    [
+        ("w", lambda p: with_entry(p.w, np.nan), "sample edge weights must be positive and finite"),
+        ("w", lambda p: with_entry(p.w, 0.0), "sample edge weights must be positive and finite"),
+        ("delta", lambda p: with_entry(p.delta, -1e300), "degrees must be non-negative and finite"),
+        ("delta", lambda p: with_entry(p.delta, np.inf), "degrees must be non-negative and finite"),
+        ("s", lambda p: 0, "sample count 0 is not positive"),
+        ("owner", lambda p: with_entry(p.owner, p.n), "outside"),
+        ("nbr", lambda p: with_entry(p.nbr, p.n), "outside"),
+        ("nbr", lambda p: with_entry(p.nbr, p.owner[0]), "sample edges hold a self-loop"),
+        ("y", lambda p: p.y[:-1], "sample arrays of lengths"),
+        ("w", lambda p: p.w[:-1], "sample edge arrays of lengths"),
+        ("deg", lambda p: p.deg[:-1], "sample scales"),
+    ],
+    ids=[
+        "weight-nan", "weight-zero", "degree-negative", "degree-inf", "zero-count", "owner-n", "neighbour-n",
+        "self-loop", "short-draws", "short-weights", "short-degrees",
+    ],
+)
+def test_corrupt_s1_field_rejected_at_decode(ladder, name, corrupt, message):
+    """Each corrupted field used to decode; a NaN weight answered NaN. On
+    the full ladder the corrupt piece lies in a scale that no query
+    selects, so no query used to see it."""
+    g = complete_graph(12)
+    if ladder == "reachable":
+        sk = cut_basic_build(g, 0.3, 3, mode="pipeline")
+        piece = first_sampled_s1(sk)
+    else:
+        sk = cut_basic_reference(g, 0.3, 3, mode="pipeline")
+        piece = first_sampled_s1(sk, unreachable_scales(sk))
+    setattr(piece, name, corrupt(piece))
+    with pytest.raises(QuadsketchError, match=message):
+        CutSketchPoly.from_bytes(sk.to_bytes())
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda scales: setattr(scales[0], "c", np.nan),
+        lambda scales: setattr(scales[-1], "c", np.inf),
+        lambda scales: setattr(scales[0], "c", -scales[0].c),
+        lambda scales: setattr(scales[1], "c", scales[0].c),
+        lambda scales: scales.reverse(),
+    ],
+    ids=["nan", "inf", "negative", "repeated", "decreasing"],
+)
+def test_corrupt_scale_value_rejected_at_decode(corrupt):
+    """A query searches the ladder of scale values for its scale, so they
+    must increase: decoded in reverse order, the ladder used to answer the
+    one-vertex cut of K_12 with 13.02 in place of 11.0."""
+    sk = cut_basic_build(complete_graph(12), 0.3, 3, mode="pipeline")
+    assert len(sk.scales) >= 2
+    corrupt(sk.scales)
+    with pytest.raises(QuadsketchError, match="scale values must be positive, finite and increasing"):
+        CutSketchPoly.from_bytes(sk.to_bytes())
+
+
+def cut_pieces_records(sk):
+    """The cut-pieces records of a sketch, with the vertex count their ids
+    lie below: cut_poly classes and basic classes on the sketch's n, S3
+    records on their own n."""
+    if isinstance(sk, CutSketchPoly):
+        return [(cls, sk.n) for sc in sk.scales for cls in sc.classes]
+    if isinstance(sk, SpectralImprovedSketch):
+        return [(s3, s3.n) for _, s3 in sk.classes]
+    return [(cls, sk.n) for cls in sk.classes]
+
+
+def with_first_map(rec, change):
+    vmap, piece = rec.comps[0]
+    rec.comps[0] = (change(vmap), piece)
+
+
+CUT_PIECES = {
+    "cut_poly": lambda: cut_basic_build(complete_graph(12), 0.3, 3, mode="pipeline"),
+    "spectral_basic": GOLDEN[BASIC_S2][0],
+    "spectral_improved-s3": GOLDEN[IMPROVED_S3][0],
+}
+
+
+@pytest.mark.parametrize("family", list(CUT_PIECES))
+@pytest.mark.parametrize(
+    "needs, corrupt, message",
+    [
+        ("q_u", lambda rec, n: setattr(rec, "q_u", with_entry(rec.q_u, n)), "cut edge vertex .* outside"),
+        ("q_v", lambda rec, n: setattr(rec, "q_v", with_entry(rec.q_v, n)), "cut edge vertex .* outside"),
+        ("comps", lambda rec, n: with_first_map(rec, lambda vm: vm[:-1]), "vertex map of length"),
+        ("comps", lambda rec, n: with_first_map(rec, lambda vm: with_entry(vm, n)), "vertex map entry .* outside"),
+    ],
+    ids=["cut-u", "cut-v", "short-map", "map-entry"],
+)
+def test_corrupt_cut_pieces_rejected_at_decode(family, needs, corrupt, message):
+    """A cut edge endpoint or a component's vertex map that leaves the
+    record's vertices; flatten used to find these at the first query."""
+    sk = CUT_PIECES[family]()
+    rec, n = next((rec, n) for rec, n in cut_pieces_records(sk) if len(getattr(rec, needs)))
+    corrupt(rec, n)
+    with pytest.raises(QuadsketchError, match=message):
+        type(sk).from_bytes(sk.to_bytes())
+
+
 def basic_with_nan_stored_weight() -> bytes:
     sk = GOLDEN[BASIC_S2][0]()
     piece = first_s2_record(sk, "sw")
@@ -671,9 +790,14 @@ def general_sketch():
         (lambda sk: setattr(sk.stored[0], "labels", sk.stored[0].labels + 10), "contraction labels"),
         (lambda sk: setattr(sk.stored[1], "j", sk.stored[0].j), "slice indices"),
         (lambda sk: setattr(sk.stored[-1], "j", len(sk.tree)), "slice indices"),
+        (lambda sk: sk.stored.pop(0), "start at 0"),
+        (lambda sk: sk.stored.clear(), "start at 0"),
         (lambda sk: setattr(sk.stored[0], "comps", [(c[0][:-1], c[1]) for c in sk.stored[0].comps]), "component map"),
     ],
-    ids=["endpoint", "label-count", "label-value", "slice-order", "slice-range", "component-map"],
+    ids=[
+        "endpoint", "label-count", "label-value", "slice-order", "slice-range", "slice-start", "no-slice",
+        "component-map",
+    ],
 )
 def test_corrupt_general_sketch_rejected_at_decode(corrupt, message):
     sk = general_sketch()

@@ -382,3 +382,12 @@ def test_total_weight_that_is_not_finite_is_rejected(build):
     with pytest.raises(QuadsketchError, match="total edge weight"):
         build(complete_graph(40, 1e307), 0.2, 1)
 
+
+@pytest.mark.parametrize("build", [spectral_basic_build, spectral_improved_build])
+def test_total_weight_whose_double_is_not_finite_is_rejected(build):
+    # the total, 1.68e308, is finite, but the degrees add up to twice it:
+    # a query answered "-inf + inf in fsum" (ValueError)
+    with pytest.raises(QuadsketchError, match="twice the total edge weight"):
+        build(complete_graph(7, 8e306), 0.2, 1)
+    sk = build(complete_graph(7, 4e306), 0.2, 1)
+    assert sk.estimate((np.arange(7) < 3).astype(float)) == pytest.approx(12 * 4e306, rel=1e-9)
