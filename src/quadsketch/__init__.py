@@ -38,7 +38,6 @@ from .partition import (
 from .cutsketch import (
     CutSketchGeneral,
     CutSketchPoly,
-    QueryResult,
     S1Sketch,
     amplified_estimate,
     cut_basic_build,

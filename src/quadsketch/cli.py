@@ -18,9 +18,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cutsketch import cut_sketch_build
+from .cutsketch import CutSketchGeneral, cut_sketch_build
 from .distmincut import run_protocol
 from .errors import QuadsketchError
+from .estimator import flatten
 from .graph import (
     WeightedGraph,
     cut_weight,
@@ -114,11 +115,38 @@ def _cmd_query(args) -> int:
     if args.command != "cut-sketch":
         print(_fmt(sk.estimate(_parse_vector(sk.n, args.query))))
         return 0
-    res = sk.estimate(_parse_members(sk.n, args.query), detail=args.detail)
-    print(_fmt(res.value if args.detail else res))
+    s = _parse_members(sk.n, args.query)
+    print(_fmt(sk.estimate(s)))
     if args.detail:
-        print(json.dumps({k: _fmt(v) if isinstance(v, float) else str(v) for k, v in res.diagnostics.items()}, indent=2), file=sys.stderr)
+        detail = _route_detail(sk, s, os.path.getsize(args.sketch))
+        print(json.dumps({k: _fmt(v) if isinstance(v, float) else str(v) for k, v in detail.items()}, indent=2), file=sys.stderr)
     return 0
+
+
+def _route_detail(sk, s, size: int) -> dict:
+    """How a cut sketch answered s, read off its route. For a ladder
+    (cut_poly) sketch: the sparsifier's cut value c_tilde, the scale value c
+    and its index into the stored ladder, each weight class's unscaled
+    share of the answer, and the file's size as an upper bound on the bytes
+    the answer read. For a general sketch: the first forest edge j that s
+    cuts, the stored slice k that answers, their forest weights and the
+    slice's component count."""
+    if sk.is_verbatim:
+        return {"mode": "verbatim"}
+    detail = {"mode": "sketch"}
+    route = sk.route(s)
+    if route is None:
+        return detail
+    if isinstance(sk, CutSketchGeneral):
+        j, gs = route
+        detail.update(j=j, k=gs.j, w_ej=sk.tree[j][2], w_ek=sk.tree[gs.j][2], n_components=len(gs.comps))
+        return detail
+    detail["c_tilde"], idx = route
+    if idx is not None:
+        scale, x = sk.scales[idx], s.astype(np.float64)
+        per_class = [(cls.index, flatten(sk.n, cls.parts(sk.n)).estimate(x)) for cls in scale.classes]
+        detail.update(c=scale.c, scale_index=idx, per_class=per_class, bytes_touched=size)
+    return detail
 
 
 def _cmd_size(args) -> int:

@@ -15,7 +15,11 @@ Three tiers, each built on the previous one:
   its queries route to that one). Its slices' polynomial sketches are
   sections of the ``CUT_POLY_LAYOUT`` payload, not envelopes.
 
-Sketches are immutable after build. Estimates go through the shared flat
+Sketches are immutable after build. Each composite names the decision
+behind an answer in one ``route`` method (the ladder scale, or the forest
+edge and stored slice, that a query selects); ``estimate`` follows it and
+returns a float, and ``route`` is also what explains an answer (the CLI's
+``query --detail``). Estimates go through the shared flat
 ``EdgeSampleEstimator``; ``CutSketchPoly`` builds one per ladder scale on
 the first query that selects it and caches it.
 """
@@ -23,7 +27,7 @@ the first query that selects it and caches it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import median
 
 import numpy as np
@@ -50,12 +54,6 @@ from .sparsify import SparsifierConfig, sparsify
 
 LADDER_BASE = 1.4
 SPARSIFIER_ACCURACY = 0.2
-
-
-@dataclass
-class QueryResult:
-    value: float
-    diagnostics: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +153,6 @@ class CutSketchPoly(Composite):
         self.scales: list[ScaleSketch] = scales if scales is not None else []
         self.ladder = np.array([sc.c for sc in self.scales], dtype=np.float64)  # the stored scales' values
         self._flat: dict[int, EdgeSampleEstimator] = {}  # scale index -> estimator
-        self._nbytes: int | None = None  # envelope size, once known
 
     def _scale_estimator(self, idx: int) -> EdgeSampleEstimator:
         """All cut edges and S1 pieces of one ladder scale, built on first use."""
@@ -165,41 +162,30 @@ class CutSketchPoly(Composite):
             est = self._flat[idx] = flatten(self.n, parts)
         return est
 
-    def _byte_size(self) -> int:
-        """Length of the envelope, serialized at most once."""
-        if self._nbytes is None:
-            self._nbytes = len(self.to_bytes())
-        return self._nbytes
+    def route(self, members) -> tuple[float, int | None] | None:
+        """How the sketch answers the member set: None where the cut is
+        trivial (an empty or full set, or a verbatim sketch, which answers
+        from its graph), else the sparsifier's cut value c~ and the index
+        into the stored ladder of the scale that answers it (scale_of), or
+        None in its place where c~ <= 0 and the answer is 0. A build trims
+        the ladder to the scales that queries can reach."""
+        s = as_cut_query(self.n, members)
+        if self.is_verbatim or not s.any() or s.all():
+            return None
+        c_tilde = cut_weight(self.sparsifier, s)
+        return c_tilde, (scale_of(self.ladder, c_tilde) if c_tilde > 0.0 else None)
 
-    def estimate(self, members, *, detail: bool = False):
-        """Cut weight of the member set, from the scale that the sparsifier's
-        cut value c~ selects. With detail, the diagnostics give c~, the
-        scale's value c and its scale_index, an index into the stored ladder
-        (which a build trims to the scales that queries can reach)."""
+    def estimate(self, members) -> float:
+        """Cut weight of the member set: the value c of the scale that route
+        selects times that scale's estimate."""
         s = as_cut_query(self.n, members)
         if self.is_verbatim:
-            value = cut_weight(self.verbatim, s)
-            return QueryResult(value, {"mode": "verbatim"}) if detail else value
-        diag: dict = {"mode": "sketch"}
-        if not s.any() or s.all():
-            return QueryResult(0.0, diag) if detail else 0.0
-        c_tilde = cut_weight(self.sparsifier, s)
-        diag["c_tilde"] = c_tilde
-        if c_tilde <= 0.0:
-            return QueryResult(0.0, diag) if detail else 0.0
-        idx = scale_of(self.ladder, c_tilde)
-        scale = self.scales[idx]
-        diag.update(c=scale.c, scale_index=idx)
-        x = s.astype(np.float64)
-        value = scale.c * self._scale_estimator(idx).estimate(x)
-        if detail:
-            # unscaled contribution of each weight class
-            diag["per_class"] = [
-                (cls.index, flatten(self.n, cls.parts(self.n)).estimate(x)) for cls in scale.classes
-            ]
-            diag["bytes_touched"] = self._byte_size()  # whole-sketch upper bound
-            return QueryResult(value, diag)
-        return value
+            return cut_weight(self.verbatim, s)
+        route = self.route(s)
+        if route is None or route[1] is None:
+            return 0.0
+        idx = route[1]
+        return self.scales[idx].c * self._scale_estimator(idx).estimate(s.astype(np.float64))
 
     def word_count(self) -> int:
         if self.is_verbatim:
@@ -207,12 +193,6 @@ class CutSketchPoly(Composite):
         return 3 * self.sparsifier.m + len(self.ladder) + sum(
             cls.word_count() for sc in self.scales for cls in sc.classes
         )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "CutSketchPoly":
-        sk = serialize.decode(cls.kind, data)
-        sk._nbytes = len(data)
-        return sk
 
 
 def _check_poly(sk: CutSketchPoly) -> str | None:
@@ -377,23 +357,28 @@ class CutSketchGeneral(Composite):
         self.tree = tree if tree is not None else []  # ordered (u, v, w)
         self.stored: list[GeneralScale] = stored if stored is not None else []
 
-    def estimate(self, members, *, detail: bool = False):
+    def route(self, members) -> tuple[int, GeneralScale] | None:
+        """How the sketch answers the member set: None where the answer is
+        0 (it cuts no forest edge; a verbatim sketch has no forest and
+        answers from its graph), else the index j of the first forest edge
+        it cuts and the stored slice that answers it, the last one at or
+        before j."""
+        s = as_cut_query(self.n, members)
+        for j, (u, v, _) in enumerate(self.tree):
+            if s[u] != s[v]:
+                stored_js = [gs.j for gs in self.stored]
+                # the first stored j is 0
+                return j, self.stored[int(np.searchsorted(stored_js, j, side="right")) - 1]
+        return None
+
+    def estimate(self, members) -> float:
         s = as_cut_query(self.n, members)
         if self.is_verbatim:
-            value = cut_weight(self.verbatim, s)
-            return QueryResult(value, {"mode": "verbatim"}) if detail else value
-        diag: dict = {"mode": "sketch"}
-        j = None
-        for idx, (u, v, _) in enumerate(self.tree):
-            if s[u] != s[v]:
-                j = idx
-                break
-        if j is None:
-            return QueryResult(0.0, diag) if detail else 0.0
-        stored_js = [gs.j for gs in self.stored]
-        pos = int(np.searchsorted(stored_js, j, side="right")) - 1  # the first stored j is 0
-        gs = self.stored[pos]
-        diag.update(j=j, k=gs.j, w_ej=self.tree[j][2], w_ek=self.tree[gs.j][2])
+            return cut_weight(self.verbatim, s)
+        route = self.route(s)
+        if route is None:
+            return 0.0
+        gs = route[1]
         # contraction classes must not straddle the query
         counts = np.bincount(gs.labels, minlength=int(gs.labels.max()) + 1)
         ones = np.bincount(gs.labels, weights=s.astype(float), minlength=counts.size)
@@ -407,9 +392,6 @@ class CutSketchGeneral(Composite):
         total = 0.0
         for vmap, poly in gs.comps:
             total += poly.estimate(contracted[vmap])
-        if detail:
-            diag["n_components"] = len(gs.comps)
-            return QueryResult(total, diag)
         return total
 
     def word_count(self) -> int:

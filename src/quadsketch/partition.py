@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -345,7 +345,6 @@ class PartitionResult:
     cross_v: np.ndarray
     cross_w: np.ndarray
     cross_idx: np.ndarray  # parent edge indices of the cross edges
-    info: dict = field(default_factory=dict)
 
     @property
     def cross_count(self) -> int:
@@ -525,11 +524,7 @@ def spectral_preprocessing(g: WeightedGraph, h: float) -> PartitionResult:
     _reject_nan("threshold h", h)
     if h <= 0:
         raise ValueError("threshold h must be positive")
-    res = _partition_by_cuts(g, "conductance", h)
-    res.info["h"] = h
-    if g.m:
-        res.info["q_bound_ratio"] = res.cross_count / (h * g.m * math.log2(g.m + 1))
-    return res
+    return _partition_by_cuts(g, "conductance", h)
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +561,6 @@ class CutClass:
 
 @dataclass
 class CutPreprocessing:
-    scale: float
-    epsilon: float
     classes: list[CutClass]
     discarded_heavy: np.ndarray  # edge indices of the input graph
     dropped_unsampled: np.ndarray
@@ -629,9 +622,7 @@ def cut_preprocessing(
             ]
             part = PartitionResult(comps, part.cross_u, part.cross_v, w_of[part.cross_idx], part.cross_idx)
             classes.append(CutClass(i, part))
-    return CutPreprocessing(
-        c, epsilon, classes, np.flatnonzero(heavy), dropped_idx
-    )
+    return CutPreprocessing(classes, np.flatnonzero(heavy), dropped_idx)
 
 
 # ---------------------------------------------------------------------------

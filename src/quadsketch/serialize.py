@@ -28,9 +28,8 @@ layout both ways.
   exactly that many bytes of ``inner``.
 * ``record(cls, *groups, name=codec, ...)``: attributes of one value, read
   back as ``cls(**attributes)``, rejected when ``check(value)`` returns a
-  message. A group is ``fields(...)`` or ``switch(tag_of, {tag: fields})``:
-  a varint tag, then that tag's fields. ``composite(cls, ...)``: eps, n, a
-  verbatim flag, then the whole graph or the body.
+  message; its groups are ``fields(...)``. ``composite(cls, ...)``: eps, n,
+  a verbatim flag (a varint, 1 or 0), then the whole graph or the body.
 
 A sketch inside a sketch is a section holding its layout's payload: the
 envelope header is written once, by the outermost sketch.
@@ -396,23 +395,6 @@ def fields(**named: Codec) -> Codec:
     return Codec(write, lambda r: {name: c.read(r) for name, c in named.items()})
 
 
-def switch(tag_of: Callable[[Any], int], cases: dict[int, Codec]) -> Codec:
-    """A group: the varint tag_of(value), then the fields of that case."""
-
-    def write(w: Writer, obj) -> None:
-        tag = tag_of(obj)
-        w.varint(tag)
-        cases[tag].write(w, obj)
-
-    def read(r: Reader) -> dict:
-        tag = r.varint()
-        if tag not in cases:
-            raise QuadsketchError(f"unknown variant tag {tag}, expected one of {sorted(cases)}")
-        return cases[tag].read(r)
-
-    return Codec(write, read)
-
-
 def record(cls, *groups: Codec, check: Callable | None = None, **named: Codec) -> Codec:
     """The groups, then the named fields, of one value; read back as
     cls(**attributes), then rejected if check(value) returns a message."""
@@ -459,16 +441,31 @@ class Composite:
 
 
 def composite(cls: type[Composite], *, check: Callable | None = None, **body: Codec) -> Codec:
-    """eps, n and a verbatim flag, then the whole graph (flag 1), which must
-    have n vertices, or the body."""
+    """eps, n and a verbatim flag (a varint), then the whole graph (flag 1),
+    which must have n vertices, or the body (flag 0); any other flag is
+    rejected."""
 
     def check_all(sk):
         if sk.is_verbatim:
             return sk.verbatim.n != sk.n and f"{sk.verbatim.n}-vertex graph in a {sk.n}-vertex sketch"
         return check and check(sk)
 
-    verbatim_or_body = switch(lambda sk: int(sk.is_verbatim), {1: fields(verbatim=graph), 0: fields(**body)})
-    return record(cls, fields(epsilon=f64, n=varint), verbatim_or_body, check=check_all)
+    body = fields(**body)
+
+    def write(w: Writer, sk) -> None:
+        w.varint(int(sk.is_verbatim))
+        if sk.is_verbatim:
+            graph.write(w, sk.verbatim)
+        else:
+            body.write(w, sk)
+
+    def read(r: Reader) -> dict:
+        flag = r.varint()
+        if flag > 1:
+            raise QuadsketchError(f"verbatim flag {flag}, expected 0 or 1")
+        return {"verbatim": graph.read(r)} if flag else body.read(r)
+
+    return record(cls, fields(epsilon=f64, n=varint), Codec(write, read), check=check_all)
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +476,9 @@ KINDS: dict[str, tuple[int, Codec]] = {"graph": (0, graph)}  # kind -> (byte, la
 
 def register(byte: int, layout: Codec) -> None:
     """Give the sketch class layout decodes to (named by its kind) a kind
-    byte and its envelope methods: ``to_bytes`` and, unless the class
-    defines its own, the classmethod ``from_bytes``. They are set on the
-    class itself, so each sketch class owns them."""
+    byte and its envelope methods: ``to_bytes`` and the classmethod
+    ``from_bytes``. They are set on the class itself, so each sketch class
+    owns them."""
     cls, kind = layout.cls, layout.cls.kind
     KINDS[kind] = (byte, layout)
 
@@ -492,8 +489,7 @@ def register(byte: int, layout: Codec) -> None:
         return decode(kind, data)
 
     cls.to_bytes = to_bytes
-    if "from_bytes" not in vars(cls):
-        cls.from_bytes = classmethod(from_bytes)
+    cls.from_bytes = classmethod(from_bytes)
 
 
 def envelope(kind: str, payload: bytes) -> bytes:

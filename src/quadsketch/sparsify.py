@@ -142,7 +142,11 @@ def keep_probabilities(g: WeightedGraph, cfg: SparsifierConfig) -> np.ndarray:
             # so when it reaches 1 at min(d_u, d_v) for every edge, every p
             # is exactly 1.0 and the forest rounds cannot change any of them.
             deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
-            scaled = target * g.edge_w[sel]
+            # target * w overflows for some weights whose total is finite;
+            # inf then gives p = 1, still an upper bound (gamma * k is at
+            # most a weighted degree, so finite)
+            with np.errstate(over="ignore"):
+                scaled = target * g.edge_w[sel]
             if np.all(scaled / (gamma * np.minimum(deg[u], deg[v])) >= 1.0):
                 continue
             k = _forest_indices(n, u, v, int(math.ceil(target)) + 1)

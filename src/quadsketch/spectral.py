@@ -137,11 +137,9 @@ class BasicClass(CutPieces):
 class SpectralBasicSketch(Composite):
     kind = "spectral_basic"
 
-    def __init__(self, epsilon, n, verbatim=None, classes=None, events=None):
+    def __init__(self, epsilon, n, verbatim=None, classes=None):
         super().__init__(epsilon, n, verbatim)
         self.classes: list[BasicClass] = classes if classes is not None else []
-        # build diagnostics, kept in memory only: the envelope never holds them
-        self.events: list[str] = events if events is not None else []
 
     @cached_property
     def estimator(self) -> EdgeSampleEstimator:
@@ -188,14 +186,12 @@ def spectral_basic_build(
     alpha = c_alpha * epsilon ** (-5.0 / 3.0)
     wcls = factor2_class(g2.edge_w, g2.edge_w.min())
     classes = []
-    events = []
     for j in np.unique(wcls):
         eidx = np.flatnonzero(wcls == j)
         sub, vmap = g2.edge_subgraph(eidx)
         gamma = float(sub.edge_w.min())
         if gamma <= epsilon**2:
             # the S1/S2 analysis needs gamma > eps^2; store the class exactly
-            events.append(f"class {int(j)} stored verbatim: gamma <= eps^2")
             classes.append(BasicClass(vmap[sub.edge_u], vmap[sub.edge_v], sub.edge_w, []))
             continue
         pieces = sketch_pieces(
@@ -206,7 +202,7 @@ def spectral_basic_build(
             vmap,
         )
         classes.append(BasicClass(*pieces))
-    return SpectralBasicSketch(epsilon, g.n, classes=classes, events=events)
+    return SpectralBasicSketch(epsilon, g.n, classes=classes)
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +280,10 @@ def spectral_s3_build(
 class SpectralImprovedSketch(Composite):
     kind = "spectral_improved"
 
-    def __init__(self, epsilon, n, verbatim=None, classes=None, info=None):
+    def __init__(self, epsilon, n, verbatim=None, classes=None):
         super().__init__(epsilon, n, verbatim)
         # (piece vertex -> original vertex, S3 record) per degree class
         self.classes: list[tuple[np.ndarray, S3Sketch]] = classes if classes is not None else []
-        self.info = info or {}
 
     @cached_property
     def estimator(self) -> EdgeSampleEstimator:
@@ -338,5 +333,4 @@ def spectral_improved_build(
         else:
             s3 = spectral_s3_build(p, dc.flip, epsilon, dc.band, derive_seed(seed, "class", ci), beta=beta)
         classes.append((dc.vmap, s3))
-    info = {"recursion_depth": dcp.recursion_depth, "n_classes": len(dcp.classes)}
-    return SpectralImprovedSketch(epsilon, g.n, classes=classes, info=info)
+    return SpectralImprovedSketch(epsilon, g.n, classes=classes)

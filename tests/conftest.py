@@ -33,7 +33,7 @@ from quadsketch.partition import (
     find_sparse_cut,
 )
 from quadsketch.rng import derive_seed, draw_counts
-from quadsketch.sparsify import SparsifierConfig, sparsify
+from quadsketch.sparsify import SparsifierConfig, factor2_class, sparsify
 
 OUTCOME_SPACE_CAP = 10**6
 
@@ -583,6 +583,22 @@ def trimmed(ref):
         return CutSketchGeneral(ref.epsilon, ref.n, tree=ref.tree, stored=stored)
     k0, k1 = cutsketch.reachable_scales(ref.sparsifier, ref.ladder)
     return CutSketchPoly(ref.epsilon, ref.n, sparsifier=ref.sparsifier, scales=ref.scales[k0 : k1 + 1])
+
+
+def light_classes_stored_exactly(sk, g: WeightedGraph, epsilon: float, seed: int) -> bool:
+    """Whether sk, spectral_basic_build(g, epsilon, seed), holds every
+    factor-2 weight class of its sparsifier whose lightest edge is at most
+    eps^2 (outside the S2 analysis) as a class with no components whose cut
+    edges are all of the class's edges. False when there is no such class."""
+    g2 = sparsify(g, SparsifierConfig(epsilon, "spectral", derive_seed(seed, "sparsify")))
+    wcls = factor2_class(g2.edge_w, g2.edge_w.min())
+    light = [e for e in (np.flatnonzero(wcls == j) for j in np.unique(wcls)) if g2.edge_w[e].min() <= epsilon**2]
+
+    def stored(cls, e) -> bool:
+        edges = zip((cls.q_u, cls.q_v, cls.q_w), (g2.edge_u, g2.edge_v, g2.edge_w))
+        return not cls.comps and all(np.array_equal(q, a[e]) for q, a in edges)
+
+    return bool(light) and all(any(stored(cls, e) for cls in sk.classes) for e in light)
 
 
 def relabel(g: WeightedGraph, vmap: np.ndarray, n_new: int) -> WeightedGraph:

@@ -1,4 +1,6 @@
+import ast
 import json
+import math
 import subprocess
 import sys
 
@@ -135,17 +137,57 @@ def test_spectral_roundtrip(rand_graph, tmp_path, capsys):
 
 
 def test_cut_query_detail_on_a_ladder_sketch(tmp_path, capsys):
-    g = gnp_connected(20, 0.5, seed=5)
-    sk = cut_basic_build(g, 0.15, 3, mode="pipeline")
-    assert not sk.is_verbatim
-    skp = tmp_path / "poly.qsk"
-    skp.write_bytes(sk.to_bytes())
-    code, out, err = run_cli(["cut-sketch", "query", str(skp), "0,1,2", "--detail"], capsys)
+    cases = [
+        (gnp_connected(20, 0.5, seed=5), 3, [0, 1, 2]),
+        (gnp_connected(20, 0.5, seed=5), 3, list(range(7))),
+        (gnp_connected(20, 0.5, seed=4, w_lo=1.0, w_hi=4.0), 2, list(range(0, 20, 3))),
+    ]
+    for g, seed, query in cases:
+        sk = cut_basic_build(g, 0.15, seed, mode="pipeline")
+        assert not sk.is_verbatim
+        data = sk.to_bytes()
+        skp = tmp_path / "poly.qsk"
+        skp.write_bytes(data)
+        code, out, err = run_cli(["cut-sketch", "query", str(skp), ",".join(map(str, query)), "--detail"], capsys)
+        assert code == 0
+        answer = float(out.strip())
+        assert answer == sk.estimate(np.isin(np.arange(20), query))
+        diag = json.loads(err)
+        assert diag.keys() == {"mode", "c_tilde", "c", "scale_index", "per_class", "bytes_touched"}
+        assert diag["mode"] == "sketch"
+        # the whole file bounds the bytes an answer reads
+        assert int(diag["bytes_touched"]) == len(data)
+        # the classes' unscaled shares, times the scale value, are the answer
+        parts = [v for _, v in ast.literal_eval(diag["per_class"])]
+        assert answer == pytest.approx(float(diag["c"]) * math.fsum(parts), rel=1e-12, abs=1e-12 * g.total_weight)
+
+
+def test_cut_query_detail_on_a_built_general_sketch(tmp_path, capsys):
+    # eps in [1/n, 1/30]: the default mode sketches
+    g = gnp_connected(40, 0.35, seed=6, w_lo=1.0, w_hi=50.0)
+    save_graph(g, tmp_path / "g.txt")
+    out = tmp_path / "g.qsk"
+    code, _, _ = run_cli(["cut-sketch", "build", str(tmp_path / "g.txt"), "-e", "0.03", "-o", str(out)], capsys)
     assert code == 0
-    assert float(out.strip()) == sk.estimate(np.arange(20) < 3)
-    diag = json.loads(err)
-    assert diag["mode"] == "sketch"
-    assert {"c_tilde", "scale_index"} <= diag.keys()
+    assert sketch_class(out.read_bytes()).kind == "cut_general"
+    for query in ("0", "0,1,2", "3,5,7,11,13"):
+        code, text, err = run_cli(["cut-sketch", "query", str(out), query, "--detail"], capsys)
+        assert code == 0
+        float(text.strip())
+        diag = json.loads(err)
+        assert diag.keys() == {"mode", "j", "k", "w_ej", "w_ek", "n_components"}
+        assert diag["mode"] == "sketch"
+        assert int(diag["k"]) <= int(diag["j"])
+        assert float(diag["w_ek"]) >= float(diag["w_ej"]) > 0
+
+
+def test_cut_query_detail_on_a_verbatim_build(rand_graph, tmp_path, capsys):
+    out = tmp_path / "v.qsk"
+    code, _, _ = run_cli(["cut-sketch", "build", rand_graph, "-e", "0.2", "-o", str(out)], capsys)
+    assert code == 0
+    code, text, err = run_cli(["cut-sketch", "query", str(out), "0,1,2", "--detail"], capsys)
+    assert code == 0
+    assert json.loads(err) == {"mode": "verbatim"}
 
 
 def test_cut_query_without_detail_skips_diagnostics(tmp_path, capsys, monkeypatch):
@@ -153,18 +195,21 @@ def test_cut_query_without_detail_skips_diagnostics(tmp_path, capsys, monkeypatc
     sk = cut_basic_build(g, 0.15, 3, mode="pipeline")
     skp = tmp_path / "poly.qsk"
     skp.write_bytes(sk.to_bytes())
+    expected = sk.estimate(np.arange(20) < 3)
     calls = []
-    estimate = CutSketchPoly.estimate
+    route = CutSketchPoly.route
 
-    def spy(self, members, *, detail=False):
-        calls.append(detail)
-        return estimate(self, members, detail=detail)
+    def spy(self, members):
+        calls.append(members)
+        return route(self, members)
 
-    monkeypatch.setattr(CutSketchPoly, "estimate", spy)
+    monkeypatch.setattr(CutSketchPoly, "route", spy)
     code, out, err = run_cli(["cut-sketch", "query", str(skp), "0,1,2"], capsys)
     assert code == 0 and err == ""
-    assert calls == [False]
-    assert float(out.strip()) == estimate(sk, np.arange(20) < 3)
+    assert len(calls) == 1  # the one route estimate follows
+    assert float(out.strip()) == expected
+    code, _, err = run_cli(["cut-sketch", "query", str(skp), "0,1,2", "--detail"], capsys)
+    assert code == 0 and len(calls) == 3 and json.loads(err)["mode"] == "sketch"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

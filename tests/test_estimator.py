@@ -82,10 +82,10 @@ def sdd_ref(sk, x):
 
 def cut_poly_ref(sk, s):
     """The per-class loop at the scale the sketch itself selects."""
-    res = sk.estimate(s, detail=True)
-    if "scale_index" not in res.diagnostics:
-        return res.value
-    scale = sk.scales[res.diagnostics["scale_index"]]
+    route = sk.route(s)
+    if route is None or route[1] is None:
+        return sk.estimate(s)
+    scale = sk.scales[route[1]]
     total = 0.0
     for cls in scale.classes:
         total += float(cls.q_w[s[cls.q_u] != s[cls.q_v]].sum())
@@ -203,30 +203,6 @@ def test_exact_edges_keep_difference_form():
     est = flatten(3, [(None, piece_estimator(3, exact=(np.array([0, 1]), np.array([1, 2]), np.array([1.0, 3.0]))))])
     assert est.estimate(np.full(3, 7.25)) == 0.0
     assert est.estimate(np.array([1e8 + 1, 1e8, 1e8])) == 1.0
-
-
-def test_detail_reports_classes_and_cached_size(monkeypatch):
-    g = gnp_connected(20, 0.5, seed=4, w_lo=1.0, w_hi=4.0)
-    sk = cut_basic_build(g, 0.15, 2, mode="pipeline")
-    size = len(sk.to_bytes())
-    s = np.arange(20) % 3 == 0
-    res = sk.estimate(s, detail=True)
-    assert res.diagnostics["bytes_touched"] == size
-    parts = [v for _, v in res.diagnostics["per_class"]]
-    c = res.diagnostics["c"]
-    assert res.value == pytest.approx(c * math.fsum(parts), rel=1e-12, abs=1e-12 * g.total_weight)
-    # later detailed queries do not serialize again
-    monkeypatch.setattr(CutSketchPoly, "to_bytes", lambda self: pytest.fail("re-serialized"))
-    assert sk.estimate(s, detail=True).diagnostics["bytes_touched"] == size
-
-
-def test_decoded_cut_poly_knows_its_size(monkeypatch):
-    g = gnp_connected(20, 0.5, seed=5)
-    data = cut_basic_build(g, 0.15, 3, mode="pipeline").to_bytes()
-    back = CutSketchPoly.from_bytes(data)
-    monkeypatch.setattr(CutSketchPoly, "to_bytes", lambda self: pytest.fail("re-serialized"))
-    res = back.estimate(np.arange(20) < 7, detail=True)
-    assert res.diagnostics["bytes_touched"] == len(data)
 
 
 # ---------------------------------------------------------------------------

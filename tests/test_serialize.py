@@ -18,7 +18,7 @@ from quadsketch.spectral import (
 )
 from quadsketch.serialize import KINDS, Reader, Writer, decode, encode, envelope, open_envelope, sketch_class
 
-from conftest import complete_graph, cut_basic_reference, gnp_connected
+from conftest import complete_graph, cut_basic_reference, gnp_connected, light_classes_stored_exactly
 
 
 def test_varint_roundtrip():
@@ -339,15 +339,16 @@ def weighted(n: int, seed: int):
 # re-recorded at version 3, whose layouts hold the same values with no kind
 # tags, nested envelope headers, ladder copy, S1 eps or JL seed; no envelope
 # grew. The middle entry is the sketch's word count, which the format does
-# not change (None for the sdd and jl sketches, which count no words).
+# not change (None for the sdd and jl sketches, which count no words). The
+# spectral_basic builds are partials, whose arguments the test reads.
 GOLDEN = {
     "spectral_basic-s2-and-verbatim-class": (
-        lambda: spectral_basic_build(gnp_connected(16, 0.5, seed=21, w_lo=1e-3, w_hi=4.0), 0.3, 22),
+        functools.partial(spectral_basic_build, gnp_connected(16, 0.5, seed=21, w_lo=1e-3, w_hi=4.0), 0.3, 22),
         250,
         "2dd208c904e7c9092d6ba040f60dd2be81108aa3f5d3cb191224e57a7cda54c8",
     ),
     "spectral_basic-verbatim-class-only": (
-        lambda: spectral_basic_build(gnp_connected(12, 0.5, seed=31, w_lo=1e-8, w_hi=1.9e-8), 0.3, 32),
+        functools.partial(spectral_basic_build, gnp_connected(12, 0.5, seed=31, w_lo=1e-8, w_hi=1.9e-8), 0.3, 32),
         87,
         "3bcb31e5e35f95c8e0f035dcf51309c777b70abca9789c2dd27cc7d86b9edb42",
     ),
@@ -410,7 +411,7 @@ def test_golden_envelopes(case):
     if case.endswith("-verbatim"):
         assert sk.is_verbatim
     if case.startswith("spectral_basic-") and not sk.is_verbatim:
-        assert sk.events
+        assert light_classes_stored_exactly(sk, *make.args)
     data = sk.to_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
     assert type(sk).from_bytes(data).to_bytes() == data
@@ -845,3 +846,43 @@ def test_corrupt_envelope_answers_or_raises_domain_error(family, data):
             cls.from_bytes(blob).estimate(query)
     except QuadsketchError:
         pass
+
+
+@pytest.mark.parametrize("family", ["cut_general", "cut_poly", "spectral_basic", "spectral_improved"])
+def test_composite_verbatim_flag_outside_0_and_1_rejected(family):
+    cls, blob, _ = fuzz_case(family)
+    flag = 6 + 8 + 1  # header, eps, then n (one varint byte below 128)
+    assert blob[flag] == 0
+    with pytest.raises(QuadsketchError, match="verbatim flag 2"):
+        cls.from_bytes(blob[:flag] + bytes([2]) + blob[flag + 1 :])
+
+
+def plain(value) -> bool:
+    return isinstance(value, (int, float, str, dict)) or (
+        isinstance(value, list) and all(isinstance(x, str) for x in value)
+    )
+
+
+def assert_same_state(built, decoded):
+    """The two sketches hold the same attribute names, equal values where
+    a value is a number, str, dict or list of str, and nested sketches that
+    compare the same way."""
+    assert vars(built).keys() == vars(decoded).keys()
+    for name, value in vars(built).items():
+        other = getattr(decoded, name)
+        if plain(value) or plain(other):
+            assert value == other, name
+        elif hasattr(value, "to_bytes"):
+            assert_same_state(value, other)
+
+
+@pytest.mark.parametrize("family", list(FUZZ))
+def test_decoded_sketch_holds_what_the_built_one_holds(family):
+    """A sketch is its stored data: nothing the build knew is lost or kept
+    apart in memory, and every family answers with a Python float."""
+    sk = FUZZ[family][0]()
+    cls, blob, query = fuzz_case(family)
+    back = cls.from_bytes(blob)
+    assert_same_state(sk, back)  # before a query fills any cache
+    assert type(sk.estimate(query)) is float
+    assert type(back.estimate(query)) is float

@@ -11,7 +11,7 @@ from quadsketch.graph import (
 )
 from quadsketch.errors import QuadsketchError
 from quadsketch.oracle import lambda1_normalized
-from quadsketch.partition import spectral_preprocessing
+from quadsketch.partition import degree_class_partition, spectral_preprocessing
 from quadsketch import spectral
 from quadsketch.rng import derive_seed
 from quadsketch.spectral import (
@@ -28,6 +28,7 @@ from conftest import (
     complete_graph,
     estimator_expectation_exhaustive,
     gnp_connected,
+    light_classes_stored_exactly,
     orient,
     outcome_sketch,
     outcome_space,
@@ -201,11 +202,11 @@ class TestSpectralBasic:
         assert checked >= 1000
 
     def test_gamma_below_eps_squared_class_stored_verbatim(self, rng):
-        # a weight class violating gamma > eps^2 is stored exactly and the
-        # event is recorded in the sketch
+        # a weight class violating gamma > eps^2 is stored exactly: a class
+        # with no components whose cut edges are all of its edges
         g = gnp_connected(12, 0.5, seed=31, w_lo=1e-8, w_hi=1.9e-8)
         sk = spectral_basic_build(g, 0.3, seed=32)
-        assert sk.events and "verbatim" in sk.events[0]
+        assert light_classes_stored_exactly(sk, g, 0.3, 32)
         for _ in range(10):
             x = rng.normal(size=12)
             assert sk.estimate(x) == pytest.approx(quadratic_form(g, x), rel=1e-9, abs=1e-12)
@@ -287,8 +288,9 @@ class TestS3:
     def test_golden_with_leftover_recursion(self):
         # pins the bytes of a build whose degree-class partition recurses on
         # left-over arcs
-        sk = spectral_improved_build(clique_and_path(80, 200), 0.25, 1)
-        assert sk.info["recursion_depth"] == 2
+        g = clique_and_path(80, 200)
+        sk = spectral_improved_build(g, 0.25, 1)
+        assert degree_class_partition(g, 0.25, derive_seed(1, "partition")).recursion_depth == 2
         assert sha256(sk.to_bytes()) == "61c8cb3553bbff9f18ab3580a405703dfb6e0c7013145356d003d518b028f2d9"
 
     @pytest.mark.parametrize("k, tail, c_beta", [(80, 200, 8.0), (120, 600, 7.6)])
