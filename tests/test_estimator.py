@@ -7,6 +7,8 @@ order, so the two agree to rounding: 1e-12 relative, plus 1e-12 of the
 largest possible term (total weight times max x^2) for answers near 0.
 """
 
+import ast
+import json
 import math
 
 import numpy as np
@@ -203,6 +205,48 @@ def test_exact_edges_keep_difference_form():
     est = flatten(3, [(None, piece_estimator(3, exact=(np.array([0, 1]), np.array([1, 2]), np.array([1.0, 3.0]))))])
     assert est.estimate(np.full(3, 7.25)) == 0.0
     assert est.estimate(np.array([1e8 + 1, 1e8, 1e8])) == 1.0
+
+
+def query_detail(path, members, capsys):
+    """The answer and the --detail JSON of `cut-sketch query` on a file."""
+    code = main(["cut-sketch", "query", str(path), ",".join(map(str, members)), "--detail"])
+    out = capsys.readouterr()
+    assert code == 0
+    return float(out.out.strip()), json.loads(out.err)
+
+
+def test_detail_reports_classes_and_cached_size(tmp_path, capsys, monkeypatch):
+    g = gnp_connected(20, 0.5, seed=4, w_lo=1.0, w_hi=4.0)
+    sk = cut_basic_build(g, 0.15, 2, mode="pipeline")
+    data = sk.to_bytes()
+    path = tmp_path / "poly.qsk"
+    path.write_bytes(data)
+    members = list(range(0, 20, 3))
+    value, diag = query_detail(path, members, capsys)
+    assert int(diag["bytes_touched"]) == len(data)
+    parts = [v for _, v in ast.literal_eval(diag["per_class"])]
+    assert value == pytest.approx(float(diag["c"]) * math.fsum(parts), rel=1e-12, abs=1e-12 * g.total_weight)
+    # the route the report reads is the one the in-memory sketch takes
+    c_tilde, idx = sk.route(np.isin(np.arange(20), members))
+    assert float(diag["c_tilde"]) == c_tilde and int(diag["scale_index"]) == idx
+    # later detailed queries do not serialize again
+    monkeypatch.setattr(CutSketchPoly, "to_bytes", lambda self: pytest.fail("re-serialized"))
+    assert int(query_detail(path, members, capsys)[1]["bytes_touched"]) == len(data)
+
+
+def test_decoded_cut_poly_knows_its_size(tmp_path, capsys, monkeypatch):
+    g = gnp_connected(20, 0.5, seed=5)
+    sk = cut_basic_build(g, 0.15, 3, mode="pipeline")
+    data = sk.to_bytes()
+    back = CutSketchPoly.from_bytes(data)
+    s = np.arange(20) < 7
+    assert back.route(s) == sk.route(s)
+    path = tmp_path / "poly.qsk"
+    path.write_bytes(data)
+    monkeypatch.setattr(CutSketchPoly, "to_bytes", lambda self: pytest.fail("re-serialized"))
+    value, diag = query_detail(path, range(7), capsys)
+    assert value == back.estimate(s)
+    assert int(diag["bytes_touched"]) == len(data)
 
 
 # ---------------------------------------------------------------------------
