@@ -19,7 +19,6 @@ from .graph import (
     connected_components,
     cut_weight,
     degrees,
-    expansion_exact,
     load_graph,
     parse_graph,
     quadratic_form,
@@ -63,6 +62,7 @@ from .psdsdd import (
     sdd_to_laplacian,
 )
 from .oracle import (
+    expansion_exact,
     lambda1_normalized,
     min_cut_exact,
 )

@@ -460,13 +460,6 @@ def cheeger_exact(g: WeightedGraph) -> float:
     return _least_ratio(g, "conductance")
 
 
-def expansion_exact(g: WeightedGraph) -> float:
-    """Expansion constant min_{|S| <= n/2} |∂(S, S̄)| / |S|; capped at n <= 24."""
-    if g.n == 1:
-        raise QuadsketchError("expansion undefined for a single vertex")
-    return _least_ratio(g, "edge_expansion")
-
-
 # ---------------------------------------------------------------------------
 # Edge-list text format: first line "n m", then m lines "u v w" (0-indexed).
 

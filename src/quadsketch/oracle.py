@@ -13,6 +13,7 @@ import numpy as np
 from .errors import QuadsketchError, TooLargeError
 from .graph import (
     WeightedGraph,
+    _least_ratio,
     connected_components,
     degrees,
     is_connected,
@@ -81,6 +82,14 @@ def enumerate_cut_values(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     for u, v, w in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist()):
         vals += (((masks >> u) ^ (masks >> v)) & 1) * w
     return masks, vals
+
+
+def expansion_exact(g: WeightedGraph) -> float:
+    """Expansion constant min_{|S| <= n/2} |∂(S, S̄)| / |S| by exhaustive
+    enumeration; capped at n <= 24."""
+    if g.n == 1:
+        raise QuadsketchError("expansion undefined for a single vertex")
+    return _least_ratio(g, "edge_expansion")
 
 
 def mask_members(masks: np.ndarray, n: int) -> np.ndarray:

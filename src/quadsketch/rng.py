@@ -4,7 +4,8 @@ Every randomized operation takes a 64-bit seed. Child streams (per scale,
 per component, per repetition) are derived by hashing the parent seed with a
 tuple of labels, so results do not depend on build order and parallel
 branches stay reproducible. ``draw_counts`` draws the incident-edge samples
-of every S1, S2 and S3 piece.
+of every S1, S2 and S3 piece; an S2 piece or S3 component with no sampling
+candidate draws nothing and derives no stream.
 """
 
 from __future__ import annotations

@@ -58,7 +58,7 @@ MAGIC = b"QSK1"
 VERSION = 3
 
 MAX_VARINT_BYTES = 10  # ceil(64 / 7): a 64-bit value's LEB128 length
-SHORT_ARRAY = 16  # int arrays up to this long are coded one Python int at a time
+SHORT_ARRAY = 16  # arrays up to this long are coded with Python values, not numpy calls
 _SHIFTS = np.arange(0, 7 * MAX_VARINT_BYTES, 7, dtype=np.uint64)
 
 
@@ -136,11 +136,28 @@ class Writer:
 
         Arrays with few distinct values (unit weights, reweighted classes)
         shrink to one byte per entry; the round-trip is bit-exact either way.
+        Up to SHORT_ARRAY entries find their distinct values with a set,
+        unless a zero or a NaN is present: there np.unique picks the +0.0 or
+        -0.0 (or the NaN) that the table holds, and a set might pick another.
         """
         a = np.asarray(a, dtype=np.float64)
         self.varint(a.size)
         if a.size == 0:
             return
+        if a.size <= SHORT_ARRAY:
+            vals = a.ravel().tolist()
+            table = set(vals)
+            if 0.0 not in table and all(v == v for v in table):
+                table = sorted(table)
+                if len(table) < len(vals):
+                    index = {v: i for i, v in enumerate(table)}
+                    self.buf += bytes((1, len(table)))
+                    self.buf += struct.pack(f"<{len(table)}d", *table)
+                    self.buf += bytes([index[v] for v in vals])
+                else:
+                    self.buf.append(0)
+                    self.buf += struct.pack(f"<{len(vals)}d", *vals)
+                return
         distinct = np.unique(a)
         if distinct.size <= 255 and distinct.size < a.size:
             self.buf.append(1)

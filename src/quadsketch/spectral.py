@@ -19,7 +19,9 @@
   verbatim class is an S3 record whose cut edges are all its edges, with no
   components.
 
-S2 and S3 draw their samples with ``rng.draw_counts``, as S1 does. Every
+S2 and S3 draw their samples with ``rng.draw_counts``, as S1 does, in one
+sampling tail (``_sampled_piece``); a piece with no sampling candidate
+derives no stream and draws nothing. Every
 sketch answers through one flat ``EdgeSampleEstimator``: the
 composites map all their pieces to global vertex ids on the first query and
 cache the result, so a query is four numpy dot products over flat arrays,
@@ -97,6 +99,24 @@ S2_LAYOUT = record(
 S2_PIECES = cut_pieces_layout(S2_LAYOUT)
 
 
+def _sampled_piece(draws, diag, stored, scale, candidates, seed, *labels) -> S2Sketch:
+    """The S2Sketch of degrees diag, stored edges (u, v, w) and sample
+    scales scale. candidates is (owner, nbr, p): each candidate's sampling
+    vertex, ascending, its neighbour and its probability within its owner's
+    row; every owner draws ``draws`` of them from rng_for(seed, *labels).
+    With candidates None no vertex samples: no stream is derived and nothing
+    is drawn."""
+    if candidates is None:
+        owner = nbr = y = np.empty(0, dtype=np.int64)
+    else:
+        owner, nbr, p = candidates
+        rows = np.searchsorted(owner, np.arange(diag.size + 1))
+        counts = draw_counts(rng_for(seed, *labels), rows, draws, p)
+        hit = np.flatnonzero(counts)
+        owner, nbr, y = owner[hit], nbr[hit], counts[hit]
+    return S2Sketch(draws, diag, *stored, scale, owner, nbr, y)
+
+
 def spectral_s2_build(p: WeightedGraph, epsilon: float, seed: int, *, alpha: float | None = None) -> S2Sketch:
     """Store every edge at a light vertex (delta <= min weight * alpha);
     draw ceil(alpha) heavy-heavy edges at each heavy vertex u with
@@ -109,17 +129,15 @@ def spectral_s2_build(p: WeightedGraph, epsilon: float, seed: int, *, alpha: flo
     light = delta <= gamma * alpha
     hh = ~(light[p.edge_u] | light[p.edge_v])
     delta_l = weighted_degrees(p.n, p.edge_u[hh], p.edge_v[hh], p.edge_w[hh])
-    # candidates: each heavy vertex's heavy neighbours, in adjacency order
-    indptr, others, eids = p._adjacency()
-    keep = hh[eids]
-    owner = np.repeat(np.arange(p.n), np.diff(indptr))[keep]
-    nbr, w = others[keep], p.edge_w[eids[keep]]
-    rows = np.searchsorted(owner, np.arange(p.n + 1))
-    counts = draw_counts(rng_for(seed, "s2"), rows, draws, w / delta_l[owner])
-    hit = np.flatnonzero(counts)
-    return S2Sketch(
-        draws, delta, p.edge_u[~hh], p.edge_v[~hh], p.edge_w[~hh], delta_l, owner[hit], nbr[hit], counts[hit]
-    )
+    candidates = None
+    if hh.any():
+        # each heavy vertex's heavy neighbours, in adjacency order
+        indptr, others, eids = p._adjacency()
+        keep = hh[eids]
+        owner = np.repeat(np.arange(p.n), np.diff(indptr))[keep]
+        candidates = (owner, others[keep], p.edge_w[eids[keep]] / delta_l[owner])
+    stored = (p.edge_u[~hh], p.edge_v[~hh], p.edge_w[~hh])
+    return _sampled_piece(draws, delta, stored, delta_l, candidates, seed, "s2")
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +275,17 @@ def spectral_s3_build(
         size, ws = comp.graph.n, comp.graph.edge_w
         tails, heads = arc_ends(comp.graph, flip[comp.edge_idx])
         sampled = np.bincount(tails, minlength=size)[tails] >= threshold
-        # candidates: each head's sampled in-arcs, in arc order
-        order = np.flatnonzero(sampled)[np.argsort(heads[sampled], kind="stable")]
-        owner, nbr, w = heads[order], tails[order], ws[order]
         in_deg = np.bincount(heads[sampled], weights=ws[sampled], minlength=size)
-        rows = np.searchsorted(owner, np.arange(size + 1))
-        counts = draw_counts(rng_for(seed, "s3", k), rows, draws, w / in_deg[owner])
-        hit = np.flatnonzero(counts)
+        candidates = None
+        if sampled.any():
+            # each head's sampled in-arcs, in arc order
+            order = np.flatnonzero(sampled)[np.argsort(heads[sampled], kind="stable")]
+            owner = heads[order]
+            candidates = (owner, tails[order], ws[order] / in_deg[owner])
         stored = ~sampled
-        return S2Sketch(
-            draws, weighted_degrees(size, tails, heads, ws), tails[stored], heads[stored], ws[stored],
-            2.0 * in_deg, owner[hit], nbr[hit], counts[hit],
+        return _sampled_piece(
+            draws, weighted_degrees(size, tails, heads, ws), (tails[stored], heads[stored], ws[stored]),
+            2.0 * in_deg, candidates, seed, "s3", k,
         )
 
     return S3Sketch(p.n, *sketch_pieces(spectral_preprocessing(p, 2.0 ** (-kappa)), component))

@@ -21,11 +21,10 @@ from quadsketch.graph import (
     WeightedGraph,
     cheeger_exact,
     cut_weight,
-    expansion_exact,
     members_from_vertices,
     quadratic_form,
 )
-from quadsketch.oracle import lambda1_normalized, min_cut_exact
+from quadsketch.oracle import expansion_exact, lambda1_normalized, min_cut_exact
 from quadsketch.partition import (
     arc_ends,
     assign_direction,

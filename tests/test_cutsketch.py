@@ -23,11 +23,10 @@ from quadsketch.cutsketch import (
 from quadsketch.graph import (
     WeightedGraph,
     cut_weight,
-    expansion_exact,
     members_from_vertices,
 )
 from quadsketch.errors import QuadsketchError
-from quadsketch.oracle import enumerate_cut_values
+from quadsketch.oracle import enumerate_cut_values, expansion_exact
 from quadsketch.rng import derive_seed, rng_for
 
 from conftest import (

@@ -12,13 +12,12 @@ from quadsketch.graph import (
     connected_components,
     cut_weight,
     degrees,
-    expansion_exact,
     format_graph,
     members_from_vertices,
     parse_graph,
     quadratic_form,
 )
-from quadsketch.oracle import lambda1_normalized
+from quadsketch.oracle import expansion_exact, lambda1_normalized
 
 from conftest import UnionFind, complete_graph, gnp, gnp_connected, mask_scores_reference, random_members, relabel
 

@@ -16,10 +16,10 @@ from quadsketch.graph import (
     conductance,
     connected_components,
     cut_weight,
-    expansion_exact,
     label_components,
 )
 from quadsketch.graph import degrees
+from quadsketch.oracle import expansion_exact
 from quadsketch.partition import (
     EXHAUSTIVE_CUT_CAP,
     _partition_by_cuts,

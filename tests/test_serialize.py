@@ -1,13 +1,16 @@
 import dataclasses
 import functools
 import hashlib
+import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quadsketch.cutsketch import CutSketchGeneral, CutSketchPoly, cut_basic_build, cut_sketch_build, reachable_scales
+from quadsketch import serialize
 from quadsketch.errors import QuadsketchError
 from quadsketch.graph import WeightedGraph
 from quadsketch.psdsdd import JlSketch, jl_build, sdd_sketch_build
@@ -16,7 +19,7 @@ from quadsketch.spectral import (
     spectral_basic_build,
     spectral_improved_build,
 )
-from quadsketch.serialize import KINDS, Reader, Writer, decode, encode, envelope, open_envelope, sketch_class
+from quadsketch.serialize import KINDS, SHORT_ARRAY, Reader, Writer, decode, encode, envelope, open_envelope, sketch_class
 
 from conftest import complete_graph, cut_basic_reference, gnp_connected, light_classes_stored_exactly
 
@@ -47,6 +50,32 @@ def test_f64_array_raw_and_dictionary():
     w2 = Writer()
     w2.f64_array(spread)
     assert len(w1.getvalue()) < len(w2.getvalue()) / 4
+
+
+# doubles a set and np.unique might tell apart differently: both zeros, a
+# NaN, both infinities, subnormals and the normal numbers next to them
+F64_EDGE_CASES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0]
+short_f64_arrays = st.lists(
+    st.one_of(st.sampled_from(F64_EDGE_CASES), st.floats(allow_subnormal=True)), min_size=1, max_size=SHORT_ARRAY
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=SHORT_ARRAY))
+
+
+@settings(max_examples=300, deadline=None)
+@given(short_f64_arrays)
+@example([1.0, 1.0, 0.0, -0.0])  # np.unique keeps -0.0, a set the first zero
+@example([math.nan, math.nan])  # np.unique keeps one NaN, a set both
+def test_short_f64_array_bytes_match_the_np_unique_path(vals):
+    a = np.array(vals, dtype=np.float64)
+    for arr in (a, a.reshape(2, -1)) if a.size % 2 == 0 else (a,):
+        w = Writer()
+        w.f64_array(arr)
+        with mock.patch.object(serialize, "SHORT_ARRAY", 0):
+            ref = Writer()
+            ref.f64_array(arr)
+        assert w.getvalue() == ref.getvalue()
+    back = Reader(w.getvalue()).f64_array()
+    if not np.isnan(a).any() and not (a == 0).any():
+        assert back.tobytes() == a.tobytes()
 
 
 def test_graph_envelope_roundtrip():

@@ -23,6 +23,8 @@ from quadsketch.spectral import (
     spectral_s3_build,
 )
 
+from test_serialize import PINNED_ANSWERS, sampled_pieces
+
 from conftest import (
     clique_and_path,
     complete_graph,
@@ -393,3 +395,67 @@ def test_total_weight_whose_double_is_not_finite_is_rejected(build):
         build(complete_graph(7, 8e306), 0.2, 1)
     sk = build(complete_graph(7, 4e306), 0.2, 1)
     assert sk.estimate((np.arange(7) < 3).astype(float)) == pytest.approx(12 * 4e306, rel=1e-9)
+
+
+def count_sampling_calls(monkeypatch) -> dict[str, int]:
+    """Calls of spectral.rng_for, spectral.draw_counts and
+    WeightedGraph._adjacency from here on, counted in the returned dict."""
+    calls = {"rng_for": 0, "draw_counts": 0, "_adjacency": 0}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(spectral, "rng_for")
+    counted(spectral, "draw_counts")
+    counted(WeightedGraph, "_adjacency")
+    return calls
+
+
+# Builds whose every S2 piece or S3 component samples nothing: (build, number
+# of pieces, SHA-256 of the envelope). The digests were recorded when every
+# piece still derived a stream and made an empty draw.
+SAMPLE_FREE = {
+    "spectral_basic": (
+        lambda: spectral_basic_build(gnp_connected(40, 0.5, seed=4, w_lo=1.0, w_hi=4.0), 0.25, 5),
+        33,
+        "5bd41010ebbdb02b8e3a545ba8a33d994b83e56de4f5817a138069ec5eeb5bc5",
+    ),
+    "spectral_improved": (
+        lambda: spectral_improved_build(gnp_connected(40, 0.5, seed=6), 0.3, 7),
+        12,
+        "7fbd4a77ba2dc13cc95e80a661d6dd0d6319d7f90c817d02feff7eb05059795b",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SAMPLE_FREE))
+def test_sample_free_pieces_derive_no_stream(case, monkeypatch):
+    make, pieces, digest = SAMPLE_FREE[case]
+    calls = count_sampling_calls(monkeypatch)
+    sk = make()
+    records = sampled_pieces(sk)
+    assert len(records) == pieces
+    assert not any(rec.scale.any() for rec in records)
+    assert calls == {"rng_for": 0, "draw_counts": 0, "_adjacency": 0}
+    for rec in records:
+        # flatten concatenates the sample arrays as vertex indices
+        assert rec.owner.size == 0
+        assert rec.owner.dtype == rec.nbr.dtype == rec.y.dtype == np.int64
+    assert sha256(sk.to_bytes()) == digest
+
+
+@pytest.mark.parametrize("case", list(PINNED_ANSWERS))
+def test_pieces_with_candidates_still_draw(case, monkeypatch):
+    # a piece has sampling candidates iff some vertex has a sample scale;
+    # each such piece derives one stream and makes one draw
+    calls = count_sampling_calls(monkeypatch)
+    records = sampled_pieces(PINNED_ANSWERS[case][0]())
+    drawing = sum(bool(rec.scale.any()) for rec in records)
+    assert drawing > 0
+    assert calls["rng_for"] == calls["draw_counts"] == drawing
