@@ -14,22 +14,38 @@ envelopes, the S1 eps and the JL seed. One duplicate is left: a (vertex
 map, piece) pair holds the piece's vertex count twice, as the map's length
 and inside the piece, and the decoder rejects a sketch where they differ.
 
+Version 4 writes every edge list (a graph record, a cut-pieces record's
+q_u/q_v/q_w, an S2 record's su/sv/sw) with one order-preserving codec,
+``edges``: m once, then (m > 0) a form byte. PLAIN is two varint columns.
+When the pairs (min(u, v), max(u, v)) strictly increase and it is shorter,
+CANONICAL stores the rows that hold an edge (the distinct mins, as gaps)
+with their edge counts, then per edge the gap of its max to the max before
+it in its row (to the row itself for the row's first edge); FLIPPED adds a
+bit mask of the entries stored as (max, min), as S3's oriented arcs and
+vertex-mapped cut edges can be. Weights stay an f64 array. Nothing is sorted, so a list decodes to
+the arrays it was written from. An f64 array's dictionary holds IEEE bit
+patterns, so every f64 round-trip is bit-exact.
+
 Each sketch class states its layout once, in wire order, as a ``Codec``
 built from the vocabulary below; ``register`` gives it a kind byte and its
 ``to_bytes``/``from_bytes`` methods, and ``encode``/``decode`` walk that one
 layout both ways.
 
 * Fields: ``f64``, ``varint``, ``int_array``/``f64_array`` (a count, then
-  the entries), ``graph`` (n, m, edge arrays) and ``mapped(codec, to_wire,
-  from_wire)`` conversions such as ``matrix`` (rows, columns, entries).
+  the entries), ``graph`` (n, then its edge list) and ``mapped(codec,
+  to_wire, from_wire)`` conversions such as ``matrix`` (rows, columns,
+  entries).
 * ``seq(item)``: a count, then the items; ``tuple_of(a, b, ...)``;
   ``pairs(item)``: (vertex map, piece) lists; ``cut_pieces_layout(piece)``:
   cut edges, then such a list; ``section(inner)``: a byte length, then
   exactly that many bytes of ``inner``.
+* ``edges(u, v, w)``: the edge list of three attributes; ``group(*groups)``
+  joins groups into one.
 * ``record(cls, *groups, name=codec, ...)``: attributes of one value, read
   back as ``cls(**attributes)``, rejected when ``check(value)`` returns a
-  message; its groups are ``fields(...)``. ``composite(cls, ...)``: eps, n,
-  a verbatim flag (a varint, 1 or 0), then the whole graph or the body.
+  message; its groups are ``fields(...)``, ``edges(...)`` or ``group(...)``.
+  ``composite(cls, ...)``: eps, n, a verbatim flag (a varint, 1 or 0),
+  then the whole graph or the body.
 
 A sketch inside a sketch is a section holding its layout's payload: the
 envelope header is written once, by the outermost sketch.
@@ -40,13 +56,15 @@ degrees, scales, edges, sample lengths and vertex ids),
 ``cut_pieces_problem`` for cut edges plus (vertex map, piece) pairs on n
 vertices, and each sketch's own ``check``. Bytes no layout writes
 (truncation, unknown tags, trailing bytes, invalid graphs, values outside a
-field's domain, broken cross-field invariants) raise QuadsketchError, so the
-estimator that answers from a decoded sketch checks nothing.
+field's domain, malformed edge lists, broken cross-field invariants) raise
+QuadsketchError, so the estimator that answers from a decoded sketch checks
+nothing.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import accumulate
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -55,10 +73,11 @@ from .errors import QuadsketchError
 from .graph import WeightedGraph
 
 MAGIC = b"QSK1"
-VERSION = 3
+VERSION = 4
 
 MAX_VARINT_BYTES = 10  # ceil(64 / 7): a 64-bit value's LEB128 length
 SHORT_ARRAY = 16  # arrays up to this long are coded with Python values, not numpy calls
+PLAIN, CANONICAL, FLIPPED = 0, 1, 2  # the forms of an edge list
 _SHIFTS = np.arange(0, 7 * MAX_VARINT_BYTES, 7, dtype=np.uint64)
 
 
@@ -83,7 +102,17 @@ class Writer:
         self.buf += struct.pack("<d", x)
 
     def int_array(self, a) -> None:
-        """Length, then one varint per entry; entries lie in [0, 2**63).
+        """Length, then one varint per entry (``varints``)."""
+        a = np.asarray(a)
+        if a.size <= SHORT_ARRAY and a.dtype.kind in "biu":
+            self.buf.append(a.size)
+            _leb128(self.buf, a.ravel().tolist())
+            return
+        self.varint(a.size)
+        self.varints(a)
+
+    def varints(self, a) -> None:
+        """One varint per entry of a, no length; entries lie in [0, 2**63).
 
         Up to SHORT_ARRAY entries are coded one Python int at a time. Longer
         arrays whose entries are all below 128 are their own bytes; others
@@ -95,25 +124,16 @@ class Writer:
         a = np.asarray(a)
         if a.size <= SHORT_ARRAY and a.dtype.kind in "biu":
             # a few entries: numpy's per-call cost would outweigh the work
-            vals = a.ravel().tolist()
-            if vals and min(vals) < 0:
-                raise ValueError("varint must be non-negative")
-            if vals and max(vals) >> 63:
-                raise ValueError("int array entry does not fit in 63 bits")
-            buf = self.buf
-            buf.append(len(vals))
-            for x in vals:
-                while x > 0x7F:
-                    buf.append((x & 0x7F) | 0x80)
-                    x >>= 7
-                buf.append(x)
+            _leb128(self.buf, a.ravel().tolist())
             return
         if a.size and a.min() < 0:
             raise ValueError("varint must be non-negative")
-        top = int(a.max()) if a.size else 0
+        self._packed(a, int(a.max()) if a.size else 0)
+
+    def _packed(self, a: np.ndarray, top: int) -> None:
+        """``varints`` of an array of non-negative entries, top the largest."""
         if top >> 63:
             raise ValueError("int array entry does not fit in 63 bits")
-        self.varint(a.size)
         if top < 0x80:
             self.buf += a.astype(np.uint8).tobytes()
             return
@@ -132,42 +152,130 @@ class Writer:
         self.buf += groups.ravel().compress(keep.ravel()).tobytes()
 
     def f64_array(self, a) -> None:
-        """Length, then either raw doubles or a small-dictionary encoding.
+        """Length, then a tag byte and either the raw doubles (tag 0) or a
+        dictionary (tag 1): the count d of distinct IEEE bit patterns, the
+        patterns in ascending unsigned order, then one index byte per
+        entry. The dictionary is written when d <= 255 and d is below the
+        length, so arrays with few distinct values (unit weights,
+        reweighted classes) shrink to one byte per entry. Both round-trips
+        are bit-exact, signed zeros and NaN payloads included.
 
-        Arrays with few distinct values (unit weights, reweighted classes)
-        shrink to one byte per entry; the round-trip is bit-exact either way.
-        Up to SHORT_ARRAY entries find their distinct values with a set,
-        unless a zero or a NaN is present: there np.unique picks the +0.0 or
-        -0.0 (or the NaN) that the table holds, and a set might pick another.
+        Up to SHORT_ARRAY entries find their patterns with a set. Longer
+        arrays sort their patterns (np.unique is slower on uint64); an
+        array that holds one value needs no index search, and one whose
+        first 256 entries differ needs no full sort.
         """
         a = np.asarray(a, dtype=np.float64)
         self.varint(a.size)
         if a.size == 0:
             return
+        bits = a.ravel().view(np.uint64)
         if a.size <= SHORT_ARRAY:
-            vals = a.ravel().tolist()
-            table = set(vals)
-            if 0.0 not in table and all(v == v for v in table):
-                table = sorted(table)
-                if len(table) < len(vals):
-                    index = {v: i for i, v in enumerate(table)}
-                    self.buf += bytes((1, len(table)))
-                    self.buf += struct.pack(f"<{len(table)}d", *table)
-                    self.buf += bytes([index[v] for v in vals])
+            vals = bits.tolist()
+            table = sorted(set(vals))
+            if len(table) < len(vals):
+                index = {v: i for i, v in enumerate(table)}
+                self.buf += bytes((1, len(table)))
+                self.buf += struct.pack(f"<{len(table)}Q", *table)
+                self.buf += bytes([index[v] for v in vals])
+            else:
+                self.buf.append(0)
+                self.buf += struct.pack(f"<{len(vals)}Q", *vals)
+            return
+        ascending = np.sort(bits[:256])
+        # 256 distinct values in the first 256 entries rule a dictionary out
+        if bits.size <= 256 or np.count_nonzero(ascending[1:] == ascending[:-1]):
+            if bits.size > 256:
+                ascending = np.sort(bits)
+            fresh = np.concatenate(([True], ascending[1:] != ascending[:-1]))
+            d = int(np.count_nonzero(fresh))
+            if d <= 255 and d < bits.size:
+                distinct = ascending[fresh]
+                self.buf += bytes((1, d))
+                self.buf += distinct.astype("<u8").tobytes()
+                if d == 1:
+                    self.buf += bytes(bits.size)
                 else:
-                    self.buf.append(0)
-                    self.buf += struct.pack(f"<{len(vals)}d", *vals)
+                    self.buf += np.searchsorted(distinct, bits).astype(np.uint8).tobytes()
                 return
-        distinct = np.unique(a)
-        if distinct.size <= 255 and distinct.size < a.size:
-            self.buf.append(1)
-            self.buf.append(distinct.size)
-            self.buf += distinct.astype("<f8").tobytes()
-            idx = np.searchsorted(distinct, a).astype(np.uint8)
-            self.buf += idx.tobytes()
-        else:
-            self.buf.append(0)
-            self.buf += a.astype("<f8").tobytes()
+        self.buf.append(0)
+        self.buf += bits.astype("<u8").tobytes()
+
+    def edges(self, u, v) -> None:
+        """An edge list's endpoint columns u, v (int64 ids in [0, 2**63)):
+        m, then, when m > 0, a form byte and the columns.
+
+        PLAIN is u, then v, one varint per entry. When the pairs (min, max)
+        strictly increase, CANONICAL writes r, the number of distinct mins
+        (rows), then 2r + m varints: the rows, each as its gap to the row
+        before (the first as is), the per-row counts, and per edge the gap
+        from its max to the max before it in its row (to the row itself for
+        the row's first edge). FLIPPED is CANONICAL followed by a
+        little-endian bit mask of ceil(m / 8) bytes, bit e set where edge e
+        is stored as (max, min). A list takes a canonical form only when it
+        is shorter than PLAIN (a list of one edge rarely is). Up to
+        SHORT_ARRAY edges are coded from Python ints.
+        """
+        u, v = np.asarray(u, dtype=np.int64).ravel(), np.asarray(v, dtype=np.int64).ravel()
+        if u.size != v.size:
+            raise ValueError(f"edge columns of lengths {u.size} and {v.size}")
+        m = u.size
+        self.varint(m)
+        if m == 0:
+            return
+        if m <= SHORT_ARRAY:
+            self._short_edges(u.tolist(), v.tolist())
+            return
+        flip = u > v
+        flipped = bool(flip.any())
+        lo, hi = (np.minimum(u, v), np.maximum(u, v)) if flipped else (u, v)
+        step = lo[1:] - lo[:-1]
+        r = int(np.count_nonzero(step)) + 1  # rows, if the list is canonical
+        top = int(hi.max())
+        plain = 1 + _varint_bytes(lo, top) + _varint_bytes(hi, top)
+        head = 1 + _varint_len(r) + (m + 7) // 8 * flipped  # form byte, r, mask
+        # a canonical body takes at least one byte per entry
+        body = _canonical_body(lo, hi, step, r) if head + 2 * r + m < plain and lo[0] >= 0 else None
+        if body is not None:
+            top = int(body.max())
+            if head + _varint_bytes(body, top) < plain:
+                self.buf.append(FLIPPED if flipped else CANONICAL)
+                self.varint(r)
+                self._packed(body, top)
+                if flipped:
+                    self.buf += np.packbits(flip, bitorder="little").tobytes()
+                return
+        self.buf.append(PLAIN)
+        self.varints(u)
+        self.varints(v)
+
+    def _short_edges(self, us: list, vs: list) -> None:
+        """``edges`` after m, for a few edges given as Python ints."""
+        plain = bytearray([PLAIN])
+        _leb128(plain, us + vs)
+        best = plain
+        pairs = [(a, b) if a <= b else (b, a) for a, b in zip(us, vs)]
+        # a canonical list takes at least 4 + m bytes: form, r, row, count and one per max
+        if len(plain) > 4 + len(us) and pairs[0][0] >= 0 and all(p < q for p, q in zip(pairs, pairs[1:])):
+            row_gaps, counts, gaps = [], [], []
+            row = prev = None
+            for a, b in pairs:
+                if a != row:
+                    row_gaps.append(a if row is None else a - row)
+                    counts.append(1)
+                    row = prev = a
+                else:
+                    counts[-1] += 1
+                gaps.append(b - prev)
+                prev = b
+            mask = sum(1 << i for i, (a, b) in enumerate(zip(us, vs)) if a > b)
+            canonical = bytearray([FLIPPED if mask else CANONICAL])
+            _leb128(canonical, [len(counts), *row_gaps, *counts, *gaps])
+            if mask:
+                canonical += mask.to_bytes((len(us) + 7) // 8, "little")
+            if len(canonical) < len(plain):
+                best = canonical
+        self.buf += best
 
     def section(self, payload: bytes) -> None:
         self.varint(len(payload))
@@ -175,6 +283,55 @@ class Writer:
 
     def getvalue(self) -> bytes:
         return bytes(self.buf)
+
+
+def _leb128(buf: bytearray, vals: list) -> None:
+    """Append one varint per Python int of vals; entries lie in [0, 2**63)."""
+    if vals and min(vals) < 0:
+        raise ValueError("varint must be non-negative")
+    if vals and max(vals) >> 63:
+        raise ValueError("int array entry does not fit in 63 bits")
+    for x in vals:
+        while x > 0x7F:
+            buf.append((x & 0x7F) | 0x80)
+            x >>= 7
+        buf.append(x)
+
+
+def _canonical_body(lo: np.ndarray, hi: np.ndarray, step: np.ndarray, r: int) -> np.ndarray | None:
+    """The 2r + m varints of the CANONICAL form of the pairs (lo, hi) in r
+    rows, step the differences of lo, or None when the pairs do not
+    strictly increase."""
+    rise = hi[1:] - hi[:-1]
+    # each row lies above the last, each max above the one before it in its row
+    if np.where(step, step, rise).min(initial=1) <= 0:
+        return None
+    m = lo.size
+    ends = np.flatnonzero(step)  # the last edge of every row but the last
+    # row gaps, row counts, then max gaps (to the row at a row's first edge)
+    body = np.empty(2 * r + m, dtype=np.int64)
+    body[0] = lo[0]
+    body[1:r] = step[ends]
+    counts = body[r : 2 * r]
+    counts[:-1] = ends
+    counts[-1] = m - 1
+    counts[1:] -= ends
+    counts[0] += 1
+    body[2 * r] = hi[0] - lo[0]
+    body[2 * r + 1 :] = np.where(step, hi[1:] - lo[1:], rise)
+    return body
+
+
+def _varint_len(x: int) -> int:
+    return max(1, (x.bit_length() + 6) // 7)
+
+
+def _varint_bytes(a: np.ndarray, top: int) -> int:
+    """The length of the varints of a's entries, non-negative, top the
+    largest."""
+    if top < 0x80:
+        return a.size
+    return a.size + sum(int(np.count_nonzero(a >> 7 * j)) for j in range(1, _varint_len(top)))
 
 
 class Reader:
@@ -211,12 +368,19 @@ class Reader:
         return x
 
     def int_array(self) -> np.ndarray:
-        k = self.varint()
+        return self.varints(self.varint())
+
+    def short_varints(self, k: int) -> list:
+        """k varints as Python ints, each in [0, 2**63)."""
+        vals = [self.varint() for _ in range(k)]
+        if vals and max(vals) >> 63:
+            raise QuadsketchError("varint value does not fit in 63 bits")
+        return vals
+
+    def varints(self, k: int) -> np.ndarray:
+        """k varints as an int64 array."""
         if k <= SHORT_ARRAY:
-            vals = [self.varint() for _ in range(k)]
-            if vals and max(vals) >> 63:
-                raise QuadsketchError("varint value does not fit in 63 bits")
-            return np.array(vals, dtype=np.int64)
+            return np.array(self.short_varints(k), dtype=np.int64)
         # a varint ends at its first byte below 0x80, so k of them lie in the
         # next 10k bytes; scanning only those keeps a call O(k)
         window = np.frombuffer(
@@ -225,6 +389,9 @@ class Reader:
             count=min(MAX_VARINT_BYTES * k, len(self.data) - self.pos),
             offset=self.pos,
         )
+        if window.size >= k and window[:k].max() < 0x80:  # k one-byte varints
+            self.pos += k
+            return window[:k].astype(np.int64)
         ends = np.flatnonzero(window < 0x80)[:k]
         if ends.size < k:
             raise QuadsketchError("truncated sketch data")
@@ -258,6 +425,79 @@ class Reader:
         return np.frombuffer(
             self.data, dtype="<f8", count=k, offset=self._take(8 * k)
         ).astype(np.float64)
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The endpoint columns (u, v) that ``Writer.edges`` wrote, as
+        int64 arrays. Row counts that do not sum to m, rows or larger
+        endpoints that stop increasing, an id past int64, a flip mask with
+        bits past m or with none set, and an unknown form raise
+        QuadsketchError."""
+        m = self.varint()
+        if m == 0:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        form = self.data[self._take(1)]
+        if form == PLAIN:
+            return self.varints(m), self.varints(m)
+        if form not in (CANONICAL, FLIPPED):
+            raise QuadsketchError(f"unknown edge list form {form}")
+        r = self.varint()
+        if not 1 <= r <= m:
+            raise QuadsketchError(f"{r} rows for {m} edges")
+        lo, hi = self._short_rows(r, m) if m <= SHORT_ARRAY else self._rows(r, m)
+        if form == CANONICAL:
+            return lo, hi
+        k = (m + 7) // 8
+        mask = np.unpackbits(np.frombuffer(self.data, np.uint8, k, self._take(k)), bitorder="little")
+        if mask[m:].any() or not mask.any():
+            raise QuadsketchError("flip mask flips nothing or has bits past the last edge")
+        flip = mask[:m].view(bool)
+        return np.where(flip, hi, lo), np.where(flip, lo, hi)
+
+    def _short_rows(self, r: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (min, max) columns of a canonical list of m <= SHORT_ARRAY
+        edges in r rows, decoded from Python ints."""
+        vals = self.short_varints(2 * r + m)
+        counts = vals[r : 2 * r]
+        if min(counts) < 1 or sum(counts) != m:
+            raise QuadsketchError(f"row counts {counts} do not sum to {m} edges")
+        if 0 in vals[1:r]:
+            raise QuadsketchError("edge rows stop increasing")
+        lo, hi, end = [], [], 2 * r
+        for row, count in zip(accumulate(vals[:r]), counts):
+            gaps = vals[end : end + count]
+            end += count
+            if 0 in gaps[1:]:
+                raise QuadsketchError("edge ids stop increasing")
+            gaps[0] += row
+            lo += [row] * count
+            hi += accumulate(gaps)
+        if max(hi) >> 63:
+            raise QuadsketchError("edge id does not fit in 63 bits")
+        return np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+
+    def _rows(self, r: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """``_short_rows`` with numpy. The maxes are running sums modulo
+        2**64 from each row. A row's first max is below 2**64 and so exact,
+        and a later one that wrapped would lie below the one before it; so
+        maxes that lie below 2**63 and rise within each row are exact."""
+        vals = self.varints(2 * r + m)
+        rows, counts, gaps = np.cumsum(vals[:r]), vals[r : 2 * r], vals[2 * r :].view(np.uint64)
+        # counts are at most m each and r <= m, where m varints were read and
+        # so m is below the payload length: the sum does not overflow
+        if counts.min() < 1 or counts.max() > m or int(counts.sum()) != m:
+            raise QuadsketchError(f"row counts do not sum to {m} edges")
+        if not (rows[1:] > rows[:-1]).all():
+            raise QuadsketchError("edge rows stop increasing")
+        starts = np.cumsum(counts) - counts
+        total = np.cumsum(gaps)
+        hi = (total + np.repeat(rows.view(np.uint64) - total[starts] + gaps[starts], counts)).view(np.int64)
+        if hi.min() < 0:
+            raise QuadsketchError("edge id does not fit in 63 bits")
+        rising = hi[1:] > hi[:-1]
+        rising[starts[1:] - 1] = True
+        if not rising.all():
+            raise QuadsketchError("edge ids stop increasing")
+        return np.repeat(rows, counts), hi
 
     def section(self) -> bytes:
         k = self.varint()
@@ -329,9 +569,9 @@ def edge_problem(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int, kind: str)
     the edges' kind."""
     if not u.size == v.size == w.size:
         return f"{kind} edge arrays of lengths {u.size}, {v.size}, {w.size}"
-    if np.any(u == v):
+    if (u == v).any():
         return f"{kind} edges hold a self-loop"
-    if not np.all((w > 0) & (w < np.inf)):
+    if w.size and not (w.min() > 0 and w.max() < np.inf):  # a NaN fails both
         return f"{kind} edge weights must be positive and finite"
     return _outside(n, u, v, what=f"{kind} edge vertex")
 
@@ -353,7 +593,7 @@ def piece_problem(count: int, diag, scale, edges: tuple, kind: str, samples: tup
     if scale.size != n:
         return f"{n} degrees but {scale.size} sample scales"
     for name, a in (("degrees", diag), ("sample scales", scale)):
-        if not np.all((a >= 0) & (a < np.inf)):
+        if a.size and not (a.min() >= 0 and a.max() < np.inf):  # a NaN fails both
             return f"{name} must be non-negative and finite"
     if len({a.size for a in samples}) > 1:
         return f"sample arrays of lengths {', '.join(str(a.size) for a in samples)}"
@@ -380,7 +620,7 @@ def cut_pieces_layout(piece: Codec) -> Codec:
     """A group: the cut edges q_u, q_v, q_w, then (vertex map, piece) pairs
     as comps (``estimator.CutPieces``); the record that holds it checks it
     with ``cut_pieces_problem``."""
-    return fields(q_u=int_array, q_v=int_array, q_w=f64_array, comps=pairs(piece))
+    return group(edges("q_u", "q_v", "q_w"), fields(comps=pairs(piece)))
 
 
 def to_payload(codec: Codec, value) -> bytes:
@@ -412,27 +652,48 @@ def fields(**named: Codec) -> Codec:
     return Codec(write, lambda r: {name: c.read(r) for name, c in named.items()})
 
 
-def record(cls, *groups: Codec, check: Callable | None = None, **named: Codec) -> Codec:
-    """The groups, then the named fields, of one value; read back as
-    cls(**attributes), then rejected if check(value) returns a message."""
-    groups = (*groups, fields(**named))
+def group(*groups: Codec) -> Codec:
+    """Groups one after another, read back as one dict."""
 
     def write(w: Writer, obj) -> None:
         for g in groups:
             g.write(w, obj)
 
+    return Codec(write, lambda r: {k: v for g in groups for k, v in g.read(r).items()})
+
+
+def edges(u: str, v: str, w: str) -> Codec:
+    """A group: the edge list of the attributes u and v (``Writer.edges``),
+    then the weights w as an f64_array."""
+
+    def write(wr: Writer, obj) -> None:
+        wr.edges(getattr(obj, u), getattr(obj, v))
+        wr.f64_array(getattr(obj, w))
+
+    def read(r: Reader) -> dict:
+        tails, heads = r.edges()
+        return {u: tails, v: heads, w: r.f64_array()}
+
+    return Codec(write, read)
+
+
+def record(cls, *groups: Codec, check: Callable | None = None, **named: Codec) -> Codec:
+    """The groups, then the named fields, of one value; read back as
+    cls(**attributes), then rejected if check(value) returns a message."""
+    body = group(*groups, fields(**named))
+
     def read(r: Reader):
-        obj = cls(**{k: v for g in groups for k, v in g.read(r).items()})
+        obj = cls(**body.read(r))
         problem = check and check(obj)
         if problem:
             raise QuadsketchError(f"corrupt {getattr(cls, 'kind', cls.__name__)}: {problem}")
         return obj
 
-    return Codec(write, read, cls)
+    return Codec(body.write, read, cls)
 
 
-def _graph(n, m, edge_u, edge_v, edge_w) -> WeightedGraph:
-    if not edge_u.size == edge_v.size == edge_w.size == m:
+def _graph(n, edge_u, edge_v, edge_w) -> WeightedGraph:
+    if edge_w.size != edge_u.size:
         raise QuadsketchError("inconsistent graph payload")
     try:
         return WeightedGraph(n, _arrays=(edge_u, edge_v, edge_w))
@@ -440,7 +701,7 @@ def _graph(n, m, edge_u, edge_v, edge_w) -> WeightedGraph:
         raise QuadsketchError(f"invalid graph payload: {exc}") from None
 
 
-graph = record(_graph, n=varint, m=varint, edge_u=int_array, edge_v=int_array, edge_w=f64_array)
+graph = record(_graph, fields(n=varint), edges("edge_u", "edge_v", "edge_w"))
 
 
 class Composite:

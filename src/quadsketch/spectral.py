@@ -41,7 +41,7 @@ from .graph import WeightedGraph, as_spectral_query, check_total_weight, weighte
 from .partition import arc_ends, degree_class_partition, spectral_preprocessing
 from .rng import derive_seed, draw_counts, rng_for
 from . import serialize
-from .serialize import Composite, composite, cut_pieces_layout, cut_pieces_problem, f64_array, fields, int_array
+from .serialize import Composite, composite, cut_pieces_layout, cut_pieces_problem, edges, f64_array, fields, int_array
 from .serialize import first_problem, pairs, pairs_problem, piece_problem, record, section, seq, varint
 from .sparsify import SparsifierConfig, factor2_class, sparsify
 
@@ -90,11 +90,12 @@ class S2Sketch:
 
 S2_LAYOUT = record(
     S2Sketch,
+    fields(draws=varint, diag=f64_array),
+    edges("su", "sv", "sw"),
     check=lambda sk: piece_problem(
         sk.draws, sk.diag, sk.scale, (sk.su, sk.sv, sk.sw), "stored", (sk.owner, sk.nbr, sk.y)
     ),
-    draws=varint, diag=f64_array, su=int_array, sv=int_array, sw=f64_array, scale=f64_array,
-    owner=int_array, nbr=int_array, y=int_array,
+    scale=f64_array, owner=int_array, nbr=int_array, y=int_array,
 )
 S2_PIECES = cut_pieces_layout(S2_LAYOUT)
 

@@ -14,7 +14,7 @@ from quadsketch.serialize import Writer, envelope, sketch_class
 from quadsketch.spectral import spectral_improved_build
 
 from conftest import complete_graph, format_matrix, gnp_connected
-from test_serialize import basic_with_nan_stored_weight, general_sketch, improved_with_class_map
+from test_serialize import basic_with_nan_stored_weight, general_sketch, improved_with_class_map, verbatim_with_edge_form
 
 
 @pytest.fixture
@@ -426,8 +426,9 @@ def general_with_endpoint_99() -> bytes:
         (lambda: improved_with_class_map(1), "spectral-sketch", "1,0,0,0", "vertex map"),
         (general_with_endpoint_99, "cut-sketch", "0,1", "forest endpoint 99"),
         (basic_with_nan_stored_weight, "spectral-sketch", ",".join(["1"] * 16), "positive and finite"),
+        (lambda: verbatim_with_edge_form(7), "spectral-sketch", ",".join(["1"] * 12), "unknown edge list form 7"),
     ],
-    ids=["improved-class-map", "general-forest-endpoint", "basic-s2-nan-weight"],
+    ids=["improved-class-map", "general-forest-endpoint", "basic-s2-nan-weight", "verbatim-edge-form"],
 )
 def test_corrupt_sketch_exit_1(tmp_path, capsys, data, command, query, message):
     skp = tmp_path / "bad.qsk"

@@ -479,7 +479,8 @@ def clusters(sizes, weights, p, seed):
 
 # SHA-256 of same-seed pipeline-mode envelopes, re-recorded at version 3
 # (no ladder copy, no S1 eps, no nested envelope headers; the values are
-# those version 1 wrote). The first digest is the
+# those version 1 wrote) and at version 4 (the edge lists' new codec; the
+# decoded arrays are those version 3 decoded). The first digest is the
 # full-ladder build as the per-vertex loop build wrote it, which
 # cut_general_reference must still reproduce; it stores every slice the
 # halving rule selects. The second is the production build, which keeps
@@ -495,29 +496,29 @@ GOLDEN = [
         lambda: gnp_connected(40, 0.9, seed=1),
         0.1,
         7,
-        "2d37795aa26f62837e54510637ba7ed21b3cb539deeb3a80bd570f50639369fc",
-        "3dfc6a30f50c91c9235cd1a2384af5e3d099d65b042afd3712e278564b5975aa",
+        "e069085754559144149b398e6219500f76a2dad44fe9af614deb7f04a69aa8e9",
+        "97f1225983e7257e8a0d47456de5ba2511a1346489f6e310753922bd8c35618e",
     ),
     (
         lambda: clusters([32, 32], [1.0, 1.0], 0.9, 2),
         0.1,
         8,
-        "374c030e9de59dfa6f4050c454c583d872949d344504de8661598b7ec0ae59a2",
-        "6e29239bc258ab439d1edd143eab0d3f0af68045dfa271e032a720f9247c84fa",
+        "c1afc47e586a6fc7dcdd32f7e41af04497233a8d66d60b5eee09d7a87312ef99",
+        "505c3611c501b0cd5b81f35f552fa1006b3317e3d29506f699fe19d9c21ef1b8",
     ),
     (
         lambda: clusters([30, 36, 28], [1.0, 30.0, 1000.0], 0.95, 3),
         0.1,
         9,
-        "9438706a1f3e2d37d26ee22cc5318cf9e96c2f195588f47c14bb33cad0c4d016",
-        "b86885ccfe9d2dca4db42b58d6c2286929d65eac8b50c2a1fd788cf0fc371d44",
+        "a5142bece224bcd236b67e812fd955f622af8987647e5a721ac39ef84d6e7b82",
+        "ba107a5e5fee622eab24c4822e02f97205ee2cbe2332ff309ff6b911843fe155",
     ),
     (
         lambda: gnp_connected(48, 0.8, seed=4, w_lo=1.0, w_hi=4.0),
         0.15,
         10,
-        "86c55a12343ba2e6e23e6ddb9c2ab3fa72cdbbf9699f8030af976be100ec88a1",
-        "21bfb665064a206ab10a394a6269c2221dc9c587d82b565527b47c3eaf4c70c3",
+        "889c996e4a01f5c40f53ce8b75b82dbad805c257a7a4629b8a80f24fd6948ff6",
+        "5a61080b36f054ad144b0fe555983d8947e4736f5585d683c76901c2d8be2da9",
     ),
 ]
 
@@ -542,16 +543,16 @@ def test_golden_bytes_empty_cores():
     # four multi-scale clusters whose degrees stay below 1/eps: every class
     # edge set the build partitions peels to an empty core. The first SHA-1
     # is the envelope as the piece-at-a-time peel wrote it (re-recorded at
-    # version 3, which stores the same values),
+    # versions 3 and 4, which store the same values),
     # with all five selected slices j = 0, 11, 22, 33, 44; 11, 22 and 33
     # repeat j = 0, and the production envelope, recorded anew when repeated
     # slices stopped being stored, is that one without them.
     g = clusters([12, 12, 12, 12], [1.0, 3.0, 10.0, 30.0], 0.6, 5)
     ref = cut_general_reference(g, 0.03, 11, mode="pipeline", basic=cut_basic_build)
-    assert hashlib.sha1(ref.to_bytes()).hexdigest() == "cc017b384c44efb88b83f2ba81cbc77a4fe7bec4"
+    assert hashlib.sha1(ref.to_bytes()).hexdigest() == "b0e24fa497663229b96ea49a71f807483822bccc"
     assert repeated_slices(g, ref) == [11, 22, 33]
     data = cut_sketch_build(g, 0.03, 11, mode="pipeline").to_bytes()
-    assert hashlib.sha1(data).hexdigest() == "00c539d98622bb504052b1aec4833fe0bfba9192"
+    assert hashlib.sha1(data).hexdigest() == "bf831c32ccb1991abc861a7874089045b088d020"
     assert data == without_slices(ref, [11, 22, 33]).to_bytes()
 
 

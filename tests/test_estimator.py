@@ -302,7 +302,8 @@ def test_corrupt_owner_index_cli_exit_1(tmp_path, capsys):
     "n, kwargs, match",
     [
         (3, {"diag": np.ones(2)}, "degrees"),
-        (3, {"su": np.array([0, 1]), "sv": np.array([1]), "sw": np.ones(2)}, "lengths"),
+        # an edge list stores its length once: its weights can be short, its endpoint columns cannot
+        (3, {"su": np.array([0, 1]), "sv": np.array([1, 2]), "sw": np.ones(1)}, "lengths"),
         (3, {"owner": np.array([0]), "nbr": np.array([1]), "y": np.array([1, 1])}, "lengths"),
         (3, {"scale": np.ones(2), "owner": np.array([0]), "nbr": np.array([1]), "y": np.array([1])}, "scales"),
         (0, {"scale": np.ones(1), "owner": np.array([0]), "nbr": np.array([0]), "y": np.array([1])}, "scales"),

@@ -15,6 +15,7 @@ from quadsketch.errors import QuadsketchError
 from quadsketch.graph import WeightedGraph
 from quadsketch.psdsdd import JlSketch, jl_build, sdd_sketch_build
 from quadsketch.spectral import (
+    SpectralBasicSketch,
     SpectralImprovedSketch,
     spectral_basic_build,
     spectral_improved_build,
@@ -62,9 +63,9 @@ short_f64_arrays = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(short_f64_arrays)
-@example([1.0, 1.0, 0.0, -0.0])  # np.unique keeps -0.0, a set the first zero
-@example([math.nan, math.nan])  # np.unique keeps one NaN, a set both
-def test_short_f64_array_bytes_match_the_np_unique_path(vals):
+@example([1.0, 1.0, 0.0, -0.0])
+@example([math.nan, math.nan])
+def test_short_f64_array_bytes_match_the_long_path(vals):
     a = np.array(vals, dtype=np.float64)
     for arr in (a, a.reshape(2, -1)) if a.size % 2 == 0 else (a,):
         w = Writer()
@@ -73,9 +74,49 @@ def test_short_f64_array_bytes_match_the_np_unique_path(vals):
             ref = Writer()
             ref.f64_array(arr)
         assert w.getvalue() == ref.getvalue()
+    assert Reader(w.getvalue()).f64_array().tobytes() == a.tobytes()
+
+
+# IEEE bit patterns that compare equal to another or to nothing: both zeros,
+# both infinities, quiet and signalling NaNs of either sign with payloads
+F64_SPECIAL_BITS = [
+    0, 1 << 63, 0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000,
+    0x7FF8000000000001, 0x7FF0000000000001, 0xFFF8000000000000, 0xFFFFFFFFFFFFFFFF, 0x3FF0000000000000,
+]
+
+
+@st.composite
+def f64_bit_arrays(draw):
+    """uint64 bit patterns, drawn from a pool of special and arbitrary
+    patterns so that values repeat; up to 600 entries, which crosses the
+    short path, the 256-entry prefix and the 255-entry dictionary."""
+    pool = draw(
+        st.lists(st.one_of(st.sampled_from(F64_SPECIAL_BITS), st.integers(0, 2**64 - 1)), min_size=1, max_size=300)
+    )
+    length = draw(st.one_of(st.integers(0, 40), st.integers(0, 600)))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return np.array([rnd.choice(pool) for _ in range(length)], dtype=np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f64_bit_arrays())
+@example(np.array([0.0, -0.0, 0.0, 2.0] * 8).view(np.uint64))
+@example(np.array([1.0, 1.0, 0.0, -0.0]).view(np.uint64))
+@example(np.full(40, 0x7FF8000000000001, dtype=np.uint64))
+def test_f64_array_round_trip_is_bit_exact(bits):
+    """Signed zeros, infinities and NaN payloads come back with their bits,
+    in the raw and in the dictionary encoding alike."""
+    w = Writer()
+    w.f64_array(bits.view(np.float64))
     back = Reader(w.getvalue()).f64_array()
-    if not np.isnan(a).any() and not (a == 0).any():
-        assert back.tobytes() == a.tobytes()
+    assert back.dtype == np.float64
+    assert np.array_equal(back.view(np.uint64), bits)
+    # the dictionary (tag, d, d patterns, one index per entry) when it is shorter
+    k, d = bits.size, np.unique(bits).size
+    length = Writer()
+    length.varint(k)
+    body = 0 if k == 0 else 2 + 8 * d + k if d <= 255 and d < k else 1 + 8 * k
+    assert len(w.getvalue()) == len(length.getvalue()) + body
 
 
 def test_graph_envelope_roundtrip():
@@ -367,66 +408,69 @@ def weighted(n: int, seed: int):
 # probabilities were rounded up onto the grid 2^(k/8). Every digest was
 # re-recorded at version 3, whose layouts hold the same values with no kind
 # tags, nested envelope headers, ladder copy, S1 eps or JL seed; no envelope
-# grew. The middle entry is the sketch's word count, which the format does
+# grew. Every digest was re-recorded again at version 4, whose edge lists
+# use the edges codec and whose f64 dictionaries hold bit patterns; the
+# decoded arrays are those version 3 decoded, and no envelope grew. The
+# middle entry is the sketch's word count, which the format does
 # not change (None for the sdd and jl sketches, which count no words). The
 # spectral_basic builds are partials, whose arguments the test reads.
 GOLDEN = {
     "spectral_basic-s2-and-verbatim-class": (
         functools.partial(spectral_basic_build, gnp_connected(16, 0.5, seed=21, w_lo=1e-3, w_hi=4.0), 0.3, 22),
         250,
-        "2dd208c904e7c9092d6ba040f60dd2be81108aa3f5d3cb191224e57a7cda54c8",
+        "70977090bb81db0e9bb4acbb87c4a65aef8d401ab05fb19d26713f185df3e8d1",
     ),
     "spectral_basic-verbatim-class-only": (
         functools.partial(spectral_basic_build, gnp_connected(12, 0.5, seed=31, w_lo=1e-8, w_hi=1.9e-8), 0.3, 32),
         87,
-        "3bcb31e5e35f95c8e0f035dcf51309c777b70abca9789c2dd27cc7d86b9edb42",
+        "225e1a95eb2209572fbbe2c9fd7fe5cb3fe513b3c458991d304ffe7dc4d14691",
     ),
     "spectral_improved-band-and-low": (
         lambda: spectral_improved_build(gnp_connected(40, 0.5, seed=4), 0.25, 5),
         1155,
-        "86063294f23d0d6121eae9cbb226d9af7da5dae6a931e6762680817b410e9032",
+        "370b8f2b8e54f3c8a273788010dfb6fbd9ae71963c7cf43ba7ce7ceceb33a4c7",
     ),
     "sdd": (
         lambda: sdd_sketch_build(sdd_matrix(8, 1), 0.2, 2),
         None,
-        "778fa63079e0dc493d41f958f17a29bb86b8c35c36db345cd05488aab4962169",
+        "f93725a090e724de025e3e86dd045a93475cd50e9448b97c7e5b97810510acc3",
     ),
     "jl": (
         lambda: jl_build(psd_matrix(6, 3), 0.5, 0.2, 4),
         None,
-        "579e324ede82e39334f2faa0dfdcd360ac4506e157425a708a149201d2c94bc7",
+        "658d4aa9fd58d1e5b0268a7ab03b20672c39a2106cccae109957f0996c563011",
     ),
     # the full-ladder build that the declarative layouts first reproduced;
     # the production build keeps only the scales a query can reach
     "cut_poly-pipeline": (
         lambda: cut_basic_reference(gnp_connected(20, 0.5, seed=5), 0.15, 3, mode="pipeline"),
         5507,
-        "90a7eaa3c51e5f06020ae320c3d990bea79d91c7aaf1eebf8d1d7b106cad734f",
+        "fe70a94bcf66c6bc8e80bcea26bcf39a65e9224fa70ba21dab67f3798203c89f",
     ),
     "cut_poly-pipeline-reachable": (
         lambda: cut_basic_build(gnp_connected(20, 0.5, seed=5), 0.15, 3, mode="pipeline"),
         3696,
-        "ac0ff94b1ec600b7f80bea1eb55e98cca98ada168a637353ba8e9a6d092b642b",
+        "ebba257a7c21fcb3eb8def25b0e10bceec3bf1945622da51b7fc1052b70d13dc",
     ),
     "cut_poly-verbatim": (
         lambda: cut_basic_build(weighted(12, 6), 0.2, 1),
         99,
-        "3f9c22a3a3647a2732517deff4252ee7167824b547af691a00e4981cc006d6e1",
+        "83ce45a91739bc01bfd8fea11dd86cbd44473624b2f5b9242b4ed3c9374234e7",
     ),
     "cut_general-verbatim": (
         lambda: cut_sketch_build(weighted(12, 7), 0.2, 1),
         96,
-        "7adc8f73da939f192853c56d632470ba1833a84400a41ce18f31e0333aae6cec",
+        "ae4bf9b9179b7d84547f0750335a26d4164a46714c42fc0ba45803d886ca5cb7",
     ),
     "spectral_basic-verbatim": (
         lambda: spectral_basic_build(weighted(12, 8), 0.05, 1),
         132,
-        "cce3a4e57fa19a7de81345342a3f9860b930982baf88b2884b2511b6a1beda99",
+        "dc990384aa3ec6cdd0970b60678a7b237269599d24d961313fc60d84ed752efc",
     ),
     "spectral_improved-verbatim": (
         lambda: spectral_improved_build(weighted(12, 9), 0.05, 1),
         84,
-        "e1ee40d4501d728ac65ebd2027b5afe2cf15a189b499d89700f5e74df06d8847",
+        "63778d1731e0bdd48094c6ea9e67f8ed37cd8d58732bf0665edbaee5eb560a92",
     ),
 }
 
@@ -448,10 +492,10 @@ def test_golden_envelopes(case):
 
 @pytest.mark.parametrize("family", ["cut_general", "cut_poly", "spectral_basic", "spectral_improved", "sdd", "jl"])
 def test_version_1_envelope_rejected(family):
-    """Versions 1 and 2 alike: a version-3 decoder reads neither."""
+    """Versions 1 to 3 alike: a version-4 decoder reads none of them."""
     cls, blob, _ = fuzz_case(family)
-    assert blob[4] == 3
-    for version in (1, 2):
+    assert blob[4] == 4
+    for version in (1, 2, 3):
         with pytest.raises(QuadsketchError, match=f"unsupported format version {version}"):
             cls.from_bytes(blob[:4] + bytes([version]) + blob[5:])
 
@@ -548,9 +592,7 @@ def test_trailing_bytes_rejected():
 def graph_payload(n, u, v, w) -> bytes:
     wr = Writer()
     wr.varint(n)
-    wr.varint(len(u))
-    wr.int_array(np.array(u))
-    wr.int_array(np.array(v))
+    wr.edges(np.array(u), np.array(v))
     wr.f64_array(np.array(w, dtype=float))
     return envelope("graph", wr.getvalue())
 
@@ -562,6 +604,196 @@ def test_invalid_graph_payload_is_a_domain_error(u, v, w):
     assert decode("graph", graph_payload(3, [0], [1], [2.0])).m == 1
     with pytest.raises(QuadsketchError, match="invalid graph payload"):
         decode("graph", graph_payload(3, u, v, w))
+
+
+# ---------------------------------------------------------------------------
+# Edge lists
+
+
+def edge_bytes(u, v) -> bytes:
+    w = Writer()
+    w.edges(np.array(u, dtype=np.int64), np.array(v, dtype=np.int64))
+    return w.getvalue()
+
+
+def read_edges(data: bytes):
+    r = Reader(data)
+    u, v = r.edges()
+    assert r.pos == len(data)
+    return u, v
+
+
+def plain_list(u, v) -> bytes:
+    """Reference PLAIN list: m, then (m > 0) the form byte, u and v."""
+    w = Writer()
+    w.varint(len(u))
+    if u:
+        w.buf.append(serialize.PLAIN)
+        for x in u + v:
+            w.varint(x)
+    return w.getvalue()
+
+
+@st.composite
+def edge_lists(draw):
+    """(u, v, kind): an edge list whose pairs (min, max) strictly increase
+    ("canonical"), the same with some pairs stored as (max, min)
+    ("flipped"), or arbitrary ids, repeats and self-loops included; ids up
+    to 3, 200, 2^20, 2^40 or 2^63 - 1, and 0 to 400 edges."""
+    kind = draw(st.sampled_from(["canonical", "flipped", "arbitrary"]))
+    top = draw(st.sampled_from([3, 200, 2**20, 2**40, 2**63 - 1]))
+    length = draw(st.one_of(st.integers(0, 20), st.integers(0, 400)))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    # ids near both ends of the range, so that gaps are both small and large
+    ids = [rnd.randrange(top + 1) for _ in range(length)] + [rnd.randrange(min(top, 40) + 1) for _ in range(length)]
+    u, v = ids[:length], ids[length:]
+    if kind != "arbitrary":
+        pairs = sorted({(min(a, b), max(a, b)) for a, b in zip(u, v)})
+        if kind == "flipped":
+            pairs = [(b, a) if rnd.random() < 0.5 else (a, b) for a, b in pairs]
+        u, v = [a for a, _ in pairs], [b for _, b in pairs]
+    return u, v, kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists())
+@example(([], [], "canonical"))
+@example(([5], [2**40], "flipped"))
+@example(([2**40 + 3], [1], "flipped"))
+@example(([3, 1, 2] * 7, [0, 1, 9] * 7, "arbitrary"))
+@example(([2**20 + i * (i in (3, 7)) for i in range(1, 11)], [2**20 + i * (i not in (3, 7)) for i in range(1, 11)], "flipped"))
+def test_edges_round_trip(case):
+    """Every list decodes to the int64 columns it was written from; a
+    canonical form is written only when it is shorter than the plain one,
+    and the Python and numpy paths write and read the same bytes."""
+    u, v, kind = case
+    data = edge_bytes(u, v)
+    back_u, back_v = read_edges(data)
+    assert back_u.dtype == back_v.dtype == np.int64
+    assert back_u.tolist() == u and back_v.tolist() == v
+    plain = plain_list(u, v)
+    assert len(data) <= len(plain)
+    pairs = [(min(a, b), max(a, b)) for a, b in zip(u, v)]
+    if any(p >= q for p, q in zip(pairs, pairs[1:])):
+        assert data == plain  # pairs that stop increasing have only the plain form
+    with mock.patch.object(serialize, "SHORT_ARRAY", 0):
+        assert edge_bytes(u, v) == data
+        assert [a.tolist() for a in read_edges(data)] == [u, v]
+
+
+def test_edges_take_the_canonical_forms_when_shorter():
+    # 40 edges in two rows, ids >= 128: gaps of one byte against ids of two
+    u, v = [200] * 20 + [300] * 20, list(range(301, 321)) + list(range(400, 420))
+    for flips, form in ((set(), serialize.CANONICAL), ({3, 39}, serialize.FLIPPED)):
+        uu = [b if i in flips else a for i, (a, b) in enumerate(zip(u, v))]
+        vv = [a if i in flips else b for i, (a, b) in enumerate(zip(u, v))]
+        data = edge_bytes(uu, vv)
+        assert data[1] == form
+        # m, form, r = 2, rows 200 and 100, counts 20 and 20, gaps 101 and 1..., 100 and 1..., mask
+        assert len(data) == 1 + 1 + 1 + 2 + 1 + 1 + 1 + 40 + 5 * (form == serialize.FLIPPED)
+        assert [a.tolist() for a in read_edges(data)] == [uu, vv]
+    # a single edge: the plain form is never longer
+    assert edge_bytes([7], [9]) == bytes([1, serialize.PLAIN, 7, 9])
+
+
+def test_edges_reject_unequal_columns():
+    with pytest.raises(ValueError, match="edge columns of lengths 2 and 1"):
+        Writer().edges(np.array([0, 1]), np.array([1]))
+
+
+def canonical_list(m: int, rows, counts, gaps, form=serialize.CANONICAL, mask=b"") -> bytes:
+    """A canonical edge list written field by field: m, the form byte, the
+    row count, then the row gaps, per-row counts and max gaps, then mask."""
+    w = Writer()
+    w.varint(m)
+    w.buf.append(form)
+    w.varint(len(rows))
+    for x in [*rows, *counts, *gaps]:
+        w.varint(x)
+    return w.getvalue() + mask
+
+
+def one_row(m: int, **change) -> dict:
+    """Fields of the list (0, 1), (0, 2), ..., (0, m) in one row."""
+    return {"rows": [0], "counts": [m], "gaps": [1] * m, **change}
+
+
+def edge_weights(m: int) -> bytes:
+    w = Writer()
+    w.f64_array(np.ones(m))
+    return w.getvalue()
+
+
+@pytest.mark.parametrize("m", [3, 20], ids=["python", "numpy"])
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (lambda m: one_row(m, counts=[m - 1]), "row counts"),
+        (lambda m: one_row(m, rows=[0, 5], counts=[m - 1, 2], gaps=[1] * (m + 1)), "row counts"),
+        (lambda m: one_row(m, counts=[0]), "row counts|rows for"),
+        (lambda m: one_row(m, gaps=[1] * (m - 1) + [0]), "edge ids stop increasing"),
+        (lambda m: one_row(m, rows=[4, 0], counts=[1, m - 1]), "edge rows stop increasing"),
+        (lambda m: one_row(m, gaps=[2**62, 2**62] + [1] * (m - 2)), "63 bits"),
+        (lambda m: one_row(m, rows=[2**62 + 2**61], gaps=[2**62] + [1] * (m - 1)), "63 bits"),
+        (lambda m: one_row(m, rows=[2**62, 2**62], counts=[1, m - 1]), "stop increasing|63 bits"),
+    ],
+    ids=["short-count", "long-count", "zero-count", "repeated-max", "repeated-row", "max-past-int64",
+         "first-max-past-int64", "row-past-int64"],
+)
+def test_malformed_canonical_list_is_a_domain_error(m, fields, message):
+    assert [a.tolist() for a in read_edges(canonical_list(m, **one_row(m)))] == [[0] * m, list(range(1, m + 1))]
+    with pytest.raises(QuadsketchError, match=message):
+        read_edges(canonical_list(m, **fields(m)))
+
+
+@pytest.mark.parametrize("m", [3, 20], ids=["python", "numpy"])
+def test_malformed_flip_mask_is_a_domain_error(m):
+    k = (m + 7) // 8
+    ok = canonical_list(m, **one_row(m), form=serialize.FLIPPED, mask=bytes([1]) + bytes(k - 1))
+    u, v = read_edges(ok)
+    assert u[0] == 1 and v[0] == 0 and (u[1:] == 0).all()
+    # no bit set (the list is CANONICAL), or a bit past the last edge
+    for mask in (bytes(k), (1 | 1 << m).to_bytes(k, "little")):
+        with pytest.raises(QuadsketchError, match="flip mask"):
+            read_edges(canonical_list(m, **one_row(m), form=serialize.FLIPPED, mask=mask))
+    # a mask one byte short runs out of bytes; in a graph, one byte long
+    # leaves the weights misread
+    with pytest.raises(QuadsketchError, match="truncated"):
+        read_edges(ok[:-1])
+    graph = envelope("graph", bytes([m + 1]) + ok + edge_weights(m))
+    assert decode("graph", graph).m == m
+    with pytest.raises(QuadsketchError):
+        decode("graph", envelope("graph", bytes([m + 1]) + ok + bytes(1) + edge_weights(m)))
+
+
+def verbatim_with_edge_form(form: int) -> bytes:
+    """A verbatim spectral_basic envelope on 12 vertices whose graph's edge
+    list has the given form byte."""
+    sk = GOLDEN["spectral_basic-verbatim"][0]()
+    w = Writer()
+    w.f64(sk.epsilon)
+    for x in (sk.n, 1, sk.verbatim.n, sk.verbatim.m):  # n, the verbatim flag, the graph's n and m
+        w.varint(x)
+    data, at = sk.to_bytes(), 6 + len(w.getvalue())
+    assert data[at] == serialize.CANONICAL
+    return data[:at] + bytes([form]) + data[at + 1 :]
+
+
+@pytest.mark.parametrize("form", [3, 7, 255])
+def test_unknown_edge_list_form_is_a_domain_error(form):
+    with pytest.raises(QuadsketchError, match=f"unknown edge list form {form}"):
+        read_edges(bytes([2, form, 0, 1, 1, 2]))
+    with pytest.raises(QuadsketchError, match=f"unknown edge list form {form}"):
+        SpectralBasicSketch.from_bytes(verbatim_with_edge_form(form))
+
+
+@pytest.mark.parametrize("m", [3, 20], ids=["python", "numpy"])
+def test_edge_id_at_n_is_a_domain_error(m):
+    """A gap that carries a graph's max to n: the graph rejects it."""
+    payload = canonical_list(m, **one_row(m)) + edge_weights(m)
+    assert decode("graph", envelope("graph", bytes([m + 1]) + payload)).m == m
+    with pytest.raises(QuadsketchError, match="invalid graph payload"):
+        decode("graph", envelope("graph", bytes([m]) + payload))
 
 
 def test_jl_matrix_shape_checked():
@@ -587,8 +819,7 @@ def improved_with_class_map(size: int) -> bytes:
     body.varint(1)  # one class
     body.int_array(np.arange(size))  # vmap
     body.varint(2)  # S3 record: n, cut edges, no components
-    for a in (np.array([0]), np.array([1])):
-        body.int_array(a)
+    body.edges(np.array([0]), np.array([1]))
     body.f64_array(np.array([1.0]))
     body.varint(0)
     w.section(body.getvalue())

@@ -1,14 +1,18 @@
-"""SHA-256 of every envelope that the benchmark's workloads build.
+"""SHA-256 of every envelope that the benchmark's workloads build, and of the
+answers its decoded sketch gives.
 
     python3 tools/envelope_digests.py
 
 For seeds 1..10, sets up the cut-build, spectral-build and query workloads
 of perfbench.workloads (FULL sizes) with one BLAS thread and prints one line
-per envelope: workload, seed, family and the SHA-256 of its bytes. The
-build workloads' families are built once each (2 cut, 4 spectral); the
-query workload's set-up builds its five. Two checkouts build the same
-sketches iff they print the same 110 lines, so a change that must keep the
-bytes is checked by diffing this tool's output against its parent's.
+per envelope: workload, seed, family, the SHA-256 of its bytes and the
+SHA-256 of the answers of the sketch decoded from them to the family's
+verified queries (their ``float.hex`` strings, one per line). The build
+workloads' families are built once each (2 cut, 4 spectral); the query
+workload's set-up builds its five. Two checkouts build the same sketches iff
+they print the same 110 envelope digests, so a change that must keep the
+bytes is checked by diffing this tool's output against its parent's; a
+change of format that must lose nothing keeps the 110 answer digests.
 """
 
 from __future__ import annotations
@@ -29,23 +33,31 @@ SEEDS = range(1, 11)
 
 
 def envelopes(seed: int, workdir: Path):
-    """(workload, family, bytes) of every envelope of one seed."""
+    """(workload, family, bytes, decoded answers) of every envelope of one
+    seed."""
     for cls in (workloads.CutBuild, workloads.SpectralBuild):
         wl = cls(seed, workloads.FULL)
         wl.setup(workloads.Stats())
         for fam in wl.families:
-            yield wl.name, fam.name, fam.build().to_bytes()
+            data = fam.build().to_bytes()
+            decoded = fam.decode(data)
+            yield wl.name, fam.name, data, [decoded.estimate(q) for q in fam.queries]
     wl = workloads.Query(seed, workloads.FULL, workdir)
     wl.setup(workloads.Stats())
-    for name, data in wl.first_bytes.items():
-        yield wl.name, name, data
+    for fam in wl.families:
+        yield wl.name, fam.name, wl.first_bytes[fam.name], [fam.sketch.estimate(q) for q in fam.queries]
 
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
-            for workload, family, data in envelopes(seed, Path(tmp)):
-                print(f"{workload:<15} {seed:>2} {family:<18} {hashlib.sha256(data).hexdigest()}", flush=True)
+            for workload, family, data, answers in envelopes(seed, Path(tmp)):
+                hexes = "\n".join(float(a).hex() for a in answers)
+                print(
+                    f"{workload:<15} {seed:>2} {family:<18} {hashlib.sha256(data).hexdigest()} "
+                    f"{hashlib.sha256(hexes.encode()).hexdigest()}",
+                    flush=True,
+                )
 
 
 if __name__ == "__main__":
