@@ -168,7 +168,7 @@ class WeightedGraph:
         """
         edge_idx = np.asarray(edge_idx, dtype=np.int64)
         u, v, w = self.edge_u[edge_idx], self.edge_v[edge_idx], self.edge_w[edge_idx]
-        vmap = np.unique(np.concatenate([u, v]))
+        vmap = np.flatnonzero(np.bincount(np.concatenate([u, v])))
         inv = inverse_map(vmap, self.n)
         g = WeightedGraph(int(vmap.size), _arrays=(inv[u], inv[v], w))
         return g, vmap

@@ -482,7 +482,7 @@ def _partition_by_cuts(g: WeightedGraph, mode: str, threshold: float, eid: np.nd
         lu, lv, lw = local[u], local[v], g.edge_w[eid]
         sizes = np.diff(v_at)[search]
         done: dict[int, Component] = {}
-        for size in np.unique(sizes).tolist():
+        for size in np.flatnonzero(np.bincount(sizes)).tolist():
             batch = search[sizes == size].tolist()
             ids = [(vs[v_at[p] : v_at[p + 1]], es[e_at[p] : e_at[p + 1]]) for p in batch]
             graphs = [WeightedGraph._canonical(size, lu[e], lv[e], lw[e], np.zeros(size, dtype=np.int64)) for _, e in ids]
@@ -763,14 +763,14 @@ def degree_class_partition(
             piece, pmap = g2.edge_subgraph(ids)
             classes.append(DegreeClass(piece, flip[ids], vmap[pmap], kind, band, j, depth))
 
-        for j in np.unique(wcls).tolist():
+        for j in np.flatnonzero(np.bincount(wcls)).tolist():
             arc_ids = np.flatnonzero(wcls == j)
             t = tails[arc_ids]
             band = factor2_class(np.bincount(t, minlength=g2.n)[t], beta)
             low = arc_ids[band < 0]
             if low.size:
                 emit(low, "low", None, j)
-            for i in np.unique(band[(band >= 0) & (band <= top_band)]).tolist():
+            for i in np.flatnonzero(np.bincount(band[(band >= 0) & (band <= top_band)])).tolist():
                 emit(arc_ids[band == i], "band", i, j)
             rest = arc_ids[band > max(top_band, -1)]  # low arcs (band < 0) are emitted
             if rest.size:

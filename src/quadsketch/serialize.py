@@ -10,21 +10,23 @@ record; version 3 makes every class of a composite the record it decodes
 to (one ``S3Sketch`` per improved class, one cut-pieces record per basic
 class) and drops what version 2 stored twice or no query read: the copy of
 the cut-ladder scale values, class kind tags, the envelopes inside
-envelopes, the S1 eps and the JL seed. One duplicate is left: a (vertex
-map, piece) pair holds the piece's vertex count twice, as the map's length
-and inside the piece, and the decoder rejects a sketch where they differ.
+envelopes, the S1 eps and the JL seed.
 
 Version 4 writes every edge list (a graph record, a cut-pieces record's
 q_u/q_v/q_w, an S2 record's su/sv/sw) with one order-preserving codec,
 ``edges``: m once, then (m > 0) a form byte. PLAIN is two varint columns.
-When the pairs (min(u, v), max(u, v)) strictly increase and it is shorter,
-CANONICAL stores the rows that hold an edge (the distinct mins, as gaps)
-with their edge counts, then per edge the gap of its max to the max before
-it in its row (to the row itself for the row's first edge); FLIPPED adds a
-bit mask of the entries stored as (max, min), as S3's oriented arcs and
-vertex-mapped cut edges can be. Weights stay an f64 array. Nothing is sorted, so a list decodes to
-the arrays it was written from. An f64 array's dictionary holds IEEE bit
-patterns, so every f64 round-trip is bit-exact.
+CANONICAL, for pairs (u, v) with u <= v that strictly increase, stores the
+rows that hold an edge (the distinct u, as gaps) with their edge counts,
+then per edge the gap of its v to the v before it in its row (to the row
+itself for the row's first edge). Weights stay an f64 array. Nothing is
+sorted, so a list decodes to the arrays it was written from. An f64 array's
+dictionary holds IEEE bit patterns, so every f64 round-trip is bit-exact.
+
+Version 5 gives each form one rule: a list of at most ``SHORT_ARRAY`` edges,
+or with an entry where u > v, is PLAIN; a longer list is CANONICAL when its
+pairs strictly increase and that form is shorter. It also stores each
+piece's vertex count once: a (vertex map, piece) pair is the piece, then
+``piece.n`` map entries with no count of their own.
 
 Each sketch class states its layout once, in wire order, as a ``Codec``
 built from the vocabulary below; ``register`` gives it a kind byte and its
@@ -64,7 +66,6 @@ nothing.
 from __future__ import annotations
 
 import struct
-from itertools import accumulate
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -73,11 +74,13 @@ from .errors import QuadsketchError
 from .graph import WeightedGraph
 
 MAGIC = b"QSK1"
-VERSION = 4
+VERSION = 5
 
 MAX_VARINT_BYTES = 10  # ceil(64 / 7): a 64-bit value's LEB128 length
-SHORT_ARRAY = 16  # arrays up to this long are coded with Python values, not numpy calls
-PLAIN, CANONICAL, FLIPPED = 0, 1, 2  # the forms of an edge list
+# arrays up to this long are coded with Python values, not numpy calls, and
+# edge lists up to this long are always PLAIN: CANONICAL starts above it
+SHORT_ARRAY = 16
+PLAIN, CANONICAL = 0, 1  # the forms of an edge list
 _SHIFTS = np.arange(0, 7 * MAX_VARINT_BYTES, 7, dtype=np.uint64)
 
 
@@ -104,10 +107,6 @@ class Writer:
     def int_array(self, a) -> None:
         """Length, then one varint per entry (``varints``)."""
         a = np.asarray(a)
-        if a.size <= SHORT_ARRAY and a.dtype.kind in "biu":
-            self.buf.append(a.size)
-            _leb128(self.buf, a.ravel().tolist())
-            return
         self.varint(a.size)
         self.varints(a)
 
@@ -205,16 +204,13 @@ class Writer:
         """An edge list's endpoint columns u, v (int64 ids in [0, 2**63)):
         m, then, when m > 0, a form byte and the columns.
 
-        PLAIN is u, then v, one varint per entry. When the pairs (min, max)
-        strictly increase, CANONICAL writes r, the number of distinct mins
-        (rows), then 2r + m varints: the rows, each as its gap to the row
-        before (the first as is), the per-row counts, and per edge the gap
-        from its max to the max before it in its row (to the row itself for
-        the row's first edge). FLIPPED is CANONICAL followed by a
-        little-endian bit mask of ceil(m / 8) bytes, bit e set where edge e
-        is stored as (max, min). A list takes a canonical form only when it
-        is shorter than PLAIN (a list of one edge rarely is). Up to
-        SHORT_ARRAY edges are coded from Python ints.
+        PLAIN is u, then v, one varint per entry. A list of more than
+        SHORT_ARRAY edges with u <= v everywhere whose pairs strictly
+        increase is written CANONICAL when that is shorter: r, the number of
+        distinct u (rows), then 2r + m varints: the rows, each as its gap to
+        the row before (the first as is), the per-row counts, and per edge
+        the gap from its v to the v before it in its row (to the row itself
+        for the row's first edge).
         """
         u, v = np.asarray(u, dtype=np.int64).ravel(), np.asarray(v, dtype=np.int64).ravel()
         if u.size != v.size:
@@ -224,58 +220,27 @@ class Writer:
         if m == 0:
             return
         if m <= SHORT_ARRAY:
-            self._short_edges(u.tolist(), v.tolist())
+            self.buf.append(PLAIN)
+            _leb128(self.buf, u.tolist() + v.tolist())
             return
-        flip = u > v
-        flipped = bool(flip.any())
-        lo, hi = (np.minimum(u, v), np.maximum(u, v)) if flipped else (u, v)
-        step = lo[1:] - lo[:-1]
-        r = int(np.count_nonzero(step)) + 1  # rows, if the list is canonical
-        top = int(hi.max())
-        plain = 1 + _varint_bytes(lo, top) + _varint_bytes(hi, top)
-        head = 1 + _varint_len(r) + (m + 7) // 8 * flipped  # form byte, r, mask
-        # a canonical body takes at least one byte per entry
-        body = _canonical_body(lo, hi, step, r) if head + 2 * r + m < plain and lo[0] >= 0 else None
-        if body is not None:
-            top = int(body.max())
-            if head + _varint_bytes(body, top) < plain:
-                self.buf.append(FLIPPED if flipped else CANONICAL)
-                self.varint(r)
-                self._packed(body, top)
-                if flipped:
-                    self.buf += np.packbits(flip, bitorder="little").tobytes()
-                return
+        if not (u > v).any():
+            step = u[1:] - u[:-1]
+            r = int(np.count_nonzero(step)) + 1  # rows, if the list is canonical
+            top = int(v.max())
+            plain = 1 + _varint_bytes(u, top) + _varint_bytes(v, top)
+            head = 1 + _varint_len(r)  # form byte and r
+            # a canonical body takes at least one byte per entry
+            body = _canonical_body(u, v, step, r) if head + 2 * r + m < plain and u[0] >= 0 else None
+            if body is not None:
+                top = int(body.max())
+                if head + _varint_bytes(body, top) < plain:
+                    self.buf.append(CANONICAL)
+                    self.varint(r)
+                    self._packed(body, top)
+                    return
         self.buf.append(PLAIN)
         self.varints(u)
         self.varints(v)
-
-    def _short_edges(self, us: list, vs: list) -> None:
-        """``edges`` after m, for a few edges given as Python ints."""
-        plain = bytearray([PLAIN])
-        _leb128(plain, us + vs)
-        best = plain
-        pairs = [(a, b) if a <= b else (b, a) for a, b in zip(us, vs)]
-        # a canonical list takes at least 4 + m bytes: form, r, row, count and one per max
-        if len(plain) > 4 + len(us) and pairs[0][0] >= 0 and all(p < q for p, q in zip(pairs, pairs[1:])):
-            row_gaps, counts, gaps = [], [], []
-            row = prev = None
-            for a, b in pairs:
-                if a != row:
-                    row_gaps.append(a if row is None else a - row)
-                    counts.append(1)
-                    row = prev = a
-                else:
-                    counts[-1] += 1
-                gaps.append(b - prev)
-                prev = b
-            mask = sum(1 << i for i, (a, b) in enumerate(zip(us, vs)) if a > b)
-            canonical = bytearray([FLIPPED if mask else CANONICAL])
-            _leb128(canonical, [len(counts), *row_gaps, *counts, *gaps])
-            if mask:
-                canonical += mask.to_bytes((len(us) + 7) // 8, "little")
-            if len(canonical) < len(plain):
-                best = canonical
-        self.buf += best
 
     def section(self, payload: bytes) -> None:
         self.varint(len(payload))
@@ -370,17 +335,13 @@ class Reader:
     def int_array(self) -> np.ndarray:
         return self.varints(self.varint())
 
-    def short_varints(self, k: int) -> list:
-        """k varints as Python ints, each in [0, 2**63)."""
-        vals = [self.varint() for _ in range(k)]
-        if vals and max(vals) >> 63:
-            raise QuadsketchError("varint value does not fit in 63 bits")
-        return vals
-
     def varints(self, k: int) -> np.ndarray:
         """k varints as an int64 array."""
         if k <= SHORT_ARRAY:
-            return np.array(self.short_varints(k), dtype=np.int64)
+            vals = [self.varint() for _ in range(k)]
+            if vals and max(vals) >> 63:
+                raise QuadsketchError("varint value does not fit in 63 bits")
+            return np.array(vals, dtype=np.int64)
         # a varint ends at its first byte below 0x80, so k of them lie in the
         # next 10k bytes; scanning only those keeps a call O(k)
         window = np.frombuffer(
@@ -429,57 +390,27 @@ class Reader:
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """The endpoint columns (u, v) that ``Writer.edges`` wrote, as
         int64 arrays. Row counts that do not sum to m, rows or larger
-        endpoints that stop increasing, an id past int64, a flip mask with
-        bits past m or with none set, and an unknown form raise
-        QuadsketchError."""
+        endpoints that stop increasing, an id past int64 and an unknown
+        form raise QuadsketchError."""
         m = self.varint()
         if m == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         form = self.data[self._take(1)]
         if form == PLAIN:
             return self.varints(m), self.varints(m)
-        if form not in (CANONICAL, FLIPPED):
+        if form != CANONICAL:
             raise QuadsketchError(f"unknown edge list form {form}")
         r = self.varint()
         if not 1 <= r <= m:
             raise QuadsketchError(f"{r} rows for {m} edges")
-        lo, hi = self._short_rows(r, m) if m <= SHORT_ARRAY else self._rows(r, m)
-        if form == CANONICAL:
-            return lo, hi
-        k = (m + 7) // 8
-        mask = np.unpackbits(np.frombuffer(self.data, np.uint8, k, self._take(k)), bitorder="little")
-        if mask[m:].any() or not mask.any():
-            raise QuadsketchError("flip mask flips nothing or has bits past the last edge")
-        flip = mask[:m].view(bool)
-        return np.where(flip, hi, lo), np.where(flip, lo, hi)
-
-    def _short_rows(self, r: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """The (min, max) columns of a canonical list of m <= SHORT_ARRAY
-        edges in r rows, decoded from Python ints."""
-        vals = self.short_varints(2 * r + m)
-        counts = vals[r : 2 * r]
-        if min(counts) < 1 or sum(counts) != m:
-            raise QuadsketchError(f"row counts {counts} do not sum to {m} edges")
-        if 0 in vals[1:r]:
-            raise QuadsketchError("edge rows stop increasing")
-        lo, hi, end = [], [], 2 * r
-        for row, count in zip(accumulate(vals[:r]), counts):
-            gaps = vals[end : end + count]
-            end += count
-            if 0 in gaps[1:]:
-                raise QuadsketchError("edge ids stop increasing")
-            gaps[0] += row
-            lo += [row] * count
-            hi += accumulate(gaps)
-        if max(hi) >> 63:
-            raise QuadsketchError("edge id does not fit in 63 bits")
-        return np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+        return self._rows(r, m)
 
     def _rows(self, r: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """``_short_rows`` with numpy. The maxes are running sums modulo
-        2**64 from each row. A row's first max is below 2**64 and so exact,
-        and a later one that wrapped would lie below the one before it; so
-        maxes that lie below 2**63 and rise within each row are exact."""
+        """The (u, v) columns of a canonical list of m edges in r rows. The
+        v are running sums modulo 2**64 from each row. A row's first v is
+        below 2**64 and so exact, and a later one that wrapped would lie
+        below the one before it; so v that lie below 2**63 and rise within
+        each row are exact."""
         vals = self.varints(2 * r + m)
         rows, counts, gaps = np.cumsum(vals[:r]), vals[r : 2 * r], vals[2 * r :].view(np.uint64)
         # counts are at most m each and r <= m, where m varints were read and
@@ -552,7 +483,19 @@ matrix = mapped(tuple_of(varint, varint, f64_array), lambda a: (*a.shape, a), _r
 
 
 def pairs(item: Codec) -> Codec:
-    return seq(tuple_of(int_array, item))
+    """(vertex map, piece) pairs: a count, then per pair the piece and its
+    map, piece.n varints with no length of their own."""
+
+    def write(w: Writer, pair) -> None:
+        vmap, piece = pair
+        item.write(w, piece)
+        w.varints(vmap)
+
+    def read(r: Reader) -> tuple:
+        piece = item.read(r)
+        return r.varints(piece.n), piece
+
+    return seq(Codec(write, read))
 
 
 def _outside(n: int, *ids: np.ndarray, what: str = "vertex") -> str | None:
@@ -602,10 +545,7 @@ def piece_problem(count: int, diag, scale, edges: tuple, kind: str, samples: tup
 
 def pairs_problem(comps, n: int) -> str | None:
     """Why (vertex map, piece) pairs do not map their pieces into [0, n), or
-    None: each map has one entry per piece vertex, each entry below n."""
-    for vmap, piece in comps:
-        if vmap.size != piece.n:
-            return f"a vertex map of length {vmap.size} for a {piece.n}-vertex piece"
+    None: each map entry is below n."""
     return _outside(n, *(vmap for vmap, _ in comps), what="vertex map entry")
 
 

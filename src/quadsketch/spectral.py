@@ -205,7 +205,7 @@ def spectral_basic_build(
     alpha = c_alpha * epsilon ** (-5.0 / 3.0)
     wcls = factor2_class(g2.edge_w, g2.edge_w.min())
     classes = []
-    for j in np.unique(wcls):
+    for j in np.flatnonzero(np.bincount(wcls)):
         eidx = np.flatnonzero(wcls == j)
         sub, vmap = g2.edge_subgraph(eidx)
         gamma = float(sub.edge_w.min())

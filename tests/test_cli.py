@@ -388,12 +388,13 @@ def test_version_1_envelope_exit_1(rand_graph, tmp_path, capsys):
     out = tmp_path / "s.qsk"
     run_cli(["spectral-sketch", "build", rand_graph, "-e", "0.25", "--seed", "5", "-o", str(out)], capsys)
     data = out.read_bytes()
-    out.write_bytes(data[:4] + b"\x01" + data[5:])
     q = ",".join("1.0" for _ in range(20))
-    code, text, err = run_cli(["spectral-sketch", "query", str(out), "--", q], capsys)
-    assert code == 1 and text == ""
-    assert err.startswith("quadsketch: error:") and "Traceback" not in err
-    assert "unsupported format version 1" in err
+    for version in (1, 4):
+        out.write_bytes(data[:4] + bytes([version]) + data[5:])
+        code, text, err = run_cli(["spectral-sketch", "query", str(out), "--", q], capsys)
+        assert code == 1 and text == ""
+        assert err.startswith("quadsketch: error:") and "Traceback" not in err
+        assert f"unsupported format version {version}" in err
 
 
 @pytest.mark.parametrize("tag, body", [(9, bytes(16)), (1, bytes([1]) + bytes(8) + bytes([0, 3]))], ids=["tag", "index"])
@@ -423,7 +424,7 @@ def general_with_endpoint_99() -> bytes:
 @pytest.mark.parametrize(
     "data, command, query, message",
     [
-        (lambda: improved_with_class_map(1), "spectral-sketch", "1,0,0,0", "vertex map"),
+        (lambda: improved_with_class_map(3), "spectral-sketch", "1,0,0,0", "truncated"),
         (general_with_endpoint_99, "cut-sketch", "0,1", "forest endpoint 99"),
         (basic_with_nan_stored_weight, "spectral-sketch", ",".join(["1"] * 16), "positive and finite"),
         (lambda: verbatim_with_edge_form(7), "spectral-sketch", ",".join(["1"] * 12), "unknown edge list form 7"),

@@ -479,8 +479,9 @@ def clusters(sizes, weights, p, seed):
 
 # SHA-256 of same-seed pipeline-mode envelopes, re-recorded at version 3
 # (no ladder copy, no S1 eps, no nested envelope headers; the values are
-# those version 1 wrote) and at version 4 (the edge lists' new codec; the
-# decoded arrays are those version 3 decoded). The first digest is the
+# those version 1 wrote), at version 4 (the edge lists' new codec; the
+# decoded arrays are those version 3 decoded) and at version 5 (one form
+# rule per edge list, one vertex count per piece; the same arrays). The first digest is the
 # full-ladder build as the per-vertex loop build wrote it, which
 # cut_general_reference must still reproduce; it stores every slice the
 # halving rule selects. The second is the production build, which keeps
@@ -496,29 +497,29 @@ GOLDEN = [
         lambda: gnp_connected(40, 0.9, seed=1),
         0.1,
         7,
-        "e069085754559144149b398e6219500f76a2dad44fe9af614deb7f04a69aa8e9",
-        "97f1225983e7257e8a0d47456de5ba2511a1346489f6e310753922bd8c35618e",
+        "bf4e5fbc38d5289a96f5fcbccebff86fce234a63fa56ff593185fe051be5c035",
+        "afe7536b67af8ef71e9bb087d072082397afd180aea812e0af4930cb6185285f",
     ),
     (
         lambda: clusters([32, 32], [1.0, 1.0], 0.9, 2),
         0.1,
         8,
-        "c1afc47e586a6fc7dcdd32f7e41af04497233a8d66d60b5eee09d7a87312ef99",
-        "505c3611c501b0cd5b81f35f552fa1006b3317e3d29506f699fe19d9c21ef1b8",
+        "54e141007f65c5e905fc9c00fd330373b7a4db669e2e4ea1cf21a15b1836ab49",
+        "09d439b203dba90843563f8989faf62f87fcb56fe1971634ea88e158c1944c9b",
     ),
     (
         lambda: clusters([30, 36, 28], [1.0, 30.0, 1000.0], 0.95, 3),
         0.1,
         9,
-        "a5142bece224bcd236b67e812fd955f622af8987647e5a721ac39ef84d6e7b82",
-        "ba107a5e5fee622eab24c4822e02f97205ee2cbe2332ff309ff6b911843fe155",
+        "28da3dddfe2e21253719e32416997a89026b48d8538ff18d1a3f1b4b08158749",
+        "11a148fd8eeaa307288df7c3e2ee243f626836bf4bceaa8936039ea2bb0bf059",
     ),
     (
         lambda: gnp_connected(48, 0.8, seed=4, w_lo=1.0, w_hi=4.0),
         0.15,
         10,
-        "889c996e4a01f5c40f53ce8b75b82dbad805c257a7a4629b8a80f24fd6948ff6",
-        "5a61080b36f054ad144b0fe555983d8947e4736f5585d683c76901c2d8be2da9",
+        "7a2169003f1ec72d50b5a6d5329cc574084b89ae9bea9b52b6c1e969f7251b00",
+        "4c2bc8da82cba1bbe3195a45a0acce5e679311508c65d989f745088973279fb5",
     ),
 ]
 
@@ -543,16 +544,16 @@ def test_golden_bytes_empty_cores():
     # four multi-scale clusters whose degrees stay below 1/eps: every class
     # edge set the build partitions peels to an empty core. The first SHA-1
     # is the envelope as the piece-at-a-time peel wrote it (re-recorded at
-    # versions 3 and 4, which store the same values),
+    # versions 3, 4 and 5, which store the same values),
     # with all five selected slices j = 0, 11, 22, 33, 44; 11, 22 and 33
     # repeat j = 0, and the production envelope, recorded anew when repeated
     # slices stopped being stored, is that one without them.
     g = clusters([12, 12, 12, 12], [1.0, 3.0, 10.0, 30.0], 0.6, 5)
     ref = cut_general_reference(g, 0.03, 11, mode="pipeline", basic=cut_basic_build)
-    assert hashlib.sha1(ref.to_bytes()).hexdigest() == "b0e24fa497663229b96ea49a71f807483822bccc"
+    assert hashlib.sha1(ref.to_bytes()).hexdigest() == "8bc7b1ad20d9581be2195a6ac63eddb055f69b6c"
     assert repeated_slices(g, ref) == [11, 22, 33]
     data = cut_sketch_build(g, 0.03, 11, mode="pipeline").to_bytes()
-    assert hashlib.sha1(data).hexdigest() == "bf831c32ccb1991abc861a7874089045b088d020"
+    assert hashlib.sha1(data).hexdigest() == "3732276fb7e10fb4a885ce4de3b113910249fbd3"
     assert data == without_slices(ref, [11, 22, 33]).to_bytes()
 
 

@@ -343,7 +343,9 @@ def test_sdd_side_mismatch_rejected():
 @pytest.mark.parametrize(
     "vmap, piece, match",
     [
-        (np.array([0, 1]), s2_piece(3), "length"),
+        # a piece whose vertex count is one above its map's length: the map
+        # (which has no count of its own) runs past the end of the payload
+        (np.array([0, 1]), s2_piece(3), "truncated"),
         (np.array([0, 1, 5]), s2_piece(3), "vertex map"),
         (np.array([0, 1, 2]), s2_piece(3, su=np.array([0]), sv=np.array([3]), sw=np.ones(1)), "outside"),
         (np.array([0, 1, 2]), s2_piece(3, owner=np.array([4]), nbr=np.array([0]), y=np.array([1])), "outside"),

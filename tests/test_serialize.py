@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -9,7 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quadsketch.cutsketch import CutSketchGeneral, CutSketchPoly, cut_basic_build, cut_sketch_build, reachable_scales
+from quadsketch.cutsketch import (
+    CutSketchGeneral,
+    CutSketchPoly,
+    S1Sketch,
+    cut_basic_build,
+    cut_sketch_build,
+    reachable_scales,
+)
 from quadsketch import serialize
 from quadsketch.errors import QuadsketchError
 from quadsketch.graph import WeightedGraph
@@ -410,7 +418,11 @@ def weighted(n: int, seed: int):
 # tags, nested envelope headers, ladder copy, S1 eps or JL seed; no envelope
 # grew. Every digest was re-recorded again at version 4, whose edge lists
 # use the edges codec and whose f64 dictionaries hold bit patterns; the
-# decoded arrays are those version 3 decoded, and no envelope grew. The
+# decoded arrays are those version 3 decoded, and no envelope grew. Every
+# digest was re-recorded at version 5, which stores each piece's vertex count
+# once and writes short lists and lists with an entry u > v plain: the
+# decoded arrays are the same; spectral_improved-band-and-low grew by 2 B
+# (1,177 -> 1,179), spectral_basic-s2-and-verbatim-class and sdd shrank. The
 # middle entry is the sketch's word count, which the format does
 # not change (None for the sdd and jl sketches, which count no words). The
 # spectral_basic builds are partials, whose arguments the test reads.
@@ -418,59 +430,59 @@ GOLDEN = {
     "spectral_basic-s2-and-verbatim-class": (
         functools.partial(spectral_basic_build, gnp_connected(16, 0.5, seed=21, w_lo=1e-3, w_hi=4.0), 0.3, 22),
         250,
-        "70977090bb81db0e9bb4acbb87c4a65aef8d401ab05fb19d26713f185df3e8d1",
+        "6267ed3be75eaf6cc787147fd96c158b564c56c9f3919417f155c732175e8b6a",
     ),
     "spectral_basic-verbatim-class-only": (
         functools.partial(spectral_basic_build, gnp_connected(12, 0.5, seed=31, w_lo=1e-8, w_hi=1.9e-8), 0.3, 32),
         87,
-        "225e1a95eb2209572fbbe2c9fd7fe5cb3fe513b3c458991d304ffe7dc4d14691",
+        "2953e37ec25beb0f4cc8278381a22678fb9d2e865e14f41d1b0efadaea979068",
     ),
     "spectral_improved-band-and-low": (
         lambda: spectral_improved_build(gnp_connected(40, 0.5, seed=4), 0.25, 5),
         1155,
-        "370b8f2b8e54f3c8a273788010dfb6fbd9ae71963c7cf43ba7ce7ceceb33a4c7",
+        "7e7746c9c7188ceb6c179ff569949ee314223bf0259f94b0b5a3bc49d79c8984",
     ),
     "sdd": (
         lambda: sdd_sketch_build(sdd_matrix(8, 1), 0.2, 2),
         None,
-        "f93725a090e724de025e3e86dd045a93475cd50e9448b97c7e5b97810510acc3",
+        "7f117c3460a2480b12a1d073c968bfe4c589f397a41f550992bdcd7c7f2b3f77",
     ),
     "jl": (
         lambda: jl_build(psd_matrix(6, 3), 0.5, 0.2, 4),
         None,
-        "658d4aa9fd58d1e5b0268a7ab03b20672c39a2106cccae109957f0996c563011",
+        "73040804861fbfc68ad6898aab10365e70f42e6943eb3c84814683d8e6395e1d",
     ),
     # the full-ladder build that the declarative layouts first reproduced;
     # the production build keeps only the scales a query can reach
     "cut_poly-pipeline": (
         lambda: cut_basic_reference(gnp_connected(20, 0.5, seed=5), 0.15, 3, mode="pipeline"),
         5507,
-        "fe70a94bcf66c6bc8e80bcea26bcf39a65e9224fa70ba21dab67f3798203c89f",
+        "945ff32630c8d6ad459508b01e4638de75f18a5c8e315741abeaf1519cb1f7fe",
     ),
     "cut_poly-pipeline-reachable": (
         lambda: cut_basic_build(gnp_connected(20, 0.5, seed=5), 0.15, 3, mode="pipeline"),
         3696,
-        "ebba257a7c21fcb3eb8def25b0e10bceec3bf1945622da51b7fc1052b70d13dc",
+        "f65d0f1a5ccc31fc736164df2a7460989a67088f962b75b9d31d8a273a1694d2",
     ),
     "cut_poly-verbatim": (
         lambda: cut_basic_build(weighted(12, 6), 0.2, 1),
         99,
-        "83ce45a91739bc01bfd8fea11dd86cbd44473624b2f5b9242b4ed3c9374234e7",
+        "68f4ad86e915630dc0dee9a7f582c5ea7eb9a5e4e6df6ef8f37ea9aa2024d709",
     ),
     "cut_general-verbatim": (
         lambda: cut_sketch_build(weighted(12, 7), 0.2, 1),
         96,
-        "ae4bf9b9179b7d84547f0750335a26d4164a46714c42fc0ba45803d886ca5cb7",
+        "f3dde34f0544b6917862c88e1c80bf47d4347118bb215a9dcc48f4770769e48d",
     ),
     "spectral_basic-verbatim": (
         lambda: spectral_basic_build(weighted(12, 8), 0.05, 1),
         132,
-        "dc990384aa3ec6cdd0970b60678a7b237269599d24d961313fc60d84ed752efc",
+        "bca13fb84402dda25f60e61681b2af31dd85d75151aad6f8b03dc6fa2a2383b4",
     ),
     "spectral_improved-verbatim": (
         lambda: spectral_improved_build(weighted(12, 9), 0.05, 1),
         84,
-        "63778d1731e0bdd48094c6ea9e67f8ed37cd8d58732bf0665edbaee5eb560a92",
+        "91f3dbeca229fae73f0ed2838c582b84d5eb0ebff75033cc87bbe6f2cd0d14ee",
     ),
 }
 
@@ -492,10 +504,10 @@ def test_golden_envelopes(case):
 
 @pytest.mark.parametrize("family", ["cut_general", "cut_poly", "spectral_basic", "spectral_improved", "sdd", "jl"])
 def test_version_1_envelope_rejected(family):
-    """Versions 1 to 3 alike: a version-4 decoder reads none of them."""
+    """Versions 1 to 4 alike: a version-5 decoder reads none of them."""
     cls, blob, _ = fuzz_case(family)
-    assert blob[4] == 4
-    for version in (1, 2, 3):
+    assert blob[4] == 5
+    for version in (1, 2, 3, 4):
         with pytest.raises(QuadsketchError, match=f"unsupported format version {version}"):
             cls.from_bytes(blob[:4] + bytes([version]) + blob[5:])
 
@@ -661,11 +673,13 @@ def edge_lists(draw):
 @example(([5], [2**40], "flipped"))
 @example(([2**40 + 3], [1], "flipped"))
 @example(([3, 1, 2] * 7, [0, 1, 9] * 7, "arbitrary"))
-@example(([2**20 + i * (i in (3, 7)) for i in range(1, 11)], [2**20 + i * (i not in (3, 7)) for i in range(1, 11)], "flipped"))
+@example(([2**20 + i * (i in (3, 7)) for i in range(1, 21)], [2**20 + i * (i not in (3, 7)) for i in range(1, 21)], "flipped"))
 def test_edges_round_trip(case):
-    """Every list decodes to the int64 columns it was written from; a
+    """Every list decodes to the int64 columns it was written from; the
     canonical form is written only when it is shorter than the plain one,
-    and the Python and numpy paths write and read the same bytes."""
+    and never for a list of at most SHORT_ARRAY edges or with an entry
+    where u > v. Whichever path writes or reads a list, it decodes to the
+    same columns."""
     u, v, kind = case
     data = edge_bytes(u, v)
     back_u, back_v = read_edges(data)
@@ -673,25 +687,26 @@ def test_edges_round_trip(case):
     assert back_u.tolist() == u and back_v.tolist() == v
     plain = plain_list(u, v)
     assert len(data) <= len(plain)
-    pairs = [(min(a, b), max(a, b)) for a, b in zip(u, v)]
-    if any(p >= q for p, q in zip(pairs, pairs[1:])):
-        assert data == plain  # pairs that stop increasing have only the plain form
+    rising = all(p < q for p, q in zip(zip(u, v), zip(u[1:], v[1:])))
+    if len(u) <= SHORT_ARRAY or any(a > b for a, b in zip(u, v)) or not rising:
+        assert data == plain
     with mock.patch.object(serialize, "SHORT_ARRAY", 0):
-        assert edge_bytes(u, v) == data
+        # the writer's form depends on SHORT_ARRAY, the decoded columns do not
+        assert [a.tolist() for a in read_edges(edge_bytes(u, v))] == [u, v]
         assert [a.tolist() for a in read_edges(data)] == [u, v]
 
 
 def test_edges_take_the_canonical_forms_when_shorter():
     # 40 edges in two rows, ids >= 128: gaps of one byte against ids of two
     u, v = [200] * 20 + [300] * 20, list(range(301, 321)) + list(range(400, 420))
-    for flips, form in ((set(), serialize.CANONICAL), ({3, 39}, serialize.FLIPPED)):
-        uu = [b if i in flips else a for i, (a, b) in enumerate(zip(u, v))]
-        vv = [a if i in flips else b for i, (a, b) in enumerate(zip(u, v))]
-        data = edge_bytes(uu, vv)
-        assert data[1] == form
-        # m, form, r = 2, rows 200 and 100, counts 20 and 20, gaps 101 and 1..., 100 and 1..., mask
-        assert len(data) == 1 + 1 + 1 + 2 + 1 + 1 + 1 + 40 + 5 * (form == serialize.FLIPPED)
-        assert [a.tolist() for a in read_edges(data)] == [uu, vv]
+    data = edge_bytes(u, v)
+    assert data[1] == serialize.CANONICAL
+    # m, form, r = 2, rows 200 and 100, counts 20 and 20, gaps 101 and 1..., 100 and 1...
+    assert len(data) == 1 + 1 + 1 + 2 + 1 + 1 + 1 + 40
+    assert [a.tolist() for a in read_edges(data)] == [u, v]
+    # one entry stored as (v, u) makes the list plain
+    u[3], v[3] = v[3], u[3]
+    assert edge_bytes(u, v) == plain_list(u, v)
     # a single edge: the plain form is never longer
     assert edge_bytes([7], [9]) == bytes([1, serialize.PLAIN, 7, 9])
 
@@ -701,16 +716,16 @@ def test_edges_reject_unequal_columns():
         Writer().edges(np.array([0, 1]), np.array([1]))
 
 
-def canonical_list(m: int, rows, counts, gaps, form=serialize.CANONICAL, mask=b"") -> bytes:
+def canonical_list(m: int, rows, counts, gaps) -> bytes:
     """A canonical edge list written field by field: m, the form byte, the
-    row count, then the row gaps, per-row counts and max gaps, then mask."""
+    row count, then the row gaps, per-row counts and max gaps."""
     w = Writer()
     w.varint(m)
-    w.buf.append(form)
+    w.buf.append(serialize.CANONICAL)
     w.varint(len(rows))
     for x in [*rows, *counts, *gaps]:
         w.varint(x)
-    return w.getvalue() + mask
+    return w.getvalue()
 
 
 def one_row(m: int, **change) -> dict:
@@ -724,6 +739,8 @@ def edge_weights(m: int) -> bytes:
     return w.getvalue()
 
 
+# a list of 3 edges is never written CANONICAL, but reads as one: its 2r + m
+# varints are read as Python ints, those of 20 edges with numpy
 @pytest.mark.parametrize("m", [3, 20], ids=["python", "numpy"])
 @pytest.mark.parametrize(
     "fields, message",
@@ -746,26 +763,6 @@ def test_malformed_canonical_list_is_a_domain_error(m, fields, message):
         read_edges(canonical_list(m, **fields(m)))
 
 
-@pytest.mark.parametrize("m", [3, 20], ids=["python", "numpy"])
-def test_malformed_flip_mask_is_a_domain_error(m):
-    k = (m + 7) // 8
-    ok = canonical_list(m, **one_row(m), form=serialize.FLIPPED, mask=bytes([1]) + bytes(k - 1))
-    u, v = read_edges(ok)
-    assert u[0] == 1 and v[0] == 0 and (u[1:] == 0).all()
-    # no bit set (the list is CANONICAL), or a bit past the last edge
-    for mask in (bytes(k), (1 | 1 << m).to_bytes(k, "little")):
-        with pytest.raises(QuadsketchError, match="flip mask"):
-            read_edges(canonical_list(m, **one_row(m), form=serialize.FLIPPED, mask=mask))
-    # a mask one byte short runs out of bytes; in a graph, one byte long
-    # leaves the weights misread
-    with pytest.raises(QuadsketchError, match="truncated"):
-        read_edges(ok[:-1])
-    graph = envelope("graph", bytes([m + 1]) + ok + edge_weights(m))
-    assert decode("graph", graph).m == m
-    with pytest.raises(QuadsketchError):
-        decode("graph", envelope("graph", bytes([m + 1]) + ok + bytes(1) + edge_weights(m)))
-
-
 def verbatim_with_edge_form(form: int) -> bytes:
     """A verbatim spectral_basic envelope on 12 vertices whose graph's edge
     list has the given form byte."""
@@ -779,7 +776,7 @@ def verbatim_with_edge_form(form: int) -> bytes:
     return data[:at] + bytes([form]) + data[at + 1 :]
 
 
-@pytest.mark.parametrize("form", [3, 7, 255])
+@pytest.mark.parametrize("form", [2, 3, 7, 255])
 def test_unknown_edge_list_form_is_a_domain_error(form):
     with pytest.raises(QuadsketchError, match=f"unknown edge list form {form}"):
         read_edges(bytes([2, form, 0, 1, 1, 2]))
@@ -807,21 +804,21 @@ def test_jl_matrix_shape_checked():
         JlSketch.from_bytes(envelope("jl", w.getvalue()))
 
 
-def improved_with_class_map(size: int) -> bytes:
-    """A one-class improved sketch on 4 vertices: an S3 record on 2
-    vertices holding the edge (0, 1) as a cut edge, with a vertex map of
-    the given size."""
+def improved_with_class_map(n: int, vmap=(0, 1)) -> bytes:
+    """A one-class improved sketch on 4 vertices: an S3 record on n
+    vertices holding the edge (0, 1) as a cut edge, then the entries of its
+    vertex map (which has no count of its own)."""
     w = Writer()
     w.f64(0.3)
     w.varint(4)
     w.varint(0)  # not verbatim
     body = Writer()
     body.varint(1)  # one class
-    body.int_array(np.arange(size))  # vmap
-    body.varint(2)  # S3 record: n, cut edges, no components
+    body.varint(n)  # S3 record: n, cut edges, no components
     body.edges(np.array([0]), np.array([1]))
     body.f64_array(np.array([1.0]))
     body.varint(0)
+    body.varints(np.array(vmap))
     w.section(body.getvalue())
     return envelope("spectral_improved", w.getvalue())
 
@@ -829,8 +826,12 @@ def improved_with_class_map(size: int) -> bytes:
 def test_improved_class_map_shorter_than_its_piece_rejected():
     sk = SpectralImprovedSketch.from_bytes(improved_with_class_map(2))
     assert sk.estimate(np.array([1.0, 0.0, 0.0, 0.0])) == 1.0
-    with pytest.raises(QuadsketchError, match="vertex map"):
-        SpectralImprovedSketch.from_bytes(improved_with_class_map(1))
+    # a vertex count too large: the map runs past the end of its section
+    for n in (3, 2**62):
+        with pytest.raises(QuadsketchError, match="truncated"):
+            SpectralImprovedSketch.from_bytes(improved_with_class_map(n))
+    with pytest.raises(QuadsketchError, match="vertex map entry 4 outside"):
+        SpectralImprovedSketch.from_bytes(improved_with_class_map(2, (0, 4)))
 
 
 def exact_class(sk):
@@ -995,9 +996,20 @@ def cut_pieces_records(sk):
     return [(cls, sk.n) for cls in sk.classes]
 
 
-def with_first_map(rec, change):
+def with_first_map(rec, change, change_piece=lambda piece: piece):
     vmap, piece = rec.comps[0]
-    rec.comps[0] = (change(vmap), piece)
+    rec.comps[0] = (change(vmap), change_piece(piece))
+
+
+def grown(piece):
+    """piece with one vertex more than its vertex map has entries: its
+    vertex count on the wire is one too large, so its map is read short."""
+    if isinstance(piece, CutSketchPoly):
+        piece = copy.copy(piece)
+        piece.n += 1
+        return piece
+    per_vertex = ("delta", "deg") if isinstance(piece, S1Sketch) else ("diag", "scale")
+    return dataclasses.replace(piece, **{k: np.append(getattr(piece, k), 0) for k in per_vertex})
 
 
 CUT_PIECES = {
@@ -1013,14 +1025,15 @@ CUT_PIECES = {
     [
         ("q_u", lambda rec, n: setattr(rec, "q_u", with_entry(rec.q_u, n)), "cut edge vertex .* outside"),
         ("q_v", lambda rec, n: setattr(rec, "q_v", with_entry(rec.q_v, n)), "cut edge vertex .* outside"),
-        ("comps", lambda rec, n: with_first_map(rec, lambda vm: vm[:-1]), "vertex map of length"),
+        ("comps", lambda rec, n: with_first_map(rec, lambda vm: vm, grown), None),
         ("comps", lambda rec, n: with_first_map(rec, lambda vm: with_entry(vm, n)), "vertex map entry .* outside"),
     ],
     ids=["cut-u", "cut-v", "short-map", "map-entry"],
 )
 def test_corrupt_cut_pieces_rejected_at_decode(family, needs, corrupt, message):
     """A cut edge endpoint or a component's vertex map that leaves the
-    record's vertices; flatten used to find these at the first query."""
+    record's vertices, or a component whose vertex count is one above its
+    map's length; flatten used to find the first two at the first query."""
     sk = CUT_PIECES[family]()
     rec, n = next((rec, n) for rec, n in cut_pieces_records(sk) if len(getattr(rec, needs)))
     corrupt(rec, n)
@@ -1053,7 +1066,7 @@ def general_sketch():
         (lambda sk: setattr(sk.stored[-1], "j", len(sk.tree)), "slice indices"),
         (lambda sk: sk.stored.pop(0), "start at 0"),
         (lambda sk: sk.stored.clear(), "start at 0"),
-        (lambda sk: setattr(sk.stored[0], "comps", [(c[0][:-1], c[1]) for c in sk.stored[0].comps]), "component map"),
+        (lambda sk: setattr(sk.stored[0], "comps", [(vm, grown(p)) for vm, p in sk.stored[0].comps]), "vertex"),
     ],
     ids=[
         "endpoint", "label-count", "label-value", "slice-order", "slice-range", "slice-start", "no-slice",

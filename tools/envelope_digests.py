@@ -13,6 +13,12 @@ workload's set-up builds its five. Two checkouts build the same sketches iff
 they print the same 110 envelope digests, so a change that must keep the
 bytes is checked by diffing this tool's output against its parent's; a
 change of format that must lose nothing keeps the 110 answer digests.
+
+Then, per seed, one line of the mincut workload's first pass (every graph
+with k = 2, then with k = 4, as ``workloads.Mincut.op`` runs them): the
+transcript bytes of the pass and the SHA-256 of each run's ``best_members``
+bytes and ``best_estimate.hex()``, so a change of format shows whether it
+moves the protocol's transcripts or its answers.
 """
 
 from __future__ import annotations
@@ -48,6 +54,21 @@ def envelopes(seed: int, workdir: Path):
         yield wl.name, fam.name, wl.first_bytes[fam.name], [fam.sketch.estimate(q) for q in fam.queries]
 
 
+def mincut_line(seed: int) -> str:
+    """The first-pass transcript bytes and answer digest of one seed."""
+    wl = workloads.Mincut(seed, workloads.FULL)
+    wl.setup(workloads.Stats())
+    total, digest = 0, hashlib.sha256()
+    for j in range(wl.period):
+        g = wl.graphs[j % len(wl.graphs)]
+        k = (2, 4)[(j // len(wl.graphs)) % 2]
+        t = workloads.qs.run_protocol(g, k, workloads.EPS_MINCUT, workloads.REPS_MINCUT, wl.protocol_seed + j)
+        total += t.total_bytes
+        digest.update(t.best_members.tobytes())
+        digest.update(float(t.best_estimate).hex().encode())
+    return f"{wl.name:<15} {seed:>2} {'transcripts':<18} {total:>10} B {digest.hexdigest()}"
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
@@ -58,6 +79,8 @@ def main() -> None:
                     f"{hashlib.sha256(hexes.encode()).hexdigest()}",
                     flush=True,
                 )
+        for seed in SEEDS:
+            print(mincut_line(seed), flush=True)
 
 
 if __name__ == "__main__":
