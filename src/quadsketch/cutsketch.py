@@ -8,7 +8,9 @@ Three tiers, each built on the previous one:
   base-1.4 scale ladder, plus importance-sampled expander pieces with S1
   sketches and exactly stored cut edges on every ladder scale that a query
   can select; each scale stores its value c once, and the ladder is read
-  off the scales;
+  off the scales. The cut edges of all scales are rows of one Q edge table
+  (the input edges some class keeps), stored once; a class lists its rows,
+  and its weights at its scale are recomputed from the table (``q_table``);
 * ``CutSketchGeneral``: maximum-spanning-forest reduction that snaps an
   arbitrary weight range onto polynomially bounded slices, storing each
   distinct slice once (a slice equal to the last stored one is skipped, and
@@ -44,16 +46,16 @@ from .graph import (
     spanning_forest,
     weighted_degrees,
 )
-from .partition import cut_preprocessing
+from .partition import cut_preprocessing, reweight
 from .rng import derive_seed, draw_counts, rng_for
 from . import serialize
-from .serialize import Composite, composite, cut_pieces_layout, cut_pieces_problem, f64, f64_array, fields, graph
-from .serialize import first_problem, int_array, pairs, pairs_problem, piece_problem, record, section, seq
-from .serialize import tuple_of, varint
+from .serialize import Composite, ascending, composite, edge_problem, edges, f64, f64_array, fields, graph
+from .serialize import int_array, pairs, pairs_problem, piece_problem, record, section, seq, tuple_of, varint
 from .sparsify import SparsifierConfig, sparsify
 
 LADDER_BASE = 1.4
 SPARSIFIER_ACCURACY = 0.2
+_NO_IDS = np.empty(0, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +131,16 @@ def cut_s1_build(p: WeightedGraph, epsilon: float, seed: int, *, s: int | None =
 
 @dataclass
 class ScaleClass(CutPieces):
+    """A weight class of one ladder scale. It lists its cut edges as rows of
+    its sketch's Q edge table, and ``CutSketchPoly`` fills q_u, q_v and q_w
+    from them."""
+
     index: int  # weight class i: reweighted w in (5*2^-i, 5*2^(1-i)]
-    q_u: np.ndarray  # stored cut edges, sketch-graph vertex ids
-    q_v: np.ndarray
-    q_w: np.ndarray  # reweighted (w~) values at this scale
     comps: list[tuple[np.ndarray, S1Sketch]]  # (vertex map, piece sketch)
+    q_pos: np.ndarray  # ascending rows of the Q edge table
+    q_u: np.ndarray | None = None  # stored cut edges, sketch-graph vertex ids
+    q_v: np.ndarray | None = None
+    q_w: np.ndarray | None = None  # reweighted (w~) values at this scale
 
 
 @dataclass
@@ -142,15 +149,49 @@ class ScaleSketch:
     classes: list[ScaleClass]
 
 
+def q_table(table: tuple, scales: list[ScaleSketch], epsilon: float) -> tuple[tuple, list[ScaleSketch]]:
+    """The Q edge table of a cut sketch and its scales, from a table (u, v,
+    w) of input edges and scales whose classes list rows of it (q_pos): the
+    table cut down to the rows that some class lists, in order, and new
+    scales whose classes list rows of that table and hold their cut edges
+    (q_u, q_v) and reweighted weights q_w = reweight(w / c, eps) at their
+    scale's value c, as the build computed them. One pass serves all the
+    classes."""
+    classes = [(sc.c, cls) for sc in scales for cls in sc.classes]
+    sizes = [cls.q_pos.size for _, cls in classes]
+    rows = np.concatenate([_NO_IDS, *(cls.q_pos for _, cls in classes)])
+    used = np.bincount(rows, minlength=table[0].size) > 0
+    u, v, w = (a[used] for a in table)
+    pos = (np.cumsum(used) - 1)[rows]  # each row's position among the used ones
+    scale_c = np.repeat([c for c, _ in classes], sizes)
+    # a build's eps lies in (0, 1); a corrupt c or eps gives weights that the
+    # decoder rejects (a NaN eps, as the square of a large one overflows)
+    with np.errstate(all="ignore"):
+        _, q_w = reweight(w[pos] / scale_c, epsilon if 0 < epsilon < 1 else math.nan)
+    columns = (pos, u[pos], v[pos], q_w)
+    bounds = np.cumsum([0, *sizes]).tolist()
+    made = iter(
+        ScaleClass(cls.index, cls.comps, *(a[lo:hi] for a in columns))
+        for (_, cls), lo, hi in zip(classes, bounds, bounds[1:])
+    )
+    return (u, v, w), [ScaleSketch(sc.c, [next(made) for _ in sc.classes]) for sc in scales]
+
+
 class CutSketchPoly(Composite):
-    """Cut sketch for graphs whose weight ratio is polynomially bounded."""
+    """Cut sketch for graphs whose weight ratio is polynomially bounded. Its
+    classes' cut edges are rows of one Q edge table (table_u, table_v,
+    table_w), which holds exactly the input edges that some class keeps; a
+    table given with more rows is cut down to those (``q_table``)."""
 
     kind = "cut_poly"
 
-    def __init__(self, epsilon, n, verbatim=None, sparsifier=None, scales=None):
+    def __init__(
+        self, epsilon, n, verbatim=None, sparsifier=None, table_u=None, table_v=None, table_w=None, scales=None
+    ):
         super().__init__(epsilon, n, verbatim)
         self.sparsifier = sparsifier
-        self.scales: list[ScaleSketch] = scales if scales is not None else []
+        table = (table_u, table_v, table_w) if table_u is not None else (_NO_IDS, _NO_IDS, np.empty(0))
+        (self.table_u, self.table_v, self.table_w), self.scales = q_table(table, scales or [], self.epsilon)
         self.ladder = np.array([sc.c for sc in self.scales], dtype=np.float64)  # the stored scales' values
         self._flat: dict[int, EdgeSampleEstimator] = {}  # scale index -> estimator
 
@@ -205,15 +246,58 @@ def _check_poly(sk: CutSketchPoly) -> str | None:
         return "a sparsifier but no scale sketches"
     if not (sk.ladder[0] > 0 and sk.ladder[-1] < np.inf and np.all(np.diff(sk.ladder) > 0)):
         return "scale values must be positive, finite and increasing"
-    return first_problem(cut_pieces_problem(cls, sk.n) for sc in sk.scales for cls in sc.classes)
+    u, v = sk.table_u, sk.table_v
+    problem = edge_problem(u, v, sk.table_w, sk.n, "Q table")
+    if problem:
+        return problem
+    if not (u < v).all() or not ((u[1:] > u[:-1]) | (u[1:] == u[:-1]) & (v[1:] > v[:-1])).all():
+        return "Q table edges must have u < v and strictly increase"
+    # the classes' cut edges are rows of the table; their weights, which a
+    # corrupt c or eps spoils, are checked in one pass
+    classes = [cls for sc in sk.scales for cls in sc.classes]
+    q_w = np.concatenate([np.empty(0), *(cls.q_w for cls in classes)])
+    if q_w.size and not (q_w.min() > 0 and q_w.max() < np.inf):  # a NaN fails both
+        return "cut edge weights must be positive and finite"
+    return pairs_problem([pair for cls in classes for pair in cls.comps], sk.n)
 
 
-SCALE_CLASS_LAYOUT = record(ScaleClass, fields(index=varint), cut_pieces_layout(S1_LAYOUT))
+def _rows_problem(ladder: dict) -> str | None:
+    """Why the classes of a decoded ladder do not list rows of its Q edge
+    table, strictly increasing, or None; checked before the sketch reads
+    the rows."""
+    m = ladder["table_u"].size
+    if ladder["table_w"].size != m:
+        return f"{m} Q table edges but {ladder['table_w'].size} weights"
+    lists = [cls.q_pos for sc in ladder["scales"] for cls in sc.classes]
+    pos = np.concatenate([_NO_IDS, *lists])
+    if pos.size and pos.max() >= m:
+        return f"Q table row {pos.max()} outside [0, {m})"
+    owner = np.repeat(np.arange(len(lists)), [a.size for a in lists])
+    # a negative row is a sum of gaps past 2**63
+    if pos.min(initial=0) < 0 or not ((pos[1:] > pos[:-1]) | (owner[1:] != owner[:-1])).all():
+        return "Q table rows of a class do not strictly increase"
+    return None
+
+
+def cut_ladder(**attributes) -> dict:
+    """The Q edge table and the scales of a cut_poly body, read back as
+    attributes of the sketch."""
+    return attributes
+
+
+SCALE_CLASS_LAYOUT = record(ScaleClass, index=varint, q_pos=ascending, comps=pairs(S1_LAYOUT))
 CUT_POLY_LAYOUT = composite(
     CutSketchPoly,
+    fields(sparsifier=section(graph)),
+    section(
+        record(
+            cut_ladder,
+            edges("table_u", "table_v", "table_w"),
+            check=_rows_problem,
+            scales=seq(record(ScaleSketch, c=f64, classes=seq(SCALE_CLASS_LAYOUT))),
+        )
+    ),
     check=_check_poly,
-    sparsifier=section(graph),
-    scales=section(seq(record(ScaleSketch, c=f64, classes=seq(SCALE_CLASS_LAYOUT)))),
 )
 serialize.register(2, CUT_POLY_LAYOUT)
 
@@ -312,20 +396,19 @@ def cut_basic_build(
     for i in range(k0, k1 + 1):
         c = float(ladder[i])
         prep = cut_preprocessing(g, c, epsilon, derive_seed(seed, "scale", i), _partitions=partitions)
-        classes = [
-            ScaleClass(
-                cl.index,
-                *sketch_pieces(
-                    cl.result,
-                    lambda k, comp: cut_s1_build(
-                        comp.graph, epsilon, derive_seed(seed, "scale", i, "cls", cl.index, "comp", k)
-                    ),
+        classes = []
+        for cl in prep.classes:
+            *_, comps = sketch_pieces(
+                cl.result,
+                lambda k, comp: cut_s1_build(
+                    comp.graph, epsilon, derive_seed(seed, "scale", i, "cls", cl.index, "comp", k)
                 ),
             )
-            for cl in prep.classes
-        ]
+            # its cut edges are rows of g: the sketch cuts g's edges down to its Q edge table
+            classes.append(ScaleClass(cl.index, comps, cl.result.cross_idx))
         scales.append(ScaleSketch(c, classes))
-    return CutSketchPoly(epsilon, g.n, sparsifier=h, scales=scales)
+    table = {"table_u": g.edge_u, "table_v": g.edge_v, "table_w": g.edge_w}
+    return CutSketchPoly(epsilon, g.n, sparsifier=h, scales=scales, **table)
 
 
 # ---------------------------------------------------------------------------

@@ -531,14 +531,23 @@ def spectral_preprocessing(g: WeightedGraph, h: float) -> PartitionResult:
 # Cut preprocessing (importance sampling + expansion partition)
 
 
+def reweight(w_scaled: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """The keep probability p = min(w/eps^2, 1) of each rescaled weight w,
+    and w/p, the weight an edge carries once kept. The cut sketch's decoder
+    recomputes its stored cut edges' weights with it, bit for bit. Where p
+    underflows to 0, w/p is inf; such an edge is never kept."""
+    p = np.minimum(w_scaled / epsilon**2, 1.0)
+    return p, np.divide(w_scaled, p, out=np.full(p.shape, np.inf), where=p > 0)
+
+
 def importance_sample(w_scaled: np.ndarray, epsilon: float, rng) -> tuple[np.ndarray, np.ndarray]:
     """Keep each edge with p = min(w/eps^2, 1); reweight kept edges by 1/p.
 
     Returns (kept mask, reweighted weights for kept edges).
     """
-    p = np.minimum(w_scaled / epsilon**2, 1.0)
+    p, w_tilde = reweight(w_scaled, epsilon)
     kept = rng.random(w_scaled.size) < p
-    return kept, w_scaled[kept] / p[kept]
+    return kept, w_tilde[kept]
 
 
 def weight_class_of(w_tilde: np.ndarray) -> np.ndarray:

@@ -158,7 +158,10 @@ class JlSketch:
 def _check_jl(sk: JlSketch) -> str | None:
     if not (0 < sk.epsilon < 1 and 0 < sk.delta < 1):
         return f"epsilon {sk.epsilon!r} and delta {sk.delta!r} must be in (0, 1)"
-    return None if np.isfinite(sk.sb).all() else "projected factor entries must be finite"
+    # an entry near 1e300 is finite but answers inf: its square overflows
+    with np.errstate(over="ignore"):
+        norm = float(np.sum(sk.sb * sk.sb))  # NaN or inf where an entry is
+    return None if np.isfinite(norm) else "projected factor entries must be finite with a finite squared Frobenius norm"
 
 
 serialize.register(8, record(JlSketch, check=_check_jl, epsilon=f64, delta=f64, sb=matrix))

@@ -28,6 +28,15 @@ pairs strictly increase and that form is shorter. It also stores each
 piece's vertex count once: a (vertex map, piece) pair is the piece, then
 ``piece.n`` map entries with no count of their own.
 
+Version 6 stores each cut edge of a cut_poly sketch once. The sketch writes
+one Q edge table, the input edges (u, v, w) that some stored class keeps
+exactly, in edge order, and each class lists its cut edges as strictly
+increasing rows of it (``ascending``: the first row, then the gaps). The
+decoder takes a class's q_u and q_v from the table and recomputes its q_w
+from the table weight, the scale value c and eps with the build's own
+expression (``partition.reweight``), so the decoded arrays are those version
+5 decoded. An f64 array of one value writes its pattern and no index bytes.
+
 Each sketch class states its layout once, in wire order, as a ``Codec``
 built from the vocabulary below; ``register`` gives it a kind byte and its
 ``to_bytes``/``from_bytes`` methods, and ``encode``/``decode`` walk that one
@@ -36,7 +45,7 @@ layout both ways.
 * Fields: ``f64``, ``varint``, ``int_array``/``f64_array`` (a count, then
   the entries), ``graph`` (n, then its edge list) and ``mapped(codec,
   to_wire, from_wire)`` conversions such as ``matrix`` (rows, columns,
-  entries).
+  entries) and ``ascending`` (increasing ints as gaps).
 * ``seq(item)``: a count, then the items; ``tuple_of(a, b, ...)``;
   ``pairs(item)``: (vertex map, piece) lists; ``cut_pieces_layout(piece)``:
   cut edges, then such a list; ``section(inner)``: a byte length, then
@@ -46,8 +55,8 @@ layout both ways.
 * ``record(cls, *groups, name=codec, ...)``: attributes of one value, read
   back as ``cls(**attributes)``, rejected when ``check(value)`` returns a
   message; its groups are ``fields(...)``, ``edges(...)`` or ``group(...)``.
-  ``composite(cls, ...)``: eps, n, a verbatim flag (a varint, 1 or 0),
-  then the whole graph or the body.
+  ``composite(cls, *groups, ...)``: eps, n, a verbatim flag (a varint, 1 or
+  0), then the whole graph or the body (its groups, then its named fields).
 
 A sketch inside a sketch is a section holding its layout's payload: the
 envelope header is written once, by the outermost sketch.
@@ -74,7 +83,7 @@ from .errors import QuadsketchError
 from .graph import WeightedGraph
 
 MAGIC = b"QSK1"
-VERSION = 5
+VERSION = 6
 
 MAX_VARINT_BYTES = 10  # ceil(64 / 7): a 64-bit value's LEB128 length
 # arrays up to this long are coded with Python values, not numpy calls, and
@@ -153,11 +162,12 @@ class Writer:
     def f64_array(self, a) -> None:
         """Length, then a tag byte and either the raw doubles (tag 0) or a
         dictionary (tag 1): the count d of distinct IEEE bit patterns, the
-        patterns in ascending unsigned order, then one index byte per
-        entry. The dictionary is written when d <= 255 and d is below the
-        length, so arrays with few distinct values (unit weights,
-        reweighted classes) shrink to one byte per entry. Both round-trips
-        are bit-exact, signed zeros and NaN payloads included.
+        patterns in ascending unsigned order, then, when d > 1, one index
+        byte per entry. The dictionary is written when d <= 255 and d is
+        below the length, so arrays with few distinct values (reweighted
+        classes) shrink to one byte per entry, and arrays of one value (unit
+        weights) to its pattern. Both round-trips are bit-exact, signed
+        zeros and NaN payloads included.
 
         Up to SHORT_ARRAY entries find their patterns with a set. Longer
         arrays sort their patterns (np.unique is slower on uint64); an
@@ -176,7 +186,8 @@ class Writer:
                 index = {v: i for i, v in enumerate(table)}
                 self.buf += bytes((1, len(table)))
                 self.buf += struct.pack(f"<{len(table)}Q", *table)
-                self.buf += bytes([index[v] for v in vals])
+                if len(table) > 1:
+                    self.buf += bytes([index[v] for v in vals])
             else:
                 self.buf.append(0)
                 self.buf += struct.pack(f"<{len(vals)}Q", *vals)
@@ -192,9 +203,7 @@ class Writer:
                 distinct = ascending[fresh]
                 self.buf += bytes((1, d))
                 self.buf += distinct.astype("<u8").tobytes()
-                if d == 1:
-                    self.buf += bytes(bits.size)
-                else:
+                if d > 1:
                     self.buf += np.searchsorted(distinct, bits).astype(np.uint8).tobytes()
                 return
         self.buf.append(0)
@@ -377,6 +386,8 @@ class Reader:
         if tag == 1:
             d = self.data[self._take(1)]
             table = np.frombuffer(self.data, dtype="<f8", count=d, offset=self._take(8 * d))
+            if d == 1:
+                return np.full(k, table[0], dtype=np.float64)
             idx = np.frombuffer(self.data, dtype=np.uint8, count=k, offset=self._take(k))
             if idx.max() >= d:
                 raise QuadsketchError(f"dictionary index {idx.max()} outside a {d}-value table")
@@ -474,12 +485,22 @@ def _reshape(shape_and_entries) -> np.ndarray:
     return a.reshape(rows, cols)
 
 
+def _gaps(a) -> np.ndarray:
+    """Each entry of a less the one before it (the first as is)."""
+    a = np.asarray(a, dtype=np.int64)
+    gaps = a.copy()
+    gaps[1:] -= a[:-1]
+    return gaps
+
+
 f64 = Codec(Writer.f64, Reader.f64)
 varint = Codec(Writer.varint, Reader.varint)
 int_array = Codec(Writer.int_array, Reader.int_array)
 f64_array = Codec(Writer.f64_array, Reader.f64_array)
 blob = Codec(Writer.section, Reader.section)
 matrix = mapped(tuple_of(varint, varint, f64_array), lambda a: (*a.shape, a), _reshape)
+# non-negative ints, increasing as written: a count, the first, then the gaps
+ascending = mapped(int_array, _gaps, np.cumsum)
 
 
 def pairs(item: Codec) -> Codec:
@@ -658,17 +679,17 @@ class Composite:
         return self.verbatim is not None
 
 
-def composite(cls: type[Composite], *, check: Callable | None = None, **body: Codec) -> Codec:
+def composite(cls: type[Composite], *groups: Codec, check: Callable | None = None, **named: Codec) -> Codec:
     """eps, n and a verbatim flag (a varint), then the whole graph (flag 1),
-    which must have n vertices, or the body (flag 0); any other flag is
-    rejected."""
+    which must have n vertices, or the body (flag 0): the groups, then the
+    named fields. Any other flag is rejected."""
 
     def check_all(sk):
         if sk.is_verbatim:
             return sk.verbatim.n != sk.n and f"{sk.verbatim.n}-vertex graph in a {sk.n}-vertex sketch"
         return check and check(sk)
 
-    body = fields(**body)
+    body = group(*groups, fields(**named))
 
     def write(w: Writer, sk) -> None:
         w.varint(int(sk.is_verbatim))

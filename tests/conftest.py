@@ -518,12 +518,10 @@ def cut_basic_reference(g, epsilon, seed, *, mode="auto"):
                 )
                 for k, comp in enumerate(cl.result.components)
             ]
-            cross = cl.result
-            classes.append(
-                ScaleClass(cl.index, cross.cross_u.copy(), cross.cross_v.copy(), cross.cross_w.copy(), comps)
-            )
+            classes.append(ScaleClass(cl.index, comps, cl.result.cross_idx))
         scales.append(ScaleSketch(c, classes))
-    return CutSketchPoly(epsilon, g.n, sparsifier=h, scales=scales)
+    table = {"table_u": g.edge_u, "table_v": g.edge_v, "table_w": g.edge_w}
+    return CutSketchPoly(epsilon, g.n, sparsifier=h, scales=scales, **table)
 
 
 def cut_general_reference(g, epsilon, seed, *, mode="auto", basic=cut_basic_reference):
@@ -582,7 +580,8 @@ def trimmed(ref):
         stored = [GeneralScale(gs.j, gs.labels, [(v, trimmed(p)) for v, p in gs.comps]) for gs in ref.stored]
         return CutSketchGeneral(ref.epsilon, ref.n, tree=ref.tree, stored=stored)
     k0, k1 = cutsketch.reachable_scales(ref.sparsifier, ref.ladder)
-    return CutSketchPoly(ref.epsilon, ref.n, sparsifier=ref.sparsifier, scales=ref.scales[k0 : k1 + 1])
+    table = {"table_u": ref.table_u, "table_v": ref.table_v, "table_w": ref.table_w}
+    return CutSketchPoly(ref.epsilon, ref.n, sparsifier=ref.sparsifier, scales=ref.scales[k0 : k1 + 1], **table)
 
 
 def light_classes_stored_exactly(sk, g: WeightedGraph, epsilon: float, seed: int) -> bool:

@@ -10,11 +10,13 @@ import pytest
 from quadsketch.cli import main
 from quadsketch.cutsketch import CutSketchPoly, cut_basic_build, cut_sketch_build
 from quadsketch.graph import save_graph
+from quadsketch.psdsdd import jl_build
 from quadsketch.serialize import Writer, envelope, sketch_class
 from quadsketch.spectral import spectral_improved_build
 
 from conftest import complete_graph, format_matrix, gnp_connected
-from test_serialize import basic_with_nan_stored_weight, general_sketch, improved_with_class_map, verbatim_with_edge_form
+from test_serialize import Q_LADDER_CORRUPTIONS, basic_with_nan_stored_weight, general_sketch, improved_with_class_map
+from test_serialize import q_ladder_corrupted, verbatim_with_edge_form
 
 
 @pytest.fixture
@@ -389,7 +391,7 @@ def test_version_1_envelope_exit_1(rand_graph, tmp_path, capsys):
     run_cli(["spectral-sketch", "build", rand_graph, "-e", "0.25", "--seed", "5", "-o", str(out)], capsys)
     data = out.read_bytes()
     q = ",".join("1.0" for _ in range(20))
-    for version in (1, 4):
+    for version in (1, 5):
         out.write_bytes(data[:4] + bytes([version]) + data[5:])
         code, text, err = run_cli(["spectral-sketch", "query", str(out), "--", q], capsys)
         assert code == 1 and text == ""
@@ -397,7 +399,7 @@ def test_version_1_envelope_exit_1(rand_graph, tmp_path, capsys):
         assert f"unsupported format version {version}" in err
 
 
-@pytest.mark.parametrize("tag, body", [(9, bytes(16)), (1, bytes([1]) + bytes(8) + bytes([0, 3]))], ids=["tag", "index"])
+@pytest.mark.parametrize("tag, body", [(9, bytes(16)), (1, bytes([2]) + bytes(16) + bytes([0, 3]))], ids=["tag", "index"])
 def test_corrupt_f64_array_exit_1(tmp_path, capsys, tag, body):
     # a 2 x 1 JL sketch whose projected factor is corrupt
     w = Writer()
@@ -437,6 +439,26 @@ def test_corrupt_sketch_exit_1(tmp_path, capsys, data, command, query, message):
     code, out, err = run_cli([command, "query", str(skp), "--", query], capsys)
     assert code == 1 and out == ""
     assert err.startswith("quadsketch: error:") and message in err
+
+
+@pytest.mark.parametrize("name", list(Q_LADDER_CORRUPTIONS))
+def test_corrupt_q_ladder_exit_1(tmp_path, capsys, name):
+    skp = tmp_path / "bad.qsk"
+    skp.write_bytes(q_ladder_corrupted(name))
+    code, out, err = run_cli(["cut-sketch", "query", str(skp), "--", "0,1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("quadsketch: error:") and "Traceback" not in err
+
+
+def test_jl_factor_whose_square_overflows_exit_1(tmp_path, capsys):
+    """A finite entry of 1e300 used to answer inf."""
+    sk = jl_build(np.eye(3), 0.5, 0.2, 4)
+    sk.sb[0, 0] = 1e300
+    skp = tmp_path / "bad.qsk"
+    skp.write_bytes(sk.to_bytes())
+    code, out, err = run_cli(["psd", "jl-query", str(skp), "--", "1,0,0"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("quadsketch: error:") and "squared Frobenius norm" in err
 
 
 @pytest.fixture

@@ -480,8 +480,10 @@ def clusters(sizes, weights, p, seed):
 # SHA-256 of same-seed pipeline-mode envelopes, re-recorded at version 3
 # (no ladder copy, no S1 eps, no nested envelope headers; the values are
 # those version 1 wrote), at version 4 (the edge lists' new codec; the
-# decoded arrays are those version 3 decoded) and at version 5 (one form
-# rule per edge list, one vertex count per piece; the same arrays). The first digest is the
+# decoded arrays are those version 3 decoded), at version 5 (one form
+# rule per edge list, one vertex count per piece; the same arrays) and at
+# version 6 (one Q edge table per poly sketch, q_w recomputed from it, and
+# one-valued f64 arrays without indices; the same arrays). The first digest is the
 # full-ladder build as the per-vertex loop build wrote it, which
 # cut_general_reference must still reproduce; it stores every slice the
 # halving rule selects. The second is the production build, which keeps
@@ -497,29 +499,29 @@ GOLDEN = [
         lambda: gnp_connected(40, 0.9, seed=1),
         0.1,
         7,
-        "bf4e5fbc38d5289a96f5fcbccebff86fce234a63fa56ff593185fe051be5c035",
-        "afe7536b67af8ef71e9bb087d072082397afd180aea812e0af4930cb6185285f",
+        "4b3c775bd5473e699b29ff4071b52cc2068d9cdb6a03c2e0f6b09a3ae91f7821",
+        "dc833122e852e3aa7ab48a187791cb87453f477f62ca9c03d1effc0125a45c22",
     ),
     (
         lambda: clusters([32, 32], [1.0, 1.0], 0.9, 2),
         0.1,
         8,
-        "54e141007f65c5e905fc9c00fd330373b7a4db669e2e4ea1cf21a15b1836ab49",
-        "09d439b203dba90843563f8989faf62f87fcb56fe1971634ea88e158c1944c9b",
+        "027bbf0e2da6ce63650c3aaedf45bcd67f46e2f08d84db011da91917eea9829f",
+        "d7c026b4be8331c421531d7ac7febb9e089e284a84980e6364a26d2cf3d1ab70",
     ),
     (
         lambda: clusters([30, 36, 28], [1.0, 30.0, 1000.0], 0.95, 3),
         0.1,
         9,
-        "28da3dddfe2e21253719e32416997a89026b48d8538ff18d1a3f1b4b08158749",
-        "11a148fd8eeaa307288df7c3e2ee243f626836bf4bceaa8936039ea2bb0bf059",
+        "5d0efcb5c97be949a87cb59f124c9fa1484603d4434582ed6b7f7abffe6ae74b",
+        "401e779e05f9188210dbb31144bb672076362adeee78004e5955d38ff832dc85",
     ),
     (
         lambda: gnp_connected(48, 0.8, seed=4, w_lo=1.0, w_hi=4.0),
         0.15,
         10,
-        "7a2169003f1ec72d50b5a6d5329cc574084b89ae9bea9b52b6c1e969f7251b00",
-        "4c2bc8da82cba1bbe3195a45a0acce5e679311508c65d989f745088973279fb5",
+        "acb31ecb99df695ef8217a5410b72522263ea474814d15c8341e5433a72d09b3",
+        "2a8a35216f45ed7ebf664a0c6c233d364372c8a85c668e55b7e8371ddb192aad",
     ),
 ]
 
@@ -544,17 +546,76 @@ def test_golden_bytes_empty_cores():
     # four multi-scale clusters whose degrees stay below 1/eps: every class
     # edge set the build partitions peels to an empty core. The first SHA-1
     # is the envelope as the piece-at-a-time peel wrote it (re-recorded at
-    # versions 3, 4 and 5, which store the same values),
+    # versions 3, 4, 5 and 6, which store the same values),
     # with all five selected slices j = 0, 11, 22, 33, 44; 11, 22 and 33
     # repeat j = 0, and the production envelope, recorded anew when repeated
     # slices stopped being stored, is that one without them.
     g = clusters([12, 12, 12, 12], [1.0, 3.0, 10.0, 30.0], 0.6, 5)
     ref = cut_general_reference(g, 0.03, 11, mode="pipeline", basic=cut_basic_build)
-    assert hashlib.sha1(ref.to_bytes()).hexdigest() == "8bc7b1ad20d9581be2195a6ac63eddb055f69b6c"
+    assert hashlib.sha1(ref.to_bytes()).hexdigest() == "b70087d74127cba1c7543726cc1a95a0b68dd80a"
     assert repeated_slices(g, ref) == [11, 22, 33]
     data = cut_sketch_build(g, 0.03, 11, mode="pipeline").to_bytes()
-    assert hashlib.sha1(data).hexdigest() == "3732276fb7e10fb4a885ce4de3b113910249fbd3"
+    assert hashlib.sha1(data).hexdigest() == "2d2a7397ba4b3860723d8bdfbb314798d7659082"
     assert data == without_slices(ref, [11, 22, 33]).to_bytes()
+
+
+def poly_sketches(sk) -> list:
+    """The ladder sketches of a cut sketch: itself, or its slices' pieces."""
+    if isinstance(sk, CutSketchGeneral):
+        return [p for gs in sk.stored for _, p in gs.comps if not p.is_verbatim]
+    return [sk]
+
+
+Q_TABLE_CASES = {
+    "uniform": lambda: cut_basic_build(gnp_connected(40, 0.9, seed=1), 0.1, 7, mode="pipeline"),
+    "clustered": lambda: cut_basic_build(clusters([16, 16, 16], [1.0, 3.0, 9.0], 0.8, 1), 0.1, 2, mode="pipeline"),
+    "general-slices": lambda: cut_sketch_build(
+        clusters([30, 36, 28], [1.0, 30.0, 1000.0], 0.95, 3), 0.1, 9, mode="pipeline"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(Q_TABLE_CASES))
+def test_decoded_scale_classes_equal_built_bit_for_bit(case):
+    """A class's cut edges are rows of its sketch's Q edge table, and its
+    weights are recomputed from them at decode: the decoded arrays hold the
+    built ones' bits."""
+    sk = Q_TABLE_CASES[case]()
+    built, decoded = poly_sketches(sk), poly_sketches(type(sk).from_bytes(sk.to_bytes()))
+    assert len(built) == len(decoded) >= (2 if case == "general-slices" else 1)
+    for a, b in zip(built, decoded):
+        assert a.table_u.size and all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("table_u", "table_v"))
+        assert np.array_equal(a.table_w.view(np.uint64), b.table_w.view(np.uint64))
+        for sa, sb in zip(a.scales, b.scales, strict=True):
+            for ca, cb in zip(sa.classes, sb.classes, strict=True):
+                for name in ("q_pos", "q_u", "q_v", "q_w"):
+                    x, y = getattr(ca, name), getattr(cb, name)
+                    assert x.dtype == y.dtype and np.array_equal(x.view(np.uint64), y.view(np.uint64)), name
+
+
+@pytest.mark.parametrize("case", ["uniform", "clustered"])
+def test_q_edges_are_the_partition_cut_edges_bit_for_bit(case):
+    """Each class holds the cut edges and reweighted weights of its scale's
+    cut_preprocessing; its rows list exactly the table's edges that some
+    class keeps. Both builds reweight some edges (p < 1) at their higher
+    scales."""
+    sk = Q_TABLE_CASES[case]()
+    g, eps, seed = {"uniform": (gnp_connected(40, 0.9, seed=1), 0.1, 7),
+                    "clustered": (clusters([16, 16, 16], [1.0, 3.0, 9.0], 0.8, 1), 0.1, 2)}[case]
+    k0, _ = reachable_scales(sk.sparsifier, build_ladder(g))
+    rows, reweighted = [], False
+    for i, sc in enumerate(sk.scales, start=k0):
+        prep = cutsketch.cut_preprocessing(g, sc.c, eps, derive_seed(seed, "scale", i))
+        for cl, cls in zip(prep.classes, sc.classes, strict=True):
+            cut = cl.result
+            assert np.array_equal(cls.q_u, cut.cross_u) and np.array_equal(cls.q_v, cut.cross_v)
+            assert np.array_equal(cls.q_w.view(np.uint64), cut.cross_w.view(np.uint64))
+            assert np.array_equal(sk.table_w[cls.q_pos], g.edge_w[cut.cross_idx])
+            reweighted |= bool(np.any(cls.q_w != g.edge_w[cut.cross_idx] / sc.c))
+            rows.append(cut.cross_idx)
+    kept = np.unique(np.concatenate(rows))
+    assert np.array_equal(sk.table_u, g.edge_u[kept]) and np.array_equal(sk.table_v, g.edge_v[kept])
+    assert reweighted
 
 
 def prefix_component_queries(tree, n, j, rng, count):

@@ -174,13 +174,15 @@ class TestProtocol:
         # candidate_count) recorded with one contraction loop per round;
         # re-recorded at format version 4, whose smaller envelopes lower
         # total_bytes (2448 -> 2366, 5182 -> 5094, 416 -> 410) while the
-        # members, estimates and candidate counts stay the same
+        # members, estimates and candidate counts stay the same, and at
+        # version 6, whose one-valued weight arrays store no indices (the
+        # unit-weight third graph: 410 -> 306)
         triples = [((24, 0.4, 11, 0.5, 3.0), 2, 5), ((40, 0.3, 12, 1.0, 4.0), 3, 6), ((16, 0.5, 13, 1.0, 1.0), 2, 7)]
         h = hashlib.sha256()
         for (n, p, graph_seed, lo, hi), k, seed in triples:
             g = gnp_connected(n, p, seed=graph_seed, w_lo=lo, w_hi=hi)
             h.update(transcript_digest(run_protocol(g, k, 0.25, reps=3, seed=seed)).encode())
-        assert h.hexdigest() == "29e5542ee57b06d8141bfc2c58b33d6dd23f99d338965bb4111f2139c9c4a890"
+        assert h.hexdigest() == "7ad247d497fa50eb0ceef7d6412b898224dc448b1f867402265610a6cf31981a"
 
     def test_c6_cycle(self):
         t = run_protocol(cycle(6), 2, 0.1, reps=3, seed=1)

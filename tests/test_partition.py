@@ -30,6 +30,7 @@ from quadsketch.partition import (
     find_sparse_cut,
     find_sparse_cuts,
     importance_sample,
+    reweight,
     spectral_preprocessing,
     weight_class_of,
 )
@@ -984,6 +985,21 @@ class TestCutPreprocessing:
                 trials += 1
                 ok += abs(w_est - w_true) <= 3 * eps * w_true
         assert ok / trials >= 8.0 / 9.0 - 0.03
+
+
+def test_reweight_is_the_importance_sample_weight_bit_for_bit():
+    """The cut sketch's decoder recomputes its cut edges' weights with
+    reweight; a kept edge's weight from importance_sample has the same
+    bits, at p < 1 and at w/c = eps^2 (p = 1) alike."""
+    eps = 0.1
+    w = eps**2 * np.random.default_rng(5).uniform(0.05, 3.0, 2000)  # p < 1 for two thirds
+    w[:3] = [eps**2, np.nextafter(eps**2, 0), 5.0]
+    kept, w_tilde = importance_sample(w, eps, rng_for(3, "imp"))
+    p, w_all = reweight(w, eps)
+    assert p[0] == 1.0 and w_all[0] == w[0]
+    assert np.count_nonzero(kept & (p < 1)) > 100 and kept[w >= eps**2].all()
+    assert np.array_equal(w_tilde.view(np.uint64), w_all[kept].view(np.uint64))
+    assert np.array_equal(w_all.view(np.uint64), (w / np.minimum(w / eps**2, 1.0)).view(np.uint64))
 
 
 class TestAssignDirection:

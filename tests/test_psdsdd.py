@@ -229,15 +229,17 @@ def with_sb_entry(sk, value):
     [
         (lambda sk: with_sb_entry(sk, np.nan), "projected factor entries must be finite"),
         (lambda sk: with_sb_entry(sk, -np.inf), "projected factor entries must be finite"),
+        (lambda sk: with_sb_entry(sk, 1e300), "finite squared Frobenius norm"),
         (lambda sk: setattr(sk, "epsilon", -3.0), r"epsilon -3.0 and delta 0.2 must be in \(0, 1\)"),
         (lambda sk: setattr(sk, "epsilon", 1.0), r"must be in \(0, 1\)"),
         (lambda sk: setattr(sk, "delta", 0.0), r"must be in \(0, 1\)"),
         (lambda sk: setattr(sk, "delta", np.nan), r"must be in \(0, 1\)"),
     ],
-    ids=["factor-nan", "factor-inf", "epsilon-negative", "epsilon-one", "delta-zero", "delta-nan"],
+    ids=["factor-nan", "factor-inf", "factor-square-overflows", "epsilon-negative", "epsilon-one", "delta-zero", "delta-nan"],
 )
 def test_corrupt_jl_value_rejected_at_decode(corrupt, message):
-    """Each used to decode; a NaN factor entry answered NaN."""
+    """Each used to decode; a NaN factor entry answered NaN, and a finite
+    entry of 1e300 answered inf."""
     sk = jl_build(random_psd(5, np.random.default_rng(13)), 0.5, 0.2, seed=14)
     JlSketch.from_bytes(sk.to_bytes())
     corrupt(sk)

@@ -111,6 +111,7 @@ def f64_bit_arrays(draw):
 @example(np.array([0.0, -0.0, 0.0, 2.0] * 8).view(np.uint64))
 @example(np.array([1.0, 1.0, 0.0, -0.0]).view(np.uint64))
 @example(np.full(40, 0x7FF8000000000001, dtype=np.uint64))
+@example(np.full(5, 0x8000000000000000, dtype=np.uint64))
 def test_f64_array_round_trip_is_bit_exact(bits):
     """Signed zeros, infinities and NaN payloads come back with their bits,
     in the raw and in the dictionary encoding alike."""
@@ -119,11 +120,12 @@ def test_f64_array_round_trip_is_bit_exact(bits):
     back = Reader(w.getvalue()).f64_array()
     assert back.dtype == np.float64
     assert np.array_equal(back.view(np.uint64), bits)
-    # the dictionary (tag, d, d patterns, one index per entry) when it is shorter
+    # the dictionary (tag, d, d patterns, then one index per entry when
+    # d > 1) when it is shorter
     k, d = bits.size, np.unique(bits).size
     length = Writer()
     length.varint(k)
-    body = 0 if k == 0 else 2 + 8 * d + k if d <= 255 and d < k else 1 + 8 * k
+    body = 0 if k == 0 else 2 + 8 * d + k * (d > 1) if d <= 255 and d < k else 1 + 8 * k
     assert len(w.getvalue()) == len(length.getvalue()) + body
 
 
@@ -422,7 +424,10 @@ def weighted(n: int, seed: int):
 # digest was re-recorded at version 5, which stores each piece's vertex count
 # once and writes short lists and lists with an entry u > v plain: the
 # decoded arrays are the same; spectral_improved-band-and-low grew by 2 B
-# (1,177 -> 1,179), spectral_basic-s2-and-verbatim-class and sdd shrank. The
+# (1,177 -> 1,179), spectral_basic-s2-and-verbatim-class and sdd shrank.
+# Every digest was re-recorded at version 6, which gives each cut_poly
+# sketch one Q edge table and writes one-valued f64 arrays without index
+# bytes: the decoded arrays are the same, and no envelope grew. The
 # middle entry is the sketch's word count, which the format does
 # not change (None for the sdd and jl sketches, which count no words). The
 # spectral_basic builds are partials, whose arguments the test reads.
@@ -430,59 +435,59 @@ GOLDEN = {
     "spectral_basic-s2-and-verbatim-class": (
         functools.partial(spectral_basic_build, gnp_connected(16, 0.5, seed=21, w_lo=1e-3, w_hi=4.0), 0.3, 22),
         250,
-        "6267ed3be75eaf6cc787147fd96c158b564c56c9f3919417f155c732175e8b6a",
+        "7d0356ec18713746e60c9e41209628015c62bb220ed15b7f8298999c2ccc9008",
     ),
     "spectral_basic-verbatim-class-only": (
         functools.partial(spectral_basic_build, gnp_connected(12, 0.5, seed=31, w_lo=1e-8, w_hi=1.9e-8), 0.3, 32),
         87,
-        "2953e37ec25beb0f4cc8278381a22678fb9d2e865e14f41d1b0efadaea979068",
+        "b1fc6b114eff9a3c5387733318572e6c2e1f918b08c729915f16d879709650b2",
     ),
     "spectral_improved-band-and-low": (
         lambda: spectral_improved_build(gnp_connected(40, 0.5, seed=4), 0.25, 5),
         1155,
-        "7e7746c9c7188ceb6c179ff569949ee314223bf0259f94b0b5a3bc49d79c8984",
+        "3c08ecdb784f44375b141fcd2e499e2f8a41af59bfeb2fb5f455dcd6a81a6566",
     ),
     "sdd": (
         lambda: sdd_sketch_build(sdd_matrix(8, 1), 0.2, 2),
         None,
-        "7f117c3460a2480b12a1d073c968bfe4c589f397a41f550992bdcd7c7f2b3f77",
+        "e00218e06154e27038b62285f8567fdc8c012d478df1923223ae0651060d8447",
     ),
     "jl": (
         lambda: jl_build(psd_matrix(6, 3), 0.5, 0.2, 4),
         None,
-        "73040804861fbfc68ad6898aab10365e70f42e6943eb3c84814683d8e6395e1d",
+        "0fd801bcc0850a42b827a2200164d4b218a3b0372076684e7414cb1091d01c0d",
     ),
     # the full-ladder build that the declarative layouts first reproduced;
     # the production build keeps only the scales a query can reach
     "cut_poly-pipeline": (
         lambda: cut_basic_reference(gnp_connected(20, 0.5, seed=5), 0.15, 3, mode="pipeline"),
         5507,
-        "945ff32630c8d6ad459508b01e4638de75f18a5c8e315741abeaf1519cb1f7fe",
+        "0fa5c55d6ad2eb2bad1282778a1a85b1b121bea1334850752f736585b300265b",
     ),
     "cut_poly-pipeline-reachable": (
         lambda: cut_basic_build(gnp_connected(20, 0.5, seed=5), 0.15, 3, mode="pipeline"),
         3696,
-        "f65d0f1a5ccc31fc736164df2a7460989a67088f962b75b9d31d8a273a1694d2",
+        "d12646ef5c726572c788c7605dec2f5bca1dd96a7b2d71c14a979a6716c9f7b2",
     ),
     "cut_poly-verbatim": (
         lambda: cut_basic_build(weighted(12, 6), 0.2, 1),
         99,
-        "68f4ad86e915630dc0dee9a7f582c5ea7eb9a5e4e6df6ef8f37ea9aa2024d709",
+        "7e5bff92be0dec24b5d4ab4b3f90b0d62392b56bacfc1200b4aa24dfd5727864",
     ),
     "cut_general-verbatim": (
         lambda: cut_sketch_build(weighted(12, 7), 0.2, 1),
         96,
-        "f3dde34f0544b6917862c88e1c80bf47d4347118bb215a9dcc48f4770769e48d",
+        "023c6a9b44cb4fac089758ef02041633e836ba7bce3215756a71b3ae5e0336ca",
     ),
     "spectral_basic-verbatim": (
         lambda: spectral_basic_build(weighted(12, 8), 0.05, 1),
         132,
-        "bca13fb84402dda25f60e61681b2af31dd85d75151aad6f8b03dc6fa2a2383b4",
+        "6f84e289bf73b4ea9b8300545158ec3b23454714fa44b446e105b1371041b370",
     ),
     "spectral_improved-verbatim": (
         lambda: spectral_improved_build(weighted(12, 9), 0.05, 1),
         84,
-        "91f3dbeca229fae73f0ed2838c582b84d5eb0ebff75033cc87bbe6f2cd0d14ee",
+        "3766fdb38e0b29adc764d64cd56d321537ca2764a0c21c2967b709423467be2f",
     ),
 }
 
@@ -504,10 +509,10 @@ def test_golden_envelopes(case):
 
 @pytest.mark.parametrize("family", ["cut_general", "cut_poly", "spectral_basic", "spectral_improved", "sdd", "jl"])
 def test_version_1_envelope_rejected(family):
-    """Versions 1 to 4 alike: a version-5 decoder reads none of them."""
+    """Versions 1 to 5 alike: a version-6 decoder reads none of them."""
     cls, blob, _ = fuzz_case(family)
-    assert blob[4] == 5
-    for version in (1, 2, 3, 4):
+    assert blob[4] == 6
+    for version in (1, 2, 3, 4, 5):
         with pytest.raises(QuadsketchError, match=f"unsupported format version {version}"):
             cls.from_bytes(blob[:4] + bytes([version]) + blob[5:])
 
@@ -1019,16 +1024,24 @@ CUT_PIECES = {
 }
 
 
-@pytest.mark.parametrize("family", list(CUT_PIECES))
+CUT_PIECES_CORRUPTIONS = {
+    "cut-u": ("q_u", lambda rec, n: setattr(rec, "q_u", with_entry(rec.q_u, n)), "cut edge vertex .* outside"),
+    "cut-v": ("q_v", lambda rec, n: setattr(rec, "q_v", with_entry(rec.q_v, n)), "cut edge vertex .* outside"),
+    "short-map": ("comps", lambda rec, n: with_first_map(rec, lambda vm: vm, grown), None),
+    "map-entry": ("comps", lambda rec, n: with_first_map(rec, lambda vm: with_entry(vm, n)), "vertex map entry .* outside"),
+}
+
+
 @pytest.mark.parametrize(
-    "needs, corrupt, message",
+    "family, needs, corrupt, message",
     [
-        ("q_u", lambda rec, n: setattr(rec, "q_u", with_entry(rec.q_u, n)), "cut edge vertex .* outside"),
-        ("q_v", lambda rec, n: setattr(rec, "q_v", with_entry(rec.q_v, n)), "cut edge vertex .* outside"),
-        ("comps", lambda rec, n: with_first_map(rec, lambda vm: vm, grown), None),
-        ("comps", lambda rec, n: with_first_map(rec, lambda vm: with_entry(vm, n)), "vertex map entry .* outside"),
+        pytest.param(family, *corruption, id=f"{name}-{family}")
+        for family in CUT_PIECES
+        for name, corruption in CUT_PIECES_CORRUPTIONS.items()
+        # a cut_poly class writes rows of its Q edge table, not its cut
+        # edges: test_corrupt_q_ladder_rejected_at_decode corrupts those
+        if family != "cut_poly" or corruption[0] == "comps"
     ],
-    ids=["cut-u", "cut-v", "short-map", "map-entry"],
 )
 def test_corrupt_cut_pieces_rejected_at_decode(family, needs, corrupt, message):
     """A cut edge endpoint or a component's vertex map that leaves the
@@ -1039,6 +1052,80 @@ def test_corrupt_cut_pieces_rejected_at_decode(family, needs, corrupt, message):
     corrupt(rec, n)
     with pytest.raises(QuadsketchError, match=message):
         type(sk).from_bytes(sk.to_bytes())
+
+
+def q_ladder_sketch():
+    """The fuzz cut_poly sketch (n = 10, a 24-edge Q table) and its first
+    class with at least three Q edges."""
+    sk = FUZZ["cut_poly"][0]()
+    return sk, next(cls for sc in sk.scales for cls in sc.classes if cls.q_pos.size >= 3)
+
+
+def with_table_row(sk, k, u, v, w):
+    for name, value in (("table_u", u), ("table_v", v), ("table_w", w)):
+        a = getattr(sk, name).copy()
+        a[k] = value
+        setattr(sk, name, a)
+
+
+def swapped_table_rows(sk, cls):
+    row = (sk.table_u[0], sk.table_v[0], sk.table_w[0])
+    with_table_row(sk, 0, sk.table_u[1], sk.table_v[1], sk.table_w[1])
+    with_table_row(sk, 1, *row)
+
+
+# Corruptions of the Q edge table and of a class's rows, made on a built
+# sketch after construction: the writer writes the table and each class's
+# rows as they are, so each envelope holds the corruption on the wire.
+Q_LADDER_CORRUPTIONS = {
+    "row-past-table": (
+        lambda sk, cls: setattr(cls, "q_pos", np.append(cls.q_pos[:-1], sk.table_u.size)),
+        r"Q table row 24 outside \[0, 24\)",
+    ),
+    "row-repeated": (lambda sk, cls: setattr(cls, "q_pos", np.array([3, 3, 5])), "do not strictly increase"),
+    # gaps 5 and 2**63 - 1: their sum wraps to a row below 5
+    "row-decreasing": (lambda sk, cls: setattr(cls, "q_pos", np.array([5, -(2**63) + 4])), "do not strictly increase"),
+    "weight-zero": (lambda sk, cls: with_table_row(sk, 0, 0, 1, 0.0), "weights must be positive and finite"),
+    "weight-inf": (lambda sk, cls: with_table_row(sk, 0, 0, 1, np.inf), "weights must be positive and finite"),
+    "weight-nan": (lambda sk, cls: with_table_row(sk, 0, 0, 1, np.nan), "weights must be positive and finite"),
+    "weights-short": (lambda sk, cls: setattr(sk, "table_w", sk.table_w[:-1]), "24 Q table edges but 23 weights"),
+    "edge-reversed": (lambda sk, cls: with_table_row(sk, 0, 1, 0, 1.0), "u < v"),
+    "edge-loop": (lambda sk, cls: with_table_row(sk, 0, 0, 0, 1.0), "self-loop"),
+    "vertex-past-n": (lambda sk, cls: with_table_row(sk, -1, 7, 10, 1.0), r"Q table edge vertex 10 outside \[0, 10\)"),
+    "rows-unordered": (swapped_table_rows, "strictly increase"),
+    "row-twice": (lambda sk, cls: with_table_row(sk, 1, 0, 1, 1.0), "strictly increase"),
+}
+
+
+def q_ladder_corrupted(name: str) -> bytes:
+    sk, cls = q_ladder_sketch()
+    corrupt, _ = Q_LADDER_CORRUPTIONS[name]
+    corrupt(sk, cls)
+    return sk.to_bytes()
+
+
+@pytest.mark.parametrize("name", list(Q_LADDER_CORRUPTIONS))
+def test_corrupt_q_ladder_rejected_at_decode(name):
+    """A class row outside its Q edge table or out of order, and a table
+    whose weights, endpoints or order no build writes: each is rejected
+    before a query reads the rows. The table's first rows are (0, 1) and
+    (0, 2), its last (7, 9)."""
+    sk, _ = q_ladder_sketch()
+    assert (sk.table_u[:2].tolist(), sk.table_v[:2].tolist()) == ([0, 0], [1, 2])
+    assert (sk.n, sk.table_u.size, sk.table_u[-1], sk.table_v[-1]) == (10, 24, 7, 9)
+    CutSketchPoly.from_bytes(sk.to_bytes())
+    with pytest.raises(QuadsketchError, match=Q_LADDER_CORRUPTIONS[name][1]):
+        CutSketchPoly.from_bytes(q_ladder_corrupted(name))
+
+
+def test_corrupt_q_ladder_rejected_inside_general_sketch():
+    """A cut_general sketch reads its slices' poly sketches with the same
+    layout."""
+    sk = cut_sketch_build(gnp_connected(10, 0.6, seed=2), 0.3, 3, mode="pipeline")
+    poly = next(p for gs in sk.stored for _, p in gs.comps if p.table_u.size)
+    poly.table_w = np.full(poly.table_w.size, np.nan)
+    with pytest.raises(QuadsketchError, match="weights must be positive and finite"):
+        CutSketchGeneral.from_bytes(sk.to_bytes())
 
 
 def basic_with_nan_stored_weight() -> bytes:
