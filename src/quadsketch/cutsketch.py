@@ -49,7 +49,7 @@ from .graph import (
 from .partition import cut_preprocessing, reweight
 from .rng import derive_seed, draw_counts, rng_for
 from . import serialize
-from .serialize import Composite, ascending, composite, edge_problem, edges, f64, f64_array, fields, graph
+from .serialize import Composite, ascending, composite, draw_table, edge_problem, edges, f64, fields, graph
 from .serialize import int_array, pairs, pairs_problem, piece_problem, record, section, seq, tuple_of, varint
 from .sparsify import SparsifierConfig, sparsify
 
@@ -64,7 +64,14 @@ _NO_IDS = np.empty(0, dtype=np.int64)
 
 @dataclass
 class S1Sketch:
-    """Weighted degrees + per-vertex uniform edge samples of an S1 piece."""
+    """Weighted degrees + per-vertex uniform edge samples of an S1 piece.
+
+    Each vertex of positive degree draws s samples; the table holds its
+    distinct draws, in the order of the piece's adjacency (the neighbours
+    above the vertex, then those below it, each ascending), with their
+    multiplicities y, which sum to s. The wire holds only the draws
+    (``serialize.draw_table``), so a table that breaks this order does not
+    encode."""
 
     s: int
     delta: np.ndarray  # weighted degree per vertex (in the piece)
@@ -94,12 +101,11 @@ class S1Sketch:
 
 S1_LAYOUT = record(
     S1Sketch,
+    draw_table,
     # each sample is an edge of the piece, of positive and finite weight
     check=lambda sk: piece_problem(
         sk.s, sk.delta, sk.deg, (sk.owner, sk.nbr, sk.w), "sample", (sk.owner, sk.nbr, sk.y)
     ),
-    s=varint, delta=f64_array, deg=int_array,
-    owner=int_array, nbr=int_array, w=f64_array, y=int_array,
 )
 
 

@@ -265,8 +265,9 @@ def cut_weight(g: WeightedGraph, members) -> float:
 def weighted_degrees(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Sum of w over the edges (u, v) at each of the n vertices, added in one
     fixed order (the u ends in edge order, then the v ends), so equal inputs
-    give equal bits."""
-    return np.bincount(np.concatenate([u, v]), weights=np.concatenate([w, w]), minlength=n)
+    give equal bits. Float64 also without edges, where bincount gives ints."""
+    delta = np.bincount(np.concatenate([u, v]), weights=np.concatenate([w, w]), minlength=n)
+    return delta.astype(np.float64, copy=False)
 
 
 def degrees(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:

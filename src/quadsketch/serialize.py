@@ -37,6 +37,16 @@ from the table weight, the scale value c and eps with the build's own
 expression (``partition.reweight``), so the decoded arrays are those version
 5 decoded. An f64 array of one value writes its pattern and no index bytes.
 
+Version 7 writes an S1 sample table as draws (``draw_table``): s, delta and
+deg, then, for each vertex v with deg[v] > 0 in order, its s draws t = (nbr
+- v - 1) mod n with their repeats (the first t, then the gap to each next
+one, 0 for a repeat), then w, one weight per distinct draw. Every such
+vertex draws exactly s samples, so the owners and the stream's length are
+implicit. A canonical piece's adjacency lists the neighbours above v, then
+those below it, each ascending, so the built t strictly increase along a
+row: the decoder rebuilds owner, nbr and y (the run lengths) with one
+cumsum, and they equal the arrays version 6 decoded.
+
 Each sketch class states its layout once, in wire order, as a ``Codec``
 built from the vocabulary below; ``register`` gives it a kind byte and its
 ``to_bytes``/``from_bytes`` methods, and ``encode``/``decode`` walk that one
@@ -50,11 +60,13 @@ layout both ways.
   ``pairs(item)``: (vertex map, piece) lists; ``cut_pieces_layout(piece)``:
   cut edges, then such a list; ``section(inner)``: a byte length, then
   exactly that many bytes of ``inner``.
-* ``edges(u, v, w)``: the edge list of three attributes; ``group(*groups)``
+* ``edges(u, v, w)``: the edge list of three attributes; ``draw_table``:
+  an S1 record's fields, its sample table as draws; ``group(*groups)``
   joins groups into one.
 * ``record(cls, *groups, name=codec, ...)``: attributes of one value, read
   back as ``cls(**attributes)``, rejected when ``check(value)`` returns a
-  message; its groups are ``fields(...)``, ``edges(...)`` or ``group(...)``.
+  message; its groups are ``fields(...)``, ``edges(...)``, ``draw_table``
+  or ``group(...)``.
   ``composite(cls, *groups, ...)``: eps, n, a verbatim flag (a varint, 1 or
   0), then the whole graph or the body (its groups, then its named fields).
 
@@ -83,7 +95,7 @@ from .errors import QuadsketchError
 from .graph import WeightedGraph
 
 MAGIC = b"QSK1"
-VERSION = 6
+VERSION = 7
 
 MAX_VARINT_BYTES = 10  # ceil(64 / 7): a 64-bit value's LEB128 length
 # arrays up to this long are coded with Python values, not numpy calls, and
@@ -250,6 +262,37 @@ class Writer:
         self.buf.append(PLAIN)
         self.varints(u)
         self.varints(v)
+
+    def draws(self, s: int, n: int, deg, owner, nbr, y) -> None:
+        """The sample table (owner, nbr, y) of an n-vertex piece in which
+        each vertex v with deg[v] > 0 draws s samples: per such v, in order,
+        its s draws t = (nbr - v - 1) mod n with their repeats, as the first
+        t and then the gap to each next one (0 for a repeat). No count: the
+        reader knows s and deg.
+
+        Raises ValueError unless that is lossless: deg has n entries, the
+        samples lie on the piece, each row's t strictly increase (a row is
+        the entries of one owner, the owners ascend), and the y, each at
+        least 1, of each vertex sum to s if its degree is positive, else
+        to 0.
+        """
+        owner, nbr, y = (np.asarray(a, dtype=np.int64).ravel() for a in (owner, nbr, y))
+        if not owner.size == nbr.size == y.size or np.size(deg) != n:
+            raise ValueError("sample table and degrees of different lengths")
+        if owner.size and (min(owner.min(), nbr.min()) < 0 or max(owner.max(), nbr.max()) >= n):
+            raise ValueError(f"sample vertex outside [0, {n})")
+        t = nbr - owner - 1
+        t[t < 0] += n  # a self-loop is n - 1, which the decoder rejects
+        same = owner[1:] == owner[:-1]
+        if (owner[1:] < owner[:-1]).any() or (same & (t[1:] <= t[:-1])).any():
+            raise ValueError("sampled neighbours of a row do not strictly increase")
+        if y.min(initial=1) < 1:
+            raise ValueError("sample multiplicity below 1")
+        if not np.array_equal(np.bincount(owner, y, n), s * (np.asarray(deg) > 0)):
+            raise ValueError(f"sample multiplicities of a row do not sum to s = {s}")
+        gaps = np.zeros(int(y.sum()), dtype=np.int64)
+        gaps[np.cumsum(y) - y] = np.where(np.concatenate(([False], same)), t - np.roll(t, 1), t)
+        self.varints(gaps)
 
     def section(self, payload: bytes) -> None:
         self.varint(len(payload))
@@ -440,6 +483,31 @@ class Reader:
         if not rising.all():
             raise QuadsketchError("edge ids stop increasing")
         return np.repeat(rows, counts), hi
+
+    def draws(self, s: int, n: int, deg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sample table (owner, nbr, y) that ``Writer.draws`` wrote for
+        an n-vertex piece with degrees deg and s draws per vertex of positive
+        degree, as int64 arrays. A count s below 1 and a draw t past n - 1
+        (a neighbour past the piece) raise QuadsketchError, and so does a
+        stream longer than the bytes left; t = n - 1 is a self-loop, which
+        the record's check rejects."""
+        if s < 1:
+            raise QuadsketchError(f"sample count {s} is not positive")
+        rows = np.flatnonzero(deg)
+        if not rows.size:
+            return tuple(np.empty(0, dtype=np.int64) for _ in range(3))
+        gaps = self.varints(s * rows.size).reshape(rows.size, s)
+        # gaps clipped to n: the sums cannot overflow, and a gap past n - 1 still shows
+        t = np.cumsum(np.minimum(gaps, n), axis=1)
+        if t[:, -1].max() > n - 1:
+            raise QuadsketchError(f"sample neighbour outside [0, {n})")
+        fresh = gaps > 0  # a draw that starts a run: a gap, or a row's first
+        fresh[:, 0] = True
+        at = np.flatnonzero(fresh)
+        owner = rows[at // s]
+        nbr = owner + 1 + t.ravel()[at]
+        nbr[nbr >= n] -= n
+        return owner, nbr, np.diff(at, append=gaps.size)
 
     def section(self) -> bytes:
         k = self.varint()
@@ -636,6 +704,28 @@ def edges(u: str, v: str, w: str) -> Codec:
         return {u: tails, v: heads, w: r.f64_array()}
 
     return Codec(write, read)
+
+
+def _draw_table() -> Codec:
+    """A group: the sample count s, the per-vertex delta and deg (n =
+    delta's length), then the sample table owner, nbr, y as draws
+    (``Writer.draws``) and its weights w as an f64_array."""
+    head = fields(s=varint, delta=f64_array, deg=int_array)
+
+    def write(wr: Writer, obj) -> None:
+        head.write(wr, obj)
+        wr.draws(obj.s, np.size(obj.delta), obj.deg, obj.owner, obj.nbr, obj.y)
+        wr.f64_array(obj.w)
+
+    def read(r: Reader) -> dict:
+        got = head.read(r)
+        owner, nbr, y = r.draws(got["s"], got["delta"].size, got["deg"])
+        return {**got, "owner": owner, "nbr": nbr, "y": y, "w": r.f64_array()}
+
+    return Codec(write, read)
+
+
+draw_table = _draw_table()
 
 
 def record(cls, *groups: Codec, check: Callable | None = None, **named: Codec) -> Codec:

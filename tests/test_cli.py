@@ -391,7 +391,7 @@ def test_version_1_envelope_exit_1(rand_graph, tmp_path, capsys):
     run_cli(["spectral-sketch", "build", rand_graph, "-e", "0.25", "--seed", "5", "-o", str(out)], capsys)
     data = out.read_bytes()
     q = ",".join("1.0" for _ in range(20))
-    for version in (1, 5):
+    for version in (1, 5, 6):
         out.write_bytes(data[:4] + bytes([version]) + data[5:])
         code, text, err = run_cli(["spectral-sketch", "query", str(out), "--", q], capsys)
         assert code == 1 and text == ""

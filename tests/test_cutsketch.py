@@ -481,9 +481,11 @@ def clusters(sizes, weights, p, seed):
 # (no ladder copy, no S1 eps, no nested envelope headers; the values are
 # those version 1 wrote), at version 4 (the edge lists' new codec; the
 # decoded arrays are those version 3 decoded), at version 5 (one form
-# rule per edge list, one vertex count per piece; the same arrays) and at
+# rule per edge list, one vertex count per piece; the same arrays), at
 # version 6 (one Q edge table per poly sketch, q_w recomputed from it, and
-# one-valued f64 arrays without indices; the same arrays). The first digest is the
+# one-valued f64 arrays without indices; the same arrays) and at version 7
+# (each S1 sample table as per-row draw gaps; the same arrays). The first
+# digest is the
 # full-ladder build as the per-vertex loop build wrote it, which
 # cut_general_reference must still reproduce; it stores every slice the
 # halving rule selects. The second is the production build, which keeps
@@ -499,29 +501,29 @@ GOLDEN = [
         lambda: gnp_connected(40, 0.9, seed=1),
         0.1,
         7,
-        "4b3c775bd5473e699b29ff4071b52cc2068d9cdb6a03c2e0f6b09a3ae91f7821",
-        "dc833122e852e3aa7ab48a187791cb87453f477f62ca9c03d1effc0125a45c22",
+        "836e817397d473f4ea9477a2c609dcda79a700c10aa1976faed1d422700f0cee",
+        "db72c0b744c05930274ffb75a4473178f32cca64b21c501ca047c360864b2a53",
     ),
     (
         lambda: clusters([32, 32], [1.0, 1.0], 0.9, 2),
         0.1,
         8,
-        "027bbf0e2da6ce63650c3aaedf45bcd67f46e2f08d84db011da91917eea9829f",
-        "d7c026b4be8331c421531d7ac7febb9e089e284a84980e6364a26d2cf3d1ab70",
+        "c24ff685b9cc7ba9c126750eb7caa70a5c96207be7135e3ec5491209a1853220",
+        "a016b28d7110422bdd7b0eb219acb34f8351783fdbd45750d619c16bd021c95c",
     ),
     (
         lambda: clusters([30, 36, 28], [1.0, 30.0, 1000.0], 0.95, 3),
         0.1,
         9,
-        "5d0efcb5c97be949a87cb59f124c9fa1484603d4434582ed6b7f7abffe6ae74b",
-        "401e779e05f9188210dbb31144bb672076362adeee78004e5955d38ff832dc85",
+        "2ccc1d0ab71f26dcd8f857ad30875a8a8292db8c09f24e3d565e00005aabd184",
+        "84efca1aaee6333c02d30a3661541056054f17c0025404d3a83c555a81536ce5",
     ),
     (
         lambda: gnp_connected(48, 0.8, seed=4, w_lo=1.0, w_hi=4.0),
         0.15,
         10,
-        "acb31ecb99df695ef8217a5410b72522263ea474814d15c8341e5433a72d09b3",
-        "2a8a35216f45ed7ebf664a0c6c233d364372c8a85c668e55b7e8371ddb192aad",
+        "6c92f650b4b7792d4f0cc7125eb5e74d836d65b7b1fdd91c5ec0bfcf02dd38ec",
+        "b9bf3307df99ca597c670037aaf889ac161376f9a1414be4e1f511940c2a4335",
     ),
 ]
 
@@ -546,16 +548,16 @@ def test_golden_bytes_empty_cores():
     # four multi-scale clusters whose degrees stay below 1/eps: every class
     # edge set the build partitions peels to an empty core. The first SHA-1
     # is the envelope as the piece-at-a-time peel wrote it (re-recorded at
-    # versions 3, 4, 5 and 6, which store the same values),
+    # versions 3, 4, 5, 6 and 7, which store the same values),
     # with all five selected slices j = 0, 11, 22, 33, 44; 11, 22 and 33
     # repeat j = 0, and the production envelope, recorded anew when repeated
     # slices stopped being stored, is that one without them.
     g = clusters([12, 12, 12, 12], [1.0, 3.0, 10.0, 30.0], 0.6, 5)
     ref = cut_general_reference(g, 0.03, 11, mode="pipeline", basic=cut_basic_build)
-    assert hashlib.sha1(ref.to_bytes()).hexdigest() == "b70087d74127cba1c7543726cc1a95a0b68dd80a"
+    assert hashlib.sha1(ref.to_bytes()).hexdigest() == "a43a16771c38b755aad2ebb87658e545ea1128bd"
     assert repeated_slices(g, ref) == [11, 22, 33]
     data = cut_sketch_build(g, 0.03, 11, mode="pipeline").to_bytes()
-    assert hashlib.sha1(data).hexdigest() == "2d2a7397ba4b3860723d8bdfbb314798d7659082"
+    assert hashlib.sha1(data).hexdigest() == "a17a35cbc887a6cff41f5cc6a5aacb7d83cb6f13"
     assert data == without_slices(ref, [11, 22, 33]).to_bytes()
 
 

@@ -13,8 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 from quadsketch.cutsketch import (
     CutSketchGeneral,
     CutSketchPoly,
+    S1_LAYOUT,
     S1Sketch,
     cut_basic_build,
+    cut_s1_build,
     cut_sketch_build,
     reachable_scales,
 )
@@ -427,67 +429,69 @@ def weighted(n: int, seed: int):
 # (1,177 -> 1,179), spectral_basic-s2-and-verbatim-class and sdd shrank.
 # Every digest was re-recorded at version 6, which gives each cut_poly
 # sketch one Q edge table and writes one-valued f64 arrays without index
-# bytes: the decoded arrays are the same, and no envelope grew. The
-# middle entry is the sketch's word count, which the format does
+# bytes: the decoded arrays are the same, and no envelope grew. Every
+# digest was re-recorded at version 7, which writes each S1 sample table as
+# per-row draw gaps; no case here holds S1 samples, so only the version
+# byte moved. The middle entry is the sketch's word count, which the format does
 # not change (None for the sdd and jl sketches, which count no words). The
 # spectral_basic builds are partials, whose arguments the test reads.
 GOLDEN = {
     "spectral_basic-s2-and-verbatim-class": (
         functools.partial(spectral_basic_build, gnp_connected(16, 0.5, seed=21, w_lo=1e-3, w_hi=4.0), 0.3, 22),
         250,
-        "7d0356ec18713746e60c9e41209628015c62bb220ed15b7f8298999c2ccc9008",
+        "8044a4cff3f09d99310e894339cf27ed53e1a8745e966856d7e9c243c6568429",
     ),
     "spectral_basic-verbatim-class-only": (
         functools.partial(spectral_basic_build, gnp_connected(12, 0.5, seed=31, w_lo=1e-8, w_hi=1.9e-8), 0.3, 32),
         87,
-        "b1fc6b114eff9a3c5387733318572e6c2e1f918b08c729915f16d879709650b2",
+        "c441389a0937fcfe399aed51439598da132912916d730fe752bdfd740f81541d",
     ),
     "spectral_improved-band-and-low": (
         lambda: spectral_improved_build(gnp_connected(40, 0.5, seed=4), 0.25, 5),
         1155,
-        "3c08ecdb784f44375b141fcd2e499e2f8a41af59bfeb2fb5f455dcd6a81a6566",
+        "7732def626b1fe86786f9bdb201d800377c9eef639c9b7089b44456b54e6f0d0",
     ),
     "sdd": (
         lambda: sdd_sketch_build(sdd_matrix(8, 1), 0.2, 2),
         None,
-        "e00218e06154e27038b62285f8567fdc8c012d478df1923223ae0651060d8447",
+        "3d1cd537c06e20877513c59c64cc010e1cb62468c9ef78f0f1c6fa8adfd02554",
     ),
     "jl": (
         lambda: jl_build(psd_matrix(6, 3), 0.5, 0.2, 4),
         None,
-        "0fd801bcc0850a42b827a2200164d4b218a3b0372076684e7414cb1091d01c0d",
+        "fde5225a6c88fa053d983d5c867c0e301a788a649505d518cab4fedc54af4824",
     ),
     # the full-ladder build that the declarative layouts first reproduced;
     # the production build keeps only the scales a query can reach
     "cut_poly-pipeline": (
         lambda: cut_basic_reference(gnp_connected(20, 0.5, seed=5), 0.15, 3, mode="pipeline"),
         5507,
-        "0fa5c55d6ad2eb2bad1282778a1a85b1b121bea1334850752f736585b300265b",
+        "747fdcee3a8632492f7a8987b11ac06c055fd1b8a2235e58ff70ad3e6e1a50bc",
     ),
     "cut_poly-pipeline-reachable": (
         lambda: cut_basic_build(gnp_connected(20, 0.5, seed=5), 0.15, 3, mode="pipeline"),
         3696,
-        "d12646ef5c726572c788c7605dec2f5bca1dd96a7b2d71c14a979a6716c9f7b2",
+        "afdd4bd4e5b8c630d970337abb6195aa11686267101582573ecdbf41e37f8e6f",
     ),
     "cut_poly-verbatim": (
         lambda: cut_basic_build(weighted(12, 6), 0.2, 1),
         99,
-        "7e5bff92be0dec24b5d4ab4b3f90b0d62392b56bacfc1200b4aa24dfd5727864",
+        "d86c9888aa9211888d2b73812faf66c4b285ed7e5e53d01427db4babfbf0d6b2",
     ),
     "cut_general-verbatim": (
         lambda: cut_sketch_build(weighted(12, 7), 0.2, 1),
         96,
-        "023c6a9b44cb4fac089758ef02041633e836ba7bce3215756a71b3ae5e0336ca",
+        "82c3a32e65f294fabd7099675d3254e006867541212491a379cfd820f766b1c8",
     ),
     "spectral_basic-verbatim": (
         lambda: spectral_basic_build(weighted(12, 8), 0.05, 1),
         132,
-        "6f84e289bf73b4ea9b8300545158ec3b23454714fa44b446e105b1371041b370",
+        "0ffac92168c3b0f298f4d8768b261aa3531de1dcca85a454696340d575fd9128",
     ),
     "spectral_improved-verbatim": (
         lambda: spectral_improved_build(weighted(12, 9), 0.05, 1),
         84,
-        "3766fdb38e0b29adc764d64cd56d321537ca2764a0c21c2967b709423467be2f",
+        "d93ae0a1bf65071552680f72ca9620cf1e46e162538b0aae97ed99721f09505e",
     ),
 }
 
@@ -509,10 +513,10 @@ def test_golden_envelopes(case):
 
 @pytest.mark.parametrize("family", ["cut_general", "cut_poly", "spectral_basic", "spectral_improved", "sdd", "jl"])
 def test_version_1_envelope_rejected(family):
-    """Versions 1 to 5 alike: a version-6 decoder reads none of them."""
+    """Versions 1 to 6 alike: a version-7 decoder reads none of them."""
     cls, blob, _ = fuzz_case(family)
-    assert blob[4] == 6
-    for version in (1, 2, 3, 4, 5):
+    assert blob[4] == 7
+    for version in (1, 2, 3, 4, 5, 6):
         with pytest.raises(QuadsketchError, match=f"unsupported format version {version}"):
             cls.from_bytes(blob[:4] + bytes([version]) + blob[5:])
 
@@ -931,41 +935,255 @@ def unreachable_scales(sk):
     return set(range(len(sk.scales))) - set(range(k0, k1 + 1))
 
 
-@pytest.mark.parametrize("ladder", ["reachable", "full"])
-@pytest.mark.parametrize(
-    "name, corrupt, message",
-    [
-        ("w", lambda p: with_entry(p.w, np.nan), "sample edge weights must be positive and finite"),
-        ("w", lambda p: with_entry(p.w, 0.0), "sample edge weights must be positive and finite"),
-        ("delta", lambda p: with_entry(p.delta, -1e300), "degrees must be non-negative and finite"),
-        ("delta", lambda p: with_entry(p.delta, np.inf), "degrees must be non-negative and finite"),
-        ("s", lambda p: 0, "sample count 0 is not positive"),
-        ("owner", lambda p: with_entry(p.owner, p.n), "outside"),
-        ("nbr", lambda p: with_entry(p.nbr, p.n), "outside"),
-        ("nbr", lambda p: with_entry(p.nbr, p.owner[0]), "sample edges hold a self-loop"),
-        ("y", lambda p: p.y[:-1], "sample arrays of lengths"),
-        ("w", lambda p: p.w[:-1], "sample edge arrays of lengths"),
-        ("deg", lambda p: p.deg[:-1], "sample scales"),
-    ],
-    ids=[
-        "weight-nan", "weight-zero", "degree-negative", "degree-inf", "zero-count", "owner-n", "neighbour-n",
-        "self-loop", "short-draws", "short-weights", "short-degrees",
-    ],
-)
-def test_corrupt_s1_field_rejected_at_decode(ladder, name, corrupt, message):
-    """Each corrupted field used to decode; a NaN weight answered NaN. On
-    the full ladder the corrupt piece lies in a scale that no query
-    selects, so no query used to see it."""
+def s1_ladder_piece(ladder: str):
+    """A K_12 cut_poly sketch (s = 4) and its first sampled S1 piece: in a
+    reachable scale, or, on the full ladder, in a scale no query selects."""
     g = complete_graph(12)
     if ladder == "reachable":
         sk = cut_basic_build(g, 0.3, 3, mode="pipeline")
-        piece = first_sampled_s1(sk)
-    else:
-        sk = cut_basic_reference(g, 0.3, 3, mode="pipeline")
-        piece = first_sampled_s1(sk, unreachable_scales(sk))
-    setattr(piece, name, corrupt(piece))
+        return sk, first_sampled_s1(sk)
+    sk = cut_basic_reference(g, 0.3, 3, mode="pipeline")
+    return sk, first_sampled_s1(sk, unreachable_scales(sk))
+
+
+def draw_gaps(piece) -> np.ndarray:
+    """The draws of an S1 piece as the wire holds them, one vertex at a
+    time: per vertex v of positive degree, its s draws t = (nbr - v - 1)
+    mod n with their repeats, the first as is, then the gaps."""
+    gaps = []
+    for v in np.flatnonzero(piece.deg).tolist():
+        row = piece.owner == v
+        t = [(b - v - 1) % piece.n for b, k in zip(piece.nbr[row].tolist(), piece.y[row].tolist()) for _ in range(k)]
+        gaps += t[:1] + [b - a for a, b in zip(t, t[1:])]
+    return np.array(gaps, dtype=np.int64)
+
+
+def s1_record(piece, **fields) -> bytes:
+    """The S1 record of piece (s, delta, deg, the draw gaps, w), with the
+    given fields in place of its own."""
+    f = {"s": piece.s, "delta": piece.delta, "deg": piece.deg, "gaps": draw_gaps(piece), "w": piece.w, **fields}
+    w = Writer()
+    w.varint(f["s"])
+    w.f64_array(f["delta"])
+    w.int_array(f["deg"])
+    w.varints(f["gaps"])
+    w.f64_array(f["w"])
+    return w.getvalue()
+
+
+def with_s1_record(sk, piece, record: bytes) -> bytes:
+    """The envelope of the cut_poly sketch sk with the S1 record of piece
+    replaced by record."""
+    data = sk.to_bytes()
+    r = Reader(data)
+    r.pos = 6  # magic, version and kind
+    r.f64()  # eps
+    r.varint()  # n
+    r.varint()  # verbatim flag
+    r.section()  # sparsifier
+    start = r.pos
+    ladder = r.section()
+    old = serialize.to_payload(S1_LAYOUT, piece)
+    assert ladder.count(old) == 1
+    w = Writer()
+    w.section(ladder.replace(old, record))
+    return data[:start] + w.getvalue()
+
+
+def set_field(name, corrupt):
+    """The envelope of a sketch whose piece has corrupt(piece) as its
+    attribute name."""
+
+    def envelope(sk, piece):
+        setattr(piece, name, corrupt(piece))
+        return sk.to_bytes()
+
+    return envelope
+
+
+def wire(corrupt):
+    """The envelope of a sketch whose piece is written as the record
+    corrupt(piece)."""
+    return lambda sk, piece: with_s1_record(sk, piece, corrupt(piece))
+
+
+def first_row_end(piece) -> int:
+    """The index of the last entry of the piece's first sampling row."""
+    return int(np.flatnonzero(piece.owner == piece.owner[0])[-1])
+
+
+def with_gap(k: int, value: int):
+    """The record of a piece whose k-th draw gap is value."""
+
+    def record(piece):
+        gaps = draw_gaps(piece)
+        gaps[k] = value
+        return s1_record(piece, gaps=gaps)
+
+    return record
+
+
+def last_vertex_dropped(piece) -> bytes:
+    """deg one entry short, with the draws and weights of the vertices it
+    still covers: the last vertex samples, so its row goes too."""
+    assert piece.deg[-1] > 0
+    kept = piece.owner < piece.n - 1
+    return s1_record(piece, deg=piece.deg[:-1], gaps=draw_gaps(piece)[: -piece.s], w=piece.w[kept])
+
+
+@pytest.mark.parametrize("ladder", ["reachable", "full"])
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (set_field("w", lambda p: with_entry(p.w, np.nan)), "sample edge weights must be positive and finite"),
+        (set_field("w", lambda p: with_entry(p.w, 0.0)), "sample edge weights must be positive and finite"),
+        (set_field("delta", lambda p: with_entry(p.delta, -1e300)), "degrees must be non-negative and finite"),
+        (set_field("delta", lambda p: with_entry(p.delta, np.inf)), "degrees must be non-negative and finite"),
+        (wire(lambda p: s1_record(p, s=0)), "sample count 0 is not positive"),
+        (wire(with_gap(0, 12)), r"sample neighbour outside \[0, 12\)"),
+        # the last draw of a row has the largest t, so the row still encodes
+        (
+            set_field("nbr", lambda p: np.where(np.arange(p.nbr.size) == first_row_end(p), p.owner[0], p.nbr)),
+            "sample edges hold a self-loop",
+        ),
+        (set_field("w", lambda p: p.w[:-1]), "sample edge arrays of lengths"),
+        (wire(last_vertex_dropped), "12 degrees but 11 sample scales"),
+    ],
+    ids=[
+        "weight-nan", "weight-zero", "degree-negative", "degree-inf", "zero-count", "neighbour-n", "self-loop",
+        "short-weights", "short-degrees",
+    ],
+)
+def test_corrupt_s1_field_rejected_at_decode(ladder, corrupt, message):
+    """Each corrupted field used to decode; a NaN weight answered NaN. On
+    the full ladder the corrupt piece lies in a scale that no query
+    selects, so no query used to see it. The wire holds no owner or
+    neighbour column: a count of 0 and a draw past the piece are written
+    into the record itself, as are degrees one short (with the draws of
+    the vertices they cover)."""
+    sk, piece = s1_ladder_piece(ladder)
     with pytest.raises(QuadsketchError, match=message):
-        CutSketchPoly.from_bytes(sk.to_bytes())
+        CutSketchPoly.from_bytes(corrupt(sk, piece))
+
+
+def swapped_first_draws(piece) -> dict:
+    """The first two entries of the first sampling row swapped: a whole
+    table, but out of the adjacency's order."""
+    order = np.arange(piece.owner.size)
+    order[:2] = [1, 0]
+    assert piece.owner[1] == piece.owner[0]
+    return {name: getattr(piece, name)[order] for name in ("owner", "nbr", "w", "y")}
+
+
+@pytest.mark.parametrize("ladder", ["reachable", "full"])
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda p: {"owner": with_entry(p.owner, p.n)}, r"sample vertex outside \[0, 12\)"),
+        (lambda p: {"nbr": with_entry(p.nbr, p.n)}, r"sample vertex outside \[0, 12\)"),
+        (lambda p: {"y": p.y[:-1]}, "different lengths"),
+        (lambda p: {"deg": p.deg[:-1]}, "different lengths"),
+        (lambda p: {"s": 0}, "do not sum to s = 0"),
+        (lambda p: {"y": p.y + (np.arange(p.y.size) == 0)}, "do not sum to s = 4"),
+        (lambda p: {"y": np.concatenate(([0, p.y[0] + p.y[1]], p.y[2:]))}, "multiplicity below 1"),
+        (swapped_first_draws, "do not strictly increase"),
+    ],
+    ids=[
+        "owner-n", "neighbour-n", "short-draws", "short-degrees", "zero-count", "row-sum", "zero-multiplicity",
+        "permuted",
+    ],
+)
+def test_unwritable_s1_table_rejected_at_encode(ladder, corrupt, message):
+    """A table the draws cannot hold losslessly raises ValueError at
+    encode: owners and multiplicities are implicit on the wire and a draw
+    is taken mod n, so an owner, a neighbour outside the piece or
+    multiplicities that break the table have no bytes of their own."""
+    sk, piece = s1_ladder_piece(ladder)
+    for name, value in corrupt(piece).items():
+        setattr(piece, name, value)
+    with pytest.raises(ValueError, match=message):
+        sk.to_bytes()
+
+
+def k12_piece():
+    return s1_ladder_piece("reachable")[1]
+
+
+def to_self_loop(piece) -> bytes:
+    """The first row's last draw moved to t = n - 1, its owner."""
+    gaps = draw_gaps(piece)
+    gaps[piece.s - 1] += piece.n - 1 - gaps[: piece.s].sum()
+    return s1_record(piece, gaps=gaps)
+
+
+def head_bytes(piece) -> int:
+    """The length of an S1 record up to its draws."""
+    return len(s1_record(piece, gaps=np.empty(0, dtype=np.int64), w=np.empty(0))) - 1
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        (lambda p: s1_record(p)[: head_bytes(p) + 5], "truncated sketch data"),
+        (to_self_loop, "sample edges hold a self-loop"),
+        (with_gap(0, 12), r"sample neighbour outside \[0, 12\)"),
+        (with_gap(1, 2**63 - 1), r"sample neighbour outside \[0, 12\)"),
+        (lambda p: s1_record(p, w=p.w[:-1]), "sample edge arrays of lengths"),
+        (lambda p: s1_record(p, w=np.append(p.w, 1.0)), "sample edge arrays of lengths"),
+        (lambda p: s1_record(p, s=2**62), "truncated sketch data"),
+        # the stream is read s + 1 draws per row, past the record's end
+        (lambda p: s1_record(p, s=p.s + 1), "truncated sketch data"),
+        # the draws left over are read as w, whose count then differs from the runs
+        (lambda p: s1_record(p, s=p.s - 1), "sample edge arrays of lengths"),
+        (lambda p: s1_record(p, deg=with_entry(p.deg, 0)), "sample edge arrays of lengths"),
+    ],
+    ids=[
+        "truncated-draws", "self-loop", "draw-n", "gap-overflows", "short-weights", "long-weights", "huge-count",
+        "count-up", "count-down", "degree-zeroed",
+    ],
+)
+def test_corrupt_draw_table_rejected_at_decode(record, message):
+    """A draw stream cut short, a draw past n - 2 (a self-loop or a
+    neighbour past the piece), a weight count that is not the number of
+    runs, and an s or deg that makes the stream another length all raise
+    QuadsketchError. A longer stream runs past the record, which the
+    Reader finds before it allocates (s = 2^62 reads no draw); a shorter
+    one leaves draws that are read as w, whose count then is not the
+    number of runs."""
+    with pytest.raises(QuadsketchError, match=message):
+        serialize.from_payload(S1_LAYOUT, record(k12_piece()))
+
+
+@st.composite
+def s1_inputs(draw):
+    """(n, edges, s, seed) of an S1 build: any canonical graph on 2 to 12
+    vertices, isolated and degree-1 vertices included, with weights that
+    differ, and s from 1 to 9 (above a vertex's degree, y > 1)."""
+    n = draw(st.integers(2, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    weights = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(chosen), max_size=len(chosen)))
+    edges = [(u, v, w) for (u, v), w in zip(chosen, weights)]
+    return n, edges, draw(st.integers(1, 9)), draw(st.integers(0, 2**32))
+
+
+@given(case=s1_inputs())
+@example(case=(2, [(0, 1, 2.5)], 5, 1))  # n = 2, y = s > deg
+@example(case=(5, [(0, 3, 1.0), (3, 4, 2.0)], 3, 2))  # isolated vertices 1 and 2, degree-1 vertices 0 and 4
+@example(case=(3, [], 2, 3))  # no draws at all
+@settings(max_examples=150, deadline=None)
+def test_draw_table_round_trip_is_bit_exact(case):
+    n, edges, s, seed = case
+    sk = cut_s1_build(WeightedGraph(n, edges), 0.5, seed, s=s)
+    data = serialize.to_payload(S1_LAYOUT, sk)
+    assert data == s1_record(sk)  # the layout, as the per-vertex reference writes it
+    back = serialize.from_payload(S1_LAYOUT, data)
+    assert back.s == sk.s
+    for name in ("delta", "deg", "owner", "nbr", "y", "w"):
+        got, want = getattr(back, name), getattr(sk, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    for members in (np.arange(n) % 2 == 0, np.arange(n) < n // 2):
+        assert back.estimate(members) == sk.estimate(members)
 
 
 @pytest.mark.parametrize(

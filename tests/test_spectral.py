@@ -227,15 +227,16 @@ class TestSpectralBasic:
     @pytest.mark.parametrize(
         "n, seed, c_alpha, digest",
         [
-            (16, 1, 0.3, "d7ea55ec9fee005300713f7ad2e794916a5462095961c1b89bef59e135e81ce5"),
-            (20, 5, 0.25, "6dcaee6e57f5302f9b72809be4d4c0a9adbe4c2b1d3962b175b1d71b27591b80"),
+            (16, 1, 0.3, "8e7bd5fa10b8f84ce4f691e782c7ad2b76545ca7eca78d6a9af741ca8f6864e5"),
+            (20, 5, 0.25, "f1f2f02a5466c5dd4f74576eeada0c2206d77d975c98552c8238f4061cf45b37"),
         ],
         ids=["16-1-0.3", "20-5-0.25"],
     )
     def test_golden_s2_samples(self, n, seed, c_alpha, digest):
         # pins the S2 sample bytes; the second graph also has a heavy vertex
-        # without heavy neighbours. Re-recorded at format versions 4, 5 and
-        # 6, which decode the same arrays
+        # without heavy neighbours. Re-recorded at format versions 4, 5,
+        # 6 and 7, which decode the same arrays (7 moved only the version
+        # byte of a spectral envelope)
         g = gnp_connected(n, 0.5, seed=seed, w_lo=1.0, w_hi=4.0)
         sk = spectral_basic_build(g, 0.3, seed + 1, c_alpha=c_alpha)
         assert all(s2.owner.size for cls in sk.classes for _, s2 in cls.comps if (s2.scale > 0).any())
@@ -281,23 +282,23 @@ class TestS3:
     def test_constant_vector_zero_with_mixed_heads(self):
         # some heads have stored and sampled in-arcs; a head's sample
         # coefficients must sum to its sampled in-weight. The digest was
-        # re-recorded at format versions 4, 5 and 6, which decode the same
-        # arrays
+        # re-recorded at format versions 4, 5, 6 and 7, which decode the
+        # same arrays
         g = gnp_connected(20, 0.5, seed=8, w_lo=1, w_hi=4)
         sk = spectral_improved_build(g, 0.2, 8, c_beta=0.3)
         comps = [comp for _, s3 in sk.classes for _, comp in s3.comps]
         assert any(np.intersect1d(comp.sv, comp.owner).size for comp in comps)
         assert abs(sk.estimate(np.ones(20))) <= 1e-9 * g.total_weight
-        assert sha256(sk.to_bytes()) == "42b6999c86c760efe6593bf6d670041959434829713e15f95f91b8dc4ec10acf"
+        assert sha256(sk.to_bytes()) == "8d67e88382a77b9ddc64091747f3e2ddffcc198fdddedb60d2243a10fbff0d69"
 
     def test_golden_with_leftover_recursion(self):
         # pins the bytes of a build whose degree-class partition recurses on
-        # left-over arcs (re-recorded at format versions 4, 5 and 6, which
-        # decode the same arrays)
+        # left-over arcs (re-recorded at format versions 4, 5, 6 and 7,
+        # which decode the same arrays)
         g = clique_and_path(80, 200)
         sk = spectral_improved_build(g, 0.25, 1)
         assert degree_class_partition(g, 0.25, derive_seed(1, "partition")).recursion_depth == 2
-        assert sha256(sk.to_bytes()) == "dfb4a70ee5bcf818f707868e423f407de4908a28d459738714052e2a0b32eb19"
+        assert sha256(sk.to_bytes()) == "7694a213b1eaf60f00ec5211cb0060f0f84806c54bff8b4e8f88d8d2bbcec6ad"
 
     @pytest.mark.parametrize("k, tail, c_beta", [(80, 200, 8.0), (120, 600, 7.6)])
     def test_large_c_beta_counts_each_arc_once(self, k, tail, c_beta):
@@ -424,17 +425,17 @@ def count_sampling_calls(monkeypatch) -> dict[str, int]:
 # Builds whose every S2 piece or S3 component samples nothing: (build, number
 # of pieces, SHA-256 of the envelope). The digests were recorded when every
 # piece still derived a stream and made an empty draw, and re-recorded at
-# format versions 4, 5 and 6, which decode the same arrays.
+# format versions 4, 5, 6 and 7, which decode the same arrays.
 SAMPLE_FREE = {
     "spectral_basic": (
         lambda: spectral_basic_build(gnp_connected(40, 0.5, seed=4, w_lo=1.0, w_hi=4.0), 0.25, 5),
         33,
-        "7416b205160f3eade94b8e5102b86055d1b54cafaebdd5cba8ea8eb56eb1f159",
+        "51799288dcf4f3200837b235dd04f4e04a40b2f3acd5eae639dbaa1e5e329242",
     ),
     "spectral_improved": (
         lambda: spectral_improved_build(gnp_connected(40, 0.5, seed=6), 0.3, 7),
         12,
-        "02be7bc76e78ff6e94323033a9c7caa91c17074f557620dd34e895a52bd01e67",
+        "098ef3252f1dbf55d7d9a382c69f8eb388c73b7526413d4e1cc1f5bf6ff8b88a",
     ),
 }
 

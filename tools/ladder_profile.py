@@ -9,8 +9,10 @@ Prints, per family and per build: the build seconds (build and encode, as a
 benchmark operation times them), the ladder scales (cut_preprocessing calls)
 and their weight classes, the partitions run (the others are memo hits),
 the dissolved classes among them (partitions that return before labelling
-anything: the 1/eps-core is empty), the adjacency tables built, and the
-seconds in cut_preprocessing, in S1 builds and in encode.
+anything: the 1/eps-core is empty), the adjacency tables built, the
+seconds in cut_preprocessing, in S1 builds and in encode, and the bytes of
+the build's S1 records and of its Q edge tables (each table's edge list and
+weights), the two largest parts of a cut envelope.
 """
 
 from __future__ import annotations
@@ -25,13 +27,24 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench import workloads  # noqa: E402
-from quadsketch import cutsketch, partition  # noqa: E402
+from quadsketch import cutsketch, partition, serialize  # noqa: E402
 from quadsketch.graph import WeightedGraph  # noqa: E402
 
 SEED = 1
 PASSES = 3
 COLUMNS = ["build s", "scales", "classes", "partitions", "memo hits", "dissolved", "adjacency builds",
-           "prep s", "S1 s", "encode s"]
+           "prep s", "S1 s", "encode s", "S1 B", "Q table B"]
+Q_TABLE = serialize.edges("table_u", "table_v", "table_w")
+
+
+def layout_bytes(sketch) -> dict[str, int]:
+    """The bytes of the S1 records and of the Q edge tables of a cut sketch."""
+    polys = [p for gs in sketch.stored for _, p in gs.comps if not p.is_verbatim]
+    pieces = [s1 for p in polys for sc in p.scales for cls in sc.classes for _, s1 in cls.comps]
+    return {
+        "S1 B": sum(len(serialize.to_payload(cutsketch.S1_LAYOUT, s1)) for s1 in pieces),
+        "Q table B": sum(len(serialize.to_payload(Q_TABLE, p)) for p in polys),
+    }
 
 
 def profile_family(fam) -> dict[str, float]:
@@ -87,6 +100,8 @@ def profile_family(fam) -> dict[str, float]:
             t2 = time.perf_counter()
             row["build s"] += t2 - t0
             row["encode s"] += t2 - t1
+            for name, size in layout_bytes(sketch).items():
+                row[name] += size
     finally:
         cutsketch.cut_preprocessing, cutsketch.cut_s1_build = prep, s1
         partition._partition_by_cuts, partition.label_components = split, label
