@@ -14,13 +14,29 @@ Random contraction draws an exponential key per edge (rate = weight) and
 contracts edges in increasing key order until two super-vertices remain.
 That is Kruskal's algorithm stopped one edge early, so the two sides are
 those of the minimum spanning tree under the keys with its largest-key edge
-removed (Karger & Stein, JACM 1996). `karger_cut` finds that split for all
-rounds at once with Prim's algorithm from vertex 0 run in lockstep: Prim
-adds the largest tree edge only after every vertex on vertex 0's side, since
-until then a lighter tree edge leaves the grown part, so the other side is
-exactly the vertices added from the largest-key step on. The keys are the
-same draws in the same order as one contraction per round, so the sides, the
-candidate list and the protocol transcript are the same as well.
+removed (Karger & Stein, JACM 1996). In most rounds one side is a single
+vertex (about 94 % on a dense G(64, 0.35)), and `karger_cut` proves that
+first. Let t* be the largest of the vertices' lightest incident keys and v*
+the first vertex that has it. If the edges with key below t* connect
+V∖{v*}, the side is {v*}, written as V∖{0} when v* = 0. The test is
+exact, also with tied keys: v* has no edge below t*, so Kruskal has merged
+V∖{v*} into one super-vertex, with v* alone, before it reaches any key of
+t* or more; and Prim from vertex 0 reaches every other vertex by steps
+below t*, adding v* last (or first, when v* = 0) by the one step of key t*.
+The test holds each vertex's neighbours below t* as one 64-bit mask, made
+for a chunk of rounds by one float32 GEMM of the rounds' below-t* edge
+flags against 2^u weights in groups of 22 bits, so every sum is exact. A
+BFS over the masks then tests V∖{v*}. Graphs of more than 64 vertices and
+disconnected graphs skip the test.
+
+The rounds the test leaves run Prim's algorithm from vertex 0 in lockstep:
+Prim adds the largest tree edge only after every vertex on vertex 0's side,
+since until then a lighter tree edge leaves the grown part, so the other
+side is exactly the vertices added from the largest-key step on. The keys
+are the same draws in the same order as one contraction per round, so the
+sides, the candidate list and the protocol transcript are the same as
+well. (Only tied keys, which continuous draws almost never give, can let
+Prim and a contraction loop's tie order split a round differently.)
 """
 
 from __future__ import annotations
@@ -97,47 +113,127 @@ class ProtocolTranscript:
         return sum(self.sketch_bytes) + sum(self.sparsifier_bytes)
 
 
-KARGER_CHUNK_BYTES = 1 << 23  # dense key buffer for one chunk of rounds
+KARGER_CHUNK_BYTES = 1 << 23  # key buffers of one chunk of rounds
 NON_EDGE_KEY = np.finfo(np.float64).max  # above every drawn key, below the done mark
+MASK_BITS = 64  # the singleton test holds each vertex's neighbours in one uint64
+GROUP_BITS = 22  # neighbour bits per float32 GEMM sum, which is exact below 2^24
+
+
+def _singleton_tables(g: WeightedGraph):
+    """The singleton test's tables for g: each vertex's incident edge ids,
+    padded by repeating its last one, and an (n * groups, m) float32 matrix
+    whose row (v, j) holds 2^(u - j * GROUP_BITS) at each edge (u, v) with u
+    in bit group j. None where no round can pass: n > MASK_BITS or g
+    disconnected."""
+    n, m = g.n, g.m
+    if n > MASK_BITS or not is_connected(g):
+        return None
+    ends = np.concatenate([g.edge_u, g.edge_v])
+    other = np.concatenate([g.edge_v, g.edge_u])
+    deg = np.bincount(ends, minlength=n)
+    # vertex v's edge ends in edge order, then its last one again
+    at = (np.cumsum(deg) - deg)[:, None] + np.minimum(np.arange(deg.max()), deg[:, None] - 1)
+    pos = np.argsort(ends, kind="stable")[at]
+    groups = -(-n // GROUP_BITS)
+    bits = np.zeros((n * groups, m), dtype=np.float32)
+    bits[ends * groups + other // GROUP_BITS, np.arange(2 * m) % m] = np.ldexp(1.0, other % GROUP_BITS)
+    return pos % m, bits
+
+
+def _certified_singletons(keys: np.ndarray, tables) -> np.ndarray:
+    """Per round (row of keys), the vertex v* whose singleton the test
+    proves to be the side, or -1 (see the module docstring)."""
+    incident, bits = tables
+    n, c = incident.shape[0], keys.shape[0]
+    by_edge = keys.T.copy()  # (m, c): the gather below copies whole rows
+    nearest = by_edge[incident].min(axis=1)  # (n, c)
+    star = nearest.argmax(axis=0)  # v*
+    below = (by_edge < nearest[star, np.arange(c)]).astype(np.float32)
+    # each sum is of distinct powers of two below 2^GROUP_BITS, so exact
+    sums = (bits @ below).reshape(n, -1, c)
+    nbr = sums[:, 0].astype(np.uint64)  # (n, c) neighbour masks below t*
+    for j in range(1, sums.shape[1]):
+        nbr |= sums[:, j].astype(np.uint64) << np.uint64(j * GROUP_BITS)
+    one = np.uint64(1)
+    shift = np.arange(n, dtype=np.uint64)[:, None]
+    reach = np.where(star == 0, np.uint64(2), one)  # BFS from vertex 0, or 1 if v* = 0
+    frontier = reach.copy()
+    while frontier.any():
+        grown = np.bitwise_or.reduce(nbr * ((frontier >> shift) & one), axis=0)
+        frontier = grown & ~reach
+        reach |= grown
+    rest = np.uint64((1 << n) - 1) ^ (one << star.astype(np.uint64))
+    return np.where(reach == rest, star, -1)
+
+
+def _prim_sides(keys: np.ndarray, slot: np.ndarray, dense: np.ndarray) -> np.ndarray:
+    """Lockstep Prim from vertex 0 over the rounds of keys (see the module
+    docstring); slot maps each (u, v) of the n x n key matrix to its edge
+    id, or to m for non-edges and the diagonal; dense is a buffer of at
+    least keys.shape[0] * n rows."""
+    c, m = keys.shape
+    n = dense.shape[1]
+    padded = np.empty((c, m + 1))
+    padded[:, :m] = keys
+    padded[:, m] = NON_EDGE_KEY
+    dense = dense[: c * n]
+    np.take(padded, slot, axis=1, out=dense.reshape(c, n * n), mode="clip")
+    base = np.arange(c) * n  # row of (round, vertex 0) in dense
+    done = np.zeros((c, n))  # 0 while open, inf once in the tree
+    done[:, 0] = np.inf
+    dist = np.maximum(dense[base], done)
+    order = np.empty((c, n - 1), dtype=np.int64)
+    step_key = np.empty((c, n - 1))
+    for step in range(n - 1):
+        v = dist.argmin(axis=1)
+        order[:, step] = v
+        at = base + v  # flat (round, v) index into dist and done
+        step_key[:, step] = dist.reshape(-1)[at]
+        done.reshape(-1)[at] = np.inf
+        np.minimum(dist, dense[at], out=dist)
+        np.maximum(dist, done, out=dist)
+    sides = np.zeros((c, n), dtype=bool)
+    sides[np.arange(c)[:, None], order] = np.arange(n - 1) >= step_key.argmax(axis=1)[:, None]
+    return sides
 
 
 def karger_cut(g: WeightedGraph, rng, rounds: int) -> np.ndarray:
     """`rounds` weighted random-contraction runs as a (rounds, n) bool array;
-    row r is run r's side without vertex 0: the vertices Prim adds from the
-    largest-key step on (see the module docstring). Non-edges hold
-    NON_EDGE_KEY, so on a disconnected graph the side is the complement of
-    vertex 0's component."""
-    n = g.n
+    row r is run r's side without vertex 0 (see the module docstring): {v*}
+    where the singleton test proves it, else the vertices that lockstep Prim
+    adds from the largest-key step on. Prim runs on the rounds the test
+    leaves, a chunk of them at a time. Non-edges hold NON_EDGE_KEY, so on a
+    disconnected graph the side is the complement of vertex 0's
+    component."""
+    n, m = g.n, g.m
     sides = np.zeros((rounds, n), dtype=bool)
     if n < 2:
         return sides
     chunk = max(1, min(rounds, KARGER_CHUNK_BYTES // (8 * n * n)))
-    # every round has the same edge slots, so one buffer serves all chunks
-    dense = np.full((chunk * n, n), NON_EDGE_KEY)
-    base = np.arange(chunk) * n  # row of (round, vertex 0) in dense
-    slots = [(base * n)[:, None] + pos for pos in (g.edge_u * n + g.edge_v, g.edge_v * n + g.edge_u)]
+    tables = _singleton_tables(g)
+    slot = np.full((n, n), m)
+    slot[g.edge_u, g.edge_v] = slot[g.edge_v, g.edge_u] = np.arange(m)
+    slot = slot.reshape(-1)
+    dense = np.empty((chunk * n, n))
+    rows, held = [], []  # the rounds left to Prim and their keys
     for lo in range(0, rounds, chunk):
         c = min(chunk, rounds - lo)
         # chunk by chunk, the draws are the same stream as one draw per round
-        keys = rng.exponential(1.0, size=(c, g.m))
+        keys = rng.standard_exponential(size=(c, m))
         keys /= g.edge_w
-        for slot in slots:
-            dense.reshape(-1)[slot[:c]] = keys
-        done = np.zeros((c, n))  # 0 while open, inf once in the tree
-        done[:, 0] = np.inf
-        dist = np.maximum(dense[base[:c]], done)
-        order = np.empty((c, n - 1), dtype=np.int64)
-        step_key = np.empty((c, n - 1))
-        for step in range(n - 1):
-            v = dist.argmin(axis=1)
-            order[:, step] = v
-            at = base[:c] + v  # flat (round, v) index into dist and done
-            step_key[:, step] = dist.reshape(-1)[at]
-            done.reshape(-1)[at] = np.inf
-            np.minimum(dist, dense[at], out=dist)
-            np.maximum(dist, done, out=dist)
-        after = np.arange(n - 1) >= step_key.argmax(axis=1)[:, None]
-        sides[lo + np.arange(c)[:, None], order] = after
+        single = np.full(c, -1) if tables is None else _certified_singletons(keys, tables)
+        sides[lo + np.flatnonzero(single == 0), 1:] = True
+        hit = np.flatnonzero(single > 0)
+        sides[lo + hit, single[hit]] = True
+        rows.append(lo + np.flatnonzero(single < 0))
+        held.append(keys[single < 0])
+        last = lo + c == rounds
+        if last or sum(map(len, rows)) >= chunk:
+            r, k = np.concatenate(rows), np.concatenate(held)
+            cut = r.size if last else r.size - r.size % chunk
+            for s in range(0, cut, chunk):
+                sides[r[s : s + chunk]] = _prim_sides(k[s : s + chunk], slot, dense)
+            rows, held = [r[cut:]], [k[cut:]]  # fewer than chunk
     return sides
 
 

@@ -38,6 +38,35 @@ def karger_reference(g, rng, rounds):
     return sides
 
 
+class StubDraws:
+    """A generator that hands out the rows of a fixed draw table in order:
+    as many rows as karger_cut asks for per chunk, one per
+    karger_reference round."""
+
+    def __init__(self, rows):
+        self.rows, self.at = np.array(rows, dtype=np.float64), 0
+
+    def standard_exponential(self, size):
+        out = self.rows[self.at : self.at + size[0]].copy()
+        self.at += size[0]
+        return out
+
+    def exponential(self, scale, size):
+        return scale * self.standard_exponential((1, size))[0]
+
+
+def prim_only(g, rng, rounds):
+    """karger_cut with the singleton test off: lockstep Prim on every round."""
+    with mock.patch.object(distmincut, "_singleton_tables", lambda g: None):
+        return karger_cut(g, rng, rounds)
+
+
+def certified(g, rows):
+    """The singleton test's v* per round of the given draws, or -1."""
+    keys = np.asarray(rows, dtype=np.float64) / g.edge_w
+    return distmincut._certified_singletons(keys, distmincut._singleton_tables(g))
+
+
 def candidates_reference(merged, seed, karger_rounds=None):
     """Candidate cuts collected one at a time, keyed by their bytes."""
     n = merged.n
@@ -157,6 +186,67 @@ class TestKarger:
         g = WeightedGraph(6, [(0, 1, 1.0), (2, 3, 1.0), (4, 5, 2.0)])
         sides = karger_cut(g, np.random.default_rng(0), 5)
         assert (sides == [False, False, True, True, True, True]).all()
+
+    @pytest.mark.parametrize("n", range(64, 81))
+    def test_matches_contraction_loop_across_mask_limit(self, n):
+        # above MASK_BITS vertices no round is tested: all run Prim
+        g = gnp_connected(n, 0.15, seed=n, w_lo=0.2, w_hi=5.0)
+        assert (distmincut._singleton_tables(g) is None) == (n > distmincut.MASK_BITS)
+        got = karger_cut(g, np.random.default_rng(n), 20)
+        assert np.array_equal(got, karger_reference(g, np.random.default_rng(n), 20))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_graph_certifies_most_rounds(self, seed):
+        g = gnp_connected(64, 0.35, seed=seed, w_lo=1.0, w_hi=4.0)
+        star = certified(g, np.random.default_rng(seed).standard_exponential(size=(256, g.m)))
+        assert np.mean(star >= 0) >= 0.8
+
+    @pytest.mark.parametrize("n", [8, 16, 40])
+    def test_cycle_falls_back_to_prim(self, n):
+        # a cycle's side is a singleton only if its two largest keys meet
+        g = cycle(n)
+        star = certified(g, np.random.default_rng(n).standard_exponential(size=(200, g.m)))
+        assert np.mean(star < 0) > 0.5
+        got = karger_cut(g, np.random.default_rng(n), 200)
+        assert np.array_equal(got, karger_reference(g, np.random.default_rng(n), 200))
+
+    def test_tied_top_key_at_the_singleton_is_certified(self):
+        # triangle 0-1-2 below key 5; vertex 3's two edges tie at t* = 5
+        g = WeightedGraph(4, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)])
+        keys = [[1, 2, 1, 5, 5]]
+        assert certified(g, keys).tolist() == [3]
+        assert karger_cut(g, StubDraws(keys), 1).tolist() == [[False, False, False, True]]
+        assert np.array_equal(prim_only(g, StubDraws(keys), 1), karger_cut(g, StubDraws(keys), 1))
+
+    def test_vertex_0_singleton_is_certified(self):
+        # vertex 0 holds t* = 5; the triangle 1-2-3 is below it
+        g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)])
+        keys = [[5, 1, 2, 1]]
+        assert certified(g, keys).tolist() == [0]
+        assert karger_cut(g, StubDraws(keys), 1).tolist() == [[False, True, True, True]]
+
+    def test_tie_that_decides_the_side_is_not_certified(self):
+        # v* = 2; below t* = 5 only 0-1 and 3-4, so V∖{2} needs the tied
+        # edge 1-3, and Kruskal's tie order (1-2 first) leaves {3, 4}
+        # where Prim leaves {2, 3, 4}
+        g = WeightedGraph(5, [(0, 1, 1.0), (1, 2, 1.0), (1, 3, 1.0), (2, 4, 1.0), (3, 4, 1.0)])
+        keys = [[1, 5, 5, 9, 1]]
+        assert certified(g, keys).tolist() == [-1]
+        assert karger_reference(g, StubDraws(keys), 1).tolist() == [[False, False, False, True, True]]
+        assert karger_cut(g, StubDraws(keys), 1).tolist() == [[False, False, True, True, True]]
+
+    @given(n=st.integers(2, 12), graph_seed=st.integers(0, 10**6), seed=st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_certified_rounds_equal_prim_with_tied_keys(self, n, graph_seed, seed):
+        g = gnp_connected(n, 0.5, seed=graph_seed)
+        # keys 1, 2 or 3 (unit weights): most rounds hold ties, many at t*
+        rows = np.random.default_rng(seed).integers(1, 4, size=(30, g.m))
+        star = certified(g, rows)
+        got = karger_cut(g, StubDraws(rows), 30)
+        assert np.array_equal(got, prim_only(g, StubDraws(rows), 30))
+        hit = star > 0
+        assert np.array_equal(got[hit], np.arange(n) == star[hit, None])
+        assert got[star == 0, 1:].all()
 
     @pytest.mark.parametrize("n, p, seed", [(12, 0.5, 1), (21, 0.3, 2), (30, 0.25, 3), (48, 0.2, 4), (64, 0.35, 5)])
     def test_candidates_match_reference(self, n, p, seed):

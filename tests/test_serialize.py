@@ -1386,7 +1386,9 @@ def test_corrupt_general_sketch_rejected_at_decode(corrupt, message):
         CutSketchGeneral.from_bytes(sk.to_bytes())
 
 
-# Small envelopes of all six families and one query each
+# Small envelopes of all six families and one query each; "cut_poly_s1"
+# (K_8 at eps 0.4) stores four sampled S1 pieces, which "cut_poly" lacks.
+# New cases go last: tools/fuzz_envelopes.py seeds each family by its index.
 FUZZ = {
     "cut_general": (lambda: cut_sketch_build(complete_graph(6), 0.4, 3, mode="pipeline"), "cut"),
     "cut_poly": (lambda: cut_basic_build(gnp_connected(10, 0.6, seed=2), 0.3, 3, mode="pipeline"), "cut"),
@@ -1394,7 +1396,13 @@ FUZZ = {
     "spectral_improved": (lambda: spectral_improved_build(gnp_connected(16, 0.5, seed=4), 0.25, 5), "spectral"),
     "sdd": (lambda: sdd_sketch_build(sdd_matrix(5, 1), 0.3, 4), "spectral"),
     "jl": (lambda: jl_build(psd_matrix(6, 3), 0.5, 0.2, 4), "spectral"),
+    "cut_poly_s1": (lambda: cut_basic_build(complete_graph(8), 0.4, 3, mode="pipeline"), "cut"),
 }
+
+
+def test_fuzz_corpus_holds_sampled_s1_pieces():
+    sk = FUZZ["cut_poly_s1"][0]()
+    assert sum(len(cls.comps) for sc in sk.scales for cls in sc.classes) == 4
 
 
 @functools.cache
