@@ -48,7 +48,7 @@ import numpy as np
 
 from .cutsketch import CutSketchGeneral, cut_sketch_build
 from .errors import QuadsketchError
-from .graph import WeightedGraph, cut_weight, is_connected
+from .graph import WeightedGraph, is_connected
 from .oracle import enumerate_cut_values, mask_members, min_cut_exact
 from .rng import derive_seed, rng_for
 from .serialize import encode
@@ -260,10 +260,21 @@ def near_min_cut_candidates(
     sides = sides[sides.any(axis=1)]
     # unique packed rows come out in lexicographic order, which is the bool
     # rows' byte order
-    packed = np.unique(np.packbits(sides, axis=1), axis=0)
+    packed = np.packbits(sides, axis=1)
+    if n <= 64:
+        # rows of at most 8 bytes, zero-padded, are big-endian uint64 keys
+        # that sort in that same order
+        keys = np.zeros((packed.shape[0], 8), dtype=np.uint8)
+        keys[:, : packed.shape[1]] = packed
+        keys = np.unique(keys.view(">u8").ravel().astype(np.uint64))
+        packed = keys.astype(">u8").view(np.uint8).reshape(-1, 8)
+    else:
+        packed = np.unique(packed, axis=0)
     unique = np.unpackbits(packed, axis=1, count=n).astype(bool)
-    candidates = [s for s in unique if cut_weight(merged, s) <= limit + 1e-12]
-    return candidates, best_val
+    # each row's crossing weights summed as cut_weight sums them, bit for bit
+    crossing = unique[:, merged.edge_u] != unique[:, merged.edge_v]
+    cut = np.array([merged.edge_w.compress(row).sum() for row in crossing])
+    return list(unique[cut <= limit + 1e-12]), best_val
 
 
 def run_protocol(

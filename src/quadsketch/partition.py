@@ -5,12 +5,16 @@ Shared by the cut and spectral sketches:
 * ``find_sparse_cuts``: one ratio w(∂S) / min(μ(S), μ(S̄)) for both modes
   (edge expansion: unit edge and vertex weights; conductance: edge weights
   and weighted degrees; ``graph.ratio_weights`` and ``graph.cut_ratio``,
-  which the exhaustive oracles of ``graph`` share), searched by a singleton test, a Cheeger-type
-  λ₁/2 certificate, exact subset enumeration for small components and a
-  Fiedler sweep above (λ₁ alone from ``eigvalsh`` up to 20 vertices, the
-  sign-fixed Fiedler pair of ``fiedler_pair`` above), for a batch of
-  connected pieces of one size at once; ``find_sparse_cut`` is its batch
-  of one;
+  which the exhaustive oracles of ``graph`` share), searched for a batch of
+  connected pieces of one size at once by a singleton test, a Cheeger-type
+  λ₁/2 certificate, exact subset enumeration up to 20 vertices (λ₁ alone
+  from ``eigvalsh``) and sweeps above. A piece above 64 vertices first
+  sweeps along a vector of a few power-iteration steps, which needs no
+  eigensolve; where that sweep finds no qualifying cut, and on every piece
+  of 21 to 64 vertices, λ₁ and the sign-fixed Fiedler vector of
+  ``fiedler_pair`` certify that no cut qualifies or give the Fiedler sweep,
+  so every "no cut" answer comes from the dense eigensolve.
+  ``find_sparse_cut`` is its batch of one;
 * ``cut_preprocessing``: rescale / discard / importance-sample / weight-class
   split / expansion partition, producing expander pieces plus stored cut
   edges Q;
@@ -105,14 +109,19 @@ def find_sparse_cuts(pieces: list[WeightedGraph], mode: str, threshold: float) -
     are tried in vertex order; then lambda_1/2 of the mode's matrix
     certifies that no cut qualifies, or subsets are tried in a fixed
     canonical enumeration (up to EXHAUSTIVE_CUT_CAP vertices, lambda_1 from
-    eigvalsh), or the best prefix of the Fiedler sweep is taken (larger
-    pieces, heuristic; lambda_1 and the sign-fixed vector from fiedler_pair,
-    one piece at a time). The batch shares the work with the bits of one
-    piece at a time: one singleton test over the union of the pieces'
-    edges, then, up to the cap, one eigvalsh over the stack of the
-    certificate matrices of the pieces with no qualifying singleton and one
-    exhaustive scan of the pieces that the certificate does not clear. A
-    NaN threshold raises QuadsketchError.
+    eigvalsh), or, one larger piece at a time, the best prefix of a sweep
+    is taken when its exact ratio qualifies (_sweep_cut): a piece above
+    POWER_SWEEP_MIN vertices first sweeps along a power-iteration vector,
+    with no eigensolve; where that finds nothing, and on every piece up to
+    POWER_SWEEP_MIN, lambda_1 and the sign-fixed vector from fiedler_pair
+    certify that no cut qualifies or give the Fiedler sweep, and a piece
+    where neither sweep qualifies is returned uncertified (heuristic). The
+    batch shares the work with the bits of one piece at a time: one
+    singleton test over the union of the pieces' edges, then, up to the
+    cap, one eigvalsh over the stack of the certificate matrices of the
+    pieces with no qualifying singleton and one exhaustive scan of the
+    pieces that the certificate does not clear. A NaN threshold raises
+    QuadsketchError.
     """
     _check_search(mode, threshold)
     if not pieces:
@@ -200,14 +209,34 @@ def _certificate_matrices(eu, ev, w, deg, vw) -> np.ndarray:
 
 
 def _sweep_cut(g, ew, vw, deg, total, mode, threshold) -> SparseCutResult:
-    """Certificate and Fiedler sweep of a connected g with no qualifying
-    singleton: the best prefix of the embedding sorted by the Fiedler
-    vector scaled by vw^-1/2, if it qualifies (heuristic)."""
-    n = g.n
+    """Search of a connected g of more than EXHAUSTIVE_CUT_CAP vertices with
+    no qualifying singleton: the smaller side of the best prefix of a sweep
+    whose exact ratio qualifies, certified, or no cut.
+
+    A g above POWER_SWEEP_MIN vertices first sweeps along _power_vector,
+    which costs no eigensolve; a qualifying prefix there is the answer. Any
+    other g takes lambda_1 and the Fiedler vector from fiedler_pair: no cut,
+    certified, when lambda_1/2 does not qualify, else the Fiedler sweep's
+    best prefix if it qualifies, and otherwise no cut, uncertified. So
+    every answer without a cut comes from the dense eigensolve.
+    """
+    if g.n > POWER_SWEEP_MIN:
+        members = _best_prefix(g, ew, vw, total, _power_vector(g, ew, vw, deg), mode, threshold)
+        if members is not None:
+            return SparseCutResult(members, True)
     lam1, fiedler = fiedler_pair(_certificate_matrices(g.edge_u[None], g.edge_v[None], ew[None], deg[None], vw[None])[0])
     if not _qualifies(lam1 / 2.0, mode, threshold):
         return SparseCutResult(None, True)
-    order = np.lexsort((np.arange(n), fiedler * (1.0 / np.sqrt(vw))))
+    members = _best_prefix(g, ew, vw, total, fiedler, mode, threshold)
+    return SparseCutResult(members, members is not None)
+
+
+def _best_prefix(g, ew, vw, total, vec, mode, threshold) -> np.ndarray | None:
+    """The smaller side of the best prefix of g's vertices sorted by vec
+    scaled by vw^-1/2 (ties in vertex order), if its exact ratio qualifies,
+    else None."""
+    n = g.n
+    order = np.lexsort((np.arange(n), vec * (1.0 / np.sqrt(vw))))
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
     pu, pv = pos[g.edge_u], pos[g.edge_v]
@@ -217,11 +246,61 @@ def _sweep_cut(g, ew, vw, deg, total, mode, threshold) -> SparseCutResult:
     np.add.at(diff, np.maximum(pu, pv) + 1, -ew)
     prefix = cut_ratio(np.cumsum(diff)[1:n], np.cumsum(vw[order])[: n - 1], total)
     best = int(np.argmin(prefix))
-    if _qualifies(float(prefix[best]), mode, threshold):
-        members = np.zeros(n, dtype=bool)
-        members[order[: best + 1]] = True
-        return SparseCutResult(_smaller_side(members), True)
-    return SparseCutResult(None, False)
+    if not _qualifies(float(prefix[best]), mode, threshold):
+        return None
+    members = np.zeros(n, dtype=bool)
+    members[order[: best + 1]] = True
+    return _smaller_side(members)
+
+
+# pieces above POWER_SWEEP_MIN vertices sweep _power_vector first; near
+# that size, on pieces of average degree 20, fiedler_pair and the
+# POWER_STEPS steps plus their sweep each take about 0.15-0.2 ms
+POWER_SWEEP_MIN = 64
+POWER_STEPS = 20
+
+
+def _power_vector(g, ew, vw, deg) -> np.ndarray:
+    """POWER_STEPS steps of the power iteration on B = c I - M, where M is
+    the certificate matrix of g (as _certificate_matrices builds it) and
+    c = 2 max(deg / vw) bounds M's spectrum, so B is positive semidefinite.
+    M's null vector vw^1/2 (all ones for edge_expansion) is projected out
+    of the start vector, so the iterate turns toward the eigenvectors of
+    M's smallest nontrivial eigenvalues: its Rayleigh quotient is low, and
+    a Cheeger sweep along it finds the sparse cuts of most pieces without
+    an eigensolve.
+
+    The projection runs once: rounding feeds the null direction a few ulps
+    per step, which grow at most c / (c - lambda_1) times faster than the
+    Fiedler direction, so at most twice as fast on any piece with a cut of
+    ratio up to max(deg / vw) / 2 (Cheeger: lambda_1 / 2 is at most that
+    ratio), and a null component only shifts every sweep key x / vw^1/2 by
+    the same amount. The iterate grows by at most c per step and is not
+    normalized.
+
+    The start vector is fixed (the fractional parts of i times the golden
+    ratio, centred) and nothing is drawn at random. Each step is one
+    product with B in coordinate form (both arcs of every edge, then the
+    diagonal), which scipy sums entry by entry in that order, and the
+    projection's sums are numpy's pairwise sums, so the bits depend on
+    neither BLAS nor its thread count.
+    """
+    # imported here, like scipy.linalg in fiedler_pair: only builds need it
+    from scipy.sparse import coo_array
+
+    n = g.n
+    root = np.sqrt(vw)
+    inv_sqrt = 1.0 / root
+    diag = deg / vw
+    rows = np.concatenate([g.edge_u, g.edge_v, np.arange(n)])
+    cols = np.concatenate([g.edge_v, g.edge_u, np.arange(n)])
+    off = inv_sqrt[g.edge_u] * ew * inv_sqrt[g.edge_v]
+    b = coo_array((np.concatenate([off, off, 2.0 * diag.max() - diag]), (rows, cols)), shape=(n, n))
+    x = np.modf(np.arange(n) * ((1.0 + math.sqrt(5.0)) / 2.0))[0] - 0.5
+    x -= (x * root).sum() * (root / (root * root).sum())
+    for _ in range(POWER_STEPS):
+        x = b @ x
+    return x
 
 
 def fiedler_pair(mat: np.ndarray) -> tuple[float, np.ndarray]:

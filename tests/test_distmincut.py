@@ -248,7 +248,9 @@ class TestKarger:
         assert np.array_equal(got[hit], np.arange(n) == star[hit, None])
         assert got[star == 0, 1:].all()
 
-    @pytest.mark.parametrize("n, p, seed", [(12, 0.5, 1), (21, 0.3, 2), (30, 0.25, 3), (48, 0.2, 4), (64, 0.35, 5)])
+    @pytest.mark.parametrize(
+        "n, p, seed", [(12, 0.5, 1), (21, 0.3, 2), (30, 0.25, 3), (48, 0.2, 4), (64, 0.35, 5), (65, 0.3, 6), (80, 0.2, 7)]
+    )
     def test_candidates_match_reference(self, n, p, seed):
         g = gnp_connected(n, p, seed=seed, w_lo=0.5, w_hi=3.0)
         got, best = near_min_cut_candidates(g, seed=seed)

@@ -430,6 +430,119 @@ class TestBatchedSearch:
         assert lam1 == want_lam1 and vec.tobytes() == want_vec.tobytes()
 
 
+def planted_blocks(small: int, large: int, crossing: int, seed: int) -> tuple[WeightedGraph, np.ndarray]:
+    """Two dense random blocks joined by a few edges, vertex ids shuffled,
+    and the mask of the smaller block."""
+    rng = np.random.default_rng(seed)
+    n = small + large
+    iu, ju = np.triu_indices(n, 1)
+    inner = (iu < small) == (ju < small)
+    keep = inner & (rng.random(iu.size) < 0.5)
+    keep[rng.choice(np.flatnonzero(~inner), crossing, replace=False)] = True
+    label = rng.permutation(n)
+    g = WeightedGraph(n, _arrays=(label[iu[keep]], label[ju[keep]], rng.uniform(1.0, 2.0, int(keep.sum()))))
+    members = np.zeros(n, dtype=bool)
+    members[label[:small]] = True
+    return g, members
+
+
+class TestPowerSweep:
+    """Pieces above POWER_SWEEP_MIN vertices first sweep along a vector of
+    POWER_STEPS power-iteration steps; only where that finds no cut does the
+    dense fiedler_pair run, and it alone answers "no cut"."""
+
+    THRESHOLDS = {"edge_expansion": 1.0, "conductance": 0.05}
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Sizes of the pieces that reach _power_vector and fiedler_pair."""
+        calls = {"power": [], "dense": []}
+        power, dense = partition._power_vector, partition.fiedler_pair
+
+        def spy_power(g, *args):
+            calls["power"].append(g.n)
+            return power(g, *args)
+
+        def spy_dense(mat):
+            calls["dense"].append(mat.shape[0])
+            return dense(mat)
+
+        monkeypatch.setattr(partition, "_power_vector", spy_power)
+        monkeypatch.setattr(partition, "fiedler_pair", spy_dense)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["edge_expansion", "conductance"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_planted_side_found_without_eigensolve(self, mode, seed, monkeypatch):
+        g, small = planted_blocks(40, 60, 5, seed)
+        assert g.n > partition.POWER_SWEEP_MIN and graph.is_connected(g)
+        calls = self.spy(monkeypatch)
+        res = find_sparse_cuts([g], mode, self.THRESHOLDS[mode])[0]
+        assert calls == {"power": [g.n], "dense": []}
+        assert res.certified and np.array_equal(res.members, small)
+
+    @pytest.mark.parametrize("mode, threshold", [("edge_expansion", 20.0), ("conductance", 0.25)])
+    def test_expander_falls_back_and_is_certified(self, mode, threshold, monkeypatch):
+        # every cut of K_80 has expansion >= 40 and conductance >= 40/79
+        g = complete_graph(80)
+        calls = self.spy(monkeypatch)
+        res = find_sparse_cuts([g], mode, threshold)[0]
+        assert calls == {"power": [80], "dense": [80]}
+        assert res.members is None and res.certified
+
+    @pytest.mark.parametrize("mode", ["edge_expansion", "conductance"])
+    def test_lambda_one_qualifies_but_no_sweep_stays_uncertified(self, mode, monkeypatch):
+        # lambda_1/2 of the cycle C_100 is about 0.002 in both modes, but
+        # every cut crosses two edges: expansion >= 0.04, conductance >= 0.02
+        n = 100
+        g = WeightedGraph(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
+        calls = self.spy(monkeypatch)
+        res = find_sparse_cuts([g], mode, 0.01)[0]
+        assert calls == {"power": [n], "dense": [n]}
+        assert res.members is None and not res.certified
+
+    @pytest.mark.parametrize("mode", ["edge_expansion", "conductance"])
+    @pytest.mark.parametrize("n", [partition.POWER_SWEEP_MIN, partition.POWER_SWEEP_MIN + 1])
+    def test_size_constant_decides_the_vector(self, mode, n, monkeypatch):
+        g, _ = planted_blocks(n // 2, n - n // 2, 3, 4)
+        calls = self.spy(monkeypatch)
+        res = find_sparse_cuts([g], mode, self.THRESHOLDS[mode])[0]
+        above = n > partition.POWER_SWEEP_MIN
+        assert calls == {"power": [n] if above else [], "dense": [] if above else [n]}
+        assert res.certified and res.members is not None
+
+    @pytest.mark.parametrize("mode", ["edge_expansion", "conductance"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_answers_qualify_and_no_cut_comes_from_the_dense_search(self, mode, seed):
+        # random pieces above the size constant, at the dense search's own
+        # decision points: a cut is returned only with a qualifying exact
+        # ratio, and every answer without a cut is the dense search's
+        g = gnp_connected(70 + 10 * seed, 0.12, seed, w_lo=1.0, w_hi=4.0)
+        for threshold in sparse_cut_thresholds(g, mode) + SEARCH_THRESHOLDS[mode]:
+            res = find_sparse_cuts([g], mode, threshold)[0]
+            want, certified = find_sparse_cut_reference(g, mode, threshold)
+            if res.members is None:
+                assert want is None and res.certified == certified
+                continue
+            s = res.members
+            assert res.certified and s.sum() <= g.n // 2
+            if mode == "edge_expansion":
+                assert np.sum(s[g.edge_u] != s[g.edge_v]) / s.sum() < threshold
+            else:
+                assert conductance(g, s) <= threshold * (1 + 1e-12)
+
+    def test_power_vector_stays_orthogonal_to_the_null_vector(self):
+        # projected out of the start vector only: the rounding that the
+        # steps feed back into the null direction stays negligible
+        for mode in ("edge_expansion", "conductance"):
+            g, _ = planted_blocks(40, 60, 5, 3)
+            ew, vw = graph.ratio_weights(g, mode)
+            deg = graph.weighted_degrees(g.n, g.edge_u, g.edge_v, ew)
+            x = partition._power_vector(g, ew, vw, deg)
+            assert abs(np.sum(x * np.sqrt(vw))) <= 1e-9 * np.sqrt(np.sum(x * x) * np.sum(vw))
+            assert x.tobytes() == partition._power_vector(g, ew, vw, deg).tobytes()
+
+
 class TestSpectralPreprocessing:
     def test_no_split_when_h_below_cheeger(self):
         g = complete_graph(8)

@@ -456,16 +456,21 @@ from quadsketch.cutsketch import cut_sketch_build
 from quadsketch.graph import WeightedGraph
 from quadsketch.spectral import spectral_improved_build
 
-sizes = []
-pair = partition.fiedler_pair
+dense, power = [], []
+pair, vector = partition.fiedler_pair, partition._power_vector
 
 
-def counted(mat):
-    sizes.append(mat.shape[0])
+def counted_pair(mat):
+    dense.append(mat.shape[0])
     return pair(mat)
 
 
-partition.fiedler_pair = counted
+def counted_vector(g, *args):
+    power.append(g.n)
+    return vector(g, *args)
+
+
+partition.fiedler_pair, partition._power_vector = counted_pair, counted_vector
 rng = np.random.default_rng(1)
 n = 200
 iu, ju = np.triu_indices(n, 1)
@@ -473,15 +478,20 @@ keep = rng.random(iu.size) < 0.3
 g = WeightedGraph(n, _arrays=(iu[keep], ju[keep], rng.uniform(1.0, 4.0, int(keep.sum()))))
 for build in (lambda: spectral_improved_build(g, 0.2, 1), lambda: cut_sketch_build(g, 0.05, 1, mode="pipeline")):
     data = build().to_bytes()
-    print(hashlib.sha256(data).hexdigest(), max(sizes, default=0))
-    sizes.clear()
+    # pieces above POWER_SWEEP_MIN whose power-iteration sweep found the cut
+    swept = len(power) - sum(k > partition.POWER_SWEEP_MIN for k in dense)
+    print(hashlib.sha256(data).hexdigest(), max(dense, default=0), swept)
+    dense.clear()
+    power.clear()
 """
 
 
 def test_sweep_bytes_do_not_depend_on_blas_threads():
-    # Both builds search pieces above EXHAUSTIVE_CUT_CAP vertices, where the
-    # Fiedler sweep sorts the vector of fiedler_pair; its eigensolve runs
-    # with 1 and 2 OpenBLAS threads, and the bytes must not move.
+    # Both builds search pieces above EXHAUSTIVE_CUT_CAP vertices: those
+    # above POWER_SWEEP_MIN sweep along a power-iteration vector first, and
+    # the others, and those where that sweep finds no cut, sort the vector
+    # of fiedler_pair. Both run with 1 and 2 OpenBLAS threads, and neither
+    # the bytes nor which pieces took which vector may move.
     src = str(Path(quadsketch.__file__).resolve().parent.parent)
     outputs = []
     for threads in ("1", "2"):
@@ -496,5 +506,6 @@ def test_sweep_bytes_do_not_depend_on_blas_threads():
         )
         outputs.append([line.split() for line in out.stdout.splitlines()])
     assert len(outputs[0]) == 2
-    assert all(int(largest) > partition.EXHAUSTIVE_CUT_CAP for _, largest in outputs[0])
-    assert [d for d, _ in outputs[0]] == [d for d, _ in outputs[1]]
+    assert all(int(largest) > partition.EXHAUSTIVE_CUT_CAP for _, largest, _ in outputs[0])
+    assert sum(int(swept) for _, _, swept in outputs[0]) >= 1
+    assert outputs[0] == outputs[1]
