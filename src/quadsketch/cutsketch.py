@@ -24,18 +24,28 @@ returns a float, and ``route`` is also what explains an answer (the CLI's
 ``query --detail``). Estimates go through the shared flat
 ``EdgeSampleEstimator``; ``CutSketchPoly`` builds one per ladder scale on
 the first query that selects it and caches it.
+
+A query runs no Python loop over the data. It is validated once, at the
+public ``estimate``. ``CutSketchPoly`` sums c~ over its sparsifier's edges
+ordered by first endpoint (one ``np.repeat`` and one gather of the member
+vector); ``CutSketchGeneral`` finds the first cut forest edge with one
+comparison over the forest's endpoint arrays, and computes its stored j's
+and each stored slice's contraction class sizes once, on its first query.
+A verbatim sketch answers with ``graph.cut_weight``.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from statistics import median
 
 import numpy as np
 
 from .errors import SketchConsistencyError
-from .estimator import CutPieces, EdgeSampleEstimator, flatten, piece_estimator, sketch_pieces
+from .estimator import CutPieces, EdgeSampleEstimator, by_first_endpoint, flatten, piece_estimator, sketch_pieces
 from .graph import (
     WeightedGraph,
     as_cut_query,
@@ -44,6 +54,7 @@ from .graph import (
     cut_weight,
     label_components,
     spanning_forest,
+    sum_products,
     weighted_degrees,
 )
 from .partition import cut_preprocessing, reweight
@@ -209,6 +220,12 @@ class CutSketchPoly(Composite):
             est = self._flat[idx] = flatten(self.n, parts)
         return est
 
+    @cached_property
+    def _sparsifier_edges(self) -> tuple:
+        """The sparsifier's edges by first endpoint, for c~."""
+        h = self.sparsifier
+        return by_first_endpoint(self.n, h.edge_u, h.edge_v, h.edge_w)
+
     def route(self, members) -> tuple[float, int | None] | None:
         """How the sketch answers the member set: None where the cut is
         trivial (an empty or full set, or a verbatim sketch, which answers
@@ -216,19 +233,26 @@ class CutSketchPoly(Composite):
         into the stored ladder of the scale that answers it (scale_of), or
         None in its place where c~ <= 0 and the answer is 0. A build trims
         the ladder to the scales that queries can reach."""
-        s = as_cut_query(self.n, members)
+        return self._route(as_cut_query(self.n, members))
+
+    def _route(self, s: np.ndarray) -> tuple[float, int | None] | None:
+        """``route`` of an already validated member vector."""
         if self.is_verbatim or not s.any() or s.all():
             return None
-        c_tilde = cut_weight(self.sparsifier, s)
+        count, second, w = self._sparsifier_edges
+        c_tilde = sum_products(w, np.repeat(s, count) != s.take(second))
         return c_tilde, (scale_of(self.ladder, c_tilde) if c_tilde > 0.0 else None)
 
     def estimate(self, members) -> float:
         """Cut weight of the member set: the value c of the scale that route
         selects times that scale's estimate."""
-        s = as_cut_query(self.n, members)
+        return self._answer(as_cut_query(self.n, members))
+
+    def _answer(self, s: np.ndarray) -> float:
+        """``estimate`` of an already validated member vector."""
         if self.is_verbatim:
             return cut_weight(self.verbatim, s)
-        route = self.route(s)
+        route = self._route(s)
         if route is None or route[1] is None:
             return 0.0
         idx = route[1]
@@ -446,42 +470,57 @@ class CutSketchGeneral(Composite):
         self.tree = tree if tree is not None else []  # ordered (u, v, w)
         self.stored: list[GeneralScale] = stored if stored is not None else []
 
+    @cached_property
+    def _plan(self) -> tuple:
+        """The forest's endpoint arrays, the stored slices' j and, per stored
+        slice, its contraction class sizes, or None where every class is
+        one vertex."""
+        ends = np.array([(u, v) for u, v, _ in self.tree], dtype=np.int64).reshape(-1, 2)
+        sizes = [np.bincount(gs.labels) for gs in self.stored]
+        sizes = [None if size.size == self.n and (size == 1).all() else size for size in sizes]
+        return ends[:, 0], ends[:, 1], [gs.j for gs in self.stored], sizes
+
+    def _slice(self, s: np.ndarray) -> tuple[int, int] | None:
+        """``route`` of a validated member vector, with the stored slice as
+        its position in ``stored``."""
+        tree_u, tree_v, stored_j, _ = self._plan
+        cut = s[tree_u] != s[tree_v]
+        if not cut.any():
+            return None
+        j = int(cut.argmax())
+        # the first stored j is 0
+        return j, bisect.bisect_right(stored_j, j) - 1
+
     def route(self, members) -> tuple[int, GeneralScale] | None:
         """How the sketch answers the member set: None where the answer is
         0 (it cuts no forest edge; a verbatim sketch has no forest and
         answers from its graph), else the index j of the first forest edge
         it cuts and the stored slice that answers it, the last one at or
         before j."""
-        s = as_cut_query(self.n, members)
-        for j, (u, v, _) in enumerate(self.tree):
-            if s[u] != s[v]:
-                stored_js = [gs.j for gs in self.stored]
-                # the first stored j is 0
-                return j, self.stored[int(np.searchsorted(stored_js, j, side="right")) - 1]
-        return None
+        found = self._slice(as_cut_query(self.n, members))
+        return None if found is None else (found[0], self.stored[found[1]])
 
     def estimate(self, members) -> float:
         s = as_cut_query(self.n, members)
         if self.is_verbatim:
             return cut_weight(self.verbatim, s)
-        route = self.route(s)
-        if route is None:
+        found = self._slice(s)
+        if found is None:
             return 0.0
-        gs = route[1]
-        # contraction classes must not straddle the query
-        counts = np.bincount(gs.labels, minlength=int(gs.labels.max()) + 1)
-        ones = np.bincount(gs.labels, weights=s.astype(float), minlength=counts.size)
-        straddle = (ones > 0) & (ones < counts)
-        if np.any(straddle):
-            raise SketchConsistencyError(
-                "a contracted vertex class straddles the query; this query is "
-                "outside the model (or the sketch is corrupt)"
-            )
-        contracted = ones == counts
-        total = 0.0
-        for vmap, poly in gs.comps:
-            total += poly.estimate(contracted[vmap])
-        return total
+        gs, sizes = self.stored[found[1]], self._plan[3][found[1]]
+        if sizes is None:  # nothing contracted: no class can straddle
+            contracted = np.empty(self.n, dtype=bool)
+            contracted[gs.labels] = s
+        else:
+            # contraction classes must not straddle the query
+            inside = np.bincount(gs.labels[s], minlength=sizes.size)
+            if np.any((inside > 0) & (inside < sizes)):
+                raise SketchConsistencyError(
+                    "a contracted vertex class straddles the query; this query is "
+                    "outside the model (or the sketch is corrupt)"
+                )
+            contracted = inside == sizes
+        return sum(poly._answer(contracted[vmap]) for vmap, poly in gs.comps)
 
     def word_count(self) -> int:
         if self.is_verbatim:

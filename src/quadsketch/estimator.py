@@ -8,10 +8,18 @@ composites all answer x^T L x (a cut query is its 0/1 member vector) as
 
 ``piece_estimator`` derives one piece's terms from its stored arrays;
 ``flatten`` maps them to global ids once and concatenates the pieces, so a
-composite answers with a few gathers and dot products instead of a loop
-over pieces. Each term is one numpy dot product; the four are added with
-math.fsum. Exact edges keep the difference form, so a constant vector gives
-exactly 0 on them. Neither checks its input: a decoded sketch was checked
+composite answers with a few array passes instead of a loop over pieces.
+On its first query an estimator derives its query plan from the flat
+arrays and caches it: the exact edges, and the stored products and samples
+as one product term P with entries 2 w and coef, each ordered by their first
+endpoint, so x at those endpoints is one ``np.repeat`` of x and only the
+other ends are gathered (P is held in numpy arrays, in the row order of a
+CSR matrix: the query path does not import scipy). A query is then at most
+three sums of products (the degree term, the exact edges, x^T P x; an empty
+term is skipped), each in blocks that make the bits independent of the BLAS
+thread count (``graph.sum_products``), added with math.fsum. Exact edges
+keep the difference form, so a constant vector gives exactly 0 on them.
+Neither checks its input: a decoded sketch was checked
 record by record when it was read (``serialize.piece_problem`` and
 ``serialize.cut_pieces_problem``), and a built one is consistent.
 
@@ -24,8 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
+
+from .graph import sum_products
 
 _NO_IDX = np.empty(0, dtype=np.int64)
 _NO_VAL = np.empty(0, dtype=np.float64)
@@ -46,23 +57,43 @@ class EdgeSampleEstimator:
     pv: np.ndarray
     coef: np.ndarray
 
+    @cached_property
+    def _plan(self) -> tuple:
+        """The exact edges and the product term, each as (count of terms per
+        first endpoint, second endpoints, weights) in first-endpoint order,
+        or None where it has no terms. Not a field: it is derived from the
+        fields."""
+        first = np.concatenate([self.su, self.pu])
+        second = np.concatenate([self.sv, self.pv])
+        return (
+            by_first_endpoint(self.n, self.eu, self.ev, self.ew) if self.eu.size else None,
+            by_first_endpoint(self.n, first, second, np.concatenate([2.0 * self.sw, self.coef])) if first.size else None,
+        )
+
     def estimate(self, x: np.ndarray) -> float:
         """x is an already validated float64 vector of length n."""
-        d = x[self.eu]
-        d -= x[self.ev]
-        d *= d
-        stored = x[self.su]
-        stored *= x[self.sv]
-        sampled = x[self.pu]
-        sampled *= x[self.pv]
-        return math.fsum(
-            (
-                float(np.dot(self.diag, x * x)),
-                float(np.dot(self.ew, d)),
-                -2.0 * float(np.dot(self.sw, stored)),
-                -float(np.dot(self.coef, sampled)),
-            )
-        )
+        exact, products = self._plan
+        terms = [sum_products(self.diag, x * x)]
+        if exact is not None:
+            count, second, w = exact
+            d = np.repeat(x, count)
+            d -= x.take(second)
+            d *= d
+            terms.append(sum_products(w, d))
+        if products is not None:
+            count, second, w = products
+            p = np.repeat(x, count)
+            p *= x.take(second)
+            terms.append(-sum_products(w, p))
+        return math.fsum(terms)
+
+
+def by_first_endpoint(n: int, first: np.ndarray, second: np.ndarray, w: np.ndarray) -> tuple:
+    """Terms (first, second, w) on n vertices as (count per first endpoint,
+    second endpoints, w) in first-endpoint order: np.repeat(x, count) is x
+    at the first endpoints."""
+    order = np.argsort(first, kind="stable")
+    return np.bincount(first, minlength=n), second[order], w[order]
 
 
 def piece_estimator(n: int, *, diag=None, exact=None, stored=None, samples=None) -> EdgeSampleEstimator:

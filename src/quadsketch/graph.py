@@ -18,6 +18,7 @@ import numpy as np
 from .errors import GraphFormatError, QuadsketchError, QueryError, TooLargeError
 
 EXHAUSTIVE_VERTEX_CAP = 24
+DOT_BLOCK = 8192  # longest dot product: OpenBLAS splits one above 10,000 entries across its threads
 MASK_BLOCK = 1 << 16  # most masks per block of subset_cut_blocks
 FIRST_MASK_BLOCK = 1 << 8  # masks in its first block
 
@@ -242,16 +243,24 @@ def as_spectral_query(n: int, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (n,):
         raise QueryError(f"spectral query has length {x.shape}, expected ({n},)")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise QueryError("spectral query entries must be finite")
     return x
+
+
+def sum_products(a: np.ndarray, b: np.ndarray) -> float:
+    """sum_i a_i b_i as dot products of at most DOT_BLOCK entries, added
+    with math.fsum, so the bits do not depend on the BLAS thread count."""
+    if a.size <= DOT_BLOCK:
+        return float(np.dot(a, b))
+    return math.fsum(float(np.dot(a[i : i + DOT_BLOCK], b[i : i + DOT_BLOCK])) for i in range(0, a.size, DOT_BLOCK))
 
 
 def quadratic_form(g: WeightedGraph, x) -> float:
     """Exact x^T L(G) x = sum over edges of w(u,v) (x_u - x_v)^2."""
     x = as_spectral_query(g.n, x)
     d = x[g.edge_u] - x[g.edge_v]
-    return float(np.dot(g.edge_w, d * d))
+    return sum_products(g.edge_w, d * d)
 
 
 def cut_weight(g: WeightedGraph, members) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadsketchError
-from .graph import WeightedGraph, as_spectral_query
+from .graph import WeightedGraph, as_spectral_query, sum_products
 from .rng import rng_for
 from . import serialize
 from .serialize import f64, f64_array, matrix, record, section
@@ -109,7 +109,7 @@ class SddSketch:
 
     def estimate(self, x) -> float:
         x = as_spectral_query(self.n, x)
-        exact = float(np.dot(self.diag, x * x))
+        exact = sum_products(self.diag, x * x)
         return exact + 0.5 * self.lap_sketch.estimator.estimate(embed_query(x))
 
 

@@ -24,8 +24,9 @@ sampling tail (``_sampled_piece``); a piece with no sampling candidate
 derives no stream and draws nothing. Every
 sketch answers through one flat ``EdgeSampleEstimator``: the
 composites map all their pieces to global vertex ids on the first query and
-cache the result, so a query is four numpy dot products over flat arrays,
-added with math.fsum (see ``estimator``).
+cache the result, and the estimator caches its query plan, so a query is a
+few array passes: at most three sums of products, added with math.fsum (see
+``estimator``).
 """
 
 from __future__ import annotations

@@ -199,13 +199,13 @@ def test_cut_query_without_detail_skips_diagnostics(tmp_path, capsys, monkeypatc
     skp.write_bytes(sk.to_bytes())
     expected = sk.estimate(np.arange(20) < 3)
     calls = []
-    route = CutSketchPoly.route
+    route = CutSketchPoly._route  # what route and estimate both follow
 
     def spy(self, members):
         calls.append(members)
         return route(self, members)
 
-    monkeypatch.setattr(CutSketchPoly, "route", spy)
+    monkeypatch.setattr(CutSketchPoly, "_route", spy)
     code, out, err = run_cli(["cut-sketch", "query", str(skp), "0,1,2"], capsys)
     assert code == 0 and err == ""
     assert len(calls) == 1  # the one route estimate follows

@@ -10,16 +10,21 @@ largest possible term (total weight times max x^2) for answers near 0.
 import ast
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import quadsketch
 from quadsketch.cli import main
-from quadsketch.cutsketch import CutSketchPoly, cut_basic_build
-from quadsketch.errors import QuadsketchError
+from quadsketch.cutsketch import CutSketchGeneral, CutSketchPoly, GeneralScale, cut_basic_build, cut_sketch_build, scale_of
+from quadsketch.errors import QuadsketchError, SketchConsistencyError
 from quadsketch.estimator import flatten, piece_estimator
-from quadsketch.graph import quadratic_form
+from quadsketch.graph import WeightedGraph, cut_weight, quadratic_form
 from quadsketch.psdsdd import SddSketch, embed_query, sdd_sketch_build
 from quadsketch.spectral import (
     BasicClass,
@@ -205,6 +210,163 @@ def test_exact_edges_keep_difference_form():
     est = flatten(3, [(None, piece_estimator(3, exact=(np.array([0, 1]), np.array([1, 2]), np.array([1.0, 3.0]))))])
     assert est.estimate(np.full(3, 7.25)) == 0.0
     assert est.estimate(np.array([1e8 + 1, 1e8, 1e8])) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Query plans: an estimator orders its terms by first endpoint on its first
+# query, a cut_general sketch routes with array comparisons
+
+
+def terms_ref(est, x):
+    """The four terms of an estimator, each summed on its own."""
+    return math.fsum(
+        (
+            float(np.dot(est.diag, x * x)),
+            xlx_ref(x, est.eu, est.ev, est.ew),
+            -2.0 * float(np.dot(est.sw, x[est.su] * x[est.sv])),
+            -float(np.dot(est.coef, x[est.pu] * x[est.pv])),
+        )
+    )
+
+
+@pytest.mark.parametrize("terms", ["exact", "stored", "samples", "stored+samples", "none"])
+def test_plan_with_empty_terms(terms):
+    """Pieces with no exact edges, or no products (an empty P), or neither."""
+    rng = np.random.default_rng(7)
+    n = 9
+    u, v = np.triu_indices(n, 1)
+    pick = rng.random(u.size) < 0.5
+    edges = (u[pick], v[pick], rng.uniform(1.0, 4.0, int(pick.sum())))
+    owner = rng.integers(0, n, 20)
+    samples = (owner, (owner + rng.integers(1, n, 20)) % n, rng.uniform(0.5, 2.0, n), rng.integers(1, 4, 20))
+    parts = {
+        "exact": {"exact": edges},
+        "stored": {"stored": edges},
+        "samples": {"samples": samples},
+        "stored+samples": {"stored": edges, "samples": samples},
+        "none": {},
+    }[terms]
+    est = flatten(n, [(None, piece_estimator(n, diag=rng.uniform(0.0, 5.0, n), **parts))])
+    for x in queries(n, 1):
+        assert close(est.estimate(x), terms_ref(est, x), 100.0 * float(np.max(x * x)))
+
+
+@pytest.mark.parametrize(
+    "build, cls, ref",
+    [(spectral_basic_build, SpectralBasicSketch, basic_ref), (spectral_improved_build, SpectralImprovedSketch, improved_ref)],
+)
+def test_verbatim_plan_matches_quadratic_form(build, cls, ref):
+    g = gnp_connected(20, 0.6, seed=2, w_lo=1.0, w_hi=4.0)
+    sk = build(g, 0.04, 1)  # eps <= 1/n: every edge is stored, as exact terms
+    assert sk.is_verbatim
+    back = cls.from_bytes(sk.to_bytes())
+    for x in queries(g.n, 1):
+        flat = sk.estimate(x)
+        assert close(flat, ref(sk, x), 4 * g.total_weight * float(np.max(x * x)))
+        assert back.estimate(x) == flat
+
+
+def forest_walk_ref(sk, s):
+    """route as a Python walk over the forest: the first cut edge j and the
+    j of the last stored slice at or before it."""
+    for j, (u, v, _) in enumerate(sk.tree):
+        if s[u] != s[v]:
+            return j, [gs.j for gs in sk.stored if gs.j <= j][-1]
+    return None
+
+
+def route_js(sk, s):
+    route = sk.route(s)
+    return None if route is None else (route[0], route[1].j)
+
+
+@given(st.integers(6, 14), st.sampled_from(["uniform", "c06"]), build_seeds)
+@settings(max_examples=15, deadline=None)
+def test_general_route_matches_forest_walk(n, weights, seed):
+    rng = np.random.default_rng(seed)
+    g = gnp_connected(n, 0.6, seed=seed % 1000)
+    w = rng.uniform(1.0, 4.0, g.m) if weights == "uniform" else rng.choice([1.0, 1e3, 1e6], size=g.m)
+    g = WeightedGraph(n, _arrays=(g.edge_u, g.edge_v, w))
+    sk = cut_sketch_build(g, 0.3, seed, mode="pipeline")
+    back = CutSketchGeneral.from_bytes(sk.to_bytes())
+    for k in range(8):
+        s = rng.random(n) < 0.5
+        if k == 0:
+            s[:] = True  # cuts no forest edge
+        want = forest_walk_ref(sk, s)
+        assert route_js(sk, s) == want and route_js(back, s) == want
+        if want is None:
+            assert sk.estimate(s) == 0.0
+        assert back.estimate(s) == sk.estimate(s)
+
+
+def test_straddling_class_raises():
+    # slice j = 1 (weight 1) contracts the edge of weight 1e6, {0, 1}; a
+    # slice whose classes cut across the forest's order is corrupt
+    g = WeightedGraph(3, [(0, 1, 1e6), (1, 2, 1.0)])
+    sk = cut_sketch_build(g, 0.5, 3, mode="pipeline")
+    assert [gs.j for gs in sk.stored] == [0, 1] and sk.stored[1].labels.tolist() == [0, 0, 1]
+    s = np.array([False, False, True])  # cuts forest edge j = 1 only
+    assert sk.route(s)[0] == 1 and sk.estimate(s) == pytest.approx(1.0, rel=0.5)
+    bad = GeneralScale(1, np.array([0, 1, 1]), sk.stored[1].comps)
+    corrupt = CutSketchGeneral(sk.epsilon, sk.n, tree=sk.tree, stored=[sk.stored[0], bad])
+    with pytest.raises(SketchConsistencyError, match="straddles"):
+        corrupt.estimate(s)
+
+
+@given(dense_graphs, st.floats(0.2, 0.45), build_seeds)
+@settings(max_examples=15, deadline=None)
+def test_scale_index_matches_cut_weight(g, eps, seed):
+    """c~ is the sparsifier's cut, summed in another order than cut_weight
+    sums it, and selects the same scale."""
+    sk = cut_basic_build(g, eps, seed, mode="pipeline")
+    rng = np.random.default_rng(seed)
+    for k in (1, 2, 3, g.n // 2):
+        s = np.zeros(g.n, dtype=bool)
+        s[rng.choice(g.n, size=k, replace=False)] = True
+        c_ref = cut_weight(sk.sparsifier, s)
+        c_tilde, idx = sk.route(s)
+        assert c_tilde == pytest.approx(c_ref, rel=1e-12)
+        assert idx == scale_of(sk.ladder, c_ref)
+
+
+QUERY_THREADS_SCRIPT = """
+import numpy as np
+from quadsketch.graph import WeightedGraph, quadratic_form
+from quadsketch.spectral import SpectralBasicSketch, spectral_basic_build
+
+rng = np.random.default_rng(1)
+n = 200
+iu, ju = np.triu_indices(n, 1)
+keep = rng.random(iu.size) < 0.6
+g = WeightedGraph(n, _arrays=(iu[keep], ju[keep], rng.uniform(1.0, 4.0, int(keep.sum()))))
+# eps below 1/n: the sketch stores every edge, as exact terms
+sk = SpectralBasicSketch.from_bytes(spectral_basic_build(g, 0.004, 1).to_bytes())
+assert sk.is_verbatim and sk.estimator.eu.size > 10_000
+for k in range(3):
+    x = np.random.default_rng(k).normal(size=n)
+    print(sk.estimate(x).hex(), quadratic_form(g, x).hex())
+"""
+
+
+def test_answers_do_not_depend_on_blas_threads():
+    # OpenBLAS runs a dot product of more than 10,000 entries on several
+    # threads, which rounds differently; the answers sum in blocks below that
+    src = str(Path(quadsketch.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
+        out = subprocess.run(
+            [sys.executable, "-c", QUERY_THREADS_SCRIPT], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append(out.stdout.split())
+    assert len(outputs[0]) == 6
+    assert outputs[0] == outputs[1]
 
 
 def query_detail(path, members, capsys):
