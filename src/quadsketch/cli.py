@@ -150,8 +150,8 @@ def _route_detail(sk, s, size: int) -> dict:
 
 
 def _cmd_size(args) -> int:
-    sk = _load_sketch(args.sketch, args.kinds)
-    _emit_rows(args, ["bytes", "words"], [[os.path.getsize(args.sketch), sk.word_count()]])
+    _load_sketch(args.sketch, args.kinds)  # a corrupt file or another kind is an error
+    _emit_rows(args, ["bytes"], [[os.path.getsize(args.sketch)]])
     return 0
 
 
@@ -163,7 +163,7 @@ def _cmd_sdd_reduce(args) -> int:
 
 def _cmd_sparsify(args) -> int:
     g = load_graph(args.graph)
-    cfg = SparsifierConfig(args.epsilon, args.kind, args.seed, args.keep_all_threshold)
+    cfg = SparsifierConfig(args.epsilon, args.kind, args.seed)
     h = sparsify(g, cfg)
     _write_out(args, format_graph(h))
     return 0
@@ -232,13 +232,15 @@ def _cmd_mincut(args) -> int:
     return 0
 
 
+SIZE_SUITES = {
+    "cut-size": lambda g, eps, seed: cut_sketch_build(g, eps, seed, mode="pipeline"),
+    "spectral-size": spectral_improved_build,
+}
+
+
 def _bench_point(g, suite: str, eps: float, seed: int, queries: int):
-    if suite == "cut-size":
-        sk = cut_sketch_build(g, eps, seed, mode="pipeline")
-        return [g.n, g.m, eps, len(sk.to_bytes()), sk.word_count()]
-    if suite == "spectral-size":
-        sk = spectral_improved_build(g, eps, seed)
-        return [g.n, g.m, eps, len(sk.to_bytes()), sk.word_count()]
+    if suite in SIZE_SUITES:
+        return [g.n, g.m, eps, len(SIZE_SUITES[suite](g, eps, seed).to_bytes())]
     sk = cut_sketch_build(g, eps, seed, mode="pipeline")
     rng = rng_for(seed, "queries")
     errs = []
@@ -270,8 +272,8 @@ def _cmd_bench(args) -> int:
         _bench_point(g, args.suite, eps, derive_seed(args.seed, "bench", repr(eps)), args.queries)
         for eps in eps_list
     ]
-    if args.suite.endswith("size"):
-        header = ["n", "m", "epsilon", "bytes", "words"]
+    if args.suite in SIZE_SUITES:
+        header = ["n", "m", "epsilon", "bytes"]
         rows.sort(key=lambda r: -r[2])
     else:
         header = ["n", "m", "epsilon", "mean_rel_err", "max_rel_err"]
@@ -372,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sparsify", help="cut/spectral sparsifier")
     p.add_argument("graph")
     p.add_argument("--kind", choices=("cut", "spectral"), default="cut")
-    p.add_argument("--keep-all-threshold", type=int, default=0)
     _add_common(p, output=True)
     p.set_defaults(func=_cmd_sparsify)
 
@@ -403,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="(n, eps) sweeps emitting CSV")
     p.add_argument("graph", nargs="?", default=None)
-    p.add_argument("--suite", choices=("cut-size", "spectral-size", "cut-error"), default="cut-size")
+    p.add_argument("--suite", choices=(*SIZE_SUITES, "cut-error"), default="cut-size")
     p.add_argument("--eps", default="0.25,0.125,0.0625")
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--p", type=float, default=0.3)

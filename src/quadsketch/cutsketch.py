@@ -106,9 +106,6 @@ class S1Sketch:
         est = flatten(self.n, [(None, self.estimator_piece())])
         return est.estimate(as_cut_query(self.n, members).astype(np.float64))
 
-    def word_count(self) -> int:
-        return 2 * self.n + 3 * int(self.owner.size)
-
 
 S1_LAYOUT = record(
     S1Sketch,
@@ -257,13 +254,6 @@ class CutSketchPoly(Composite):
             return 0.0
         idx = route[1]
         return self.scales[idx].c * self._scale_estimator(idx).estimate(s.astype(np.float64))
-
-    def word_count(self) -> int:
-        if self.is_verbatim:
-            return 3 * self.verbatim.m
-        return 3 * self.sparsifier.m + len(self.ladder) + sum(
-            cls.word_count() for sc in self.scales for cls in sc.classes
-        )
 
 
 def _check_poly(sk: CutSketchPoly) -> str | None:
@@ -521,14 +511,6 @@ class CutSketchGeneral(Composite):
                 )
             contracted = inside == sizes
         return sum(poly._answer(contracted[vmap]) for vmap, poly in gs.comps)
-
-    def word_count(self) -> int:
-        if self.is_verbatim:
-            return 3 * self.verbatim.m
-        words = 3 * len(self.tree)
-        for gs in self.stored:
-            words += sum(p.word_count() for _, p in gs.comps)
-        return words
 
 
 def _check_general(sk: CutSketchGeneral) -> str | None:

@@ -120,17 +120,14 @@ def piece_estimator(n: int, *, diag=None, exact=None, stored=None, samples=None)
 class CutPieces:
     """A piece that stores its cut edges (q_u, q_v, q_w) exactly and
     sketches each component: comps is a list of (vertex map, sketch) pairs,
-    each sketch with ``estimator_piece()`` and ``word_count()``. The
-    dataclasses that inherit it hold these fields."""
+    each sketch with ``estimator_piece()``. The dataclasses that inherit it
+    hold these fields."""
 
     def parts(self, n: int) -> list:
         """``flatten`` parts of the cut edges and components on n vertices."""
         parts = [(None, piece_estimator(n, exact=(self.q_u, self.q_v, self.q_w)))]
         parts.extend((vmap, sk.estimator_piece()) for vmap, sk in self.comps)
         return parts
-
-    def word_count(self) -> int:
-        return 3 * int(self.q_u.size) + sum(sk.word_count() for _, sk in self.comps)
 
 
 def sketch_pieces(part, sketch, vmap=None) -> tuple:

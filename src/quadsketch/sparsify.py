@@ -36,15 +36,12 @@ class SparsifierConfig:
     epsilon: float
     kind: str = "cut"  # "cut" or "spectral"
     seed: int = 0
-    keep_all_threshold: int = 0
 
     def __post_init__(self):
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must be in (0, 1)")
         if self.kind not in ("cut", "spectral"):
             raise ValueError("kind must be 'cut' or 'spectral'")
-        if self.keep_all_threshold < 0:
-            raise ValueError("keep_all_threshold must be non-negative")
 
 
 def factor2_class(x, base: float):
@@ -159,12 +156,9 @@ def keep_probabilities(g: WeightedGraph, cfg: SparsifierConfig) -> np.ndarray:
 
 
 def sparsify(g: WeightedGraph, cfg: SparsifierConfig) -> WeightedGraph:
-    """Reweighted subgraph approximating cuts (or all quadratic forms).
-
-    Identity on inputs with m <= cfg.keep_all_threshold: a graph is trivially
-    its own (1 + eps)-sparsifier.
-    """
-    if g.m <= cfg.keep_all_threshold or g.m == 0:
+    """Reweighted subgraph approximating cuts (or all quadratic forms); an
+    edgeless graph is returned as is."""
+    if g.m == 0:
         return g
     p = keep_probabilities(g, cfg)
     rng = rng_for(cfg.seed, "sparsify", cfg.kind)

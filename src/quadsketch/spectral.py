@@ -85,9 +85,6 @@ class S2Sketch:
     def estimate(self, x) -> float:
         return flatten(self.n, [(None, self.estimator_piece())]).estimate(as_spectral_query(self.n, x))
 
-    def word_count(self) -> int:
-        return 2 * self.n + 3 * int(self.su.size) + 3 * int(self.owner.size)
-
 
 S2_LAYOUT = record(
     S2Sketch,
@@ -171,11 +168,6 @@ class SpectralBasicSketch(Composite):
     def estimate(self, x) -> float:
         x = as_spectral_query(self.n, x)  # before the estimator allocates n entries
         return self.estimator.estimate(x)
-
-    def word_count(self) -> int:
-        if self.is_verbatim:
-            return 3 * self.verbatim.m
-        return sum(cls.word_count() for cls in self.classes)
 
 
 serialize.register(
@@ -315,11 +307,6 @@ class SpectralImprovedSketch(Composite):
     def estimate(self, x) -> float:
         x = as_spectral_query(self.n, x)  # before the estimator allocates n entries
         return self.estimator.estimate(x)
-
-    def word_count(self) -> int:
-        if self.is_verbatim:
-            return 3 * self.verbatim.m
-        return sum(s3.word_count() for _, s3 in self.classes)
 
 
 IMPROVED_LAYOUT = composite(

@@ -9,8 +9,9 @@ import pytest
 
 from quadsketch.cli import main
 from quadsketch.cutsketch import CutSketchPoly, cut_basic_build, cut_sketch_build
-from quadsketch.graph import save_graph
+from quadsketch.graph import load_graph, save_graph
 from quadsketch.psdsdd import jl_build
+from quadsketch.rng import derive_seed
 from quadsketch.serialize import Writer, envelope, sketch_class
 from quadsketch.spectral import spectral_improved_build
 
@@ -119,9 +120,7 @@ def test_cut_sketch_size(rand_graph, tmp_path, capsys):
     code, text, _ = run_cli(["cut-sketch", "size", str(out)], capsys)
     assert code == 0
     assert text.startswith("# quadsketch v1")
-    header, row = text.strip().splitlines()[1:]
-    n_bytes, words = (int(tok) for tok in row.split(","))
-    assert n_bytes == out.stat().st_size
+    assert text.strip().splitlines()[1:] == ["bytes", str(out.stat().st_size)]
 
 
 def test_spectral_roundtrip(rand_graph, tmp_path, capsys):
@@ -227,9 +226,7 @@ def test_spectral_sketch_size(rand_graph, tmp_path, capsys, fmt):
         assert text.startswith("# quadsketch v1")
         header, line = text.strip().splitlines()[1:]
         row = dict(zip(header.split(","), (int(tok) for tok in line.split(","))))
-    data = out.read_bytes()
-    assert row["bytes"] == len(data)
-    assert row["words"] == sketch_class(data).from_bytes(data).word_count()
+    assert row == {"bytes": out.stat().st_size}
 
 
 def test_spectral_build_basic_variant(rand_graph, tmp_path, capsys):
@@ -369,6 +366,28 @@ def test_bench_cut_size_monotone(capsys):
     assert sizes == sorted(sizes)
 
 
+@pytest.mark.parametrize(
+    "suite, build",
+    [
+        ("cut-size", lambda g, eps, seed: cut_sketch_build(g, eps, seed, mode="pipeline")),
+        ("spectral-size", spectral_improved_build),
+    ],
+    ids=["cut-size", "spectral-size"],
+)
+def test_bench_size_suite_reports_envelope_bytes(rand_graph, capsys, suite, build):
+    code, text, _ = run_cli(["bench", rand_graph, "--suite", suite, "--eps", "0.2,0.4,0.3", "--seed", "7"], capsys)
+    assert code == 0
+    lines = text.strip().splitlines()
+    assert lines[:2] == ["# quadsketch v1", "n,m,epsilon,bytes"]
+    rows = [line.split(",") for line in lines[2:]]
+    assert [float(r[2]) for r in rows] == [0.4, 0.3, 0.2]
+    g = load_graph(rand_graph)
+    for n, m, eps, n_bytes in rows:
+        eps = float(eps)
+        assert (int(n), int(m)) == (g.n, g.m)
+        assert int(n_bytes) == len(build(g, eps, derive_seed(7, "bench", repr(eps))).to_bytes())
+
+
 def test_bench_deterministic(capsys):
     args = ["bench", "--suite", "cut-size", "--eps", "0.25,0.125", "--n", "16",
             "--p", "0.5", "--seed", "3"]
@@ -487,3 +506,22 @@ def test_query_wrong_sketch_kind_exit_1(sketch_files, capsys, command, stored):
     assert code == 1 and out == ""
     assert err.startswith("quadsketch: error:") and "Traceback" not in err
     assert "sketch, expected" in err
+
+
+@pytest.mark.parametrize(
+    "command, data, message",
+    [
+        ("cut-sketch", lambda files: files["spectral"].read_bytes(), "sketch, expected"),
+        ("spectral-sketch", lambda files: files["cut"].read_bytes(), "sketch, expected"),
+        ("cut-sketch", lambda files: general_with_endpoint_99(), "forest endpoint 99"),
+    ],
+    ids=["cut-on-spectral", "spectral-on-cut", "corrupt-envelope"],
+)
+def test_size_decodes_and_checks_the_sketch(sketch_files, tmp_path, capsys, command, data, message):
+    """size reports the byte length only of a sketch that decodes and checks."""
+    skp = tmp_path / "size.qsk"
+    skp.write_bytes(data(sketch_files))
+    code, out, err = run_cli([command, "size", str(skp)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("quadsketch: error:") and "Traceback" not in err
+    assert message in err

@@ -311,19 +311,6 @@ class TestCutBasic:
             fresh = WeightedGraph(p.n, _arrays=(p.edge_u.copy(), p.edge_v.copy(), p.edge_w.copy()))
             assert_same_s1(sketch, cut_s1_build(fresh, epsilon, seed))
 
-    def test_word_count_scaling(self):
-        # log-log slope of stored words vs 1/eps within 1.0 +/- 0.35
-        g = gnp_connected(96, 0.5, seed=10)
-        words = []
-        eps_list = [1 / 4, 1 / 8, 1 / 16, 1 / 32]
-        for eps in eps_list:
-            sk = cut_basic_build(g, eps, seed=11, mode="pipeline")
-            words.append(sk.word_count())
-        xs = np.log([1 / e for e in eps_list])
-        ys = np.log(words)
-        slope = float(np.polyfit(xs, ys, 1)[0])
-        assert 0.65 <= slope <= 1.35
-
 
 class TestMst:
     def test_triangle_weights(self):

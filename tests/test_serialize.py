@@ -2,8 +2,10 @@ import copy
 import dataclasses
 import functools
 import hashlib
+import importlib.util
 import math
 import random
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -432,65 +434,53 @@ def weighted(n: int, seed: int):
 # bytes: the decoded arrays are the same, and no envelope grew. Every
 # digest was re-recorded at version 7, which writes each S1 sample table as
 # per-row draw gaps; no case here holds S1 samples, so only the version
-# byte moved. The middle entry is the sketch's word count, which the format does
-# not change (None for the sdd and jl sketches, which count no words). The
-# spectral_basic builds are partials, whose arguments the test reads.
+# byte moved. The spectral_basic builds are partials, whose arguments the
+# test reads.
 GOLDEN = {
     "spectral_basic-s2-and-verbatim-class": (
         functools.partial(spectral_basic_build, gnp_connected(16, 0.5, seed=21, w_lo=1e-3, w_hi=4.0), 0.3, 22),
-        250,
         "8044a4cff3f09d99310e894339cf27ed53e1a8745e966856d7e9c243c6568429",
     ),
     "spectral_basic-verbatim-class-only": (
         functools.partial(spectral_basic_build, gnp_connected(12, 0.5, seed=31, w_lo=1e-8, w_hi=1.9e-8), 0.3, 32),
-        87,
         "c441389a0937fcfe399aed51439598da132912916d730fe752bdfd740f81541d",
     ),
     "spectral_improved-band-and-low": (
         lambda: spectral_improved_build(gnp_connected(40, 0.5, seed=4), 0.25, 5),
-        1155,
         "7732def626b1fe86786f9bdb201d800377c9eef639c9b7089b44456b54e6f0d0",
     ),
     "sdd": (
         lambda: sdd_sketch_build(sdd_matrix(8, 1), 0.2, 2),
-        None,
         "3d1cd537c06e20877513c59c64cc010e1cb62468c9ef78f0f1c6fa8adfd02554",
     ),
     "jl": (
         lambda: jl_build(psd_matrix(6, 3), 0.5, 0.2, 4),
-        None,
         "fde5225a6c88fa053d983d5c867c0e301a788a649505d518cab4fedc54af4824",
     ),
     # the full-ladder build that the declarative layouts first reproduced;
     # the production build keeps only the scales a query can reach
     "cut_poly-pipeline": (
         lambda: cut_basic_reference(gnp_connected(20, 0.5, seed=5), 0.15, 3, mode="pipeline"),
-        5507,
         "747fdcee3a8632492f7a8987b11ac06c055fd1b8a2235e58ff70ad3e6e1a50bc",
     ),
     "cut_poly-pipeline-reachable": (
         lambda: cut_basic_build(gnp_connected(20, 0.5, seed=5), 0.15, 3, mode="pipeline"),
-        3696,
         "afdd4bd4e5b8c630d970337abb6195aa11686267101582573ecdbf41e37f8e6f",
     ),
     "cut_poly-verbatim": (
         lambda: cut_basic_build(weighted(12, 6), 0.2, 1),
-        99,
         "d86c9888aa9211888d2b73812faf66c4b285ed7e5e53d01427db4babfbf0d6b2",
     ),
     "cut_general-verbatim": (
         lambda: cut_sketch_build(weighted(12, 7), 0.2, 1),
-        96,
         "82c3a32e65f294fabd7099675d3254e006867541212491a379cfd820f766b1c8",
     ),
     "spectral_basic-verbatim": (
         lambda: spectral_basic_build(weighted(12, 8), 0.05, 1),
-        132,
         "0ffac92168c3b0f298f4d8768b261aa3531de1dcca85a454696340d575fd9128",
     ),
     "spectral_improved-verbatim": (
         lambda: spectral_improved_build(weighted(12, 9), 0.05, 1),
-        84,
         "d93ae0a1bf65071552680f72ca9620cf1e46e162538b0aae97ed99721f09505e",
     ),
 }
@@ -498,10 +488,8 @@ GOLDEN = {
 
 @pytest.mark.parametrize("case", list(GOLDEN))
 def test_golden_envelopes(case):
-    make, words, digest = GOLDEN[case]
+    make, digest = GOLDEN[case]
     sk = make()
-    if words is not None:
-        assert sk.word_count() == words
     if case.endswith("-verbatim"):
         assert sk.is_verbatim
     if case.startswith("spectral_basic-") and not sk.is_verbatim:
@@ -510,6 +498,25 @@ def test_golden_envelopes(case):
     assert hashlib.sha256(data).hexdigest() == digest
     assert type(sk).from_bytes(data).to_bytes() == data
 
+
+@functools.cache
+def envelope_fields_tool():
+    path = Path(__file__).resolve().parent.parent / "tools" / "envelope_fields.py"
+    spec = importlib.util.spec_from_file_location("envelope_fields", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_envelope_fields_charge_every_byte_to_a_field(case):
+    sk = GOLDEN[case][0]()
+    data, charged = envelope_fields_tool().field_bytes(sk)
+    assert data == sk.to_bytes()
+    assert sum(charged.values()) == len(data) and "" not in charged
+    assert charged["(envelope header)"] == 6
+    if case.endswith("-verbatim"):
+        assert charged["verbatim.edge_w"] > 0
 
 @pytest.mark.parametrize("family", ["cut_general", "cut_poly", "spectral_basic", "spectral_improved", "sdd", "jl"])
 def test_version_1_envelope_rejected(family):

@@ -35,19 +35,11 @@ def edge_set(g):
     return {(int(u), int(v)) for u, v in zip(g.edge_u, g.edge_v)}
 
 
-def test_keep_all_threshold_identity():
-    g = gnp_connected(10, 0.5, seed=1)
-    cfg = SparsifierConfig(0.3, "cut", seed=2, keep_all_threshold=g.m)
-    assert sparsify(g, cfg) is g
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         SparsifierConfig(0.0, "cut")
     with pytest.raises(ValueError):
         SparsifierConfig(0.5, "nope")
-    with pytest.raises(ValueError):
-        SparsifierConfig(0.5, "cut", keep_all_threshold=-1)
 
 
 def test_deterministic_given_seed():
@@ -210,7 +202,7 @@ def test_kept_edges_match_pinv_reference(case, monkeypatch):
     monkeypatch.setattr(spectral, "sparsify", recording)
     monkeypatch.setattr(partition, "sparsify", recording)
     PINNED_SPECTRAL_INPUTS[case]()
-    assert any(cfg.kind == "spectral" and g.m > cfg.keep_all_threshold for g, cfg, _ in calls)
+    assert any(cfg.kind == "spectral" and g.m > 0 for g, cfg, _ in calls)
     monkeypatch.setattr(sparsify_module, "effective_resistances", resistances_pinv)
     for g, cfg, h in calls:
         assert edge_set(sparsify(g, cfg)) == edge_set(h)
